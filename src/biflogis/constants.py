@@ -180,8 +180,12 @@ def compute_E(p: float, q: float, a1: float, a2: float, reading: str,
         raise InvalidRegime(f"E constants require 1 < p < 3, got p = {p}")
     _check_weights(a1, a2)
     _check_reading(reading)
+    return _e_from_a(p, q, a1, a2, reading, compute_A(p, q, quad))
 
-    A = compute_A(p, q, quad)
+
+def _e_from_a(p: float, q: float, a1: float, a2: float, reading: str,
+              A: dict) -> dict:
+    """E1..E5 from the A family; arguments already validated."""
     a1q = a1 * 2.0 ** ((q + 2.0) / q) * A["A1"] ** (2.0 / q)
     e1 = a1q + a2 * PI ** (2.0 / q)
     e2 = a1q * (A["A4"] + (2.0 / q) * (A["A2"] / A["A1"])) \
@@ -202,7 +206,10 @@ def theorem3_coefficients(p: float, q: float, a1: float, a2: float,
     Composition of the E constants per the module docstring; the E1 and
     E2/E1 terms enter with power (p-1)/(p-3) from beta = N^{(p-1)/(p-3)}.
     """
-    E = compute_E(p, q, a1, a2, reading, quad)
+    return _theorem3_from_e(p, q, compute_E(p, q, a1, a2, reading, quad))
+
+
+def _theorem3_from_e(p: float, q: float, E: dict) -> tuple[float, float]:
     expo = (q * (p - 3.0) - (p - 1.0)) / (q * (p - 3.0))
     ratio = (p - 1.0) / (p - 3.0)
     leading = PI ** (2.0 * expo) * E["E1"] ** ratio / E["E3"]
@@ -267,8 +274,8 @@ def compute_all(p: float, q: float, a1: float, a2: float,
     c1 = compute_C1(p, quad)
     cq = compute_Cq(p, q, quad)
     if subcritical:
-        E = compute_E(p, q, a1, a2, reading, quad)
-        leading, second = theorem3_coefficients(p, q, a1, a2, reading, quad)
+        E = _e_from_a(p, q, a1, a2, reading, A)
+        leading, second = _theorem3_from_e(p, q, E)
     else:
         E = {f"E{i}": None for i in range(1, 6)}
         leading = second = None

@@ -188,6 +188,30 @@ def _layer_moment(eps: float, em: float, p: float, qpow: float,
     return (2.0 / math.sqrt(p - 1.0)) * res.value
 
 
+def _layer_moments(eps: float, em: float, p: float, qs: list,
+                   quad: QuadSpec) -> list:
+    """J_q(eps) for every q in qs from one stacked adaptive pass.
+
+    The rows share their nodes and the weight (1-u)^q, u = x^2, is formed
+    exactly as ``layer_integrand`` forms it, so each row equals
+    ``_layer_moment`` up to the quadrature error of the common panels.
+    A single q takes the scalar rule, which is cheaper than a stack of one.
+    """
+    if len(qs) == 1:
+        return [_layer_moment(eps, em, p, qs[0], quad)]
+    v_top = math.asinh(math.sqrt((p - 1.0) / (2.0 * eps)))
+    w0 = math.sqrt(2.0 * eps / (p - 1.0))
+    pows = np.asarray(qs, dtype=float)[:, None]
+
+    def f(v):
+        x = w0 * np.sinh(v)
+        weight = (1.0 - np.minimum(x * x, 1.0)) ** pows
+        return kernels.layer_integrand(v, eps, em, p, 0.0) * weight
+
+    res = integrate(f, 0.0, v_top, quad)
+    return ((2.0 / math.sqrt(p - 1.0)) * res.value).tolist()
+
+
 def _b_shift(p: float, qpow: float, quad: QuadSpec) -> float:
     """Offset B_q of the large-t asymptote J_q = t/sqrt(p-1) + B_q.
 
@@ -204,50 +228,68 @@ def _b_shift(p: float, qpow: float, quad: QuadSpec) -> float:
     return val
 
 
-def _moment_at_t(t: float, p: float, qpow: float, quad: QuadSpec) -> float:
-    """J_q at layer coordinate t = -ln(eps)."""
+def _moments_at_t(t: float, p: float, qs, quad: QuadSpec) -> dict:
+    """{q: J_q} at layer coordinate t = -ln(eps) for every q in qs.
+
+    Below T_ASYM all moments come from one stacked quadrature; at or past
+    it, from the asymptote with the cached B_q.
+    """
+    qs = sorted(set(qs))
     if t >= T_ASYM:
-        return t / math.sqrt(p - 1.0) + _b_shift(p, qpow, quad)
-    return _layer_moment(math.exp(-t), -math.expm1(-t), p, qpow, quad)
+        lin = t / math.sqrt(p - 1.0)
+        return {q: lin + _b_shift(p, q, quad) for q in qs}
+    eps, em = math.exp(-t), -math.expm1(-t)
+    return dict(zip(qs, _layer_moments(eps, em, p, qs, quad)))
 
 
 # --- curve quantities at a given t ------------------------------------------
 
+def _k_from(t: float, p: float, j0: float) -> float:
+    em = -math.expm1(-t)
+    return (4.0 * em * j0 * j0) ** (1.0 / (p - 1.0))
+
+
+def _ln_k_from(t: float, p: float, j0: float) -> float:
+    em = -math.expm1(-t)
+    return (math.log(4.0) + math.log(em) + 2.0 * math.log(j0)) / (p - 1.0)
+
+
+def _point_from_moments(t: float, p: float, moments: dict) -> LocalPoint:
+    """Curve point at layer coordinate t from its moments J0 and J2."""
+    j0, j2 = moments[0.0], moments[2.0]
+    k = _k_from(t, p, j0)
+    return LocalPoint(k=k, gamma=4.0 * j0 * j0, d=k * math.sqrt(j2 / j0),
+                      p=p, layer_t=t)
+
+
+def _qnorm_from_moments(k: float, q: float, moments: dict) -> float:
+    """||w||_q = k (J_q/J0)^{1/q} of the amplitude-k point."""
+    return k * (moments[q] / moments[0.0]) ** (1.0 / q)
+
+
 def _ln_gamma_at_t(t: float, p: float, quad: QuadSpec) -> float:
-    j0 = _moment_at_t(t, p, 0.0, quad)
+    j0 = _moments_at_t(t, p, (0.0,), quad)[0.0]
     return math.log(4.0) + 2.0 * math.log(j0)
 
 
 def _ln_k_at_t(t: float, p: float, quad: QuadSpec) -> float:
-    em = -math.expm1(-t)
-    j0 = _moment_at_t(t, p, 0.0, quad)
-    return (math.log(4.0) + math.log(em) + 2.0 * math.log(j0)) / (p - 1.0)
+    return _ln_k_from(t, p, _moments_at_t(t, p, (0.0,), quad)[0.0])
 
 
 def _ln_d_at_t(t: float, p: float, quad: QuadSpec) -> float:
-    j0 = _moment_at_t(t, p, 0.0, quad)
-    j2 = _moment_at_t(t, p, 2.0, quad)
-    return _ln_k_at_t(t, p, quad) + 0.5 * (math.log(j2) - math.log(j0))
+    m = _moments_at_t(t, p, (0.0, 2.0), quad)
+    j0, j2 = m[0.0], m[2.0]
+    return _ln_k_from(t, p, j0) + 0.5 * (math.log(j2) - math.log(j0))
 
 
 def _point_from_t(t: float, params: LocalParams) -> LocalPoint:
-    p, quad = params.p, params.quad
-    j0 = _moment_at_t(t, p, 0.0, quad)
-    j2 = _moment_at_t(t, p, 2.0, quad)
-    em = -math.expm1(-t)
-    gamma = 4.0 * j0 * j0
-    k = (4.0 * em * j0 * j0) ** (1.0 / (p - 1.0))
-    d = k * math.sqrt(j2 / j0)
-    return LocalPoint(k=k, gamma=gamma, d=d, p=p, layer_t=t)
+    m = _moments_at_t(t, params.p, (0.0, 2.0), params.quad)
+    return _point_from_moments(t, params.p, m)
 
 
 def _qnorm_from_t(t: float, q: float, params: LocalParams) -> float:
-    p, quad = params.p, params.quad
-    j0 = _moment_at_t(t, p, 0.0, quad)
-    jq = _moment_at_t(t, p, q, quad)
-    em = -math.expm1(-t)
-    k = (4.0 * em * j0 * j0) ** (1.0 / (p - 1.0))
-    return k * (jq / j0) ** (1.0 / q)
+    m = _moments_at_t(t, params.p, (0.0, q), params.quad)
+    return _qnorm_from_moments(_k_from(t, params.p, m[0.0]), q, m)
 
 
 # --- inverse problems: root-finds in tau = ln t ------------------------------
@@ -349,9 +391,7 @@ def q_norm(k: float, gamma: float, q: float, params: LocalParams) -> float:
     nu = k ** (p - 1.0) / gamma
     if not nu < 1.0:
         raise InvalidBracket(f"q_norm needs gamma > k^(p-1); got ratio {nu}")
-    eps = 1.0 - nu
-    j0 = _layer_moment(eps, nu, p, 0.0, quad)
-    jq = _layer_moment(eps, nu, p, q, quad)
+    j0, jq = _layer_moments(1.0 - nu, nu, p, [0.0, q], quad)
     return k * (jq / j0) ** (1.0 / q)
 
 
@@ -434,7 +474,7 @@ def sample_profile(point: LocalPoint, n: int, params: LocalParams) -> Profile:
         for j in range(1, n - 1):
             seg = integrate(g, s_nodes[j - 1], s_nodes[j], quad)
             xs_half[j] = xs_half[j - 1] + seg.value / sqrt_g
-        xs_half[n - 1] = _moment_at_t(t, p, 0.0, quad) / sqrt_g
+        xs_half[n - 1] = _moments_at_t(t, p, (0.0,), quad)[0.0] / sqrt_g
 
     ws_half = point.k * s_nodes
     xs = np.concatenate([xs_half, 1.0 - xs_half[-2::-1]])

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import local_logistic as ll
-from .errors import InvalidRegime, MonotonicityViolation, ZeroCoefficients
+from .errors import (InvalidRegime, MonotonicityViolation, NoConvergence,
+                     ZeroCoefficients)
 from .local_logistic import LocalPoint, phi
 from .quadrature import QuadSpec
 from .rootfind import solve_monotone
@@ -34,6 +35,14 @@ __all__ = [
 ]
 
 _CRITICAL_BAND = 1e-9
+
+# Relative step in t of the post-root monotonicity probe, and the slack
+# (1e-9 relative in g) its comparisons with alpha allow.
+_PROBE_DELTA = 1e-3
+_LN_SLACK = math.log1p(1e-9)
+
+# Bound on |h d / alpha - 1| that every returned solution meets.
+_ALPHA_RTOL = 1e-10
 
 REGIMES = ("supercritical", "critical", "subcritical")
 
@@ -131,9 +140,10 @@ def scale_factor(local: LocalPoint, q_norm_val: float,
 
 def _state_at_t(t: float, params: ProblemParams):
     """(LocalPoint, ||w||_q, N) at layer coordinate t."""
-    lp = _local_params(params)
-    point = ll._point_from_t(t, lp)
-    wq = ll._qnorm_from_t(t, params.q, lp)
+    p, q = params.p, params.q
+    m = ll._moments_at_t(t, p, (0.0, 2.0, q), params.quad)
+    point = ll._point_from_moments(t, p, m)
+    wq = ll._qnorm_from_moments(point.k, q, m)
     n_val = params.a1 * wq * wq + params.a2 * point.d * point.d
     return point, wq, n_val
 
@@ -181,21 +191,29 @@ def _solve_noncritical(alpha: float, params: ProblemParams) -> NonlocalSolution:
 
     tau = solve_monotone(resid, tau0, ll._TAU_LO, ll._TAU_HI,
                          step0=2.0, xtol=xtol)
-    point, wq, n_val = _state_at_t(math.exp(tau), params)
+    t = math.exp(tau)
+    point, wq, n_val = _state_at_t(t, params)
 
-    g_lo = g_of_k(point.k * (1.0 - 1e-3), params)
-    g_hi = g_of_k(point.k * (1.0 + 1e-3), params)
-    slack = 1e-9 * alpha
-    if p > 3.0:
-        ok = g_lo < g_hi and g_lo < alpha + slack and g_hi > alpha - slack
-    else:
-        ok = g_hi < g_lo and g_hi < alpha + slack and g_lo > alpha - slack
-    if not ok:
+    # k(t) is strictly increasing, so probing g at t(1 -+ delta) checks the
+    # monotonicity of g(k); in log space, so no probe can overflow.
+    ln_minus = _ln_g_at_t(t * (1.0 - _PROBE_DELTA), params)
+    ln_plus = _ln_g_at_t(t * (1.0 + _PROBE_DELTA), params)
+    lo, hi = (ln_minus, ln_plus) if p > 3.0 else (ln_plus, ln_minus)
+    if not (lo < hi and lo < ln_alpha + _LN_SLACK and hi > ln_alpha - _LN_SLACK):
         raise MonotonicityViolation(
-            f"g is not locally monotone around the root k = {point.k:.6g}: "
-            f"g(k-) = {g_lo:.12g}, g(k+) = {g_hi:.12g}, alpha = {alpha:.12g}")
+            f"g is not locally monotone around the root t = {t:.6g} "
+            f"(k = {point.k:.6g}): ln g(t-) = {ln_minus:.12g}, "
+            f"ln g(t+) = {ln_plus:.12g}, ln alpha = {ln_alpha:.12g}")
 
-    h = math.exp(math.log(n_val) / (p - 3.0))
+    # Near p = 3 the factor 1/(p-3) amplifies the rounding of ln N past the
+    # root tolerance, so alpha = h d is checked, first in log form, which
+    # also keeps exp(ln_h) from overflowing.
+    ln_h = math.log(n_val) / (p - 3.0)
+    miss = ln_h + math.log(point.d) - ln_alpha
+    h = math.exp(ln_h) if abs(miss) <= _ALPHA_RTOL else math.nan
+    if not abs(h * point.d / alpha - 1.0) <= _ALPHA_RTOL:
+        raise NoConvergence(
+            f"h d misses alpha = {alpha!r} by {miss:.3g} in log at p = {p!r}")
     beta = h * h * n_val
     lam = beta * point.gamma
     regime = "supercritical" if p > 3.0 else "subcritical"
@@ -233,7 +251,9 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
 
     p > 3 and p < 3 invert the strictly monotone map g(k) = h d; the solver
     re-probes monotonicity at the root and raises MonotonicityViolation if
-    the bracket assumption fails. p within 1e-9 of 3 takes the critical
+    the bracket assumption fails, and NoConvergence if the root misses
+    alpha = h d by more than 1e-10 relative (close to p = 3, where 1/(p-3)
+    amplifies rounding). p within 1e-9 of 3 takes the critical
     branch: normalize a1 ||w||_q^2 + a2 d^2 = 1, then scale exactly.
     """
     if not (math.isfinite(alpha) and alpha > 0.0):

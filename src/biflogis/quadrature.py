@@ -15,9 +15,12 @@ Two rules cover the two integrand classes that appear in this package:
     error estimate is the difference between successive levels.
 
 Calling convention: the integrand ``f`` receives a NumPy array of nodes and
-must return an array of values. The integrator never evaluates ``f`` exactly
-at an interval endpoint; integrands needing a limiting value there must build
-it in via a guarded branch.
+must return an array of values. Under the Gauss rule ``f`` may instead return
+shape (m, len(nodes)), m integrands sharing the nodes: the result then holds
+m values, and a panel is refined until every component meets its tolerance.
+The integrator never evaluates ``f`` exactly at an interval endpoint;
+integrands needing a limiting value there must build it in via a guarded
+branch.
 
 For integrands whose singular behavior at an endpoint cannot be resolved from
 the absolute node coordinate in double precision (the distance to the
@@ -76,17 +79,20 @@ class QuadSpec:
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: float
-    error_estimate: float
+    """value and error_estimate are arrays of m entries for a stacked integrand."""
+
+    value: float | np.ndarray
+    error_estimate: float | np.ndarray
     evaluations: int
 
 
 def integrate(f, a: float, b: float, spec: QuadSpec = QuadSpec()) -> QuadResult:
     """Approximate the integral of ``f`` over (a, b).
 
-    The result satisfies |error_estimate| <= max(abs_tol, rel_tol*|value|);
-    otherwise NoConvergence is raised. NonFinite is raised if ``f`` returns
-    NaN or infinity at any interior node actually used.
+    The result satisfies |error_estimate| <= max(abs_tol, rel_tol*|value|),
+    componentwise for a stacked integrand; otherwise NoConvergence is
+    raised. NonFinite is raised if ``f`` returns NaN or infinity at any
+    interior node actually used.
     """
     if not (a < b):
         raise ValueError("integrate requires a < b")
@@ -118,21 +124,30 @@ def _gauss_adaptive(f, a: float, b: float, spec: QuadSpec) -> QuadResult:
 
         x_lo = (mid[:, None] + half[:, None] * _GL_LO_X[None, :]).ravel()
         x_hi = (mid[:, None] + half[:, None] * _GL_HI_X[None, :]).ravel()
-        f_lo = _call(f, x_lo).reshape(len(panels), -1)
-        f_hi = _call(f, x_hi).reshape(len(panels), -1)
+        f_lo = _call(f, x_lo)
+        f_hi = _call(f, x_hi)
         evals += x_lo.size + x_hi.size
 
-        i_lo = half * (f_lo @ _GL_LO_W)
-        i_hi = half * (f_hi @ _GL_HI_W)
+        # (n_panels, nodes) for a scalar integrand, (m, n_panels, nodes)
+        # for a stacked one.
+        n = len(panels)
+        i_lo = half * (f_lo.reshape(*f_lo.shape[:-1], n, -1) @ _GL_LO_W)
+        i_hi = half * (f_hi.reshape(*f_hi.shape[:-1], n, -1) @ _GL_HI_W)
         perr = np.abs(i_hi - i_lo)
 
-        running = acc_val + float(i_hi.sum())
-        tol = max(spec.abs_tol, spec.rel_tol * abs(running))
-        share = tol * (2.0 * half / total_len)
-        ok = perr <= share
-
-        acc_val += float(i_hi[ok].sum())
-        acc_err += float(perr[ok].sum())
+        if perr.ndim == 1:
+            running = acc_val + float(i_hi.sum())
+            tol = max(spec.abs_tol, spec.rel_tol * abs(running))
+            ok = perr <= tol * (2.0 * half / total_len)
+            acc_val += float(i_hi[ok].sum())
+            acc_err += float(perr[ok].sum())
+        else:
+            # A panel is kept only when every component meets its share.
+            running = acc_val + i_hi.sum(axis=1)
+            tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(running))
+            ok = np.all(perr <= tol[:, None] * (2.0 * half / total_len), axis=0)
+            acc_val = acc_val + i_hi[:, ok].sum(axis=1)
+            acc_err = acc_err + perr[:, ok].sum(axis=1)
         if np.all(ok):
             return QuadResult(acc_val, acc_err, evals)
 

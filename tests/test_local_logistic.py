@@ -55,6 +55,22 @@ def test_phi_vectorized():
     assert np.max(np.abs(vals - (1.0 + s * s))) < 1e-12
 
 
+# --- stacked moments -----------------------------------------------------------
+
+@pytest.mark.parametrize("p", (1.5, 2.0, 2.5, 5.0))
+def test_moments_at_t_match_single_moments(p):
+    # One stacked quadrature for all q against one scalar quadrature per q;
+    # the rows share panels refined on the worst of them.
+    quad = QuadSpec()
+    qs = (0.0, 2.0, 3.0, 4.0)
+    for t in (1e-6, 0.3, 5.0, 30.0):
+        stacked = ll._moments_at_t(t, p, set(qs), quad)
+        assert sorted(stacked) == list(qs)
+        for q in qs:
+            single = ll._layer_moment(math.exp(-t), -math.expm1(-t), p, q, quad)
+            assert abs(stacked[q] / single - 1.0) <= 1e-14
+
+
 # --- time_map ----------------------------------------------------------------
 
 def test_time_map_small_k_arcsin_limit():

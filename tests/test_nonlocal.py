@@ -11,8 +11,9 @@ import math
 
 import pytest
 
-from biflogis.errors import (InvalidRegime, MonotonicityViolation,
-                             ZeroCoefficients)
+from biflogis.errors import (BiflogisError, InvalidRegime,
+                             MonotonicityViolation, ZeroCoefficients)
+from biflogis import nonlocal_curve
 from biflogis.local_logistic import LocalParams, point_from_gamma, point_q_norm
 from biflogis.nonlocal_curve import (NonlocalSolution, ProblemParams, g_of_k,
                                      residual_check, scale_factor, solve_alpha)
@@ -29,8 +30,8 @@ def wq_of(sol, params):
     return point_q_norm(sol.local, params.q, lp)
 
 
-def assert_invariants(sol, params):
-    assert rel(sol.alpha, sol.h * sol.local.d) < 1e-12
+def assert_invariants(sol, params, alpha_rtol=1e-12):
+    assert rel(sol.alpha, sol.h * sol.local.d) < alpha_rtol
     assert rel(sol.lam, sol.beta * sol.local.gamma) < 1e-12
     wq = wq_of(sol, params)
     n_scaled = params.a1 * (sol.h * wq) ** 2 \
@@ -115,6 +116,41 @@ def test_solution_invariants(p, q, a1, a2, alpha):
     assert sol.alpha == alpha
     assert sol.regime == params.regime
     assert_invariants(sol, params)
+
+
+def assert_valid_or_typed_error(alpha, params):
+    """A point that meets alpha = h d to the documented 1e-10 and the other
+    invariants, or a package error; never a bare exception."""
+    try:
+        sol = solve_alpha(alpha, params)
+    except BiflogisError:
+        return
+    assert sol.regime == params.regime
+    assert_invariants(sol, params, alpha_rtol=1e-10)
+
+
+@pytest.mark.parametrize("p", (3.0 - 1e-7, 3.0 + 1e-7, 3.0 + 1e-6, 3.0 + 1e-8))
+@pytest.mark.parametrize("alpha", (1e-2, 1.0, 1e2))
+def test_near_critical_valid_or_typed_error(p, alpha):
+    # Just outside the critical band, 1/(p-3) amplifies the rounding of ln N.
+    for q, a1, a2 in ((2.0, 1.0, 1.0), (4.0, 1.0, 0.5)):
+        assert_valid_or_typed_error(alpha, ProblemParams(p=p, q=q, a1=a1, a2=a2))
+
+
+def test_small_p_tiny_alpha_valid_or_typed_error():
+    # Here the root-find ends 79 alpha away from alpha; the point must not
+    # be returned as a solution.
+    for q in (1.1, 2.0, 8.0):
+        assert_valid_or_typed_error(1e-6, ProblemParams(p=1.05, q=q, a1=1.0, a2=1.0))
+
+
+def test_probe_rejects_reversed_order(monkeypatch):
+    # With the probe points swapped, g runs the wrong way around the root
+    # in both regimes, and the solver must refuse the point.
+    monkeypatch.setattr(nonlocal_curve, "_PROBE_DELTA", -1e-3)
+    for p in (2.0, 5.0):
+        with pytest.raises(MonotonicityViolation):
+            solve_alpha(100.0, ProblemParams(p=p, q=2.0, a1=1.0, a2=0.0))
 
 
 @pytest.mark.parametrize("p,q,a1,a2,alpha", CASES)
