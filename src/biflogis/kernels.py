@@ -3,8 +3,6 @@
 ``layer_integrand`` evaluates the regularized boundary-layer integrand that
 every curve quantity reduces to, on an array of substitution nodes.
 ``rk4_shoot`` integrates the planar shooting ODE with a fixed-step RK4 march.
-Both have compiled twins in ``_native``; the package selects one at import
-time and the two must agree to near machine precision on identical inputs.
 """
 
 from __future__ import annotations
@@ -13,7 +11,10 @@ import math
 
 import numpy as np
 
-__all__ = ["c_factor", "layer_integrand", "rk4_shoot"]
+__all__ = ["c_factor", "layer_integrand", "rk4_shoot", "IMPLEMENTATION"]
+
+# Name of the kernel implementation, recorded with benchmark results.
+IMPLEMENTATION = "pure"
 
 # Branch cuts for c_factor. For u below the series cut the truncated power
 # series is exact to <1e-18; between the cuts expm1/log1p keeps the
@@ -88,7 +89,7 @@ def rk4_shoot(gamma: float, slope: float, p: float, n_steps: int, step: float):
 
     Returns (ws, zs, n_filled, status): trajectory arrays of length
     n_steps + 1 (zero-padded past n_filled), the count of valid samples, and
-    status 0 on completion or 1 if |w| exceeded the overflow guard.
+    status 0 on completion, 1 if |w| passed the guard or a step overflowed.
     """
     ws = np.zeros(n_steps + 1)
     zs = np.zeros(n_steps + 1)
@@ -101,16 +102,19 @@ def rk4_shoot(gamma: float, slope: float, p: float, n_steps: int, step: float):
 
     for i in range(1, n_steps + 1):
         k1w = z
-        k1z = math.copysign(abs(w) ** p, w) - gamma * w
-        w2 = w + 0.5 * h * k1w
-        k2w = z + 0.5 * h * k1z
-        k2z = math.copysign(abs(w2) ** p, w2) - gamma * w2
-        w3 = w + 0.5 * h * k2w
-        k3w = z + 0.5 * h * k2z
-        k3z = math.copysign(abs(w3) ** p, w3) - gamma * w3
-        w4 = w + h * k3w
-        k4w = z + h * k3z
-        k4z = math.copysign(abs(w4) ** p, w4) - gamma * w4
+        try:
+            k1z = math.copysign(abs(w) ** p, w) - gamma * w
+            w2 = w + 0.5 * h * k1w
+            k2w = z + 0.5 * h * k1z
+            k2z = math.copysign(abs(w2) ** p, w2) - gamma * w2
+            w3 = w + 0.5 * h * k2w
+            k3w = z + 0.5 * h * k2z
+            k3z = math.copysign(abs(w3) ** p, w3) - gamma * w3
+            w4 = w + h * k3w
+            k4w = z + h * k3z
+            k4z = math.copysign(abs(w4) ** p, w4) - gamma * w4
+        except OverflowError:
+            return ws, zs, i, 1
         w += (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
         z += (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
         ws[i] = w

@@ -258,6 +258,8 @@ def _point_from_moments(t: float, p: float, moments: dict) -> LocalPoint:
     """Curve point at layer coordinate t from its moments J0 and J2."""
     j0, j2 = moments[0.0], moments[2.0]
     k = _k_from(t, p, j0)
+    if k == 0.0:
+        raise InvalidBracket(f"k underflows at t = {t:.6g}, p = {p!r}")
     return LocalPoint(k=k, gamma=4.0 * j0 * j0, d=k * math.sqrt(j2 / j0),
                       p=p, layer_t=t)
 

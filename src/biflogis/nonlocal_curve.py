@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import local_logistic as ll
-from .errors import (InvalidRegime, MonotonicityViolation, NoConvergence,
-                     ZeroCoefficients)
+from .errors import (InvalidBracket, InvalidRegime, MonotonicityViolation,
+                     NoConvergence, ZeroCoefficients)
 from .local_logistic import LocalPoint, phi
 from .quadrature import QuadSpec
 from .rootfind import solve_monotone
@@ -139,12 +139,15 @@ def scale_factor(local: LocalPoint, q_norm_val: float,
 
 
 def _state_at_t(t: float, params: ProblemParams):
-    """(LocalPoint, ||w||_q, N) at layer coordinate t."""
+    """(LocalPoint, ||w||_q, N) at layer coordinate t; InvalidBracket where
+    k or N underflows to zero, as for p near 1 at large alpha."""
     p, q = params.p, params.q
     m = ll._moments_at_t(t, p, (0.0, 2.0, q), params.quad)
     point = ll._point_from_moments(t, p, m)
     wq = ll._qnorm_from_moments(point.k, q, m)
     n_val = params.a1 * wq * wq + params.a2 * point.d * point.d
+    if n_val == 0.0:
+        raise InvalidBracket(f"N underflows at t = {t:.6g}, p = {p!r}")
     return point, wq, n_val
 
 

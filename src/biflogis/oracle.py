@@ -69,12 +69,6 @@ class ShootResult:
     x_cross: float | None
 
 
-def _march(gamma: float, m: float, p: float, cfg: ShootConfig):
-    """Raw kernel run: (ws, zs, n_filled, status), status 1 = overflow."""
-    n = cfg.n_steps
-    return kernels.rk4_shoot(gamma, m, p, n, 1.0 / n)
-
-
 def _first_crossing(ws: np.ndarray, n_filled: int) -> int:
     """Index of the first nonpositive sample after launch, or -1."""
     w = ws[1:n_filled]
@@ -86,20 +80,20 @@ def shoot(gamma: float, m: float, p: float,
           cfg: ShootConfig = ShootConfig()) -> ShootResult:
     """Integrate one trajectory across [0, 1].
 
-    Raises Overflow if |w| exceeds 1e12 before reaching x = 1 (diverging
-    slope); a crossing trajectory stays bounded by the energy level, so
-    overflow always means m was too large.
+    Raises Overflow if |w| exceeds 1e12, or a step overflows the floats,
+    before reaching x = 1 (diverging slope); a crossing trajectory stays
+    bounded by the energy level, so overflow always means m was too large.
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if m <= 0.0:
         raise ValueError(f"initial slope must be positive, got {m}")
-    ws, zs, n_filled, status = _march(gamma, m, p, cfg)
+    n = cfg.n_steps
+    ws, zs, n_filled, status = kernels.rk4_shoot(gamma, m, p, n, 1.0 / n)
     if status != 0:
         raise Overflow(
-            f"|w| exceeded 1e12 at x = {(n_filled - 1) / cfg.n_steps:.6g} "
+            f"trajectory diverged at x = {(n_filled - 1) / n:.6g} "
             f"(gamma = {gamma}, m = {m})")
-    n = cfg.n_steps
     xs = np.linspace(0.0, 1.0, n + 1)
     ci = _first_crossing(ws, n_filled)
     if ci < 0:

@@ -138,10 +138,12 @@ def test_near_critical_valid_or_typed_error(p, alpha):
 
 
 def test_small_p_tiny_alpha_valid_or_typed_error():
-    # Here the root-find ends 79 alpha away from alpha; the point must not
-    # be returned as a solution.
-    for q in (1.1, 2.0, 8.0):
-        assert_valid_or_typed_error(1e-6, ProblemParams(p=1.05, q=q, a1=1.0, a2=1.0))
+    # At alpha = 1e-6 the root-find ends 79 alpha away from alpha; the point
+    # must not be returned as a solution. At alpha = 1e6 and 1e12 the curve
+    # point's N or k underflows to zero.
+    for alpha in (1e-6, 1e6, 1e12):
+        for q in (1.1, 2.0, 8.0):
+            assert_valid_or_typed_error(alpha, ProblemParams(p=1.05, q=q, a1=1.0, a2=1.0))
 
 
 def test_probe_rejects_reversed_order(monkeypatch):

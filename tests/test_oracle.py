@@ -122,14 +122,16 @@ def test_solve_bvp_below_threshold():
 def test_solve_bvp_matches_time_map():
     # Two independent routes to the same boundary-value solution. The
     # time-map route is quadrature-accurate; the shooting error is set by
-    # the RK4 step and the slope bisection.
-    params = LocalParams(p=3.0)
-    ref = point_from_gamma(15.0, params)
-    point, profile = solve_bvp(15.0, 3.0)
-    assert abs(point.k - ref.k) < 1e-9 * ref.k
-    assert abs(point.d - ref.d) < 1e-8 * ref.d
-    w4_ref = q_norm(ref.k, ref.gamma, 4.0, params)
-    assert abs(norms_from_profile(profile, 4.0) - w4_ref) < 1e-8 * w4_ref
+    # the RK4 step and the slope bisection. At (14.3376, 5.1857) the
+    # bisection tries slopes whose march overflows inside an RK4 stage.
+    for gamma, p in ((15.0, 3.0), (14.3376, 5.1857)):
+        params = LocalParams(p=p)
+        ref = point_from_gamma(gamma, params)
+        point, profile = solve_bvp(gamma, p)
+        assert abs(point.k - ref.k) < 1e-9 * ref.k
+        assert abs(point.d - ref.d) < 1e-8 * ref.d
+        w4_ref = q_norm(ref.k, ref.gamma, 4.0, params)
+        assert abs(norms_from_profile(profile, 4.0) - w4_ref) < 1e-8 * w4_ref
 
 
 def test_solve_bvp_profile_symmetric():
