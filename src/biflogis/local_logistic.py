@@ -242,56 +242,47 @@ def _moments_at_t(t: float, p: float, qs, quad: QuadSpec) -> dict:
     return dict(zip(qs, _layer_moments(eps, em, p, qs, quad)))
 
 
-# --- curve quantities at a given t ------------------------------------------
+# --- curve state at a given t -------------------------------------------------
 
-def _k_from(t: float, p: float, j0: float) -> float:
-    em = -math.expm1(-t)
-    return (4.0 * em * j0 * j0) ** (1.0 / (p - 1.0))
-
-
-def _ln_k_from(t: float, p: float, j0: float) -> float:
-    em = -math.expm1(-t)
-    return (math.log(4.0) + math.log(em) + 2.0 * math.log(j0)) / (p - 1.0)
-
-
-def _point_from_moments(t: float, p: float, moments: dict) -> LocalPoint:
-    """Curve point at layer coordinate t from its moments J0 and J2."""
-    j0, j2 = moments[0.0], moments[2.0]
-    k = _k_from(t, p, j0)
-    if k == 0.0:
-        raise InvalidBracket(f"k underflows at t = {t:.6g}, p = {p!r}")
-    return LocalPoint(k=k, gamma=4.0 * j0 * j0, d=k * math.sqrt(j2 / j0),
-                      p=p, layer_t=t)
+def _log_state_at_t(t: float, p: float, qs, quad: QuadSpec):
+    """(ln k, ln gamma, {q: ln ||w||_q}) at layer coordinate t for every q in
+    qs, from one _moments_at_t call; d = ||w||_2, so a caller that needs d
+    passes 2.0 in qs. Finite over the whole tau bracket, also where k itself
+    under- or overflows."""
+    m = _moments_at_t(t, p, (0.0, *qs), quad)
+    j0 = m[0.0]
+    ln_gamma = math.log(4.0) + 2.0 * math.log(j0)
+    ln_k = (math.log(-math.expm1(-t)) + ln_gamma) / (p - 1.0)
+    # ln of the ratio, not a difference of logs: deep in the layer J_q/J0
+    # is 1 - O(1/t), below the rounding of ln J_q itself.
+    return ln_k, ln_gamma, {q: ln_k + math.log(m[q] / j0) / q for q in qs}
 
 
-def _qnorm_from_moments(k: float, q: float, moments: dict) -> float:
-    """||w||_q = k (J_q/J0)^{1/q} of the amplitude-k point."""
-    return k * (moments[q] / moments[0.0]) ** (1.0 / q)
+def _point_from_state(t: float, p: float, state) -> LocalPoint:
+    """Curve point at layer coordinate t from its log state (which holds d).
 
-
-def _ln_gamma_at_t(t: float, p: float, quad: QuadSpec) -> float:
-    j0 = _moments_at_t(t, p, (0.0,), quad)[0.0]
-    return math.log(4.0) + 2.0 * math.log(j0)
-
-
-def _ln_k_at_t(t: float, p: float, quad: QuadSpec) -> float:
-    return _ln_k_from(t, p, _moments_at_t(t, p, (0.0,), quad)[0.0])
-
-
-def _ln_d_at_t(t: float, p: float, quad: QuadSpec) -> float:
-    m = _moments_at_t(t, p, (0.0, 2.0), quad)
-    j0, j2 = m[0.0], m[2.0]
-    return _ln_k_from(t, p, j0) + 0.5 * (math.log(j2) - math.log(j0))
+    InvalidBracket where k under- or overflows (p near 1) or d rounds to k
+    (large p deep in the layer): no float point represents the curve there.
+    """
+    ln_k, ln_gamma, ln_norms = state
+    try:
+        k, d = math.exp(ln_k), math.exp(ln_norms[2.0])
+    except OverflowError:
+        k = d = math.inf
+    if not 0.0 < d < k < math.inf:
+        raise InvalidBracket(
+            f"no float curve point with 0 < d < k < inf at t = {t:.6g}, "
+            f"p = {p!r} (ln k = {ln_k:.6g})")
+    return LocalPoint(k=k, gamma=math.exp(ln_gamma), d=d, p=p, layer_t=t)
 
 
 def _point_from_t(t: float, params: LocalParams) -> LocalPoint:
-    m = _moments_at_t(t, params.p, (0.0, 2.0), params.quad)
-    return _point_from_moments(t, params.p, m)
+    state = _log_state_at_t(t, params.p, (2.0,), params.quad)
+    return _point_from_state(t, params.p, state)
 
 
 def _qnorm_from_t(t: float, q: float, params: LocalParams) -> float:
-    m = _moments_at_t(t, params.p, (0.0, q), params.quad)
-    return _qnorm_from_moments(_k_from(t, params.p, m[0.0]), q, m)
+    return math.exp(_log_state_at_t(t, params.p, (q,), params.quad)[2][q])
 
 
 # --- inverse problems: root-finds in tau = ln t ------------------------------
@@ -305,18 +296,24 @@ def _seed_tau_for_k(ln_k: float, p: float) -> float:
     return min(tau_small, tau_large)
 
 
+def _t_where(ln_of, target: float, seed: float, qs, params: LocalParams) -> float:
+    """The t at which ln_of(log state at t) = target, by Brent in tau = ln t;
+    qs are the norms the state must carry."""
+    p, quad = params.p, params.quad
+
+    def resid(tau: float) -> float:
+        return ln_of(_log_state_at_t(math.exp(tau), p, qs, quad)) - target
+
+    tau = solve_monotone(resid, seed, _TAU_LO, _TAU_HI, step0=2.0, xtol=1e-14)
+    return math.exp(tau)
+
+
 def _t_from_k(k: float, params: LocalParams) -> float:
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"k must be finite and positive, got {k}")
-    p, quad = params.p, params.quad
     ln_k = math.log(k)
-
-    def resid(tau: float) -> float:
-        return _ln_k_at_t(math.exp(tau), p, quad) - ln_k
-
-    tau = solve_monotone(resid, _seed_tau_for_k(ln_k, p),
-                         _TAU_LO, _TAU_HI, step0=2.0, xtol=1e-14)
-    return math.exp(tau)
+    return _t_where(lambda s: s[0], ln_k, _seed_tau_for_k(ln_k, params.p),
+                    (), params)
 
 
 def _t_from_gamma(gamma: float, params: LocalParams) -> float:
@@ -324,32 +321,19 @@ def _t_from_gamma(gamma: float, params: LocalParams) -> float:
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
     if gamma <= PI2:
         raise NoSolution(f"no positive solution for gamma <= pi^2 (got {gamma})")
-    p, quad = params.p, params.quad
     ln_g = math.log(gamma)
     tau_small = math.log(max(gamma / PI2 - 1.0, 1e-300))
-    tau_large = 0.5 * ln_g + 0.5 * math.log(p - 1.0) - math.log(2.0)
-    seed = min(tau_small, tau_large)
-
-    def resid(tau: float) -> float:
-        return _ln_gamma_at_t(math.exp(tau), p, quad) - ln_g
-
-    tau = solve_monotone(resid, seed, _TAU_LO, _TAU_HI, step0=2.0, xtol=1e-14)
-    return math.exp(tau)
+    tau_large = 0.5 * ln_g + 0.5 * math.log(params.p - 1.0) - math.log(2.0)
+    return _t_where(lambda s: s[1], ln_g, min(tau_small, tau_large), (), params)
 
 
 def _t_from_d(d: float, params: LocalParams) -> float:
     if not (math.isfinite(d) and d > 0.0):
         raise ValueError(f"d must be finite and positive, got {d}")
-    p, quad = params.p, params.quad
     ln_d = math.log(d)
-
-    def resid(tau: float) -> float:
-        return _ln_d_at_t(math.exp(tau), p, quad) - ln_d
-
     # d ~ k/sqrt(2) at both scale extremes is a good enough seed.
-    seed = _seed_tau_for_k(ln_d + 0.5 * math.log(2.0), p)
-    tau = solve_monotone(resid, seed, _TAU_LO, _TAU_HI, step0=2.0, xtol=1e-14)
-    return math.exp(tau)
+    seed = _seed_tau_for_k(ln_d + 0.5 * math.log(2.0), params.p)
+    return _t_where(lambda s: s[2][2.0], ln_d, seed, (2.0,), params)
 
 
 # --- public operations --------------------------------------------------------

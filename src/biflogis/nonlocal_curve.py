@@ -115,10 +115,6 @@ class NonlocalSolution:
         }
 
 
-def _local_params(params: ProblemParams) -> ll.LocalParams:
-    return ll.LocalParams(p=params.p, quad=params.quad)
-
-
 def _require_noncritical(p: float) -> None:
     if abs(p - 3.0) <= _CRITICAL_BAND:
         raise InvalidRegime(
@@ -132,28 +128,37 @@ def scale_factor(local: LocalPoint, q_norm_val: float,
     _require_noncritical(params.p)
     if q_norm_val < 0.0:
         raise ValueError(f"q_norm_val must be nonnegative, got {q_norm_val}")
-    n_val = params.a1 * q_norm_val ** 2 + params.a2 * local.d ** 2
-    if n_val <= 0.0:
+    # N = d^2 (a1 (||w||_q/d)^2 + a2), so that d^2 is never formed.
+    n_over_d2 = params.a1 * (q_norm_val / local.d) ** 2 + params.a2
+    if n_over_d2 <= 0.0:
         raise ZeroCoefficients("a1 ||w||_q^2 + a2 d^2 must be positive")
-    return math.exp(math.log(n_val) / (params.p - 3.0))
+    return math.exp((2.0 * math.log(local.d) + math.log(n_over_d2))
+                    / (params.p - 3.0))
 
 
 def _state_at_t(t: float, params: ProblemParams):
-    """(LocalPoint, ||w||_q, N) at layer coordinate t; InvalidBracket where
-    k or N underflows to zero, as for p near 1 at large alpha."""
-    p, q = params.p, params.q
-    m = ll._moments_at_t(t, p, (0.0, 2.0, q), params.quad)
-    point = ll._point_from_moments(t, p, m)
-    wq = ll._qnorm_from_moments(point.k, q, m)
-    n_val = params.a1 * wq * wq + params.a2 * point.d * point.d
-    if n_val == 0.0:
-        raise InvalidBracket(f"N underflows at t = {t:.6g}, p = {p!r}")
-    return point, wq, n_val
+    """(log-form local state, ln N) at layer coordinate t, where
+    N = a1 ||w||_q^2 + a2 d^2 = d^2 (a1 (||w||_q/d)^2 + a2). The ratio
+    ||w||_q/d is at most k/d, so ln N stays finite where d or N would
+    under- or overflow, as for p near 1 at extreme alpha."""
+    state = ll._log_state_at_t(t, params.p, (2.0, params.q), params.quad)
+    ln_d, ln_wq = state[2][2.0], state[2][params.q]
+    ratio2 = math.exp(2.0 * (ln_wq - ln_d))
+    return state, 2.0 * ln_d + math.log(params.a1 * ratio2 + params.a2)
 
 
 def _ln_g_at_t(t: float, params: ProblemParams) -> float:
-    point, _, n_val = _state_at_t(t, params)
-    return math.log(n_val) / (params.p - 3.0) + math.log(point.d)
+    state, ln_n = _state_at_t(t, params)
+    return ln_n / (params.p - 3.0) + state[2][2.0]
+
+
+def _root_t(resid, ln_d: float, params: ProblemParams) -> float:
+    """Root t of a monotone residual in tau = ln t, seeded where the local
+    L2 norm is about exp(ln_d)."""
+    tau0 = ll._seed_tau_for_k(ln_d + 0.5 * math.log(2.0), params.p)
+    tau = solve_monotone(resid, tau0, ll._TAU_LO, ll._TAU_HI, step0=2.0,
+                         xtol=min(params.root_tol, 1e-12))
+    return math.exp(tau)
 
 
 def g_of_k(k: float, params: ProblemParams) -> float:
@@ -161,7 +166,7 @@ def g_of_k(k: float, params: ProblemParams) -> float:
     _require_noncritical(params.p)
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"k must be finite and positive, got {k}")
-    t = ll._t_from_k(k, _local_params(params))
+    t = ll._t_from_k(k, ll.LocalParams(p=params.p, quad=params.quad))
     return math.exp(_ln_g_at_t(t, params))
 
 
@@ -177,7 +182,6 @@ def _subcritical_e1(params: ProblemParams) -> float:
 
 def _solve_noncritical(alpha: float, params: ProblemParams) -> NonlocalSolution:
     p = params.p
-    xtol = min(params.root_tol, 1e-12)
     ln_alpha = math.log(alpha)
     if p > 3.0:
         # Large d: ||w||_q ~ d, so g ~ ((a1+a2) d^2)^{1/(p-3)} d.
@@ -187,15 +191,13 @@ def _solve_noncritical(alpha: float, params: ProblemParams) -> NonlocalSolution:
         # Leading subcritical law d^{p-1} = alpha^{p-3} pi^{2/q} / E1.
         ln_d = ((p - 3.0) * ln_alpha + (2.0 / params.q) * math.log(math.pi)
                 - math.log(_subcritical_e1(params))) / (p - 1.0)
-    tau0 = ll._seed_tau_for_k(ln_d + 0.5 * math.log(2.0), p)
 
     def resid(tau: float) -> float:
         return _ln_g_at_t(math.exp(tau), params) - ln_alpha
 
-    tau = solve_monotone(resid, tau0, ll._TAU_LO, ll._TAU_HI,
-                         step0=2.0, xtol=xtol)
-    t = math.exp(tau)
-    point, wq, n_val = _state_at_t(t, params)
+    t = _root_t(resid, ln_d, params)
+    state, ln_n = _state_at_t(t, params)
+    point = ll._point_from_state(t, p, state)
 
     # k(t) is strictly increasing, so probing g at t(1 -+ delta) checks the
     # monotonicity of g(k); in log space, so no probe can overflow.
@@ -209,44 +211,53 @@ def _solve_noncritical(alpha: float, params: ProblemParams) -> NonlocalSolution:
             f"ln g(t+) = {ln_plus:.12g}, ln alpha = {ln_alpha:.12g}")
 
     # Near p = 3 the factor 1/(p-3) amplifies the rounding of ln N past the
-    # root tolerance, so alpha = h d is checked, first in log form, which
-    # also keeps exp(ln_h) from overflowing.
-    ln_h = math.log(n_val) / (p - 3.0)
-    miss = ln_h + math.log(point.d) - ln_alpha
-    h = math.exp(ln_h) if abs(miss) <= _ALPHA_RTOL else math.nan
-    if not abs(h * point.d / alpha - 1.0) <= _ALPHA_RTOL:
+    # root tolerance, so alpha = h d is checked, first in log form, before h
+    # is formed.
+    ln_h = ln_n / (p - 3.0)
+    miss = ln_h + state[2][2.0] - ln_alpha
+    if not abs(miss) <= _ALPHA_RTOL:
         raise NoConvergence(
             f"h d misses alpha = {alpha!r} by {miss:.3g} in log at p = {p!r}")
-    beta = h * h * n_val
-    lam = beta * point.gamma
+    # beta = h^2 N in log form: h^2 alone under- or overflows for p near 1.
+    try:
+        h, beta = math.exp(ln_h), math.exp(2.0 * ln_h + ln_n)
+    except OverflowError:
+        h = beta = math.inf
     regime = "supercritical" if p > 3.0 else "subcritical"
-    return NonlocalSolution(alpha=alpha, local=point, h=h, beta=beta,
-                            lam=lam, regime=regime)
+    return _scaled(alpha, point, h, beta, regime)
 
 
 def _solve_critical(alpha: float, params: ProblemParams) -> NonlocalSolution:
-    lp = _local_params(params)
+    def resid(tau: float) -> float:
+        return _state_at_t(math.exp(tau), params)[1]
+
+    # Normalize N = 1; for q = 2, N = (a1 + a2) d^2 puts the root at d_flat.
     d_flat = 1.0 / math.sqrt(params.a1 + params.a2)
-    if params.q == 2.0:
-        # N = (a1 + a2) d^2, so the normalization point is explicit.
-        t1 = ll._t_from_d(d_flat, lp)
-    else:
-        xtol = min(params.root_tol, 1e-12)
-
-        def resid(tau: float) -> float:
-            _, _, n_val = _state_at_t(math.exp(tau), params)
-            return math.log(n_val)
-
-        tau0 = ll._seed_tau_for_k(math.log(d_flat) + 0.5 * math.log(2.0),
-                                  params.p)
-        t1 = math.exp(solve_monotone(resid, tau0, ll._TAU_LO, ll._TAU_HI,
-                                     step0=2.0, xtol=xtol))
-    point = ll._point_from_t(t1, lp)
+    t = _root_t(resid, math.log(d_flat), params)
+    point = ll._point_from_state(t, params.p, _state_at_t(t, params)[0])
     h = alpha / point.d
-    beta = h * h
+    return _scaled(alpha, point, h, h * h, "critical")
+
+
+def _scaled(alpha: float, point: LocalPoint, h: float, beta: float,
+            regime: str) -> NonlocalSolution:
+    """The curve point u = h w at alpha, with lambda = beta gamma.
+
+    InvalidBracket where h, beta or lambda leaves the float range (p near 1
+    or extreme alpha); NoConvergence where h d misses alpha by more than
+    _ALPHA_RTOL relative.
+    """
     lam = beta * point.gamma
+    if not all(0.0 < v < math.inf for v in (h, beta, lam)):
+        raise InvalidBracket(
+            f"h = {h:.3g}, beta = {beta:.3g} or lambda = {lam:.3g} leaves "
+            f"the float range at alpha = {alpha!r}, p = {point.p!r}")
+    miss = h * point.d / alpha - 1.0
+    if not abs(miss) <= _ALPHA_RTOL:
+        raise NoConvergence(
+            f"h d misses alpha = {alpha!r} by {miss:.3g} at p = {point.p!r}")
     return NonlocalSolution(alpha=alpha, local=point, h=h, beta=beta,
-                            lam=lam, regime="critical")
+                            lam=lam, regime=regime)
 
 
 def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
@@ -258,6 +269,8 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
     alpha = h d by more than 1e-10 relative (close to p = 3, where 1/(p-3)
     amplifies rounding). p within 1e-9 of 3 takes the critical
     branch: normalize a1 ||w||_q^2 + a2 d^2 = 1, then scale exactly.
+    Either branch raises InvalidBracket where no float point represents
+    the curve (k, h, beta or lambda out of range, or d rounding to k).
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
@@ -301,11 +314,11 @@ def residual_check(sol: NonlocalSolution, n: int,
     k = sol.local.k
     gamma = sol.local.gamma
     p = sol.local.p
-    w = k * np.linspace(0.0, 1.0, n + 2)[1:-1]
-    s = w / k
+    # Everything divided by ||u||_inf = h k and written in s = w/k, so that
+    # neither k^2 nor k^{p+1} is formed (k reaches 1e228 at p = 1.05).
+    s = np.linspace(0.0, 1.0, n + 2)[1:-1]
     kp1 = k ** (p - 1.0)
-    w_dd = -w * (gamma - 2.0 * kp1 * phi(s, p) / (p + 1.0)) \
-        - (k * k - w * w) * kp1 / ((p + 1.0) * k) * _phi_prime(s, p)
-    u = sol.h * w
-    defect = -sol.beta * sol.h * w_dd + u ** p - sol.lam * u
-    return float(np.max(np.abs(defect)) / (sol.lam * sol.h * k))
+    s_dd = -s * (gamma - 2.0 * kp1 * phi(s, p) / (p + 1.0)) \
+        - (1.0 - s * s) * kp1 / (p + 1.0) * _phi_prime(s, p)
+    defect = -sol.beta * s_dd + (sol.h * k) ** (p - 1.0) * s ** p - sol.lam * s
+    return float(np.max(np.abs(defect)) / sol.lam)

@@ -1,12 +1,14 @@
 """Command-line interface: output formats, determinism, exit codes.
 
 Everything runs in-process through main(argv) so coverage and failures stay
-debuggable; one subprocess test at the bottom confirms the installed entry
-point wires up to the same main.
+debuggable; one subprocess test at the bottom confirms that
+`python -m biflogis.cli`, run on this process's import path, wires up to the
+same main.
 """
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -218,6 +220,7 @@ def test_console_script():
     proc = subprocess.run(
         [sys.executable, "-m", "biflogis.cli", "constants", "--p", "2",
          "--e3-reading", "proof_variant"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["e3_reading"] == "proof_variant"

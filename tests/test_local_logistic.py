@@ -71,6 +71,23 @@ def test_moments_at_t_match_single_moments(p):
             assert abs(stacked[q] / single - 1.0) <= 1e-14
 
 
+@pytest.mark.parametrize("p", (1.05, 2.0, 2.9, 3.1, 5.0, 20.0))
+def test_inverse_residuals_finite_over_bracket(p, monkeypatch):
+    # The bracket expander may probe any tau up to the walls, where k itself
+    # under- or overflows: the k, gamma and d residuals must stay finite.
+    resids = []
+    monkeypatch.setattr(ll, "solve_monotone",
+                        lambda f, *args, **kwargs: resids.append(f) or 0.0)
+    lp = LocalParams(p=p)
+    ll._t_from_k(1.0, lp)
+    ll._t_from_gamma(20.0, lp)
+    ll._t_from_d(0.5, lp)
+    assert len(resids) == 3
+    for tau in (ll._TAU_LO, -50.0, 50.0, ll._TAU_HI):
+        for resid in resids:
+            assert math.isfinite(resid(tau))
+
+
 # --- time_map ----------------------------------------------------------------
 
 def test_time_map_small_k_arcsin_limit():

@@ -13,7 +13,7 @@ import pytest
 
 from biflogis.errors import (BiflogisError, InvalidRegime,
                              MonotonicityViolation, ZeroCoefficients)
-from biflogis import nonlocal_curve
+from biflogis import local_logistic as ll, nonlocal_curve
 from biflogis.local_logistic import LocalParams, point_from_gamma, point_q_norm
 from biflogis.nonlocal_curve import (NonlocalSolution, ProblemParams, g_of_k,
                                      residual_check, scale_factor, solve_alpha)
@@ -144,6 +144,38 @@ def test_small_p_tiny_alpha_valid_or_typed_error():
     for alpha in (1e-6, 1e6, 1e12):
         for q in (1.1, 2.0, 8.0):
             assert_valid_or_typed_error(alpha, ProblemParams(p=1.05, q=q, a1=1.0, a2=1.0))
+
+
+@pytest.mark.parametrize("q", (2.0, 8.0))
+@pytest.mark.parametrize("alpha", (1e-6, 1e6))
+def test_small_p_extreme_alpha_solved(alpha, q):
+    # k is about 1e228 at alpha = 1e-6 and 1e-240 at alpha = 1e6; h^2
+    # underflows or overflows, and k^2 overflows in the defect check.
+    params = ProblemParams(p=1.05, q=q, a1=1.0, a2=1.0)
+    sol = solve_alpha(alpha, params)
+    assert sol.regime == "subcritical"
+    assert_invariants(sol, params, alpha_rtol=1e-10)
+    assert residual_check(sol, 64, params) < 1e-8
+    assert rel(scale_factor(sol.local, wq_of(sol, params), params), sol.h) < 1e-10
+
+
+@pytest.mark.parametrize("p,alpha", ((8.0, 1e12), (20.0, 100.0), (20.0, 1e4),
+                                     (1.05, 1e-9), (1.05, 1e8), (3.0, 1e-200),
+                                     (5.0, 1e100)))
+def test_extreme_points_valid_or_typed_error(p, alpha):
+    # Large p: deep in the layer d/k rounds to 1, and the tau wall caps k.
+    # p = 1.05: k overflows at alpha = 1e-9 and h at 1e8. Extreme alpha:
+    # beta leaves the float range.
+    for q in (1.1, 2.0, 8.0):
+        assert_valid_or_typed_error(alpha, ProblemParams(p=p, q=q, a1=1.0, a2=1.0))
+
+
+@pytest.mark.parametrize("p", (1.05, 2.0, 2.9, 3.1, 5.0, 20.0))
+def test_ln_g_finite_over_bracket(p):
+    for q in (1.1, 2.0, 8.0):
+        params = ProblemParams(p=p, q=q, a1=1.0, a2=1.0)
+        for tau in (ll._TAU_LO, -50.0, 50.0, ll._TAU_HI):
+            assert math.isfinite(nonlocal_curve._ln_g_at_t(math.exp(tau), params))
 
 
 def test_probe_rejects_reversed_order(monkeypatch):
