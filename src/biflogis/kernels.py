@@ -91,35 +91,48 @@ def rk4_shoot(gamma: float, slope: float, p: float, n_steps: int, step: float):
     n_steps + 1 (zero-padded past n_filled), the count of valid samples, and
     status 0 on completion, 1 if |w| passed the guard or a step overflowed.
     """
-    ws = np.zeros(n_steps + 1)
-    zs = np.zeros(n_steps + 1)
     w = 0.0
     z = slope
-    ws[0] = w
-    zs[0] = z
+    # The march appends to lists and copies into arrays once: a numpy scalar
+    # store per step costs more than the RK4 arithmetic around it. h2 and h6
+    # are the products the unhoisted expressions formed first, so every
+    # sample is bit-identical to the step-by-step form.
+    wl = [w]
+    zl = [z]
     h = step
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    copysign = math.copysign
     overflow = 1e12
+    status = 0
 
-    for i in range(1, n_steps + 1):
+    for _ in range(n_steps):
         k1w = z
         try:
-            k1z = math.copysign(abs(w) ** p, w) - gamma * w
-            w2 = w + 0.5 * h * k1w
-            k2w = z + 0.5 * h * k1z
-            k2z = math.copysign(abs(w2) ** p, w2) - gamma * w2
-            w3 = w + 0.5 * h * k2w
-            k3w = z + 0.5 * h * k2z
-            k3z = math.copysign(abs(w3) ** p, w3) - gamma * w3
+            k1z = copysign(abs(w) ** p, w) - gamma * w
+            w2 = w + h2 * k1w
+            k2w = z + h2 * k1z
+            k2z = copysign(abs(w2) ** p, w2) - gamma * w2
+            w3 = w + h2 * k2w
+            k3w = z + h2 * k2z
+            k3z = copysign(abs(w3) ** p, w3) - gamma * w3
             w4 = w + h * k3w
             k4w = z + h * k3z
-            k4z = math.copysign(abs(w4) ** p, w4) - gamma * w4
+            k4z = copysign(abs(w4) ** p, w4) - gamma * w4
         except OverflowError:
-            return ws, zs, i, 1
-        w += (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        z += (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        ws[i] = w
-        zs[i] = z
+            status = 1
+            break
+        w += h6 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        z += h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        wl.append(w)
+        zl.append(z)
         if abs(w) > overflow:
-            return ws, zs, i + 1, 1
+            status = 1
+            break
 
-    return ws, zs, n_steps + 1, 0
+    n_filled = len(wl)
+    ws = np.zeros(n_steps + 1)
+    zs = np.zeros(n_steps + 1)
+    ws[:n_filled] = wl
+    zs[:n_filled] = zl
+    return ws, zs, n_filled, status

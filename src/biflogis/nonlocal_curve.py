@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import local_logistic as ll
-from .errors import (InvalidBracket, InvalidRegime, MonotonicityViolation,
-                     NoConvergence, ZeroCoefficients)
+from .errors import (BracketFailure, InvalidBracket, InvalidRegime,
+                     MonotonicityViolation, NoConvergence, ZeroCoefficients)
 from .local_logistic import LocalPoint, phi
 from .quadrature import QuadSpec
 from .rootfind import solve_monotone
@@ -154,10 +154,28 @@ def _ln_g_at_t(t: float, params: ProblemParams) -> float:
 
 def _root_t(resid, ln_d: float, params: ProblemParams) -> float:
     """Root t of a monotone residual in tau = ln t, seeded where the local
-    L2 norm is about exp(ln_d)."""
+    L2 norm is about exp(ln_d).
+
+    InvalidBracket where the bracket runs into the upper wall _TAU_HI: the
+    root lies deeper in the layer, where d/k = 1 - O(1/t) rounds to 1.
+    """
     tau0 = ll._seed_tau_for_k(ln_d + 0.5 * math.log(2.0), params.p)
-    tau = solve_monotone(resid, tau0, ll._TAU_LO, ll._TAU_HI, step0=2.0,
-                         xtol=min(params.root_tol, 1e-12))
+    last = tau0
+
+    def tracked(tau: float) -> float:
+        nonlocal last
+        last = tau
+        return resid(tau)
+
+    try:
+        tau = solve_monotone(tracked, tau0, ll._TAU_LO, ll._TAU_HI, step0=2.0,
+                             xtol=min(params.root_tol, 1e-12))
+    except BracketFailure as exc:
+        if last != ll._TAU_HI:
+            raise
+        raise InvalidBracket(
+            f"the root lies beyond t = exp({ll._TAU_HI:g}) at p = {params.p!r}, "
+            f"q = {params.q!r}, where d would round to k") from exc
     return math.exp(tau)
 
 

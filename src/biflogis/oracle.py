@@ -2,8 +2,10 @@
 
 -w'' + w^p = gamma w on (0,1) with w(0) = w(1) = 0, w > 0, is solved here as
 an initial-value problem w(0) = 0, w'(0) = m integrated by fixed-step
-classical RK4, bisecting on m between "crosses zero before x = 1" (m too
-small) and "fails to return by x = 1" (m too large). Nothing in this module
+classical RK4. An Illinois slope search with a saddle-energy bracket finds m
+between "crosses zero before x = 1" (m too small) and "fails to return by
+x = 1" (m too large); the upper end is the slope whose energy equals the
+ODE's saddle, above which no trajectory returns. Nothing in this module
 touches the moment integrals, so agreement with local_logistic is a real
 two-route check, not a tautology.
 """
@@ -11,6 +13,7 @@ two-route check, not a tautology.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +31,18 @@ __all__ = [
     "norms_from_profile",
 ]
 
+# Largest finite launch slope, in log form.
+_LN_MAX = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class ShootConfig:
-    """Knobs for the RK4 march and the slope bisection."""
+    """Knobs for the RK4 march and the Illinois slope search with a
+    saddle-energy bracket.
+
+    step is the RK4 step, slope_tol the acceptance 0 < w(1) <= slope_tol * m,
+    and max_bisections caps the slope search's iterations (one march each).
+    """
 
     step: float = 1e-4
     slope_tol: float = 1e-12
@@ -132,45 +143,71 @@ def _shot_state(gamma: float, m: float, p: float, cfg: ShootConfig):
     return res.crossed, float(res.ws[-1]), res
 
 
+def _saddle_slope(gamma: float, p: float) -> float:
+    """Launch slope m_sep whose energy m^2/2 equals the saddle's.
+
+    The saddle sits at w* = gamma^{1/(p-1)}, with energy
+    (p-1)/(2(p+1)) gamma w*^2; a trajectory launched at or above m_sep never
+    returns to zero. In log form and clamped to the float range, because the
+    power overflows for p near 1.
+    """
+    ln_m = 0.5 * math.log((p - 1.0) / (p + 1.0)) \
+        + 0.5 * (p + 1.0) / (p - 1.0) * math.log(gamma)
+    return math.exp(min(ln_m, _LN_MAX))
+
+
 def solve_bvp(gamma: float, p: float,
               cfg: ShootConfig = ShootConfig()) -> tuple[LocalPoint, Profile]:
-    """Find the positive two-point solution for gamma > pi^2 by slope bisection.
+    """Find the positive two-point solution for gamma > pi^2 by an Illinois
+    slope search with a saddle-energy bracket.
 
-    Accepts the first non-crossing trajectory with w(1) <= slope_tol * m;
-    the amplitude k is read off the grid maximum with one parabolic
-    refinement, d and the profile come straight from the trajectory.
+    The slope m is bracketed by m_lo = 1e-12, whose shot crosses zero, and
+    the saddle slope, whose shot never returns. Illinois (regula falsi)
+    steps on w(1; m) use a crossing shot's w(1) < 0 and a finite
+    non-crossing shot's w(1) > 0; an end without such a value (the initial
+    m_lo, a crossing shot with w(1) >= 0 or an overflow) makes the step a
+    bisection. Accepts the first non-crossing trajectory with
+    0 < w(1) <= slope_tol * m; the amplitude k is read off the grid maximum
+    with one parabolic refinement, d and the profile come straight from the
+    trajectory.
     """
+    if not (math.isfinite(p) and p > 1.0):
+        raise ValueError(f"p must be finite and > 1, got {p}")
     if gamma <= PI2:
         raise NoSolution(
             f"no positive solution for gamma = {gamma} <= pi^2")
 
-    m_lo = 1e-12
-    m_hi = 1.0
-    crossed, _, _ = _shot_state(gamma, m_hi, p, cfg)
-    grows = 0
-    while crossed:
-        m_hi *= 2.0
-        grows += 1
-        if grows > cfg.max_bisections:
-            raise NoConvergence("upper slope bracket did not stop crossing")
-        crossed, _, _ = _shot_state(gamma, m_hi, p, cfg)
-
+    # f_lo < 0 < f_hi are the ends' w(1), or None where the end has no
+    # usable value; side is the end the last step moved (-1 low, +1 high).
+    m_lo, f_lo = 1e-12, None
+    m_hi, f_hi = _saddle_slope(gamma, p), None
+    side = 0
     accepted = None
     for _ in range(cfg.max_bisections):
-        mid = 0.5 * (m_lo + m_hi)
-        if mid <= m_lo or mid >= m_hi:
+        m = 0.5 * (m_lo + m_hi)
+        if f_lo is not None and f_hi is not None:
+            m_rf = (m_lo * f_hi - m_hi * f_lo) / (f_hi - f_lo)
+            if m_lo < m_rf < m_hi:
+                m = m_rf
+        if not m_lo < m < m_hi:
             break
-        crossed, w_end, res = _shot_state(gamma, mid, p, cfg)
+        crossed, w_end, res = _shot_state(gamma, m, p, cfg)
         if crossed:
-            m_lo = mid
+            m_lo, f_lo = m, (w_end if w_end < 0.0 else None)
+            if side < 0 and f_hi is not None:
+                f_hi *= 0.5
+            side = -1
             continue
-        if res is not None and 0.0 < w_end <= cfg.slope_tol * mid:
+        if res is not None and 0.0 < w_end <= cfg.slope_tol * m:
             accepted = res
             break
-        m_hi = mid
+        m_hi, f_hi = m, (w_end if res is not None else None)
+        if side > 0 and f_lo is not None:
+            f_lo *= 0.5
+        side = 1
     if accepted is None:
         raise NoConvergence(
-            f"slope bisection stalled before w(1) <= slope_tol * m "
+            f"slope search stalled before w(1) <= slope_tol * m "
             f"(gamma = {gamma}, bracket = [{m_lo}, {m_hi}])")
 
     ws = accepted.ws

@@ -62,3 +62,39 @@ def test_rk4_linear_limit():
     xs = 1e-3 * np.arange(1001)
     expected = (m / math.sqrt(gamma)) * np.sin(math.sqrt(gamma) * xs)
     assert np.max(np.abs(ws - expected)) < 1e-12 * m / math.sqrt(gamma) * 1e4
+
+
+def _rk4_reference(gamma, slope, p, n_steps, step):
+    """The march step by step into preallocated arrays, unhoisted."""
+    ws = np.zeros(n_steps + 1)
+    zs = np.zeros(n_steps + 1)
+    w, z, h = 0.0, slope, step
+    zs[0] = z
+    f = lambda v: math.copysign(abs(v) ** p, v) - gamma * v
+    for i in range(1, n_steps + 1):
+        k1w, k1z = z, f(w)
+        w2, k2w = w + 0.5 * h * k1w, z + 0.5 * h * k1z
+        k2z = f(w2)
+        w3, k3w = w + 0.5 * h * k2w, z + 0.5 * h * k2z
+        k3z = f(w3)
+        w4, k4w = w + h * k3w, z + h * k3z
+        k4z = f(w4)
+        w += (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        z += (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        ws[i], zs[i] = w, z
+        if abs(w) > 1e12:
+            return ws, zs, i + 1, 1
+    return ws, zs, n_steps + 1, 0
+
+
+def test_rk4_matches_scalar_reference():
+    # Same arithmetic in the same order: the samples must agree bit for bit.
+    # The last case leaves through the |w| > 1e12 guard, not an overflow.
+    for args in ((15.0, 3.0, 2.0, 10000, 1e-4), (50.0, 9.0, 3.0, 10000, 1e-4),
+                 (1.0, 1e8, 2.0, 1000, 1e-3)):
+        ws, zs, n, status = kernels.rk4_shoot(*args)
+        ref_ws, ref_zs, ref_n, ref_status = _rk4_reference(*args)
+        assert (n, status) == (ref_n, ref_status)
+        assert np.array_equal(ws, ref_ws) and np.array_equal(zs, ref_zs)
+    assert status == 1 and abs(ws[n - 1]) > 1e12
+    assert np.all(np.abs(ws[:n - 1]) <= 1e12) and not np.any(ws[n:])

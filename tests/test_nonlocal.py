@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from biflogis.errors import (BiflogisError, InvalidRegime,
+from biflogis.errors import (BiflogisError, InvalidBracket, InvalidRegime,
                              MonotonicityViolation, ZeroCoefficients)
 from biflogis import local_logistic as ll, nonlocal_curve
 from biflogis.local_logistic import LocalParams, point_from_gamma, point_q_norm
@@ -168,6 +168,15 @@ def test_extreme_points_valid_or_typed_error(p, alpha):
     # beta leaves the float range.
     for q in (1.1, 2.0, 8.0):
         assert_valid_or_typed_error(alpha, ProblemParams(p=p, q=q, a1=1.0, a2=1.0))
+
+
+@pytest.mark.parametrize("p,alpha", ((8.0, 1e12), (20.0, 1e6), (20.0, 1e12)))
+def test_tau_wall_raises_invalid_bracket(p, alpha):
+    # The root lies past the upper wall of the layer coordinate, where
+    # d/k = 1 - O(1/t) rounds to 1, so no float curve point exists.
+    for q in (1.1, 2.0, 8.0):
+        with pytest.raises(InvalidBracket, match="d would round to k"):
+            solve_alpha(alpha, ProblemParams(p=p, q=q, a1=1.0, a2=1.0))
 
 
 @pytest.mark.parametrize("p", (1.05, 2.0, 2.9, 3.1, 5.0, 20.0))

@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from biflogis.errors import NoSolution, Overflow
+from biflogis import kernels
+from biflogis.errors import NoConvergence, NoSolution, Overflow
 from biflogis.local_logistic import (LocalParams, Profile, point_from_gamma,
                                      q_norm)
 from biflogis.oracle import (ShootConfig, energy_drift, norms_from_profile,
@@ -119,12 +120,40 @@ def test_solve_bvp_below_threshold():
         solve_bvp(PI * PI, 3.0)
 
 
+def test_solve_bvp_near_one_typed_error():
+    # For p near 1 the solution's amplitude gamma^{1/(p-1)} is far past the
+    # march's 1e12 guard, and the saddle slope overflows as a float power.
+    # Every non-crossing shot diverges past the guard, and the search must
+    # end in a typed error within its budget.
+    for gamma, p in ((50.0, 1.001), (15.0, 1.05)):
+        with pytest.raises(NoConvergence):
+            solve_bvp(gamma, p)
+    with pytest.raises(ValueError):
+        solve_bvp(15.0, 1.0)
+
+
+@pytest.mark.parametrize("p,gamma", ((2.0, 15.0), (3.0, 50.0), (5.0, 15.0),
+                                     (5.1857, 14.3376)))
+def test_solve_bvp_march_count(monkeypatch, p, gamma):
+    # The saddle-energy bracket and Illinois steps take 10-17 marches here;
+    # plain bisection on the slope needs 44-54.
+    calls = []
+    march = kernels.rk4_shoot
+
+    def counted(*args):
+        calls.append(args)
+        return march(*args)
+
+    monkeypatch.setattr(kernels, "rk4_shoot", counted)
+    solve_bvp(gamma, p)
+    assert len(calls) <= 25
+
+
 def test_solve_bvp_matches_time_map():
     # Two independent routes to the same boundary-value solution. The
     # time-map route is quadrature-accurate; the shooting error is set by
-    # the RK4 step and the slope bisection. At (14.3376, 5.1857) the
-    # bisection tries slopes whose march overflows inside an RK4 stage.
-    for gamma, p in ((15.0, 3.0), (14.3376, 5.1857)):
+    # the RK4 step and the slope search.
+    for gamma, p in ((15.0, 3.0), (14.3376, 5.1857), (15.0, 8.0), (12.0, 20.0)):
         params = LocalParams(p=p)
         ref = point_from_gamma(gamma, params)
         point, profile = solve_bvp(gamma, p)
@@ -144,7 +173,7 @@ def test_solve_bvp_profile_symmetric():
 
 def test_solve_bvp_step_convergence():
     # RK4 is fourth order: halving the step should shrink the amplitude
-    # error by about 16. Loose bounds absorb the bisection noise floor.
+    # error by about 16. Loose bounds absorb the slope search's noise floor.
     params = LocalParams(p=3.0)
     k_ref = point_from_gamma(20.0, params).k
     errs = []

@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of a base revision against the working tree.
+
+    python3 tools/bench_pair.py --base HEAD~1 --out BENCH_7.json \\
+        oracle_xcheck:1-10 curve_sub:1 curve_super:1
+
+Each WORKLOAD:SEEDS argument names a workload of ``perfbench/run.py`` and
+its seeds (``1-10``, ``3`` or ``1,4,9``). The base revision is exported
+with ``git archive`` into a temporary directory, so the repository's own
+checkout and git metadata are left alone. For every seed the benchmark
+runs once on each side, each side with its own ``perfbench/run.py`` and
+``src/``; the side that runs first alternates from pair to pair, so a
+drift in the host's speed does not favour either side. Runs use the
+command and ``run_seconds`` declared in the working tree's
+``BENCHMARK.json``, with ``--trace 0``.
+
+The output file holds every run's result and environment lines, and for
+each workload and end-to-end metric the median and quartiles of both sides
+and the number of pairs the change won (ties count for neither). It is
+rewritten after every pair, so an interrupted session keeps what it ran.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_spec(text: str) -> tuple[str, list[int]]:
+    """'oracle_xcheck:1-5' -> ('oracle_xcheck', [1, 2, 3, 4, 5])."""
+    workload, sep, seeds = text.partition(":")
+    if not sep or not workload or not seeds:
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD:SEEDS, got {text!r}")
+    out = []
+    for part in seeds.split(","):
+        lo, dash, hi = part.partition("-")
+        try:
+            out += range(int(lo), int(hi) + 1) if dash else [int(lo)]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad seed list {seeds!r}") from None
+    return workload, out
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    """The tree of rev, as committed, into dest."""
+    with tempfile.TemporaryFile() as tar:
+        subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                       check=True, stdout=tar)
+        tar.seek(0)
+        with tarfile.open(fileobj=tar) as tf:
+            tf.extractall(dest, filter="data")
+
+
+def run_once(root: Path, command: list[str], workload: str, seed: int,
+             seconds: float) -> dict:
+    """One benchmark run in root; its parsed result and environment lines."""
+    argv = [*command, "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(argv)} in {root} exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+    lines = proc.stdout.strip().splitlines()
+    return {"env": json.loads(lines[-2])["env"], "result": json.loads(lines[-1])}
+
+
+def spread(values: list[float]) -> dict:
+    if len(values) > 1:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = med = q3 = values[0]
+    return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per workload and metric: both sides' spread and the change's wins."""
+    out = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        pairs = {}
+        for r in runs:
+            if r["workload"] == workload:
+                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]
+        pairs = [p for p in pairs.values() if len(p) == 2]
+        if not pairs:
+            continue
+        row = {"pairs": len(pairs),
+               "failed": {side: [p[side]["failed"] for p in pairs]
+                          for side in ("base", "change")},
+               "attempted": pairs[0]["change"]["attempted"],
+               "correct": all(p[s]["correct"] for p in pairs for s in p)}
+        for metric in end_to_end:
+            name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
+            vals = {side: [p[side]["metrics"][name]["value"] for p in pairs]
+                    for side in ("base", "change")}
+            wins = sum(sign * (c - b) > 0.0
+                       for b, c in zip(vals["base"], vals["change"]))
+            row[name] = {"unit": metric["unit"], "better": metric["better"],
+                         "bound": metric["bound"],
+                         "base": spread(vals["base"]),
+                         "change": spread(vals["change"]),
+                         "change_wins": wins}
+        out[workload] = row
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", required=True, help="git revision to compare against")
+    ap.add_argument("--out", required=True, type=Path, help="JSON file to write")
+    ap.add_argument("specs", nargs="+", type=parse_spec, metavar="WORKLOAD:SEEDS")
+    args = ap.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    record = {
+        "base": {"rev": git("rev-parse", args.base)},
+        "change": {"rev": git("rev-parse", "HEAD"),
+                   "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
+        "command": bench["command"], "seconds": seconds, "trace": 0,
+        "runs": [], "summary": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
+        base_root = Path(tmp)
+        export(args.base, base_root)
+        sides = {"base": base_root, "change": ROOT}
+        n_pair = 0
+        for workload, seeds in args.specs:
+            for seed in seeds:
+                order = ("base", "change") if n_pair % 2 == 0 else ("change", "base")
+                for pos, side in enumerate(order):
+                    print(f"{workload} seed {seed}: {side}", file=sys.stderr, flush=True)
+                    out = run_once(sides[side], bench["command"], workload, seed, seconds)
+                    record["runs"].append({"workload": workload, "seed": seed,
+                                           "side": side, "position": pos, **out})
+                n_pair += 1
+                record["summary"] = summarize(record["runs"], bench["end_to_end"])
+                args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
