@@ -20,14 +20,23 @@ This module parameterizes it by the layer coordinate t = -ln(eps) in (0, inf):
 
 so the small-amplitude end (t -> 0, gamma -> pi^2) and the boundary-layer end
 (t -> inf, gamma ~ k^{p-1}) are both reachable without cancellation: eps is
-never formed by subtraction, and beyond t = T_ASYM the moments switch to the
-exact-to-float asymptote J_q = t/sqrt(p-1) + B_q with B_q calibrated once per
-(p, q) by quadrature. All inverse problems (given k, gamma, or d) are single
-Brent root-finds on a log-monotone residual in tau = ln t.
+never formed by subtraction. All inverse problems (given k, gamma, or d) are
+single Brent root-finds on a log-monotone residual in tau = ln t.
 
-The moments themselves are computed after s = 1 - x^2, x = w0 sinh v with
-w0 = sqrt(2 eps/(p-1)), which absorbs both the endpoint square root and the
-eps-width layer; the transformed integrand lives in ``kernels``.
+The moments have three branches, each exact to float64 resolution:
+
+- t <= T_SERIES: the power series J_q = sum_n C(2n,n)/4^n a_{q,n} em^n,
+  from F(s) = (1 - s^2)(1 - em c phi(s)), c = 2/(p+1). Its coefficients
+  are calibrated once per (p, q) by quadrature in s = sin(theta). All terms
+  are positive and c phi <= 1, so the terms after n are at most
+  C(2n,n)/4^n em^{n+1}/(1 - em) of the sum; with the cached term count
+  that bound stays below 2^-53 up to T_SERIES.
+- T_SERIES < t < T_ASYM: one stacked adaptive quadrature after
+  s = 1 - x^2, x = w0 sinh v with w0 = sqrt(2 eps/(p-1)), which absorbs
+  both the endpoint square root and the eps-width layer; the transformed
+  integrand lives in ``kernels``.
+- t >= T_ASYM: the asymptote J_q = t/sqrt(p-1) + B_q, with B_q calibrated
+  once per (p, q) by that quadrature.
 """
 
 from __future__ import annotations
@@ -60,9 +69,13 @@ __all__ = [
 
 PI2 = math.pi ** 2
 
-# Switch point of the moment evaluator: for t >= T_ASYM (eps <= 1e-18) the
+# Switch points of the moment evaluator. For t >= T_ASYM (eps <= 1e-18) the
 # linear asymptote in t is exact to well below float64 resolution of J_q.
+# For t <= T_SERIES the series with _S_TERMS = N terms is too: its tail bound
+# b_{N-1} em^N/(1 - em) grows with t and is 0.084 * 2^-53 at t = 0.5.
 T_ASYM = -math.log(1e-18)
+T_SERIES = 0.5
+_S_TERMS = 40
 
 # Walls for the tau = ln t root-finds. exp(-700) is still a normal double;
 # exp(55) puts gamma near 1e47, far beyond any supported input.
@@ -170,6 +183,11 @@ def phi(s, p: float):
 # --- moment evaluation ------------------------------------------------------
 
 _B_CACHE: dict = {}
+_S_CACHE: dict = {}
+
+_S_N = np.arange(_S_TERMS, dtype=float)
+# b_n = C(2n, n)/4^n, the coefficients of (1 - z)^{-1/2} = sum_n b_n z^n.
+_S_BINOM = np.cumprod(np.concatenate(([1.0], 1.0 - 0.5 / _S_N[1:])))
 
 
 def _layer_moment(eps: float, em: float, p: float, qpow: float,
@@ -228,13 +246,50 @@ def _b_shift(p: float, qpow: float, quad: QuadSpec) -> float:
     return val
 
 
+def _series_coeffs(p: float, qpow: float, quad: QuadSpec) -> np.ndarray:
+    """b_n a_{q,n} for n < _S_TERMS: J_q = sum_n b_n a_{q,n} em^n.
+
+    With c = 2/(p+1), F(s) = (1 - s^2)(1 - em c phi(s)); expanding
+    (1 - em c phi)^{-1/2} in b_n and putting s = sin(theta) gives
+    a_{q,n} = int_0^{pi/2} sin^q(theta) (c phi(sin theta))^n dtheta. Every
+    term is positive and c phi lies in [c, 1], so a_{q,n} <= a_{q,0} <= J_q;
+    b_n falls with n, so the terms after n are at most
+    b_n em^{n+1}/(1 - em) of J_q. The n = 0 entry is J_q(eps = 1).
+
+    Calibrated once per (p, q, tolerance) by one stacked quadrature with one
+    row per n.
+    """
+    key = (p, qpow, quad.rel_tol, quad.abs_tol)
+    val = _S_CACHE.get(key)
+    if val is None:
+        c = 2.0 / (p + 1.0)
+
+        def f(th):
+            # u = 1 - sin(theta) without cancellation: phi(sin(theta)) would
+            # see u only to 1e-16 absolute, and (c phi)^n magnifies that
+            # past the tolerance at large p.
+            u = 2.0 * np.sin(0.25 * math.pi - 0.5 * th) ** 2
+            cphi = c * -np.expm1((p + 1.0) * np.log1p(-u)) / (u * (2.0 - u))
+            return np.sin(th) ** qpow * cphi ** _S_N[:, None]
+
+        val = _S_BINOM * integrate(f, 0.0, 0.5 * math.pi, quad).value
+        _S_CACHE[key] = val
+    return val
+
+
 def _moments_at_t(t: float, p: float, qs, quad: QuadSpec) -> dict:
     """{q: J_q} at layer coordinate t = -ln(eps) for every q in qs.
 
-    Below T_ASYM all moments come from one stacked quadrature; at or past
-    it, from the asymptote with the cached B_q.
+    Three branches: up to T_SERIES, the power series in em = -expm1(-t)
+    with the cached coefficients, whose tail after _S_TERMS = N terms is at
+    most b_{N-1} em^N/(1 - em) < 2^-53 of the sum there; between the switch
+    points, one stacked quadrature; at or past T_ASYM, the asymptote with
+    the cached B_q.
     """
     qs = sorted(set(qs))
+    if t <= T_SERIES:
+        powers = (-math.expm1(-t)) ** _S_N
+        return {q: float(_series_coeffs(p, q, quad) @ powers) for q in qs}
     if t >= T_ASYM:
         lin = t / math.sqrt(p - 1.0)
         return {q: lin + _b_shift(p, q, quad) for q in qs}

@@ -189,11 +189,11 @@ def g_of_k(k: float, params: ProblemParams) -> float:
 
 
 def _subcritical_e1(params: ProblemParams) -> float:
-    """E1 = a1 2^{(q+2)/q} A1^{2/q} + a2 pi^{2/q}, computed from the moment
-    family at eps = 1 (where J_q degenerates to the A1 integral) so the seed
-    needs nothing beyond this module's own dependencies."""
+    """E1 = a1 2^{(q+2)/q} A1^{2/q} + a2 pi^{2/q}, with A1 = J_q(eps = 1) read
+    from the n = 0 coefficient of the moments' small-t series (cached with
+    the coefficients the small-t residuals use)."""
     p, q = params.p, params.q
-    a1_val = ll._layer_moment(1.0, 0.0, p, q, params.quad)
+    a1_val = float(ll._series_coeffs(p, q, params.quad)[0])
     return params.a1 * 2.0 ** ((q + 2.0) / q) * a1_val ** (2.0 / q) \
         + params.a2 * math.pi ** (2.0 / q)
 

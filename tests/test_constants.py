@@ -10,10 +10,12 @@ import math
 import pytest
 
 from _oracle_values import ORACLE
+from biflogis import local_logistic as ll
 from biflogis.constants import (READINGS, ConstantSet, compute_A, compute_all,
                                 compute_C1, compute_Cq, compute_E,
                                 theorem3_coefficients)
 from biflogis.errors import DivisionByZero, InvalidRegime, ZeroCoefficients
+from biflogis.quadrature import QuadSpec
 
 PI = math.pi
 
@@ -100,6 +102,16 @@ def test_C1_frozen_values(p):
 def test_C1_cubic_closed_form():
     # p = 3: f(s) = (1 - s^2)^2 / 2, so C1 = 6/sqrt(2) int (1-s^2) = 2 sqrt(2)
     assert rel(compute_C1(3.0), 2.0 * math.sqrt(2.0)) < 1e-10
+
+
+@pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 5.0, 8.0))
+def test_C1_matches_moment_asymptote(p):
+    # C1 = (p-1)(B_0 - B_2), with B_q the offsets of the moments' large-t
+    # asymptote: tanh-sinh over sqrt(f) against Gauss in the sinh variable,
+    # two routes that share no integral.
+    quad = QuadSpec()
+    b = (p - 1.0) * (ll._b_shift(p, 0.0, quad) - ll._b_shift(p, 2.0, quad))
+    assert rel(compute_C1(p, quad), b) < 1e-13
 
 
 def test_C1_vanishes_toward_linear_limit():

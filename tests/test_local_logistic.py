@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracle_values import ORACLE
 from biflogis import local_logistic as ll
@@ -69,6 +71,67 @@ def test_moments_at_t_match_single_moments(p):
         for q in qs:
             single = ll._layer_moment(math.exp(-t), -math.expm1(-t), p, q, quad)
             assert abs(stacked[q] / single - 1.0) <= 1e-14
+
+
+# --- small-t series branch ------------------------------------------------------
+
+SERIES_TS = [*np.geomspace(1e-12, ll.T_SERIES, 12).tolist()[:-1], ll.T_SERIES]
+
+
+@pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 2.5, 2.9, 3.0, 4.0, 8.0))
+def test_series_branch_matches_quadrature(p):
+    # The quadrature branch is the independent cross-check: it integrates
+    # in the sinh variable, the series coefficients are integrals in theta.
+    quad = QuadSpec()
+    qs = (0.0, 1.1, 2.0, 4.0, 8.0)
+    for t in SERIES_TS:
+        series = ll._moments_at_t(t, p, qs, quad)
+        ref = ll._layer_moments(math.exp(-t), -math.expm1(-t), p, list(qs), quad)
+        for q, jq in zip(qs, ref):
+            assert abs(series[q] / jq - 1.0) <= 1e-14, (t, q)
+
+
+def test_series_tail_bound_at_switch():
+    # The terms after the last cached one are at most b_{N-1} em^N/(1 - em)
+    # of the sum, b_n = C(2n, n)/4^n; the bound grows with t, so holding at
+    # T_SERIES it holds on the whole series branch.
+    n = ll._S_TERMS - 1
+    b = [math.comb(2 * m, m) / 4 ** m for m in range(n + 1)]
+    assert np.max(np.abs(ll._S_BINOM / b - 1.0)) <= 1e-14
+    em = -math.expm1(-ll.T_SERIES)
+    assert b[n] * em ** (n + 1) / (1.0 - em) <= 2.0 ** -53
+
+
+@pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 2.9, 3.0, 4.0, 8.0))
+def test_log_state_monotone_across_series_switch(p):
+    # Bracket and Brent need a monotone state where the branches meet.
+    quad = QuadSpec()
+    qs = (1.1, 2.0, 4.0)
+    ts = (ll.T_SERIES * (1.0 - 1e-12), ll.T_SERIES, ll.T_SERIES * (1.0 + 1e-12))
+    states = [ll._log_state_at_t(t, p, qs, quad) for t in ts]
+    for lo, hi in zip(states, states[1:]):
+        assert lo[0] <= hi[0] and lo[1] <= hi[1]
+        assert all(lo[2][q] <= hi[2][q] for q in qs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(p=st.floats(1.05, 8.0), tau=st.floats(math.log(1e-10), 0.0))
+def test_log_state_monotone_in_t(p, tau):
+    t = math.exp(tau)
+    quad = QuadSpec()
+    lo = ll._log_state_at_t(t, p, (2.0,), quad)
+    hi = ll._log_state_at_t(t * (1.0 + 1e-6), p, (2.0,), quad)
+    assert lo[0] <= hi[0] and lo[1] <= hi[1] and lo[2][2.0] <= hi[2][2.0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(p=st.floats(1.05, 8.0), tau=st.floats(math.log(1e-10), 0.0))
+def test_round_trip_t_d_k(p, tau):
+    # Through d, not gamma: at small t, gamma - pi^2 ~ t makes the gamma
+    # inversion ill-conditioned.
+    lp = LocalParams(p=p)
+    point = ll._point_from_t(math.exp(tau), lp)
+    assert abs(solve_for_d(point.d, lp).k / point.k - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("p", (1.05, 2.0, 2.9, 3.1, 5.0, 20.0))
