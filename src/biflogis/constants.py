@@ -22,6 +22,10 @@ the (p-1)/(p-3) powers of E1 and of the E2/E1 term being forced by the exact
 reduction lambda = beta gamma, beta = (normalization)^{(p-1)/(p-3)}; dropping
 them (a common transcription slip) fails against the computed curve under
 every reading.
+
+A1..A3, A5, C1 and Cq depend on (p, q) and the quadrature spec alone, never
+on the weights or the reading. Each is integrated once per process and kept
+in ``_PQ_CACHE``; A4, A6 and E1..E5 are algebra on top of the stored values.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DivisionByZero, InvalidRegime, ZeroCoefficients
+from .errors import DivisionByZero, InvalidRegime, Overflow, ZeroCoefficients
 from .local_logistic import phi
-from .quadrature import DOUBLE_EXPONENTIAL, QuadSpec, integrate
+from .quadrature import DOUBLE_EXPONENTIAL, GAUSS_LEGENDRE, QuadSpec, integrate
 
 __all__ = [
     "READINGS",
@@ -59,6 +63,24 @@ def _check_pq(p: float, q: float) -> None:
         raise ValueError(f"q must be finite and positive, got {q}")
 
 
+# The reading- and weight-independent integrals, once per process: keys
+# ("A", p, q, quad) -> (A1, A2, A3, A5), ("C1", p, quad) -> C1 and
+# ("Cq", p, q, quad) -> Cq, with quad the spec the integral actually runs
+# under. A call that raises stores nothing.
+_PQ_CACHE: dict = {}
+
+
+def _memo(key: tuple, compute):
+    val = _PQ_CACHE.get(key)
+    if val is None:
+        val = _PQ_CACHE[key] = compute()
+    return val
+
+
+def _de(quad: QuadSpec) -> QuadSpec:
+    return quad.with_rule(DOUBLE_EXPONENTIAL)
+
+
 def compute_A(p: float, q: float, quad: QuadSpec = QuadSpec(), *,
               with_a6: bool = True) -> dict:
     """The A-family of small-d expansion constants.
@@ -66,44 +88,39 @@ def compute_A(p: float, q: float, quad: QuadSpec = QuadSpec(), *,
     A1 = int_0^1 s^q (1-s^2)^{-1/2} ds and the phi-weighted variants A2, A3,
     A5; A4 and A6 follow algebraically. All integrals are evaluated after
     s = sin(theta), which removes the endpoint square root exactly and
-    leaves smooth integrands. A6 has p - 3 in its denominator: request it
-    with ``with_a6=False`` at p = 3 (it backs constants that only serve the
-    subcritical regime).
+    leaves smooth integrands, so the four share one stacked Gauss call
+    (the rule is forced, whatever ``quad`` names). A6 has p - 3 in its
+    denominator: request it with ``with_a6=False`` at p = 3 (it backs
+    constants that only serve the subcritical regime).
     """
     _check_pq(p, q)
-
-    def a1_f(th):
-        return np.sin(th) ** q
-
-    def aq_f(th):
-        s = np.sin(th)
-        return s ** q * phi(s, p)
-
-    def a0_f(th):
-        return phi(np.sin(th), p)
-
-    def a2_f(th):
-        s = np.sin(th)
-        return s * s * phi(s, p)
-
-    half = 0.5 * PI
-    a1 = integrate(a1_f, 0.0, half, quad).value
-    pref = math.sqrt(2.0) ** (p - 1.0) / ((p + 1.0) * PI ** 2)
-    a2 = pref * integrate(aq_f, 0.0, half, quad).value
-    a3 = 2.0 * pref * integrate(a0_f, 0.0, half, quad).value
-    a4 = (a3 - 4.0 * a2) / PI
-    a5 = integrate(a2_f, 0.0, half, quad).value / ((p + 1.0) * PI ** 2)
-    out = {"A1": a1, "A2": a2, "A3": a3, "A4": a4, "A5": a5}
+    if with_a6 and p == 3.0:
+        raise DivisionByZero("A6 has p - 3 in its denominator; "
+                             "pass with_a6=False at p = 3")
+    quad = quad.with_rule(GAUSS_LEGENDRE)
+    a1, a2, a3, a5 = _memo(("A", p, q, quad), lambda: _a_integrals(p, q, quad))
+    out = {"A1": a1, "A2": a2, "A3": a3, "A4": (a3 - 4.0 * a2) / PI, "A5": a5}
     if with_a6:
-        if p == 3.0:
-            raise DivisionByZero("A6 has p - 3 in its denominator; "
-                                 "pass with_a6=False at p = 3")
         out["A6"] = 4.0 * a3 / ((p - 3.0) * q * PI)
     return out
 
 
-def _de(quad: QuadSpec) -> QuadSpec:
-    return quad.with_rule(DOUBLE_EXPONENTIAL)
+def _a_integrals(p: float, q: float, quad: QuadSpec) -> tuple:
+    """(A1, A2, A3, A5): rows sin^q, sin^q phi, phi and sin^2 phi over
+    theta in [0, pi/2], integrated on shared panels."""
+
+    def f(th):
+        s = np.sin(th)
+        ph = phi(s, p)
+        sq = s ** q
+        return np.stack((sq, sq * ph, ph, s * s * ph))
+
+    try:
+        pref = math.sqrt(2.0) ** (p - 1.0) / ((p + 1.0) * PI ** 2)
+    except OverflowError:
+        raise Overflow(f"A2 and A3 exceed the double range at p = {p}") from None
+    i1, iq, i0, i2 = integrate(f, 0.0, 0.5 * PI, quad).value.tolist()
+    return i1, pref * iq, 2.0 * pref * i0, i2 / ((p + 1.0) * PI ** 2)
 
 
 def compute_C1(p: float, quad: QuadSpec = QuadSpec()) -> float:
@@ -119,7 +136,9 @@ def compute_C1(p: float, quad: QuadSpec = QuadSpec()) -> float:
         return u * np.sqrt((p - 1.0) * kernels.c_factor(u, p))
 
     f.endpoint_aware = True
-    return (p + 3.0) * integrate(f, 0.0, 1.0, _de(quad)).value
+    quad = _de(quad)
+    return _memo(("C1", p, quad),
+                 lambda: (p + 3.0) * integrate(f, 0.0, 1.0, quad).value)
 
 
 def compute_Cq(p: float, q: float, quad: QuadSpec = QuadSpec()) -> float:
@@ -153,7 +172,9 @@ def compute_Cq(p: float, q: float, quad: QuadSpec = QuadSpec()) -> float:
         return out
 
     f.endpoint_aware = True
-    return 2.0 * integrate(f, 0.0, 1.0, _de(quad)).value
+    quad = _de(quad)
+    return _memo(("Cq", p, q, quad),
+                 lambda: 2.0 * integrate(f, 0.0, 1.0, quad).value)
 
 
 def _check_weights(a1: float, a2: float) -> None:

@@ -16,13 +16,56 @@ __all__ = ["c_factor", "layer_integrand", "rk4_shoot", "IMPLEMENTATION"]
 # Name of the kernel implementation, recorded with benchmark results.
 IMPLEMENTATION = "pure"
 
-# Branch cuts for c_factor. For u below the series cut the truncated power
-# series is exact to <1e-18; between the cuts expm1/log1p keeps the
-# cancellation in f(1-u) at full relative precision; above, direct powers
-# are already well conditioned.
+# Branch cuts for c_factor. Below the series cut, the truncated power series
+# in u. Its m-th coefficient is at most 2 max(p, m)^m/(m+2)! in size, so
+# with max(p, 20) u <= 0.4 the first dropped term (m = 13) is below 1.1e-17
+# while c stays above 0.86: under 2^-53 of c. Hence the cut 0.02 up to
+# p = 20 and 0.4/p beyond. Between the cuts expm1/log1p holds the
+# cancellation in f(1-u) to about 1e-16/((p-1) u) relative; above, direct
+# powers are well conditioned once p - 1 is not small. Below p = 1.5 both
+# lose digits like 1/(p-1) (2e-13 at p = 1.05), and an exact rearrangement
+# without that cancellation takes every u from the series cut up to u = 1.
 _SERIES_CUT = 0.02
+_SERIES_P = 20.0
 _MID_CUT = 0.5
 _SERIES_TERMS = 12
+_NEAR_ONE_P = 1.5
+# expm1(x) - x by its Taylor series (through x^20) where |x| < 0.5.
+_EXM1X_CUT = 0.5
+_EXM1X_COEFS = [1.0 / math.factorial(n) for n in range(20, 1, -1)]
+
+
+def _series_cut(p: float) -> float:
+    """Upper end of c_factor's series branch: p u stays at most 0.4."""
+    return _SERIES_CUT if p <= _SERIES_P else _SERIES_CUT * _SERIES_P / p
+
+
+def _expm1_minus_x(x: np.ndarray) -> np.ndarray:
+    """e^x - 1 - x at full relative precision."""
+    out = np.expm1(x) - x
+    small = np.abs(x) < _EXM1X_CUT
+    if np.any(small):
+        xs = x[small]
+        acc = np.zeros_like(xs)
+        for coef in _EXM1X_COEFS:
+            acc = acc * xs + coef
+        out[small] = acc * xs * xs
+    return out
+
+
+def _c_near_one(u: np.ndarray, p: float) -> np.ndarray:
+    """c(u) for p near 1, from the exact identity, with L = ln(1-u),
+
+        (p+1) f(1-u) = (p-1) [2L expm1(2L) - E(2L)] + 2 (1-u)^2 E((p-1) L),
+
+    E(x) = e^x - 1 - x. Both terms are nonnegative, and the bracket is
+    about 2 L^2, so no step cancels more than one bit.
+    """
+    L = np.log1p(-u)
+    x = 2.0 * L
+    f = x * np.expm1(x) - _expm1_minus_x(x) \
+        + 2.0 * np.exp(x) * _expm1_minus_x((p - 1.0) * L) / (p - 1.0)
+    return f / ((p + 1.0) * u * u)
 
 
 def c_factor(u, p: float):
@@ -37,8 +80,9 @@ def c_factor(u, p: float):
     u = np.atleast_1d(u)
     out = np.empty_like(u)
 
-    lo = u < _SERIES_CUT
-    hi = u >= _MID_CUT
+    near_one = p < _NEAR_ONE_P
+    lo = u < _series_cut(p)
+    hi = u >= (1.0 if near_one else _MID_CUT)
     mid = ~(lo | hi)
 
     if np.any(lo):
@@ -53,8 +97,11 @@ def c_factor(u, p: float):
         out[lo] = val
     if np.any(mid):
         um = u[mid]
-        f = um * (2.0 - um) - (2.0 / (p + 1.0)) * (-np.expm1((p + 1.0) * np.log1p(-um)))
-        out[mid] = f / ((p - 1.0) * um * um)
+        if near_one:
+            out[mid] = _c_near_one(um, p)
+        else:
+            f = um * (2.0 - um) - (2.0 / (p + 1.0)) * (-np.expm1((p + 1.0) * np.log1p(-um)))
+            out[mid] = f / ((p - 1.0) * um * um)
     if np.any(hi):
         uh = u[hi]
         s = 1.0 - uh

@@ -6,7 +6,8 @@ Two rules cover the two integrand classes that appear in this package:
     Panel-adaptive Gauss-Legendre with an embedded error estimate by order
     doubling (12 vs 24 nodes per panel). For integrands smooth on the closed
     interval. Each refinement round bisects every panel whose error estimate
-    exceeds its share of the tolerance.
+    exceeds its share of the tolerance, up to a fixed bound on the number of
+    live panels.
 
 ``double_exponential``
     Tanh-sinh transformation with level-doubled trapezoid sums, for
@@ -46,6 +47,13 @@ DOUBLE_EXPONENTIAL = "double_exponential"
 # Fixed node/weight pairs for the embedded Gauss-Legendre estimate.
 _GL_LO_X, _GL_LO_W = np.polynomial.legendre.leggauss(12)
 _GL_HI_X, _GL_HI_W = np.polynomial.legendre.leggauss(24)
+
+# Most panels one Gauss refinement round may hold. Over the test suite and
+# a 198-case (p, q, alpha) domain grid no round holds more than 8. An
+# integrand whose rounding noise sits above the tolerance fails on every
+# panel and would double the count each round, so passing the bound raises
+# NoConvergence instead.
+_GL_MAX_PANELS = 4096
 
 # Tanh-sinh abscissa bound. sinh(6) ~ 201.7, so the innermost kept node sits
 # ~exp(-2*pi*sinh(6)/2) ~ 1e-276 from the endpoint: deep enough for any
@@ -152,6 +160,11 @@ def _gauss_adaptive(f, a: float, b: float, spec: QuadSpec) -> QuadResult:
             return QuadResult(acc_val, acc_err, evals)
 
         bad = panels[~ok]
+        if 2 * len(bad) > _GL_MAX_PANELS:
+            raise NoConvergence(
+                f"gauss_legendre_adaptive: tolerance unmet on {len(bad)} panels; "
+                f"bisecting them would pass {_GL_MAX_PANELS} panels"
+            )
         mids = 0.5 * (bad[:, 0] + bad[:, 1])
         panels = np.concatenate(
             [

@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from biflogis import constants
 from biflogis.cli import main
 
 CSV_HEADER = "alpha,k,d,gamma,h,beta,lambda"
@@ -150,6 +151,21 @@ def test_verify_subcritical_reports_reading(capsys):
     assert obj["chosen_e3_reading"] == "proof_variant"
     lead = obj["checks"][0]
     assert lead["pass"] and lead["other_rel_error"] > 0.9
+
+
+def test_repeat_runs_print_identical_output(capsys, monkeypatch):
+    # The second run of each command reads every (p, q) integral from the
+    # constants memo the first run filled.
+    store = {}
+    monkeypatch.setattr(constants, "_PQ_CACHE", store)
+    for argv in (("constants", "--p", "2.2", "--q", "3"),
+                 ("verify", "--p", "2.2", "--q", "3", "--a1", "1", "--a2", "1")):
+        first = run_cli(capsys, *argv)
+        filled = dict(store)
+        second = run_cli(capsys, *argv)
+        assert filled and store == filled
+        assert first[0] == second[0] == 0
+        assert first[1] == second[1]
 
 
 def test_verify_checks_csv(capsys):

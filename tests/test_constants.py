@@ -7,15 +7,18 @@ mpmath implementation (60 digits); they are compared here, never regenerated.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from _oracle_values import ORACLE
+from biflogis import constants
 from biflogis import local_logistic as ll
 from biflogis.constants import (READINGS, ConstantSet, compute_A, compute_all,
                                 compute_C1, compute_Cq, compute_E,
                                 theorem3_coefficients)
-from biflogis.errors import DivisionByZero, InvalidRegime, ZeroCoefficients
-from biflogis.quadrature import QuadSpec
+from biflogis.errors import (DivisionByZero, InvalidRegime, NoConvergence,
+                             Overflow, ZeroCoefficients)
+from biflogis.quadrature import DOUBLE_EXPONENTIAL, QuadSpec, integrate
 
 PI = math.pi
 
@@ -240,3 +243,93 @@ def test_constant_set_frozen():
     cs = compute_all(2.0, 2.0, 1.0, 1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cs.C1 = 0.0
+
+
+# ---------------------------------------------------------------- memo
+
+
+@pytest.fixture
+def cache(monkeypatch):
+    """An empty (p, q) memo for one test, and a count of the quadratures
+    the constants module runs."""
+    fresh = {}
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(constants, "_PQ_CACHE", fresh)
+    monkeypatch.setattr(constants, "integrate", counted)
+    return fresh, calls
+
+
+def test_memo_repeats_bit_identical(cache):
+    _, calls = cache
+    first = (compute_A(2.5, 3.0), compute_C1(2.5), compute_Cq(2.5, 3.0))
+    assert len(calls) == 3
+    again = (compute_A(2.5, 3.0), compute_C1(2.5), compute_Cq(2.5, 3.0))
+    assert len(calls) == 3
+    assert again == first
+    # every call hands out its own dict
+    assert again[0] is not first[0]
+    again[0]["A1"] = 0.0
+    assert compute_A(2.5, 3.0) == first[0]
+
+
+def test_compute_all_readings_share_pq_values(cache):
+    _, calls = cache
+    paper = compute_all(2.3, 3.0, 0.7, 0.4, "paper_definition")
+    variant = compute_all(2.3, 3.0, 0.7, 0.4, "proof_variant")
+    assert len(calls) == 3
+    for key in ("C1", "Cq", "A1", "A2", "A3", "A4", "A5", "A6"):
+        assert getattr(paper, key) == getattr(variant, key)
+    assert paper.E3 != variant.E3
+
+
+def test_memo_keys_on_the_spec_that_runs(cache):
+    store, calls = cache
+    compute_A(2.0, 2.0)
+    tight = compute_A(2.0, 2.0, QuadSpec(rel_tol=1e-13))
+    assert len(store) == 2 and len(calls) == 2
+    assert rel(tight["A2"], compute_A(2.0, 2.0)["A2"]) < 1e-13
+    # A always runs the Gauss rule, so naming another rule reuses the entry
+    compute_A(2.0, 2.0, QuadSpec(rule=DOUBLE_EXPONENTIAL))
+    assert len(store) == 2 and len(calls) == 2
+
+
+def test_raising_input_leaves_no_entry(cache):
+    store, calls = cache
+    with pytest.raises(DivisionByZero):
+        compute_A(3.0, 2.0)
+    with pytest.raises(ValueError):
+        compute_A(1.0, 2.0)
+    with pytest.raises(Overflow):
+        compute_A(1e4, 2.0)
+    with pytest.raises(NoConvergence):
+        compute_Cq(2.0, 2.0, QuadSpec(max_refinements=1))
+    assert store == {}
+    assert len(calls) == 1
+    assert rel(compute_Cq(2.0, 2.0), ORACLE["Cq[p=2,q=2]"]) < 1e-12
+
+
+@pytest.mark.parametrize("p,q", A_CASES + [(1.05, 1.1)])
+def test_stacked_A_rows_match_scalar_integrals(p, q):
+    quad = QuadSpec()
+    half = 0.5 * PI
+
+    def scalar(f):
+        return integrate(f, 0.0, half, quad).value
+
+    pref = math.sqrt(2.0) ** (p - 1.0) / ((p + 1.0) * PI ** 2)
+    expected = (
+        scalar(lambda th: np.sin(th) ** q),
+        pref * scalar(lambda th: np.sin(th) ** q * ll.phi(np.sin(th), p)),
+        2.0 * pref * scalar(lambda th: ll.phi(np.sin(th), p)),
+        scalar(lambda th: np.sin(th) ** 2 * ll.phi(np.sin(th), p))
+        / ((p + 1.0) * PI ** 2),
+    )
+    got = constants._a_integrals(p, q, quad)
+    for g, e in zip(got, expected):
+        assert type(g) is float
+        assert rel(g, e) <= 1e-15

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 
 from biflogis import kernels
@@ -34,6 +35,42 @@ def test_c_factor_branch_continuity():
             lo = kernels.c_factor(cut - 1e-12, p)
             hi = kernels.c_factor(cut + 1e-12, p)
             assert abs(lo - hi) < 1e-11
+
+
+def _c_reference(u: float, p: float) -> float:
+    """f(1-u)/((p-1) u^2) in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        u, p = mpmath.mpf(u), mpmath.mpf(p)
+        s = 1 - u
+        f = (p - 1) / (p + 1) - s ** 2 + 2 * s ** (p + 1) / (p + 1)
+        return float(f / ((p - 1) * u ** 2))
+
+
+C_REF_P = (1.05, 2.0, 3.0, 5.0, 20.0, 50.0, 100.0)
+
+
+def test_c_factor_against_mpmath():
+    # Just below the series cut the truncated series answers, just above it
+    # the expm1/log1p form (or the near-1 form at p = 1.05). u = 0.0199 sat
+    # in a 12-term series branch at every p once, 3.7e-2 off at p = 300.
+    for p in C_REF_P:
+        cut = kernels._series_cut(p)
+        for u in (cut * (1.0 - 1e-9), cut * (1.0 + 1e-9), 1e-6, 0.0199):
+            ref = _c_reference(u, p)
+            assert abs(kernels.c_factor(u, p) / ref - 1.0) <= 1e-13, (p, u)
+
+
+def test_c_factor_series_tail_below_rounding():
+    # The first dropped series term at the cut stays under 2^-53 of c.
+    for p in C_REF_P + (300.0, 1e4):
+        u = kernels._series_cut(p)
+        coef = 1.0
+        for m in range(1, kernels._SERIES_TERMS + 2):
+            coef = -p / 3.0 if m == 1 else coef * (-(p - m) / (m + 2.0))
+        dropped = abs(coef) * u ** (kernels._SERIES_TERMS + 1)
+        assert dropped <= 2.0 ** -53 * kernels.c_factor(u, p), p
+    # the cut does not move up to p = 20
+    assert kernels._series_cut(20.0) == kernels._series_cut(1.05) == 0.02
 
 
 def test_c_factor_scalar_and_array():

@@ -1,6 +1,7 @@
 """Integration rules against closed-form integrals."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -79,6 +80,24 @@ def test_no_convergence_on_rough_integrand():
 
     with pytest.raises(NoConvergence):
         integrate(noisy, 0.0, 1.0, QuadSpec(max_refinements=3))
+
+
+def test_white_noise_hits_panel_bound():
+    # Noise fails on every panel; without a bound each round would double
+    # the panels for max_refinements = 30 rounds.
+    rng = np.random.default_rng(11)
+
+    def noisy(s):
+        return rng.standard_normal(s.shape)
+
+    def stacked(s):
+        return rng.standard_normal((3, s.size))
+
+    for f in (noisy, stacked):
+        t0 = time.perf_counter()
+        with pytest.raises(NoConvergence, match="panels"):
+            integrate(f, 0.0, 1.0)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_interval_validation():
