@@ -127,6 +127,16 @@ def _add_output_flags(sp, formats=("json", "csv")):
     sp.add_argument("--format", choices=formats, default="json")
 
 
+# The input domain of solve and sweep, shown in their --help.
+_CURVE_DOMAIN = (
+    "Domain: p > 1 (p = 3 and its neighbourhood included), q > 1, "
+    "a1, a2 >= 0 with a1 + a2 > 0, alpha > 0. Exits 1 where no float point "
+    "represents the curve: k, h, beta or lambda out of the double range "
+    "(p near 1, extreme alpha), or d equal to k in float (large p deep in "
+    "the layer). Tested over p in [1.05, 20], q in [1.1, 8], alpha in "
+    "[1e-6, 1e12].")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="biflogis",
                      description="Bifurcation curve of the nonlocal "
@@ -150,7 +160,8 @@ def _build_parser() -> _Parser:
                     help="also report ||w||_q for this exponent")
     _add_output_flags(sp, formats=("json",))
 
-    sp = sub.add_parser("solve", help="nonlocal curve at one alpha")
+    sp = sub.add_parser("solve", help="nonlocal curve at one alpha",
+                        description=_CURVE_DOMAIN)
     _add_problem_flags(sp)
     sp.add_argument("--alpha", type=float, required=True)
     _add_output_flags(sp)
@@ -165,7 +176,8 @@ def _build_parser() -> _Parser:
                     help="half-interval node count (total 2n-1)")
     _add_output_flags(sp)
 
-    sp = sub.add_parser("sweep", help="curve rows over an alpha grid")
+    sp = sub.add_parser("sweep", help="curve rows over an alpha grid",
+                        description=_CURVE_DOMAIN)
     _add_problem_flags(sp)
     sp.add_argument("--alpha-min", type=float, required=True)
     sp.add_argument("--alpha-max", type=float, required=True)

@@ -31,6 +31,7 @@ in ``_PQ_CACHE``; A4, A6 and E1..E5 are algebra on top of the stored values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,19 @@ __all__ = [
 PI = math.pi
 
 READINGS = ("paper_definition", "proof_variant")
+
+
+# ln of the smallest normal and the largest double.
+_LN_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
+
+
+def _exp_in_range(ln_v: float, name: str, p: float, q: float) -> float:
+    """exp(ln_v) for a positive constant; Overflow where it would leave the
+    normal double range."""
+    if not _LN_RANGE[0] < ln_v < _LN_RANGE[1]:
+        raise Overflow(f"{name} leaves the double range at p = {p!r}, "
+                       f"q = {q!r} (ln {name} = {ln_v:.6g})")
+    return math.exp(ln_v)
 
 
 def _check_pq(p: float, q: float) -> None:
@@ -212,7 +226,10 @@ def _e_from_a(p: float, q: float, a1: float, a2: float, reading: str,
     e2 = a1q * (A["A4"] + (2.0 / q) * (A["A2"] / A["A1"])) \
         + (2.0 * a2 * PI ** ((2.0 - q) / q) / q) * A["A3"]
     denom = (p - 1.0) if reading == "paper_definition" else (p - 3.0)
-    e3 = PI ** (-4.0 / (denom * q)) * e1 ** (2.0 / (p - 3.0))
+    # In log form: near p = 3 the pi- and E1-powers each leave the double
+    # range before their product does.
+    e3 = _exp_in_range((2.0 / (p - 3.0)) * math.log(e1)
+                       - (4.0 / (denom * q)) * math.log(PI), "E3", p, q)
     e4 = 2.0 * (q * (p - 3.0) - (p - 1.0)) / (q * (p - 3.0) * PI) * A["A3"]
     e5 = ((2.0 / (p - 3.0)) * (e2 / e1) - A["A6"]) \
         * PI ** (2.0 * (p - 3.0) / (denom * q)) / e1
@@ -233,7 +250,11 @@ def theorem3_coefficients(p: float, q: float, a1: float, a2: float,
 def _theorem3_from_e(p: float, q: float, E: dict) -> tuple[float, float]:
     expo = (q * (p - 3.0) - (p - 1.0)) / (q * (p - 3.0))
     ratio = (p - 1.0) / (p - 3.0)
-    leading = PI ** (2.0 * expo) * E["E1"] ** ratio / E["E3"]
+    # In log form, as for E3: under proof_variant the powers cancel to
+    # pi^{2-2/q} E1, which stays finite where each power overflows.
+    leading = _exp_in_range(2.0 * expo * math.log(PI)
+                            + ratio * math.log(E["E1"]) - math.log(E["E3"]),
+                            "L0", p, q)
     second = (ratio * (E["E2"] / E["E1"]) + E["E4"]) \
         * E["E3"] ** (-(p - 3.0) / 2.0) - E["E5"]
     return leading, second

@@ -46,7 +46,8 @@ class AmbiguousReading(BiflogisError):
 
 
 class Overflow(BiflogisError):
-    """A trajectory exceeded the divergence bound."""
+    """A trajectory exceeded the divergence bound, or a value left the
+    double range."""
 
 
 class NoSolution(BiflogisError):

@@ -2,9 +2,10 @@
 
 -(a1 ||u||_q^2 + a2 ||u||_2^2) u'' + u^p = lambda u on (0,1), u > 0, Dirichlet,
 parameterized by alpha = ||u||_2. Every solution is a rescaled local profile:
-u = h w_d with h = (a1 ||w_d||_q^2 + a2 d^2)^{1/(p-3)} away from p = 3, so the
-only analytic content here is a scalar root-find for the right local amplitude
-and the bookkeeping beta = h^{p-1}, lambda = beta gamma, alpha = h d.
+u = h w_d with alpha = h d and h^{p-1} = beta = h^2 N, N = a1 ||w_d||_q^2 +
+a2 d^2, for every p > 1, so the only analytic content here is a scalar
+root-find for the local point where ln N = (p-3) ln(alpha/d), and the
+bookkeeping lambda = beta gamma.
 
 The module file carries a _curve suffix because the bare problem name is a
 Python keyword; the solution field lam is serialized as "lambda" for the same
@@ -28,20 +29,21 @@ from .rootfind import solve_monotone
 __all__ = [
     "ProblemParams",
     "NonlocalSolution",
-    "scale_factor",
     "g_of_k",
     "solve_alpha",
     "residual_check",
 ]
 
+# Width of the band around p = 3 that ProblemParams.regime labels critical.
 _CRITICAL_BAND = 1e-9
 
-# Relative step in t of the post-root monotonicity probe, and the slack
-# (1e-9 relative in g) its comparisons with alpha allow.
+# Relative step in t of the post-root monotonicity probe, and the slack its
+# comparisons of the residual with zero allow.
 _PROBE_DELTA = 1e-3
 _LN_SLACK = math.log1p(1e-9)
 
-# Bound on |h d / alpha - 1| that every returned solution meets.
+# Bound on |ln N - (p-3) ln h|, the log miss of beta = h^{p-1}, that every
+# returned solution meets; alpha = h d holds to rounding by construction.
 _ALPHA_RTOL = 1e-10
 
 REGIMES = ("supercritical", "critical", "subcritical")
@@ -82,9 +84,11 @@ class ProblemParams:
 class NonlocalSolution:
     """One point of the bifurcation curve: alpha with its scaled local data.
 
-    lam holds the eigenvalue lambda(alpha). The defining relations
-    beta = a1 (h ||w||_q)^2 + a2 (h d)^2, h^{p-1} = beta (p != 3),
-    lam = beta gamma, alpha = h d all hold on every constructed instance.
+    lam holds the eigenvalue lambda(alpha). solve_alpha builds every
+    instance from the one residual ln N - (p-3) ln h, h = alpha/d, so
+    alpha = h d, beta = h^2 N = a1 (h ||w||_q)^2 + a2 (h d)^2 and
+    lam = beta gamma hold to rounding, and beta = h^{p-1} to 1e-10 in log,
+    for every p, the critical band included.
     """
 
     alpha: float
@@ -115,27 +119,6 @@ class NonlocalSolution:
         }
 
 
-def _require_noncritical(p: float) -> None:
-    if abs(p - 3.0) <= _CRITICAL_BAND:
-        raise InvalidRegime(
-            "the h-exponent 1/(p-3) is singular at p = 3; "
-            "use the critical branch of solve_alpha")
-
-
-def scale_factor(local: LocalPoint, q_norm_val: float,
-                 params: ProblemParams) -> float:
-    """h = (a1 ||w_d||_q^2 + a2 d^2)^{1/(p-3)} for p != 3."""
-    _require_noncritical(params.p)
-    if q_norm_val < 0.0:
-        raise ValueError(f"q_norm_val must be nonnegative, got {q_norm_val}")
-    # N = d^2 (a1 (||w||_q/d)^2 + a2), so that d^2 is never formed.
-    n_over_d2 = params.a1 * (q_norm_val / local.d) ** 2 + params.a2
-    if n_over_d2 <= 0.0:
-        raise ZeroCoefficients("a1 ||w||_q^2 + a2 d^2 must be positive")
-    return math.exp((2.0 * math.log(local.d) + math.log(n_over_d2))
-                    / (params.p - 3.0))
-
-
 def _state_at_t(t: float, params: ProblemParams):
     """(log-form local state, ln N) at layer coordinate t, where
     N = a1 ||w||_q^2 + a2 d^2 = d^2 (a1 (||w||_q/d)^2 + a2). The ratio
@@ -147,45 +130,15 @@ def _state_at_t(t: float, params: ProblemParams):
     return state, 2.0 * ln_d + math.log(params.a1 * ratio2 + params.a2)
 
 
-def _ln_g_at_t(t: float, params: ProblemParams) -> float:
-    state, ln_n = _state_at_t(t, params)
-    return ln_n / (params.p - 3.0) + state[2][2.0]
-
-
-def _root_t(resid, ln_d: float, params: ProblemParams) -> float:
-    """Root t of a monotone residual in tau = ln t, seeded where the local
-    L2 norm is about exp(ln_d).
-
-    InvalidBracket where the bracket runs into the upper wall _TAU_HI: the
-    root lies deeper in the layer, where d/k = 1 - O(1/t) rounds to 1.
-    """
-    tau0 = ll._seed_tau_for_k(ln_d + 0.5 * math.log(2.0), params.p)
-    last = tau0
-
-    def tracked(tau: float) -> float:
-        nonlocal last
-        last = tau
-        return resid(tau)
-
-    try:
-        tau = solve_monotone(tracked, tau0, ll._TAU_LO, ll._TAU_HI, step0=2.0,
-                             xtol=min(params.root_tol, 1e-12))
-    except BracketFailure as exc:
-        if last != ll._TAU_HI:
-            raise
-        raise InvalidBracket(
-            f"the root lies beyond t = exp({ll._TAU_HI:g}) at p = {params.p!r}, "
-            f"q = {params.q!r}, where d would round to k") from exc
-    return math.exp(tau)
-
-
 def g_of_k(k: float, params: ProblemParams) -> float:
-    """g = h(k) d(k), the alpha reached by local amplitude k (p != 3)."""
-    _require_noncritical(params.p)
+    """g = N^{1/(p-3)} d, the alpha reached by local amplitude k (p != 3)."""
+    if params.regime == "critical":
+        raise InvalidRegime("g = N^{1/(p-3)} d is singular at p = 3")
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"k must be finite and positive, got {k}")
     t = ll._t_from_k(k, ll.LocalParams(p=params.p, quad=params.quad))
-    return math.exp(_ln_g_at_t(t, params))
+    state, ln_n = _state_at_t(t, params)
+    return math.exp(ln_n / (params.p - 3.0) + state[2][2.0])
 
 
 def _subcritical_e1(params: ProblemParams) -> float:
@@ -198,103 +151,81 @@ def _subcritical_e1(params: ProblemParams) -> float:
         + params.a2 * math.pi ** (2.0 / q)
 
 
-def _solve_noncritical(alpha: float, params: ProblemParams) -> NonlocalSolution:
+def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
+    """The unique curve point with ||u||_2 = alpha.
+
+    One residual for every p: r(t) = ln N(t) - (p-3)(ln alpha - ln d(t)),
+    strictly increasing in the layer coordinate t, is solved by Brent in
+    tau = ln t; then h = alpha/d, so alpha = h d holds by construction, and
+    beta = h^2 N. At p = 3, r = ln N and the point is the normalization
+    N = 1. The solver re-probes r at t(1 -+ 1e-3) and raises
+    MonotonicityViolation if it does not increase through the root;
+    NoConvergence if |ln N - (p-3) ln h|, the log miss of beta = h^{p-1},
+    exceeds 1e-10; InvalidBracket where no float point represents the curve
+    (k, h, beta or lambda out of range, or d rounding to k).
+    """
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     p = params.p
     ln_alpha = math.log(alpha)
-    if p > 3.0:
-        # Large d: ||w||_q ~ d, so g ~ ((a1+a2) d^2)^{1/(p-3)} d.
+    if p >= 3.0:
+        # Large d: ||w||_q ~ d, so N ~ (a1+a2) d^2; at p = 3 this is the
+        # alpha-free root N = 1 of the q = 2 case.
         ln_d = ((p - 3.0) * ln_alpha - math.log(params.a1 + params.a2)) \
             / (p - 1.0)
     else:
         # Leading subcritical law d^{p-1} = alpha^{p-3} pi^{2/q} / E1.
         ln_d = ((p - 3.0) * ln_alpha + (2.0 / params.q) * math.log(math.pi)
                 - math.log(_subcritical_e1(params))) / (p - 1.0)
+    evals: dict = {}
 
     def resid(tau: float) -> float:
-        return _ln_g_at_t(math.exp(tau), params) - ln_alpha
+        state, ln_n = evals[tau] = _state_at_t(math.exp(tau), params)
+        return ln_n - (p - 3.0) * (ln_alpha - state[2][2.0])
 
-    t = _root_t(resid, ln_d, params)
-    state, ln_n = _state_at_t(t, params)
+    tau0 = ll._seed_tau_for_k(ln_d + 0.5 * math.log(2.0), p)
+    try:
+        tau = solve_monotone(resid, tau0, ll._TAU_LO, ll._TAU_HI, step0=2.0,
+                             xtol=min(params.root_tol, 1e-12))
+    except BracketFailure as exc:
+        # r increases, so r < 0 at the upper wall puts the root beyond it.
+        if not (ll._TAU_HI in evals and resid(ll._TAU_HI) < 0.0):
+            raise
+        raise InvalidBracket(
+            f"the root lies beyond t = exp({ll._TAU_HI:g}) at p = {p!r}, "
+            f"q = {params.q!r}, where d would round to k") from exc
+    t = math.exp(tau)
+    state, ln_n = evals[tau]
     point = ll._point_from_state(t, p, state)
 
-    # k(t) is strictly increasing, so probing g at t(1 -+ delta) checks the
-    # monotonicity of g(k); in log space, so no probe can overflow.
-    ln_minus = _ln_g_at_t(t * (1.0 - _PROBE_DELTA), params)
-    ln_plus = _ln_g_at_t(t * (1.0 + _PROBE_DELTA), params)
-    lo, hi = (ln_minus, ln_plus) if p > 3.0 else (ln_plus, ln_minus)
-    if not (lo < hi and lo < ln_alpha + _LN_SLACK and hi > ln_alpha - _LN_SLACK):
+    # k(t) is strictly increasing, so probing r at t(1 -+ delta) checks the
+    # monotonicity of the curve in k.
+    r_minus = resid(tau + math.log1p(-_PROBE_DELTA))
+    r_plus = resid(tau + math.log1p(_PROBE_DELTA))
+    if not (r_minus < r_plus and r_minus < _LN_SLACK and r_plus > -_LN_SLACK):
         raise MonotonicityViolation(
-            f"g is not locally monotone around the root t = {t:.6g} "
-            f"(k = {point.k:.6g}): ln g(t-) = {ln_minus:.12g}, "
-            f"ln g(t+) = {ln_plus:.12g}, ln alpha = {ln_alpha:.12g}")
+            f"the residual is not locally increasing around the root "
+            f"t = {t:.6g} (k = {point.k:.6g}): r(t-) = {r_minus:.12g}, "
+            f"r(t+) = {r_plus:.12g}")
 
-    # Near p = 3 the factor 1/(p-3) amplifies the rounding of ln N past the
-    # root tolerance, so alpha = h d is checked, first in log form, before h
-    # is formed.
-    ln_h = ln_n / (p - 3.0)
-    miss = ln_h + state[2][2.0] - ln_alpha
+    ln_h = ln_alpha - state[2][2.0]
+    miss = ln_n - (p - 3.0) * ln_h
     if not abs(miss) <= _ALPHA_RTOL:
         raise NoConvergence(
-            f"h d misses alpha = {alpha!r} by {miss:.3g} in log at p = {p!r}")
-    # beta = h^2 N in log form: h^2 alone under- or overflows for p near 1.
+            f"beta = h^2 N misses h^(p-1) by {miss:.3g} in log at "
+            f"alpha = {alpha!r}, p = {p!r}")
+    # In log form: h^2 alone under- or overflows for p near 1.
     try:
         h, beta = math.exp(ln_h), math.exp(2.0 * ln_h + ln_n)
     except OverflowError:
         h = beta = math.inf
-    regime = "supercritical" if p > 3.0 else "subcritical"
-    return _scaled(alpha, point, h, beta, regime)
-
-
-def _solve_critical(alpha: float, params: ProblemParams) -> NonlocalSolution:
-    def resid(tau: float) -> float:
-        return _state_at_t(math.exp(tau), params)[1]
-
-    # Normalize N = 1; for q = 2, N = (a1 + a2) d^2 puts the root at d_flat.
-    d_flat = 1.0 / math.sqrt(params.a1 + params.a2)
-    t = _root_t(resid, math.log(d_flat), params)
-    point = ll._point_from_state(t, params.p, _state_at_t(t, params)[0])
-    h = alpha / point.d
-    return _scaled(alpha, point, h, h * h, "critical")
-
-
-def _scaled(alpha: float, point: LocalPoint, h: float, beta: float,
-            regime: str) -> NonlocalSolution:
-    """The curve point u = h w at alpha, with lambda = beta gamma.
-
-    InvalidBracket where h, beta or lambda leaves the float range (p near 1
-    or extreme alpha); NoConvergence where h d misses alpha by more than
-    _ALPHA_RTOL relative.
-    """
     lam = beta * point.gamma
     if not all(0.0 < v < math.inf for v in (h, beta, lam)):
         raise InvalidBracket(
             f"h = {h:.3g}, beta = {beta:.3g} or lambda = {lam:.3g} leaves "
-            f"the float range at alpha = {alpha!r}, p = {point.p!r}")
-    miss = h * point.d / alpha - 1.0
-    if not abs(miss) <= _ALPHA_RTOL:
-        raise NoConvergence(
-            f"h d misses alpha = {alpha!r} by {miss:.3g} at p = {point.p!r}")
+            f"the float range at alpha = {alpha!r}, p = {p!r}")
     return NonlocalSolution(alpha=alpha, local=point, h=h, beta=beta,
-                            lam=lam, regime=regime)
-
-
-def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
-    """The unique curve point with ||u||_2 = alpha.
-
-    p > 3 and p < 3 invert the strictly monotone map g(k) = h d; the solver
-    re-probes monotonicity at the root and raises MonotonicityViolation if
-    the bracket assumption fails, and NoConvergence if the root misses
-    alpha = h d by more than 1e-10 relative (close to p = 3, where 1/(p-3)
-    amplifies rounding). p within 1e-9 of 3 takes the critical
-    branch: normalize a1 ||w||_q^2 + a2 d^2 = 1, then scale exactly.
-    Either branch raises InvalidBracket where no float point represents
-    the curve (k, h, beta or lambda out of range, or d rounding to k).
-    """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be finite and positive, got {alpha}")
-    if abs(params.p - 3.0) <= _CRITICAL_BAND:
-        return _solve_critical(alpha, params)
-    return _solve_noncritical(alpha, params)
+                            lam=lam, regime=params.regime)
 
 
 def _phi_prime(s, p: float):

@@ -191,6 +191,39 @@ def test_leading_coefficient_positive():
             assert math.isfinite(second)
 
 
+@pytest.mark.parametrize("q", (1.1, 2.0, 8.0))
+@pytest.mark.parametrize("reading", READINGS)
+def test_near_critical_constants_finite_or_overflow(q, reading):
+    # At p = 3 - 1e-6, E3 holds E1^{2/(p-3)}: either every value of the set
+    # is a finite double or the package's Overflow says why; never a bare
+    # OverflowError or a zero that underflowed.
+    p = 3.0 - 1e-6
+    try:
+        rec = compute_all(p, q, 1.0, 1.0, reading).to_record()
+    except Overflow:
+        return
+    for key, val in rec.items():
+        if isinstance(val, float):
+            assert math.isfinite(val) and val != 0.0, key
+
+
+PROOF_VARIANT_PQ = [(p, q) for p in (1.5, 2.0, 2.5, 2.9, 2.99)
+                    for q in (1.1, 2.0, 8.0)] + [(2.9975, 1.1), (2.9975, 2.0)]
+
+
+@pytest.mark.parametrize("p,q", PROOF_VARIANT_PQ)
+def test_proof_variant_leading_is_pi_power_times_E1(p, q):
+    # Under proof_variant the pi- and E1-powers of L0 and E3 cancel to
+    # L0 = pi^{2-2/q} E1 for every p; the log form loses only the rounding
+    # of the (p-1)/(p-3) powers it cancels. At p = 2.9975 the pi-power of L0
+    # alone is e^917 (q = 2), yet E3 and L0 are doubles.
+    cs = compute_all(p, q, 0.7, 0.4, "proof_variant")
+    ratio = abs((p - 1.0) / (p - 3.0))
+    assert rel(cs.leading_coeff, PI ** (2.0 - 2.0 / q) * cs.E1) \
+        <= 8.0 * 2.2e-16 * (1.0 + ratio)
+    assert math.isfinite(cs.second_coeff)
+
+
 def test_E_validation():
     with pytest.raises(InvalidRegime):
         compute_E(3.0, 2.0, 1.0, 1.0, "proof_variant")

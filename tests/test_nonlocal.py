@@ -1,7 +1,7 @@
 """Curve points of the nonlocal problem: scaling invariants and defects.
 
 Every constructed solution must satisfy the defining algebra exactly
-(alpha = h d, lambda = beta gamma, beta = h^{p-1} away from p = 3), and its
+(alpha = h d, lambda = beta gamma, beta = h^{p-1} for every p), and its
 scaled profile must solve the differential equation when checked through an
 independent reconstruction of u''.
 """
@@ -12,11 +12,12 @@ import math
 import pytest
 
 from biflogis.errors import (BiflogisError, InvalidBracket, InvalidRegime,
-                             MonotonicityViolation, ZeroCoefficients)
+                             MonotonicityViolation, NoConvergence,
+                             ZeroCoefficients)
 from biflogis import local_logistic as ll, nonlocal_curve
-from biflogis.local_logistic import LocalParams, point_from_gamma, point_q_norm
+from biflogis.local_logistic import LocalParams, point_q_norm
 from biflogis.nonlocal_curve import (NonlocalSolution, ProblemParams, g_of_k,
-                                     residual_check, scale_factor, solve_alpha)
+                                     residual_check, solve_alpha)
 
 
 def rel(a, b):
@@ -37,13 +38,13 @@ def assert_invariants(sol, params, alpha_rtol=1e-12):
     n_scaled = params.a1 * (sol.h * wq) ** 2 \
         + params.a2 * (sol.h * sol.local.d) ** 2
     assert rel(sol.beta, n_scaled) < 1e-9
+    # The exact relation, also inside the critical band: there h^{p-3} is
+    # 1 + (p-3) ln h, not 1, so beta = h^2 would hold only to ~1e-9.
+    assert rel(sol.beta, sol.h ** (params.p - 1.0)) < 1e-12
     if params.regime == "critical":
-        assert rel(sol.beta, sol.h ** 2) < 1e-12
         # the local point is pinned at the normalization a1||w||_q^2+a2 d^2=1
         n_val = params.a1 * wq * wq + params.a2 * sol.local.d ** 2
         assert abs(n_val - 1.0) < 1e-8
-    else:
-        assert rel(sol.beta, sol.h ** (params.p - 1.0)) < 1e-12
 
 
 # -------------------------------------------------------------- validation
@@ -70,7 +71,7 @@ def test_regime_property():
     assert regime(3.1) == "supercritical"
     assert regime(2.0) == "subcritical"
     assert regime(3.0) == "critical"
-    # the critical branch owns a small band, not just the exact value
+    # the critical label covers a small band, not just the exact value
     assert regime(3.0 + 5e-10) == "critical"
     assert regime(3.0 - 5e-10) == "critical"
 
@@ -129,12 +130,42 @@ def assert_valid_or_typed_error(alpha, params):
     assert_invariants(sol, params, alpha_rtol=1e-10)
 
 
-@pytest.mark.parametrize("p", (3.0 - 1e-7, 3.0 + 1e-7, 3.0 + 1e-6, 3.0 + 1e-8))
+NEAR_CRITICAL_P = (3.0 - 1e-6, 3.0 - 1e-7, 3.0 - 1e-10, 3.0, 3.0 + 1e-10,
+                   3.0 + 1e-8, 3.0 + 1e-7, 3.0 + 1e-6)
+NEAR_CRITICAL_QA = ((2.0, 1.0, 1.0), (4.0, 1.0, 0.5))
+
+
+@pytest.mark.parametrize("p", NEAR_CRITICAL_P)
 @pytest.mark.parametrize("alpha", (1e-2, 1.0, 1e2))
 def test_near_critical_valid_or_typed_error(p, alpha):
-    # Just outside the critical band, 1/(p-3) amplifies the rounding of ln N.
-    for q, a1, a2 in ((2.0, 1.0, 1.0), (4.0, 1.0, 0.5)):
-        assert_valid_or_typed_error(alpha, ProblemParams(p=p, q=q, a1=a1, a2=a2))
+    # Near p = 3 every point solves: the residual ln N - (p-3) ln(alpha/d)
+    # holds no 1/(p-3) that could amplify the rounding of ln N.
+    for q, a1, a2 in NEAR_CRITICAL_QA:
+        params = ProblemParams(p=p, q=q, a1=a1, a2=a2)
+        sol = solve_alpha(alpha, params)
+        assert sol.regime == params.regime
+        assert_invariants(sol, params, alpha_rtol=1e-10)
+
+
+@pytest.mark.parametrize("alpha", (1e-2, 1.0, 1e2))
+def test_lambda_continuous_through_p3(alpha):
+    # lambda/alpha^2 is smooth in p across p = 3: its relative change stays
+    # below |p - 3| (the slope is below 0.4 on these cases), and the
+    # difference quotients from either side agree, so no band jumps.
+    for q, a1, a2 in NEAR_CRITICAL_QA:
+        def ratio(p):
+            params = ProblemParams(p=p, q=q, a1=a1, a2=a2)
+            return solve_alpha(alpha, params).lam / alpha ** 2
+
+        at3 = ratio(3.0)
+        slopes = {}
+        for p in NEAR_CRITICAL_P:
+            change = ratio(p) / at3 - 1.0
+            assert abs(change) <= abs(p - 3.0) + 1e-13
+            if p != 3.0:
+                slopes[p] = change / (p - 3.0)
+        left, right = slopes[3.0 - 1e-6], slopes[3.0 + 1e-6]
+        assert abs(left - right) <= 1e-3 * abs(right) + 1e-5
 
 
 def test_small_p_tiny_alpha_valid_or_typed_error():
@@ -156,7 +187,6 @@ def test_small_p_extreme_alpha_solved(alpha, q):
     assert sol.regime == "subcritical"
     assert_invariants(sol, params, alpha_rtol=1e-10)
     assert residual_check(sol, 64, params) < 1e-8
-    assert rel(scale_factor(sol.local, wq_of(sol, params), params), sol.h) < 1e-10
 
 
 @pytest.mark.parametrize("p,alpha", ((8.0, 1e12), (20.0, 100.0), (20.0, 1e4),
@@ -170,6 +200,28 @@ def test_extreme_points_valid_or_typed_error(p, alpha):
         assert_valid_or_typed_error(alpha, ProblemParams(p=p, q=q, a1=1.0, a2=1.0))
 
 
+def test_domain_grid_solved_or_typed_error():
+    # The documented domain's regression grid: 198 cases across all three
+    # regimes, 3 of them within 1e-6 of p = 3. Every case returns a point
+    # that meets its invariants or raises a package error other than
+    # NoConvergence; the 15 refusals are float-range and tau-wall cases.
+    valid = 0
+    for p in (1.05, 1.5, 2.0, 2.9, 3.0 - 1e-6, 3.0 + 1e-6, 3.0 + 1e-8, 3.1,
+              4.0, 8.0, 20.0):
+        for q in (1.1, 2.0, 8.0):
+            params = ProblemParams(p=p, q=q, a1=1.0, a2=1.0)
+            for alpha in (1e-6, 1e-2, 1.0, 1e2, 1e6, 1e12):
+                try:
+                    sol = solve_alpha(alpha, params)
+                except NoConvergence as exc:
+                    pytest.fail(f"p = {p!r}, q = {q}, alpha = {alpha}: {exc}")
+                except BiflogisError:
+                    continue
+                assert_invariants(sol, params, alpha_rtol=1e-10)
+                valid += 1
+    assert valid >= 183
+
+
 @pytest.mark.parametrize("p,alpha", ((8.0, 1e12), (20.0, 1e6), (20.0, 1e12)))
 def test_tau_wall_raises_invalid_bracket(p, alpha):
     # The root lies past the upper wall of the layer coordinate, where
@@ -181,17 +233,21 @@ def test_tau_wall_raises_invalid_bracket(p, alpha):
 
 @pytest.mark.parametrize("p", (1.05, 2.0, 2.9, 3.1, 5.0, 20.0))
 def test_ln_g_finite_over_bracket(p):
+    # ln N, the residual's only state-dependent term besides ln d, is
+    # finite over the whole tau bracket, also where N under- or overflows.
     for q in (1.1, 2.0, 8.0):
         params = ProblemParams(p=p, q=q, a1=1.0, a2=1.0)
         for tau in (ll._TAU_LO, -50.0, 50.0, ll._TAU_HI):
-            assert math.isfinite(nonlocal_curve._ln_g_at_t(math.exp(tau), params))
+            ln_n = nonlocal_curve._state_at_t(math.exp(tau), params)[1]
+            assert math.isfinite(ln_n)
 
 
 def test_probe_rejects_reversed_order(monkeypatch):
-    # With the probe points swapped, g runs the wrong way around the root
-    # in both regimes, and the solver must refuse the point.
+    # With the probe points swapped, the residual runs the wrong way around
+    # the root for every p, p = 3 included, and the solver must refuse the
+    # point.
     monkeypatch.setattr(nonlocal_curve, "_PROBE_DELTA", -1e-3)
-    for p in (2.0, 5.0):
+    for p in (2.0, 3.0, 5.0):
         with pytest.raises(MonotonicityViolation):
             solve_alpha(100.0, ProblemParams(p=p, q=2.0, a1=1.0, a2=0.0))
 
@@ -215,33 +271,6 @@ def test_residual_needs_enough_points():
     sol = solve_alpha(10.0, params)
     with pytest.raises(ValueError):
         residual_check(sol, 4, params)
-
-
-# ----------------------------------------------------------- scale factor
-
-
-def test_scale_factor_rejects_critical():
-    point = point_from_gamma(15.0, LocalParams(p=3.0))
-    for p in (3.0, 3.0 + 1e-10):
-        params3 = ProblemParams(p=p, q=2.0, a1=1.0, a2=1.0)
-        with pytest.raises(InvalidRegime):
-            scale_factor(point, 0.5, params3)
-
-
-def test_scale_factor_validation():
-    params = ProblemParams(p=5.0, q=2.0, a1=1.0, a2=0.0)
-    point = point_from_gamma(15.0, LocalParams(p=5.0))
-    with pytest.raises(ValueError):
-        scale_factor(point, -0.5, params)
-    with pytest.raises(ZeroCoefficients):
-        scale_factor(point, 0.0, params)  # a2 = 0 and ||w||_q = 0
-
-
-def test_scale_factor_matches_solver():
-    params = ProblemParams(p=5.0, q=2.0, a1=0.5, a2=0.5)
-    sol = solve_alpha(100.0, params)
-    h = scale_factor(sol.local, wq_of(sol, params), params)
-    assert rel(h, sol.h) < 1e-10
 
 
 # ------------------------------------------------------- curve monotonics
