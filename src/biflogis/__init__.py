@@ -8,7 +8,7 @@ Computes positive solutions of
 parameterized by the L2 norm alpha = ||u||_2, by reducing to the local
 time-map problem -w'' + w^p = gamma w and rescaling. Submodules:
 
-- ``quadrature``: adaptive Gauss-Legendre and tanh-sinh rules
+- ``quadrature``: adaptive Gauss-Legendre, scalar or stacked
 - ``local_logistic``: the time-map curve gamma(k) and its exact solver
 - ``constants``: closed-form asymptotic constants of the curve
 - ``nonlocal_curve``: the rescaling step, alpha -> (h, beta, lambda)

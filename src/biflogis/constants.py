@@ -39,7 +39,7 @@ import numpy as np
 from . import kernels
 from .errors import DivisionByZero, InvalidRegime, Overflow, ZeroCoefficients
 from .local_logistic import phi
-from .quadrature import DOUBLE_EXPONENTIAL, GAUSS_LEGENDRE, QuadSpec, integrate
+from .quadrature import QuadSpec, integrate
 
 __all__ = [
     "READINGS",
@@ -91,10 +91,6 @@ def _memo(key: tuple, compute):
     return val
 
 
-def _de(quad: QuadSpec) -> QuadSpec:
-    return quad.with_rule(DOUBLE_EXPONENTIAL)
-
-
 def compute_A(p: float, q: float, quad: QuadSpec = QuadSpec(), *,
               with_a6: bool = True) -> dict:
     """The A-family of small-d expansion constants.
@@ -102,16 +98,14 @@ def compute_A(p: float, q: float, quad: QuadSpec = QuadSpec(), *,
     A1 = int_0^1 s^q (1-s^2)^{-1/2} ds and the phi-weighted variants A2, A3,
     A5; A4 and A6 follow algebraically. All integrals are evaluated after
     s = sin(theta), which removes the endpoint square root exactly and
-    leaves smooth integrands, so the four share one stacked Gauss call
-    (the rule is forced, whatever ``quad`` names). A6 has p - 3 in its
-    denominator: request it with ``with_a6=False`` at p = 3 (it backs
-    constants that only serve the subcritical regime).
+    leaves smooth integrands, so the four share one stacked Gauss call. A6
+    has p - 3 in its denominator: request it with ``with_a6=False`` at
+    p = 3 (it backs constants that only serve the subcritical regime).
     """
     _check_pq(p, q)
     if with_a6 and p == 3.0:
         raise DivisionByZero("A6 has p - 3 in its denominator; "
                              "pass with_a6=False at p = 3")
-    quad = quad.with_rule(GAUSS_LEGENDRE)
     a1, a2, a3, a5 = _memo(("A", p, q, quad), lambda: _a_integrals(p, q, quad))
     out = {"A1": a1, "A2": a2, "A3": a3, "A4": (a3 - 4.0 * a2) / PI, "A5": a5}
     if with_a6:
@@ -140,17 +134,15 @@ def _a_integrals(p: float, q: float, quad: QuadSpec) -> tuple:
 def compute_C1(p: float, quad: QuadSpec = QuadSpec()) -> float:
     """C1 = (p+3) int_0^1 sqrt(f(s)) ds, f = (p-1)/(p+1) - s^2 + 2s^{p+1}/(p+1).
 
-    f has a double zero at s = 1; sqrt(f) = (1-s) sqrt((p-1) c(1-s)) stays
-    analytic, so the integrand is evaluated through the regular factor c.
+    f has a double zero at s = 1, and sqrt(f) = u sqrt((p-1) c(u)) in
+    u = 1 - s with the regular factor c, so the integrand is analytic on
+    [0, 1] in u.
     """
     _check_pq(p, 2.0)
 
-    def f(s, da, db):
-        u = np.asarray(db, dtype=float)
+    def f(u):
         return u * np.sqrt((p - 1.0) * kernels.c_factor(u, p))
 
-    f.endpoint_aware = True
-    quad = _de(quad)
     return _memo(("C1", p, quad),
                  lambda: (p + 3.0) * integrate(f, 0.0, 1.0, quad).value)
 
@@ -158,35 +150,17 @@ def compute_C1(p: float, quad: QuadSpec = QuadSpec()) -> float:
 def compute_Cq(p: float, q: float, quad: QuadSpec = QuadSpec()) -> float:
     """Cq = 2 int_0^1 (1 - s^q)/sqrt(f(s)) ds.
 
-    Numerator and sqrt(f) both vanish linearly at s = 1; the ratio tends to
-    q/sqrt(p-1), supplied by a series branch below u = 1 - s = 1e-6.
+    In u = 1 - s the integrand is (1 - (1-u)^q) / (u sqrt((p-1) c(u))):
+    numerator and denominator both vanish linearly at u = 0, and forming
+    the numerator as -expm1(q log1p(-u)) keeps its relative accuracy there,
+    so the ratio needs no series branch.
     """
     _check_pq(p, q)
 
-    def f(s, da, db):
-        u = np.asarray(db, dtype=float)
-        out = np.empty_like(u)
-        near = u < 1e-6
-        mid = ~near & (u < 0.5)
-        big = u >= 0.5
-        if np.any(big):
-            ub = u[big]
-            num = 1.0 - (1.0 - ub) ** q
-            den = ub * np.sqrt((p - 1.0) * kernels.c_factor(ub, p))
-            out[big] = num / den
-        if np.any(mid):
-            um = u[mid]
-            num = -np.expm1(q * np.log1p(-um))
-            den = um * np.sqrt((p - 1.0) * kernels.c_factor(um, p))
-            out[mid] = num / den
-        if np.any(near):
-            un = u[near]
-            out[near] = q / math.sqrt(p - 1.0) \
-                * (1.0 + (p / 6.0 - (q - 1.0) / 2.0) * un)
-        return out
+    def f(u):
+        return -np.expm1(q * np.log1p(-u)) \
+            / (u * np.sqrt((p - 1.0) * kernels.c_factor(u, p)))
 
-    f.endpoint_aware = True
-    quad = _de(quad)
     return _memo(("Cq", p, q, quad),
                  lambda: 2.0 * integrate(f, 0.0, 1.0, quad).value)
 

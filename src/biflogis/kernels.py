@@ -111,13 +111,13 @@ def c_factor(u, p: float):
     return out[0] if scalar else out
 
 
-def layer_integrand(v, eps: float, em: float, p: float, qpow: float):
-    """Integrand of the layer-regularized moment J_q after s = 1 - x^2,
-    x = sqrt(2 eps/(p-1)) sinh(v).
+def layer_integrand(v, eps: float, em: float, p: float):
+    """Integrand of the layer-regularized moment J_0 after s = 1 - x^2,
+    x = sqrt(2 eps/(p-1)) sinh(v); J_q weights it by s^q = (1-u)^q.
 
     eps and em = 1 - eps are passed separately so callers can supply
     em = -expm1(-t) and keep full precision when eps is tiny. Returns
-    (1-u)^qpow * sqrt(H0/H) with H0 = 2 eps + (p-1) u and
+    sqrt(H0/H) with H0 = 2 eps + (p-1) u and
     H = eps (2-u) + em (p-1) u c(u), u = x^2 clamped to [0, 1].
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -125,10 +125,7 @@ def layer_integrand(v, eps: float, em: float, p: float, qpow: float):
     u = np.minimum(x * x, 1.0)
     h0 = 2.0 * eps + (p - 1.0) * u
     h = eps * (2.0 - u) + em * (p - 1.0) * u * c_factor(u, p)
-    r = np.sqrt(h0 / h)
-    if qpow != 0.0:
-        r = r * (1.0 - u) ** qpow
-    return r
+    return np.sqrt(h0 / h)
 
 
 def rk4_shoot(gamma: float, slope: float, p: float, n_steps: int, step: float):

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidBracket, NoSolution
-from .quadrature import GAUSS_LEGENDRE, QuadSpec, integrate
+from .quadrature import QuadSpec, integrate
 from .rootfind import solve_monotone
 
 __all__ = [
@@ -93,10 +93,6 @@ class LocalParams:
     def __post_init__(self):
         if not (math.isfinite(self.p) and self.p > 1.0):
             raise ValueError(f"p must be finite and > 1, got {self.p}")
-        if self.quad.rule != GAUSS_LEGENDRE:
-            # Moment integrands are analytic after the sinh substitution;
-            # Gauss panels converge uniformly in eps there.
-            object.__setattr__(self, "quad", self.quad.with_rule(GAUSS_LEGENDRE))
 
 
 @dataclass(frozen=True)
@@ -190,33 +186,15 @@ _S_N = np.arange(_S_TERMS, dtype=float)
 _S_BINOM = np.cumprod(np.concatenate(([1.0], 1.0 - 0.5 / _S_N[1:])))
 
 
-def _layer_moment(eps: float, em: float, p: float, qpow: float,
-                  quad: QuadSpec) -> float:
-    """J_q(eps) by adaptive Gauss panels in the sinh variable.
-
-    em = 1 - eps is passed separately so callers can hand over
-    -expm1(-t) at full precision when eps is tiny.
-    """
-    v_top = math.asinh(math.sqrt((p - 1.0) / (2.0 * eps)))
-
-    def f(v):
-        return kernels.layer_integrand(v, eps, em, p, qpow)
-
-    res = integrate(f, 0.0, v_top, quad)
-    return (2.0 / math.sqrt(p - 1.0)) * res.value
-
-
 def _layer_moments(eps: float, em: float, p: float, qs: list,
                    quad: QuadSpec) -> list:
-    """J_q(eps) for every q in qs from one stacked adaptive pass.
+    """J_q(eps) for every q in qs from one stacked adaptive pass in the sinh
+    variable; a one-entry qs is a stack of one row.
 
-    The rows share their nodes and the weight (1-u)^q, u = x^2, is formed
-    exactly as ``layer_integrand`` forms it, so each row equals
-    ``_layer_moment`` up to the quadrature error of the common panels.
-    A single q takes the scalar rule, which is cheaper than a stack of one.
+    em = 1 - eps is passed separately so callers can hand over -expm1(-t)
+    at full precision when eps is tiny. The rows share their nodes, refined
+    until every row meets its tolerance.
     """
-    if len(qs) == 1:
-        return [_layer_moment(eps, em, p, qs[0], quad)]
     v_top = math.asinh(math.sqrt((p - 1.0) / (2.0 * eps)))
     w0 = math.sqrt(2.0 * eps / (p - 1.0))
     pows = np.asarray(qs, dtype=float)[:, None]
@@ -224,7 +202,7 @@ def _layer_moments(eps: float, em: float, p: float, qs: list,
     def f(v):
         x = w0 * np.sinh(v)
         weight = (1.0 - np.minimum(x * x, 1.0)) ** pows
-        return kernels.layer_integrand(v, eps, em, p, 0.0) * weight
+        return kernels.layer_integrand(v, eps, em, p) * weight
 
     res = integrate(f, 0.0, v_top, quad)
     return ((2.0 / math.sqrt(p - 1.0)) * res.value).tolist()
@@ -240,7 +218,7 @@ def _b_shift(p: float, qpow: float, quad: QuadSpec) -> float:
     val = _B_CACHE.get(key)
     if val is None:
         eps0 = 1e-18
-        val = _layer_moment(eps0, 1.0 - eps0, p, qpow, quad) \
+        val = _layer_moments(eps0, 1.0 - eps0, p, [qpow], quad)[0] \
             - T_ASYM / math.sqrt(p - 1.0)
         _B_CACHE[key] = val
     return val
@@ -405,7 +383,7 @@ def time_map(k: float, gamma: float, params: LocalParams) -> float:
         raise InvalidBracket(f"time_map needs gamma > k^(p-1); got ratio {nu}")
     # nu < 1 in float64 forces eps >= ~1e-16, so the quadrature branch
     # always applies here.
-    j0 = _layer_moment(1.0 - nu, nu, p, 0.0, quad)
+    j0 = _layer_moments(1.0 - nu, nu, p, [0.0], quad)[0]
     return j0 / math.sqrt(gamma)
 
 
@@ -498,7 +476,7 @@ def sample_profile(point: LocalPoint, n: int, params: LocalParams) -> Profile:
         scale = 2.0 / (math.sqrt(p - 1.0) * sqrt_g)
 
         def f(v):
-            return kernels.layer_integrand(v, eps, em, p, 0.0)
+            return kernels.layer_integrand(v, eps, em, p)
 
         for j in range(1, n):
             seg = integrate(f, vs[j], vs[j - 1], quad)

@@ -15,6 +15,7 @@ reason.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +43,12 @@ _CRITICAL_BAND = 1e-9
 _PROBE_DELTA = 1e-3
 _LN_SLACK = math.log1p(1e-9)
 
-# Bound on |ln N - (p-3) ln h|, the log miss of beta = h^{p-1}, that every
-# returned solution meets; alpha = h d holds to rounding by construction.
+# Bound on |ln beta - (p-1) ln h|, the log miss of beta = h^{p-1}, and on the
+# relative miss of alpha = h d, that every solution meets.
 _ALPHA_RTOL = 1e-10
+
+# Relative bound on the miss of lam = beta gamma: a few ulp of the product.
+_LAM_RTOL = 4.0 * sys.float_info.epsilon
 
 REGIMES = ("supercritical", "critical", "subcritical")
 
@@ -88,7 +92,9 @@ class NonlocalSolution:
     instance from the one residual ln N - (p-3) ln h, h = alpha/d, so
     alpha = h d, beta = h^2 N = a1 (h ||w||_q)^2 + a2 (h d)^2 and
     lam = beta gamma hold to rounding, and beta = h^{p-1} to 1e-10 in log,
-    for every p, the critical band included.
+    for every p, the critical band included. Building an instance checks
+    alpha = h d to 1e-10 relative, |ln beta - (p-1) ln h| <= 1e-10 and
+    lam = beta gamma to a few ulp, and raises ValueError if one fails.
     """
 
     alpha: float
@@ -105,6 +111,17 @@ class NonlocalSolution:
                 raise ValueError(f"{name} must be finite and positive, got {v}")
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
+        if not abs(self.alpha - self.h * self.local.d) \
+                <= _ALPHA_RTOL * self.alpha:
+            raise ValueError(f"alpha = {self.alpha!r} is not h d = "
+                             f"{self.h * self.local.d!r}")
+        miss = _beta_log_miss(self.h, self.beta, self.local.p)
+        if not abs(miss) <= _ALPHA_RTOL:
+            raise ValueError(f"beta misses h^(p-1) by {miss:.3g} in log")
+        if not abs(self.lam - self.beta * self.local.gamma) \
+                <= _LAM_RTOL * self.lam:
+            raise ValueError(f"lam = {self.lam!r} is not beta gamma = "
+                             f"{self.beta * self.local.gamma!r}")
 
     def to_record(self) -> dict:
         """Row of curve data keyed by the canonical column names."""
@@ -117,6 +134,11 @@ class NonlocalSolution:
             "beta": self.beta,
             "lambda": self.lam,
         }
+
+
+def _beta_log_miss(h: float, beta: float, p: float) -> float:
+    """ln beta - (p-1) ln h, the log miss of beta = h^{p-1}."""
+    return math.log(beta) - (p - 1.0) * math.log(h)
 
 
 def _state_at_t(t: float, params: ProblemParams):
@@ -160,9 +182,9 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
     beta = h^2 N. At p = 3, r = ln N and the point is the normalization
     N = 1. The solver re-probes r at t(1 -+ 1e-3) and raises
     MonotonicityViolation if it does not increase through the root;
-    NoConvergence if |ln N - (p-3) ln h|, the log miss of beta = h^{p-1},
-    exceeds 1e-10; InvalidBracket where no float point represents the curve
-    (k, h, beta or lambda out of range, or d rounding to k).
+    InvalidBracket where no float point represents the curve (k, h, beta
+    or lambda out of range, or d rounding to k); NoConvergence if
+    |ln beta - (p-1) ln h|, the log miss of beta = h^{p-1}, exceeds 1e-10.
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
@@ -209,11 +231,6 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
             f"r(t+) = {r_plus:.12g}")
 
     ln_h = ln_alpha - state[2][2.0]
-    miss = ln_n - (p - 3.0) * ln_h
-    if not abs(miss) <= _ALPHA_RTOL:
-        raise NoConvergence(
-            f"beta = h^2 N misses h^(p-1) by {miss:.3g} in log at "
-            f"alpha = {alpha!r}, p = {p!r}")
     # In log form: h^2 alone under- or overflows for p near 1.
     try:
         h, beta = math.exp(ln_h), math.exp(2.0 * ln_h + ln_n)
@@ -224,6 +241,12 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
         raise InvalidBracket(
             f"h = {h:.3g}, beta = {beta:.3g} or lambda = {lam:.3g} leaves "
             f"the float range at alpha = {alpha!r}, p = {p!r}")
+    # The miss the instance checks, from the rounded h and beta it holds.
+    miss = _beta_log_miss(h, beta, p)
+    if not abs(miss) <= _ALPHA_RTOL:
+        raise NoConvergence(
+            f"beta = h^2 N misses h^(p-1) by {miss:.3g} in log at "
+            f"alpha = {alpha!r}, p = {p!r}")
     return NonlocalSolution(alpha=alpha, local=point, h=h, beta=beta,
                             lam=lam, regime=params.regime)
 

@@ -1,48 +1,30 @@
 """Deterministic numerical integration on finite intervals.
 
-Two rules cover the two integrand classes that appear in this package:
-
-``gauss_legendre_adaptive``
-    Panel-adaptive Gauss-Legendre with an embedded error estimate by order
-    doubling (12 vs 24 nodes per panel). For integrands smooth on the closed
-    interval. Each refinement round bisects every panel whose error estimate
-    exceeds its share of the tolerance, up to a fixed bound on the number of
-    live panels.
-
-``double_exponential``
-    Tanh-sinh transformation with level-doubled trapezoid sums, for
-    integrands with endpoint behavior of type (1-s)^(-1/2), removable 0/0
-    endpoint limits, and square-root zeros. Previous levels are reused; the
-    error estimate is the difference between successive levels.
+One rule, ``gauss_legendre_adaptive``: panel-adaptive Gauss-Legendre with an
+embedded error estimate by order doubling (12 vs 24 nodes per panel), for
+integrands smooth on the closed interval. Each refinement round bisects
+every panel whose error estimate exceeds its share of the tolerance, up to a
+fixed bound on the number of live panels. Every integrand of this package is
+brought into that class by a change of variable before it gets here.
 
 Calling convention: the integrand ``f`` receives a NumPy array of nodes and
-must return an array of values. Under the Gauss rule ``f`` may instead return
-shape (m, len(nodes)), m integrands sharing the nodes: the result then holds
-m values, and a panel is refined until every component meets its tolerance.
-The integrator never evaluates ``f`` exactly at an interval endpoint;
-integrands needing a limiting value there must build it in via a guarded
-branch.
-
-For integrands whose singular behavior at an endpoint cannot be resolved from
-the absolute node coordinate in double precision (the distance to the
-endpoint loses all relative accuracy below ~1e-16), set the attribute
-``f.endpoint_aware = True``. The tanh-sinh driver then calls
-``f(s, dist_a, dist_b)`` where the distances to both endpoints are computed
-in exponential space and keep full relative precision arbitrarily close to
-the endpoints.
+must return an array of values, or shape (m, len(nodes)) for m integrands
+sharing the nodes: the result then holds m values, and a panel is refined
+until every component meets its tolerance. The integrator never evaluates
+``f`` exactly at an interval endpoint; integrands needing a limiting value
+there must build it in via a guarded branch.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoConvergence, NonFinite
 
+# The rule's name, as error messages and serialized specs report it.
 GAUSS_LEGENDRE = "gauss_legendre_adaptive"
-DOUBLE_EXPONENTIAL = "double_exponential"
 
 # Fixed node/weight pairs for the embedded Gauss-Legendre estimate.
 _GL_LO_X, _GL_LO_W = np.polynomial.legendre.leggauss(12)
@@ -55,21 +37,14 @@ _GL_HI_X, _GL_HI_W = np.polynomial.legendre.leggauss(24)
 # NoConvergence instead.
 _GL_MAX_PANELS = 4096
 
-# Tanh-sinh abscissa bound. sinh(6) ~ 201.7, so the innermost kept node sits
-# ~exp(-2*pi*sinh(6)/2) ~ 1e-276 from the endpoint: deep enough for any
-# integrable singularity, still clear of subnormal underflow.
-_TS_TMAX = 6.0
-_TS_H0 = 1.0
-
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Accuracy and rule selection for one integration request."""
+    """Accuracy for one integration request."""
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
     max_refinements: int = 30
-    rule: str = GAUSS_LEGENDRE
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0.0):
@@ -78,11 +53,6 @@ class QuadSpec:
             raise ValueError("abs_tol must be positive")
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be >= 1")
-        if self.rule not in (GAUSS_LEGENDRE, DOUBLE_EXPONENTIAL):
-            raise ValueError(f"unknown rule: {self.rule!r}")
-
-    def with_rule(self, rule: str) -> "QuadSpec":
-        return QuadSpec(self.rel_tol, self.abs_tol, self.max_refinements, rule)
 
 
 @dataclass(frozen=True)
@@ -104,24 +74,8 @@ def integrate(f, a: float, b: float, spec: QuadSpec = QuadSpec()) -> QuadResult:
     """
     if not (a < b):
         raise ValueError("integrate requires a < b")
-    if spec.rule == GAUSS_LEGENDRE:
-        return _gauss_adaptive(f, float(a), float(b), spec)
-    return _tanh_sinh(f, float(a), float(b), spec)
-
-
-def _call(f, s: np.ndarray, da=None, db=None) -> np.ndarray:
-    if getattr(f, "endpoint_aware", False):
-        vals = np.asarray(f(s, da, db), dtype=float)
-    else:
-        vals = np.asarray(f(s), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NonFinite("integrand returned a non-finite value at an interior node")
-    return vals
-
-
-def _gauss_adaptive(f, a: float, b: float, spec: QuadSpec) -> QuadResult:
-    total_len = b - a
-    panels = np.array([[a, b]])
+    total_len = float(b) - float(a)
+    panels = np.array([[a, b]], dtype=float)
     acc_val = 0.0
     acc_err = 0.0
     evals = 0
@@ -162,7 +116,7 @@ def _gauss_adaptive(f, a: float, b: float, spec: QuadSpec) -> QuadResult:
         bad = panels[~ok]
         if 2 * len(bad) > _GL_MAX_PANELS:
             raise NoConvergence(
-                f"gauss_legendre_adaptive: tolerance unmet on {len(bad)} panels; "
+                f"{GAUSS_LEGENDRE}: tolerance unmet on {len(bad)} panels; "
                 f"bisecting them would pass {_GL_MAX_PANELS} panels"
             )
         mids = 0.5 * (bad[:, 0] + bad[:, 1])
@@ -174,67 +128,13 @@ def _gauss_adaptive(f, a: float, b: float, spec: QuadSpec) -> QuadResult:
         )
 
     raise NoConvergence(
-        f"gauss_legendre_adaptive: tolerance unmet after {spec.max_refinements} refinement rounds"
+        f"{GAUSS_LEGENDRE}: tolerance unmet after {spec.max_refinements} refinement rounds"
     )
 
 
-def _ts_nodes(taus: np.ndarray, a: float, b: float):
-    """Map trapezoid abscissae to interval nodes with exact endpoint distances.
+def _call(f, s: np.ndarray) -> np.ndarray:
+    vals = np.asarray(f(s), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise NonFinite("integrand returned a non-finite value at an interior node")
+    return vals
 
-    Returns (s, da, db, w): node positions, distances to a and b computed in
-    exponential space (full relative precision), and the transformed weights.
-    """
-    length = b - a
-    y = 0.5 * math.pi * np.sinh(taus)
-    em = np.exp(-2.0 * np.abs(y))
-    near = length * em / (1.0 + em)
-    far = length / (1.0 + em)
-    pos = y >= 0
-    da = np.where(pos, far, near)
-    db = np.where(pos, near, far)
-    s = np.where(pos, b - near, a + near)
-    # weight = (length/2) * (pi/2) cosh(tau) sech^2(y); sech^2 via exp(-2|y|)
-    sech2 = 4.0 * em / (1.0 + em) ** 2
-    w = 0.5 * length * 0.5 * math.pi * np.cosh(taus) * sech2
-    return s, da, db, w
-
-
-def _tanh_sinh(f, a: float, b: float, spec: QuadSpec) -> QuadResult:
-    aware = getattr(f, "endpoint_aware", False)
-    evals = 0
-
-    def level_sum(taus: np.ndarray) -> tuple[float, int]:
-        s, da, db, w = _ts_nodes(taus, a, b)
-        if aware:
-            keep = (da > 0.0) & (db > 0.0) & (w > 0.0)
-        else:
-            # Nodes that round onto an endpoint are dropped rather than
-            # evaluated there; their true terms are below float resolution.
-            keep = (s > a) & (s < b) & (w > 0.0)
-        if not np.any(keep):
-            return 0.0, 0
-        vals = _call(f, s[keep], da[keep], db[keep])
-        return float(np.dot(vals, w[keep])), int(keep.sum())
-
-    h = _TS_H0
-    n0 = int(math.floor(_TS_TMAX / h))
-    taus0 = h * np.arange(-n0, n0 + 1)
-    total, used = level_sum(taus0)
-    evals += used
-    s_prev = h * total
-
-    for _ in range(spec.max_refinements):
-        h *= 0.5
-        odd = h * np.arange(-(2 * n0) + 1, 2 * n0, 2)
-        n0 *= 2
-        part, used = level_sum(odd)
-        evals += used
-        s_cur = 0.5 * s_prev + h * part
-        err = abs(s_cur - s_prev)
-        if err <= max(spec.abs_tol, spec.rel_tol * abs(s_cur)):
-            return QuadResult(s_cur, err, evals)
-        s_prev = s_cur
-
-    raise NoConvergence(
-        f"double_exponential: tolerance unmet after {spec.max_refinements} level doublings"
-    )

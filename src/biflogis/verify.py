@@ -24,7 +24,7 @@ from . import local_logistic as ll
 from . import nonlocal_curve as nc
 from .errors import (AmbiguousReading, BiflogisError, DegenerateFit,
                      WrongRegime)
-from .quadrature import QuadSpec
+from .quadrature import GAUSS_LEGENDRE, QuadSpec
 
 __all__ = [
     "CheckResult",
@@ -125,7 +125,7 @@ class SweepReport:
                 "root_tol": self.params.root_tol,
                 "quad": {"rel_tol": q.rel_tol, "abs_tol": q.abs_tol,
                          "max_refinements": q.max_refinements,
-                         "rule": q.rule},
+                         "rule": GAUSS_LEGENDRE},
             },
             "rows": self.rows,
             "checks": [c.to_record() for c in self.checks],

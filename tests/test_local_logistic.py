@@ -61,7 +61,7 @@ def test_phi_vectorized():
 
 @pytest.mark.parametrize("p", (1.5, 2.0, 2.5, 5.0))
 def test_moments_at_t_match_single_moments(p):
-    # One stacked quadrature for all q against one scalar quadrature per q;
+    # One stacked quadrature for all q against one one-row quadrature per q;
     # the rows share panels refined on the worst of them.
     quad = QuadSpec()
     qs = (0.0, 2.0, 3.0, 4.0)
@@ -69,7 +69,8 @@ def test_moments_at_t_match_single_moments(p):
         stacked = ll._moments_at_t(t, p, set(qs), quad)
         assert sorted(stacked) == list(qs)
         for q in qs:
-            single = ll._layer_moment(math.exp(-t), -math.expm1(-t), p, q, quad)
+            single, = ll._layer_moments(math.exp(-t), -math.expm1(-t), p,
+                                        [q], quad)
             assert abs(stacked[q] / single - 1.0) <= 1e-14
 
 

@@ -8,8 +8,11 @@ independent reconstruction of u''.
 
 import dataclasses
 import math
+import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biflogis.errors import (BiflogisError, InvalidBracket, InvalidRegime,
                              MonotonicityViolation, NoConvergence,
@@ -91,6 +94,21 @@ def test_solution_validation():
         dataclasses.replace(sol, lam=math.nan)
     with pytest.raises(ValueError):
         dataclasses.replace(sol, regime="sideways")
+
+
+def test_inconsistent_solution_raises():
+    # Finite positive fields that break one of the curve's relations:
+    # alpha = h d, beta = h^{p-1}, lam = beta gamma.
+    sol = solve_alpha(10.0, ProblemParams(p=2.5, q=2.0, a1=1.0, a2=1.0))
+    with pytest.raises(ValueError, match="h d"):
+        dataclasses.replace(sol, alpha=sol.alpha * (1.0 + 1e-9))
+    with pytest.raises(ValueError, match=r"misses h\^\(p-1\)"):
+        dataclasses.replace(sol, beta=sol.beta * (1.0 + 1e-9),
+                            lam=sol.beta * (1.0 + 1e-9) * sol.local.gamma)
+    with pytest.raises(ValueError, match="beta gamma"):
+        dataclasses.replace(sol, lam=sol.lam * (1.0 + 1e-13))
+    # The instance solve_alpha built passes the same checks when rebuilt.
+    assert dataclasses.replace(sol) == sol
 
 
 # -------------------------------------------------------------- invariants
@@ -222,6 +240,27 @@ def test_domain_grid_solved_or_typed_error():
     assert valid >= 183
 
 
+# tau = ln t from deep in the small-amplitude series branch to past T_ASYM.
+PROPERTY_TAUS = [-40.0 + 5.0 * i for i in range(17)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(p=st.floats(1.05, 20.0), q=st.floats(1.1, 8.0),
+       log_alpha=st.floats(-6.0, 12.0),
+       weights=st.sampled_from(((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))))
+def test_documented_domain_property(p, q, log_alpha, weights):
+    # Over the documented domain: a typed error or a valid point, and a
+    # residual that increases in t, so the root is unique where it exists.
+    params = ProblemParams(p=p, q=q, a1=weights[0], a2=weights[1])
+    alpha = 10.0 ** log_alpha
+    assert_valid_or_typed_error(alpha, params)
+    r = []
+    for tau in PROPERTY_TAUS:
+        state, ln_n = nonlocal_curve._state_at_t(math.exp(tau), params)
+        r.append(ln_n - (p - 3.0) * (math.log(alpha) - state[2][2.0]))
+    assert all(lo < hi for lo, hi in zip(r, r[1:])), r
+
+
 @pytest.mark.parametrize("p,alpha", ((8.0, 1e12), (20.0, 1e6), (20.0, 1e12)))
 def test_tau_wall_raises_invalid_bracket(p, alpha):
     # The root lies past the upper wall of the layer coordinate, where
@@ -260,9 +299,11 @@ def test_residual_small_on_solutions(p, q, a1, a2, alpha):
 
 
 def test_residual_flags_wrong_lambda():
+    # A NonlocalSolution with lam != beta gamma cannot be built, so the
+    # defect check reads the fields from a plain copy.
     params = ProblemParams(p=5.0, q=2.0, a1=0.5, a2=0.5)
     sol = solve_alpha(100.0, params)
-    bad = dataclasses.replace(sol, lam=sol.lam * 1.01)
+    bad = types.SimpleNamespace(**{**vars(sol), "lam": sol.lam * 1.01})
     assert residual_check(bad, 64, params) > 1e-3
 
 

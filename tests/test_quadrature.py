@@ -1,4 +1,4 @@
-"""Integration rules against closed-form integrals."""
+"""The adaptive Gauss rule against closed-form integrals."""
 
 import math
 import time
@@ -7,10 +7,7 @@ import numpy as np
 import pytest
 
 from biflogis.errors import NoConvergence, NonFinite
-from biflogis.quadrature import (DOUBLE_EXPONENTIAL, GAUSS_LEGENDRE, QuadSpec,
-                                 integrate)
-
-DE = QuadSpec(rule=DOUBLE_EXPONENTIAL)
+from biflogis.quadrature import QuadSpec, integrate
 
 
 def test_gauss_polynomial_exact():
@@ -30,46 +27,11 @@ def test_gauss_exponential():
     assert abs(res.value - (math.e - 1.0)) < 1e-13
 
 
-def test_tanh_sinh_inverse_sqrt_singularity():
-    # int_0^1 s^{-1/2} ds = 2, singular at the left endpoint
-    res = integrate(lambda s: 1.0 / np.sqrt(s), 0.0, 1.0, DE)
-    assert abs(res.value - 2.0) < 1e-12
-
-
-def test_tanh_sinh_arcsine_kernel():
-    # int_0^1 (1-s^2)^{-1/2} ds = pi/2, the kernel every A-integral carries.
-    # Through absolute node coordinates the distance 1-s saturates at ~1e-16
-    # and the value stalls near 1e-8 accuracy; the endpoint-aware form
-    # 1-s^2 = db (2-db) restores full precision. Assert both behaviors.
-    res_abs = integrate(lambda s: 1.0 / np.sqrt(1.0 - s * s),
-                        0.0, 1.0 - 1e-300, DE)
-    assert abs(res_abs.value - math.pi / 2.0) < 1e-6
-
-    def f(s, da, db):
-        return 1.0 / np.sqrt(db * (2.0 - db))
-
-    f.endpoint_aware = True
-    res = integrate(f, 0.0, 1.0, DE)
-    assert abs(res.value - math.pi / 2.0) < 1e-12
-
-
-def test_tanh_sinh_endpoint_aware_distances():
-    # With endpoint_aware the rule must hand over distances good to full
-    # relative precision far below 1e-16 of the endpoint; the integrand
-    # 1/sqrt(1-s) only converges if db is the exact distance to b.
-    def f(s, da, db):
-        return 1.0 / np.sqrt(db)
-
-    f.endpoint_aware = True
-    res = integrate(f, 0.0, 1.0, DE)
-    assert abs(res.value - 2.0) < 1e-12
-
-
 def test_nonfinite_detected():
     with pytest.raises(NonFinite):
         integrate(lambda s: np.full_like(s, np.nan), 0.0, 1.0)
     with pytest.raises(NonFinite):
-        integrate(lambda s: np.full_like(s, np.inf), 0.0, 1.0, DE)
+        integrate(lambda s: np.full_like(s, np.inf), 0.0, 1.0)
 
 
 def test_no_convergence_on_rough_integrand():
@@ -112,15 +74,6 @@ def test_spec_validation():
         QuadSpec(abs_tol=-1e-10)
     with pytest.raises(ValueError):
         QuadSpec(max_refinements=0)
-    with pytest.raises(ValueError):
-        QuadSpec(rule="midpoint")
-
-
-def test_with_rule_round_trip():
-    spec = QuadSpec(rel_tol=1e-9).with_rule(DOUBLE_EXPONENTIAL)
-    assert spec.rule == DOUBLE_EXPONENTIAL
-    assert spec.rel_tol == 1e-9
-    assert QuadSpec().rule == GAUSS_LEGENDRE
 
 
 def test_tolerance_is_respected_not_exceeded_wildly():

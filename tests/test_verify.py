@@ -1,6 +1,7 @@
 """Sweep bookkeeping, order fitting, and the asymptotic-law checks."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from biflogis import constants as consts
 from biflogis.errors import (AmbiguousReading, DegenerateFit, WrongRegime)
 from biflogis.nonlocal_curve import ProblemParams
+from biflogis.quadrature import QuadSpec
 from biflogis.verify import (CheckResult, check_local_large_d,
                              check_local_small_d, check_theorem_1,
                              check_theorem_2, check_theorem_3,
@@ -122,6 +124,17 @@ def test_sweep_report_record_shape():
     assert len(rec["rows"]) == 2
     assert rec["checks"] == []
     assert rec["chosen_e3_reading"] is None
+
+
+def test_sweep_report_quad_block_pinned():
+    # The quad block keeps its four keys, rule included, so sweep and
+    # verify JSON stay byte-stable though the spec has no rule field.
+    quad = QuadSpec(rel_tol=1e-11, abs_tol=1e-13, max_refinements=20)
+    params = ProblemParams(p=5.0, q=2.0, a1=0.5, a2=0.5, quad=quad)
+    rec = sweep(params, [100.0]).to_record()
+    assert json.dumps(rec["params"]["quad"]) == (
+        '{"rel_tol": 1e-11, "abs_tol": 1e-13, "max_refinements": 20, '
+        '"rule": "gauss_legendre_adaptive"}')
 
 
 # ----------------------------------------------------- supercritical law
