@@ -173,7 +173,7 @@ def _build_parser() -> _Parser:
     group.add_argument("--gamma", type=float)
     group.add_argument("--d", type=float)
     sp.add_argument("--points", type=int, default=101,
-                    help="half-interval node count (total 2n-1)")
+                    help="half-interval node count n >= 3 (total 2n-1)")
     _add_output_flags(sp)
 
     sp = sub.add_parser("sweep", help="curve rows over an alpha grid",
@@ -236,6 +236,8 @@ def _config_from_args(args, parser) -> RunConfig:
             cfg.grid_points = args.points
         elif args.command == "sweep":
             parser.error("--alpha-min/--alpha-max: required for sweep")
+    if args.command == "profile" and args.points < 3:
+        parser.error(f"--points: need >= 3, got {args.points}")
     cfg.extra = {k: getattr(args, k) for k in
                  ("k", "gamma", "d", "points", "q", "step", "tol", "p")
                  if hasattr(args, k)}

@@ -218,6 +218,18 @@ def test_exit_usage(capsys):
     assert run_cli(capsys, "solve-local", "--k", "1", "--gamma", "15")[0] == 64
 
 
+def test_exit_usage_profile_points(capsys):
+    # a profile needs n >= 3 half-interval nodes: usage, not solver error
+    for points in ("2", "0", "-5"):
+        code, out, err = run_cli(capsys, "profile", "--p", "3", "--gamma",
+                                 "15", "--points", points)
+        assert code == 64
+        assert out == ""
+        assert "--points: need >= 3" in err
+    assert run_cli(capsys, "profile", "--p", "3", "--gamma", "15",
+                   "--points", "3")[0] == 0
+
+
 def test_exit_usage_bad_quad_env(capsys, monkeypatch):
     monkeypatch.setenv("BIFLOGIS_QUAD_TOL", "banana")
     assert run_cli(capsys, "solve", "--p", "5", "--alpha", "10")[0] == 64

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracle_values import ORACLE
+from biflogis import kernels
 from biflogis import local_logistic as ll
 from biflogis.errors import InvalidBracket, NoSolution
 from biflogis.local_logistic import (LocalParams, LocalPoint, phi,
@@ -430,5 +431,118 @@ def test_profile_node_count_and_validation():
     pt = point_from_k(1.0, PR3)
     prof = sample_profile(pt, 51, PR3)
     assert len(prof) == 101  # 2n - 1 after mirroring
+    assert np.array_equal(sample_profile(pt, np.int64(51), PR3).xs, prof.xs)
     with pytest.raises(ValueError):
         sample_profile(pt, 2, PR3)
+    for bad in (51.0, 50.5, "51", None):
+        with pytest.raises(ValueError, match="integer"):
+            sample_profile(pt, bad, PR3)
+
+
+# Boundary-layer profiles, sampled on the t >= T_ASYM branch: t is about
+# 3.5e7 at (p = 6, k = 1000) and 2.3e14 at (p = 20, k = 30).
+ASYM_PROFILE_POINTS = [(6.0, 1000.0), (20.0, 30.0)]
+# Layer-resolved profiles, sampled in the sinh variable: t is 0.099 at
+# (p = 3, k = 1) and 7.0 at (p = 4, k = 5).
+SINH_PROFILE_POINTS = [(3.0, 1.0), (4.0, 5.0)]
+
+
+@pytest.mark.parametrize("p, k", ASYM_PROFILE_POINTS)
+def test_profile_asymptote_branch(p, k):
+    params = LocalParams(p=p)
+    pt = point_from_k(k, params)
+    assert pt.layer_t >= ll.T_ASYM
+    n = 101
+    prof = sample_profile(pt, n, params)
+    xs, ws = np.asarray(prof.xs), np.asarray(prof.ws)
+    assert len(prof) == 2 * n - 1
+    assert xs[0] == 0.0 and ws[0] == 0.0
+    assert abs(xs[-1] - 1.0) < 1e-14 and ws[-1] == 0.0
+    mid = n - 1
+    assert abs(xs[mid] - 0.5) < 1e-10  # x(k) = 1/2
+    assert ws[mid] == pt.k
+    # Strictly increasing on [0, 1/2]. The mirror 1 - x can only be
+    # nondecreasing: at p = 20 the layer nodes lie below 1e-15 and 1 - x
+    # rounds several of them to the same double.
+    assert np.all(np.diff(xs[:n]) > 0.0)
+    assert np.all(np.diff(xs) >= 0.0)
+
+    # Energy identity, as in test_profile_energy_identity.
+    w = ws[:n]
+    g = pt.gamma
+    wp2 = g * (k * k - w * w) - 2.0 * (k ** (p + 1.0) - w ** (p + 1.0)) / (p + 1.0)
+    E = 0.5 * wp2 + 0.5 * g * w * w - w ** (p + 1.0) / (p + 1.0)
+    e0 = 0.5 * (g * k * k - 2.0 * k ** (p + 1.0) / (p + 1.0))
+    assert np.max(np.abs(E - e0)) < 1e-8 * abs(e0)
+
+    # w'' = w^p - gamma w < 0 below k, so x'(w) = 1/w' grows with w on
+    # [0, k]: each segment lies between its left and right Riemann sums.
+    # The last one has w' = 0 at its right end and only a lower bound.
+    dx, dw = np.diff(xs[:n]), np.diff(w)
+    slope = np.sqrt(np.maximum(wp2, 0.0))
+    assert np.all(dx >= (1.0 - 1e-12) * dw / slope[:-1])
+    assert np.all(dx[:-1] <= (1.0 + 1e-12) * dw[:-1] / slope[1:-1])
+
+
+def _loop_profile_xs(point, n, params):
+    """Half-profile abscissae by one integrate call per segment, the
+    segment-at-a-time form of sample_profile."""
+    p, quad, t = params.p, params.quad, point.layer_t
+    sqrt_g = math.sqrt(point.gamma)
+    s_nodes = np.linspace(0.0, 1.0, n)
+    xs = np.zeros(n)
+    if t < ll.T_ASYM:
+        eps, em = math.exp(-t), -math.expm1(-t)
+        w0 = math.sqrt(2.0 * eps / (p - 1.0))
+        vs = np.arcsinh(np.sqrt(1.0 - s_nodes) / w0)
+        scale = 2.0 / (math.sqrt(p - 1.0) * sqrt_g)
+
+        def f(v):
+            return kernels.layer_integrand(v, eps, em, p)
+
+        for j in range(1, n):
+            xs[j] = xs[j - 1] + scale * integrate(f, vs[j], vs[j - 1], quad).value
+    else:
+        def g(s):
+            u = 1.0 - s
+            return 1.0 / (math.sqrt(p - 1.0) * u * np.sqrt(kernels.c_factor(u, p)))
+
+        for j in range(1, n - 1):
+            seg = integrate(g, s_nodes[j - 1], s_nodes[j], quad).value
+            xs[j] = xs[j - 1] + seg / sqrt_g
+        xs[n - 1] = ll._moments_at_t(t, p, (0.0,), quad)[0.0] / sqrt_g
+    return xs
+
+
+@pytest.mark.parametrize("n", [3, 101, ll._PROFILE_ROWS + 100])
+@pytest.mark.parametrize("p, k", SINH_PROFILE_POINTS + ASYM_PROFILE_POINTS)
+def test_stacked_profile_matches_segment_loop(p, k, n):
+    params = LocalParams(p=p)
+    pt = point_from_k(k, params)
+    prof = sample_profile(pt, n, params)
+    ref = _loop_profile_xs(pt, n, params)
+    assert np.max(np.abs(prof.xs[:n] - ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("p, k, n", [
+    (3.0, 1.0, 101),
+    (6.0, 1000.0, 101),
+    (3.0, 1.0, ll._PROFILE_ROWS + 1),
+    (3.0, 1.0, ll._PROFILE_ROWS + 2),
+    (3.0, 1.0, 2 * ll._PROFILE_ROWS + 2),
+])
+def test_profile_quadrature_calls(p, k, n, monkeypatch):
+    # One integrate call per block of segments: n - 1 of them on the sinh
+    # branch (p = 3), n - 2 on the asymptote branch (p = 6).
+    params = LocalParams(p=p)
+    pt = point_from_k(k, params)
+    sample_profile(pt, 3, params)  # calibrates B_0 for the layer crossing
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(ll, "integrate", counted)
+    sample_profile(pt, n, params)
+    assert len(calls) == math.ceil((n - 1) / ll._PROFILE_ROWS)
