@@ -118,10 +118,12 @@ def layer_integrand(v, eps: float, em: float, p: float):
     eps and em = 1 - eps are passed separately so callers can supply
     em = -expm1(-t) and keep full precision when eps is tiny. Returns
     sqrt(H0/H) with H0 = 2 eps + (p-1) u and
-    H = eps (2-u) + em (p-1) u c(u), u = x^2 clamped to [0, 1].
+    H = eps (2-u) + em (p-1) u c(u), u = x^2 clamped to [0, 1]. eps and em
+    may be columns of shape (m, 1) against v of shape (m, nodes): row j is
+    then the integrand at (eps_j, em_j).
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    x = math.sqrt(2.0 * eps / (p - 1.0)) * np.sinh(v)
+    x = np.sqrt(2.0 * eps / (p - 1.0)) * np.sinh(v)
     u = np.minimum(x * x, 1.0)
     h0 = 2.0 * eps + (p - 1.0) * u
     h = eps * (2.0 - u) + em * (p - 1.0) * u * c_factor(u, p)

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracle_values import ORACLE
-from biflogis import kernels
+from biflogis import cli, kernels, verify
 from biflogis import local_logistic as ll
-from biflogis.errors import InvalidBracket, NoSolution
+from biflogis import nonlocal_curve as nc
+from biflogis.errors import InvalidBracket, NoConvergence, NoSolution
 from biflogis.local_logistic import (LocalParams, LocalPoint, phi,
                                      point_from_gamma, point_from_k,
                                      point_q_norm, q_norm, sample_profile,
@@ -114,6 +115,119 @@ def test_log_state_monotone_across_series_switch(p):
     for lo, hi in zip(states, states[1:]):
         assert lo[0] <= hi[0] and lo[1] <= hi[1]
         assert all(lo[2][q] <= hi[2][q] for q in qs)
+
+
+# --- middle Chebyshev branch ----------------------------------------------------
+
+# Interior panel edges of the interpolant in tau = ln t.
+CHEB_EDGES = [math.exp(ll._CHEB_TAU0 + ll._CHEB_WIDTH * i)
+              for i in range(1, ll._CHEB_PANELS)]
+
+
+def _panel_mid(panel):
+    return math.exp(ll._CHEB_TAU0 + (panel + 0.5) * ll._CHEB_WIDTH)
+
+
+@pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 2.9, 3.0, 4.0, 8.0))
+def test_log_state_monotone_across_panel_edges_and_asym_switch(p):
+    # As across T_SERIES: neighbouring panels, and the last panel and the
+    # asymptote, must not step backwards where they meet.
+    quad = QuadSpec()
+    qs = (1.1, 2.0, 4.0)
+    for edge in (*CHEB_EDGES, ll.T_ASYM):
+        ts = (edge * (1.0 - 1e-12), edge, edge * (1.0 + 1e-12))
+        states = [ll._log_state_at_t(t, p, qs, quad) for t in ts]
+        for lo, hi in zip(states, states[1:]):
+            assert lo[0] <= hi[0] and lo[1] <= hi[1], edge
+            assert all(lo[2][q] <= hi[2][q] for q in qs), edge
+
+
+@pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 2.9, 3.0, 4.0, 8.0, 20.0))
+def test_chebyshev_branch_matches_quadrature(p):
+    # Held out: random tau and every panel edge (the outer two one ulp
+    # inside the branch), against the one-row quadrature the samples
+    # come from.
+    quad = QuadSpec()
+    qs = (0.0, 1.1, 2.0, 4.0, 8.0)
+    rng = np.random.default_rng(round(100 * p))
+    taus = rng.uniform(math.log(ll.T_SERIES), math.log(ll.T_ASYM), 12)
+    ts = [math.nextafter(ll.T_SERIES, math.inf), *CHEB_EDGES,
+          math.nextafter(ll.T_ASYM, 0.0), *np.exp(taus).tolist()]
+    for t in ts:
+        cheb = ll._moments_at_t(t, p, qs, quad)
+        for q in qs:
+            ref, = ll._layer_moments(math.exp(-t), -math.expm1(-t), p, [q], quad)
+            assert abs(cheb[q] / ref - 1.0) <= 1e-14, (t, q)
+
+
+@pytest.fixture
+def cheb_cache(monkeypatch):
+    """An empty Chebyshev sample cache and the integrate calls made."""
+    monkeypatch.setattr(ll, "_C_CACHE", {})
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(ll, "integrate", counted)
+    return ll._C_CACHE, calls
+
+
+def test_cold_panel_is_one_quadrature(cheb_cache):
+    store, calls = cheb_cache
+    quad = QuadSpec()
+    t = _panel_mid(2)
+    ll._moments_at_t(t, 3.0, (0.0, 2.0), quad)
+    assert len(calls) == 1 and len(store) == 2
+    ll._moments_at_t(t * 1.01, 3.0, (2.0, 0.0), quad)
+    assert len(calls) == 1
+    # Only the q the panel lacks is calibrated.
+    ll._moments_at_t(t, 3.0, (0.0, 2.0, 4.0), quad)
+    assert len(calls) == 2 and len(store) == 3
+    ll._moments_at_t(_panel_mid(3), 3.0, (0.0, 2.0, 4.0), quad)
+    assert len(calls) == 3 and len(store) == 6
+
+
+@pytest.mark.parametrize("p, q, alphas", [
+    (3.0, 2.0, verify.DEFAULT_SUB_ALPHAS),
+    (3.0, 3.0, verify.DEFAULT_SUB_ALPHAS),
+    (4.0, 2.0, (1e3, 10.0 ** 3.5)),
+])
+def test_warm_solve_alpha_makes_no_quadrature(p, q, alphas, monkeypatch):
+    # The p = 3 probes and the p = 4 roots lie on the middle branch.
+    params = nc.ProblemParams(p=p, q=q, a1=1.0, a2=1.0)
+    cold = [nc.solve_alpha(alpha, params) for alpha in alphas]
+    calls, middle = [], []
+    monkeypatch.setattr(ll, "integrate", lambda *args, **kwargs:
+                        calls.append(args) or integrate(*args, **kwargs))
+    samples = ll._cheb_samples
+    monkeypatch.setattr(ll, "_cheb_samples",
+                        lambda *args: middle.append(args) or samples(*args))
+    warm = [nc.solve_alpha(alpha, params) for alpha in alphas]
+    assert calls == [] and len(middle) >= len(alphas)
+    assert warm == cold
+
+
+def test_cheb_samples_key_on_the_spec_that_runs(cheb_cache, monkeypatch):
+    store, calls = cheb_cache
+    t = _panel_mid(1)
+    default = ll._moments_at_t(t, 3.0, (0.0,), QuadSpec())[0.0]
+    monkeypatch.setenv("BIFLOGIS_QUAD_TOL", "1e-10")
+    loose = cli._default_quad()
+    assert loose.rel_tol == 1e-10
+    other = ll._moments_at_t(t, 3.0, (0.0,), loose)[0.0]
+    assert len(calls) == 2 and len(store) == 2
+    assert abs(other / default - 1.0) <= 1e-10
+
+
+def test_unresolved_panel_raises_and_caches_nothing(cheb_cache, monkeypatch):
+    # Eight points cannot hold J_q to the quadrature's tolerance.
+    store, calls = cheb_cache
+    monkeypatch.setattr(ll, "_CHEB_POINTS", 8)
+    with pytest.raises(NoConvergence, match="Chebyshev panel"):
+        ll._log_state_at_t(_panel_mid(0), 3.0, (2.0,), QuadSpec())
+    assert len(calls) == 1 and store == {}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
