@@ -21,7 +21,8 @@ This module parameterizes it by the layer coordinate t = -ln(eps) in (0, inf):
 so the small-amplitude end (t -> 0, gamma -> pi^2) and the boundary-layer end
 (t -> inf, gamma ~ k^{p-1}) are both reachable without cancellation: eps is
 never formed by subtraction. All inverse problems (given k, gamma, or d) are
-single Brent root-finds on a log-monotone residual in tau = ln t.
+single safeguarded Newton root-finds on a log-monotone residual in
+tau = ln t, whose slope every moment branch gives in closed form.
 
 The moments have three branches, each closed form once calibrated:
 
@@ -43,6 +44,10 @@ The moments have three branches, each closed form once calibrated:
   grid of step 0.0005).
 - t >= T_ASYM: the asymptote J_q = t/sqrt(p-1) + B_q, with B_q calibrated
   once per (p, q) by that quadrature.
+
+Each branch also gives dJ_q/dtau: the series term by term, the asymptote as
+t/sqrt(p-1), the interpolant through the derivative samples its panel
+caches beside its values.
 
 A sampled profile is the cumulative sum of the segment integrals of x'(s)
 between its nodes (in the sinh variable below T_ASYM, in s above it). Each
@@ -262,14 +267,16 @@ def _b_shift(p: float, qpow: float, quad: QuadSpec) -> float:
 
 
 def _series_coeffs(p: float, qpow: float, quad: QuadSpec) -> np.ndarray:
-    """b_n a_{q,n} for n < _S_TERMS: J_q = sum_n b_n a_{q,n} em^n.
+    """Rows b_n a_{q,n} and n b_n a_{q,n} for n < _S_TERMS, so that
+    J_q = sum_n b_n a_{q,n} em^n and dJ_q/d(ln em) = sum_n n b_n a_{q,n} em^n.
 
     With c = 2/(p+1), F(s) = (1 - s^2)(1 - em c phi(s)); expanding
     (1 - em c phi)^{-1/2} in b_n and putting s = sin(theta) gives
     a_{q,n} = int_0^{pi/2} sin^q(theta) (c phi(sin theta))^n dtheta. Every
     term is positive and c phi lies in [c, 1], so a_{q,n} <= a_{q,0} <= J_q;
     b_n falls with n, so the terms after n are at most
-    b_n em^{n+1}/(1 - em) of J_q. The n = 0 entry is J_q(eps = 1).
+    b_n em^{n+1}/(1 - em) of J_q. The n = 0 entry of the first row is
+    J_q(eps = 1).
 
     Calibrated once per (p, q, tolerance) by one stacked quadrature with one
     row per n.
@@ -287,8 +294,8 @@ def _series_coeffs(p: float, qpow: float, quad: QuadSpec) -> np.ndarray:
             cphi = c * -np.expm1((p + 1.0) * np.log1p(-u)) / (u * (2.0 - u))
             return np.sin(th) ** qpow * cphi ** _S_N[:, None]
 
-        val = _S_BINOM * integrate(f, 0.0, 0.5 * math.pi, quad).value
-        _S_CACHE[key] = val
+        row = _S_BINOM * integrate(f, 0.0, 0.5 * math.pi, quad).value
+        val = _S_CACHE[key] = np.stack((row, _S_N * row))
     return val
 
 
@@ -302,18 +309,21 @@ def _cheb_points(n: int):
 
 
 def _cheb_samples(p: float, qs, quad: QuadSpec, panel: int) -> np.ndarray:
-    """J_q at the Chebyshev points of one tau panel, one row per q in qs.
+    """J_q and dJ_q/dtau at the Chebyshev points of one tau panel, shape
+    (len(qs), 2, points): per q, the values, then the derivative of their
+    interpolant at each point.
 
     A (p, q, tolerance, panel) not yet in _C_CACHE is calibrated by one
     stacked quadrature: one row per point and missing q. Its trailing three
     Chebyshev coefficients must lie within max(abs_tol, rel_tol |c_0|), the
     bound the quadrature itself meets; otherwise NoConvergence is raised
-    and nothing is cached.
+    and nothing is cached. The derivative at point i is the barycentric
+    node formula sum_j (w_j/w_i) (f_j - f_i)/(x_i - x_j) over j != i.
     """
     keys = [(p, q, quad.rel_tol, quad.abs_tol, panel) for q in qs]
     missing = [q for q, key in zip(qs, keys) if key not in _C_CACHE]
     if missing:
-        theta, x, _ = _cheb_points(_CHEB_POINTS)
+        theta, x, w = _cheb_points(_CHEB_POINTS)
         t = np.exp(_CHEB_TAU0 + _CHEB_WIDTH * (panel + 0.5 * (1.0 + x)))
         vals = _layer_moments(np.exp(-t), -np.expm1(-t), p, missing, quad)
         n = len(x)
@@ -328,13 +338,19 @@ def _cheb_samples(p: float, qs, quad: QuadSpec, panel: int) -> np.ndarray:
                 f"p = {p!r}, q = {np.asarray(missing)[bad].tolist()}: trailing "
                 f"coefficients {np.abs(tail[bad]).max():.3g} exceed "
                 f"{bound[bad].min():.3g}")
-        for q, row in zip(missing, vals):
-            _C_CACHE[(p, q, quad.rel_tol, quad.abs_tol, panel)] = row
+        gap = x[:, None] - x
+        np.fill_diagonal(gap, np.inf)
+        dmat = (2.0 / _CHEB_WIDTH) * w / (w[:, None] * gap)
+        slopes = ((vals[:, None, :] - vals[:, :, None]) * dmat).sum(axis=2)
+        for q, row, slope in zip(missing, vals, slopes):
+            _C_CACHE[(p, q, quad.rel_tol, quad.abs_tol, panel)] = \
+                np.stack((row, slope))
     return np.array([_C_CACHE[key] for key in keys])
 
 
-def _moments_at_t(t: float, p: float, qs, quad: QuadSpec) -> dict:
-    """{q: J_q} at layer coordinate t = -ln(eps) for every q in qs.
+def _moments_at_t(t: float, p: float, qs, quad: QuadSpec):
+    """({q: J_q}, {q: dJ_q/dtau}) at layer coordinate t = -ln(eps) = e^tau
+    for every q in qs.
 
     Three branches, all closed form once calibrated: up to T_SERIES, the
     power series in em = -expm1(-t) with the cached coefficients, whose tail
@@ -345,36 +361,52 @@ def _moments_at_t(t: float, p: float, qs, quad: QuadSpec) -> dict:
     """
     qs = sorted(set(qs))
     if t <= T_SERIES:
-        powers = (-math.expm1(-t)) ** _S_N
-        return {q: float(_series_coeffs(p, q, quad) @ powers) for q in qs}
+        em = -math.expm1(-t)
+        powers = em ** _S_N
+        dln_em = t * math.exp(-t) / em      # d(ln em)/dtau
+        vals, slopes = {}, {}
+        for q in qs:
+            vals[q], slope = (_series_coeffs(p, q, quad) @ powers).tolist()
+            slopes[q] = slope * dln_em
+        return vals, slopes
     if t >= T_ASYM:
         lin = t / math.sqrt(p - 1.0)
-        return {q: lin + _b_shift(p, q, quad) for q in qs}
+        return {q: lin + _b_shift(p, q, quad) for q in qs}, dict.fromkeys(qs, lin)
     s = (math.log(t) - _CHEB_TAU0) / _CHEB_WIDTH
     panel = min(int(s), _CHEB_PANELS - 1)
     samples = _cheb_samples(p, qs, quad, panel)
-    _, nodes, weights = _cheb_points(samples.shape[1])
+    _, nodes, weights = _cheb_points(samples.shape[2])
     diff = 2.0 * (s - panel) - 1.0 - nodes
     if not diff.all():
-        return dict(zip(qs, samples[:, np.argmin(np.abs(diff))].tolist()))
-    r = weights / diff
-    return dict(zip(qs, (samples @ r / r.sum()).tolist()))
+        cols = samples[:, :, np.argmin(np.abs(diff))]
+    else:
+        r = weights / diff
+        cols = samples @ r / r.sum()
+    vals, slopes = zip(*cols.tolist())
+    return dict(zip(qs, vals)), dict(zip(qs, slopes))
 
 
 # --- curve state at a given t -------------------------------------------------
 
 def _log_state_at_t(t: float, p: float, qs, quad: QuadSpec):
-    """(ln k, ln gamma, {q: ln ||w||_q}) at layer coordinate t for every q in
-    qs, from one _moments_at_t call; d = ||w||_2, so a caller that needs d
-    passes 2.0 in qs. Finite over the whole tau bracket, also where k itself
-    under- or overflows."""
-    m = _moments_at_t(t, p, (0.0, *qs), quad)
+    """(ln k, ln gamma, {q: ln ||w||_q}, slopes) at layer coordinate t for
+    every q in qs, from one _moments_at_t call; slopes holds the
+    derivatives in tau = ln t of the first three entries, laid out as they
+    are. d = ||w||_2, so a caller that needs d passes 2.0 in qs. Finite
+    over the whole tau bracket, also where k itself under- or overflows."""
+    m, dm = _moments_at_t(t, p, (0.0, *qs), quad)
     j0 = m[0.0]
+    dln_j0 = dm[0.0] / j0
+    em = -math.expm1(-t)
     ln_gamma = math.log(4.0) + 2.0 * math.log(j0)
-    ln_k = (math.log(-math.expm1(-t)) + ln_gamma) / (p - 1.0)
+    ln_k = (math.log(em) + ln_gamma) / (p - 1.0)
+    # d(ln em)/dtau = t e^-t/em: the form t/expm1(t) overflows deep in the
+    # layer.
+    dln_k = (t * math.exp(-t) / em + 2.0 * dln_j0) / (p - 1.0)
     # ln of the ratio, not a difference of logs: deep in the layer J_q/J0
     # is 1 - O(1/t), below the rounding of ln J_q itself.
-    return ln_k, ln_gamma, {q: ln_k + math.log(m[q] / j0) / q for q in qs}
+    return ln_k, ln_gamma, {q: ln_k + math.log(m[q] / j0) / q for q in qs}, \
+        (dln_k, 2.0 * dln_j0, {q: dln_k + (dm[q] / m[q] - dln_j0) / q for q in qs})
 
 
 def _point_from_state(t: float, p: float, state) -> LocalPoint:
@@ -383,7 +415,7 @@ def _point_from_state(t: float, p: float, state) -> LocalPoint:
     InvalidBracket where k under- or overflows (p near 1) or d rounds to k
     (large p deep in the layer): no float point represents the curve there.
     """
-    ln_k, ln_gamma, ln_norms = state
+    ln_k, ln_gamma, ln_norms, _ = state
     try:
         k, d = math.exp(ln_k), math.exp(ln_norms[2.0])
     except OverflowError:
@@ -416,12 +448,15 @@ def _seed_tau_for_k(ln_k: float, p: float) -> float:
 
 
 def _t_where(ln_of, target: float, seed: float, qs, params: LocalParams) -> float:
-    """The t at which ln_of(log state at t) = target, by Brent in tau = ln t;
-    qs are the norms the state must carry."""
+    """The t at which ln_of(log state at t) = target, by safeguarded Newton
+    in tau = ln t from the seed tau; qs are the norms the state must carry.
+    ln_of applied to the state's slopes gives the residual's slope, since
+    they share the state's layout."""
     p, quad = params.p, params.quad
 
-    def resid(tau: float) -> float:
-        return ln_of(_log_state_at_t(math.exp(tau), p, qs, quad)) - target
+    def resid(tau: float):
+        state = _log_state_at_t(math.exp(tau), p, qs, quad)
+        return ln_of(state) - target, ln_of(state[3])
 
     tau = solve_monotone(resid, seed, _TAU_LO, _TAU_HI, step0=2.0, xtol=1e-14)
     return math.exp(tau)
@@ -605,7 +640,7 @@ def sample_profile(point: LocalPoint, n: int, params: LocalParams) -> Profile:
         lo = s_nodes[:-2]
         segs = _segment_integrals(g, lo, s_nodes[1:-1] - lo, quad)
         xs_half[1:-1] = np.cumsum(segs / sqrt_g)
-        xs_half[-1] = _moments_at_t(t, p, (0.0,), quad)[0.0] / sqrt_g
+        xs_half[-1] = _moments_at_t(t, p, (0.0,), quad)[0][0.0] / sqrt_g
 
     ws_half = point.k * s_nodes
     xs = np.concatenate([xs_half, 1.0 - xs_half[-2::-1]])

@@ -38,11 +38,6 @@ __all__ = [
 # Width of the band around p = 3 that ProblemParams.regime labels critical.
 _CRITICAL_BAND = 1e-9
 
-# Relative step in t of the post-root monotonicity probe, and the slack its
-# comparisons of the residual with zero allow.
-_PROBE_DELTA = 1e-3
-_LN_SLACK = math.log1p(1e-9)
-
 # Bound on |ln beta - (p-1) ln h|, the log miss of beta = h^{p-1}, and on the
 # relative miss of alpha = h d, that every solution meets.
 _ALPHA_RTOL = 1e-10
@@ -152,6 +147,21 @@ def _state_at_t(t: float, params: ProblemParams):
     return state, 2.0 * ln_d + math.log(params.a1 * ratio2 + params.a2)
 
 
+def _residual(tau: float, ln_alpha: float, params: ProblemParams):
+    """(r, dr/dtau, state, ln N) at tau = ln t for the curve residual
+    r = ln N - (p-3)(ln alpha - ln d). With f = a1 ||w||_q^2/N, the share
+    of N that ||w||_q carries, d(ln N)/dtau = 2 ((1-f) d(ln d)/dtau
+    + f d(ln ||w||_q)/dtau)."""
+    state, ln_n = _state_at_t(math.exp(tau), params)
+    p, q = params.p, params.q
+    slopes = state[3][2]
+    share = params.a1 * math.exp(2.0 * state[2][q] - ln_n)
+    r = ln_n - (p - 3.0) * (ln_alpha - state[2][2.0])
+    dr = 2.0 * ((1.0 - share) * slopes[2.0] + share * slopes[q]) \
+        + (p - 3.0) * slopes[2.0]
+    return r, dr, state, ln_n
+
+
 def g_of_k(k: float, params: ProblemParams) -> float:
     """g = N^{1/(p-3)} d, the alpha reached by local amplitude k (p != 3)."""
     if params.regime == "critical":
@@ -168,7 +178,7 @@ def _subcritical_e1(params: ProblemParams) -> float:
     from the n = 0 coefficient of the moments' small-t series (cached with
     the coefficients the small-t residuals use)."""
     p, q = params.p, params.q
-    a1_val = float(ll._series_coeffs(p, q, params.quad)[0])
+    a1_val = float(ll._series_coeffs(p, q, params.quad)[0, 0])
     return params.a1 * 2.0 ** ((q + 2.0) / q) * a1_val ** (2.0 / q) \
         + params.a2 * math.pi ** (2.0 / q)
 
@@ -177,11 +187,11 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
     """The unique curve point with ||u||_2 = alpha.
 
     One residual for every p: r(t) = ln N(t) - (p-3)(ln alpha - ln d(t)),
-    strictly increasing in the layer coordinate t, is solved by Brent in
-    tau = ln t; then h = alpha/d, so alpha = h d holds by construction, and
-    beta = h^2 N. At p = 3, r = ln N and the point is the normalization
-    N = 1. The solver re-probes r at t(1 -+ 1e-3) and raises
-    MonotonicityViolation if it does not increase through the root;
+    strictly increasing in the layer coordinate t, is solved by safeguarded
+    Newton in tau = ln t with its analytic slope; then h = alpha/d, so
+    alpha = h d holds by construction, and beta = h^2 N. At p = 3, r = ln N
+    and the point is the normalization N = 1. The solver raises
+    MonotonicityViolation if dr/dtau is not positive at the root;
     InvalidBracket where no float point represents the curve (k, h, beta
     or lambda out of range, or d rounding to k); NoConvergence if
     |ln beta - (p-1) ln h|, the log miss of beta = h^{p-1}, exceeds 1e-10.
@@ -201,9 +211,9 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
                 - math.log(_subcritical_e1(params))) / (p - 1.0)
     evals: dict = {}
 
-    def resid(tau: float) -> float:
-        state, ln_n = evals[tau] = _state_at_t(math.exp(tau), params)
-        return ln_n - (p - 3.0) * (ln_alpha - state[2][2.0])
+    def resid(tau: float):
+        out = evals[tau] = _residual(tau, ln_alpha, params)
+        return out[:2]
 
     tau0 = ll._seed_tau_for_k(ln_d + 0.5 * math.log(2.0), p)
     try:
@@ -211,24 +221,21 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
                              xtol=min(params.root_tol, 1e-12))
     except BracketFailure as exc:
         # r increases, so r < 0 at the upper wall puts the root beyond it.
-        if not (ll._TAU_HI in evals and resid(ll._TAU_HI) < 0.0):
+        if not (ll._TAU_HI in evals and evals[ll._TAU_HI][0] < 0.0):
             raise
         raise InvalidBracket(
             f"the root lies beyond t = exp({ll._TAU_HI:g}) at p = {p!r}, "
             f"q = {params.q!r}, where d would round to k") from exc
     t = math.exp(tau)
-    state, ln_n = evals[tau]
+    r, dr, state, ln_n = evals[tau]
     point = ll._point_from_state(t, p, state)
 
-    # k(t) is strictly increasing, so probing r at t(1 -+ delta) checks the
-    # monotonicity of the curve in k.
-    r_minus = resid(tau + math.log1p(-_PROBE_DELTA))
-    r_plus = resid(tau + math.log1p(_PROBE_DELTA))
-    if not (r_minus < r_plus and r_minus < _LN_SLACK and r_plus > -_LN_SLACK):
+    # k(t) is strictly increasing, so dr/dtau > 0 at the root is the
+    # monotonicity of the curve in k there.
+    if not dr > 0.0:
         raise MonotonicityViolation(
-            f"the residual is not locally increasing around the root "
-            f"t = {t:.6g} (k = {point.k:.6g}): r(t-) = {r_minus:.12g}, "
-            f"r(t+) = {r_plus:.12g}")
+            f"the residual is not increasing at the root t = {t:.6g} "
+            f"(k = {point.k:.6g}): r = {r:.12g}, dr/dtau = {dr:.12g}")
 
     ln_h = ln_alpha - state[2][2.0]
     # In log form: h^2 alone under- or overflows for p near 1.

@@ -1,10 +1,15 @@
-"""Bracketing scalar root solvers.
+"""Scalar root solvers.
 
-Classic Brent iteration (inverse-quadratic / secant step guarded by
-bisection) plus a monotone bracket expander. Written against callables of one
-float; used by the curve solvers on log-transformed, strictly monotone
-residuals, so every root here is simple and bracketed once the expander
-returns.
+solve_monotone is the one root-find of the curve solvers: a safeguarded
+Newton iteration (rtsafe, Numerical Recipes 9.4) on an increasing residual
+that returns its own slope. It walks from a seed until the root is
+bracketed, keeps the bracket, and bisects whenever a Newton step would
+leave it or the slope is unusable. The curve residuals are log-transformed
+and strictly increasing, so every root there is simple.
+
+brentq (Brent's inverse-quadratic / secant step guarded by bisection) and
+the bracket expander bracket_monotone take residuals without a slope; the
+package itself no longer calls them.
 """
 
 from __future__ import annotations
@@ -120,9 +125,51 @@ def bracket_monotone(f, x0: float, lo_limit: float, hi_limit: float,
 
 
 def solve_monotone(f, x0: float, lo_limit: float, hi_limit: float,
-                   step0: float = 1.0, xtol: float = 1e-13) -> float:
-    """Bracket a monotone residual from a seed, then run Brent."""
-    a, b, fa, fb = bracket_monotone(f, x0, lo_limit, hi_limit, step0=step0)
-    if a == b:
-        return a
-    return brentq(f, a, b, fa=fa, fb=fb, xtol=xtol)
+                   step0: float = 1.0, xtol: float = 1e-13,
+                   maxiter: int = 100) -> float:
+    """Root of an increasing residual by safeguarded Newton.
+
+    f(x) returns (f, df/dx). From the seed, clamped to [lo_limit, hi_limit],
+    Newton steps run toward the root, each at most step0 long, a cap that
+    grows by 1.7 per step, until the sign changes; from then on the
+    iterates stay inside the bracket, and a step that would leave it, or a
+    slope that is not finite and positive, becomes a bisection. The last
+    evaluated x is returned once its Newton step, or the bracket, is within
+    xtol/8 + 2 eps |x|, so f's own last call was at the returned root.
+
+    Raises BracketFailure if the sign does not change inside the limits,
+    NoConvergence after maxiter evaluations.
+    """
+    x = min(max(float(x0), lo_limit), hi_limit)
+    lo, hi = -math.inf, math.inf      # evaluated points with f < 0, f > 0
+    step = step0
+    for _ in range(maxiter):
+        y, dy = f(x)
+        if y == 0.0:
+            return x
+        if y < 0.0:
+            lo = x
+        else:
+            hi = x
+        # The Newton step is x's error only to first order, so it must fall
+        # within an eighth of xtol; 2 eps |x| is at least two float spacings
+        # at x, so every step and bisection below moves x.
+        tol = 0.125 * xtol + 2.0 * _EPS * abs(x)
+        newton = -y / dy if math.isfinite(dy) and dy > 0.0 else math.nan
+        if abs(newton) <= tol or hi - lo <= tol:
+            return x
+        if math.isfinite(lo) and math.isfinite(hi):
+            x_new = x + newton
+            if not lo < x_new < hi:
+                x_new = 0.5 * (lo + hi)
+        else:
+            # Not yet bracketed: head for the root, at most step away.
+            limit = hi_limit if y < 0.0 else lo_limit
+            if x == limit:
+                raise BracketFailure(
+                    "solve_monotone: no sign change inside the allowed interval")
+            move = step if math.isnan(newton) else min(abs(newton), step)
+            x_new = min(max(x + math.copysign(move, -y), lo_limit), hi_limit)
+            step *= 1.7
+        x = x_new
+    raise NoConvergence(f"solve_monotone: no convergence in {maxiter} evaluations")

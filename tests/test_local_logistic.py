@@ -68,7 +68,7 @@ def test_moments_at_t_match_single_moments(p):
     quad = QuadSpec()
     qs = (0.0, 2.0, 3.0, 4.0)
     for t in (1e-6, 0.3, 5.0, 30.0):
-        stacked = ll._moments_at_t(t, p, set(qs), quad)
+        stacked, _ = ll._moments_at_t(t, p, set(qs), quad)
         assert sorted(stacked) == list(qs)
         for q in qs:
             single, = ll._layer_moments(math.exp(-t), -math.expm1(-t), p,
@@ -88,7 +88,7 @@ def test_series_branch_matches_quadrature(p):
     quad = QuadSpec()
     qs = (0.0, 1.1, 2.0, 4.0, 8.0)
     for t in SERIES_TS:
-        series = ll._moments_at_t(t, p, qs, quad)
+        series, _ = ll._moments_at_t(t, p, qs, quad)
         ref = ll._layer_moments(math.exp(-t), -math.expm1(-t), p, list(qs), quad)
         for q, jq in zip(qs, ref):
             assert abs(series[q] / jq - 1.0) <= 1e-14, (t, q)
@@ -154,7 +154,7 @@ def test_chebyshev_branch_matches_quadrature(p):
     ts = [math.nextafter(ll.T_SERIES, math.inf), *CHEB_EDGES,
           math.nextafter(ll.T_ASYM, 0.0), *np.exp(taus).tolist()]
     for t in ts:
-        cheb = ll._moments_at_t(t, p, qs, quad)
+        cheb, _ = ll._moments_at_t(t, p, qs, quad)
         for q in qs:
             ref, = ll._layer_moments(math.exp(-t), -math.expm1(-t), p, [q], quad)
             assert abs(cheb[q] / ref - 1.0) <= 1e-14, (t, q)
@@ -189,14 +189,19 @@ def test_cold_panel_is_one_quadrature(cheb_cache):
     assert len(calls) == 3 and len(store) == 6
 
 
+# a1 = a2 per p that puts the roots below on the middle branch: at p = 3
+# the root N = 1 then lies near t = 2.5.
+MIDDLE_WEIGHT = {3.0: 0.02, 4.0: 1.0}
+
+
 @pytest.mark.parametrize("p, q, alphas", [
     (3.0, 2.0, verify.DEFAULT_SUB_ALPHAS),
     (3.0, 3.0, verify.DEFAULT_SUB_ALPHAS),
     (4.0, 2.0, (1e3, 10.0 ** 3.5)),
 ])
 def test_warm_solve_alpha_makes_no_quadrature(p, q, alphas, monkeypatch):
-    # The p = 3 probes and the p = 4 roots lie on the middle branch.
-    params = nc.ProblemParams(p=p, q=q, a1=1.0, a2=1.0)
+    a = MIDDLE_WEIGHT[p]
+    params = nc.ProblemParams(p=p, q=q, a1=a, a2=a)
     cold = [nc.solve_alpha(alpha, params) for alpha in alphas]
     calls, middle = [], []
     monkeypatch.setattr(ll, "integrate", lambda *args, **kwargs:
@@ -212,11 +217,11 @@ def test_warm_solve_alpha_makes_no_quadrature(p, q, alphas, monkeypatch):
 def test_cheb_samples_key_on_the_spec_that_runs(cheb_cache, monkeypatch):
     store, calls = cheb_cache
     t = _panel_mid(1)
-    default = ll._moments_at_t(t, 3.0, (0.0,), QuadSpec())[0.0]
+    default = ll._moments_at_t(t, 3.0, (0.0,), QuadSpec())[0][0.0]
     monkeypatch.setenv("BIFLOGIS_QUAD_TOL", "1e-10")
     loose = cli._default_quad()
     assert loose.rel_tol == 1e-10
-    other = ll._moments_at_t(t, 3.0, (0.0,), loose)[0.0]
+    other = ll._moments_at_t(t, 3.0, (0.0,), loose)[0][0.0]
     assert len(calls) == 2 and len(store) == 2
     assert abs(other / default - 1.0) <= 1e-10
 
@@ -228,6 +233,76 @@ def test_unresolved_panel_raises_and_caches_nothing(cheb_cache, monkeypatch):
     with pytest.raises(NoConvergence, match="Chebyshev panel"):
         ll._log_state_at_t(_panel_mid(0), 3.0, (2.0,), QuadSpec())
     assert len(calls) == 1 and store == {}
+
+
+# --- slopes in tau = ln t ----------------------------------------------------------
+
+def _exact_node_t():
+    """A t whose interpolation variable is exactly a Chebyshev point, so
+    _moments_at_t takes the node formula there."""
+    _, nodes, _ = ll._cheb_points(ll._CHEB_POINTS)
+    for panel in range(ll._CHEB_PANELS):
+        for x in nodes:
+            t = math.exp(ll._CHEB_TAU0 + ll._CHEB_WIDTH * (panel + 0.5 * (1.0 + x)))
+            s = (math.log(t) - ll._CHEB_TAU0) / ll._CHEB_WIDTH
+            if 2.0 * (s - min(int(s), ll._CHEB_PANELS - 1)) - 1.0 == x:
+                return t
+    raise AssertionError("no t maps exactly onto a Chebyshev point")
+
+
+# Every branch: deep and near the top of the series, both sides of T_SERIES
+# and T_ASYM, every panel edge and an exact Chebyshev point in between, and
+# the asymptote.
+SLOPE_TAUS = [-30.0, -5.0, math.log(0.2),
+              *(math.log(t) + d for t in (ll.T_SERIES, *CHEB_EDGES, ll.T_ASYM)
+                for d in (-1e-4, 0.0, 1e-4)),
+              math.log(_exact_node_t()), math.log(_panel_mid(4)), 45.0]
+SLOPE_STEP = 1e-5
+
+
+def _central(f, tau):
+    return (f(tau + SLOPE_STEP) - f(tau - SLOPE_STEP)) / (2.0 * SLOPE_STEP)
+
+
+def _flat(state):
+    """ln k, ln gamma and the ln ||w||_q of a log state (or of its slopes,
+    which share its layout) as one array."""
+    return np.array([state[0], state[1], *state[2].values()])
+
+
+@pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 2.9, 3.0, 4.0, 8.0, 20.0))
+def test_log_state_slopes_match_central_differences(p):
+    quad = QuadSpec()
+    qs = (1.1, 2.0, 8.0)
+    ln_alpha = math.log(100.0)
+
+    def state(tau):
+        return ll._log_state_at_t(math.exp(tau), p, qs, quad)
+
+    for tau in SLOPE_TAUS:
+        slopes = _flat(state(tau)[3])
+        refs = _central(lambda x: _flat(state(x)), tau)
+        assert np.all(np.abs(slopes - refs) <= 1e-6 * np.maximum(1.0, np.abs(refs))), \
+            (tau, slopes, refs)
+        for q in qs:
+            params = nc.ProblemParams(p=p, q=q, a1=0.3, a2=0.7)
+            dr = nc._residual(tau, ln_alpha, params)[1]
+            ref = _central(lambda x: nc._residual(x, ln_alpha, params)[0], tau)
+            assert abs(dr - ref) <= 1e-6 * max(1.0, abs(ref)), (tau, q, dr, ref)
+
+
+def test_exact_node_slopes_continue_the_interpolant():
+    # At the node the slope comes from the node formula; one float step
+    # away, from the barycentric sums. Both describe one interpolant.
+    t = _exact_node_t()
+    quad = QuadSpec()
+    for p in (1.05, 3.0, 20.0):
+        at, d_at = ll._moments_at_t(t, p, (0.0, 2.0), quad)
+        near, d_near = ll._moments_at_t(math.nextafter(t, math.inf), p,
+                                        (0.0, 2.0), quad)
+        for q in (0.0, 2.0):
+            assert abs(near[q] / at[q] - 1.0) <= 1e-14
+            assert abs(d_near[q] / d_at[q] - 1.0) <= 1e-12
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -252,8 +327,9 @@ def test_round_trip_t_d_k(p, tau):
 
 @pytest.mark.parametrize("p", (1.05, 2.0, 2.9, 3.1, 5.0, 20.0))
 def test_inverse_residuals_finite_over_bracket(p, monkeypatch):
-    # The bracket expander may probe any tau up to the walls, where k itself
-    # under- or overflows: the k, gamma and d residuals must stay finite.
+    # The root-find may evaluate any tau up to the walls, where k itself
+    # under- or overflows: the k, gamma and d residuals and their slopes
+    # must stay finite.
     resids = []
     monkeypatch.setattr(ll, "solve_monotone",
                         lambda f, *args, **kwargs: resids.append(f) or 0.0)
@@ -264,7 +340,8 @@ def test_inverse_residuals_finite_over_bracket(p, monkeypatch):
     assert len(resids) == 3
     for tau in (ll._TAU_LO, -50.0, 50.0, ll._TAU_HI):
         for resid in resids:
-            assert math.isfinite(resid(tau))
+            r, dr = resid(tau)
+            assert math.isfinite(r) and math.isfinite(dr)
 
 
 # --- time_map ----------------------------------------------------------------
@@ -624,7 +701,7 @@ def _loop_profile_xs(point, n, params):
         for j in range(1, n - 1):
             seg = integrate(g, s_nodes[j - 1], s_nodes[j], quad).value
             xs[j] = xs[j - 1] + seg / sqrt_g
-        xs[n - 1] = ll._moments_at_t(t, p, (0.0,), quad)[0.0] / sqrt_g
+        xs[n - 1] = ll._moments_at_t(t, p, (0.0,), quad)[0][0.0] / sqrt_g
     return xs
 
 

@@ -10,6 +10,7 @@ import dataclasses
 import math
 import types
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from biflogis import local_logistic as ll, nonlocal_curve
 from biflogis.local_logistic import LocalParams, point_q_norm
 from biflogis.nonlocal_curve import (NonlocalSolution, ProblemParams, g_of_k,
                                      residual_check, solve_alpha)
+from biflogis.verify import DEFAULT_SUB_ALPHAS
 
 
 def rel(a, b):
@@ -273,22 +275,57 @@ def test_tau_wall_raises_invalid_bracket(p, alpha):
 @pytest.mark.parametrize("p", (1.05, 2.0, 2.9, 3.1, 5.0, 20.0))
 def test_ln_g_finite_over_bracket(p):
     # ln N, the residual's only state-dependent term besides ln d, is
-    # finite over the whole tau bracket, also where N under- or overflows.
+    # finite over the whole tau bracket, also where N under- or overflows;
+    # so is the residual's slope.
     for q in (1.1, 2.0, 8.0):
         params = ProblemParams(p=p, q=q, a1=1.0, a2=1.0)
         for tau in (ll._TAU_LO, -50.0, 50.0, ll._TAU_HI):
             ln_n = nonlocal_curve._state_at_t(math.exp(tau), params)[1]
             assert math.isfinite(ln_n)
+            dr = nonlocal_curve._residual(tau, math.log(100.0), params)[1]
+            assert math.isfinite(dr)
 
 
-def test_probe_rejects_reversed_order(monkeypatch):
-    # With the probe points swapped, the residual runs the wrong way around
-    # the root for every p, p = 3 included, and the solver must refuse the
-    # point.
-    monkeypatch.setattr(nonlocal_curve, "_PROBE_DELTA", -1e-3)
+def test_flipped_slope_raises_monotonicity_violation(monkeypatch):
+    # A residual whose slope at the root is negative, for every p, p = 3
+    # included: the solver must refuse the point.
+    residual = nonlocal_curve._residual
+
+    def flipped(*args):
+        r, dr, *rest = residual(*args)
+        return (r, -dr, *rest)
+
+    monkeypatch.setattr(nonlocal_curve, "_residual", flipped)
     for p in (2.0, 3.0, 5.0):
         with pytest.raises(MonotonicityViolation):
             solve_alpha(100.0, ProblemParams(p=p, q=2.0, a1=1.0, a2=0.0))
+
+
+# The alpha grid of the benchmark's supercritical workload.
+SUPER_GRID = tuple(np.geomspace(1e3, 1e6, 60).tolist())
+
+
+@pytest.mark.parametrize("ps, alphas", [((2.0, 3.0, 4.0), DEFAULT_SUB_ALPHAS),
+                                        ((6.0,), SUPER_GRID)])
+def test_warm_solve_alpha_evaluations(ps, alphas, monkeypatch):
+    # Newton in tau from the seed: at most 4 states per warm solve on
+    # average, where the bracket walk, Brent and the two-point probe took
+    # 7.85-7.97.
+    calls = []
+    state_at_t = nonlocal_curve._state_at_t
+    monkeypatch.setattr(nonlocal_curve, "_state_at_t",
+                        lambda *args: calls.append(args) or state_at_t(*args))
+    states = solves = 0
+    for p in ps:
+        params = ProblemParams(p=p, q=2.0, a1=1.0, a2=1.0)
+        for alpha in alphas:
+            solve_alpha(alpha, params)
+        before = len(calls)
+        for alpha in alphas:
+            solve_alpha(alpha, params)
+        states += len(calls) - before
+        solves += len(alphas)
+    assert states <= 4 * solves, states / solves
 
 
 @pytest.mark.parametrize("p,q,a1,a2,alpha", CASES)
