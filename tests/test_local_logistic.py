@@ -292,8 +292,9 @@ def test_log_state_slopes_match_central_differences(p):
 
 
 def test_exact_node_slopes_continue_the_interpolant():
-    # At the node the slope comes from the node formula; one float step
-    # away, from the barycentric sums. Both describe one interpolant.
+    # At the node the slope is its cached node derivative; one float step
+    # away, the barycentric sum over all of them. Both describe one
+    # interpolant.
     t = _exact_node_t()
     quad = QuadSpec()
     for p in (1.05, 3.0, 20.0):

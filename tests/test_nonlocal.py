@@ -309,8 +309,7 @@ SUPER_GRID = tuple(np.geomspace(1e3, 1e6, 60).tolist())
                                         ((6.0,), SUPER_GRID)])
 def test_warm_solve_alpha_evaluations(ps, alphas, monkeypatch):
     # Newton in tau from the seed: at most 4 states per warm solve on
-    # average, where the bracket walk, Brent and the two-point probe took
-    # 7.85-7.97.
+    # average.
     calls = []
     state_at_t = nonlocal_curve._state_at_t
     monkeypatch.setattr(nonlocal_curve, "_state_at_t",
