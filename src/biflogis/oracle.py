@@ -2,12 +2,13 @@
 
 -w'' + w^p = gamma w on (0,1) with w(0) = w(1) = 0, w > 0, is solved here as
 an initial-value problem w(0) = 0, w'(0) = m integrated by fixed-step
-classical RK4. An Illinois slope search with a saddle-energy bracket finds m
-between "crosses zero before x = 1" (m too small) and "fails to return by
-x = 1" (m too large); the upper end is the slope whose energy equals the
-ODE's saddle, above which no trajectory returns. Nothing in this module
-touches the moment integrals, so agreement with local_logistic is a real
-two-route check, not a tautology.
+classical RK4. A secant search on the shot's return offset, in
+u = ln(m_sep - m), finds m between "crosses zero before x = 1" (m too
+small) and "fails to return by x = 1" (m too large); m_sep is the slope
+whose energy equals the ODE's saddle, above which no trajectory returns.
+Near the saddle the return time grows linearly in u, so the secant steps
+are nearly exact. Nothing in this module touches the moment integrals, so
+agreement with local_logistic is a real two-route check, not a tautology.
 """
 
 from __future__ import annotations
@@ -33,15 +34,16 @@ __all__ = [
 
 # Largest finite launch slope, in log form.
 _LN_MAX = math.log(sys.float_info.max)
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
 class ShootConfig:
-    """Knobs for the RK4 march and the Illinois slope search with a
-    saddle-energy bracket.
+    """Knobs for the RK4 march and the secant slope search.
 
     step is the RK4 step, slope_tol the acceptance 0 < w(1) <= slope_tol * m,
-    and max_bisections caps the slope search's iterations (one march each).
+    and max_bisections caps the slope search's iterations (one march each),
+    secant, one-sided and bisection steps alike.
     """
 
     step: float = 1e-4
@@ -134,15 +136,6 @@ def energy_drift(res: ShootResult) -> float:
     return float(np.max(np.abs(e - e0)) / e0)
 
 
-def _shot_state(gamma: float, m: float, p: float, cfg: ShootConfig):
-    """(crossed, w_end, result_or_None) with Overflow folded into crossed=False."""
-    try:
-        res = shoot(gamma, m, p, cfg)
-    except Overflow:
-        return False, math.inf, None
-    return res.crossed, float(res.ws[-1]), res
-
-
 def _saddle_slope(gamma: float, p: float) -> float:
     """Launch slope m_sep whose energy m^2/2 equals the saddle's.
 
@@ -156,19 +149,39 @@ def _saddle_slope(gamma: float, p: float) -> float:
     return math.exp(min(ln_m, _LN_MAX))
 
 
+def _return_offset(res: ShootResult) -> float | None:
+    """Signed distance past x = 1 at which the shot returns to zero.
+
+    x_cross - 1 for a crossing shot; for a finite non-crossing shot still
+    falling at x = 1, w(1)/(-z(1)), the distance its tangent needs to reach
+    zero. None for a non-crossing shot with z(1) >= 0, which has not turned.
+    """
+    if res.crossed:
+        return res.x_cross - 1.0
+    z_end = float(res.zs[-1])
+    return float(res.ws[-1]) / -z_end if z_end < 0.0 else None
+
+
 def solve_bvp(gamma: float, p: float,
               cfg: ShootConfig = ShootConfig()) -> tuple[LocalPoint, Profile]:
-    """Find the positive two-point solution for gamma > pi^2 by an Illinois
-    slope search with a saddle-energy bracket.
+    """Find the positive two-point solution for gamma > pi^2 by a secant
+    search on the return offset g (`_return_offset`) in u = ln(m_sep - m).
 
-    The slope m is bracketed by m_lo = 1e-12, whose shot crosses zero, and
-    the saddle slope, whose shot never returns. Illinois (regula falsi)
-    steps on w(1; m) use a crossing shot's w(1) < 0 and a finite
-    non-crossing shot's w(1) > 0; an end without such a value (the initial
-    m_lo, a crossing shot with w(1) >= 0 or an overflow) makes the step a
-    bisection. Accepts the first non-crossing trajectory with
-    0 < w(1) <= slope_tol * m; the amplitude k is read off the grid maximum
-    with one parabolic refinement, d and the profile come straight from the
+    The slope m is bracketed by m_lo = 1e-12, whose shot crosses zero with
+    the linear limit's offset pi/sqrt(gamma) - 1, and the saddle slope
+    m_sep, whose shot never returns; crossing shots move the low end,
+    non-crossing shots (overflow included) the high end. Near the saddle
+    the return time grows like -u/mu, mu = sqrt((p-1) gamma) the saddle's
+    eigenvalue, so g is almost linear in u. Each step is the secant through
+    the last two shots in u, aimed at g = slope_tol/100, just inside the
+    acceptance window. Without one (a shot with no offset), or where it
+    leaves the bracket, the step is one-sided while the high end is still
+    m_sep: u_lo + mu g_lo, at least halving m_sep - m_lo and at most the
+    float below m_sep. After that it bisects the bracket in u. Accepts the
+    first non-crossing trajectory with 0 < w(1) <= slope_tol * m, and raises
+    NoConvergence when the budget runs out or the bracket closes to
+    adjacent floats. The amplitude k is read off the grid maximum with one
+    parabolic refinement, d and the profile come straight from the
     trajectory.
     """
     if not (math.isfinite(p) and p > 1.0):
@@ -177,34 +190,56 @@ def solve_bvp(gamma: float, p: float,
         raise NoSolution(
             f"no positive solution for gamma = {gamma} <= pi^2")
 
-    # f_lo < 0 < f_hi are the ends' w(1), or None where the end has no
-    # usable value; side is the end the last step moved (-1 low, +1 high).
-    m_lo, f_lo = 1e-12, None
-    m_hi, f_hi = _saddle_slope(gamma, p), None
-    side = 0
+    m_sep = _saddle_slope(gamma, p)
+    mu = math.sqrt((p - 1.0) * gamma)
+
+    # Steps are taken as differences in u, formed from the slopes themselves:
+    # u alone cannot resolve m once m is far below m_sep.
+    def u_gap(m_a, m_b):
+        """u(m_b) - u(m_a)."""
+        return math.log1p((m_a - m_b) / (m_sep - m_a))
+
+    def moved(m, du):
+        """The slope whose u lies du past u(m)."""
+        return m - (m_sep - m) * math.expm1(min(du, _LN_MAX))
+
+    # The secant aims a hundredth into the acceptance window (w(1) = g |z(1)|,
+    # and |z(1)| = m to first order where w(1) is small): off its edge by more
+    # than g's rounding, so the endgame lands inside, and near the edge, so
+    # the accepted slope's own error stays small.
+    target = 0.01 * cfg.slope_tol
+    m_lo, g_lo = 1e-12, math.pi / math.sqrt(gamma) - 1.0
+    m_hi = m_sep
+    # (m, g) of the last two iterates, g None where the shot had no offset.
+    before, last = None, (m_lo, g_lo)
     accepted = None
     for _ in range(cfg.max_bisections):
-        m = 0.5 * (m_lo + m_hi)
-        if f_lo is not None and f_hi is not None:
-            m_rf = (m_lo * f_hi - m_hi * f_lo) / (f_hi - f_lo)
-            if m_lo < m_rf < m_hi:
-                m = m_rf
+        m = None
+        if before is not None and before[1] is not None \
+                and last[1] is not None and before[1] != last[1]:
+            (m0, g0), (m1, g1) = before, last
+            m = moved(m1, (target - g1) * u_gap(m0, m1) / (g1 - g0))
+        if m is None or not m_lo < m < m_hi:
+            if m_hi == m_sep:
+                m = min(moved(m_lo, min(mu * g_lo, -_LN2)),
+                        math.nextafter(m_sep, 0.0))
+            else:
+                m = moved(m_lo, 0.5 * u_gap(m_lo, m_hi))
         if not m_lo < m < m_hi:
             break
-        crossed, w_end, res = _shot_state(gamma, m, p, cfg)
-        if crossed:
-            m_lo, f_lo = m, (w_end if w_end < 0.0 else None)
-            if side < 0 and f_hi is not None:
-                f_hi *= 0.5
-            side = -1
+        try:
+            res = shoot(gamma, m, p, cfg)
+        except Overflow:
+            res = None
+        g = None if res is None else _return_offset(res)
+        before, last = last, (m, g)
+        if res is not None and res.crossed:
+            m_lo, g_lo = m, g
             continue
-        if res is not None and 0.0 < w_end <= cfg.slope_tol * m:
+        if res is not None and 0.0 < res.ws[-1] <= cfg.slope_tol * m:
             accepted = res
             break
-        m_hi, f_hi = m, (w_end if res is not None else None)
-        if side > 0 and f_lo is not None:
-            f_lo *= 0.5
-        side = 1
+        m_hi = m
     if accepted is None:
         raise NoConvergence(
             f"slope search stalled before w(1) <= slope_tol * m "
@@ -238,16 +273,13 @@ def norms_from_profile(profile: Profile, q: float) -> float:
     if n < 101:
         raise ValueError(f"profile must carry >= 101 nodes, got {n}")
     f = np.abs(ws) ** q
-    total = 0.0
-    i = 0
-    while i + 2 <= n - 1:
-        h0 = xs[i + 1] - xs[i]
-        h1 = xs[i + 2] - xs[i + 1]
-        hs = h0 + h1
-        total += hs / 6.0 * ((2.0 - h1 / h0) * f[i]
-                             + hs * hs / (h0 * h1) * f[i + 1]
-                             + (2.0 - h0 / h1) * f[i + 2])
-        i += 2
-    if i == n - 2:
-        total += 0.5 * (xs[i + 1] - xs[i]) * (f[i] + f[i + 1])
+    e = n - 1 - (n - 1) % 2  # last node of the Simpson pairs
+    h0 = xs[1:e:2] - xs[:e - 1:2]
+    h1 = xs[2:e + 1:2] - xs[1:e:2]
+    hs = h0 + h1
+    total = float(np.sum(hs / 6.0 * ((2.0 - h1 / h0) * f[:e - 1:2]
+                                     + hs * hs / (h0 * h1) * f[1:e:2]
+                                     + (2.0 - h0 / h1) * f[2:e + 1:2])))
+    if e == n - 2:
+        total += 0.5 * (xs[e + 1] - xs[e]) * (f[e] + f[e + 1])
     return float(total ** (1.0 / q))

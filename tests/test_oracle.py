@@ -9,12 +9,12 @@ import math
 import numpy as np
 import pytest
 
-from biflogis import kernels
+from biflogis import kernels, oracle
 from biflogis.errors import NoConvergence, NoSolution, Overflow
 from biflogis.local_logistic import (LocalParams, Profile, point_from_gamma,
                                      q_norm)
-from biflogis.oracle import (ShootConfig, energy_drift, norms_from_profile,
-                             shoot, solve_bvp)
+from biflogis.oracle import (ShootConfig, _return_offset, energy_drift,
+                             norms_from_profile, shoot, solve_bvp)
 
 PI = math.pi
 
@@ -47,6 +47,38 @@ def test_norms_nonuniform_grid():
     ws = np.sin(PI * xs)
     prof = Profile(xs=xs, ws=ws, k=1.0, gamma=15.0, p=3.0)
     assert abs(norms_from_profile(prof, 2.0) - math.sqrt(0.5)) < 1e-8
+
+
+def simpson_loop(xs, ws, q):
+    """The pair-by-pair composite Simpson sum, as a reference."""
+    f = np.abs(ws) ** q
+    n = len(xs)
+    total = 0.0
+    i = 0
+    while i + 2 <= n - 1:
+        h0 = xs[i + 1] - xs[i]
+        h1 = xs[i + 2] - xs[i + 1]
+        hs = h0 + h1
+        total += hs / 6.0 * ((2.0 - h1 / h0) * f[i]
+                             + hs * hs / (h0 * h1) * f[i + 1]
+                             + (2.0 - h0 / h1) * f[i + 2])
+        i += 2
+    if i == n - 2:
+        total += 0.5 * (xs[i + 1] - xs[i]) * (f[i] + f[i + 1])
+    return total ** (1.0 / q)
+
+
+@pytest.mark.parametrize("n", (401, 402, 501, 502, 801, 802))
+def test_norms_match_simpson_loop(n):
+    # The grids of the tests above, plus one node each, which leaves an odd
+    # interval for the trapezoid.
+    t = np.linspace(0.0, 1.0, n)
+    for xs in (t, t * t * (3.0 - 2.0 * t)):
+        for ws in (np.full_like(xs, 0.7), np.sin(PI * xs), xs * (1.0 - xs) ** 3):
+            prof = Profile(xs=xs, ws=ws, k=1.0, gamma=15.0, p=3.0)
+            for q in (1.0, 1.1, 2.0, 4.0):
+                ref = simpson_loop(xs, ws, q)
+                assert abs(norms_from_profile(prof, q) - ref) <= 1e-14 * ref
 
 
 def test_norms_validation():
@@ -132,11 +164,8 @@ def test_solve_bvp_near_one_typed_error():
         solve_bvp(15.0, 1.0)
 
 
-@pytest.mark.parametrize("p,gamma", ((2.0, 15.0), (3.0, 50.0), (5.0, 15.0),
-                                     (5.1857, 14.3376)))
-def test_solve_bvp_march_count(monkeypatch, p, gamma):
-    # The saddle-energy bracket and Illinois steps take 10-17 marches here;
-    # plain bisection on the slope needs 44-54.
+def count_marches(monkeypatch):
+    """A list that gains one entry per RK4 march from here on."""
     calls = []
     march = kernels.rk4_shoot
 
@@ -145,8 +174,88 @@ def test_solve_bvp_march_count(monkeypatch, p, gamma):
         return march(*args)
 
     monkeypatch.setattr(kernels, "rk4_shoot", counted)
+    return calls
+
+
+def accepted_slope(monkeypatch, gamma, p):
+    """Launch slope of the trajectory solve_bvp accepts: its last shot."""
+    slopes = []
+    shot = oracle.shoot
+
+    def recorded(gamma, m, p, cfg=ShootConfig()):
+        slopes.append(m)
+        return shot(gamma, m, p, cfg)
+
+    monkeypatch.setattr(oracle, "shoot", recorded)
     solve_bvp(gamma, p)
-    assert len(calls) <= 25
+    monkeypatch.undo()
+    return slopes[-1]
+
+
+@pytest.mark.parametrize("p,gamma", ((2.0, 15.0), (3.0, 50.0), (5.0, 15.0),
+                                     (5.1857, 14.3376), (4.9204, 50.1527),
+                                     (5.0578, 53.3147)))
+def test_solve_bvp_march_count(monkeypatch, p, gamma):
+    # The secant on the return offset in ln(m_sep - m) takes 5-9 marches
+    # here; the Illinois search it replaced took 10-25 (24 and 25 at the
+    # last two points), plain bisection on the slope 44-54.
+    calls = count_marches(monkeypatch)
+    solve_bvp(gamma, p)
+    assert len(calls) <= 10
+
+
+@pytest.mark.parametrize("p,gamma", ((3.0, 50.0), (2.0, 15.0),
+                                     (5.1857, 14.3376), (4.9204, 50.1527),
+                                     (20.0, 12.0)))
+def test_return_offset_changes_sign_at_accepted_slope(monkeypatch, p, gamma):
+    # The offset the secant drives to zero is continuous across it: just
+    # below the accepted slope the shot crosses short of x = 1, just above
+    # its tangent at x = 1 reaches zero a little past it.
+    m = accepted_slope(monkeypatch, gamma, p)
+    below = shoot(gamma, m * (1.0 - 1e-9), p)
+    above = shoot(gamma, m * (1.0 + 1e-9), p)
+    assert below.crossed and not above.crossed
+    g_below, g_above = _return_offset(below), _return_offset(above)
+    assert -1e-6 < g_below < 0.0 < g_above < 1e-6
+
+
+def test_return_offset_cases():
+    gamma, p = 50.0, 3.0
+    crossing = shoot(gamma, 1e-3, p)
+    assert _return_offset(crossing) == crossing.x_cross - 1.0 < 0.0
+    # far above the solution's slope the shot is still climbing at x = 1
+    m_sep = oracle._saddle_slope(gamma, p)
+    climbing = shoot(gamma, m_sep * (1.0 - 1e-14), p)
+    assert not climbing.crossed and climbing.zs[-1] >= 0.0
+    assert _return_offset(climbing) is None
+
+
+def test_solve_bvp_stall_is_typed_and_cheap(monkeypatch):
+    # At (8, 50) the solution's slope sits 3.6e-6 below m_sep relative, too
+    # close for the floats to resolve w(1) <= slope_tol * m: the bracket
+    # closes to adjacent floats. The Illinois search got there in 29 marches.
+    calls = count_marches(monkeypatch)
+    with pytest.raises(NoConvergence):
+        solve_bvp(50.0, 8.0)
+    assert len(calls) <= 15
+
+
+@pytest.mark.parametrize("p,gamma,max_marches", ((1.2, 10.0, 30),
+                                                 (20.0, 12.0, 12),
+                                                 (8.0, 10.0, 15)))
+def test_solve_bvp_far_from_the_saddle(monkeypatch, p, gamma, max_marches):
+    # Near gamma = pi^2 the offset is flat in ln(m_sep - m) until the last
+    # few steps, and the one-sided steps must at least halve m_sep - m_lo
+    # (p = 8 and 20; 12 and 16 marches for the Illinois search). At p = 1.2
+    # the slope is nine decades below m_sep, where ln(m_sep - m) cannot
+    # resolve m and the steps are formed from slope differences (k = 4.5e-5;
+    # 37 marches for the Illinois search).
+    calls = count_marches(monkeypatch)
+    point, _ = solve_bvp(gamma, p)
+    assert len(calls) <= max_marches
+    ref = point_from_gamma(gamma, LocalParams(p=p))
+    assert abs(point.k - ref.k) < 1e-9 * ref.k
+    assert abs(point.d - ref.d) < 1e-9 * ref.d
 
 
 def test_solve_bvp_matches_time_map():
