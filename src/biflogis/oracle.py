@@ -211,13 +211,12 @@ def solve_bvp(gamma: float, p: float,
     m_lo, g_lo = 1e-12, math.pi / math.sqrt(gamma) - 1.0
     m_hi = m_sep
     # (m, g) of the last two iterates, g None where the shot had no offset.
-    before, last = None, (m_lo, g_lo)
+    before, last = (None, None), (m_lo, g_lo)
     accepted = None
     for _ in range(cfg.max_bisections):
         m = None
-        if before is not None and before[1] is not None \
-                and last[1] is not None and before[1] != last[1]:
-            (m0, g0), (m1, g1) = before, last
+        (m0, g0), (m1, g1) = before, last
+        if g0 is not None and g1 is not None and g0 != g1:
             m = moved(m1, (target - g1) * u_gap(m0, m1) / (g1 - g0))
         if m is None or not m_lo < m < m_hi:
             if m_hi == m_sep:
