@@ -360,11 +360,9 @@ def _run_oracle_check(cfg: RunConfig) -> int:
     wq_map = ll.point_q_norm(point, q, lp)
 
     scfg = oracle.ShootConfig(step=ex["step"])
-    shot_point, profile = oracle.solve_bvp(gamma, p, scfg)
+    shot_point, profile, shot = oracle._solve_shot(gamma, p, scfg)
     wq_shoot = oracle.norms_from_profile(profile, q)
-    m = math.sqrt(gamma * shot_point.k ** 2
-                  - 2.0 * shot_point.k ** (p + 1.0) / (p + 1.0))
-    drift = oracle.energy_drift(oracle.shoot(gamma, m, p, scfg))
+    drift = oracle.energy_drift(shot)
 
     rels = {
         "k": abs(shot_point.k / point.k - 1.0),

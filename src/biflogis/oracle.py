@@ -7,15 +7,18 @@ u = ln(m_sep - m), finds m between "crosses zero before x = 1" (m too
 small) and "fails to return by x = 1" (m too large); m_sep is the slope
 whose energy equals the ODE's saddle, above which no trajectory returns.
 Near the saddle the return time grows linearly in u, so the secant steps
-are nearly exact. Nothing in this module touches the moment integrals, so
-agreement with local_logistic is a real two-route check, not a tautology.
+are nearly exact. The search runs on marches of a hundredth and a tenth of
+the requested step count first; each level seeds the next, and only the
+requested march decides the result. Nothing in this module touches the
+moment integrals, so agreement with local_logistic is a real two-route
+check, not a tautology.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +46,9 @@ class ShootConfig:
 
     step is the RK4 step, slope_tol the acceptance 0 < w(1) <= slope_tol * m,
     and max_bisections caps the slope search's iterations (one march each),
-    secant, one-sided and bisection steps alike.
+    secant, one-sided and bisection steps alike. The cap applies to each
+    level of the search separately: a coarse level that reaches it hands no
+    seed to the next, and only the requested march's level raises.
     """
 
     step: float = 1e-4
@@ -162,34 +167,17 @@ def _return_offset(res: ShootResult) -> float | None:
     return float(res.ws[-1]) / -z_end if z_end < 0.0 else None
 
 
-def solve_bvp(gamma: float, p: float,
-              cfg: ShootConfig = ShootConfig()) -> tuple[LocalPoint, Profile]:
-    """Find the positive two-point solution for gamma > pi^2 by a secant
-    search on the return offset g (`_return_offset`) in u = ln(m_sep - m).
+def _slope_search(gamma: float, p: float, cfg: ShootConfig,
+                  seed: tuple[float, float | None] | None = None,
+                  ) -> tuple[ShootResult, float | None]:
+    """One level of the secant search on the return offset g in u.
 
-    The slope m is bracketed by m_lo = 1e-12, whose shot crosses zero with
-    the linear limit's offset pi/sqrt(gamma) - 1, and the saddle slope
-    m_sep, whose shot never returns; crossing shots move the low end,
-    non-crossing shots (overflow included) the high end. Near the saddle
-    the return time grows like -u/mu, mu = sqrt((p-1) gamma) the saddle's
-    eigenvalue, so g is almost linear in u. Each step is the secant through
-    the last two shots in u, aimed at g = slope_tol/100, just inside the
-    acceptance window. Without one (a shot with no offset), or where it
-    leaves the bracket, the step is one-sided while the high end is still
-    m_sep: u_lo + mu g_lo, at least halving m_sep - m_lo and at most the
-    float below m_sep. After that it bisects the bracket in u. Accepts the
-    first non-crossing trajectory with 0 < w(1) <= slope_tol * m, and raises
-    NoConvergence when the budget runs out or the bracket closes to
-    adjacent floats. The amplitude k is read off the grid maximum with one
-    parabolic refinement, d and the profile come straight from the
-    trajectory.
+    Returns the accepted shot and the inverse slope du/dg of the last
+    secant (None without one); raises NoConvergence when the budget runs
+    out or the bracket closes. seed = (m, du/dg) from a coarser level makes
+    m the first shot and steps from it along that slope; the bracket starts
+    at [1e-12, m_sep] either way.
     """
-    if not (math.isfinite(p) and p > 1.0):
-        raise ValueError(f"p must be finite and > 1, got {p}")
-    if gamma <= PI2:
-        raise NoSolution(
-            f"no positive solution for gamma = {gamma} <= pi^2")
-
     m_sep = _saddle_slope(gamma, p)
     mu = math.sqrt((p - 1.0) * gamma)
 
@@ -210,14 +198,14 @@ def solve_bvp(gamma: float, p: float,
     target = 0.01 * cfg.slope_tol
     m_lo, g_lo = 1e-12, math.pi / math.sqrt(gamma) - 1.0
     m_hi = m_sep
-    # (m, g) of the last two iterates, g None where the shot had no offset.
-    before, last = (None, None), (m_lo, g_lo)
-    accepted = None
+    # The last shot (m, g), g None where it had no offset, and du/dg to step
+    # from it: the secant through the last two shots. A seeded first shot has
+    # no shot before it and keeps the coarser level's slope.
+    m, dudg = seed if seed is not None else (None, None)
+    last = None if seed is not None else (m_lo, g_lo)
     for _ in range(cfg.max_bisections):
-        m = None
-        (m0, g0), (m1, g1) = before, last
-        if g0 is not None and g1 is not None and g0 != g1:
-            m = moved(m1, (target - g1) * u_gap(m0, m1) / (g1 - g0))
+        if m is None and dudg is not None and last[1] is not None:
+            m = moved(last[0], (target - last[1]) * dudg)
         if m is None or not m_lo < m < m_hi:
             if m_hi == m_sep:
                 m = min(moved(m_lo, min(mu * g_lo, -_LN2)),
@@ -231,18 +219,43 @@ def solve_bvp(gamma: float, p: float,
         except Overflow:
             res = None
         g = None if res is None else _return_offset(res)
-        before, last = last, (m, g)
+        if last is not None:
+            m1, g1 = last
+            dudg = u_gap(m1, m) / (g - g1) \
+                if g is not None and g1 is not None and g != g1 else None
+        last = (m, g)
         if res is not None and res.crossed:
             m_lo, g_lo = m, g
-            continue
-        if res is not None and 0.0 < res.ws[-1] <= cfg.slope_tol * m:
-            accepted = res
-            break
-        m_hi = m
-    if accepted is None:
-        raise NoConvergence(
-            f"slope search stalled before w(1) <= slope_tol * m "
-            f"(gamma = {gamma}, bracket = [{m_lo}, {m_hi}])")
+        elif res is not None and 0.0 < res.ws[-1] <= cfg.slope_tol * m:
+            return res, dudg
+        else:
+            m_hi = m
+        m = None
+    raise NoConvergence(
+        f"slope search stalled before w(1) <= slope_tol * m "
+        f"(gamma = {gamma}, bracket = [{m_lo}, {m_hi}])")
+
+
+def _solve_shot(gamma: float, p: float, cfg: ShootConfig,
+                ) -> tuple[LocalPoint, Profile, ShootResult]:
+    """solve_bvp's point and profile, and the accepted shot they come from."""
+    if not (math.isfinite(p) and p > 1.0):
+        raise ValueError(f"p must be finite and > 1, got {p}")
+    if gamma <= PI2:
+        raise NoSolution(
+            f"no positive solution for gamma = {gamma} <= pi^2")
+
+    # The coarse levels, coarsest first (see solve_bvp).
+    n = cfg.n_steps
+    seed = None
+    for nc in [n // f for f in (100, 10) if n // f >= 100]:
+        try:
+            res, dudg = _slope_search(
+                gamma, p, replace(cfg, step=1.0 / nc), seed)
+            seed = (res.m, dudg)
+        except NoConvergence:
+            seed = None
+    accepted, _ = _slope_search(gamma, p, cfg, seed)
 
     ws = accepted.ws
     i = int(np.argmax(ws))
@@ -254,7 +267,42 @@ def solve_bvp(gamma: float, p: float,
         k = float(ws[i])
     profile = Profile(xs=accepted.xs, ws=ws, k=k, gamma=gamma, p=p)
     d = norms_from_profile(profile, 2.0)
-    point = LocalPoint(k=k, gamma=gamma, d=d, p=p)
+    return LocalPoint(k=k, gamma=gamma, d=d, p=p), profile, accepted
+
+
+def solve_bvp(gamma: float, p: float,
+              cfg: ShootConfig = ShootConfig()) -> tuple[LocalPoint, Profile]:
+    """Find the positive two-point solution for gamma > pi^2 by a secant
+    search on the return offset g (`_return_offset`) in u = ln(m_sep - m).
+
+    The slope m is bracketed by m_lo = 1e-12, whose shot crosses zero with
+    the linear limit's offset pi/sqrt(gamma) - 1, and the saddle slope
+    m_sep, whose shot never returns; crossing shots move the low end,
+    non-crossing shots (overflow included) the high end. Near the saddle
+    the return time grows like -u/mu, mu = sqrt((p-1) gamma) the saddle's
+    eigenvalue, so g is almost linear in u. Each step is the secant through
+    the last two shots in u, aimed at g = slope_tol/100, just inside the
+    acceptance window. Without one (a shot with no offset), or where it
+    leaves the bracket, the step is one-sided while the high end is still
+    m_sep: u_lo + mu g_lo, at least halving m_sep - m_lo and at most the
+    float below m_sep. After that it bisects the bracket in u. Accepts the
+    first non-crossing trajectory with 0 < w(1) <= slope_tol * m.
+
+    The search runs first on coarser copies of the same march, of n/100
+    and n/10 steps for n = cfg.n_steps, each kept while it is >= 100
+    steps (100, 1,000, 10,000 at the default step; fewer than 1,000 steps
+    search at n alone), then on the requested one. Each level hands the
+    next its accepted slope, the next level's first shot, and the slope of
+    its last secant, which sets the second. Only the finest level decides:
+    its bracket starts afresh at [1e-12, m_sep] and its acceptance is the
+    rule above, so the seed only picks which point of the same window is
+    found. Each level has its own max_bisections budget; a coarse level
+    that stalls hands on no seed. NoConvergence is raised when the finest
+    level's budget runs out or its bracket closes to adjacent floats. The
+    amplitude k is read off the grid maximum with one parabolic
+    refinement, d and the profile come straight from the trajectory.
+    """
+    point, profile, _ = _solve_shot(gamma, p, cfg)
     return point, profile
 
 

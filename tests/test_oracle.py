@@ -192,16 +192,79 @@ def accepted_slope(monkeypatch, gamma, p):
     return slopes[-1]
 
 
-@pytest.mark.parametrize("p,gamma", ((2.0, 15.0), (3.0, 50.0), (5.0, 15.0),
-                                     (5.1857, 14.3376), (4.9204, 50.1527),
-                                     (5.0578, 53.3147)))
+MARCH_COUNT_POINTS = ((2.0, 15.0), (3.0, 50.0), (5.0, 15.0),
+                      (5.1857, 14.3376), (4.9204, 50.1527), (5.0578, 53.3147))
+
+
+def rk4_steps(calls):
+    """RK4 steps the recorded marches asked for: the sum of their n_steps."""
+    return sum(args[3] for args in calls)
+
+
+@pytest.mark.parametrize("p,gamma", MARCH_COUNT_POINTS)
 def test_solve_bvp_march_count(monkeypatch, p, gamma):
-    # The secant on the return offset in ln(m_sep - m) takes 5-9 marches
-    # here; the Illinois search it replaced took 10-25 (24 and 25 at the
-    # last two points), plain bisection on the slope 44-54.
+    # The search on 100-, 1,000- and 10,000-step marches costs 22,900-56,600
+    # steps here (2.3-5.7 full marches); the single-level secant search took
+    # 5-9 full marches, the Illinois search before it 10-25, plain bisection
+    # on the slope 44-54.
     calls = count_marches(monkeypatch)
     solve_bvp(gamma, p)
-    assert len(calls) <= 10
+    assert rk4_steps(calls) <= 57_000
+
+
+# k of the single-level secant search at MARCH_COUNT_POINTS, for the default
+# ShootConfig: the coarse levels only pick the point of the acceptance window
+# that the finest level finds.
+PARENT_K = {
+    (2.0, 15.0): 6.001570617871284,
+    (3.0, 50.0): 6.877492251142751,
+    (5.0, 15.0): 1.670095549357529,
+    (5.1857, 14.3376): 1.586245219334032,
+    (4.9204, 50.1527): 2.7000589648670936,
+    (5.0578, 53.3147): 2.653793865461056,
+}
+
+
+@pytest.mark.parametrize("p,gamma", MARCH_COUNT_POINTS)
+def test_solve_bvp_keeps_single_level_k(p, gamma):
+    point, _ = solve_bvp(gamma, p)
+    ref = PARENT_K[(p, gamma)]
+    assert abs(point.k - ref) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("p,gamma", MARCH_COUNT_POINTS + ((1.2, 10.0),
+                                                         (20.0, 10.0),
+                                                         (3.0, 120.0)))
+def test_solve_bvp_finest_level_decides(monkeypatch, p, gamma):
+    # Whatever the coarse levels found, the accepted shot is a march at the
+    # requested step that meets the acceptance rule itself. At (3, 120) the
+    # 1,000-step level stalls; it must hand on no seed rather than raise.
+    calls, outs = [], []
+    march = kernels.rk4_shoot
+
+    def recorded(*args):
+        calls.append(args)
+        outs.append(march(*args))
+        return outs[-1]
+
+    monkeypatch.setattr(kernels, "rk4_shoot", recorded)
+    cfg = ShootConfig()
+    _, profile = solve_bvp(gamma, p, cfg)
+    assert {args[3] for args in calls} == {100, 1_000, cfg.n_steps}
+    m, n = calls[-1][1], calls[-1][3]
+    ws, _, n_filled, status = outs[-1]
+    assert n == cfg.n_steps and status == 0 and n_filled == n + 1
+    assert 0.0 < ws[-1] <= cfg.slope_tol * m
+    assert np.array_equal(profile.ws, ws)
+
+
+@pytest.mark.parametrize("step", (1e-2, 5e-3))
+def test_solve_bvp_short_march_single_level(monkeypatch, step):
+    # Below 1,000 steps no coarser march of >= 100 steps exists.
+    calls = count_marches(monkeypatch)
+    cfg = ShootConfig(step=step)
+    solve_bvp(20.0, 3.0, cfg)
+    assert calls and all(args[3] == cfg.n_steps for args in calls)
 
 
 @pytest.mark.parametrize("p,gamma", ((3.0, 50.0), (2.0, 15.0),
@@ -233,26 +296,30 @@ def test_return_offset_cases():
 def test_solve_bvp_stall_is_typed_and_cheap(monkeypatch):
     # At (8, 50) the solution's slope sits 3.6e-6 below m_sep relative, too
     # close for the floats to resolve w(1) <= slope_tol * m: the bracket
-    # closes to adjacent floats. The Illinois search got there in 29 marches.
+    # closes to adjacent floats on every level. That costs 91,000 steps; the
+    # single-level search took 8 full marches, the Illinois search 29.
     calls = count_marches(monkeypatch)
     with pytest.raises(NoConvergence):
         solve_bvp(50.0, 8.0)
-    assert len(calls) <= 15
+    assert rk4_steps(calls) <= 92_000
 
 
-@pytest.mark.parametrize("p,gamma,max_marches", ((1.2, 10.0, 30),
-                                                 (20.0, 12.0, 12),
-                                                 (8.0, 10.0, 15)))
-def test_solve_bvp_far_from_the_saddle(monkeypatch, p, gamma, max_marches):
+@pytest.mark.parametrize("p,gamma,max_steps", ((1.2, 10.0, 36_000),
+                                               (20.0, 12.0, 34_000),
+                                               (8.0, 10.0, 24_000),
+                                               (20.0, 10.0, 25_000),
+                                               (50.0, 10.0, 35_000)))
+def test_solve_bvp_far_from_the_saddle(monkeypatch, p, gamma, max_steps):
     # Near gamma = pi^2 the offset is flat in ln(m_sep - m) until the last
-    # few steps, and the one-sided steps must at least halve m_sep - m_lo
-    # (p = 8 and 20; 12 and 16 marches for the Illinois search). At p = 1.2
-    # the slope is nine decades below m_sep, where ln(m_sep - m) cannot
-    # resolve m and the steps are formed from slope differences (k = 4.5e-5;
-    # 37 marches for the Illinois search).
+    # few steps, and the one-sided steps must at least halve m_sep - m_lo;
+    # the coarse levels take most of that walk (p = 8, 20, 50: 2.3-3.4 full
+    # marches, against 10-17 for the single-level search). At p = 1.2 the
+    # slope is nine decades below m_sep, where ln(m_sep - m) cannot resolve
+    # m and the steps are formed from slope differences (k = 4.5e-5; 3.5
+    # full marches, against 24 single-level and 37 for the Illinois search).
     calls = count_marches(monkeypatch)
     point, _ = solve_bvp(gamma, p)
-    assert len(calls) <= max_marches
+    assert rk4_steps(calls) <= max_steps
     ref = point_from_gamma(gamma, LocalParams(p=p))
     assert abs(point.k - ref.k) < 1e-9 * ref.k
     assert abs(point.d - ref.d) < 1e-9 * ref.d
