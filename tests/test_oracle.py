@@ -215,7 +215,7 @@ def test_solve_bvp_march_count(monkeypatch, p, gamma):
 # k of the single-level secant search at MARCH_COUNT_POINTS, for the default
 # ShootConfig: the coarse levels only pick the point of the acceptance window
 # that the finest level finds.
-PARENT_K = {
+SINGLE_LEVEL_K = {
     (2.0, 15.0): 6.001570617871284,
     (3.0, 50.0): 6.877492251142751,
     (5.0, 15.0): 1.670095549357529,
@@ -228,7 +228,7 @@ PARENT_K = {
 @pytest.mark.parametrize("p,gamma", MARCH_COUNT_POINTS)
 def test_solve_bvp_keeps_single_level_k(p, gamma):
     point, _ = solve_bvp(gamma, p)
-    ref = PARENT_K[(p, gamma)]
+    ref = SINGLE_LEVEL_K[(p, gamma)]
     assert abs(point.k - ref) <= 1e-10 * ref
 
 
@@ -296,8 +296,9 @@ def test_return_offset_cases():
 def test_solve_bvp_stall_is_typed_and_cheap(monkeypatch):
     # At (8, 50) the solution's slope sits 3.6e-6 below m_sep relative, too
     # close for the floats to resolve w(1) <= slope_tol * m: the bracket
-    # closes to adjacent floats on every level. That costs 91,000 steps; the
-    # single-level search took 8 full marches, the Illinois search 29.
+    # closes to adjacent floats on the requested march. With the coarse
+    # levels that costs 91,000 steps; the single-level search took 8 full
+    # marches, the Illinois search 29.
     calls = count_marches(monkeypatch)
     with pytest.raises(NoConvergence):
         solve_bvp(50.0, 8.0)
