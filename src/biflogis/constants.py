@@ -192,12 +192,36 @@ def compute_E(p: float, q: float, a1: float, a2: float, reading: str,
     return _e_from_a(p, q, a1, a2, reading, compute_A(p, q, quad))
 
 
+def _amplitude_a4(p: float, q: float, A: dict) -> float:
+    """A4 at q = 2, the amplitude coefficient in k^2/(2 d^2) = 1 + A4 d^{p-1},
+    from the A family at any q.
+
+    The amplitude ratio involves the L2 norm alone, so its A4 takes A2 at
+    q = 2, which is sqrt(2)^{p-1} A5 (the same integral of sin^2 phi); no
+    quadrature at q = 2 is needed. At q = 2 the stored A4 is returned
+    as is, keeping its bits.
+    """
+    if q == 2.0:
+        return A["A4"]
+    return (A["A3"] - 4.0 * math.sqrt(2.0) ** (p - 1.0) * A["A5"]) / PI
+
+
 def _e_from_a(p: float, q: float, a1: float, a2: float, reading: str,
               A: dict) -> dict:
-    """E1..E5 from the A family; arguments already validated."""
+    """E1..E5 from the A family; arguments already validated.
+
+    E2's a1 term carries the amplitude coefficient A4 at q = 2
+    (`_amplitude_a4`), not ``A["A4"]`` at the problem's q: the expansion of
+    k^2/(2 d^2) holds d = ||w||_2 whatever norm the weight a1 uses. Forming
+    it at the problem's q, as this module did before, was this repository's
+    transcription slip; the abstract, all this repository has of the paper,
+    does not state E2. It moved S by 4e-4 to 0.25 wherever q != 2 and
+    a1 > 0, against the curve's own extrapolated S, which the corrected
+    form matches to 3e-11.
+    """
     a1q = a1 * 2.0 ** ((q + 2.0) / q) * A["A1"] ** (2.0 / q)
     e1 = a1q + a2 * PI ** (2.0 / q)
-    e2 = a1q * (A["A4"] + (2.0 / q) * (A["A2"] / A["A1"])) \
+    e2 = a1q * (_amplitude_a4(p, q, A) + (2.0 / q) * (A["A2"] / A["A1"])) \
         + (2.0 * a2 * PI ** ((2.0 - q) / q) / q) * A["A3"]
     denom = (p - 1.0) if reading == "paper_definition" else (p - 3.0)
     # In log form: near p = 3 the pi- and E1-powers each leave the double

@@ -7,11 +7,13 @@ u = ln(m_sep - m), finds m between "crosses zero before x = 1" (m too
 small) and "fails to return by x = 1" (m too large); m_sep is the slope
 whose energy equals the ODE's saddle, above which no trajectory returns.
 Near the saddle the return time grows linearly in u, so the secant steps
-are nearly exact. The search runs on marches of a hundredth and a tenth of
-the requested step count first; each level seeds the next, and only the
-requested march decides the result. Nothing in this module touches the
-moment integrals, so agreement with local_logistic is a real two-route
-check, not a tautology.
+are nearly exact; each is aimed at the middle of the acceptance window.
+The search runs on marches of a hundredth and a tenth of the requested
+step count first; each level seeds the next, the requested march from the
+two coarse slopes extrapolated by RK4's h^4 error law where both were
+found, and only the requested march decides the result. Nothing in this
+module touches the moment integrals, so agreement with local_logistic is a
+real two-route check, not a tautology.
 """
 
 from __future__ import annotations
@@ -167,6 +169,18 @@ def _return_offset(res: ShootResult) -> float | None:
     return float(res.ws[-1]) / -z_end if z_end < 0.0 else None
 
 
+# Steps are taken as differences in u = ln(m_sep - m), formed from the slopes
+# themselves: u alone cannot resolve m once m is far below m_sep.
+def _u_gap(m_sep: float, m_a: float, m_b: float) -> float:
+    """u(m_b) - u(m_a)."""
+    return math.log1p((m_a - m_b) / (m_sep - m_a))
+
+
+def _moved(m_sep: float, m: float, du: float) -> float:
+    """The slope whose u lies du past u(m)."""
+    return m - (m_sep - m) * math.expm1(min(du, _LN_MAX))
+
+
 def _slope_search(gamma: float, p: float, cfg: ShootConfig,
                   seed: tuple[float, float | None] | None = None,
                   ) -> tuple[ShootResult, float | None]:
@@ -181,21 +195,11 @@ def _slope_search(gamma: float, p: float, cfg: ShootConfig,
     m_sep = _saddle_slope(gamma, p)
     mu = math.sqrt((p - 1.0) * gamma)
 
-    # Steps are taken as differences in u, formed from the slopes themselves:
-    # u alone cannot resolve m once m is far below m_sep.
-    def u_gap(m_a, m_b):
-        """u(m_b) - u(m_a)."""
-        return math.log1p((m_a - m_b) / (m_sep - m_a))
-
-    def moved(m, du):
-        """The slope whose u lies du past u(m)."""
-        return m - (m_sep - m) * math.expm1(min(du, _LN_MAX))
-
-    # The secant aims a hundredth into the acceptance window (w(1) = g |z(1)|,
-    # and |z(1)| = m to first order where w(1) is small): off its edge by more
-    # than g's rounding, so the endgame lands inside, and near the edge, so
-    # the accepted slope's own error stays small.
-    target = 0.01 * cfg.slope_tol
+    # The secant aims at the middle of the acceptance window (w(1) = g |z(1)|,
+    # and |z(1)| = m to first order where w(1) is small): a shot that misses
+    # the aim by up to half the window, rounding of g or a seed's error,
+    # still lands inside it.
+    target = 0.5 * cfg.slope_tol
     m_lo, g_lo = 1e-12, math.pi / math.sqrt(gamma) - 1.0
     m_hi = m_sep
     # The last shot (m, g), g None where it had no offset, and du/dg to step
@@ -205,13 +209,13 @@ def _slope_search(gamma: float, p: float, cfg: ShootConfig,
     last = None if seed is not None else (m_lo, g_lo)
     for _ in range(cfg.max_bisections):
         if m is None and dudg is not None and last[1] is not None:
-            m = moved(last[0], (target - last[1]) * dudg)
+            m = _moved(m_sep, last[0], (target - last[1]) * dudg)
         if m is None or not m_lo < m < m_hi:
             if m_hi == m_sep:
-                m = min(moved(m_lo, min(mu * g_lo, -_LN2)),
+                m = min(_moved(m_sep, m_lo, min(mu * g_lo, -_LN2)),
                         math.nextafter(m_sep, 0.0))
             else:
-                m = moved(m_lo, 0.5 * u_gap(m_lo, m_hi))
+                m = _moved(m_sep, m_lo, 0.5 * _u_gap(m_sep, m_lo, m_hi))
         if not m_lo < m < m_hi:
             break
         try:
@@ -221,7 +225,7 @@ def _slope_search(gamma: float, p: float, cfg: ShootConfig,
         g = None if res is None else _return_offset(res)
         if last is not None:
             m1, g1 = last
-            dudg = u_gap(m1, m) / (g - g1) \
+            dudg = _u_gap(m_sep, m1, m) / (g - g1) \
                 if g is not None and g1 is not None and g != g1 else None
         last = (m, g)
         if res is not None and res.crossed:
@@ -248,13 +252,22 @@ def _solve_shot(gamma: float, p: float, cfg: ShootConfig,
     # The coarse levels, coarsest first (see solve_bvp).
     n = cfg.n_steps
     seed = None
+    found = []
     for nc in [n // f for f in (100, 10) if n // f >= 100]:
         try:
             res, dudg = _slope_search(
                 gamma, p, replace(cfg, step=1.0 / nc), seed)
             seed = (res.m, dudg)
+            found.append(res.m)
         except NoConvergence:
             seed = None
+    if len(found) == 2:
+        # RK4 moves the accepted u by C h^4. With h_1 = 10 h_2 = 100 h_3,
+        # u_3 = u_2 - C h_2^4 (1 - 10^-4) and u_1 - u_2 = C h_2^4 (10^4 - 1),
+        # so u_3 = u_2 - 10^-4 (u_1 - u_2).
+        m_sep = _saddle_slope(gamma, p)
+        m1, m2 = found
+        seed = (_moved(m_sep, m2, -1e-4 * _u_gap(m_sep, m2, m1)), seed[1])
     accepted, _ = _slope_search(gamma, p, cfg, seed)
 
     ws = accepted.ws
@@ -281,19 +294,23 @@ def solve_bvp(gamma: float, p: float,
     non-crossing shots (overflow included) the high end. Near the saddle
     the return time grows like -u/mu, mu = sqrt((p-1) gamma) the saddle's
     eigenvalue, so g is almost linear in u. Each step is the secant through
-    the last two shots in u, aimed at g = slope_tol/100, just inside the
-    acceptance window. Without one (a shot with no offset), or where it
-    leaves the bracket, the step is one-sided while the high end is still
-    m_sep: u_lo + mu g_lo, at least halving m_sep - m_lo and at most the
-    float below m_sep. After that it bisects the bracket in u. Accepts the
-    first non-crossing trajectory with 0 < w(1) <= slope_tol * m.
+    the last two shots in u, aimed at g = slope_tol/2, the middle of the
+    acceptance window, so a shot that misses the aim by up to half the
+    window still lands inside it. Without one (a shot with no offset), or
+    where it leaves the bracket, the step is one-sided while the high end is
+    still m_sep: u_lo + mu g_lo, at least halving m_sep - m_lo and at most
+    the float below m_sep. After that it bisects the bracket in u. Accepts
+    the first non-crossing trajectory with 0 < w(1) <= slope_tol * m.
 
     The search runs first on coarser copies of the same march, of n/100
     and n/10 steps for n = cfg.n_steps, each kept while it is >= 100
     steps (100, 1,000, 10,000 at the default step; fewer than 1,000 steps
     search at n alone), then on the requested one. Each level hands the
     next its accepted slope, the next level's first shot, and the slope of
-    its last secant, which sets the second. Only the finest level decides:
+    its last secant, which sets the second. Where both coarse levels accept,
+    the requested march's first shot is instead their slopes extrapolated
+    in u by the h^4 law of RK4, u_1000 - 1e-4 (u_100 - u_1000) (Richardson;
+    the step ratio is 10 at each rung). Only the finest level decides:
     its bracket starts afresh at [1e-12, m_sep] and its acceptance is the
     rule above, so the seed only picks which point of the same window is
     found. Each level has its own max_bisections budget; a coarse level

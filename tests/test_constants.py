@@ -185,6 +185,38 @@ def test_E_reading_changes_only_pi_powers():
     assert rel(Ep["E3"] / Ev["E3"], PI ** shift) < 1e-13
 
 
+@pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 2.5, 2.99))
+def test_amplitude_A4_from_any_q(p):
+    # A2 at q = 2 is sqrt(2)^{p-1} A5, so the A family at any q gives the
+    # amplitude coefficient A4 at q = 2 without its own quadrature.
+    ref = compute_A(p, 2.0)["A4"]
+    for q in (1.1, 3.0, 4.0, 8.0):
+        a4 = constants._amplitude_a4(p, q, compute_A(p, q))
+        assert rel(a4, ref) < 1e-13
+
+
+def test_E2_amplitude_term_moves_only_q_not_2_with_a1(monkeypatch):
+    # Where q = 2 or a1 = 0, taking A4 at the problem's q (the form before
+    # E2 took it at q = 2) gives the same bits; elsewhere E2 moves.
+    # At p = 1.05, 2.5 and 2.7 the q = 2 amplitude formula rounds A4 apart
+    # from the stored value by an ulp, so q = 2 keeps the stored one.
+    same = [(p, 2.0, a1, a2) for p in (1.05, 1.5, 2.0, 2.5, 2.7, 2.9)
+            for a1, a2 in ((1.0, 1.0), (1.0, 0.0), (0.02, 5.0))]
+    same += [(p, q, 0.0, 1.0) for p in (1.5, 2.0, 2.9) for q in (1.1, 4.0, 8.0)]
+    moved = [(2.0, q, 1.0, a2) for q in (1.1, 4.0, 8.0) for a2 in (0.0, 1.0)]
+    keys = ("E2", "E5", "second_coeff")
+    now = {case: compute_all(*case).to_record() for case in same + moved}
+    monkeypatch.setattr(constants, "_amplitude_a4",
+                        lambda p, q, A: A["A4"])
+    for case in same + moved:
+        before = compute_all(*case).to_record()
+        for key in keys:
+            if case in same:
+                assert now[case][key] == before[key], (case, key)
+            else:
+                assert now[case][key] != before[key], (case, key)
+
+
 def test_leading_coefficient_known_limit():
     # Purely nonlocal-in-L2 weights at p = 2, q = 2: the curve is
     # lambda = pi^2 alpha^2 (1 + ...), so the leading coefficient is pi^2

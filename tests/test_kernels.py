@@ -126,9 +126,11 @@ def _rk4_reference(gamma, slope, p, n_steps, step):
 
 def test_rk4_matches_scalar_reference():
     # Same arithmetic in the same order: the samples must agree bit for bit.
-    # The last case leaves through the |w| > 1e12 guard, not an overflow.
+    # The crossing marches take w < 0, at p = 2.7 too, where a negative base
+    # to the power p is not real. The last case leaves through the
+    # |w| > 1e12 guard, not an overflow.
     for args in ((15.0, 3.0, 2.0, 10000, 1e-4), (50.0, 9.0, 3.0, 10000, 1e-4),
-                 (1.0, 1e8, 2.0, 1000, 1e-3)):
+                 (15.0, 3.0, 2.7, 10000, 1e-4), (1.0, 1e8, 2.0, 1000, 1e-3)):
         ws, zs, n, status = kernels.rk4_shoot(*args)
         ref_ws, ref_zs, ref_n, ref_status = _rk4_reference(*args)
         assert (n, status) == (ref_n, ref_status)

@@ -203,13 +203,15 @@ def rk4_steps(calls):
 
 @pytest.mark.parametrize("p,gamma", MARCH_COUNT_POINTS)
 def test_solve_bvp_march_count(monkeypatch, p, gamma):
-    # The search on 100-, 1,000- and 10,000-step marches costs 22,900-56,600
-    # steps here (2.3-5.7 full marches); the single-level secant search took
-    # 5-9 full marches, the Illinois search before it 10-25, plain bisection
-    # on the slope 44-54.
+    # The search on 100-, 1,000- and 10,000-step marches, the finest level
+    # seeded by Richardson and every level aimed mid-window, costs
+    # 12,900-35,600 steps here (1.3-3.6 full marches); aimed at the window's
+    # edge and seeded by the 1,000-step slope it took 22,900-56,600, the
+    # single-level secant search 5-9 full marches, the Illinois search
+    # before it 10-25, plain bisection on the slope 44-54.
     calls = count_marches(monkeypatch)
     solve_bvp(gamma, p)
-    assert rk4_steps(calls) <= 57_000
+    assert rk4_steps(calls) <= 36_000
 
 
 # k of the single-level secant search at MARCH_COUNT_POINTS, for the default
@@ -256,6 +258,35 @@ def test_solve_bvp_finest_level_decides(monkeypatch, p, gamma):
     assert n == cfg.n_steps and status == 0 and n_filled == n + 1
     assert 0.0 < ws[-1] <= cfg.slope_tol * m
     assert np.array_equal(profile.ws, ws)
+
+
+@pytest.mark.parametrize("p,gamma", MARCH_COUNT_POINTS + ((1.2, 10.0),
+                                                         (20.0, 10.0)))
+def test_solve_bvp_richardson_seed(monkeypatch, p, gamma):
+    # Both coarse levels accept here, so the finest level's first shot is
+    # their accepted slopes extrapolated in u = ln(m_sep - m) by the RK4 h^4
+    # law: u = u_1000 - 1e-4 (u_100 - u_1000).
+    shots = []
+    shot = oracle.shoot
+
+    def recorded(gamma, m, p, cfg=ShootConfig()):
+        res = shot(gamma, m, p, cfg)
+        shots.append((cfg.n_steps, res))
+        return res
+
+    monkeypatch.setattr(oracle, "shoot", recorded)
+    cfg = ShootConfig()
+    solve_bvp(gamma, p, cfg)
+    levels = [[res for n, res in shots if n == steps]
+              for steps in (100, 1_000, cfg.n_steps)]
+    for res in (levels[0][-1], levels[1][-1]):
+        assert not res.crossed and 0.0 < res.ws[-1] <= cfg.slope_tol * res.m
+    m1, m2 = levels[0][-1].m, levels[1][-1].m
+    m_sep = oracle._saddle_slope(gamma, p)
+    u1_minus_u2 = math.log1p((m2 - m1) / (m_sep - m2))
+    seed = m2 - (m_sep - m2) * math.expm1(-1e-4 * u1_minus_u2)
+    assert seed != m2
+    assert levels[2][0].m == seed
 
 
 @pytest.mark.parametrize("step", (1e-2, 5e-3))

@@ -14,7 +14,8 @@ from biflogis.quadrature import QuadSpec
 from biflogis.verify import (CheckResult, check_local_large_d,
                              check_local_small_d, check_theorem_1,
                              check_theorem_2, check_theorem_3,
-                             estimate_order, extrapolate_limit, sweep)
+                             DEFAULT_SUB_ALPHAS, estimate_order,
+                             extrapolate_limit, sweep)
 
 
 def params_for(p, q=2.0, a1=0.5, a2=0.5):
@@ -199,6 +200,19 @@ def test_theorem_3_arbitrates_reading(sub_report):
     assert leading.other_rel_error is not None
     assert leading.other_rel_error > 0.9
     assert second.passed
+
+
+@pytest.mark.parametrize("q,a1,a2", ((4.0, 1.0, 1.0), (1.1, 1.0, 0.0),
+                                     (8.0, 1.0, 0.0)))
+def test_theorem_3_second_at_q_not_2(q, a1, a2):
+    # E2's a1 term takes the amplitude coefficient A4 at q = 2 whatever q
+    # is; taken at the problem's q it put S 0.065, 0.125 and 0.194 off the
+    # curve here. The curve's extrapolated S now matches to under 1e-9.
+    report = sweep(params_for(2.0, q=q, a1=a1, a2=a2), list(DEFAULT_SUB_ALPHAS))
+    leading, second, chosen = check_theorem_3(
+        report, *constant_sets(p=2.0, q=q, a1=a1, a2=a2))
+    assert chosen == "proof_variant" and leading.passed
+    assert second.passed and second.rel_error < 1e-6
 
 
 def test_theorem_3_pinned_reading(sub_report):
