@@ -212,12 +212,10 @@ def _e_from_a(p: float, q: float, a1: float, a2: float, reading: str,
 
     E2's a1 term carries the amplitude coefficient A4 at q = 2
     (`_amplitude_a4`), not ``A["A4"]`` at the problem's q: the expansion of
-    k^2/(2 d^2) holds d = ||w||_2 whatever norm the weight a1 uses. Forming
-    it at the problem's q, as this module did before, was this repository's
-    transcription slip; the abstract, all this repository has of the paper,
-    does not state E2. It moved S by 4e-4 to 0.25 wherever q != 2 and
-    a1 > 0, against the curve's own extrapolated S, which the corrected
-    form matches to 3e-11.
+    k^2/(2 d^2) holds d = ||w||_2 whatever norm the weight a1 uses. A4 at
+    the problem's q is a transcription slip of this repository, not a
+    reading of the paper (see README): the curve's own second coefficient
+    rules it out wherever q != 2 and a1 > 0.
     """
     a1q = a1 * 2.0 ** ((q + 2.0) / q) * A["A1"] ** (2.0 / q)
     e1 = a1q + a2 * PI ** (2.0 / q)
