@@ -53,7 +53,8 @@ A sampled profile is the cumulative sum of the segment integrals of x'(s)
 between its nodes (in the sinh variable below T_ASYM, in s above it). Each
 segment is mapped onto [0, 1] and becomes one row of a stacked quadrature,
 so the rows share panels; they go through in blocks of _PROFILE_ROWS rows,
-which bounds the memory of one call for any node count.
+which bounds the memory of one call for any node count. Above T_ASYM the
+segments do not depend on t, and are calibrated once per (p, n, tolerance).
 """
 
 from __future__ import annotations
@@ -216,6 +217,7 @@ def phi(s, p: float):
 _B_CACHE: dict = {}
 _S_CACHE: dict = {}
 _C_CACHE: dict = {}
+_SEG_CACHE: dict = {}
 
 _S_N = np.arange(_S_TERMS, dtype=float)
 # b_n = C(2n, n)/4^n, the coefficients of (1 - z)^{-1/2} = sum_n b_n z^n.
@@ -438,13 +440,27 @@ def _qnorm_from_t(t: float, q: float, params: LocalParams) -> float:
 
 # --- inverse problems: root-finds in tau = ln t ------------------------------
 
-def _seed_tau_for_k(ln_k: float, p: float) -> float:
+def _seed_tau_for_k(ln_k: float, p: float, ln_k_large: float | None = None) -> float:
     # Small k: em ~ t, gamma ~ pi^2, so t ~ k^{p-1}/pi^2. Large k: em ~ 1 and
     # gamma ~ 4 t^2/(p-1), so t ~ sqrt(p-1) k^{(p-1)/2} / 2. The minimum of
-    # the two exponents picks the right regime on both ends.
+    # the two exponents picks the right regime on both ends. ln_k_large, if
+    # given, is the ln k the large-k exponent reads instead of ln_k.
+    if ln_k_large is None:
+        ln_k_large = ln_k
     tau_small = (p - 1.0) * ln_k - math.log(PI2)
-    tau_large = 0.5 * (p - 1.0) * ln_k + 0.5 * math.log(p - 1.0) - math.log(2.0)
+    tau_large = 0.5 * (p - 1.0) * ln_k_large + 0.5 * math.log(p - 1.0) \
+        - math.log(2.0)
     return min(tau_small, tau_large)
+
+
+def _seed_tau_for_d(ln_d: float, p: float) -> float:
+    """Seed tau for the curve point with L2 norm d = e^{ln_d}.
+
+    Small d: w ~ k sin(pi x), so k ~ sqrt(2) d. Large d: w ~ k outside two
+    layers of width O(1/sqrt(gamma)), so k ~ d; reading that end at
+    sqrt(2) d too would put the seed (p-1) ln(2)/4 high in tau.
+    """
+    return _seed_tau_for_k(ln_d + 0.5 * math.log(2.0), p, ln_d)
 
 
 def _t_where(ln_of, target: float, seed: float, qs, params: LocalParams) -> float:
@@ -485,9 +501,8 @@ def _t_from_d(d: float, params: LocalParams) -> float:
     if not (math.isfinite(d) and d > 0.0):
         raise ValueError(f"d must be finite and positive, got {d}")
     ln_d = math.log(d)
-    # d ~ k/sqrt(2) at both scale extremes is a good enough seed.
-    seed = _seed_tau_for_k(ln_d + 0.5 * math.log(2.0), params.p)
-    return _t_where(lambda s: s[2][2.0], ln_d, seed, (2.0,), params)
+    return _t_where(lambda s: s[2][2.0], ln_d, _seed_tau_for_d(ln_d, params.p),
+                    (2.0,), params)
 
 
 # --- public operations --------------------------------------------------------
@@ -587,6 +602,30 @@ def _segment_integrals(f, lo: np.ndarray, width: np.ndarray,
     return out
 
 
+def _asym_segments(p: float, n: int, quad: QuadSpec) -> np.ndarray:
+    """Integrals of sqrt(gamma) x'(s) over the n - 2 segments between the
+    first n - 1 of n uniform s-nodes, on the t >= T_ASYM branch.
+
+    There eps <= 1e-18 contributes nothing away from s = 1, so each segment
+    integrates f(s)^{-1/2}, which depends on p alone: the array is
+    calibrated once per (p, n, tolerance) and cached read-only.
+    """
+    key = (p, n, quad.rel_tol, quad.abs_tol)
+    segs = _SEG_CACHE.get(key)
+    if segs is None:
+        def g(s):
+            u = 1.0 - s
+            return 1.0 / (math.sqrt(p - 1.0) * u
+                          * np.sqrt(kernels.c_factor(u, p)))
+
+        s_nodes = np.linspace(0.0, 1.0, n)
+        lo = s_nodes[:-2]
+        segs = _segment_integrals(g, lo, s_nodes[1:-1] - lo, quad)
+        segs.flags.writeable = False
+        _SEG_CACHE[key] = segs
+    return segs
+
+
 def sample_profile(point: LocalPoint, n: int, params: LocalParams) -> Profile:
     """Sample w(x) at n nodes on [0, 1/2], mirrored to [1/2, 1].
 
@@ -594,6 +633,9 @@ def sample_profile(point: LocalPoint, n: int, params: LocalParams) -> Profile:
     segment integrals of x'(s) = gamma^{-1/2} F(s)^{-1/2}. Every segment is
     one row of a stacked quadrature on [0, 1], _PROFILE_ROWS rows per call,
     so a profile of up to _PROFILE_ROWS + 1 nodes costs one integrate call.
+    On the t >= T_ASYM branch the segment integrals depend on (p, n) alone
+    and are cached, so only the first such profile per (p, n, tolerance)
+    integrates; later ones reuse the same array, bit for bit.
     n must be an integer >= 3; the total node count is 2n - 1.
     """
     try:
@@ -629,17 +671,9 @@ def sample_profile(point: LocalPoint, n: int, params: LocalParams) -> Profile:
         segs = _segment_integrals(f, vs[1:], vs[:-1] - vs[1:], quad)
         xs_half[1:] = np.cumsum(scale * segs)
     else:
-        # Boundary-layer regime: eps <= 1e-18 contributes nothing away from
-        # s = 1, so interior segments integrate f(s)^{-1/2} directly and the
-        # final node takes the layer crossing from the moment asymptote.
-        def g(s):
-            u = 1.0 - s
-            return 1.0 / (math.sqrt(p - 1.0) * u
-                          * np.sqrt(kernels.c_factor(u, p)))
-
-        lo = s_nodes[:-2]
-        segs = _segment_integrals(g, lo, s_nodes[1:-1] - lo, quad)
-        xs_half[1:-1] = np.cumsum(segs / sqrt_g)
+        # Boundary-layer regime: the final node takes the layer crossing
+        # from the moment asymptote.
+        xs_half[1:-1] = np.cumsum(_asym_segments(p, n, quad) / sqrt_g)
         xs_half[-1] = _moments_at_t(t, p, (0.0,), quad)[0][0.0] / sqrt_g
 
     ws_half = point.k * s_nodes

@@ -215,7 +215,7 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
         out = evals[tau] = _residual(tau, ln_alpha, params)
         return out[:2]
 
-    tau0 = ll._seed_tau_for_k(ln_d + 0.5 * math.log(2.0), p)
+    tau0 = ll._seed_tau_for_d(ln_d, p)
     try:
         tau = solve_monotone(resid, tau0, ll._TAU_LO, ll._TAU_HI, step0=2.0,
                              xtol=min(params.root_tol, 1e-12))

@@ -556,6 +556,19 @@ def test_solve_for_d_large_d_two_term_model():
     assert abs(pt.gamma / model - 1.0) < 0.01
 
 
+@pytest.mark.parametrize("d, states", [(10.0, 4), (1e2, 4), (1e3, 3), (1e5, 3)])
+def test_solve_for_d_states_from_flat_seed(d, states, monkeypatch):
+    # Log states per warm solve_for_d at p = 5, the root's own included.
+    # Seeding large d from k ~ d, not k ~ sqrt(2) d, saves one.
+    solve_for_d(d, PR5)
+    calls = []
+    log_state = ll._log_state_at_t
+    monkeypatch.setattr(ll, "_log_state_at_t",
+                        lambda *args: calls.append(args) or log_state(*args))
+    solve_for_d(d, PR5)
+    assert len(calls) <= states
+
+
 def test_round_trip_k_d_k():
     for (pr, k) in ((PR2, 0.5), (PR3, 1.0), (PR5, 2.0)):
         pt = point_from_k(k, pr)
@@ -725,10 +738,12 @@ def test_stacked_profile_matches_segment_loop(p, k, n):
 ])
 def test_profile_quadrature_calls(p, k, n, monkeypatch):
     # One integrate call per block of segments: n - 1 of them on the sinh
-    # branch (p = 3), n - 2 on the asymptote branch (p = 6).
+    # branch (p = 3), n - 2 on the asymptote branch (p = 6), whose segment
+    # cache starts empty.
     params = LocalParams(p=p)
     pt = point_from_k(k, params)
     sample_profile(pt, 3, params)  # calibrates B_0 for the layer crossing
+    monkeypatch.setattr(ll, "_SEG_CACHE", {})
     calls = []
 
     def counted(*args, **kwargs):
@@ -738,3 +753,36 @@ def test_profile_quadrature_calls(p, k, n, monkeypatch):
     monkeypatch.setattr(ll, "integrate", counted)
     sample_profile(pt, n, params)
     assert len(calls) == math.ceil((n - 1) / ll._PROFILE_ROWS)
+
+
+def test_asym_profile_segments_calibrated_once_per_p_and_n(monkeypatch):
+    # On the asymptote branch the segment integrals depend on (p, n) alone:
+    # a second profile at another k makes no integrate call and has the
+    # abscissae of a cold one, bit for bit; another p or n calibrates anew.
+    lp6, lp7 = LocalParams(p=6.0), LocalParams(p=7.0)
+    a, b = point_from_k(1000.0, lp6), point_from_k(5000.0, lp6)
+    c = point_from_k(1000.0, lp7)
+    assert min(a.layer_t, b.layer_t, c.layer_t) >= ll.T_ASYM
+    monkeypatch.setattr(ll, "_SEG_CACHE", {})
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(ll, "integrate", counted)
+    sample_profile(a, 101, lp6)
+    assert len(calls) == 1
+    warm = sample_profile(b, 101, lp6)
+    assert len(calls) == 1
+    assert all(not segs.flags.writeable for segs in ll._SEG_CACHE.values())
+
+    monkeypatch.setattr(ll, "_SEG_CACHE", {})
+    cold = sample_profile(b, 101, lp6)
+    assert len(calls) == 2
+    assert np.array_equal(warm.xs, cold.xs) and np.array_equal(warm.ws, cold.ws)
+
+    sample_profile(b, 51, lp6)
+    assert len(calls) == 3
+    sample_profile(c, 101, lp7)
+    assert len(calls) == 4

@@ -327,6 +327,34 @@ def test_warm_solve_alpha_evaluations(ps, alphas, monkeypatch):
     assert states <= 4 * solves, states / solves
 
 
+# The benchmark's three supercritical (q, a1, a2) combinations.
+SUPER_COMBOS = ((2.0, 1.0, 0.0), (3.0, 0.0, 1.0), (4.0, 0.5, 0.5))
+
+
+@pytest.mark.parametrize("p, residuals", [
+    # Flat-profile regime: at most 2.5 per solve.
+    (5.0, 450), (6.5, 450), (8.0, 450),
+    # Elsewhere no more than the k ~ sqrt(2) d seed took.
+    (2.0, 360), (3.0, 720), (3.01, 720), (3.5, 839), (4.0, 720),
+])
+def test_warm_solve_alpha_residuals_from_seed(p, residuals, monkeypatch):
+    # Residuals over 180 warm solves: SUPER_GRID for each combination.
+    calls = []
+    residual = nonlocal_curve._residual
+    monkeypatch.setattr(nonlocal_curve, "_residual",
+                        lambda *args: calls.append(args) or residual(*args))
+    for q, a1, a2 in SUPER_COMBOS:
+        params = ProblemParams(p=p, q=q, a1=a1, a2=a2)
+        for alpha in SUPER_GRID:
+            solve_alpha(alpha, params)
+    calls.clear()
+    for q, a1, a2 in SUPER_COMBOS:
+        params = ProblemParams(p=p, q=q, a1=a1, a2=a2)
+        for alpha in SUPER_GRID:
+            solve_alpha(alpha, params)
+    assert len(calls) <= residuals, len(calls) / 180
+
+
 @pytest.mark.parametrize("p,q,a1,a2,alpha", CASES)
 def test_residual_small_on_solutions(p, q, a1, a2, alpha):
     params = ProblemParams(p=p, q=q, a1=a1, a2=a2)
