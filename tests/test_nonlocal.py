@@ -343,15 +343,16 @@ def test_warm_solve_alpha_residuals_from_seed(p, residuals, monkeypatch):
     residual = nonlocal_curve._residual
     monkeypatch.setattr(nonlocal_curve, "_residual",
                         lambda *args: calls.append(args) or residual(*args))
-    for q, a1, a2 in SUPER_COMBOS:
-        params = ProblemParams(p=p, q=q, a1=a1, a2=a2)
-        for alpha in SUPER_GRID:
-            solve_alpha(alpha, params)
+
+    def sweep():
+        for q, a1, a2 in SUPER_COMBOS:
+            params = ProblemParams(p=p, q=q, a1=a1, a2=a2)
+            for alpha in SUPER_GRID:
+                solve_alpha(alpha, params)
+
+    sweep()
     calls.clear()
-    for q, a1, a2 in SUPER_COMBOS:
-        params = ProblemParams(p=p, q=q, a1=a1, a2=a2)
-        for alpha in SUPER_GRID:
-            solve_alpha(alpha, params)
+    sweep()
     assert len(calls) <= residuals, len(calls) / 180
 
 
