@@ -47,7 +47,10 @@ The moments have three branches, each closed form once calibrated:
 
 Each branch also gives dJ_q/dtau: the series term by term, the asymptote as
 t/sqrt(p-1), the interpolant through the derivative samples its panel
-caches beside its values.
+caches beside its values. A moment call finds all its q in one view per
+(p, qs, tolerance, branch), stacked once in the caller's q order from the
+per-q caches, and evaluates them in one row-wise dot product (none on the
+asymptote); its values are positional, in that order.
 
 A sampled profile is the cumulative sum of the segment integrals of x'(s)
 between its nodes (in the sinh variable below T_ASYM, in s above it). Each
@@ -218,6 +221,8 @@ _B_CACHE: dict = {}
 _S_CACHE: dict = {}
 _C_CACHE: dict = {}
 _SEG_CACHE: dict = {}
+# Per-q calibrations stacked per (p, qs, tolerance, branch) for _moments_at_t.
+_VIEW_CACHE: dict = {}
 
 _S_N = np.arange(_S_TERMS, dtype=float)
 # b_n = C(2n, n)/4^n, the coefficients of (1 - z)^{-1/2} = sum_n b_n z^n.
@@ -312,7 +317,7 @@ def _cheb_points(n: int):
 
 def _cheb_samples(p: float, qs, quad: QuadSpec, panel: int) -> np.ndarray:
     """J_q and dJ_q/dtau at the Chebyshev points of one tau panel, shape
-    (len(qs), 2, points): per q, the values, then the derivative of their
+    (2, len(qs), points): the values per q, then the derivative of their
     interpolant at each point.
 
     A (p, q, tolerance, panel) not yet in _C_CACHE is calibrated by one
@@ -323,7 +328,7 @@ def _cheb_samples(p: float, qs, quad: QuadSpec, panel: int) -> np.ndarray:
     node formula sum_j (w_j/w_i) (f_j - f_i)/(x_i - x_j) over j != i.
     """
     keys = [(p, q, quad.rel_tol, quad.abs_tol, panel) for q in qs]
-    missing = [q for q, key in zip(qs, keys) if key not in _C_CACHE]
+    missing = [q for q, key in dict(zip(qs, keys)).items() if key not in _C_CACHE]
     if missing:
         theta, x, w = _cheb_points(_CHEB_POINTS)
         t = np.exp(_CHEB_TAU0 + _CHEB_WIDTH * (panel + 0.5 * (1.0 + x)))
@@ -347,79 +352,93 @@ def _cheb_samples(p: float, qs, quad: QuadSpec, panel: int) -> np.ndarray:
         for q, row, slope in zip(missing, vals, slopes):
             _C_CACHE[(p, q, quad.rel_tol, quad.abs_tol, panel)] = \
                 np.stack((row, slope))
-    return np.array([_C_CACHE[key] for key in keys])
+    return np.stack([_C_CACHE[key] for key in keys], axis=1)
 
 
-def _moments_at_t(t: float, p: float, qs, quad: QuadSpec):
-    """({q: J_q}, {q: dJ_q/dtau}) at layer coordinate t = -ln(eps) = e^tau
-    for every q in qs.
+def _moments_at_t(t: float, p: float, qs: tuple, quad: QuadSpec):
+    """([J_q for q in qs], [dJ_q/dtau for q in qs]) at layer coordinate
+    t = -ln(eps) = e^tau; a q may repeat.
 
     Three branches, all closed form once calibrated: up to T_SERIES, the
     power series in em = -expm1(-t) with the cached coefficients, whose tail
     after _S_TERMS = N terms is at most b_{N-1} em^N/(1 - em) < 2^-53 of the
     sum there; between the switch points, the barycentric Chebyshev
     interpolant in tau = ln t on the cached samples of its panel; at or past
-    T_ASYM, the asymptote with the cached B_q.
+    T_ASYM, the asymptote with the cached B_q. Each branch reads one view
+    per (p, qs, tolerance, branch), stacked once from the per-q caches: the
+    (2, len(qs), _S_TERMS) series coefficients, the B_q tuple, or a panel's
+    (2, len(qs), points) samples, values first, then slopes. One row-wise
+    dot product then gives every value and slope, each row by the same
+    arithmetic, so a q's bits do not depend on its place in qs.
     """
-    qs = sorted(set(qs))
     if t <= T_SERIES:
-        em = -math.expm1(-t)
-        powers = em ** _S_N
-        dln_em = t * math.exp(-t) / em      # d(ln em)/dtau
-        vals, slopes = {}, {}
-        for q in qs:
-            vals[q], slope = (_series_coeffs(p, q, quad) @ powers).tolist()
-            slopes[q] = slope * dln_em
-        return vals, slopes
-    if t >= T_ASYM:
-        lin = t / math.sqrt(p - 1.0)
-        return {q: lin + _b_shift(p, q, quad) for q in qs}, dict.fromkeys(qs, lin)
-    s = (math.log(t) - _CHEB_TAU0) / _CHEB_WIDTH
-    panel = min(int(s), _CHEB_PANELS - 1)
-    samples = _cheb_samples(p, qs, quad, panel)
-    _, nodes, weights = _cheb_points(samples.shape[2])
-    diff = 2.0 * (s - panel) - 1.0 - nodes
-    if not diff.all():
-        cols = samples[:, :, np.argmin(np.abs(diff))]
+        branch = -1
+    elif t >= T_ASYM:
+        branch = _CHEB_PANELS
     else:
-        r = weights / diff
-        cols = samples @ r / r.sum()
-    vals, slopes = zip(*cols.tolist())
-    return dict(zip(qs, vals)), dict(zip(qs, slopes))
+        s = (math.log(t) - _CHEB_TAU0) / _CHEB_WIDTH
+        branch = min(int(s), _CHEB_PANELS - 1)
+    key = (p, qs, quad.rel_tol, quad.abs_tol, branch)
+    view = _VIEW_CACHE.get(key)
+    if view is None:
+        if branch < 0:
+            view = np.stack([_series_coeffs(p, q, quad) for q in qs], axis=1)
+        elif branch == _CHEB_PANELS:
+            view = tuple(_b_shift(p, q, quad) for q in qs)
+        else:
+            view = _cheb_samples(p, qs, quad, branch)
+        _VIEW_CACHE[key] = view
+    if branch < 0:
+        em = -math.expm1(-t)
+        vals, slopes = np.vecdot(view, em ** _S_N).tolist()
+        dln_em = t * math.exp(-t) / em      # d(ln em)/dtau
+        return vals, [slope * dln_em for slope in slopes]
+    if branch == _CHEB_PANELS:
+        lin = t / math.sqrt(p - 1.0)
+        return [lin + b for b in view], [lin] * len(qs)
+    _, nodes, weights = _cheb_points(view.shape[2])
+    diff = 2.0 * (s - branch) - 1.0 - nodes
+    if not diff.all():
+        return view[:, :, np.argmin(np.abs(diff))].tolist()
+    r = weights / diff
+    return (np.vecdot(view, r) / r.sum()).tolist()
 
 
 # --- curve state at a given t -------------------------------------------------
 
-def _log_state_at_t(t: float, p: float, qs, quad: QuadSpec):
-    """(ln k, ln gamma, {q: ln ||w||_q}, slopes) at layer coordinate t for
-    every q in qs, from one _moments_at_t call; slopes holds the
-    derivatives in tau = ln t of the first three entries, laid out as they
-    are. d = ||w||_2, so a caller that needs d passes 2.0 in qs. Finite
-    over the whole tau bracket, also where k itself under- or overflows."""
-    m, dm = _moments_at_t(t, p, (0.0, *qs), quad)
-    j0 = m[0.0]
-    dln_j0 = dm[0.0] / j0
+def _log_state_at_t(t: float, p: float, qs: tuple, quad: QuadSpec):
+    """(ln k, ln gamma, norms, slopes) at layer coordinate t, from one
+    _moments_at_t call; norms holds ln ||w||_q for every q in qs, as a tuple
+    in the order of qs (a q may repeat), and slopes the derivatives in
+    tau = ln t of the first three entries, laid out as they are.
+    d = ||w||_2, so a caller that needs d passes 2.0 in qs. Finite over the
+    whole tau bracket, also where k itself under- or overflows."""
+    (j0, *m), (dj0, *dm) = _moments_at_t(t, p, (0.0, *qs), quad)
+    dln_j0 = dj0 / j0
     em = -math.expm1(-t)
     ln_gamma = math.log(4.0) + 2.0 * math.log(j0)
     ln_k = (math.log(em) + ln_gamma) / (p - 1.0)
     # d(ln em)/dtau = t e^-t/em: the form t/expm1(t) overflows deep in the
     # layer.
     dln_k = (t * math.exp(-t) / em + 2.0 * dln_j0) / (p - 1.0)
-    # ln of the ratio, not a difference of logs: deep in the layer J_q/J0
-    # is 1 - O(1/t), below the rounding of ln J_q itself.
-    return ln_k, ln_gamma, {q: ln_k + math.log(m[q] / j0) / q for q in qs}, \
-        (dln_k, 2.0 * dln_j0, {q: dln_k + (dm[q] / m[q] - dln_j0) / q for q in qs})
+    norms, slopes = [], []
+    for q, jq, djq in zip(qs, m, dm):
+        # ln of the ratio, not a difference of logs: deep in the layer
+        # J_q/J0 is 1 - O(1/t), below the rounding of ln J_q itself.
+        norms.append(ln_k + math.log(jq / j0) / q)
+        slopes.append(dln_k + (djq / jq - dln_j0) / q)
+    return ln_k, ln_gamma, tuple(norms), (dln_k, 2.0 * dln_j0, tuple(slopes))
 
 
 def _point_from_state(t: float, p: float, state) -> LocalPoint:
-    """Curve point at layer coordinate t from its log state (which holds d).
+    """Curve point at layer coordinate t from its log state (first norm d).
 
     InvalidBracket where k under- or overflows (p near 1) or d rounds to k
     (large p deep in the layer): no float point represents the curve there.
     """
     ln_k, ln_gamma, ln_norms, _ = state
     try:
-        k, d = math.exp(ln_k), math.exp(ln_norms[2.0])
+        k, d = math.exp(ln_k), math.exp(ln_norms[0])
     except OverflowError:
         k = d = math.inf
     if not 0.0 < d < k < math.inf:
@@ -435,7 +454,7 @@ def _point_from_t(t: float, params: LocalParams) -> LocalPoint:
 
 
 def _qnorm_from_t(t: float, q: float, params: LocalParams) -> float:
-    return math.exp(_log_state_at_t(t, params.p, (q,), params.quad)[2][q])
+    return math.exp(_log_state_at_t(t, params.p, (q,), params.quad)[2][0])
 
 
 # --- inverse problems: root-finds in tau = ln t ------------------------------
@@ -501,7 +520,7 @@ def _t_from_d(d: float, params: LocalParams) -> float:
     if not (math.isfinite(d) and d > 0.0):
         raise ValueError(f"d must be finite and positive, got {d}")
     ln_d = math.log(d)
-    return _t_where(lambda s: s[2][2.0], ln_d, _seed_tau_for_d(ln_d, params.p),
+    return _t_where(lambda s: s[2][0], ln_d, _seed_tau_for_d(ln_d, params.p),
                     (2.0,), params)
 
 
@@ -674,7 +693,7 @@ def sample_profile(point: LocalPoint, n: int, params: LocalParams) -> Profile:
         # Boundary-layer regime: the final node takes the layer crossing
         # from the moment asymptote.
         xs_half[1:-1] = np.cumsum(_asym_segments(p, n, quad) / sqrt_g)
-        xs_half[-1] = _moments_at_t(t, p, (0.0,), quad)[0][0.0] / sqrt_g
+        xs_half[-1] = _moments_at_t(t, p, (0.0,), quad)[0][0] / sqrt_g
 
     ws_half = point.k * s_nodes
     xs = np.concatenate([xs_half, 1.0 - xs_half[-2::-1]])

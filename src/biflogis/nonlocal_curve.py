@@ -142,7 +142,7 @@ def _state_at_t(t: float, params: ProblemParams):
     ||w||_q/d is at most k/d, so ln N stays finite where d or N would
     under- or overflow, as for p near 1 at extreme alpha."""
     state = ll._log_state_at_t(t, params.p, (2.0, params.q), params.quad)
-    ln_d, ln_wq = state[2][2.0], state[2][params.q]
+    ln_d, ln_wq = state[2]
     ratio2 = math.exp(2.0 * (ln_wq - ln_d))
     return state, 2.0 * ln_d + math.log(params.a1 * ratio2 + params.a2)
 
@@ -153,12 +153,12 @@ def _residual(tau: float, ln_alpha: float, params: ProblemParams):
     of N that ||w||_q carries, d(ln N)/dtau = 2 ((1-f) d(ln d)/dtau
     + f d(ln ||w||_q)/dtau)."""
     state, ln_n = _state_at_t(math.exp(tau), params)
-    p, q = params.p, params.q
-    slopes = state[3][2]
-    share = params.a1 * math.exp(2.0 * state[2][q] - ln_n)
-    r = ln_n - (p - 3.0) * (ln_alpha - state[2][2.0])
-    dr = 2.0 * ((1.0 - share) * slopes[2.0] + share * slopes[q]) \
-        + (p - 3.0) * slopes[2.0]
+    p = params.p
+    ln_d, ln_wq = state[2]
+    dln_d, dln_wq = state[3][2]
+    share = params.a1 * math.exp(2.0 * ln_wq - ln_n)
+    r = ln_n - (p - 3.0) * (ln_alpha - ln_d)
+    dr = 2.0 * ((1.0 - share) * dln_d + share * dln_wq) + (p - 3.0) * dln_d
     return r, dr, state, ln_n
 
 
@@ -170,7 +170,7 @@ def g_of_k(k: float, params: ProblemParams) -> float:
         raise ValueError(f"k must be finite and positive, got {k}")
     t = ll._t_from_k(k, ll.LocalParams(p=params.p, quad=params.quad))
     state, ln_n = _state_at_t(t, params)
-    return math.exp(ln_n / (params.p - 3.0) + state[2][2.0])
+    return math.exp(ln_n / (params.p - 3.0) + state[2][0])
 
 
 def _subcritical_e1(params: ProblemParams) -> float:
@@ -237,7 +237,7 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
             f"the residual is not increasing at the root t = {t:.6g} "
             f"(k = {point.k:.6g}): r = {r:.12g}, dr/dtau = {dr:.12g}")
 
-    ln_h = ln_alpha - state[2][2.0]
+    ln_h = ln_alpha - state[2][0]
     # In log form: h^2 alone under- or overflows for p near 1.
     try:
         h, beta = math.exp(ln_h), math.exp(2.0 * ln_h + ln_n)

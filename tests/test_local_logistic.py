@@ -68,12 +68,12 @@ def test_moments_at_t_match_single_moments(p):
     quad = QuadSpec()
     qs = (0.0, 2.0, 3.0, 4.0)
     for t in (1e-6, 0.3, 5.0, 30.0):
-        stacked, _ = ll._moments_at_t(t, p, set(qs), quad)
-        assert sorted(stacked) == list(qs)
-        for q in qs:
+        stacked, _ = ll._moments_at_t(t, p, qs, quad)
+        assert len(stacked) == len(qs)
+        for q, jq in zip(qs, stacked):
             single, = ll._layer_moments(math.exp(-t), -math.expm1(-t), p,
                                         [q], quad)
-            assert abs(stacked[q] / single - 1.0) <= 1e-14
+            assert abs(jq / single - 1.0) <= 1e-14
 
 
 # --- small-t series branch ------------------------------------------------------
@@ -90,8 +90,8 @@ def test_series_branch_matches_quadrature(p):
     for t in SERIES_TS:
         series, _ = ll._moments_at_t(t, p, qs, quad)
         ref = ll._layer_moments(math.exp(-t), -math.expm1(-t), p, list(qs), quad)
-        for q, jq in zip(qs, ref):
-            assert abs(series[q] / jq - 1.0) <= 1e-14, (t, q)
+        for q, js, jq in zip(qs, series, ref):
+            assert abs(js / jq - 1.0) <= 1e-14, (t, q)
 
 
 def test_series_tail_bound_at_switch():
@@ -114,7 +114,7 @@ def test_log_state_monotone_across_series_switch(p):
     states = [ll._log_state_at_t(t, p, qs, quad) for t in ts]
     for lo, hi in zip(states, states[1:]):
         assert lo[0] <= hi[0] and lo[1] <= hi[1]
-        assert all(lo[2][q] <= hi[2][q] for q in qs)
+        assert all(a <= b for a, b in zip(lo[2], hi[2]))
 
 
 # --- middle Chebyshev branch ----------------------------------------------------
@@ -139,7 +139,7 @@ def test_log_state_monotone_across_panel_edges_and_asym_switch(p):
         states = [ll._log_state_at_t(t, p, qs, quad) for t in ts]
         for lo, hi in zip(states, states[1:]):
             assert lo[0] <= hi[0] and lo[1] <= hi[1], edge
-            assert all(lo[2][q] <= hi[2][q] for q in qs), edge
+            assert all(a <= b for a, b in zip(lo[2], hi[2])), edge
 
 
 @pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 2.9, 3.0, 4.0, 8.0, 20.0))
@@ -155,15 +155,56 @@ def test_chebyshev_branch_matches_quadrature(p):
           math.nextafter(ll.T_ASYM, 0.0), *np.exp(taus).tolist()]
     for t in ts:
         cheb, _ = ll._moments_at_t(t, p, qs, quad)
-        for q in qs:
+        for q, jq in zip(qs, cheb):
             ref, = ll._layer_moments(math.exp(-t), -math.expm1(-t), p, [q], quad)
-            assert abs(cheb[q] / ref - 1.0) <= 1e-14, (t, q)
+            assert abs(jq / ref - 1.0) <= 1e-14, (t, q)
+
+
+# Every branch and where they meet: T_SERIES and T_ASYM with one ulp either
+# side, and the interior panel edges.
+BRANCH_TS = [math.nextafter(ll.T_SERIES, 0.0), ll.T_SERIES,
+             math.nextafter(ll.T_SERIES, math.inf), *CHEB_EDGES,
+             math.nextafter(ll.T_ASYM, 0.0), ll.T_ASYM,
+             math.nextafter(ll.T_ASYM, math.inf)]
+
+
+@pytest.mark.parametrize("p", (1.05, 2.0, 3.0, 8.0))
+def test_flat_state_order_and_duplicates(p):
+    # Moments and log states are positional: a q's value and slope do not
+    # depend on its place in qs or on a repeat, to the bit, and each still
+    # matches its own one-row quadrature.
+    quad = QuadSpec()
+    qs, perm = (0.0, 1.1, 2.0, 4.0), (4.0, 0.0, 2.0, 1.1)
+    order = [qs.index(q) for q in perm]
+    for t in BRANCH_TS:
+        m, dm = ll._moments_at_t(t, p, qs, quad)
+        pm, pdm = ll._moments_at_t(t, p, perm, quad)
+        assert pm == [m[i] for i in order] and pdm == [dm[i] for i in order], t
+        ref = ll._layer_moments(math.exp(-t), -math.expm1(-t), p, list(qs), quad)
+        for q, jq, jr in zip(qs, m, ref):
+            assert abs(jq / jr - 1.0) <= 1e-14, (t, q)
+
+        state = ll._log_state_at_t(t, p, qs[1:], quad)
+        pstate = ll._log_state_at_t(t, p, (4.0, 1.1, 2.0), quad)
+        assert pstate[:2] == state[:2] and pstate[3][:2] == state[3][:2], t
+        assert pstate[2] == tuple(state[2][i] for i in (2, 0, 1)), t
+        assert pstate[3][2] == tuple(state[3][2][i] for i in (2, 0, 1)), t
+
+        # q = 2 at ProblemParams(q=2.0): d and ||w||_q are one repeated q.
+        twice = ll._log_state_at_t(t, p, (2.0, 2.0), quad)
+        assert twice[2] == (state[2][1],) * 2, t
+        assert twice[3][2] == (state[3][2][1],) * 2, t
+        params = nc.ProblemParams(p=p, q=2.0, a1=1.0, a2=1.0)
+        assert nc._state_at_t(t, params)[0] == twice, t
 
 
 @pytest.fixture
 def cheb_cache(monkeypatch):
-    """An empty Chebyshev sample cache and the integrate calls made."""
+    """An empty Chebyshev sample cache and the integrate calls made. The
+    stacked views are emptied too: a view left from an earlier test would
+    answer without reading the sample cache."""
     monkeypatch.setattr(ll, "_C_CACHE", {})
+    monkeypatch.setattr(ll, "_VIEW_CACHE", {})
     calls = []
 
     def counted(*args, **kwargs):
@@ -203,25 +244,56 @@ def test_warm_solve_alpha_makes_no_quadrature(p, q, alphas, monkeypatch):
     a = MIDDLE_WEIGHT[p]
     params = nc.ProblemParams(p=p, q=q, a1=a, a2=a)
     cold = [nc.solve_alpha(alpha, params) for alpha in alphas]
-    calls, middle = [], []
+    calls = []
     monkeypatch.setattr(ll, "integrate", lambda *args, **kwargs:
                         calls.append(args) or integrate(*args, **kwargs))
-    samples = ll._cheb_samples
-    monkeypatch.setattr(ll, "_cheb_samples",
-                        lambda *args: middle.append(args) or samples(*args))
     warm = [nc.solve_alpha(alpha, params) for alpha in alphas]
-    assert calls == [] and len(middle) >= len(alphas)
+    assert calls == []
+    assert all(ll.T_SERIES < sol.local.layer_t < ll.T_ASYM for sol in warm)
     assert warm == cold
+
+
+def test_warm_sweep_at_new_q_calibrates_only_that_q(monkeypatch):
+    # At a p calibrated for q = 2 on every branch, a sweep at q = 3 adds
+    # only q = 3 calibrations, one integrate call each: the stacked views
+    # are built from the per-q caches, not calibrated anew. A second sweep
+    # integrates nothing.
+    p, quad = 2.5, QuadSpec()
+    caches = ("_S_CACHE", "_B_CACHE", "_C_CACHE")
+    for name in (*caches, "_VIEW_CACHE"):
+        monkeypatch.setattr(ll, name, {})
+    alphas = (1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e6)
+    for t in (0.1, *map(_panel_mid, range(ll._CHEB_PANELS)), 2.0 * ll.T_ASYM):
+        ll._log_state_at_t(t, p, (2.0,), quad)
+    for alpha in alphas:
+        nc.solve_alpha(alpha, nc.ProblemParams(p=p, q=2.0, a1=1.0, a2=1.0))
+    before = {name: set(getattr(ll, name)) for name in caches}
+    calls = []
+    monkeypatch.setattr(ll, "integrate", lambda *args, **kwargs:
+                        calls.append(args) or integrate(*args, **kwargs))
+    params = nc.ProblemParams(p=p, q=3.0, a1=1.0, a2=1.0)
+    sols = [nc.solve_alpha(alpha, params) for alpha in alphas]
+    added = [key for name in caches for key in getattr(ll, name)
+             if key not in before[name]]
+    # The roots reach all three branches.
+    ts = [sol.local.layer_t for sol in sols]
+    assert min(ts) <= ll.T_SERIES and max(ts) >= ll.T_ASYM
+    assert any(ll.T_SERIES < t < ll.T_ASYM for t in ts)
+    assert added and all(key[1] == 3.0 for key in added), added
+    assert len(calls) == len(added)
+    calls.clear()
+    assert [nc.solve_alpha(alpha, params) for alpha in alphas] == sols
+    assert calls == []
 
 
 def test_cheb_samples_key_on_the_spec_that_runs(cheb_cache, monkeypatch):
     store, calls = cheb_cache
     t = _panel_mid(1)
-    default = ll._moments_at_t(t, 3.0, (0.0,), QuadSpec())[0][0.0]
+    default = ll._moments_at_t(t, 3.0, (0.0,), QuadSpec())[0][0]
     monkeypatch.setenv("BIFLOGIS_QUAD_TOL", "1e-10")
     loose = cli._default_quad()
     assert loose.rel_tol == 1e-10
-    other = ll._moments_at_t(t, 3.0, (0.0,), loose)[0][0.0]
+    other = ll._moments_at_t(t, 3.0, (0.0,), loose)[0][0]
     assert len(calls) == 2 and len(store) == 2
     assert abs(other / default - 1.0) <= 1e-10
 
@@ -267,7 +339,7 @@ def _central(f, tau):
 def _flat(state):
     """ln k, ln gamma and the ln ||w||_q of a log state (or of its slopes,
     which share its layout) as one array."""
-    return np.array([state[0], state[1], *state[2].values()])
+    return np.array([state[0], state[1], *state[2]])
 
 
 @pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 2.9, 3.0, 4.0, 8.0, 20.0))
@@ -301,9 +373,9 @@ def test_exact_node_slopes_continue_the_interpolant():
         at, d_at = ll._moments_at_t(t, p, (0.0, 2.0), quad)
         near, d_near = ll._moments_at_t(math.nextafter(t, math.inf), p,
                                         (0.0, 2.0), quad)
-        for q in (0.0, 2.0):
-            assert abs(near[q] / at[q] - 1.0) <= 1e-14
-            assert abs(d_near[q] / d_at[q] - 1.0) <= 1e-12
+        for i in range(2):
+            assert abs(near[i] / at[i] - 1.0) <= 1e-14
+            assert abs(d_near[i] / d_at[i] - 1.0) <= 1e-12
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -313,7 +385,7 @@ def test_log_state_monotone_in_t(p, tau):
     quad = QuadSpec()
     lo = ll._log_state_at_t(t, p, (2.0,), quad)
     hi = ll._log_state_at_t(t * (1.0 + 1e-6), p, (2.0,), quad)
-    assert lo[0] <= hi[0] and lo[1] <= hi[1] and lo[2][2.0] <= hi[2][2.0]
+    assert lo[0] <= hi[0] and lo[1] <= hi[1] and lo[2][0] <= hi[2][0]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -715,7 +787,7 @@ def _loop_profile_xs(point, n, params):
         for j in range(1, n - 1):
             seg = integrate(g, s_nodes[j - 1], s_nodes[j], quad).value
             xs[j] = xs[j - 1] + seg / sqrt_g
-        xs[n - 1] = ll._moments_at_t(t, p, (0.0,), quad)[0][0.0] / sqrt_g
+        xs[n - 1] = ll._moments_at_t(t, p, (0.0,), quad)[0][0] / sqrt_g
     return xs
 
 

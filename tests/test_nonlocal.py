@@ -259,7 +259,7 @@ def test_documented_domain_property(p, q, log_alpha, weights):
     r = []
     for tau in PROPERTY_TAUS:
         state, ln_n = nonlocal_curve._state_at_t(math.exp(tau), params)
-        r.append(ln_n - (p - 3.0) * (math.log(alpha) - state[2][2.0]))
+        r.append(ln_n - (p - 3.0) * (math.log(alpha) - state[2][0]))
     assert all(lo < hi for lo, hi in zip(r, r[1:])), r
 
 
@@ -324,7 +324,7 @@ def test_warm_solve_alpha_evaluations(ps, alphas, monkeypatch):
             solve_alpha(alpha, params)
         states += len(calls) - before
         solves += len(alphas)
-    assert states <= 4 * solves, states / solves
+    assert solves <= states <= 4 * solves, states / solves
 
 
 # The benchmark's three supercritical (q, a1, a2) combinations.
@@ -353,7 +353,7 @@ def test_warm_solve_alpha_residuals_from_seed(p, residuals, monkeypatch):
     sweep()
     calls.clear()
     sweep()
-    assert len(calls) <= residuals, len(calls) / 180
+    assert 180 <= len(calls) <= residuals, len(calls) / 180
 
 
 @pytest.mark.parametrize("p,q,a1,a2,alpha", CASES)

@@ -16,8 +16,10 @@ command and ``run_seconds`` declared in the working tree's
 
 The output file holds every run's result and environment lines, and for
 each workload and end-to-end metric the median and quartiles of both sides
-and the number of pairs the change won (ties count for neither). It is
-rewritten after every pair, so an interrupted session keeps what it ran.
+and the number of pairs the change won (ties count for neither), and per
+workload every run's attempted and failed ops, listed per side in pair
+order. It is rewritten after every pair, so an interrupted session keeps
+what it ran.
 """
 
 from __future__ import annotations
@@ -97,9 +99,9 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
         if not pairs:
             continue
         row = {"pairs": len(pairs),
-               "failed": {side: [p[side]["failed"] for p in pairs]
-                          for side in ("base", "change")},
-               "attempted": pairs[0]["change"]["attempted"],
+               **{count: {side: [p[side][count] for p in pairs]
+                          for side in ("base", "change")}
+                  for count in ("attempted", "failed")},
                "correct": all(p[s]["correct"] for p in pairs for s in p)}
         for metric in end_to_end:
             name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
