@@ -221,7 +221,8 @@ _B_CACHE: dict = {}
 _S_CACHE: dict = {}
 _C_CACHE: dict = {}
 _SEG_CACHE: dict = {}
-# Per-q calibrations stacked per (p, qs, tolerance, branch) for _moments_at_t.
+# The per-q calibrations stacked per (p, qs, tolerance, branch) for
+# _moments_at_t; branch -1 is the series, _CHEB_PANELS the asymptote.
 _VIEW_CACHE: dict = {}
 
 _S_N = np.arange(_S_TERMS, dtype=float)
@@ -367,9 +368,9 @@ def _moments_at_t(t: float, p: float, qs: tuple, quad: QuadSpec):
     T_ASYM, the asymptote with the cached B_q. Each branch reads one view
     per (p, qs, tolerance, branch), stacked once from the per-q caches: the
     (2, len(qs), _S_TERMS) series coefficients, the B_q tuple, or a panel's
-    (2, len(qs), points) samples, values first, then slopes. One row-wise
-    dot product then gives every value and slope, each row by the same
-    arithmetic, so a q's bits do not depend on its place in qs.
+    (2, len(qs), points) samples, values first, then slopes. There one
+    np.vecdot gives every value and slope, each row by the same arithmetic,
+    so a q's bits do not depend on its place in qs.
     """
     if t <= T_SERIES:
         branch = -1
