@@ -47,10 +47,9 @@ The moments have three branches, each closed form once calibrated:
 
 Each branch also gives dJ_q/dtau: the series term by term, the asymptote as
 t/sqrt(p-1), the interpolant through the derivative samples its panel
-caches beside its values. A moment call finds all its q in one view per
-(p, qs, tolerance, branch), stacked once in the caller's q order from the
-per-q caches, and evaluates them in one row-wise dot product (none on the
-asymptote); its values are positional, in that order.
+caches beside its values. A moment call reads its q from one view per
+(p, qs, tolerance, branch), stacked in the caller's q order from the per-q
+caches, by one row-wise dot product (none on the asymptote).
 
 A sampled profile is the cumulative sum of the segment integrals of x'(s)
 between its nodes (in the sinh variable below T_ASYM, in s above it). Each
@@ -221,8 +220,9 @@ _B_CACHE: dict = {}
 _S_CACHE: dict = {}
 _C_CACHE: dict = {}
 _SEG_CACHE: dict = {}
-# The per-q calibrations stacked per (p, qs, tolerance, branch) for
-# _moments_at_t; branch -1 is the series, _CHEB_PANELS the asymptote.
+# Copies of the calibrations above stacked for _moments_at_t, one per (p, qs,
+# tolerance, branch) and so per order of qs, never trimmed; branch -1 is the
+# series, _CHEB_PANELS the asymptote.
 _VIEW_CACHE: dict = {}
 
 _S_N = np.arange(_S_TERMS, dtype=float)
