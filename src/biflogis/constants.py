@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DivisionByZero, InvalidRegime, Overflow, ZeroCoefficients
+from .errors import InvalidRegime, Overflow, ZeroCoefficients
 from .local_logistic import phi
 from .quadrature import QuadSpec, integrate
 
@@ -91,24 +91,20 @@ def _memo(key: tuple, compute):
     return val
 
 
-def compute_A(p: float, q: float, quad: QuadSpec = QuadSpec(), *,
-              with_a6: bool = True) -> dict:
+def compute_A(p: float, q: float, quad: QuadSpec = QuadSpec()) -> dict:
     """The A-family of small-d expansion constants.
 
     A1 = int_0^1 s^q (1-s^2)^{-1/2} ds and the phi-weighted variants A2, A3,
     A5; A4 and A6 follow algebraically. All integrals are evaluated after
     s = sin(theta), which removes the endpoint square root exactly and
     leaves smooth integrands, so the four share one stacked Gauss call. A6
-    has p - 3 in its denominator: request it with ``with_a6=False`` at
-    p = 3 (it backs constants that only serve the subcritical regime).
+    has p - 3 in its denominator and is left out at p = 3 (it backs
+    constants that only serve the subcritical regime).
     """
     _check_pq(p, q)
-    if with_a6 and p == 3.0:
-        raise DivisionByZero("A6 has p - 3 in its denominator; "
-                             "pass with_a6=False at p = 3")
     a1, a2, a3, a5 = _memo(("A", p, q, quad), lambda: _a_integrals(p, q, quad))
     out = {"A1": a1, "A2": a2, "A3": a3, "A4": (a3 - 4.0 * a2) / PI, "A5": a5}
-    if with_a6:
+    if p != 3.0:
         out["A6"] = 4.0 * a3 / ((p - 3.0) * q * PI)
     return out
 
@@ -308,7 +304,7 @@ def compute_all(p: float, q: float, a1: float, a2: float,
     _check_weights(a1, a2)
     _check_reading(reading)
     subcritical = 1.0 < p < 3.0
-    A = compute_A(p, q, quad, with_a6=(p != 3.0))
+    A = compute_A(p, q, quad)
     c1 = compute_C1(p, quad)
     cq = compute_Cq(p, q, quad)
     if subcritical:

@@ -57,6 +57,3 @@ class NoSolution(BiflogisError):
 class DegenerateFit(BiflogisError):
     """An order fit was requested on degenerate abscissae."""
 
-
-class DivisionByZero(BiflogisError):
-    """A constant's formula divides by zero at the requested exponent."""

@@ -22,7 +22,8 @@ so the small-amplitude end (t -> 0, gamma -> pi^2) and the boundary-layer end
 (t -> inf, gamma ~ k^{p-1}) are both reachable without cancellation: eps is
 never formed by subtraction. All inverse problems (given k, gamma, or d) are
 single safeguarded Newton root-finds on a log-monotone residual in
-tau = ln t, whose slope every moment branch gives in closed form.
+tau = ln t, whose slope every moment branch gives in closed form; the curve
+point is built from the state the root's last evaluation made.
 
 The moments have three branches, each closed form once calibrated:
 
@@ -34,22 +35,26 @@ The moments have three branches, each closed form once calibrated:
   that bound stays below 2^-53 up to T_SERIES.
 - T_SERIES < t < T_ASYM: a piecewise Chebyshev interpolant in tau = ln t,
   evaluated by the barycentric formula. Each panel's samples are calibrated
-  lazily, once per (p, q, tolerance), by one stacked adaptive quadrature
-  after s = 1 - x^2, x = w0 sinh v with w0 = sqrt(2 eps/(p-1)), which
-  absorbs both the endpoint square root and the eps-width layer; the
-  transformed integrand lives in ``kernels``. A panel whose trailing
-  Chebyshev coefficients exceed the quadrature's own tolerance raises
-  NoConvergence. At the default tolerance that happens only below
-  p = 1.005 (on the panel t in [4.6, 9.5]; largest failing p 1.0045 on a
-  grid of step 0.0005).
+  lazily, once per (p, q, tolerance, panel), by one adaptive quadrature with
+  one row per Chebyshev point, after s = 1 - x^2, x = w0 sinh v with
+  w0 = sqrt(2 eps/(p-1)), which absorbs both the endpoint square root and
+  the eps-width layer; the transformed integrand lives in ``kernels``. A
+  panel whose trailing Chebyshev coefficients exceed the quadrature's own
+  tolerance raises NoConvergence. At the default tolerance that happens
+  only below p = 1.005 (on the panel t in [4.6, 9.5]; largest failing p
+  1.0045 on a grid of step 0.0005).
 - t >= T_ASYM: the asymptote J_q = t/sqrt(p-1) + B_q, with B_q calibrated
   once per (p, q) by that quadrature.
 
 Each branch also gives dJ_q/dtau: the series term by term, the asymptote as
 t/sqrt(p-1), the interpolant through the derivative samples its panel
-caches beside its values. A moment call reads its q from one view per
-(p, qs, tolerance, branch), stacked in the caller's q order from the per-q
-caches, by one row-wise dot product (none on the asymptote).
+caches beside its values. Every calibration depends on its own (p, q,
+tolerance) key alone, never on which other q came before it. A moment call
+reads its q from one view per (p, qs, tolerance, branch), stacked in the
+caller's q order from the per-q caches, by one row-wise dot product (none
+on the asymptote). The (k, gamma) maps time_map and q_norm read the same
+moments at t = -ln(1 - k^{p-1}/gamma), so no public route integrates
+outside calibration.
 
 A sampled profile is the cumulative sum of the segment integrals of x'(s)
 between its nodes (in the sinh variable below T_ASYM, in s above it). Each
@@ -230,29 +235,26 @@ _S_N = np.arange(_S_TERMS, dtype=float)
 _S_BINOM = np.cumprod(np.concatenate(([1.0], 1.0 - 0.5 / _S_N[1:])))
 
 
-def _layer_moments(eps, em, p: float, qs, quad: QuadSpec) -> np.ndarray:
-    """J_q(eps) for every q in qs and every node of eps from one stacked
-    adaptive pass in the sinh variable: shape (len(qs),) for a scalar eps,
-    (len(qs), m) for m nodes.
+def _layer_moments(eps, em, p: float, q: float, quad: QuadSpec):
+    """J_q(eps) at every node of eps from one stacked adaptive pass in the
+    sinh variable, in the shape of eps.
 
     em = 1 - eps is passed separately so callers can hand over -expm1(-t)
-    at full precision when eps is tiny. Every (q, eps) pair is one row, its
-    range [0, V(eps)] mapped onto [0, 1] as in _segment_integrals; the rows
-    share their nodes, refined until every row meets its tolerance.
+    at full precision when eps is tiny. Every node is one row, its range
+    [0, V(eps)] mapped onto [0, 1] as in _segment_integrals; the rows share
+    their panels, refined until every row meets its tolerance.
     """
-    shape = (len(qs), *np.shape(eps))
+    shape = np.shape(eps)
     eps = np.reshape(eps, (-1, 1))
     em = np.reshape(em, (-1, 1))
     v_top = np.arcsinh(np.sqrt((p - 1.0) / (2.0 * eps)))
     w0 = np.sqrt(2.0 * eps / (p - 1.0))
-    pows = np.asarray(qs, dtype=float)[:, None, None]
 
     def f(y):
         v = v_top * y
         x = w0 * np.sinh(v)
-        weight = (1.0 - np.minimum(x * x, 1.0)) ** pows
-        rows = v_top * kernels.layer_integrand(v, eps, em, p) * weight
-        return rows.reshape(-1, len(y))
+        weight = (1.0 - np.minimum(x * x, 1.0)) ** q
+        return v_top * kernels.layer_integrand(v, eps, em, p) * weight
 
     res = integrate(f, 0.0, 1.0, quad)
     return (2.0 / math.sqrt(p - 1.0)) * res.value.reshape(shape)
@@ -268,7 +270,7 @@ def _b_shift(p: float, qpow: float, quad: QuadSpec) -> float:
     val = _B_CACHE.get(key)
     if val is None:
         eps0 = 1e-18
-        val = float(_layer_moments(eps0, 1.0 - eps0, p, [qpow], quad)[0]) \
+        val = float(_layer_moments(eps0, 1.0 - eps0, p, qpow, quad)) \
             - T_ASYM / math.sqrt(p - 1.0)
         _B_CACHE[key] = val
     return val
@@ -316,44 +318,40 @@ def _cheb_points(n: int):
     return theta, np.cos(theta), (-1.0) ** np.arange(n) * np.sin(theta)
 
 
-def _cheb_samples(p: float, qs, quad: QuadSpec, panel: int) -> np.ndarray:
+def _cheb_samples(p: float, qpow: float, quad: QuadSpec, panel: int) -> np.ndarray:
     """J_q and dJ_q/dtau at the Chebyshev points of one tau panel, shape
-    (2, len(qs), points): the values per q, then the derivative of their
-    interpolant at each point.
+    (2, points): the values, then the derivative of their interpolant at
+    each point.
 
-    A (p, q, tolerance, panel) not yet in _C_CACHE is calibrated by one
-    stacked quadrature: one row per point and missing q. Its trailing three
-    Chebyshev coefficients must lie within max(abs_tol, rel_tol |c_0|), the
-    bound the quadrature itself meets; otherwise NoConvergence is raised
-    and nothing is cached. The derivative at point i is the barycentric
-    node formula sum_j (w_j/w_i) (f_j - f_i)/(x_i - x_j) over j != i.
+    Calibrated once per (p, q, tolerance, panel) by one stacked quadrature
+    with one row per point, so the samples of a q do not depend on which
+    other q were calibrated before it. Its trailing three Chebyshev
+    coefficients must lie within max(abs_tol, rel_tol |c_0|), the bound the
+    quadrature itself meets; otherwise NoConvergence is raised and nothing
+    is cached. The derivative at point i is the barycentric node formula
+    sum_j (w_j/w_i) (f_j - f_i)/(x_i - x_j) over j != i.
     """
-    keys = [(p, q, quad.rel_tol, quad.abs_tol, panel) for q in qs]
-    missing = [q for q, key in dict(zip(qs, keys)).items() if key not in _C_CACHE]
-    if missing:
+    key = (p, qpow, quad.rel_tol, quad.abs_tol, panel)
+    val = _C_CACHE.get(key)
+    if val is None:
         theta, x, w = _cheb_points(_CHEB_POINTS)
         t = np.exp(_CHEB_TAU0 + _CHEB_WIDTH * (panel + 0.5 * (1.0 + x)))
-        vals = _layer_moments(np.exp(-t), -np.expm1(-t), p, missing, quad)
+        vals = _layer_moments(np.exp(-t), -np.expm1(-t), p, qpow, quad)
         n = len(x)
-        c0 = vals.mean(axis=1)
         tail = (2.0 / n) * vals @ np.cos(np.outer(theta, np.arange(n - 3, n)))
-        bound = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(c0))
-        bad = np.abs(tail).max(axis=1) > bound
-        if np.any(bad):
+        bound = max(quad.abs_tol, quad.rel_tol * abs(vals.mean()))
+        if np.abs(tail).max() > bound:
             t_lo, t_hi = np.exp(_CHEB_TAU0 + _CHEB_WIDTH * (panel + np.arange(2)))
             raise NoConvergence(
                 f"Chebyshev panel t in [{t_lo:.6g}, {t_hi:.6g}] unresolved at "
-                f"p = {p!r}, q = {np.asarray(missing)[bad].tolist()}: trailing "
-                f"coefficients {np.abs(tail[bad]).max():.3g} exceed "
-                f"{bound[bad].min():.3g}")
+                f"p = {p!r}, q = {qpow!r}: trailing coefficients "
+                f"{np.abs(tail).max():.3g} exceed {bound:.3g}")
         gap = x[:, None] - x
         np.fill_diagonal(gap, np.inf)
         dmat = (2.0 / _CHEB_WIDTH) * w / (w[:, None] * gap)
-        slopes = ((vals[:, None, :] - vals[:, :, None]) * dmat).sum(axis=2)
-        for q, row, slope in zip(missing, vals, slopes):
-            _C_CACHE[(p, q, quad.rel_tol, quad.abs_tol, panel)] = \
-                np.stack((row, slope))
-    return np.stack([_C_CACHE[key] for key in keys], axis=1)
+        slopes = ((vals - vals[:, None]) * dmat).sum(axis=1)
+        val = _C_CACHE[key] = np.stack((vals, slopes))
+    return val
 
 
 def _moments_at_t(t: float, p: float, qs: tuple, quad: QuadSpec):
@@ -387,7 +385,8 @@ def _moments_at_t(t: float, p: float, qs: tuple, quad: QuadSpec):
         elif branch == _CHEB_PANELS:
             view = tuple(_b_shift(p, q, quad) for q in qs)
         else:
-            view = _cheb_samples(p, qs, quad, branch)
+            view = np.stack([_cheb_samples(p, q, quad, branch) for q in qs],
+                            axis=1)
         _VIEW_CACHE[key] = view
     if branch < 0:
         em = -math.expm1(-t)
@@ -431,7 +430,7 @@ def _log_state_at_t(t: float, p: float, qs: tuple, quad: QuadSpec):
     return ln_k, ln_gamma, tuple(norms), (dln_k, 2.0 * dln_j0, tuple(slopes))
 
 
-def _point_from_state(t: float, p: float, state) -> LocalPoint:
+def _point_from_t(t: float, p: float, state) -> LocalPoint:
     """Curve point at layer coordinate t from its log state (first norm d).
 
     InvalidBracket where k under- or overflows (p near 1) or d rounds to k
@@ -447,11 +446,6 @@ def _point_from_state(t: float, p: float, state) -> LocalPoint:
             f"no float curve point with 0 < d < k < inf at t = {t:.6g}, "
             f"p = {p!r} (ln k = {ln_k:.6g})")
     return LocalPoint(k=k, gamma=math.exp(ln_gamma), d=d, p=p, layer_t=t)
-
-
-def _point_from_t(t: float, params: LocalParams) -> LocalPoint:
-    state = _log_state_at_t(t, params.p, (2.0,), params.quad)
-    return _point_from_state(t, params.p, state)
 
 
 def _qnorm_from_t(t: float, q: float, params: LocalParams) -> float:
@@ -483,30 +477,32 @@ def _seed_tau_for_d(ln_d: float, p: float) -> float:
     return _seed_tau_for_k(ln_d + 0.5 * math.log(2.0), p, ln_d)
 
 
-def _t_where(ln_of, target: float, seed: float, qs, params: LocalParams) -> float:
-    """The t at which ln_of(log state at t) = target, by safeguarded Newton
-    in tau = ln t from the seed tau; qs are the norms the state must carry.
-    ln_of applied to the state's slopes gives the residual's slope, since
-    they share the state's layout."""
+def _t_where(ln_of, target: float, seed: float, params: LocalParams):
+    """(t, log state at t) where ln_of(state) = target, by safeguarded
+    Newton in tau = ln t from the seed tau; the state carries d as its one
+    norm. ln_of applied to the state's slopes gives the residual's slope,
+    since they share the state's layout. The root's state is the one its
+    last residual evaluation made."""
     p, quad = params.p, params.quad
+    states: dict = {}
 
     def resid(tau: float):
-        state = _log_state_at_t(math.exp(tau), p, qs, quad)
+        state = states[tau] = _log_state_at_t(math.exp(tau), p, (2.0,), quad)
         return ln_of(state) - target, ln_of(state[3])
 
     tau = solve_monotone(resid, seed, _TAU_LO, _TAU_HI, step0=2.0, xtol=1e-14)
-    return math.exp(tau)
+    return math.exp(tau), states[tau]
 
 
-def _t_from_k(k: float, params: LocalParams) -> float:
+def _t_from_k(k: float, params: LocalParams):
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"k must be finite and positive, got {k}")
     ln_k = math.log(k)
     return _t_where(lambda s: s[0], ln_k, _seed_tau_for_k(ln_k, params.p),
-                    (), params)
+                    params)
 
 
-def _t_from_gamma(gamma: float, params: LocalParams) -> float:
+def _t_from_gamma(gamma: float, params: LocalParams):
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
     if gamma <= PI2:
@@ -514,15 +510,29 @@ def _t_from_gamma(gamma: float, params: LocalParams) -> float:
     ln_g = math.log(gamma)
     tau_small = math.log(max(gamma / PI2 - 1.0, 1e-300))
     tau_large = 0.5 * ln_g + 0.5 * math.log(params.p - 1.0) - math.log(2.0)
-    return _t_where(lambda s: s[1], ln_g, min(tau_small, tau_large), (), params)
+    return _t_where(lambda s: s[1], ln_g, min(tau_small, tau_large), params)
 
 
-def _t_from_d(d: float, params: LocalParams) -> float:
+def _t_from_d(d: float, params: LocalParams):
     if not (math.isfinite(d) and d > 0.0):
         raise ValueError(f"d must be finite and positive, got {d}")
     ln_d = math.log(d)
     return _t_where(lambda s: s[2][0], ln_d, _seed_tau_for_d(ln_d, params.p),
-                    (2.0,), params)
+                    params)
+
+
+def _layer_t(k: float, gamma: float, p: float, name: str) -> float:
+    """Layer coordinate t = -ln(1 - nu), nu = k^{p-1}/gamma, of a (k, gamma)
+    pair on the curve or off it; InvalidBracket unless nu < 1.
+
+    nu < 1 in float64 keeps t below 37, short of T_ASYM. Where k^{p-1}
+    underflows, nu = 0 is the eps = 1 end; the smallest positive t reads
+    the same moments there without the series slope's 0/0.
+    """
+    nu = k ** (p - 1.0) / gamma
+    if not nu < 1.0:
+        raise InvalidBracket(f"{name} needs gamma > k^(p-1); got ratio {nu}")
+    return max(-math.log1p(-nu), 5e-324)
 
 
 # --- public operations --------------------------------------------------------
@@ -534,18 +544,13 @@ def time_map(k: float, gamma: float, params: LocalParams) -> float:
         raise ValueError(f"k must be finite and positive, got {k}")
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
-    nu = k ** (p - 1.0) / gamma
-    if not nu < 1.0:
-        raise InvalidBracket(f"time_map needs gamma > k^(p-1); got ratio {nu}")
-    # nu < 1 in float64 forces eps >= ~1e-16, so the quadrature branch
-    # always applies here.
-    j0 = float(_layer_moments(1.0 - nu, nu, p, [0.0], quad)[0])
-    return j0 / math.sqrt(gamma)
+    t = _layer_t(k, gamma, p, "time_map")
+    return _moments_at_t(t, p, (0.0,), quad)[0][0] / math.sqrt(gamma)
 
 
 def solve_gamma(k: float, params: LocalParams) -> float:
     """The unique gamma > max(k^{p-1}, pi^2) with time_map(k, gamma) = 1/2."""
-    t = _t_from_k(k, params)
+    t, _ = _t_from_k(k, params)
     # gamma = k^{p-1}/em is exact given t and keeps gamma >= k^{p-1} even
     # when em has rounded to 1 (deep-layer amplitudes, gamma ~ 1e8+).
     em = -math.expm1(-t)
@@ -563,10 +568,8 @@ def q_norm(k: float, gamma: float, q: float, params: LocalParams) -> float:
     if not q > 1.0:
         raise ValueError(f"q must be > 1, got {q}")
     p, quad = params.p, params.quad
-    nu = k ** (p - 1.0) / gamma
-    if not nu < 1.0:
-        raise InvalidBracket(f"q_norm needs gamma > k^(p-1); got ratio {nu}")
-    j0, jq = _layer_moments(1.0 - nu, nu, p, [0.0, q], quad).tolist()
+    t = _layer_t(k, gamma, p, "q_norm")
+    j0, jq = _moments_at_t(t, p, (0.0, q), quad)[0]
     return k * (jq / j0) ** (1.0 / q)
 
 
@@ -583,23 +586,26 @@ def point_q_norm(point: LocalPoint, q: float, params: LocalParams) -> float:
         raise ValueError("point and params disagree on p")
     t = point.layer_t
     if t is None:
-        t = _t_from_k(point.k, params)
+        t, _ = _t_from_k(point.k, params)
     return _qnorm_from_t(t, q, params)
 
 
 def point_from_k(k: float, params: LocalParams) -> LocalPoint:
     """Curve point with amplitude k."""
-    return _point_from_t(_t_from_k(k, params), params)
+    t, state = _t_from_k(k, params)
+    return _point_from_t(t, params.p, state)
 
 
 def point_from_gamma(gamma: float, params: LocalParams) -> LocalPoint:
     """Curve point with eigenvalue gamma; gamma must exceed pi^2."""
-    return _point_from_t(_t_from_gamma(gamma, params), params)
+    t, state = _t_from_gamma(gamma, params)
+    return _point_from_t(t, params.p, state)
 
 
 def solve_for_d(d: float, params: LocalParams) -> LocalPoint:
     """Curve point with L2 norm d, via the strictly increasing map d(k)."""
-    return _point_from_t(_t_from_d(d, params), params)
+    t, state = _t_from_d(d, params)
+    return _point_from_t(t, params.p, state)
 
 
 def _segment_integrals(f, lo: np.ndarray, width: np.ndarray,
@@ -669,7 +675,7 @@ def sample_profile(point: LocalPoint, n: int, params: LocalParams) -> Profile:
         raise ValueError("point and params disagree on p")
     t = point.layer_t
     if t is None:
-        t = _t_from_k(point.k, params)
+        t, _ = _t_from_k(point.k, params)
     gamma = point.gamma
     sqrt_g = math.sqrt(gamma)
     s_nodes = np.linspace(0.0, 1.0, n)

@@ -168,7 +168,7 @@ def g_of_k(k: float, params: ProblemParams) -> float:
         raise InvalidRegime("g = N^{1/(p-3)} d is singular at p = 3")
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"k must be finite and positive, got {k}")
-    t = ll._t_from_k(k, ll.LocalParams(p=params.p, quad=params.quad))
+    t, _ = ll._t_from_k(k, ll.LocalParams(p=params.p, quad=params.quad))
     state, ln_n = _state_at_t(t, params)
     return math.exp(ln_n / (params.p - 3.0) + state[2][0])
 
@@ -228,7 +228,7 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
             f"q = {params.q!r}, where d would round to k") from exc
     t = math.exp(tau)
     r, dr, state, ln_n = evals[tau]
-    point = ll._point_from_state(t, p, state)
+    point = ll._point_from_t(t, p, state)
 
     # k(t) is strictly increasing, so dr/dtau > 0 at the root is the
     # monotonicity of the curve in k there.

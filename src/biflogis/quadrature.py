@@ -57,7 +57,8 @@ class QuadSpec:
 
 @dataclass(frozen=True)
 class QuadResult:
-    """value and error_estimate are arrays of m entries for a stacked integrand."""
+    """value and error_estimate are floats for a 1-D integrand, arrays of m
+    entries for a stacked one."""
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
@@ -90,27 +91,21 @@ def integrate(f, a: float, b: float, spec: QuadSpec = QuadSpec()) -> QuadResult:
         f_hi = _call(f, x_hi)
         evals += x_lo.size + x_hi.size
 
-        # (n_panels, nodes) for a scalar integrand, (m, n_panels, nodes)
-        # for a stacked one.
+        # (m, n_panels) panel integrals; a 1-D integrand is row m = 1.
         n = len(panels)
-        i_lo = half * (f_lo.reshape(*f_lo.shape[:-1], n, -1) @ _GL_LO_W)
-        i_hi = half * (f_hi.reshape(*f_hi.shape[:-1], n, -1) @ _GL_HI_W)
+        i_lo = half * (f_lo.reshape(-1, n, _GL_LO_X.size) @ _GL_LO_W)
+        i_hi = half * (f_hi.reshape(-1, n, _GL_HI_X.size) @ _GL_HI_W)
         perr = np.abs(i_hi - i_lo)
 
-        if perr.ndim == 1:
-            running = acc_val + float(i_hi.sum())
-            tol = max(spec.abs_tol, spec.rel_tol * abs(running))
-            ok = perr <= tol * (2.0 * half / total_len)
-            acc_val += float(i_hi[ok].sum())
-            acc_err += float(perr[ok].sum())
-        else:
-            # A panel is kept only when every component meets its share.
-            running = acc_val + i_hi.sum(axis=1)
-            tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(running))
-            ok = np.all(perr <= tol[:, None] * (2.0 * half / total_len), axis=0)
-            acc_val = acc_val + i_hi[:, ok].sum(axis=1)
-            acc_err = acc_err + perr[:, ok].sum(axis=1)
+        # A panel is kept only when every component meets its share.
+        running = acc_val + i_hi.sum(axis=1)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(running))
+        ok = np.all(perr <= tol[:, None] * (2.0 * half / total_len), axis=0)
+        acc_val = acc_val + i_hi[:, ok].sum(axis=1)
+        acc_err = acc_err + perr[:, ok].sum(axis=1)
         if np.all(ok):
+            if f_hi.ndim == 1:
+                return QuadResult(float(acc_val[0]), float(acc_err[0]), evals)
             return QuadResult(acc_val, acc_err, evals)
 
         bad = panels[~ok]

@@ -399,9 +399,9 @@ def check_local_small_d(p: float, q: float, d_grid,
     wqs = np.array([w for _, w in states])
     dp = dd ** (p - 1.0)
 
-    A = consts.compute_A(p, q, quad, with_a6=False)
+    A = consts.compute_A(p, q, quad)
     a3 = A["A3"]
-    a4 = consts.compute_A(p, 2.0, quad, with_a6=False)
+    a4 = consts.compute_A(p, 2.0, quad)
     a4 = (a4["A3"] - 4.0 * a4["A2"]) / math.pi
     t32 = (2.0 / q) * (A["A2"] / A["A1"])
 

@@ -16,8 +16,8 @@ from biflogis import local_logistic as ll
 from biflogis.constants import (READINGS, ConstantSet, compute_A, compute_all,
                                 compute_C1, compute_Cq, compute_E,
                                 theorem3_coefficients)
-from biflogis.errors import (DivisionByZero, InvalidRegime, NoConvergence,
-                             Overflow, ZeroCoefficients)
+from biflogis.errors import (InvalidRegime, NoConvergence, Overflow,
+                             ZeroCoefficients)
 from biflogis.quadrature import QuadSpec, integrate
 
 PI = math.pi
@@ -37,7 +37,7 @@ A_CASES = [(2.0, 2.0), (2.5, 3.0), (3.0, 2.0), (5.0, 2.0)]
 def test_A_frozen_values(p, q):
     # A4 is a difference of same-order terms, so its relative accuracy sits
     # near 1e-12 at (2.5, 3); everything else lands at 1e-14 or better.
-    A = compute_A(p, q, with_a6=(p != 3.0))
+    A = compute_A(p, q)
     key = f"p={p:g},q={q:g}"
     for name in ("A1", "A2", "A3", "A4", "A5"):
         assert rel(A[name], ORACLE[f"{name}[{key}]"]) < 1e-10
@@ -64,7 +64,7 @@ def test_A1_beta_identity():
 
 def test_A3_closed_form_cubic():
     # p = 3: A3 = 3/(4 pi)
-    A = compute_A(3.0, 2.0, with_a6=False)
+    A = compute_A(3.0, 2.0)
     assert rel(A["A3"], 3.0 / (4.0 * PI)) < 1e-12
 
 
@@ -79,10 +79,9 @@ def test_A_linear_identities(p, q):
 
 
 def test_A6_pole_at_cubic():
-    with pytest.raises(DivisionByZero):
-        compute_A(3.0, 2.0)
-    A = compute_A(3.0, 2.0, with_a6=False)
-    assert "A6" not in A
+    # A6 has p - 3 in its denominator: it is left out at p = 3 alone.
+    assert "A6" not in compute_A(3.0, 2.0)
+    assert "A6" in compute_A(3.0 + 1e-9, 2.0)
 
 
 def test_A_validation():
@@ -374,8 +373,6 @@ def test_memo_keys_on_the_spec_that_runs(cache):
 
 def test_raising_input_leaves_no_entry(cache):
     store, calls = cache
-    with pytest.raises(DivisionByZero):
-        compute_A(3.0, 2.0)
     with pytest.raises(ValueError):
         compute_A(1.0, 2.0)
     with pytest.raises(Overflow):

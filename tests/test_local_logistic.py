@@ -61,19 +61,22 @@ def test_phi_vectorized():
 
 # --- stacked moments -----------------------------------------------------------
 
+def _quad_moment(t, p, q, quad):
+    """J_q at layer coordinate t from its own one-row quadrature."""
+    return float(ll._layer_moments(math.exp(-t), -math.expm1(-t), p, q, quad))
+
+
 @pytest.mark.parametrize("p", (1.5, 2.0, 2.5, 5.0))
 def test_moments_at_t_match_single_moments(p):
-    # One stacked quadrature for all q against one one-row quadrature per q;
-    # the rows share panels refined on the worst of them.
+    # The stacked moments of every branch against one one-row quadrature
+    # per q.
     quad = QuadSpec()
     qs = (0.0, 2.0, 3.0, 4.0)
     for t in (1e-6, 0.3, 5.0, 30.0):
         stacked, _ = ll._moments_at_t(t, p, qs, quad)
         assert len(stacked) == len(qs)
         for q, jq in zip(qs, stacked):
-            single, = ll._layer_moments(math.exp(-t), -math.expm1(-t), p,
-                                        [q], quad)
-            assert abs(jq / single - 1.0) <= 1e-14
+            assert abs(jq / _quad_moment(t, p, q, quad) - 1.0) <= 1e-14
 
 
 # --- small-t series branch ------------------------------------------------------
@@ -89,9 +92,8 @@ def test_series_branch_matches_quadrature(p):
     qs = (0.0, 1.1, 2.0, 4.0, 8.0)
     for t in SERIES_TS:
         series, _ = ll._moments_at_t(t, p, qs, quad)
-        ref = ll._layer_moments(math.exp(-t), -math.expm1(-t), p, list(qs), quad)
-        for q, js, jq in zip(qs, series, ref):
-            assert abs(js / jq - 1.0) <= 1e-14, (t, q)
+        for q, js in zip(qs, series):
+            assert abs(js / _quad_moment(t, p, q, quad) - 1.0) <= 1e-14, (t, q)
 
 
 def test_series_tail_bound_at_switch():
@@ -156,8 +158,7 @@ def test_chebyshev_branch_matches_quadrature(p):
     for t in ts:
         cheb, _ = ll._moments_at_t(t, p, qs, quad)
         for q, jq in zip(qs, cheb):
-            ref, = ll._layer_moments(math.exp(-t), -math.expm1(-t), p, [q], quad)
-            assert abs(jq / ref - 1.0) <= 1e-14, (t, q)
+            assert abs(jq / _quad_moment(t, p, q, quad) - 1.0) <= 1e-14, (t, q)
 
 
 # Every branch and where they meet: T_SERIES and T_ASYM with one ulp either
@@ -180,9 +181,8 @@ def test_flat_state_order_and_duplicates(p):
         m, dm = ll._moments_at_t(t, p, qs, quad)
         pm, pdm = ll._moments_at_t(t, p, perm, quad)
         assert pm == [m[i] for i in order] and pdm == [dm[i] for i in order], t
-        ref = ll._layer_moments(math.exp(-t), -math.expm1(-t), p, list(qs), quad)
-        for q, jq, jr in zip(qs, m, ref):
-            assert abs(jq / jr - 1.0) <= 1e-14, (t, q)
+        for q, jq in zip(qs, m):
+            assert abs(jq / _quad_moment(t, p, q, quad) - 1.0) <= 1e-14, (t, q)
 
         state = ll._log_state_at_t(t, p, qs[1:], quad)
         pstate = ll._log_state_at_t(t, p, (4.0, 1.1, 2.0), quad)
@@ -216,18 +216,40 @@ def cheb_cache(monkeypatch):
 
 
 def test_cold_panel_is_one_quadrature(cheb_cache):
+    # One integrate call per cold (q, panel), none once it is warm.
     store, calls = cheb_cache
     quad = QuadSpec()
     t = _panel_mid(2)
     ll._moments_at_t(t, 3.0, (0.0, 2.0), quad)
-    assert len(calls) == 1 and len(store) == 2
+    assert len(calls) == 2 and len(store) == 2
     ll._moments_at_t(t * 1.01, 3.0, (2.0, 0.0), quad)
-    assert len(calls) == 1
+    assert len(calls) == 2
     # Only the q the panel lacks is calibrated.
     ll._moments_at_t(t, 3.0, (0.0, 2.0, 4.0), quad)
-    assert len(calls) == 2 and len(store) == 3
+    assert len(calls) == 3 and len(store) == 3
     ll._moments_at_t(_panel_mid(3), 3.0, (0.0, 2.0, 4.0), quad)
-    assert len(calls) == 3 and len(store) == 6
+    assert len(calls) == 6 and len(store) == 6
+
+
+def test_calibration_does_not_depend_on_history(monkeypatch):
+    # A q's Chebyshev samples come from its own quadrature, so states and a
+    # curve point at q = 3 keep their bits whether or not q = 2 was
+    # calibrated at the same p first. The root lies on the Chebyshev branch.
+    p, quad = 8.0, QuadSpec()
+    params = nc.ProblemParams(p=p, q=3.0, a1=1.0, a2=1.0)
+    ts = [_panel_mid(panel) for panel in range(ll._CHEB_PANELS)]
+    runs = []
+    for q2_first in (False, True):
+        monkeypatch.setattr(ll, "_C_CACHE", {})
+        monkeypatch.setattr(ll, "_VIEW_CACHE", {})
+        if q2_first:
+            for t in ts:
+                ll._log_state_at_t(t, p, (2.0,), quad)
+        states = [ll._log_state_at_t(t, p, (2.0, 3.0), quad) for t in ts]
+        runs.append((states, nc.solve_alpha(10.0 ** 0.1, params)))
+    assert ll.T_SERIES < runs[0][1].local.layer_t < ll.T_ASYM
+    assert runs[0][0] == runs[1][0]
+    assert runs[0][1] == runs[1][1]
 
 
 # a1 = a2 per p that puts the roots below on the middle branch: at p = 3
@@ -394,7 +416,8 @@ def test_round_trip_t_d_k(p, tau):
     # Through d, not gamma: at small t, gamma - pi^2 ~ t makes the gamma
     # inversion ill-conditioned.
     lp = LocalParams(p=p)
-    point = ll._point_from_t(math.exp(tau), lp)
+    t = math.exp(tau)
+    point = ll._point_from_t(t, p, ll._log_state_at_t(t, p, (2.0,), lp.quad))
     assert abs(solve_for_d(point.d, lp).k / point.k - 1.0) <= 1e-12
 
 
@@ -404,8 +427,14 @@ def test_inverse_residuals_finite_over_bracket(p, monkeypatch):
     # under- or overflows: the k, gamma and d residuals and their slopes
     # must stay finite.
     resids = []
-    monkeypatch.setattr(ll, "solve_monotone",
-                        lambda f, *args, **kwargs: resids.append(f) or 0.0)
+
+    def solve_monotone(f, *args, **kwargs):
+        # As the real one, the last evaluation is at the returned root.
+        resids.append(f)
+        f(0.0)
+        return 0.0
+
+    monkeypatch.setattr(ll, "solve_monotone", solve_monotone)
     lp = LocalParams(p=p)
     ll._t_from_k(1.0, lp)
     ll._t_from_gamma(20.0, lp)
@@ -458,6 +487,35 @@ def test_time_map_monotone_in_gamma():
             gammas = k ** (p - 1.0) + np.array([0.5, 1.0, 2.0, 4.0, 8.0])
             Ts = [time_map(k, g, pr) for g in gammas]
             assert all(a > b for a, b in zip(Ts, Ts[1:]))
+
+
+@pytest.mark.parametrize("p", (1.05, 3.0, 20.0))
+def test_pair_maps_match_quadrature(p):
+    # time_map and q_norm read the calibrated moments at t = -ln(1 - nu),
+    # nu = k^{p-1}/gamma; against the quadrature at eps = 1 - nu, on every
+    # branch they reach and at nu = 1 - 1e-12, deep in the layer.
+    pr = LocalParams(p=p)
+    k = 2.0
+    for target in (1e-3, 0.5, 0.9999, 1.0 - 1e-12):
+        gamma = k ** (p - 1.0) / target
+        nu = k ** (p - 1.0) / gamma
+        j0, j4 = (float(ll._layer_moments(1.0 - nu, nu, p, q, pr.quad))
+                  for q in (0.0, 4.0))
+        T = time_map(k, gamma, pr)
+        assert abs(T / (j0 / math.sqrt(gamma)) - 1.0) <= 1e-14, target
+        w4 = q_norm(k, gamma, 4.0, pr)
+        assert abs(w4 / (k * (j4 / j0) ** 0.25) - 1.0) <= 1e-14, target
+
+
+def test_pair_maps_where_k_power_underflows():
+    # k^{p-1} = 0 in float64 is the eps = 1 end, where J0 = pi/2 and
+    # J2 = pi/4: T = pi/(2 sqrt(gamma)) and ||w||_2 = k/sqrt(2).
+    gamma = 20.0
+    assert 1e-200 ** 2 == 0.0
+    T = time_map(1e-200, gamma, PR3)
+    assert abs(T / (0.5 * math.pi / math.sqrt(gamma)) - 1.0) <= 1e-14
+    d = q_norm(1e-200, gamma, 2.0, PR3)
+    assert abs(d / (1e-200 / math.sqrt(2.0)) - 1.0) <= 1e-14
 
 
 def test_time_map_rejects_gamma_below_amplitude():
@@ -639,6 +697,27 @@ def test_solve_for_d_states_from_flat_seed(d, states, monkeypatch):
                         lambda *args: calls.append(args) or log_state(*args))
     solve_for_d(d, PR5)
     assert len(calls) <= states
+
+
+def test_inverse_solves_build_the_point_from_the_root_state(monkeypatch):
+    # One log state per residual evaluation and none after it: the point
+    # comes from the state of the root's own evaluation.
+    states, resids = [], []
+    log_state, solve = ll._log_state_at_t, ll.solve_monotone
+
+    def counted(f, *args, **kwargs):
+        return solve(lambda tau: resids.append(tau) or f(tau), *args, **kwargs)
+
+    monkeypatch.setattr(ll, "_log_state_at_t",
+                        lambda *args: states.append(args) or log_state(*args))
+    monkeypatch.setattr(ll, "solve_monotone", counted)
+    for pr in (PR2, PR3, PR5):
+        for solver, x in ((point_from_k, 2.0), (point_from_gamma, 50.0),
+                          (solve_for_d, 3.0)):
+            del states[:], resids[:]
+            point = solver(x, pr)
+            assert len(states) == len(resids) > 0, (pr.p, solver.__name__)
+            assert point.layer_t == math.exp(resids[-1])
 
 
 def test_round_trip_k_d_k():
