@@ -69,6 +69,8 @@ def _default_quad() -> QuadSpec:
         if not (0.0 < val < 1.0):
             raise ValueError
     except ValueError:
+        print(f"biflogis: error: BIFLOGIS_QUAD_TOL must be a number in (0, 1), "
+              f"got {tol!r}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
     return QuadSpec(rel_tol=val)
 

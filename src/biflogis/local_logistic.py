@@ -33,28 +33,27 @@ The moments have three branches, each closed form once calibrated:
   are positive and c phi <= 1, so the terms after n are at most
   C(2n,n)/4^n em^{n+1}/(1 - em) of the sum; with the cached term count
   that bound stays below 2^-53 up to T_SERIES.
-- T_SERIES < t < T_ASYM: a piecewise Chebyshev interpolant in tau = ln t,
-  evaluated by the barycentric formula. Each panel's samples are calibrated
-  lazily, once per (p, q, tolerance, panel), by one adaptive quadrature with
-  one row per Chebyshev point, after s = 1 - x^2, x = w0 sinh v with
-  w0 = sqrt(2 eps/(p-1)), which absorbs both the endpoint square root and
-  the eps-width layer; the transformed integrand lives in ``kernels``. A
-  panel whose trailing Chebyshev coefficients exceed the quadrature's own
-  tolerance raises NoConvergence. At the default tolerance that happens
-  only below p = 1.005 (on the panel t in [4.6, 9.5]; largest failing p
-  1.0045 on a grid of step 0.0005).
+- T_SERIES < t < T_ASYM: a piecewise Chebyshev series in tau = ln t. Each
+  panel's coefficients are calibrated lazily, once per (p, q, tolerance,
+  panel), by one DCT of one adaptive quadrature with one row per Chebyshev
+  point, after s = 1 - x^2, x = w0 sinh v with w0 = sqrt(2 eps/(p-1)),
+  which absorbs both the endpoint square root and the eps-width layer; the
+  transformed integrand lives in ``kernels``. A panel whose trailing
+  coefficients exceed the quadrature's own tolerance raises NoConvergence.
+  At the default tolerance that happens only below p = 1.005 (on the panel
+  t in [4.6, 9.5]; largest failing p 1.0045 on a grid of step 0.0005).
 - t >= T_ASYM: the asymptote J_q = t/sqrt(p-1) + B_q, with B_q calibrated
   once per (p, q) by that quadrature.
 
 Each branch also gives dJ_q/dtau: the series term by term, the asymptote as
-t/sqrt(p-1), the interpolant through the derivative samples its panel
-caches beside its values. Every calibration depends on its own (p, q,
+t/sqrt(p-1), the Chebyshev series through the derivative coefficients its
+panel caches beside its values. Every calibration depends on its own (p, q,
 tolerance) key alone, never on which other q came before it. A moment call
 reads its q from one view per (p, qs, tolerance, branch), stacked in the
-caller's q order from the per-q caches, by one row-wise dot product (none
-on the asymptote). The (k, gamma) maps time_map and q_norm read the same
-moments at t = -ln(1 - k^{p-1}/gamma), so no public route integrates
-outside calibration.
+caller's q order from the per-q caches; both series share one row-wise dot
+product against their basis (none on the asymptote). The (k, gamma) maps
+time_map and q_norm read the same moments at t = -ln(1 - k^{p-1}/gamma),
+so no public route integrates outside calibration.
 
 A sampled profile is the cumulative sum of the segment integrals of x'(s)
 between its nodes (in the sinh variable below T_ASYM, in s above it). Each
@@ -66,7 +65,6 @@ segments do not depend on t, and are calibrated once per (p, n, tolerance).
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -227,7 +225,7 @@ _C_CACHE: dict = {}
 _SEG_CACHE: dict = {}
 # Copies of the calibrations above stacked for _moments_at_t, one per (p, qs,
 # tolerance, branch) and so per order of qs, never trimmed; branch -1 is the
-# series, _CHEB_PANELS the asymptote.
+# series, _CHEB_PANELS the asymptote, and those between the Chebyshev panels.
 _VIEW_CACHE: dict = {}
 
 _S_N = np.arange(_S_TERMS, dtype=float)
@@ -309,48 +307,44 @@ def _series_coeffs(p: float, qpow: float, quad: QuadSpec) -> np.ndarray:
     return val
 
 
-@functools.lru_cache(maxsize=None)
-def _cheb_points(n: int):
-    """Angles theta_j = (2j+1) pi/(2n), first-kind Chebyshev points
-    x_j = cos(theta_j) on [-1, 1], and their barycentric weights
-    (-1)^j sin(theta_j)."""
-    theta = (2.0 * np.arange(n) + 1.0) * (0.5 * math.pi / n)
-    return theta, np.cos(theta), (-1.0) ** np.arange(n) * np.sin(theta)
-
-
-def _cheb_samples(p: float, qpow: float, quad: QuadSpec, panel: int) -> np.ndarray:
-    """J_q and dJ_q/dtau at the Chebyshev points of one tau panel, shape
-    (2, points): the values, then the derivative of their interpolant at
-    each point.
+def _cheb_coeffs(p: float, qpow: float, quad: QuadSpec, panel: int) -> np.ndarray:
+    """Chebyshev coefficients of J_q and of dJ_q/dtau on one tau panel,
+    shape (2, points): J_q = sum_k c_k T_k(x) with x in [-1, 1] across the
+    panel, then the coefficients of its derivative in tau.
 
     Calibrated once per (p, q, tolerance, panel) by one stacked quadrature
-    with one row per point, so the samples of a q do not depend on which
-    other q were calibrated before it. Its trailing three Chebyshev
+    with one row per first-kind Chebyshev point x_j = cos(theta_j),
+    theta_j = (2j+1) pi/(2n), so the coefficients of a q do not depend on
+    which other q were calibrated before it; one DCT of those samples gives
+    c_k = (2/n) sum_j f_j cos(k theta_j), c_0 halved. The trailing three
     coefficients must lie within max(abs_tol, rel_tol |c_0|), the bound the
     quadrature itself meets; otherwise NoConvergence is raised and nothing
-    is cached. The derivative at point i is the barycentric node formula
-    sum_j (w_j/w_i) (f_j - f_i)/(x_i - x_j) over j != i.
+    is cached.
     """
     key = (p, qpow, quad.rel_tol, quad.abs_tol, panel)
     val = _C_CACHE.get(key)
     if val is None:
-        theta, x, w = _cheb_points(_CHEB_POINTS)
-        t = np.exp(_CHEB_TAU0 + _CHEB_WIDTH * (panel + 0.5 * (1.0 + x)))
+        # cos(k theta_j) with k theta_j = k (2j+1) pi/(2n) reduced mod 2 pi in
+        # integers: the float product would carry k ulp of theta_j into c_k.
+        # Column 1 holds x_j.
+        n = _CHEB_POINTS
+        dct = np.cos(np.outer(2 * np.arange(n) + 1, np.arange(n)) % (4 * n)
+                     * (0.5 * math.pi / n))
+        t = np.exp(_CHEB_TAU0 + _CHEB_WIDTH * (panel + 0.5 * (1.0 + dct[:, 1])))
         vals = _layer_moments(np.exp(-t), -np.expm1(-t), p, qpow, quad)
-        n = len(x)
-        tail = (2.0 / n) * vals @ np.cos(np.outer(theta, np.arange(n - 3, n)))
-        bound = max(quad.abs_tol, quad.rel_tol * abs(vals.mean()))
-        if np.abs(tail).max() > bound:
+        coeffs = (2.0 / n) * vals @ dct
+        coeffs[0] *= 0.5
+        tail = np.abs(coeffs[-3:]).max()
+        bound = max(quad.abs_tol, quad.rel_tol * abs(coeffs[0]))
+        if tail > bound:
             t_lo, t_hi = np.exp(_CHEB_TAU0 + _CHEB_WIDTH * (panel + np.arange(2)))
             raise NoConvergence(
                 f"Chebyshev panel t in [{t_lo:.6g}, {t_hi:.6g}] unresolved at "
                 f"p = {p!r}, q = {qpow!r}: trailing coefficients "
-                f"{np.abs(tail).max():.3g} exceed {bound:.3g}")
-        gap = x[:, None] - x
-        np.fill_diagonal(gap, np.inf)
-        dmat = (2.0 / _CHEB_WIDTH) * w / (w[:, None] * gap)
-        slopes = ((vals - vals[:, None]) * dmat).sum(axis=1)
-        val = _C_CACHE[key] = np.stack((vals, slopes))
+                f"{tail:.3g} exceed {bound:.3g}")
+        # dx/dtau = 2/_CHEB_WIDTH; the derivative series is one term shorter.
+        slopes = np.polynomial.chebyshev.chebder(coeffs, scl=2.0 / _CHEB_WIDTH)
+        val = _C_CACHE[key] = np.stack((coeffs, np.append(slopes, 0.0)))
     return val
 
 
@@ -361,14 +355,15 @@ def _moments_at_t(t: float, p: float, qs: tuple, quad: QuadSpec):
     Three branches, all closed form once calibrated: up to T_SERIES, the
     power series in em = -expm1(-t) with the cached coefficients, whose tail
     after _S_TERMS = N terms is at most b_{N-1} em^N/(1 - em) < 2^-53 of the
-    sum there; between the switch points, the barycentric Chebyshev
-    interpolant in tau = ln t on the cached samples of its panel; at or past
+    sum there; between the switch points, the Chebyshev series in
+    tau = ln t with the cached coefficients of its panel; at or past
     T_ASYM, the asymptote with the cached B_q. Each branch reads one view
     per (p, qs, tolerance, branch), stacked once from the per-q caches: the
     (2, len(qs), _S_TERMS) series coefficients, the B_q tuple, or a panel's
-    (2, len(qs), points) samples, values first, then slopes. There one
-    np.vecdot gives every value and slope, each row by the same arithmetic,
-    so a q's bits do not depend on its place in qs.
+    (2, len(qs), points) Chebyshev coefficients, values first, then slopes.
+    The series and Chebyshev views are evaluated by one np.vecdot against
+    their basis, the powers em^n or T_k(x) = cos(k arccos x), each row by
+    the same arithmetic, so a q's bits do not depend on its place in qs.
     """
     if t <= T_SERIES:
         branch = -1
@@ -385,23 +380,20 @@ def _moments_at_t(t: float, p: float, qs: tuple, quad: QuadSpec):
         elif branch == _CHEB_PANELS:
             view = tuple(_b_shift(p, q, quad) for q in qs)
         else:
-            view = np.stack([_cheb_samples(p, q, quad, branch) for q in qs],
+            view = np.stack([_cheb_coeffs(p, q, quad, branch) for q in qs],
                             axis=1)
         _VIEW_CACHE[key] = view
-    if branch < 0:
-        em = -math.expm1(-t)
-        vals, slopes = np.vecdot(view, em ** _S_N).tolist()
-        dln_em = t * math.exp(-t) / em      # d(ln em)/dtau
-        return vals, [slope * dln_em for slope in slopes]
     if branch == _CHEB_PANELS:
         lin = t / math.sqrt(p - 1.0)
         return [lin + b for b in view], [lin] * len(qs)
-    _, nodes, weights = _cheb_points(view.shape[2])
-    diff = 2.0 * (s - branch) - 1.0 - nodes
-    if not diff.all():
-        return view[:, :, np.argmin(np.abs(diff))].tolist()
-    r = weights / diff
-    return (np.vecdot(view, r) / r.sum()).tolist()
+    if branch < 0:
+        em = -math.expm1(-t)
+        basis, scale = em ** _S_N, t * math.exp(-t) / em    # d(ln em)/dtau
+    else:
+        k = np.arange(float(view.shape[2]))
+        basis, scale = np.cos(math.acos(2.0 * (s - branch) - 1.0) * k), 1.0
+    vals, slopes = np.vecdot(view, basis).tolist()
+    return vals, [slope * scale for slope in slopes]
 
 
 # --- curve state at a given t -------------------------------------------------
@@ -527,9 +519,18 @@ def _layer_t(k: float, gamma: float, p: float, name: str) -> float:
 
     nu < 1 in float64 keeps t below 37, short of T_ASYM. Where k^{p-1}
     underflows, nu = 0 is the eps = 1 end; the smallest positive t reads
-    the same moments there without the series slope's 0/0.
+    the same moments there without the series slope's 0/0; where it
+    overflows, it exceeds every finite gamma. exp((p-1) ln k - ln gamma)
+    would round nu to ulps of (p-1) ln k, which 1 - nu magnifies near 1.
     """
-    nu = k ** (p - 1.0) / gamma
+    if not (math.isfinite(k) and k > 0.0):
+        raise ValueError(f"k must be finite and positive, got {k}")
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
+    try:
+        nu = k ** (p - 1.0) / gamma
+    except OverflowError:
+        nu = math.inf
     if not nu < 1.0:
         raise InvalidBracket(f"{name} needs gamma > k^(p-1); got ratio {nu}")
     return max(-math.log1p(-nu), 5e-324)
@@ -540,10 +541,6 @@ def _layer_t(k: float, gamma: float, p: float, name: str) -> float:
 def time_map(k: float, gamma: float, params: LocalParams) -> float:
     """Half-interval traversal time T(k, gamma); solution exists iff T = 1/2."""
     p, quad = params.p, params.quad
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"k must be finite and positive, got {k}")
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     t = _layer_t(k, gamma, p, "time_map")
     return _moments_at_t(t, p, (0.0,), quad)[0][0] / math.sqrt(gamma)
 

@@ -231,10 +231,13 @@ def test_exit_usage_profile_points(capsys):
 
 
 def test_exit_usage_bad_quad_env(capsys, monkeypatch):
-    monkeypatch.setenv("BIFLOGIS_QUAD_TOL", "banana")
-    assert run_cli(capsys, "solve", "--p", "5", "--alpha", "10")[0] == 64
-    monkeypatch.setenv("BIFLOGIS_QUAD_TOL", "2.0")
-    assert run_cli(capsys, "solve", "--p", "5", "--alpha", "10")[0] == 64
+    for tol in ("banana", "2.0", "0", "nan"):
+        monkeypatch.setenv("BIFLOGIS_QUAD_TOL", tol)
+        code, out, err = run_cli(capsys, "solve", "--p", "5", "--alpha", "10")
+        assert code == 64
+        assert out == ""
+        assert "BIFLOGIS_QUAD_TOL" in err and "(0, 1)" in err
+        assert repr(tol) in err
 
 
 def test_quad_env_accepted(capsys, monkeypatch):

@@ -147,7 +147,7 @@ def test_log_state_monotone_across_panel_edges_and_asym_switch(p):
 @pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 2.9, 3.0, 4.0, 8.0, 20.0))
 def test_chebyshev_branch_matches_quadrature(p):
     # Held out: random tau and every panel edge (the outer two one ulp
-    # inside the branch), against the one-row quadrature the samples
+    # inside the branch), against the one-row quadrature the coefficients
     # come from.
     quad = QuadSpec()
     qs = (0.0, 1.1, 2.0, 4.0, 8.0)
@@ -200,9 +200,9 @@ def test_flat_state_order_and_duplicates(p):
 
 @pytest.fixture
 def cheb_cache(monkeypatch):
-    """An empty Chebyshev sample cache and the integrate calls made. The
-    stacked views are emptied too: a view left from an earlier test would
-    answer without reading the sample cache."""
+    """An empty Chebyshev coefficient cache and the integrate calls made.
+    The stacked views are emptied too: a view left from an earlier test
+    would answer without reading the coefficient cache."""
     monkeypatch.setattr(ll, "_C_CACHE", {})
     monkeypatch.setattr(ll, "_VIEW_CACHE", {})
     calls = []
@@ -232,8 +232,8 @@ def test_cold_panel_is_one_quadrature(cheb_cache):
 
 
 def test_calibration_does_not_depend_on_history(monkeypatch):
-    # A q's Chebyshev samples come from its own quadrature, so states and a
-    # curve point at q = 3 keep their bits whether or not q = 2 was
+    # A q's Chebyshev coefficients come from its own quadrature, so states
+    # and a curve point at q = 3 keep their bits whether or not q = 2 was
     # calibrated at the same p first. The root lies on the Chebyshev branch.
     p, quad = 8.0, QuadSpec()
     params = nc.ProblemParams(p=p, q=3.0, a1=1.0, a2=1.0)
@@ -308,7 +308,7 @@ def test_warm_sweep_at_new_q_calibrates_only_that_q(monkeypatch):
     assert calls == []
 
 
-def test_cheb_samples_key_on_the_spec_that_runs(cheb_cache, monkeypatch):
+def test_cheb_coeffs_key_on_the_spec_that_runs(cheb_cache, monkeypatch):
     store, calls = cheb_cache
     t = _panel_mid(1)
     default = ll._moments_at_t(t, 3.0, (0.0,), QuadSpec())[0][0]
@@ -332,9 +332,10 @@ def test_unresolved_panel_raises_and_caches_nothing(cheb_cache, monkeypatch):
 # --- slopes in tau = ln t ----------------------------------------------------------
 
 def _exact_node_t():
-    """A t whose interpolation variable is exactly a Chebyshev point, so
-    _moments_at_t takes the node formula there."""
-    _, nodes, _ = ll._cheb_points(ll._CHEB_POINTS)
+    """A t whose interpolation variable is exactly a first-kind Chebyshev
+    point, one of those the panel was calibrated at."""
+    n = ll._CHEB_POINTS
+    nodes = np.cos((2.0 * np.arange(n) + 1.0) * (0.5 * math.pi / n)).tolist()
     for panel in range(ll._CHEB_PANELS):
         for x in nodes:
             t = math.exp(ll._CHEB_TAU0 + ll._CHEB_WIDTH * (panel + 0.5 * (1.0 + x)))
@@ -386,9 +387,9 @@ def test_log_state_slopes_match_central_differences(p):
 
 
 def test_exact_node_slopes_continue_the_interpolant():
-    # At the node the slope is its cached node derivative; one float step
-    # away, the barycentric sum over all of them. Both describe one
-    # interpolant.
+    # A calibration point has no branch of its own: the Chebyshev series
+    # and its derivative are continuous there, so one float step away the
+    # value and slope barely move.
     t = _exact_node_t()
     quad = QuadSpec()
     for p in (1.05, 3.0, 20.0):
@@ -521,6 +522,30 @@ def test_pair_maps_where_k_power_underflows():
 def test_time_map_rejects_gamma_below_amplitude():
     with pytest.raises(InvalidBracket):
         time_map(2.0, 3.9, PR3)  # k^2 = 4 > gamma
+
+
+@pytest.mark.parametrize("p, k, gamma", ((3.0, 1e200, 1e300),
+                                         (20.0, 1e30, 1e300)))
+def test_pair_maps_where_k_power_overflows(p, k, gamma):
+    # k^{p-1} leaves the float range, so it exceeds every finite gamma: a
+    # pair off the curve's domain, not an OverflowError.
+    pr = LocalParams(p=p)
+    with pytest.raises(InvalidBracket):
+        time_map(k, gamma, pr)
+    with pytest.raises(InvalidBracket):
+        q_norm(k, gamma, 2.0, pr)
+
+
+def test_pair_maps_validate_k_and_gamma():
+    # Both maps share one check: a negative k would raise TypeError from a
+    # complex power.
+    pr = LocalParams(p=2.5)
+    for k, gamma in ((-1.0, 20.0), (0.0, 20.0), (math.nan, 20.0),
+                     (1.0, -1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            time_map(k, gamma, pr)
+        with pytest.raises(ValueError):
+            q_norm(k, gamma, 2.0, pr)
 
 
 # --- solve_gamma -------------------------------------------------------------

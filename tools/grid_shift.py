@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Outcomes and relative shifts of the domain grid between a base revision
+and the working tree.
+
+    python3 tools/grid_shift.py --base HEAD~1
+
+Runs ``solve_alpha`` on the 198 cases of
+``tests/test_nonlocal.py::test_domain_grid_solved_or_typed_error``
+(11 p x q in {1.1, 2, 8} x 6 alpha, a1 = a2 = 1) once on the base
+revision's ``src/`` and once on the working tree's, each in its own
+interpreter. The base revision is exported with ``tools/bench_pair.py``'s
+``git archive`` helper, so the checkout is left alone.
+
+Prints one line per case: p, q, alpha, the outcome on each side (``point``
+or the error's class name) and, where both return a point, the largest
+relative shift over its fields. Then the outcome counts per side, the
+number of points whose fields differ at all, and for every field the worst
+relative shift and the case where it occurs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from bench_pair import ROOT, export  # noqa: E402
+
+PS = (1.05, 1.5, 2.0, 2.9, 3.0 - 1e-6, 3.0 + 1e-6, 3.0 + 1e-8, 3.1,
+      4.0, 8.0, 20.0)
+QS = (1.1, 2.0, 8.0)
+ALPHAS = (1e-6, 1e-2, 1.0, 1e2, 1e6, 1e12)
+FIELDS = ("k", "gamma", "d", "layer_t", "h", "beta", "lam")
+CASES = [(p, q, alpha) for p in PS for q in QS for alpha in ALPHAS]
+
+
+def run_grid(src: str) -> list:
+    """Every case's fields as a dict, or its error's class name, solved
+    with the package under src."""
+    sys.path.insert(0, src)
+    from biflogis.errors import BiflogisError
+    from biflogis.nonlocal_curve import ProblemParams, solve_alpha
+
+    out = []
+    for p, q, alpha in CASES:
+        try:
+            sol = solve_alpha(alpha, ProblemParams(p=p, q=q, a1=1.0, a2=1.0))
+        except BiflogisError as exc:
+            out.append(type(exc).__name__)
+            continue
+        loc = sol.local
+        out.append(dict(zip(FIELDS, (loc.k, loc.gamma, loc.d, loc.layer_t,
+                                     sol.h, sol.beta, sol.lam))))
+    return out
+
+
+def side(root: Path) -> list:
+    """run_grid on root's src/, in a fresh interpreter."""
+    argv = [sys.executable, str(Path(__file__).resolve()),
+            "--src", str(root / "src")]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"grid on {root} exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def shift(a: float, b: float) -> float:
+    return 0.0 if a == b else abs(b / a - 1.0)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", help="git revision to compare against")
+    ap.add_argument("--src", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.src:
+        json.dump(run_grid(args.src), sys.stdout)
+        return 0
+    if not args.base:
+        ap.error("--base is required")
+
+    with tempfile.TemporaryDirectory(prefix="grid_shift_") as tmp:
+        export(args.base, Path(tmp))
+        base = side(Path(tmp))
+    change = side(ROOT)
+
+    worst = {name: (0.0, None) for name in FIELDS}
+    counts = {"base": Counter(), "change": Counter()}
+    moved = 0
+    print("p q alpha base change max_rel_shift")
+    for case, b, c in zip(CASES, base, change):
+        outcomes = [r if isinstance(r, str) else "point" for r in (b, c)]
+        counts["base"][outcomes[0]] += 1
+        counts["change"][outcomes[1]] += 1
+        line = " ".join(map(repr, case)) + " " + " ".join(outcomes)
+        if outcomes == ["point", "point"]:
+            shifts = {name: shift(b[name], c[name]) for name in FIELDS}
+            moved += any(shifts.values())
+            for name, s in shifts.items():
+                if s > worst[name][0]:
+                    worst[name] = (s, case)
+            line += f" {max(shifts.values()):.3g}"
+        print(line)
+    for name in ("base", "change"):
+        print(f"{name}: " + ", ".join(f"{k} {v}" for k, v in
+                                      sorted(counts[name].items())))
+    print(f"points that moved: {moved}")
+    for name, (s, case) in worst.items():
+        at = "" if case is None else " at p, q, alpha = %r, %r, %r" % case
+        print(f"worst {name}: {s:.3g}{at}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
