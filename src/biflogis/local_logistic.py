@@ -383,12 +383,12 @@ def _moments_at_t(t: float, p: float, qs: tuple, quad: QuadSpec):
             view = np.stack([_cheb_coeffs(p, q, quad, branch) for q in qs],
                             axis=1)
         _VIEW_CACHE[key] = view
-    if branch == _CHEB_PANELS:
-        lin = t / math.sqrt(p - 1.0)
-        return [lin + b for b in view], [lin] * len(qs)
     if branch < 0:
         em = -math.expm1(-t)
         basis, scale = em ** _S_N, t * math.exp(-t) / em    # d(ln em)/dtau
+    elif branch == _CHEB_PANELS:
+        lin = t / math.sqrt(p - 1.0)
+        return [lin + b for b in view], [lin] * len(qs)
     else:
         k = np.arange(float(view.shape[2]))
         basis, scale = np.cos(math.acos(2.0 * (s - branch) - 1.0) * k), 1.0
