@@ -64,9 +64,9 @@ class ProblemParams:
             raise ValueError(f"p must be finite and > 1, got {self.p}")
         if not (math.isfinite(self.q) and self.q > 1.0):
             raise ValueError(f"q must be finite and > 1, got {self.q}")
-        if self.a1 < 0.0 or self.a2 < 0.0:
-            raise ValueError(
-                f"a1, a2 must be nonnegative, got {self.a1}, {self.a2}")
+        if not (0.0 <= self.a1 < math.inf and 0.0 <= self.a2 < math.inf):
+            raise ValueError(f"a1, a2 must be finite and nonnegative, "
+                             f"got {self.a1}, {self.a2}")
         if self.a1 + self.a2 <= 0.0:
             raise ZeroCoefficients("a1 + a2 must be positive")
         if self.root_tol <= 0.0:

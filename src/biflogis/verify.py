@@ -63,12 +63,12 @@ class CheckResult:
     rel_error: float
     fitted_order: float
     tolerance: float
-    passed: bool
     other_rel_error: float | None = None
 
-    def __post_init__(self):
-        if self.passed != (self.rel_error <= self.tolerance):
-            raise ValueError("pass flag inconsistent with rel_error/tolerance")
+    @property
+    def passed(self) -> bool:
+        """rel_error <= tolerance; False when rel_error is nan."""
+        return bool(self.rel_error <= self.tolerance)
 
     def to_record(self) -> dict:
         rec = {
@@ -84,16 +84,6 @@ class CheckResult:
         if self.other_rel_error is not None:
             rec["other_rel_error"] = self.other_rel_error
         return rec
-
-
-def _mk_check(name: str, target: float, estimate: float, rel_error: float,
-              fitted_order: float, tolerance: float,
-              other_rel_error: float | None = None) -> CheckResult:
-    return CheckResult(name=name, target=target, estimate=estimate,
-                       rel_error=rel_error, fitted_order=fitted_order,
-                       tolerance=tolerance,
-                       passed=bool(rel_error <= tolerance),
-                       other_rel_error=other_rel_error)
 
 
 def _rel(estimate: float, target: float, scale: float = 1.0) -> float:
@@ -231,9 +221,9 @@ def check_theorem_1(report: SweepReport) -> CheckResult:
     estimate = extrapolate_limit(alphas, ys, (p - 3.0) / 2.0, "inf")
     c1 = consts.compute_C1(p, params.quad)
     target = c1 * math.sqrt(params.a1 + params.a2)
-    return _mk_check("theorem_1_leading", target, estimate,
-                     _rel(estimate, target),
-                     _order_or_nan(alphas, resid), 0.02)
+    return CheckResult("theorem_1_leading", target, estimate,
+                       _rel(estimate, target),
+                       _order_or_nan(alphas, resid), 0.02)
 
 
 def check_theorem_2(report: SweepReport) -> tuple[CheckResult, CheckResult]:
@@ -246,14 +236,14 @@ def check_theorem_2(report: SweepReport) -> tuple[CheckResult, CheckResult]:
     ratios = np.array([s.lam for _, s in rows]) / alphas ** 2
     mean = float(np.mean(ratios))
     spread = float((ratios.max() - ratios.min()) / mean)
-    constancy = _mk_check("theorem_2_constancy", 0.0, spread, spread,
-                          math.nan, 1e-10)
+    constancy = CheckResult("theorem_2_constancy", 0.0, spread, spread,
+                            math.nan, 1e-10)
     # Reference value straight from the normalization point (3.1), not from
     # the sweep itself.
     d1_sol = nc.solve_alpha(1.0, params)
     target = d1_sol.local.gamma / d1_sol.local.d ** 2
-    ratio_check = _mk_check("theorem_2_ratio", target, mean,
-                            _rel(mean, target), math.nan, 1e-10)
+    ratio_check = CheckResult("theorem_2_ratio", target, mean,
+                              _rel(mean, target), math.nan, 1e-10)
     return constancy, ratio_check
 
 
@@ -301,16 +291,16 @@ def check_theorem_3(report: SweepReport,
 
     remainder = ys / lam0 - 1.0
     order = _order_or_nan(alphas, remainder)
-    leading = _mk_check("theorem_3_leading", lam0, estimate, rel_lead,
-                        order, tol_leading,
-                        other_rel_error=cands[others[0]][1]
-                        if others else None)
+    leading = CheckResult("theorem_3_leading", lam0, estimate, rel_lead,
+                          order, tol_leading,
+                          other_rel_error=cands[others[0]][1]
+                          if others else None)
 
     y2 = remainder * alphas ** (3.0 - p)
     est2 = extrapolate_limit(alphas, y2, 3.0 - p, "inf")
     target2 = cs.second_coeff
-    second = _mk_check("theorem_3_second", target2, est2,
-                       _rel(est2, target2), order, 0.05)
+    second = CheckResult("theorem_3_second", target2, est2,
+                         _rel(est2, target2), order, 0.05)
     return leading, second, chosen
 
 
@@ -345,21 +335,21 @@ def check_local_large_d(p: float, q: float, d_grid,
 
     y1 = (gammas - dd ** (p - 1.0)) / dd ** ((p - 1.0) / 2.0)
     est1 = extrapolate_limit(dd, y1, (p - 1.0) / 2.0, "inf")
-    shift = _mk_check("large_d_gamma_shift", c1, est1, _rel(est1, c1),
-                      _order_or_nan(dd, y1 - c1), 0.01)
+    shift = CheckResult("large_d_gamma_shift", c1, est1, _rel(est1, c1),
+                        _order_or_nan(dd, y1 - c1), 0.01)
 
     model = gammas * (1.0 - cq / np.sqrt(gammas)) ** ((p - 1.0) / q)
     resid = wqs ** (p - 1.0) / model - 1.0
     est2 = float(resid[-1])
-    relation = _mk_check("large_d_qnorm_relation", 0.0, est2, abs(est2),
-                         _order_or_nan(dd, resid), 1e-6)
+    relation = CheckResult("large_d_qnorm_relation", 0.0, est2, abs(est2),
+                           _order_or_nan(dd, resid), 1e-6)
 
     y3 = (wqs ** 2 / dd ** 2 - 1.0) * dd ** ((p - 1.0) / 2.0)
     est3 = extrapolate_limit(dd, y3, (p - 1.0) / 2.0, "inf")
     target3 = (2.0 / (p - 1.0)) * c1 - (2.0 / q) * cq
     rel3 = abs(est3 - target3) / max(abs(target3), cq)
-    dcoef = _mk_check("large_d_D_coefficient", target3, est3, rel3,
-                      _order_or_nan(dd, y3 - target3), 0.02)
+    dcoef = CheckResult("large_d_D_coefficient", target3, est3, rel3,
+                        _order_or_nan(dd, y3 - target3), 0.02)
     return [shift, relation, dcoef]
 
 
@@ -407,19 +397,19 @@ def check_local_small_d(p: float, q: float, d_grid,
 
     y1 = (np.sqrt(gammas) - math.pi) / dp
     est1 = extrapolate_limit(dd, y1, p - 1.0, "zero")
-    r1 = _mk_check("small_d_gamma_shift", a3, est1, _rel(est1, a3),
-                   _order_or_nan(dd, y1 - a3), 0.01)
+    r1 = CheckResult("small_d_gamma_shift", a3, est1, _rel(est1, a3),
+                     _order_or_nan(dd, y1 - a3), 0.01)
 
     y2 = (ks ** 2 / (2.0 * dd ** 2) - 1.0) / dp
     est2 = extrapolate_limit(dd, y2, p - 1.0, "zero")
-    r2 = _mk_check("small_d_amplitude", a4, est2, _rel(est2, a4),
-                   _order_or_nan(dd, y2 - a4), 0.02)
+    r2 = CheckResult("small_d_amplitude", a4, est2, _rel(est2, a4),
+                     _order_or_nan(dd, y2 - a4), 0.02)
 
     y3 = (wqs ** 2 * gammas ** (1.0 / q)
           / ((2.0 * A["A1"]) ** (2.0 / q) * ks ** 2) - 1.0) / dp
     est3 = extrapolate_limit(dd, y3, p - 1.0, "zero")
-    r3 = _mk_check("small_d_qnorm", t32, est3, _rel(est3, t32),
-                   _order_or_nan(dd, y3 - t32), 0.02)
+    r3 = CheckResult("small_d_qnorm", t32, est3, _rel(est3, t32),
+                     _order_or_nan(dd, y3 - t32), 0.02)
     out = [r1, r2, r3]
 
     if include_pipeline:
@@ -433,8 +423,8 @@ def check_local_small_d(p: float, q: float, d_grid,
             ratios.append(sol.local.d ** (p - 1.0) * e3 ** ((p - 3.0) / 2.0)
                           / a ** (p - 3.0))
         est4 = ratios[-1]
-        r4 = _mk_check("small_d_pipeline", 1.0, est4, _rel(est4, 1.0),
-                       _order_or_nan(sorted(grid),
-                                     [r - 1.0 for r in ratios]), 0.02)
+        r4 = CheckResult("small_d_pipeline", 1.0, est4, _rel(est4, 1.0),
+                         _order_or_nan(sorted(grid),
+                                       [r - 1.0 for r in ratios]), 0.02)
         out.append(r4)
     return out

@@ -206,16 +206,34 @@ def test_exit_check_failure(capsys):
 
 
 def test_exit_usage(capsys):
-    assert run_cli(capsys, "solve", "--p", "5")[0] == 64  # --alpha missing
-    assert run_cli(capsys, "solve", "--alpha", "10", "--p", "5",
-                   "--bogus")[0] == 64
-    assert run_cli(capsys, "solve", "--alpha", "-3")[0] == 64
-    assert run_cli(capsys, "solve", "--alpha", "10", "--a1", "0",
-                   "--a2", "0")[0] == 64
-    assert run_cli(capsys, "sweep", "--p", "5")[0] == 64
-    assert run_cli(capsys, "sweep", "--p", "5", "--alpha-min", "10",
-                   "--alpha-max", "5")[0] == 64
-    assert run_cli(capsys, "solve-local", "--k", "1", "--gamma", "15")[0] == 64
+    # A value outside the documented domain is a usage error on every
+    # subcommand, whichever solver object would have rejected it.
+    for argv in (
+        ("solve", "--p", "5"),  # --alpha missing
+        ("solve", "--alpha", "10", "--p", "5", "--bogus"),
+        ("solve", "--alpha", "-3"),
+        ("solve", "--alpha", "10", "--a1", "0", "--a2", "0"),
+        ("sweep", "--p", "5"),
+        ("sweep", "--p", "5", "--alpha-min", "10", "--alpha-max", "5"),
+        ("solve-local", "--k", "1", "--gamma", "15"),
+        ("solve-local", "--p", "0.5", "--k", "1"),
+        ("profile", "--p", "0.5", "--k", "1"),
+        ("oracle-check", "--p", "0.5", "--gamma", "20"),
+        ("solve-local", "--k", "-1"),
+        ("solve-local", "--p", "3", "--gamma", "-1"),
+        ("profile", "--p", "3", "--d", "0"),
+        ("solve-local", "--p", "2", "--k", "1", "--q", "0.5"),
+        ("oracle-check", "--gamma", "20", "--step", "1"),
+        ("oracle-check", "--p", "3", "--gamma", "15", "--step", "1e-2",
+         "--tol", "-1"),
+        ("solve", "--p", "0.5", "--alpha", "1"),
+        ("solve", "--alpha", "-1"),
+        ("constants", "--q", "0.5"),
+        ("solve", "--alpha", "10", "--a1", "nan"),
+        ("verify", "--p", "5", "--points", "7"),  # --points needs a range
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (64, ""), argv
 
 
 def test_exit_usage_profile_points(capsys):

@@ -69,14 +69,26 @@ def test_extrapolate_limit_validation():
 
 
 def test_check_result_consistency_enforced():
-    with pytest.raises(ValueError):
+    # passed is derived from rel_error <= tolerance, so it cannot disagree
+    # with them; a nan rel_error never passes.
+    def check(rel_error):
+        return CheckResult(name="x", target=1.0, estimate=1.0,
+                           rel_error=rel_error, fitted_order=math.nan,
+                           tolerance=0.01)
+
+    assert check(0.5).passed is False
+    assert check(0.01).passed is True
+    assert check(np.float64(1e-3)).passed is True
+    assert check(math.nan).passed is False
+    assert check(0.5).to_record()["pass"] is False
+    with pytest.raises(TypeError):
         CheckResult(name="x", target=1.0, estimate=1.5, rel_error=0.5,
                     fitted_order=math.nan, tolerance=0.01, passed=True)
 
 
 def test_check_result_to_record():
     r = CheckResult(name="x", target=1.0, estimate=1.001, rel_error=1e-3,
-                    fitted_order=math.nan, tolerance=0.01, passed=True)
+                    fitted_order=math.nan, tolerance=0.01)
     rec = r.to_record()
     assert rec["pass"] is True
     assert rec["fitted_order"] is None
