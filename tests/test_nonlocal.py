@@ -60,11 +60,11 @@ def test_params_validation():
         ProblemParams(p=1.0, q=2.0, a1=1.0, a2=0.0)
     with pytest.raises(ValueError):
         ProblemParams(p=5.0, q=1.0, a1=1.0, a2=0.0)
-    for a1 in (-0.1, math.nan, math.inf):
+    for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError):
-            ProblemParams(p=5.0, q=2.0, a1=a1, a2=1.0)
+            ProblemParams(p=5.0, q=2.0, a1=bad, a2=1.0)
         with pytest.raises(ValueError):
-            ProblemParams(p=5.0, q=2.0, a1=1.0, a2=a1)
+            ProblemParams(p=5.0, q=2.0, a1=1.0, a2=bad)
     with pytest.raises(ZeroCoefficients):
         ProblemParams(p=5.0, q=2.0, a1=0.0, a2=0.0)
     with pytest.raises(ValueError):
