@@ -7,7 +7,8 @@ Exit codes: 0 success, 1 solver outcome (NoSolution, InvalidBracket, ...),
 documented domain is a usage error on every subcommand: p > 1 and q > 1;
 a1, a2 finite and >= 0 with a1 + a2 > 0; k, gamma, d, alpha and tol
 positive and finite; step in (0, 1e-2]; --points >= 3 for profile and >= 2
-for sweep and verify, where it needs --alpha-min/--alpha-max.
+for sweep and verify, where it needs --alpha-min/--alpha-max and a grid
+whose points stay distinct in float.
 BIFLOGIS_QUAD_TOL overrides the default quadrature relative tolerance.
 """
 
@@ -220,6 +221,9 @@ def _resolve(args, parser) -> None:
     if points < 2:
         parser.error(f"--points: need >= 2, got {points}")
     args.alphas = [float(a) for a in np.geomspace(lo, hi, points)]
+    if len(set(args.alphas)) < points:
+        parser.error("--alpha-min/--alpha-max: the grid rounds to "
+                     "repeated alphas")
 
 
 def _local_point(args) -> ll.LocalPoint:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -283,17 +283,7 @@ class ConstantSet:
 
     def to_record(self) -> dict:
         """Flat key/value record with the canonical field names."""
-        return {
-            "p": self.p, "q": self.q, "a1": self.a1, "a2": self.a2,
-            "C1": self.C1, "Cq": self.Cq,
-            "A1": self.A1, "A2": self.A2, "A3": self.A3,
-            "A4": self.A4, "A5": self.A5, "A6": self.A6,
-            "E1": self.E1, "E2": self.E2, "E3": self.E3,
-            "E4": self.E4, "E5": self.E5,
-            "e3_reading": self.e3_reading,
-            "leading_coeff": self.leading_coeff,
-            "second_coeff": self.second_coeff,
-        }
+        return asdict(self)
 
 
 def compute_all(p: float, q: float, a1: float, a2: float,

@@ -3,6 +3,8 @@
 Each check sweeps the solver over a grid, extracts a limiting coefficient by
 two-point Richardson extrapolation, fits the remainder order on a log-log
 grid, and compares against the closed-form target from the constants module.
+The extrapolation uses the last two grid points, so every caller orders its
+grid toward the limit: alpha and large d increasing, small d decreasing.
 Targets are never hard-coded here; they are recomputed per call so a constants
 bug cannot hide behind a stale number.
 
@@ -24,7 +26,7 @@ from . import local_logistic as ll
 from . import nonlocal_curve as nc
 from .errors import (AmbiguousReading, BiflogisError, DegenerateFit,
                      WrongRegime)
-from .quadrature import GAUSS_LEGENDRE, QuadSpec
+from .quadrature import GAUSS_LEGENDRE
 
 __all__ = [
     "CheckResult",
@@ -86,10 +88,9 @@ class CheckResult:
         return rec
 
 
-def _rel(estimate: float, target: float, scale: float = 1.0) -> float:
-    """Relative error against target, falling back to scale at target zero."""
-    denom = abs(target) if target != 0.0 else scale
-    return abs(estimate - target) / denom
+def _rel(estimate: float, target: float, floor: float = 0.0) -> float:
+    """Error relative to max(|target|, floor), or absolute where that is 0."""
+    return abs(estimate - target) / (max(abs(target), floor) or 1.0)
 
 
 @dataclass
@@ -173,35 +174,38 @@ def _order_or_nan(xs, rs) -> float:
         return math.nan
 
 
-def extrapolate_limit(xs, ys, order: float, direction: str = "inf") -> float:
-    """Two-point Richardson limit of y = L + c x^{-order} (x to infinity)
-    or y = L + c x^{order} (x to zero), using the two grid points nearest
-    the limit."""
+def extrapolate_limit(xs, ys, order: float) -> float:
+    """Two-point Richardson limit of y = L + c x^{-order} from the last two
+    grid points; the caller orders the grid toward the limit (x to zero
+    takes a decreasing grid and a negative order)."""
     xs = np.asarray(list(xs), dtype=float)
     ys = np.asarray(list(ys), dtype=float)
     if len(xs) < 2:
         raise DegenerateFit("need >= 2 points to extrapolate")
-    if direction not in ("inf", "zero"):
-        raise ValueError(f"direction must be 'inf' or 'zero', got {direction}")
-    idx = np.argsort(xs)
-    if direction == "inf":
-        ia, ib = idx[-2], idx[-1]
-        pa, pb = xs[ia] ** (-order), xs[ib] ** (-order)
-    else:
-        ia, ib = idx[1], idx[0]
-        pa, pb = xs[ia] ** order, xs[ib] ** order
+    pa, pb = xs[-2] ** (-order), xs[-1] ** (-order)
     if pa == pb:
         raise DegenerateFit("identical extrapolation abscissae")
-    c = (ys[ia] - ys[ib]) / (pa - pb)
-    return float(ys[ib] - c * pb)
+    c = (ys[-2] - ys[-1]) / (pa - pb)
+    return float(ys[-1] - c * pb)
+
+
+def _limit_check(name: str, target: float, xs, ys, order: float,
+                 tolerance: float, floor: float = 0.0) -> CheckResult:
+    """The check that ys tends to target, with the fitted order of
+    ys - target."""
+    estimate = extrapolate_limit(xs, ys, order)
+    return CheckResult(name, target, estimate,
+                       _rel(estimate, target, floor),
+                       _order_or_nan(xs, ys - target), tolerance)
 
 
 def _valid_rows(report: SweepReport):
-    out = [(row["alpha"], sol) for row, sol in
-           zip(report.rows, report.solutions) if sol is not None]
-    if not out:
+    """Alphas and lambdas of the solved rows, in increasing alpha."""
+    rows = sorted((row["alpha"], sol.lam) for row, sol in
+                  zip(report.rows, report.solutions) if sol is not None)
+    if not rows:
         raise ValueError("report contains no valid rows")
-    return out
+    return np.array(rows).T
 
 
 def check_theorem_1(report: SweepReport) -> CheckResult:
@@ -211,14 +215,12 @@ def check_theorem_1(report: SweepReport) -> CheckResult:
     p = params.p
     if params.regime != "supercritical":
         raise WrongRegime(f"supercritical law needs p > 3, got p = {p}")
-    rows = _valid_rows(report)
-    alphas = np.array([a for a, _ in rows])
-    if len(rows) < 4 or alphas.max() / alphas.min() < 10.0:
+    alphas, lams = _valid_rows(report)
+    if len(alphas) < 4 or alphas[-1] / alphas[0] < 10.0:
         raise ValueError("need >= 4 points spanning at least a decade")
-    lams = np.array([s.lam for _, s in rows])
     resid = lams / alphas ** (p - 1.0) - 1.0
     ys = resid * alphas ** ((p - 3.0) / 2.0)
-    estimate = extrapolate_limit(alphas, ys, (p - 3.0) / 2.0, "inf")
+    estimate = extrapolate_limit(alphas, ys, (p - 3.0) / 2.0)
     c1 = consts.compute_C1(p, params.quad)
     target = c1 * math.sqrt(params.a1 + params.a2)
     return CheckResult("theorem_1_leading", target, estimate,
@@ -231,9 +233,8 @@ def check_theorem_2(report: SweepReport) -> tuple[CheckResult, CheckResult]:
     params = report.params
     if params.regime != "critical":
         raise WrongRegime(f"critical law needs p = 3, got p = {params.p}")
-    rows = _valid_rows(report)
-    alphas = np.array([a for a, _ in rows])
-    ratios = np.array([s.lam for _, s in rows]) / alphas ** 2
+    alphas, lams = _valid_rows(report)
+    ratios = lams / alphas ** 2
     mean = float(np.mean(ratios))
     spread = float((ratios.max() - ratios.min()) / mean)
     constancy = CheckResult("theorem_2_constancy", 0.0, spread, spread,
@@ -254,19 +255,19 @@ def check_theorem_3(report: SweepReport,
 
     Returns (leading check, second-order check, chosen reading). The losing
     reading's leading mismatch rides along in other_rel_error. Raises
-    AmbiguousReading when neither reading's leading coefficient matches.
+    AmbiguousReading when two different readings are offered and neither
+    leading coefficient matches; a single (pinned) reading that misses is
+    returned as failing checks.
     """
     params = report.params
     p = params.p
     if params.regime != "subcritical":
         raise WrongRegime(f"subcritical law needs 1 < p < 3, got p = {p}")
-    rows = _valid_rows(report)
-    alphas = np.array([a for a, _ in rows])
-    if len(rows) < 3 or alphas.max() / alphas.min() < 100.0:
+    alphas, lams = _valid_rows(report)
+    if len(alphas) < 3 or alphas[-1] / alphas[0] < 100.0:
         raise ValueError("need >= 3 points spanning at least two decades")
-    lams = np.array([s.lam for _, s in rows])
     ys = lams / alphas ** 2
-    estimate = extrapolate_limit(alphas, ys, 3.0 - p, "inf")
+    estimate = extrapolate_limit(alphas, ys, 3.0 - p)
 
     tol_leading = 0.005
     cands = {}
@@ -276,7 +277,7 @@ def check_theorem_3(report: SweepReport,
                              "carries no subcritical coefficients")
         cands[cs.e3_reading] = (cs, _rel(estimate, cs.leading_coeff))
     passing = [r for r, (_, e) in cands.items() if e <= tol_leading]
-    if not passing:
+    if not passing and len(cands) > 1:
         raise AmbiguousReading(
             "neither E3 reading matches the computed curve: "
             + ", ".join(f"{r}: rel_error = {e:.3e}"
@@ -284,7 +285,7 @@ def check_theorem_3(report: SweepReport,
     # Both passing cannot genuinely happen (the readings differ by pi powers);
     # if tolerances ever let both through, prefer the closer one. A pinned
     # run may pass the same set twice, leaving no losing reading to report.
-    chosen = min(passing, key=lambda r: cands[r][1])
+    chosen = min(passing or cands, key=lambda r: cands[r][1])
     others = [r for r in cands if r != chosen]
     cs, rel_lead = cands[chosen]
     lam0 = cs.leading_coeff
@@ -297,25 +298,24 @@ def check_theorem_3(report: SweepReport,
                           if others else None)
 
     y2 = remainder * alphas ** (3.0 - p)
-    est2 = extrapolate_limit(alphas, y2, 3.0 - p, "inf")
+    est2 = extrapolate_limit(alphas, y2, 3.0 - p)
     target2 = cs.second_coeff
     second = CheckResult("theorem_3_second", target2, est2,
                          _rel(est2, target2), order, 0.05)
     return leading, second, chosen
 
 
-def _local_states(p: float, q: float, ds, quad: QuadSpec):
-    lp = ll.LocalParams(p=p, quad=quad)
-    out = []
-    for d in ds:
-        point = ll.solve_for_d(float(d), lp)
-        wq = ll.point_q_norm(point, q, lp)
-        out.append((point, wq))
-    return out
+def _local_states(p: float, q: float, ds):
+    """Arrays d, gamma, k and ||w||_q of the local solutions at ds."""
+    lp = ll.LocalParams(p=p)
+    points = [ll.solve_for_d(d, lp) for d in ds]
+    return (np.array([pt.d for pt in points]),
+            np.array([pt.gamma for pt in points]),
+            np.array([pt.k for pt in points]),
+            np.array([ll.point_q_norm(pt, q, lp) for pt in points]))
 
 
-def check_local_large_d(p: float, q: float, d_grid,
-                        quad: QuadSpec = QuadSpec()) -> list[CheckResult]:
+def check_local_large_d(p: float, q: float, d_grid) -> list[CheckResult]:
     """Large-d laws: eigenvalue shift C1, the q-norm relation residual, and
     the D(d) coefficient (2/(p-1)) C1 - (2/q) Cq."""
     if p <= 3.0:
@@ -325,18 +325,13 @@ def check_local_large_d(p: float, q: float, d_grid,
         raise ValueError("d_grid must be increasing with >= 2 points")
     if max(ds) < 1e3:
         raise ValueError("d_grid must reach 1e3")
-    states = _local_states(p, q, ds, quad)
-    dd = np.array([pt.d for pt, _ in states])
-    gammas = np.array([pt.gamma for pt, _ in states])
-    wqs = np.array([w for _, w in states])
+    dd, gammas, _, wqs = _local_states(p, q, ds)
+    c1 = consts.compute_C1(p)
+    cq = consts.compute_Cq(p, q)
+    order = (p - 1.0) / 2.0
 
-    c1 = consts.compute_C1(p, quad)
-    cq = consts.compute_Cq(p, q, quad)
-
-    y1 = (gammas - dd ** (p - 1.0)) / dd ** ((p - 1.0) / 2.0)
-    est1 = extrapolate_limit(dd, y1, (p - 1.0) / 2.0, "inf")
-    shift = CheckResult("large_d_gamma_shift", c1, est1, _rel(est1, c1),
-                        _order_or_nan(dd, y1 - c1), 0.01)
+    y1 = (gammas - dd ** (p - 1.0)) / dd ** order
+    shift = _limit_check("large_d_gamma_shift", c1, dd, y1, order, 0.01)
 
     model = gammas * (1.0 - cq / np.sqrt(gammas)) ** ((p - 1.0) / q)
     resid = wqs ** (p - 1.0) / model - 1.0
@@ -344,87 +339,38 @@ def check_local_large_d(p: float, q: float, d_grid,
     relation = CheckResult("large_d_qnorm_relation", 0.0, est2, abs(est2),
                            _order_or_nan(dd, resid), 1e-6)
 
-    y3 = (wqs ** 2 / dd ** 2 - 1.0) * dd ** ((p - 1.0) / 2.0)
-    est3 = extrapolate_limit(dd, y3, (p - 1.0) / 2.0, "inf")
+    y3 = (wqs ** 2 / dd ** 2 - 1.0) * dd ** order
     target3 = (2.0 / (p - 1.0)) * c1 - (2.0 / q) * cq
-    rel3 = abs(est3 - target3) / max(abs(target3), cq)
-    dcoef = CheckResult("large_d_D_coefficient", target3, est3, rel3,
-                        _order_or_nan(dd, y3 - target3), 0.02)
+    dcoef = _limit_check("large_d_D_coefficient", target3, dd, y3, order,
+                         0.02, floor=cq)
     return [shift, relation, dcoef]
 
 
-def check_local_small_d(p: float, q: float, d_grid,
-                        quad: QuadSpec = QuadSpec(), *,
-                        a1: float = 1.0, a2: float = 1.0,
-                        reading: str = "proof_variant",
-                        alphas=None,
-                        include_pipeline: bool | None = None
-                        ) -> list[CheckResult]:
-    """Small-d laws: the A3, A4, and (2/q) A2/A1 expansion coefficients,
-    plus (in the subcritical regime) the d(alpha) pipeline law of the
-    growth analysis.
+def check_local_small_d(p: float, q: float, d_grid) -> list[CheckResult]:
+    """Small-d laws: the A3, A4, and (2/q) A2/A1 expansion coefficients.
 
     The A4 target is evaluated at q = 2 regardless of the sweep's q: the
     amplitude ratio k^2/(2 d^2) does not involve q, and its derivation pins
-    the norm exponent to 2. include_pipeline defaults to running the
-    pipeline check exactly when 1 < p < 3; forcing it outside that band
-    raises WrongRegime.
+    the norm exponent to 2.
     """
     ds = [float(d) for d in d_grid]
     if len(ds) < 2 or any(b >= a for a, b in zip(ds, ds[1:])):
         raise ValueError("d_grid must be decreasing with >= 2 points")
     if min(ds) > 1e-3:
         raise ValueError("d_grid must reach down to 1e-3")
-    subcritical = 1.0 < p < 3.0
-    if include_pipeline is None:
-        include_pipeline = subcritical
-    if include_pipeline and not subcritical:
-        raise WrongRegime(
-            f"the d(alpha) pipeline law needs 1 < p < 3, got p = {p}")
-
-    states = _local_states(p, q, ds, quad)
-    dd = np.array([pt.d for pt, _ in states])
-    gammas = np.array([pt.gamma for pt, _ in states])
-    ks = np.array([pt.k for pt, _ in states])
-    wqs = np.array([w for _, w in states])
+    dd, gammas, ks, wqs = _local_states(p, q, ds)
     dp = dd ** (p - 1.0)
+    order = 1.0 - p
 
-    A = consts.compute_A(p, q, quad)
-    a3 = A["A3"]
-    a4 = consts.compute_A(p, 2.0, quad)
+    A = consts.compute_A(p, q)
+    a4 = consts.compute_A(p, 2.0)
     a4 = (a4["A3"] - 4.0 * a4["A2"]) / math.pi
     t32 = (2.0 / q) * (A["A2"] / A["A1"])
 
     y1 = (np.sqrt(gammas) - math.pi) / dp
-    est1 = extrapolate_limit(dd, y1, p - 1.0, "zero")
-    r1 = CheckResult("small_d_gamma_shift", a3, est1, _rel(est1, a3),
-                     _order_or_nan(dd, y1 - a3), 0.01)
-
     y2 = (ks ** 2 / (2.0 * dd ** 2) - 1.0) / dp
-    est2 = extrapolate_limit(dd, y2, p - 1.0, "zero")
-    r2 = CheckResult("small_d_amplitude", a4, est2, _rel(est2, a4),
-                     _order_or_nan(dd, y2 - a4), 0.02)
-
     y3 = (wqs ** 2 * gammas ** (1.0 / q)
           / ((2.0 * A["A1"]) ** (2.0 / q) * ks ** 2) - 1.0) / dp
-    est3 = extrapolate_limit(dd, y3, p - 1.0, "zero")
-    r3 = CheckResult("small_d_qnorm", t32, est3, _rel(est3, t32),
-                     _order_or_nan(dd, y3 - t32), 0.02)
-    out = [r1, r2, r3]
-
-    if include_pipeline:
-        grid = [float(a) for a in (alphas if alphas is not None
-                                   else (1e2, 1e3, 1e4))]
-        params = nc.ProblemParams(p=p, q=q, a1=a1, a2=a2, quad=quad)
-        e3 = consts.compute_E(p, q, a1, a2, reading, quad)["E3"]
-        ratios = []
-        for a in sorted(grid):
-            sol = nc.solve_alpha(a, params)
-            ratios.append(sol.local.d ** (p - 1.0) * e3 ** ((p - 3.0) / 2.0)
-                          / a ** (p - 3.0))
-        est4 = ratios[-1]
-        r4 = CheckResult("small_d_pipeline", 1.0, est4, _rel(est4, 1.0),
-                         _order_or_nan(sorted(grid),
-                                       [r - 1.0 for r in ratios]), 0.02)
-        out.append(r4)
-    return out
+    return [_limit_check("small_d_gamma_shift", A["A3"], dd, y1, order, 0.01),
+            _limit_check("small_d_amplitude", a4, dd, y2, order, 0.02),
+            _limit_check("small_d_qnorm", t32, dd, y3, order, 0.02)]

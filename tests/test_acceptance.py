@@ -244,8 +244,7 @@ def test_criterion_08_small_d_coefficients():
                  "small_d_qnorm": 0.0}
         for p in (2.0, 2.5):
             for q in (2.0, 3.0):
-                results = check_local_small_d(p, q, (1e-2, 3e-3, 1e-3),
-                                              include_pipeline=False)
+                results = check_local_small_d(p, q, (1e-2, 3e-3, 1e-3))
                 for r in results:
                     assert r.passed, (
                         f"p={p} q={q} {r.name}: rel {r.rel_error:.3e} "

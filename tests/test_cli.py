@@ -203,6 +203,11 @@ def test_exit_check_failure(capsys):
                            "--step", "1e-2", "--tol", "1e-15")
     assert code == 2
     assert json.loads(out)["tolerance"] == 1e-15
+    # a pinned E3 reading that misses the curve reports its failing checks
+    code, out, _ = run_cli(capsys, "verify", "--p", "2", "--q", "2", "--a1",
+                           "0", "--a2", "1", "--e3-reading", "paper_definition")
+    assert code == 2
+    assert json.loads(out)["chosen_e3_reading"] == "paper_definition"
 
 
 def test_exit_usage(capsys):
@@ -231,6 +236,8 @@ def test_exit_usage(capsys):
         ("constants", "--q", "0.5"),
         ("solve", "--alpha", "10", "--a1", "nan"),
         ("verify", "--p", "5", "--points", "7"),  # --points needs a range
+        ("sweep", "--alpha-min", "1", "--alpha-max", "1.0000000000000002",
+         "--points", "5"),  # the grid rounds to repeated alphas
     ):
         code, out, _ = run_cli(capsys, *argv)
         assert (code, out) == (64, ""), argv

@@ -49,18 +49,17 @@ def test_estimate_order_degenerate():
 def test_extrapolate_limit_toward_infinity():
     xs = np.array([10.0, 100.0, 1000.0])
     ys = 4.0 + 3.0 * xs ** -2.0
-    assert abs(extrapolate_limit(xs, ys, 2.0, "inf") - 4.0) < 1e-12
+    assert abs(extrapolate_limit(xs, ys, 2.0) - 4.0) < 1e-12
 
 
 def test_extrapolate_limit_toward_zero():
+    # toward zero: a decreasing grid and a negative order
     xs = np.array([1e-1, 1e-2, 1e-3])
     ys = -2.0 + 5.0 * xs ** 1.5
-    assert abs(extrapolate_limit(xs, ys, 1.5, "zero") - (-2.0)) < 1e-12
+    assert abs(extrapolate_limit(xs, ys, -1.5) - (-2.0)) < 1e-12
 
 
 def test_extrapolate_limit_validation():
-    with pytest.raises(ValueError):
-        extrapolate_limit([1.0, 2.0], [1.0, 2.0], 1.0, "sideways")
     with pytest.raises(DegenerateFit):
         extrapolate_limit([1.0], [1.0], 1.0)
 
@@ -233,6 +232,12 @@ def test_theorem_3_pinned_reading(sub_report):
     leading, second, chosen = check_theorem_3(sub_report, cv, cv)
     assert chosen == "proof_variant"
     assert leading.other_rel_error is None
+    # a pinned reading that misses is a failing check, not an ambiguity
+    cp, _ = constant_sets()
+    leading, _, chosen = check_theorem_3(sub_report, cp, cp)
+    assert not leading.passed
+    assert chosen == "paper_definition"
+    assert leading.other_rel_error is None
 
 
 def test_theorem_3_ambiguous(sub_report):
@@ -281,24 +286,13 @@ def test_large_d_validation():
         check_local_large_d(5.0, 2.0, [10.0, 100.0])
 
 
-def test_small_d_checks_pass():
-    results = check_local_small_d(2.0, 2.0, [1e-2, 3e-3, 1e-3])
+@pytest.mark.parametrize("p", (2.0, 5.0))
+def test_small_d_checks_pass(p):
+    results = check_local_small_d(p, 2.0, [1e-2, 3e-3, 1e-3])
     names = [r.name for r in results]
     assert names == ["small_d_gamma_shift", "small_d_amplitude",
-                     "small_d_qnorm", "small_d_pipeline"]
+                     "small_d_qnorm"]
     assert all(r.passed for r in results)
-
-
-def test_small_d_pipeline_gating():
-    # p = 5 is outside the subcritical band: the pipeline check must stay
-    # off by default and refuse to be forced on.
-    results = check_local_small_d(5.0, 2.0, [1e-2, 3e-3, 1e-3])
-    assert [r.name for r in results] == ["small_d_gamma_shift",
-                                         "small_d_amplitude",
-                                         "small_d_qnorm"]
-    assert all(r.passed for r in results)
-    with pytest.raises(WrongRegime):
-        check_local_small_d(5.0, 2.0, [1e-2, 1e-3], include_pipeline=True)
 
 
 def test_small_d_validation():

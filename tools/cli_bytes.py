@@ -64,6 +64,7 @@ INVOCATIONS = [
     "constants --q 0.5",
     "solve --alpha 10 --a1 nan",
     "verify --p 5 --points 7",
+    "sweep --alpha-min 1 --alpha-max 1.0000000000000002 --points 5",
 ]
 
 
