@@ -6,9 +6,9 @@ Exit codes: 0 success, 1 solver outcome (NoSolution, InvalidBracket, ...),
 2 failed verification check, 64 usage error. Any flag value outside the
 documented domain is a usage error on every subcommand: p > 1 and q > 1;
 a1, a2 finite and >= 0 with a1 + a2 > 0; k, gamma, d, alpha and tol
-positive and finite; step in (0, 1e-2]; --points >= 3 for profile and >= 2
-for sweep and verify, where it needs --alpha-min/--alpha-max and a grid
-whose points stay distinct in float.
+positive and finite; step in (0, 1e-2]; --points at most 10**6, and >= 3
+for profile and >= 2 for sweep and verify, where it needs
+--alpha-min/--alpha-max and a grid whose points stay distinct in float.
 BIFLOGIS_QUAD_TOL overrides the default quadrature relative tolerance.
 """
 
@@ -39,6 +39,9 @@ EXIT_USAGE = 64
 
 _CSV_HEADER = "alpha,k,d,gamma,h,beta,lambda"
 _CHECK_CSV_HEADER = "name,target,estimate,rel_error,fitted_order,tolerance,pass"
+
+# Largest --points: each point is a profile node or a curve solve.
+_MAX_POINTS = 10 ** 6
 
 # The alpha grid of sweep and verify when no range is given, per regime.
 _DEFAULT_ALPHAS = {"supercritical": ver.DEFAULT_SUPER_ALPHAS,
@@ -156,7 +159,8 @@ def _build_parser() -> _Parser:
     profile = command("profile", _run_profile, problem=False,
                       help="sampled solution profile")
     profile.add_argument("--points", type=int, default=101,
-                         help="half-interval node count n >= 3 (total 2n-1)")
+                         help="half-interval node count n in [3, 10**6] "
+                              "(total 2n-1)")
     sweep = command("sweep", _run_sweep, help="curve rows over an alpha grid",
                     description=_CURVE_DOMAIN)
     verify = command("verify", _run_verify,
@@ -177,7 +181,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--alpha-min", type=_magnitude, required=sp is sweep)
         sp.add_argument("--alpha-max", type=_magnitude, required=sp is sweep)
         sp.add_argument("--points", type=int, default=None,
-                        help="grid size >= 2 (default 5)")
+                        help="grid size in [2, 10**6] (default 5)")
     for sp in (constants, verify):
         sp.add_argument("--e3-reading",
                         choices=("paper_definition", "proof_variant", "both"),
@@ -203,11 +207,14 @@ def _resolve(args, parser) -> None:
     q = getattr(args, "q", None)
     if q is not None and not 1.0 < q < math.inf:
         parser.error(f"--q: need a finite number > 1, got {q}")
-    if args.command == "profile" and args.points < 3:
-        parser.error(f"--points: need >= 3, got {args.points}")
+    points = getattr(args, "points", None)
+    if points is not None and points > _MAX_POINTS:
+        parser.error(f"--points: need <= {_MAX_POINTS}, got {points}")
+    if args.command == "profile" and points < 3:
+        parser.error(f"--points: need >= 3, got {points}")
     if "alpha_min" not in args:
         return
-    lo, hi, points = args.alpha_min, args.alpha_max, args.points
+    lo, hi = args.alpha_min, args.alpha_max
     if lo is None and hi is None:
         if points is not None:
             parser.error("--points: needs --alpha-min and --alpha-max")

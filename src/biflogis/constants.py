@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InvalidRegime, Overflow, ZeroCoefficients
+from .errors import InvalidRegime, Overflow, ZeroCoefficients, check_positive
 from .local_logistic import phi
 from .quadrature import QuadSpec, integrate
 
@@ -73,8 +73,7 @@ def _exp_in_range(ln_v: float, name: str, p: float, q: float) -> float:
 def _check_pq(p: float, q: float) -> None:
     if not (math.isfinite(p) and p > 1.0):
         raise ValueError(f"p must be finite and > 1, got {p}")
-    if not (math.isfinite(q) and q > 0.0):
-        raise ValueError(f"q must be finite and positive, got {q}")
+    check_positive("q", q)
 
 
 # The reading- and weight-independent integrals, once per process: keys

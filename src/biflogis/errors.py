@@ -1,8 +1,17 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one input check.
 
 Every error raised by the solvers derives from BiflogisError so the CLI can
-map any solver failure to a single exit code.
+map any solver failure to a single exit code. An input outside the
+documented domain is a ValueError instead.
 """
+
+import math
+
+
+def check_positive(name: str, v: float) -> None:
+    """ValueError unless v is finite and positive."""
+    if not (math.isfinite(v) and v > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {v}")
 
 
 class BiflogisError(Exception):

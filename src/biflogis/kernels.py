@@ -130,8 +130,9 @@ def layer_integrand(v, eps: float, em: float, p: float):
     return np.sqrt(h0 / h)
 
 
-def rk4_shoot(gamma: float, slope: float, p: float, n_steps: int, step: float):
-    """Fixed-step RK4 for w'' = sign(w)|w|^p - gamma w from w(0)=0, w'(0)=slope.
+def rk4_shoot(gamma: float, slope: float, p: float, n_steps: int):
+    """Fixed-step RK4 for w'' = sign(w)|w|^p - gamma w from w(0)=0, w'(0)=slope,
+    across [0, 1] in n_steps steps of 1/n_steps.
 
     Returns (ws, zs, n_filled, status): trajectory arrays of length
     n_steps + 1 (zero-padded past n_filled), the count of valid samples, and
@@ -150,7 +151,7 @@ def rk4_shoot(gamma: float, slope: float, p: float, n_steps: int, step: float):
     # second branch and stays NaN, an overflowing power raises in either.
     wl = [w]
     zl = [z]
-    h = step
+    h = 1.0 / n_steps
     h2 = 0.5 * h
     h6 = h / 6.0
     overflow = 1e12

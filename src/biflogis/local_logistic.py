@@ -72,8 +72,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InvalidBracket, NoConvergence, NoSolution
-from .quadrature import QuadSpec, integrate
+from .errors import InvalidBracket, NoConvergence, NoSolution, check_positive
+from .quadrature import ABS_TOL, QuadSpec, integrate
 from .rootfind import solve_monotone
 
 __all__ = [
@@ -153,9 +153,7 @@ class LocalPoint:
 
     def __post_init__(self):
         for name in ("k", "gamma", "d", "p"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {v}")
+            check_positive(name, getattr(self, name))
         if self.gamma < PI2 * (1.0 - 1e-12):
             raise ValueError(f"gamma must be >= pi^2, got {self.gamma}")
         # gamma > k^{p-1}, compared in log space with 1e-12 slack: at the
@@ -264,7 +262,7 @@ def _b_shift(p: float, qpow: float, quad: QuadSpec) -> float:
     Calibrated once per (p, q, tolerance) at eps = 1e-18, where the residual
     O(eps log(1/eps)) sits far below float64 resolution of J_q itself.
     """
-    key = (p, qpow, quad.rel_tol, quad.abs_tol)
+    key = (p, qpow, quad.rel_tol)
     val = _B_CACHE.get(key)
     if val is None:
         eps0 = 1e-18
@@ -289,7 +287,7 @@ def _series_coeffs(p: float, qpow: float, quad: QuadSpec) -> np.ndarray:
     Calibrated once per (p, q, tolerance) by one stacked quadrature with one
     row per n.
     """
-    key = (p, qpow, quad.rel_tol, quad.abs_tol)
+    key = (p, qpow, quad.rel_tol)
     val = _S_CACHE.get(key)
     if val is None:
         c = 2.0 / (p + 1.0)
@@ -317,11 +315,11 @@ def _cheb_coeffs(p: float, qpow: float, quad: QuadSpec, panel: int) -> np.ndarra
     theta_j = (2j+1) pi/(2n), so the coefficients of a q do not depend on
     which other q were calibrated before it; one DCT of those samples gives
     c_k = (2/n) sum_j f_j cos(k theta_j), c_0 halved. The trailing three
-    coefficients must lie within max(abs_tol, rel_tol |c_0|), the bound the
+    coefficients must lie within max(ABS_TOL, rel_tol |c_0|), the bound the
     quadrature itself meets; otherwise NoConvergence is raised and nothing
     is cached.
     """
-    key = (p, qpow, quad.rel_tol, quad.abs_tol, panel)
+    key = (p, qpow, quad.rel_tol, panel)
     val = _C_CACHE.get(key)
     if val is None:
         # cos(k theta_j) with k theta_j = k (2j+1) pi/(2n) reduced mod 2 pi in
@@ -335,7 +333,7 @@ def _cheb_coeffs(p: float, qpow: float, quad: QuadSpec, panel: int) -> np.ndarra
         coeffs = (2.0 / n) * vals @ dct
         coeffs[0] *= 0.5
         tail = np.abs(coeffs[-3:]).max()
-        bound = max(quad.abs_tol, quad.rel_tol * abs(coeffs[0]))
+        bound = max(ABS_TOL, quad.rel_tol * abs(coeffs[0]))
         if tail > bound:
             t_lo, t_hi = np.exp(_CHEB_TAU0 + _CHEB_WIDTH * (panel + np.arange(2)))
             raise NoConvergence(
@@ -372,7 +370,7 @@ def _moments_at_t(t: float, p: float, qs: tuple, quad: QuadSpec):
     else:
         s = (math.log(t) - _CHEB_TAU0) / _CHEB_WIDTH
         branch = min(int(s), _CHEB_PANELS - 1)
-    key = (p, qs, quad.rel_tol, quad.abs_tol, branch)
+    key = (p, qs, quad.rel_tol, branch)
     view = _VIEW_CACHE.get(key)
     if view is None:
         if branch < 0:
@@ -482,21 +480,19 @@ def _t_where(ln_of, target: float, seed: float, params: LocalParams):
         state = states[tau] = _log_state_at_t(math.exp(tau), p, (2.0,), quad)
         return ln_of(state) - target, ln_of(state[3])
 
-    tau = solve_monotone(resid, seed, _TAU_LO, _TAU_HI, step0=2.0, xtol=1e-14)
+    tau = solve_monotone(resid, seed, _TAU_LO, _TAU_HI, xtol=1e-14)
     return math.exp(tau), states[tau]
 
 
 def _t_from_k(k: float, params: LocalParams):
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"k must be finite and positive, got {k}")
+    check_positive("k", k)
     ln_k = math.log(k)
     return _t_where(lambda s: s[0], ln_k, _seed_tau_for_k(ln_k, params.p),
                     params)
 
 
 def _t_from_gamma(gamma: float, params: LocalParams):
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"gamma must be finite and positive, got {gamma}")
+    check_positive("gamma", gamma)
     if gamma <= PI2:
         raise NoSolution(f"no positive solution for gamma <= pi^2 (got {gamma})")
     ln_g = math.log(gamma)
@@ -506,8 +502,7 @@ def _t_from_gamma(gamma: float, params: LocalParams):
 
 
 def _t_from_d(d: float, params: LocalParams):
-    if not (math.isfinite(d) and d > 0.0):
-        raise ValueError(f"d must be finite and positive, got {d}")
+    check_positive("d", d)
     ln_d = math.log(d)
     return _t_where(lambda s: s[2][0], ln_d, _seed_tau_for_d(ln_d, params.p),
                     params)
@@ -523,10 +518,8 @@ def _layer_t(k: float, gamma: float, p: float, name: str) -> float:
     overflows, it exceeds every finite gamma. exp((p-1) ln k - ln gamma)
     would round nu to ulps of (p-1) ln k, which 1 - nu magnifies near 1.
     """
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"k must be finite and positive, got {k}")
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"gamma must be finite and positive, got {gamma}")
+    check_positive("k", k)
+    check_positive("gamma", gamma)
     try:
         nu = k ** (p - 1.0) / gamma
     except OverflowError:
@@ -633,7 +626,7 @@ def _asym_segments(p: float, n: int, quad: QuadSpec) -> np.ndarray:
     integrates f(s)^{-1/2}, which depends on p alone: the array is
     calibrated once per (p, n, tolerance) and cached read-only.
     """
-    key = (p, n, quad.rel_tol, quad.abs_tol)
+    key = (p, n, quad.rel_tol)
     segs = _SEG_CACHE.get(key)
     if segs is None:
         def g(s):

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import local_logistic as ll
 from .errors import (BracketFailure, InvalidBracket, InvalidRegime,
-                     MonotonicityViolation, NoConvergence, ZeroCoefficients)
+                     MonotonicityViolation, NoConvergence, ZeroCoefficients,
+                     check_positive)
 from .local_logistic import LocalPoint, phi
 from .quadrature import QuadSpec
 from .rootfind import solve_monotone
@@ -50,14 +51,13 @@ REGIMES = ("supercritical", "critical", "subcritical")
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Problem data (p, q, a1, a2) plus numeric knobs."""
+    """Problem data (p, q, a1, a2) plus the quadrature's relative tolerance."""
 
     p: float
     q: float
     a1: float
     a2: float
     quad: QuadSpec = QuadSpec()
-    root_tol: float = 1e-10
 
     def __post_init__(self):
         if not (math.isfinite(self.p) and self.p > 1.0):
@@ -69,8 +69,6 @@ class ProblemParams:
                              f"got {self.a1}, {self.a2}")
         if self.a1 + self.a2 <= 0.0:
             raise ZeroCoefficients("a1 + a2 must be positive")
-        if self.root_tol <= 0.0:
-            raise ValueError("root_tol must be positive")
 
     @property
     def regime(self) -> str:
@@ -101,9 +99,7 @@ class NonlocalSolution:
 
     def __post_init__(self):
         for name in ("alpha", "h", "beta", "lam"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {v}")
+            check_positive(name, getattr(self, name))
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         if not abs(self.alpha - self.h * self.local.d) \
@@ -166,8 +162,7 @@ def g_of_k(k: float, params: ProblemParams) -> float:
     """g = N^{1/(p-3)} d, the alpha reached by local amplitude k (p != 3)."""
     if params.regime == "critical":
         raise InvalidRegime("g = N^{1/(p-3)} d is singular at p = 3")
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"k must be finite and positive, got {k}")
+    check_positive("k", k)
     t, _ = ll._t_from_k(k, ll.LocalParams(p=params.p, quad=params.quad))
     state, ln_n = _state_at_t(t, params)
     return math.exp(ln_n / (params.p - 3.0) + state[2][0])
@@ -196,8 +191,7 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
     or lambda out of range, or d rounding to k); NoConvergence if
     |ln beta - (p-1) ln h|, the log miss of beta = h^{p-1}, exceeds 1e-10.
     """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    check_positive("alpha", alpha)
     p = params.p
     ln_alpha = math.log(alpha)
     if p >= 3.0:
@@ -217,8 +211,7 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
 
     tau0 = ll._seed_tau_for_d(ln_d, p)
     try:
-        tau = solve_monotone(resid, tau0, ll._TAU_LO, ll._TAU_HI, step0=2.0,
-                             xtol=min(params.root_tol, 1e-12))
+        tau = solve_monotone(resid, tau0, ll._TAU_LO, ll._TAU_HI, xtol=1e-12)
     except BracketFailure as exc:
         # r increases, so r < 0 at the upper wall puts the root beyond it.
         if not (ll._TAU_HI in evals and evals[ll._TAU_HI][0] < 0.0):

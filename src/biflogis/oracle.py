@@ -11,7 +11,9 @@ are nearly exact; each is aimed at the middle of the acceptance window.
 The search runs on marches of a hundredth and a tenth of the requested
 step count first; each level seeds the next, the requested march from the
 two coarse slopes extrapolated by RK4's h^4 error law where both were
-found, and only the requested march decides the result. Nothing in this
+found, and only the requested march decides the result. A shot is accepted
+once 0 < w(1) <= SLOPE_TOL * m, and each level takes at most MAX_SHOTS
+marches; the RK4 step is the one setting (ShootConfig). Nothing in this
 module touches the moment integrals, so agreement with local_logistic is a
 real two-route check, not a tautology.
 """
@@ -41,29 +43,23 @@ __all__ = [
 _LN_MAX = math.log(sys.float_info.max)
 _LN2 = math.log(2.0)
 
+# The slope search accepts a non-crossing shot with 0 < w(1) <= SLOPE_TOL * m.
+SLOPE_TOL = 1e-12
+# Most shots (one march each) one level of the slope search may take,
+# secant, one-sided and bisection steps alike. A coarse level that reaches
+# it hands no seed to the next; only the requested march's level raises.
+MAX_SHOTS = 200
+
 
 @dataclass(frozen=True)
 class ShootConfig:
-    """Knobs for the RK4 march and the secant slope search.
-
-    step is the RK4 step, slope_tol the acceptance 0 < w(1) <= slope_tol * m,
-    and max_bisections caps the slope search's iterations (one march each),
-    secant, one-sided and bisection steps alike. The cap applies to each
-    level of the search separately: a coarse level that reaches it hands no
-    seed to the next, and only the requested march's level raises.
-    """
+    """The RK4 step of the requested march, in (0, 1e-2]."""
 
     step: float = 1e-4
-    slope_tol: float = 1e-12
-    max_bisections: int = 200
 
     def __post_init__(self):
         if not (0.0 < self.step <= 1e-2):
             raise ValueError(f"step must be in (0, 1e-2], got {self.step}")
-        if self.slope_tol <= 0.0:
-            raise ValueError("slope_tol must be positive")
-        if self.max_bisections < 1:
-            raise ValueError("max_bisections must be >= 1")
 
     @property
     def n_steps(self) -> int:
@@ -109,7 +105,7 @@ def shoot(gamma: float, m: float, p: float,
     if m <= 0.0:
         raise ValueError(f"initial slope must be positive, got {m}")
     n = cfg.n_steps
-    ws, zs, n_filled, status = kernels.rk4_shoot(gamma, m, p, n, 1.0 / n)
+    ws, zs, n_filled, status = kernels.rk4_shoot(gamma, m, p, n)
     if status != 0:
         raise Overflow(
             f"trajectory diverged at x = {(n_filled - 1) / n:.6g} "
@@ -199,7 +195,7 @@ def _slope_search(gamma: float, p: float, cfg: ShootConfig,
     # and |z(1)| = m to first order where w(1) is small): a shot that misses
     # the aim by up to half the window, rounding of g or a seed's error,
     # still lands inside it.
-    target = 0.5 * cfg.slope_tol
+    target = 0.5 * SLOPE_TOL
     m_lo, g_lo = 1e-12, math.pi / math.sqrt(gamma) - 1.0
     m_hi = m_sep
     # The last shot (m, g), g None where it had no offset, and du/dg to step
@@ -207,7 +203,7 @@ def _slope_search(gamma: float, p: float, cfg: ShootConfig,
     # no shot before it and keeps the coarser level's slope.
     m, dudg = seed if seed is not None else (None, None)
     last = None if seed is not None else (m_lo, g_lo)
-    for _ in range(cfg.max_bisections):
+    for _ in range(MAX_SHOTS):
         if m is None and dudg is not None and last[1] is not None:
             m = _moved(m_sep, last[0], (target - last[1]) * dudg)
         if m is None or not m_lo < m < m_hi:
@@ -230,13 +226,13 @@ def _slope_search(gamma: float, p: float, cfg: ShootConfig,
         last = (m, g)
         if res is not None and res.crossed:
             m_lo, g_lo = m, g
-        elif res is not None and 0.0 < res.ws[-1] <= cfg.slope_tol * m:
+        elif res is not None and 0.0 < res.ws[-1] <= SLOPE_TOL * m:
             return res, dudg
         else:
             m_hi = m
         m = None
     raise NoConvergence(
-        f"slope search stalled before w(1) <= slope_tol * m "
+        f"slope search stalled before w(1) <= SLOPE_TOL * m "
         f"(gamma = {gamma}, bracket = [{m_lo}, {m_hi}])")
 
 
@@ -294,13 +290,13 @@ def solve_bvp(gamma: float, p: float,
     non-crossing shots (overflow included) the high end. Near the saddle
     the return time grows like -u/mu, mu = sqrt((p-1) gamma) the saddle's
     eigenvalue, so g is almost linear in u. Each step is the secant through
-    the last two shots in u, aimed at g = slope_tol/2, the middle of the
+    the last two shots in u, aimed at g = SLOPE_TOL/2, the middle of the
     acceptance window, so a shot that misses the aim by up to half the
     window still lands inside it. Without one (a shot with no offset), or
     where it leaves the bracket, the step is one-sided while the high end is
     still m_sep: u_lo + mu g_lo, at least halving m_sep - m_lo and at most
     the float below m_sep. After that it bisects the bracket in u. Accepts
-    the first non-crossing trajectory with 0 < w(1) <= slope_tol * m.
+    the first non-crossing trajectory with 0 < w(1) <= SLOPE_TOL * m.
 
     The search runs first on coarser copies of the same march, of n/100
     and n/10 steps for n = cfg.n_steps, each kept while it is >= 100
@@ -313,7 +309,7 @@ def solve_bvp(gamma: float, p: float,
     the step ratio is 10 at each rung). Only the finest level decides:
     its bracket starts afresh at [1e-12, m_sep] and its acceptance is the
     rule above, so the seed only picks which point of the same window is
-    found. Each level has its own max_bisections budget; a coarse level
+    found. Each level has its own budget of MAX_SHOTS marches; a coarse level
     that stalls hands on no seed. NoConvergence is raised when the finest
     level's budget runs out or its bracket closes to adjacent floats. The
     amplitude k is read off the grid maximum with one parabolic

@@ -5,7 +5,9 @@ embedded error estimate by order doubling (12 vs 24 nodes per panel), for
 integrands smooth on the closed interval. Each refinement round bisects
 every panel whose error estimate exceeds its share of the tolerance, up to a
 fixed bound on the number of live panels. Every integrand of this package is
-brought into that class by a change of variable before it gets here.
+brought into that class by a change of variable before it gets here. The
+caller sets the relative tolerance (QuadSpec); the absolute floor ABS_TOL and
+the round budget MAX_REFINEMENTS are the same for every request.
 
 Calling convention: the integrand ``f`` receives a NumPy array of nodes and
 must return an array of values, or shape (m, len(nodes)) for m integrands
@@ -37,22 +39,22 @@ _GL_HI_X, _GL_HI_W = np.polynomial.legendre.leggauss(24)
 # NoConvergence instead.
 _GL_MAX_PANELS = 4096
 
+# Absolute error floor under the relative tolerance, and the most refinement
+# rounds one request may take, for every request.
+ABS_TOL = 1e-14
+MAX_REFINEMENTS = 30
+
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Accuracy for one integration request."""
+    """Relative accuracy for one integration request; the absolute floor is
+    ABS_TOL and the round budget MAX_REFINEMENTS."""
 
     rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    max_refinements: int = 30
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0.0):
             raise ValueError("rel_tol must be positive")
-        if not (self.abs_tol > 0.0):
-            raise ValueError("abs_tol must be positive")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ class QuadResult:
 def integrate(f, a: float, b: float, spec: QuadSpec = QuadSpec()) -> QuadResult:
     """Approximate the integral of ``f`` over (a, b).
 
-    The result satisfies |error_estimate| <= max(abs_tol, rel_tol*|value|),
+    The result satisfies |error_estimate| <= max(ABS_TOL, rel_tol*|value|),
     componentwise for a stacked integrand; otherwise NoConvergence is
     raised. NonFinite is raised if ``f`` returns NaN or infinity at any
     interior node actually used.
@@ -81,7 +83,7 @@ def integrate(f, a: float, b: float, spec: QuadSpec = QuadSpec()) -> QuadResult:
     acc_err = 0.0
     evals = 0
 
-    for _ in range(spec.max_refinements + 1):
+    for _ in range(MAX_REFINEMENTS + 1):
         mid = 0.5 * (panels[:, 0] + panels[:, 1])
         half = 0.5 * (panels[:, 1] - panels[:, 0])
 
@@ -99,7 +101,7 @@ def integrate(f, a: float, b: float, spec: QuadSpec = QuadSpec()) -> QuadResult:
 
         # A panel is kept only when every component meets its share.
         running = acc_val + i_hi.sum(axis=1)
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(running))
+        tol = np.maximum(ABS_TOL, spec.rel_tol * np.abs(running))
         ok = np.all(perr <= tol[:, None] * (2.0 * half / total_len), axis=0)
         acc_val = acc_val + i_hi[:, ok].sum(axis=1)
         acc_err = acc_err + perr[:, ok].sum(axis=1)
@@ -123,7 +125,7 @@ def integrate(f, a: float, b: float, spec: QuadSpec = QuadSpec()) -> QuadResult:
         )
 
     raise NoConvergence(
-        f"{GAUSS_LEGENDRE}: tolerance unmet after {spec.max_refinements} refinement rounds"
+        f"{GAUSS_LEGENDRE}: tolerance unmet after {MAX_REFINEMENTS} refinement rounds"
     )
 
 

@@ -20,6 +20,11 @@ from .errors import BracketFailure, NoConvergence
 
 _EPS = 2.220446049250313e-16
 
+# solve_monotone's cap on its first step before the root is bracketed, and
+# its budget of residual evaluations.
+FIRST_STEP = 2.0
+MAX_EVALS = 100
+
 
 def brentq(f, xa: float, xb: float, fa=None, fb=None,
            xtol: float = 1e-13, rtol: float = 4 * _EPS, maxiter: int = 100) -> float:
@@ -125,12 +130,11 @@ def bracket_monotone(f, x0: float, lo_limit: float, hi_limit: float,
 
 
 def solve_monotone(f, x0: float, lo_limit: float, hi_limit: float,
-                   step0: float = 1.0, xtol: float = 1e-13,
-                   maxiter: int = 100) -> float:
+                   xtol: float = 1e-13) -> float:
     """Root of an increasing residual by safeguarded Newton.
 
     f(x) returns (f, df/dx). From the seed, clamped to [lo_limit, hi_limit],
-    Newton steps run toward the root, each at most step0 long, a cap that
+    Newton steps run toward the root, each at most FIRST_STEP long, a cap that
     grows by 1.7 per step, until the sign changes; from then on the
     iterates stay inside the bracket, and a step that would leave it, or a
     slope that is not finite and positive, becomes a bisection. The last
@@ -138,12 +142,12 @@ def solve_monotone(f, x0: float, lo_limit: float, hi_limit: float,
     xtol/8 + 2 eps |x|, so f's own last call was at the returned root.
 
     Raises BracketFailure if the sign does not change inside the limits,
-    NoConvergence after maxiter evaluations.
+    NoConvergence after MAX_EVALS evaluations.
     """
     x = min(max(float(x0), lo_limit), hi_limit)
     lo, hi = -math.inf, math.inf      # evaluated points with f < 0, f > 0
-    step = step0
-    for _ in range(maxiter):
+    step = FIRST_STEP
+    for _ in range(MAX_EVALS):
         y, dy = f(x)
         if y == 0.0:
             return x
@@ -172,4 +176,4 @@ def solve_monotone(f, x0: float, lo_limit: float, hi_limit: float,
             x_new = min(max(x + math.copysign(move, -y), lo_limit), hi_limit)
             step *= 1.7
         x = x_new
-    raise NoConvergence(f"solve_monotone: no convergence in {maxiter} evaluations")
+    raise NoConvergence(f"solve_monotone: no convergence in {MAX_EVALS} evaluations")

@@ -26,7 +26,7 @@ from . import local_logistic as ll
 from . import nonlocal_curve as nc
 from .errors import (AmbiguousReading, BiflogisError, DegenerateFit,
                      WrongRegime)
-from .quadrature import GAUSS_LEGENDRE
+from .quadrature import ABS_TOL, GAUSS_LEGENDRE, MAX_REFINEMENTS
 
 __all__ = [
     "CheckResult",
@@ -108,14 +108,13 @@ class SweepReport:
     chosen_e3_reading: str | None = None
 
     def to_record(self) -> dict:
-        q = self.params.quad
         return {
             "params": {
                 "p": self.params.p, "q": self.params.q,
                 "a1": self.params.a1, "a2": self.params.a2,
-                "root_tol": self.params.root_tol,
-                "quad": {"rel_tol": q.rel_tol, "abs_tol": q.abs_tol,
-                         "max_refinements": q.max_refinements,
+                "quad": {"rel_tol": self.params.quad.rel_tol,
+                         "abs_tol": ABS_TOL,
+                         "max_refinements": MAX_REFINEMENTS,
                          "rule": GAUSS_LEGENDRE},
             },
             "rows": self.rows,

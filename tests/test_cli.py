@@ -238,6 +238,10 @@ def test_exit_usage(capsys):
         ("verify", "--p", "5", "--points", "7"),  # --points needs a range
         ("sweep", "--alpha-min", "1", "--alpha-max", "1.0000000000000002",
          "--points", "5"),  # the grid rounds to repeated alphas
+        ("profile", "--p", "3", "--gamma", "20", "--points",
+         "100000000000000000000"),  # --points is at most 10**6
+        ("sweep", "--alpha-min", "1", "--alpha-max", "10", "--points",
+         "10000000"),
     ):
         code, out, _ = run_cli(capsys, *argv)
         assert (code, out) == (64, ""), argv

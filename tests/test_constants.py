@@ -18,6 +18,7 @@ from biflogis.constants import (READINGS, ConstantSet, compute_A, compute_all,
                                 theorem3_coefficients)
 from biflogis.errors import (InvalidRegime, NoConvergence, Overflow,
                              ZeroCoefficients)
+from biflogis import quadrature
 from biflogis.quadrature import QuadSpec, integrate
 
 PI = math.pi
@@ -371,14 +372,16 @@ def test_memo_keys_on_the_spec_that_runs(cache):
     assert rel(tight["A2"], compute_A(2.0, 2.0)["A2"]) < 1e-13
 
 
-def test_raising_input_leaves_no_entry(cache):
+def test_raising_input_leaves_no_entry(cache, monkeypatch):
     store, calls = cache
     with pytest.raises(ValueError):
         compute_A(1.0, 2.0)
     with pytest.raises(Overflow):
         compute_A(1e4, 2.0)
-    with pytest.raises(NoConvergence):
-        compute_Cq(2.0, 1.1, QuadSpec(max_refinements=1))
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "MAX_REFINEMENTS", 1)
+        with pytest.raises(NoConvergence):
+            compute_Cq(2.0, 1.1)
     assert store == {}
     assert len(calls) == 1
     assert rel(compute_Cq(2.0, 2.0), ORACLE["Cq[p=2,q=2]"]) < 1e-12

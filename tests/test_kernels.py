@@ -83,7 +83,7 @@ def test_c_factor_scalar_and_array():
 def test_rk4_overflow_status():
     # the second march overflows the floats inside an RK4 stage before |w|
     # reaches the 1e12 guard; it must still end with status 1, not raise
-    for args in ((1.0, 1e8, 5.0, 10000, 1e-3), (15.0, 1e6, 5.0, 1000, 1e-3)):
+    for args in ((1.0, 1e8, 5.0, 10000), (15.0, 1e6, 5.0, 1000)):
         ws, zs, n, status = kernels.rk4_shoot(*args)
         assert status == 1
         assert n <= args[3] + 1
@@ -94,18 +94,18 @@ def test_rk4_linear_limit():
     # p-term negligible for tiny slope: w ~ (m/sqrt(g)) sin(sqrt(g) x)
     gamma = math.pi ** 2
     m = 1e-8
-    ws, zs, n, status = kernels.rk4_shoot(gamma, m, 3.0, 1000, 1e-3)
+    ws, zs, n, status = kernels.rk4_shoot(gamma, m, 3.0, 1000)
     assert status == 0 and n == 1001
     xs = 1e-3 * np.arange(1001)
     expected = (m / math.sqrt(gamma)) * np.sin(math.sqrt(gamma) * xs)
     assert np.max(np.abs(ws - expected)) < 1e-12 * m / math.sqrt(gamma) * 1e4
 
 
-def _rk4_reference(gamma, slope, p, n_steps, step):
+def _rk4_reference(gamma, slope, p, n_steps):
     """The march step by step into preallocated arrays, unhoisted."""
     ws = np.zeros(n_steps + 1)
     zs = np.zeros(n_steps + 1)
-    w, z, h = 0.0, slope, step
+    w, z, h = 0.0, slope, 1.0 / n_steps
     zs[0] = z
     f = lambda v: math.copysign(abs(v) ** p, v) - gamma * v
     for i in range(1, n_steps + 1):
@@ -129,8 +129,8 @@ def test_rk4_matches_scalar_reference():
     # The crossing marches take w < 0, at p = 2.7 too, where a negative base
     # to the power p is not real. The last case leaves through the
     # |w| > 1e12 guard, not an overflow.
-    for args in ((15.0, 3.0, 2.0, 10000, 1e-4), (50.0, 9.0, 3.0, 10000, 1e-4),
-                 (15.0, 3.0, 2.7, 10000, 1e-4), (1.0, 1e8, 2.0, 1000, 1e-3)):
+    for args in ((15.0, 3.0, 2.0, 10000), (50.0, 9.0, 3.0, 10000),
+                 (15.0, 3.0, 2.7, 10000), (1.0, 1e8, 2.0, 1000)):
         ws, zs, n, status = kernels.rk4_shoot(*args)
         ref_ws, ref_zs, ref_n, ref_status = _rk4_reference(*args)
         assert (n, status) == (ref_n, ref_status)

@@ -67,8 +67,6 @@ def test_params_validation():
             ProblemParams(p=5.0, q=2.0, a1=1.0, a2=bad)
     with pytest.raises(ZeroCoefficients):
         ProblemParams(p=5.0, q=2.0, a1=0.0, a2=0.0)
-    with pytest.raises(ValueError):
-        ProblemParams(p=5.0, q=2.0, a1=1.0, a2=0.0, root_tol=0.0)
 
 
 def test_regime_property():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from biflogis.errors import NoConvergence, NonFinite
+from biflogis import quadrature
 from biflogis.quadrature import QuadSpec, integrate
 
 
@@ -34,19 +35,20 @@ def test_nonfinite_detected():
         integrate(lambda s: np.full_like(s, np.inf), 0.0, 1.0)
 
 
-def test_no_convergence_on_rough_integrand():
+def test_no_convergence_on_rough_integrand(monkeypatch):
     rng = np.random.default_rng(7)
 
     def noisy(s):
         return rng.standard_normal(s.shape)
 
-    with pytest.raises(NoConvergence):
-        integrate(noisy, 0.0, 1.0, QuadSpec(max_refinements=3))
+    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 3)
+    with pytest.raises(NoConvergence, match="after 3 refinement rounds"):
+        integrate(noisy, 0.0, 1.0)
 
 
 def test_white_noise_hits_panel_bound():
     # Noise fails on every panel; without a bound each round would double
-    # the panels for max_refinements = 30 rounds.
+    # the panels for MAX_REFINEMENTS = 30 rounds.
     rng = np.random.default_rng(11)
 
     def noisy(s):
@@ -70,16 +72,12 @@ def test_interval_validation():
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadSpec(abs_tol=-1e-10)
-    with pytest.raises(ValueError):
-        QuadSpec(max_refinements=0)
 
 
 def test_tolerance_is_respected_not_exceeded_wildly():
     # a loose request must still produce a correct-ish value with a small
     # evaluation budget
-    loose = QuadSpec(rel_tol=1e-6, abs_tol=1e-8)
+    loose = QuadSpec(rel_tol=1e-6)
     res = integrate(lambda s: np.cos(s), 0.0, 1.0, loose)
     assert abs(res.value - math.sin(1.0)) < 1e-6
     tight = integrate(lambda s: np.cos(s), 0.0, 1.0)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from biflogis.errors import BracketFailure, NoConvergence
+from biflogis import rootfind
 from biflogis.rootfind import bracket_monotone, brentq, solve_monotone
 
 
@@ -144,7 +145,8 @@ def test_solve_monotone_no_sign_change_raises():
         solve_monotone(lambda x: (x * x + 1.0, 2.0 * x), 0.0, -1.0, 1.0)
 
 
-def test_solve_monotone_budget_exhausted_raises():
+def test_solve_monotone_budget_exhausted_raises(monkeypatch):
     f = lambda x: (math.tanh(50.0 * (x - 0.3)), math.nan)
-    with pytest.raises(NoConvergence):
-        solve_monotone(f, -10.0, -10.0, 10.0, maxiter=5)
+    monkeypatch.setattr(rootfind, "MAX_EVALS", 5)
+    with pytest.raises(NoConvergence, match="in 5 evaluations"):
+        solve_monotone(f, -10.0, -10.0, 10.0)

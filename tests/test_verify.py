@@ -139,14 +139,16 @@ def test_sweep_report_record_shape():
 
 
 def test_sweep_report_quad_block_pinned():
-    # The quad block keeps its four keys, rule included, so sweep and
-    # verify JSON stay byte-stable though the spec has no rule field.
-    quad = QuadSpec(rel_tol=1e-11, abs_tol=1e-13, max_refinements=20)
+    # The quad block keeps its four keys, so sweep and verify JSON stay
+    # byte-stable though the spec holds only rel_tol: the absolute floor,
+    # the round budget and the rule are the quadrature module's constants.
+    quad = QuadSpec(rel_tol=1e-11)
     params = ProblemParams(p=5.0, q=2.0, a1=0.5, a2=0.5, quad=quad)
     rec = sweep(params, [100.0]).to_record()
     assert json.dumps(rec["params"]["quad"]) == (
-        '{"rel_tol": 1e-11, "abs_tol": 1e-13, "max_refinements": 20, '
+        '{"rel_tol": 1e-11, "abs_tol": 1e-14, "max_refinements": 30, '
         '"rule": "gauss_legendre_adaptive"}')
+    assert "root_tol" not in rec["params"]
 
 
 # ----------------------------------------------------- supercritical law

@@ -6,7 +6,10 @@
 
 Each WORKLOAD:SEEDS argument names a workload of ``perfbench/run.py`` and
 its seeds (``1-10``, ``3`` or ``1,4,9``). The base revision is exported
-with ``git archive`` into a temporary directory, so the repository's own
+with ``git archive`` into a temporary directory, and the working tree's
+tracked files (``git ls-files``, as they are on disk, so uncommitted edits
+count and untracked files do not) are copied into a second one. Both sides
+thus run from fresh trees without build leftovers, and the repository's own
 checkout and git metadata are left alone. For every seed the benchmark
 runs once on each side, each side with its own ``perfbench/run.py`` and
 ``src/``; the side that runs first alternates from pair to pair, so a
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -64,6 +68,14 @@ def export(rev: str, dest: Path) -> None:
         tar.seek(0)
         with tarfile.open(fileobj=tar) as tf:
             tf.extractall(dest, filter="data")
+
+
+def copy_tracked(dest: Path) -> None:
+    """The working tree's tracked files, as they are on disk, into dest."""
+    for name in git("ls-files", "-z").split("\0"):
+        if name and (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def run_once(root: Path, command: list[str], workload: str, seed: int,
@@ -135,9 +147,9 @@ def main(argv=None) -> int:
         "runs": [], "summary": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
-        base_root = Path(tmp)
-        export(args.base, base_root)
-        sides = {"base": base_root, "change": ROOT}
+        sides = {"base": Path(tmp, "base"), "change": Path(tmp, "change")}
+        export(args.base, sides["base"])
+        copy_tracked(sides["change"])
         n_pair = 0
         for workload, seeds in args.specs:
             for seed in seeds:

@@ -65,6 +65,7 @@ INVOCATIONS = [
     "solve --alpha 10 --a1 nan",
     "verify --p 5 --points 7",
     "sweep --alpha-min 1 --alpha-max 1.0000000000000002 --points 5",
+    "profile --p 3 --gamma 20 --points 100000000000000000000",
 ]
 
 

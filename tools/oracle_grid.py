@@ -35,9 +35,9 @@ def main() -> int:
     march = kernels.rk4_shoot
     steps = []
 
-    def counted(gamma, m, p, n, h):
+    def counted(gamma, m, p, n):
         steps.append(n)
-        return march(gamma, m, p, n, h)
+        return march(gamma, m, p, n)
 
     kernels.rk4_shoot = counted
     n_fine = oracle.ShootConfig().n_steps
