@@ -6,8 +6,8 @@ Exit codes: 0 success, 1 solver outcome (NoSolution, InvalidBracket, ...),
 2 failed verification check, 64 usage error. Any flag value outside the
 documented domain is a usage error on every subcommand: p > 1 and q > 1;
 a1, a2 finite and >= 0 with a1 + a2 > 0; k, gamma, d, alpha and tol
-positive and finite; step in (0, 1e-2]; --points at most 10**6, and >= 3
-for profile and >= 2 for sweep and verify, where it needs
+positive and finite; step in [1e-6, 1e-2]; --points at most 10**6, and
+>= 3 for profile and >= 2 for sweep and verify, where it needs
 --alpha-min/--alpha-max and a grid whose points stay distinct in float.
 BIFLOGIS_QUAD_TOL overrides the default quadrature relative tolerance.
 """
@@ -135,9 +135,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, problem=True, formats=("json", "csv"), **kw):
-        """A subcommand that runs `run(args)`, with the shared flags."""
+        """A subcommand that runs `run(args)`, with the shared flags. It
+        leaves itself in `args.parser`, which reports later usage errors."""
         sp = sub.add_parser(name, **kw)
-        sp.set_defaults(run=run)
+        sp.set_defaults(run=run, parser=sp)
         sp.add_argument("--p", type=float, default=2.5)
         if problem:
             sp.add_argument("--q", type=float, default=2.0)
@@ -192,7 +193,8 @@ def _build_parser() -> _Parser:
 def _resolve(args, parser) -> None:
     """Adds the solvers' inputs to args: `params` (ProblemParams) or `local`
     (LocalParams), `shoot` (ShootConfig) and `alphas` where the subcommand
-    takes them. A value outside their domain is a usage error."""
+    takes them. A value outside their domain is a usage error, reported
+    by the subcommand's parser."""
     quad = _default_quad()
     try:
         if "a1" in args:
@@ -349,7 +351,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _resolve(args, parser)
+        _resolve(args, args.parser)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

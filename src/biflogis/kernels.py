@@ -132,7 +132,14 @@ def layer_integrand(v, eps: float, em: float, p: float):
 
 def rk4_shoot(gamma: float, slope: float, p: float, n_steps: int):
     """Fixed-step RK4 for w'' = sign(w)|w|^p - gamma w from w(0)=0, w'(0)=slope,
-    across [0, 1] in n_steps steps of 1/n_steps.
+    across [0, 1] in n_steps steps of h = 1/n_steps.
+
+    The step is classical RK4 in its Nystrom form (Hairer, Norsett and
+    Wanner, Solving ODEs I, II.14), which holds for a force F(w) that does
+    not read w': with k_i = F(w_i), w2 = w + (h/2) w', w3 = w2 + (h^2/4) k1
+    and w4 = w + h w' + (h^2/2) k2, the step sets
+    w <- w + h w' + (h^2/6)(k1 + k2 + k3) and
+    w' <- w' + (h/6)(k1 + 2(k2 + k3) + k4).
 
     Returns (ws, zs, n_filled, status): trajectory arrays of length
     n_steps + 1 (zero-padded past n_filled), the count of valid samples, and
@@ -140,10 +147,18 @@ def rk4_shoot(gamma: float, slope: float, p: float, n_steps: int):
     """
     w = 0.0
     z = slope
+    # Derivation, z = w': classical RK4 on (w, z) takes the stages
+    # (w_i, z_i) = (w, z) + c_i h (z_{i-1}, k_{i-1}) with c = 1/2, 1/2, 1.
+    # The force reads w_i alone, and z_i enters only the next w stage, so
+    #   w2 = w + (h/2) z,   w3 = w + (h/2)(z + (h/2) k1) = w2 + (h^2/4) k1,
+    #   w4 = w + h (z + (h/2) k2) = (w + h z) + (h^2/2) k2,
+    # and w's update (h/6)(z + 2 z2 + 2 z3 + z4) with z2 = z + (h/2) k1,
+    # z3 = z + (h/2) k2, z4 = z + h k3 is h z + (h^2/6)(k1 + k2 + k3); z's
+    # update is unchanged. Same method, same four forces, 17 float
+    # operations outside them instead of 26 (k2 + k3 is formed once); the
+    # samples differ from the unreduced form by rounding alone.
     # The march appends to lists and copies into arrays once: a numpy scalar
-    # store per step costs more than the RK4 arithmetic around it. h2 and h6
-    # are the products the unhoisted expressions formed first, so every
-    # sample is bit-identical to the step-by-step form. The force's
+    # store per step costs more than the arithmetic around it. The force's
     # sign(w)|w|^p is a branch on the sign instead of copysign(abs(w) ** p, w),
     # two calls fewer per stage: for w >= 0 (-0.0 included, whose force is
     # 0.0 either way) |w| is w, and for w < 0 negating the power only flips
@@ -152,29 +167,30 @@ def rk4_shoot(gamma: float, slope: float, p: float, n_steps: int):
     wl = [w]
     zl = [z]
     h = 1.0 / n_steps
-    h2 = 0.5 * h
-    h6 = h / 6.0
+    h_2 = 0.5 * h
+    hh_4 = 0.25 * h * h
+    hh_2 = 0.5 * h * h
+    hh_6 = h * h / 6.0
+    h_6 = h / 6.0
     overflow = 1e12
     status = 0
 
     for _ in range(n_steps):
-        k1w = z
         try:
-            k1z = (w ** p if w >= 0.0 else -((-w) ** p)) - gamma * w
-            w2 = w + h2 * k1w
-            k2w = z + h2 * k1z
-            k2z = (w2 ** p if w2 >= 0.0 else -((-w2) ** p)) - gamma * w2
-            w3 = w + h2 * k2w
-            k3w = z + h2 * k2z
-            k3z = (w3 ** p if w3 >= 0.0 else -((-w3) ** p)) - gamma * w3
-            w4 = w + h * k3w
-            k4w = z + h * k3z
-            k4z = (w4 ** p if w4 >= 0.0 else -((-w4) ** p)) - gamma * w4
+            k1 = (w ** p if w >= 0.0 else -((-w) ** p)) - gamma * w
+            w2 = w + h_2 * z
+            k2 = (w2 ** p if w2 >= 0.0 else -((-w2) ** p)) - gamma * w2
+            w3 = w2 + hh_4 * k1
+            k3 = (w3 ** p if w3 >= 0.0 else -((-w3) ** p)) - gamma * w3
+            wh = w + h * z
+            w4 = wh + hh_2 * k2
+            k4 = (w4 ** p if w4 >= 0.0 else -((-w4) ** p)) - gamma * w4
         except OverflowError:
             status = 1
             break
-        w += h6 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        z += h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        k23 = k2 + k3
+        w = wh + hh_6 * (k1 + k23)
+        z += h_6 * (k1 + 2.0 * k23 + k4)
         wl.append(w)
         zl.append(z)
         if w > overflow or w < -overflow:

@@ -53,13 +53,14 @@ MAX_SHOTS = 200
 
 @dataclass(frozen=True)
 class ShootConfig:
-    """The RK4 step of the requested march, in (0, 1e-2]."""
+    """The RK4 step of the requested march, in [1e-6, 1e-2]. A march keeps
+    every sample, so the lower end caps it at 10**6 steps."""
 
     step: float = 1e-4
 
     def __post_init__(self):
-        if not (0.0 < self.step <= 1e-2):
-            raise ValueError(f"step must be in (0, 1e-2], got {self.step}")
+        if not (1e-6 <= self.step <= 1e-2):
+            raise ValueError(f"step must be in [1e-6, 1e-2], got {self.step}")
 
     @property
     def n_steps(self) -> int:

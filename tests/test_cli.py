@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from biflogis import constants
+from biflogis import constants, kernels
 from biflogis.cli import main
 
 CSV_HEADER = "alpha,k,d,gamma,h,beta,lambda"
@@ -210,9 +210,15 @@ def test_exit_check_failure(capsys):
     assert json.loads(out)["chosen_e3_reading"] == "paper_definition"
 
 
-def test_exit_usage(capsys):
+def test_exit_usage(capsys, monkeypatch):
     # A value outside the documented domain is a usage error on every
-    # subcommand, whichever solver object would have rejected it.
+    # subcommand, whichever solver object would have rejected it, and it is
+    # found before any solver runs: a march at --step 1e-9 would keep 10**9
+    # samples.
+    def no_march(*args):
+        raise AssertionError(f"march started: {args}")
+
+    monkeypatch.setattr(kernels, "rk4_shoot", no_march)
     for argv in (
         ("solve", "--p", "5"),  # --alpha missing
         ("solve", "--alpha", "10", "--p", "5", "--bogus"),
@@ -231,6 +237,7 @@ def test_exit_usage(capsys):
         ("oracle-check", "--gamma", "20", "--step", "1"),
         ("oracle-check", "--p", "3", "--gamma", "15", "--step", "1e-2",
          "--tol", "-1"),
+        ("oracle-check", "--p", "3", "--gamma", "15", "--step", "1e-9"),
         ("solve", "--p", "0.5", "--alpha", "1"),
         ("solve", "--alpha", "-1"),
         ("constants", "--q", "0.5"),
@@ -243,8 +250,13 @@ def test_exit_usage(capsys):
         ("sweep", "--alpha-min", "1", "--alpha-max", "10", "--points",
          "10000000"),
     ):
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (64, ""), argv
+        # The errors found after parsing (--points, --q, --step, the alpha
+        # range) show the subcommand's usage line, as argparse's own do;
+        # argparse leaves only an unknown flag to the top-level parser.
+        if "--bogus" not in argv:
+            assert err.startswith(f"usage: biflogis {argv[0]} "), argv
 
 
 def test_exit_usage_profile_points(capsys):

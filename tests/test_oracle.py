@@ -8,13 +8,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biflogis import kernels, oracle
-from biflogis.errors import NoConvergence, NoSolution, Overflow
+from biflogis.errors import BiflogisError, NoConvergence, NoSolution, Overflow
 from biflogis.local_logistic import (LocalParams, Profile, point_from_gamma,
                                      q_norm)
-from biflogis.oracle import (ShootConfig, _return_offset, energy_drift,
-                             norms_from_profile, shoot, solve_bvp)
+from biflogis.oracle import (ShootConfig, ShootResult, _return_offset,
+                             energy_drift, norms_from_profile, shoot,
+                             solve_bvp)
 
 PI = math.pi
 
@@ -135,7 +138,10 @@ def test_shoot_config_validation():
         ShootConfig(step=0.0)
     with pytest.raises(ValueError):
         ShootConfig(step=0.02)
+    with pytest.raises(ValueError):
+        ShootConfig(step=1e-9)  # 10**9 samples: never marched
     assert ShootConfig(step=1e-2).n_steps == 100
+    assert ShootConfig(step=1e-6).n_steps == 10 ** 6
 
 
 # --------------------------------------------------------------- solve_bvp
@@ -232,11 +238,12 @@ def test_solve_bvp_keeps_single_level_k(p, gamma):
 
 @pytest.mark.parametrize("p,gamma", MARCH_COUNT_POINTS + ((1.2, 10.0),
                                                          (20.0, 10.0),
-                                                         (3.0, 120.0)))
+                                                         (8.0, 50.0)))
 def test_solve_bvp_finest_level_decides(monkeypatch, p, gamma):
     # Whatever the coarse levels found, the accepted shot is a march at the
-    # requested step that meets the acceptance rule itself. At (3, 120) the
-    # 1,000-step level stalls; it must hand on no seed rather than raise.
+    # requested step that meets the acceptance rule itself. At (8, 50) the
+    # 100-step level stalls; it must hand on no seed rather than raise, and
+    # the 1,000-step level seeds the requested march alone.
     calls, outs = [], []
     march = kernels.rk4_shoot
 
@@ -321,14 +328,14 @@ def test_return_offset_cases():
 
 
 def test_solve_bvp_stall_is_typed_and_cheap(monkeypatch):
-    # At (8, 50) the solution's slope sits 3.6e-6 below m_sep relative, too
-    # close for the floats to resolve w(1) <= SLOPE_TOL * m: the bracket
-    # closes to adjacent floats on the requested march. With the coarse
-    # levels that costs 91,000 steps; the single-level search took 8 full
-    # marches, the Illinois search 29.
+    # At (3, 120) the solution's slope sits 6.0e-6 below m_sep relative, too
+    # close for the floats to resolve w(1) <= SLOPE_TOL * m: on the requested
+    # march w(1) jumps from -2.1e-10 to 1.5e-10 between adjacent floats, and
+    # the bracket closes there after both coarse levels accepted. That costs
+    # 54,800 steps.
     calls = count_marches(monkeypatch)
     with pytest.raises(NoConvergence):
-        solve_bvp(50.0, 8.0)
+        solve_bvp(120.0, 3.0)
     assert rk4_steps(calls) <= 92_000
 
 
@@ -387,3 +394,53 @@ def test_solve_bvp_step_convergence():
     assert errs[0] > errs[1] > errs[2]
     assert 6.0 < errs[0] / errs[1] < 40.0
     assert 6.0 < errs[1] / errs[2] < 40.0
+
+
+# ------------------------------------------------- the documented domain
+
+# p and gamma over the documented domain, the launch slope over 24 decades
+# and march lengths short enough for tier-1. A negative stage value at a
+# fractional p is where a complex power would appear, and a slope far above
+# m_sep is where a march overflows.
+DOMAIN_P = st.floats(1.05, 20.0)
+DOMAIN_GAMMA = st.floats(1.0, 1e3)
+DOMAIN_STEPS = st.integers(100, 1_000)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(p=DOMAIN_P, gamma=DOMAIN_GAMMA,
+       ln_m=st.floats(math.log(1e-12), math.log(1e12)), n_steps=DOMAIN_STEPS)
+def test_shooting_domain_real_or_typed(p, gamma, ln_m, n_steps):
+    # The march keeps real, finite samples up to n_filled and zeros after
+    # them, and reports status 1 exactly when the guard or an overflow ended
+    # it; oracle.shoot turns that status into Overflow and nothing else.
+    m = math.exp(ln_m)
+    ws, zs, n, status = kernels.rk4_shoot(gamma, m, p, n_steps)
+    assert ws.dtype == zs.dtype == np.float64
+    assert ws.shape == zs.shape == (n_steps + 1,) and 1 <= n <= n_steps + 1
+    assert np.all(np.isfinite(ws[:n])) and np.all(np.isfinite(zs[:n]))
+    assert not np.any(ws[n:]) and not np.any(zs[n:])
+    assert np.all(np.abs(ws[:n - 1]) <= 1e12)
+    assert status == (n < n_steps + 1 or abs(ws[n - 1]) > 1e12)
+    try:
+        res = shoot(gamma, m, p, ShootConfig(step=1.0 / n_steps))
+    except Overflow:
+        assert status == 1
+        return
+    assert status == 0 and isinstance(res, ShootResult)
+    assert np.array_equal(res.ws, ws) and np.array_equal(res.zs, zs)
+    assert res.crossed == (res.x_cross is not None)
+    assert res.x_cross is None or 0.0 < res.x_cross <= 1.0
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(p=DOMAIN_P, gamma=DOMAIN_GAMMA, n_steps=DOMAIN_STEPS)
+def test_solve_bvp_domain_point_or_typed(p, gamma, n_steps):
+    # Inside the domain solve_bvp returns a checked point or raises a
+    # BiflogisError; a bare OverflowError, ValueError or TypeError fails.
+    try:
+        point, profile = solve_bvp(gamma, p, ShootConfig(step=1.0 / n_steps))
+    except BiflogisError:
+        return
+    assert isinstance(point.k, float) and isinstance(point.d, float)
+    assert profile.ws.dtype == np.float64 and np.all(np.isfinite(profile.ws))

@@ -12,6 +12,12 @@ alone. The list holds the README's seven examples, their ``--format csv``
 (or json) variants, a pinned E3 reading, a solver error, and the flag
 values outside the documented domain that must be usage errors (exit 64).
 
+An invocation still running after ``TIMEOUT_S`` seconds is stopped and
+shows exit code -1 with empty stdout: a revision that accepts a value a
+later one rejects may start work of that size (``--step 1e-9`` before the
+step had a lower bound starts 10**7-step marches on the way to a 10**9-step
+one, whose samples need about 9 GB).
+
 Prints one line per invocation: the exit code on each side, ``same`` or
 ``differs`` for the stdout bytes, and the arguments. Then the number of
 invocations whose exit code changed and whose stdout differs. Exits 1 if
@@ -59,6 +65,7 @@ INVOCATIONS = [
     "solve-local --p 2 --k 1 --q 0.5",
     "oracle-check --gamma 20 --step 1",
     "oracle-check --p 3 --gamma 15 --step 1e-2 --tol -1",
+    "oracle-check --p 3 --gamma 15 --step 1e-9",
     "solve --p 0.5 --alpha 1",
     "solve --alpha -1",
     "constants --q 0.5",
@@ -69,12 +76,20 @@ INVOCATIONS = [
 ]
 
 
+# Longest run of one invocation; the slowest in the list takes about 1 s.
+TIMEOUT_S = 60
+
+
 def side(root: Path, invocation: str) -> tuple[int, bytes]:
-    """Exit code and stdout of one invocation on root's src/."""
+    """Exit code and stdout of one invocation on root's src/; -1 and no
+    stdout if it runs past TIMEOUT_S."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run([sys.executable, "-m", "biflogis.cli",
-                           *invocation.split()],
-                          capture_output=True, env=env, cwd=root)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "biflogis.cli",
+                               *invocation.split()], capture_output=True,
+                              env=env, cwd=root, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return -1, b""
     return proc.returncode, proc.stdout
 
 

@@ -2,6 +2,7 @@
 """The shooting solver's outcome and RK4 work on a fixed (p, gamma) grid.
 
     python3 tools/oracle_grid.py
+    python3 tools/oracle_grid.py --base HEAD~1
 
 Runs ``oracle.solve_bvp`` at the default ``ShootConfig`` on the 56 cases
 p in {1.2, 1.5, 2, 3, 5, 8, 20, 50} x gamma in {10, 12, 15, 30, 50, 80, 120}
@@ -14,54 +15,129 @@ outcome counts and the march, step and finest-march totals. Outcomes and k
 compare two revisions case by case; the counts compare their work, and the
 finest-march column shows whether a search change moved the coarse levels'
 work or the requested march's.
+
+With ``--base REV`` the grid also runs on REV's ``src/``, exported with
+``tools/bench_pair.py``'s ``git archive`` helper, so the checkout is left
+alone. Each line then holds p, gamma, the outcome on the base and on the
+working tree, the relative shift of k where both sides found a point, and
+both sides' RK4 steps. The last lines hold each side's outcome counts and
+totals, the cases whose outcome flipped, the largest k shift and the steps
+of the cases solved on both sides.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
+import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from biflogis import kernels, oracle  # noqa: E402
-from biflogis.errors import BiflogisError  # noqa: E402
+from bench_pair import ROOT, export
 
 PS = (1.2, 1.5, 2.0, 3.0, 5.0, 8.0, 20.0, 50.0)
 GAMMAS = (10.0, 12.0, 15.0, 30.0, 50.0, 80.0, 120.0)
 
+# Runs grid() in a fresh interpreter on the package under argv[1].
+_CHILD = ("import json, sys; sys.path[:0] = sys.argv[1:]; import oracle_grid; "
+          "print(json.dumps(oracle_grid.grid()))")
 
-def main() -> int:
+
+def grid() -> list[list]:
+    """[p, gamma, outcome, k, marches, steps, finest] per case, k None
+    without a point, on the ``biflogis`` that ``sys.path`` finds first."""
+    from biflogis import kernels, oracle
+    from biflogis.errors import BiflogisError
+
     march = kernels.rk4_shoot
     steps = []
 
-    def counted(gamma, m, p, n):
-        steps.append(n)
-        return march(gamma, m, p, n)
+    def counted(*args):
+        steps.append(args[3])
+        return march(*args)
 
     kernels.rk4_shoot = counted
     n_fine = oracle.ShootConfig().n_steps
-    outcomes = Counter()
-    marches = total = fine_total = 0
+    rows = []
+    try:
+        for p in PS:
+            for gamma in GAMMAS:
+                steps.clear()
+                try:
+                    point, _ = oracle.solve_bvp(gamma, p)
+                    outcome, k = "point", point.k
+                except BiflogisError as exc:
+                    outcome, k = type(exc).__name__, None
+                rows.append([p, gamma, outcome, k, len(steps), sum(steps),
+                             steps.count(n_fine)])
+    finally:
+        kernels.rk4_shoot = march
+    return rows
+
+
+def side(src: Path) -> list[list]:
+    """grid() on the package under src, in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(src), str(Path(__file__).parent)],
+        check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout)
+
+
+def counts(rows: list[list]) -> str:
+    tally = Counter(row[2] for row in rows)
+    return ", ".join(f"{n} {name}" for name, n in sorted(tally.items()))
+
+
+def print_grid(rows: list[list]) -> None:
     print("p\tgamma\toutcome\tk\tmarches\tsteps\tfinest")
-    for p in PS:
-        for gamma in GAMMAS:
-            steps.clear()
-            try:
-                point, _ = oracle.solve_bvp(gamma, p)
-                outcome, k = "point", repr(point.k)
-            except BiflogisError as exc:
-                outcome, k = type(exc).__name__, ""
-            outcomes[outcome] += 1
-            fine = steps.count(n_fine)
-            marches += len(steps)
-            total += sum(steps)
-            fine_total += fine
-            print(f"{p}\t{gamma}\t{outcome}\t{k}\t{len(steps)}\t{sum(steps)}"
-                  f"\t{fine}")
-    counts = ", ".join(f"{n} {name}" for name, n in sorted(outcomes.items()))
-    print(f"total\t{len(PS) * len(GAMMAS)} cases\t{counts}\t\t{marches}\t{total}"
-          f"\t{fine_total}")
+    for p, gamma, outcome, k, marches, steps, fine in rows:
+        print(f"{p}\t{gamma}\t{outcome}\t{'' if k is None else repr(k)}"
+              f"\t{marches}\t{steps}\t{fine}")
+    print(f"total\t{len(rows)} cases\t{counts(rows)}\t"
+          f"\t{sum(r[4] for r in rows)}\t{sum(r[5] for r in rows)}"
+          f"\t{sum(r[6] for r in rows)}")
+
+
+def print_diff(base: list[list], change: list[list]) -> None:
+    print("p\tgamma\tbase\tchange\tk_shift\tbase_steps\tchange_steps")
+    shifts, both = [], []
+    for b, c in zip(base, change):
+        shift = ""
+        if b[3] is not None and c[3] is not None:
+            rel = abs(c[3] / b[3] - 1.0)
+            shifts.append((rel, b[0], b[1]))
+            both.append((b[5], c[5]))
+            shift = f"{rel:.2e}"
+        print(f"{b[0]}\t{b[1]}\t{b[2]}\t{c[2]}\t{shift}\t{b[5]}\t{c[5]}")
+    for name, rows in (("base", base), ("change", change)):
+        print(f"total {name}\t{len(rows)} cases\t{counts(rows)}\t"
+              f"{sum(r[4] for r in rows)} marches\t{sum(r[5] for r in rows)} "
+              f"steps\t{sum(r[6] for r in rows)} finest")
+    flipped = [f"({b[0]}, {b[1]}) {b[2]} -> {c[2]}"
+               for b, c in zip(base, change) if b[2] != c[2]]
+    print(f"flipped\t{len(flipped)}\t{'; '.join(flipped)}")
+    if shifts:
+        rel, p, gamma = max(shifts)
+        print(f"solved by both\t{len(shifts)}\tmax k shift {rel:.2e} at "
+              f"({p}, {gamma})\tsteps {sum(s[0] for s in both)} -> "
+              f"{sum(s[1] for s in both)}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", help="git revision to compare against")
+    args = ap.parse_args(argv)
+
+    change = side(ROOT / "src")
+    if args.base is None:
+        print_grid(change)
+        return 0
+    with tempfile.TemporaryDirectory(prefix="oracle_grid_") as tmp:
+        export(args.base, Path(tmp))
+        base = side(Path(tmp) / "src")
+    print_diff(base, change)
     return 0
 
 
