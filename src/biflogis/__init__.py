@@ -18,7 +18,7 @@ time-map problem -w'' + w^p = gamma w and rescaling. Submodules:
 """
 
 from .errors import BiflogisError
-from .quadrature import QuadSpec, QuadResult, integrate
+from .quadrature import QuadResult, integrate
 from .local_logistic import LocalParams, LocalPoint, Profile
 from .constants import ConstantSet, compute_all
 from .nonlocal_curve import ProblemParams, NonlocalSolution, solve_alpha, residual_check
@@ -28,7 +28,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BiflogisError",
-    "QuadSpec",
     "QuadResult",
     "integrate",
     "LocalParams",

@@ -9,7 +9,8 @@ a1, a2 finite and >= 0 with a1 + a2 > 0; k, gamma, d, alpha and tol
 positive and finite; step in [1e-6, 1e-2]; --points at most 10**6, and
 >= 3 for profile and >= 2 for sweep and verify, where it needs
 --alpha-min/--alpha-max and a grid whose points stay distinct in float.
-BIFLOGIS_QUAD_TOL overrides the default quadrature relative tolerance.
+No environment variable is read: the quadrature tolerance is the constant
+quadrature.REL_TOL.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -28,7 +28,6 @@ from . import nonlocal_curve as nc
 from . import oracle
 from . import verify as ver
 from .errors import BiflogisError
-from .quadrature import QuadSpec
 
 __all__ = ["main"]
 
@@ -56,21 +55,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _default_quad() -> QuadSpec:
-    tol = os.environ.get("BIFLOGIS_QUAD_TOL")
-    if tol is None:
-        return QuadSpec()
-    try:
-        val = float(tol)
-        if not (0.0 < val < 1.0):
-            raise ValueError
-    except ValueError:
-        print(f"biflogis: error: BIFLOGIS_QUAD_TOL must be a number in (0, 1), "
-              f"got {tol!r}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from None
-    return QuadSpec(rel_tol=val)
 
 
 def _magnitude(text: str) -> float:
@@ -195,13 +179,12 @@ def _resolve(args, parser) -> None:
     (LocalParams), `shoot` (ShootConfig) and `alphas` where the subcommand
     takes them. A value outside their domain is a usage error, reported
     by the subcommand's parser."""
-    quad = _default_quad()
     try:
         if "a1" in args:
             args.params = nc.ProblemParams(p=args.p, q=args.q, a1=args.a1,
-                                           a2=args.a2, quad=quad)
+                                           a2=args.a2)
         else:
-            args.local = ll.LocalParams(p=args.p, quad=quad)
+            args.local = ll.LocalParams(p=args.p)
         if "step" in args:
             args.shoot = oracle.ShootConfig(step=args.step)
     except (ValueError, BiflogisError) as exc:
@@ -247,7 +230,7 @@ def _run_constants(args) -> tuple[str, bool]:
     p = args.params
     readings = (("paper_definition", "proof_variant")
                 if args.e3_reading == "both" else (args.e3_reading,))
-    recs = {r: consts.compute_all(p.p, p.q, p.a1, p.a2, r, p.quad).to_record()
+    recs = {r: consts.compute_all(p.p, p.q, p.a1, p.a2, r).to_record()
             for r in readings}
     obj = recs[readings[0]] if len(readings) == 1 else recs
     return _json_text(obj), True
@@ -299,10 +282,9 @@ def _run_verify(args) -> tuple[str, bool]:
         report.checks.extend(ver.check_theorem_2(report))
     else:
         cs_paper = consts.compute_all(params.p, params.q, params.a1,
-                                      params.a2, "paper_definition",
-                                      params.quad)
+                                      params.a2, "paper_definition")
         cs_var = consts.compute_all(params.p, params.q, params.a1,
-                                    params.a2, "proof_variant", params.quad)
+                                    params.a2, "proof_variant")
         if args.e3_reading == "both":
             lead, second, chosen = ver.check_theorem_3(report, cs_paper,
                                                        cs_var)

@@ -23,9 +23,9 @@ reduction lambda = beta gamma, beta = (normalization)^{(p-1)/(p-3)}; dropping
 them (a common transcription slip) fails against the computed curve under
 every reading.
 
-A1..A3, A5, C1 and Cq depend on (p, q) and the quadrature spec alone, never
-on the weights or the reading. Each is integrated once per process and kept
-in ``_PQ_CACHE``; A4, A6 and E1..E5 are algebra on top of the stored values.
+A1..A3, A5, C1 and Cq depend on (p, q) alone, never on the weights or the
+reading. Each is integrated once per process and kept in ``_PQ_CACHE``; A4,
+A6 and E1..E5 are algebra on top of the stored values.
 """
 
 from __future__ import annotations
@@ -37,9 +37,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InvalidRegime, Overflow, ZeroCoefficients, check_positive
+from .errors import (InvalidRegime, Overflow, check_exponent, check_positive,
+                     check_weights)
 from .local_logistic import phi
-from .quadrature import QuadSpec, integrate
+from .quadrature import integrate
 
 __all__ = [
     "READINGS",
@@ -71,15 +72,13 @@ def _exp_in_range(ln_v: float, name: str, p: float, q: float) -> float:
 
 
 def _check_pq(p: float, q: float) -> None:
-    if not (math.isfinite(p) and p > 1.0):
-        raise ValueError(f"p must be finite and > 1, got {p}")
+    check_exponent("p", p)
     check_positive("q", q)
 
 
 # The reading- and weight-independent integrals, once per process: keys
-# ("A", p, q, quad) -> (A1, A2, A3, A5), ("C1", p, quad) -> C1 and
-# ("Cq", p, q, quad) -> Cq, with quad the spec the integral actually runs
-# under. A call that raises stores nothing.
+# ("A", p, q) -> (A1, A2, A3, A5), ("C1", p) -> C1 and ("Cq", p, q) -> Cq.
+# A call that raises stores nothing.
 _PQ_CACHE: dict = {}
 
 
@@ -90,7 +89,7 @@ def _memo(key: tuple, compute):
     return val
 
 
-def compute_A(p: float, q: float, quad: QuadSpec = QuadSpec()) -> dict:
+def compute_A(p: float, q: float) -> dict:
     """The A-family of small-d expansion constants.
 
     A1 = int_0^1 s^q (1-s^2)^{-1/2} ds and the phi-weighted variants A2, A3,
@@ -101,14 +100,14 @@ def compute_A(p: float, q: float, quad: QuadSpec = QuadSpec()) -> dict:
     constants that only serve the subcritical regime).
     """
     _check_pq(p, q)
-    a1, a2, a3, a5 = _memo(("A", p, q, quad), lambda: _a_integrals(p, q, quad))
+    a1, a2, a3, a5 = _memo(("A", p, q), lambda: _a_integrals(p, q))
     out = {"A1": a1, "A2": a2, "A3": a3, "A4": (a3 - 4.0 * a2) / PI, "A5": a5}
     if p != 3.0:
         out["A6"] = 4.0 * a3 / ((p - 3.0) * q * PI)
     return out
 
 
-def _a_integrals(p: float, q: float, quad: QuadSpec) -> tuple:
+def _a_integrals(p: float, q: float) -> tuple:
     """(A1, A2, A3, A5): rows sin^q, sin^q phi, phi and sin^2 phi over
     theta in [0, pi/2], integrated on shared panels."""
 
@@ -122,11 +121,11 @@ def _a_integrals(p: float, q: float, quad: QuadSpec) -> tuple:
         pref = math.sqrt(2.0) ** (p - 1.0) / ((p + 1.0) * PI ** 2)
     except OverflowError:
         raise Overflow(f"A2 and A3 exceed the double range at p = {p}") from None
-    i1, iq, i0, i2 = integrate(f, 0.0, 0.5 * PI, quad).value.tolist()
+    i1, iq, i0, i2 = integrate(f, 0.0, 0.5 * PI).value.tolist()
     return i1, pref * iq, 2.0 * pref * i0, i2 / ((p + 1.0) * PI ** 2)
 
 
-def compute_C1(p: float, quad: QuadSpec = QuadSpec()) -> float:
+def compute_C1(p: float) -> float:
     """C1 = (p+3) int_0^1 sqrt(f(s)) ds, f = (p-1)/(p+1) - s^2 + 2s^{p+1}/(p+1).
 
     f has a double zero at s = 1, and sqrt(f) = u sqrt((p-1) c(u)) in
@@ -138,11 +137,10 @@ def compute_C1(p: float, quad: QuadSpec = QuadSpec()) -> float:
     def f(u):
         return u * np.sqrt((p - 1.0) * kernels.c_factor(u, p))
 
-    return _memo(("C1", p, quad),
-                 lambda: (p + 3.0) * integrate(f, 0.0, 1.0, quad).value)
+    return _memo(("C1", p), lambda: (p + 3.0) * integrate(f, 0.0, 1.0).value)
 
 
-def compute_Cq(p: float, q: float, quad: QuadSpec = QuadSpec()) -> float:
+def compute_Cq(p: float, q: float) -> float:
     """Cq = 2 int_0^1 (1 - s^q)/sqrt(f(s)) ds.
 
     In u = 1 - s the integrand is (1 - (1-u)^q) / (u sqrt((p-1) c(u))):
@@ -156,15 +154,7 @@ def compute_Cq(p: float, q: float, quad: QuadSpec = QuadSpec()) -> float:
         return -np.expm1(q * np.log1p(-u)) \
             / (u * np.sqrt((p - 1.0) * kernels.c_factor(u, p)))
 
-    return _memo(("Cq", p, q, quad),
-                 lambda: 2.0 * integrate(f, 0.0, 1.0, quad).value)
-
-
-def _check_weights(a1: float, a2: float) -> None:
-    if a1 < 0.0 or a2 < 0.0:
-        raise ValueError(f"a1 and a2 must be nonnegative, got {a1}, {a2}")
-    if a1 + a2 <= 0.0:
-        raise ZeroCoefficients("a1 + a2 must be positive")
+    return _memo(("Cq", p, q), lambda: 2.0 * integrate(f, 0.0, 1.0).value)
 
 
 def _check_reading(reading: str) -> None:
@@ -172,19 +162,18 @@ def _check_reading(reading: str) -> None:
         raise ValueError(f"reading must be one of {READINGS}, got {reading!r}")
 
 
-def compute_E(p: float, q: float, a1: float, a2: float, reading: str,
-              quad: QuadSpec = QuadSpec()) -> dict:
+def compute_E(p: float, q: float, a1: float, a2: float, reading: str) -> dict:
     """The subcritical growth-law constants E1..E5 (valid for 1 < p < 3).
 
     ``reading`` selects the exponent denominator of the pi-powers inside E3
     and E5: (p-1)q for ``paper_definition``, (p-3)q for ``proof_variant``.
     """
     _check_pq(p, q)
+    check_weights(a1, a2)
+    _check_reading(reading)
     if not (1.0 < p < 3.0):
         raise InvalidRegime(f"E constants require 1 < p < 3, got p = {p}")
-    _check_weights(a1, a2)
-    _check_reading(reading)
-    return _e_from_a(p, q, a1, a2, reading, compute_A(p, q, quad))
+    return _e_from_a(p, q, a1, a2, reading, compute_A(p, q))
 
 
 def _amplitude_a4(p: float, q: float, A: dict) -> float:
@@ -228,14 +217,13 @@ def _e_from_a(p: float, q: float, a1: float, a2: float, reading: str,
 
 
 def theorem3_coefficients(p: float, q: float, a1: float, a2: float,
-                          reading: str,
-                          quad: QuadSpec = QuadSpec()) -> tuple[float, float]:
+                          reading: str) -> tuple[float, float]:
     """(leading, second) of the subcritical law lambda = L0 a^2 (1 + S a^{p-3} + o).
 
     Composition of the E constants per the module docstring; the E1 and
     E2/E1 terms enter with power (p-1)/(p-3) from beta = N^{(p-1)/(p-3)}.
     """
-    return _theorem3_from_e(p, q, compute_E(p, q, a1, a2, reading, quad))
+    return _theorem3_from_e(p, q, compute_E(p, q, a1, a2, reading))
 
 
 def _theorem3_from_e(p: float, q: float, E: dict) -> tuple[float, float]:
@@ -286,16 +274,15 @@ class ConstantSet:
 
 
 def compute_all(p: float, q: float, a1: float, a2: float,
-                reading: str = "proof_variant",
-                quad: QuadSpec = QuadSpec()) -> ConstantSet:
+                reading: str = "proof_variant") -> ConstantSet:
     """Assemble the full ConstantSet; regime-restricted entries become None."""
     _check_pq(p, q)
-    _check_weights(a1, a2)
+    check_weights(a1, a2)
     _check_reading(reading)
     subcritical = 1.0 < p < 3.0
-    A = compute_A(p, q, quad)
-    c1 = compute_C1(p, quad)
-    cq = compute_Cq(p, q, quad)
+    A = compute_A(p, q)
+    c1 = compute_C1(p)
+    cq = compute_Cq(p, q)
     if subcritical:
         E = _e_from_a(p, q, a1, a2, reading, A)
         leading, second = _theorem3_from_e(p, q, E)

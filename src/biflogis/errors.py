@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one input check.
+"""Exception types shared across the package, and its input checks.
 
 Every error raised by the solvers derives from BiflogisError so the CLI can
 map any solver failure to a single exit code. An input outside the
@@ -12,6 +12,22 @@ def check_positive(name: str, v: float) -> None:
     """ValueError unless v is finite and positive."""
     if not (math.isfinite(v) and v > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {v}")
+
+
+def check_exponent(name: str, v: float) -> None:
+    """ValueError unless v is finite and > 1: the exponent p, or a norm's q."""
+    if not (math.isfinite(v) and v > 1.0):
+        raise ValueError(f"{name} must be finite and > 1, got {v}")
+
+
+def check_weights(a1: float, a2: float) -> None:
+    """ValueError unless the weights a1, a2 are finite and nonnegative;
+    ZeroCoefficients if both are zero."""
+    if not (0.0 <= a1 < math.inf and 0.0 <= a2 < math.inf):
+        raise ValueError(f"a1, a2 must be finite and nonnegative, "
+                         f"got {a1}, {a2}")
+    if a1 + a2 <= 0.0:
+        raise ZeroCoefficients("a1 + a2 must be positive")
 
 
 class BiflogisError(Exception):

@@ -34,33 +34,34 @@ The moments have three branches, each closed form once calibrated:
   C(2n,n)/4^n em^{n+1}/(1 - em) of the sum; with the cached term count
   that bound stays below 2^-53 up to T_SERIES.
 - T_SERIES < t < T_ASYM: a piecewise Chebyshev series in tau = ln t. Each
-  panel's coefficients are calibrated lazily, once per (p, q, tolerance,
-  panel), by one DCT of one adaptive quadrature with one row per Chebyshev
-  point, after s = 1 - x^2, x = w0 sinh v with w0 = sqrt(2 eps/(p-1)),
-  which absorbs both the endpoint square root and the eps-width layer; the
-  transformed integrand lives in ``kernels``. A panel whose trailing
-  coefficients exceed the quadrature's own tolerance raises NoConvergence.
-  At the default tolerance that happens only below p = 1.005 (on the panel
-  t in [4.6, 9.5]; largest failing p 1.0045 on a grid of step 0.0005).
+  panel's coefficients are calibrated lazily, once per (p, q, panel), by one
+  DCT of one adaptive quadrature with one row per Chebyshev point, after
+  s = 1 - x^2, x = w0 sinh v with w0 = sqrt(2 eps/(p-1)), which absorbs
+  both the endpoint square root and the eps-width layer; the transformed
+  integrand lives in ``kernels``. A panel whose trailing coefficients exceed
+  the quadrature's own tolerance raises NoConvergence. That happens only
+  below p = 1.005 (on the panel t in [4.6, 9.5]; largest failing p 1.0045
+  on a grid of step 0.0005).
 - t >= T_ASYM: the asymptote J_q = t/sqrt(p-1) + B_q, with B_q calibrated
   once per (p, q) by that quadrature.
 
 Each branch also gives dJ_q/dtau: the series term by term, the asymptote as
 t/sqrt(p-1), the Chebyshev series through the derivative coefficients its
-panel caches beside its values. Every calibration depends on its own (p, q,
-tolerance) key alone, never on which other q came before it. A moment call
-reads its q from one view per (p, qs, tolerance, branch), stacked in the
-caller's q order from the per-q caches; both series share one row-wise dot
-product against their basis (none on the asymptote). The (k, gamma) maps
-time_map and q_norm read the same moments at t = -ln(1 - k^{p-1}/gamma),
-so no public route integrates outside calibration.
+panel caches beside its values. Every calibration runs at the quadrature's
+one tolerance, quadrature.REL_TOL, and depends on its own (p, q) key alone,
+never on which other q came before it. A moment call reads its q from one
+view per (p, qs, branch), stacked in the caller's q order from the per-q
+caches; both series share one row-wise dot product against their basis
+(none on the asymptote). The (k, gamma) maps time_map and q_norm read the
+same moments at t = -ln(1 - k^{p-1}/gamma), so no public route integrates
+outside calibration.
 
 A sampled profile is the cumulative sum of the segment integrals of x'(s)
 between its nodes (in the sinh variable below T_ASYM, in s above it). Each
 segment is mapped onto [0, 1] and becomes one row of a stacked quadrature,
 so the rows share panels; they go through in blocks of _PROFILE_ROWS rows,
 which bounds the memory of one call for any node count. Above T_ASYM the
-segments do not depend on t, and are calibrated once per (p, n, tolerance).
+segments do not depend on t, and are calibrated once per (p, n).
 """
 
 from __future__ import annotations
@@ -71,9 +72,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .errors import InvalidBracket, NoConvergence, NoSolution, check_positive
-from .quadrature import ABS_TOL, QuadSpec, integrate
+from . import kernels, quadrature
+from .errors import (InvalidBracket, NoConvergence, NoSolution,
+                     check_exponent, check_positive)
+from .quadrature import integrate
 from .rootfind import solve_monotone
 
 __all__ = [
@@ -126,14 +128,12 @@ _PROFILE_ROWS = 1024
 
 @dataclass(frozen=True)
 class LocalParams:
-    """Problem exponent and quadrature policy for the local curve."""
+    """Problem exponent of the local curve."""
 
     p: float
-    quad: QuadSpec = QuadSpec()
 
     def __post_init__(self):
-        if not (math.isfinite(self.p) and self.p > 1.0):
-            raise ValueError(f"p must be finite and > 1, got {self.p}")
+        check_exponent("p", self.p)
 
 
 @dataclass(frozen=True)
@@ -189,6 +189,7 @@ def phi(s, p: float):
     Vectorized over s in [0, 1]; phi(1) = (p+1)/2. Near s = 1 the ratio is
     replaced by its expansion in u = 1 - s to avoid 0/0 noise.
     """
+    check_exponent("p", p)
     s_arr = np.asarray(s, dtype=float)
     scalar = s_arr.ndim == 0
     s_arr = np.atleast_1d(s_arr)
@@ -222,7 +223,7 @@ _S_CACHE: dict = {}
 _C_CACHE: dict = {}
 _SEG_CACHE: dict = {}
 # Copies of the calibrations above stacked for _moments_at_t, one per (p, qs,
-# tolerance, branch) and so per order of qs, never trimmed; branch -1 is the
+# branch) and so per order of qs, never trimmed; branch -1 is the
 # series, _CHEB_PANELS the asymptote, and those between the Chebyshev panels.
 _VIEW_CACHE: dict = {}
 
@@ -231,7 +232,7 @@ _S_N = np.arange(_S_TERMS, dtype=float)
 _S_BINOM = np.cumprod(np.concatenate(([1.0], 1.0 - 0.5 / _S_N[1:])))
 
 
-def _layer_moments(eps, em, p: float, q: float, quad: QuadSpec):
+def _layer_moments(eps, em, p: float, q: float):
     """J_q(eps) at every node of eps from one stacked adaptive pass in the
     sinh variable, in the shape of eps.
 
@@ -252,27 +253,27 @@ def _layer_moments(eps, em, p: float, q: float, quad: QuadSpec):
         weight = (1.0 - np.minimum(x * x, 1.0)) ** q
         return v_top * kernels.layer_integrand(v, eps, em, p) * weight
 
-    res = integrate(f, 0.0, 1.0, quad)
+    res = integrate(f, 0.0, 1.0)
     return (2.0 / math.sqrt(p - 1.0)) * res.value.reshape(shape)
 
 
-def _b_shift(p: float, qpow: float, quad: QuadSpec) -> float:
+def _b_shift(p: float, qpow: float) -> float:
     """Offset B_q of the large-t asymptote J_q = t/sqrt(p-1) + B_q.
 
-    Calibrated once per (p, q, tolerance) at eps = 1e-18, where the residual
+    Calibrated once per (p, q) at eps = 1e-18, where the residual
     O(eps log(1/eps)) sits far below float64 resolution of J_q itself.
     """
-    key = (p, qpow, quad.rel_tol)
+    key = (p, qpow)
     val = _B_CACHE.get(key)
     if val is None:
         eps0 = 1e-18
-        val = float(_layer_moments(eps0, 1.0 - eps0, p, qpow, quad)) \
+        val = float(_layer_moments(eps0, 1.0 - eps0, p, qpow)) \
             - T_ASYM / math.sqrt(p - 1.0)
         _B_CACHE[key] = val
     return val
 
 
-def _series_coeffs(p: float, qpow: float, quad: QuadSpec) -> np.ndarray:
+def _series_coeffs(p: float, qpow: float) -> np.ndarray:
     """Rows b_n a_{q,n} and n b_n a_{q,n} for n < _S_TERMS, so that
     J_q = sum_n b_n a_{q,n} em^n and dJ_q/d(ln em) = sum_n n b_n a_{q,n} em^n.
 
@@ -284,10 +285,9 @@ def _series_coeffs(p: float, qpow: float, quad: QuadSpec) -> np.ndarray:
     b_n em^{n+1}/(1 - em) of J_q. The n = 0 entry of the first row is
     J_q(eps = 1).
 
-    Calibrated once per (p, q, tolerance) by one stacked quadrature with one
-    row per n.
+    Calibrated once per (p, q) by one stacked quadrature with one row per n.
     """
-    key = (p, qpow, quad.rel_tol)
+    key = (p, qpow)
     val = _S_CACHE.get(key)
     if val is None:
         c = 2.0 / (p + 1.0)
@@ -300,26 +300,26 @@ def _series_coeffs(p: float, qpow: float, quad: QuadSpec) -> np.ndarray:
             cphi = c * -np.expm1((p + 1.0) * np.log1p(-u)) / (u * (2.0 - u))
             return np.sin(th) ** qpow * cphi ** _S_N[:, None]
 
-        row = _S_BINOM * integrate(f, 0.0, 0.5 * math.pi, quad).value
+        row = _S_BINOM * integrate(f, 0.0, 0.5 * math.pi).value
         val = _S_CACHE[key] = np.stack((row, _S_N * row))
     return val
 
 
-def _cheb_coeffs(p: float, qpow: float, quad: QuadSpec, panel: int) -> np.ndarray:
+def _cheb_coeffs(p: float, qpow: float, panel: int) -> np.ndarray:
     """Chebyshev coefficients of J_q and of dJ_q/dtau on one tau panel,
     shape (2, points): J_q = sum_k c_k T_k(x) with x in [-1, 1] across the
     panel, then the coefficients of its derivative in tau.
 
-    Calibrated once per (p, q, tolerance, panel) by one stacked quadrature
+    Calibrated once per (p, q, panel) by one stacked quadrature
     with one row per first-kind Chebyshev point x_j = cos(theta_j),
     theta_j = (2j+1) pi/(2n), so the coefficients of a q do not depend on
     which other q were calibrated before it; one DCT of those samples gives
     c_k = (2/n) sum_j f_j cos(k theta_j), c_0 halved. The trailing three
-    coefficients must lie within max(ABS_TOL, rel_tol |c_0|), the bound the
+    coefficients must lie within max(ABS_TOL, REL_TOL |c_0|), the bound the
     quadrature itself meets; otherwise NoConvergence is raised and nothing
     is cached.
     """
-    key = (p, qpow, quad.rel_tol, panel)
+    key = (p, qpow, panel)
     val = _C_CACHE.get(key)
     if val is None:
         # cos(k theta_j) with k theta_j = k (2j+1) pi/(2n) reduced mod 2 pi in
@@ -329,11 +329,11 @@ def _cheb_coeffs(p: float, qpow: float, quad: QuadSpec, panel: int) -> np.ndarra
         dct = np.cos(np.outer(2 * np.arange(n) + 1, np.arange(n)) % (4 * n)
                      * (0.5 * math.pi / n))
         t = np.exp(_CHEB_TAU0 + _CHEB_WIDTH * (panel + 0.5 * (1.0 + dct[:, 1])))
-        vals = _layer_moments(np.exp(-t), -np.expm1(-t), p, qpow, quad)
+        vals = _layer_moments(np.exp(-t), -np.expm1(-t), p, qpow)
         coeffs = (2.0 / n) * vals @ dct
         coeffs[0] *= 0.5
         tail = np.abs(coeffs[-3:]).max()
-        bound = max(ABS_TOL, quad.rel_tol * abs(coeffs[0]))
+        bound = max(quadrature.ABS_TOL, quadrature.REL_TOL * abs(coeffs[0]))
         if tail > bound:
             t_lo, t_hi = np.exp(_CHEB_TAU0 + _CHEB_WIDTH * (panel + np.arange(2)))
             raise NoConvergence(
@@ -346,7 +346,7 @@ def _cheb_coeffs(p: float, qpow: float, quad: QuadSpec, panel: int) -> np.ndarra
     return val
 
 
-def _moments_at_t(t: float, p: float, qs: tuple, quad: QuadSpec):
+def _moments_at_t(t: float, p: float, qs: tuple):
     """([J_q for q in qs], [dJ_q/dtau for q in qs]) at layer coordinate
     t = -ln(eps) = e^tau; a q may repeat.
 
@@ -356,7 +356,7 @@ def _moments_at_t(t: float, p: float, qs: tuple, quad: QuadSpec):
     sum there; between the switch points, the Chebyshev series in
     tau = ln t with the cached coefficients of its panel; at or past
     T_ASYM, the asymptote with the cached B_q. Each branch reads one view
-    per (p, qs, tolerance, branch), stacked once from the per-q caches: the
+    per (p, qs, branch), stacked once from the per-q caches: the
     (2, len(qs), _S_TERMS) series coefficients, the B_q tuple, or a panel's
     (2, len(qs), points) Chebyshev coefficients, values first, then slopes.
     The series and Chebyshev views are evaluated by one np.vecdot against
@@ -370,16 +370,15 @@ def _moments_at_t(t: float, p: float, qs: tuple, quad: QuadSpec):
     else:
         s = (math.log(t) - _CHEB_TAU0) / _CHEB_WIDTH
         branch = min(int(s), _CHEB_PANELS - 1)
-    key = (p, qs, quad.rel_tol, branch)
+    key = (p, qs, branch)
     view = _VIEW_CACHE.get(key)
     if view is None:
         if branch < 0:
-            view = np.stack([_series_coeffs(p, q, quad) for q in qs], axis=1)
+            view = np.stack([_series_coeffs(p, q) for q in qs], axis=1)
         elif branch == _CHEB_PANELS:
-            view = tuple(_b_shift(p, q, quad) for q in qs)
+            view = tuple(_b_shift(p, q) for q in qs)
         else:
-            view = np.stack([_cheb_coeffs(p, q, quad, branch) for q in qs],
-                            axis=1)
+            view = np.stack([_cheb_coeffs(p, q, branch) for q in qs], axis=1)
         _VIEW_CACHE[key] = view
     if branch < 0:
         em = -math.expm1(-t)
@@ -396,14 +395,14 @@ def _moments_at_t(t: float, p: float, qs: tuple, quad: QuadSpec):
 
 # --- curve state at a given t -------------------------------------------------
 
-def _log_state_at_t(t: float, p: float, qs: tuple, quad: QuadSpec):
+def _log_state_at_t(t: float, p: float, qs: tuple):
     """(ln k, ln gamma, norms, slopes) at layer coordinate t, from one
     _moments_at_t call; norms holds ln ||w||_q for every q in qs, as a tuple
     in the order of qs (a q may repeat), and slopes the derivatives in
     tau = ln t of the first three entries, laid out as they are.
     d = ||w||_2, so a caller that needs d passes 2.0 in qs. Finite over the
     whole tau bracket, also where k itself under- or overflows."""
-    (j0, *m), (dj0, *dm) = _moments_at_t(t, p, (0.0, *qs), quad)
+    (j0, *m), (dj0, *dm) = _moments_at_t(t, p, (0.0, *qs))
     dln_j0 = dj0 / j0
     em = -math.expm1(-t)
     ln_gamma = math.log(4.0) + 2.0 * math.log(j0)
@@ -439,7 +438,7 @@ def _point_from_t(t: float, p: float, state) -> LocalPoint:
 
 
 def _qnorm_from_t(t: float, q: float, params: LocalParams) -> float:
-    return math.exp(_log_state_at_t(t, params.p, (q,), params.quad)[2][0])
+    return math.exp(_log_state_at_t(t, params.p, (q,))[2][0])
 
 
 # --- inverse problems: root-finds in tau = ln t ------------------------------
@@ -473,11 +472,11 @@ def _t_where(ln_of, target: float, seed: float, params: LocalParams):
     norm. ln_of applied to the state's slopes gives the residual's slope,
     since they share the state's layout. The root's state is the one its
     last residual evaluation made."""
-    p, quad = params.p, params.quad
+    p = params.p
     states: dict = {}
 
     def resid(tau: float):
-        state = states[tau] = _log_state_at_t(math.exp(tau), p, (2.0,), quad)
+        state = states[tau] = _log_state_at_t(math.exp(tau), p, (2.0,))
         return ln_of(state) - target, ln_of(state[3])
 
     tau = solve_monotone(resid, seed, _TAU_LO, _TAU_HI, xtol=1e-14)
@@ -533,9 +532,9 @@ def _layer_t(k: float, gamma: float, p: float, name: str) -> float:
 
 def time_map(k: float, gamma: float, params: LocalParams) -> float:
     """Half-interval traversal time T(k, gamma); solution exists iff T = 1/2."""
-    p, quad = params.p, params.quad
+    p = params.p
     t = _layer_t(k, gamma, p, "time_map")
-    return _moments_at_t(t, p, (0.0,), quad)[0][0] / math.sqrt(gamma)
+    return _moments_at_t(t, p, (0.0,))[0][0] / math.sqrt(gamma)
 
 
 def solve_gamma(k: float, params: LocalParams) -> float:
@@ -555,11 +554,10 @@ def q_norm(k: float, gamma: float, q: float, params: LocalParams) -> float:
     recoverable from the pair and accuracy degrades; curve points should go
     through point_q_norm, which keeps the layer exactly.
     """
-    if not q > 1.0:
-        raise ValueError(f"q must be > 1, got {q}")
-    p, quad = params.p, params.quad
+    check_exponent("q", q)
+    p = params.p
     t = _layer_t(k, gamma, p, "q_norm")
-    j0, jq = _moments_at_t(t, p, (0.0, q), quad)[0]
+    j0, jq = _moments_at_t(t, p, (0.0, q))[0]
     return k * (jq / j0) ** (1.0 / q)
 
 
@@ -570,8 +568,7 @@ def point_q_norm(point: LocalPoint, q: float, params: LocalParams) -> float:
     accurate deep in the layer where gamma - k^{p-1} underflows float
     resolution and the (k, gamma) form cannot.
     """
-    if not q > 1.0:
-        raise ValueError(f"q must be > 1, got {q}")
+    check_exponent("q", q)
     if point.p != params.p:
         raise ValueError("point and params disagree on p")
     t = point.layer_t
@@ -598,8 +595,7 @@ def solve_for_d(d: float, params: LocalParams) -> LocalPoint:
     return _point_from_t(t, params.p, state)
 
 
-def _segment_integrals(f, lo: np.ndarray, width: np.ndarray,
-                       quad: QuadSpec) -> np.ndarray:
+def _segment_integrals(f, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
     """int f over [lo_j, lo_j + width_j] for every j.
 
     Each segment is mapped onto [0, 1] as the row width_j f(lo_j + width_j y)
@@ -614,19 +610,19 @@ def _segment_integrals(f, lo: np.ndarray, width: np.ndarray,
         def rows(y, a=a, h=h):
             return h * f(a + h * y)
 
-        out[block] = integrate(rows, 0.0, 1.0, quad).value
+        out[block] = integrate(rows, 0.0, 1.0).value
     return out
 
 
-def _asym_segments(p: float, n: int, quad: QuadSpec) -> np.ndarray:
+def _asym_segments(p: float, n: int) -> np.ndarray:
     """Integrals of sqrt(gamma) x'(s) over the n - 2 segments between the
     first n - 1 of n uniform s-nodes, on the t >= T_ASYM branch.
 
     There eps <= 1e-18 contributes nothing away from s = 1, so each segment
     integrates f(s)^{-1/2}, which depends on p alone: the array is
-    calibrated once per (p, n, tolerance) and cached read-only.
+    calibrated once per (p, n) and cached read-only.
     """
-    key = (p, n, quad.rel_tol)
+    key = (p, n)
     segs = _SEG_CACHE.get(key)
     if segs is None:
         def g(s):
@@ -636,7 +632,7 @@ def _asym_segments(p: float, n: int, quad: QuadSpec) -> np.ndarray:
 
         s_nodes = np.linspace(0.0, 1.0, n)
         lo = s_nodes[:-2]
-        segs = _segment_integrals(g, lo, s_nodes[1:-1] - lo, quad)
+        segs = _segment_integrals(g, lo, s_nodes[1:-1] - lo)
         segs.flags.writeable = False
         _SEG_CACHE[key] = segs
     return segs
@@ -650,8 +646,7 @@ def sample_profile(point: LocalPoint, n: int, params: LocalParams) -> Profile:
     one row of a stacked quadrature on [0, 1], _PROFILE_ROWS rows per call,
     so a profile of up to _PROFILE_ROWS + 1 nodes costs one integrate call.
     On the t >= T_ASYM branch the segment integrals depend on (p, n) alone
-    and are cached, so only the first such profile per (p, n, tolerance)
-    integrates; later ones reuse the same array, bit for bit.
+    and are cached, so only the first such profile per (p, n) integrates; later ones reuse the same array, bit for bit.
     n must be an integer >= 3; the total node count is 2n - 1.
     """
     try:
@@ -660,7 +655,7 @@ def sample_profile(point: LocalPoint, n: int, params: LocalParams) -> Profile:
         raise ValueError(f"n must be an integer, got {n!r}") from None
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    p, quad = params.p, params.quad
+    p = params.p
     if point.p != p:
         raise ValueError("point and params disagree on p")
     t = point.layer_t
@@ -684,13 +679,13 @@ def sample_profile(point: LocalPoint, n: int, params: LocalParams) -> Profile:
         def f(v):
             return kernels.layer_integrand(v, eps, em, p)
 
-        segs = _segment_integrals(f, vs[1:], vs[:-1] - vs[1:], quad)
+        segs = _segment_integrals(f, vs[1:], vs[:-1] - vs[1:])
         xs_half[1:] = np.cumsum(scale * segs)
     else:
         # Boundary-layer regime: the final node takes the layer crossing
         # from the moment asymptote.
-        xs_half[1:-1] = np.cumsum(_asym_segments(p, n, quad) / sqrt_g)
-        xs_half[-1] = _moments_at_t(t, p, (0.0,), quad)[0][0] / sqrt_g
+        xs_half[1:-1] = np.cumsum(_asym_segments(p, n) / sqrt_g)
+        xs_half[-1] = _moments_at_t(t, p, (0.0,))[0][0] / sqrt_g
 
     ws_half = point.k * s_nodes
     xs = np.concatenate([xs_half, 1.0 - xs_half[-2::-1]])

@@ -22,10 +22,9 @@ import numpy as np
 
 from . import local_logistic as ll
 from .errors import (BracketFailure, InvalidBracket, InvalidRegime,
-                     MonotonicityViolation, NoConvergence, ZeroCoefficients,
-                     check_positive)
+                     MonotonicityViolation, NoConvergence, check_exponent,
+                     check_positive, check_weights)
 from .local_logistic import LocalPoint, phi
-from .quadrature import QuadSpec
 from .rootfind import solve_monotone
 
 __all__ = [
@@ -51,24 +50,17 @@ REGIMES = ("supercritical", "critical", "subcritical")
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Problem data (p, q, a1, a2) plus the quadrature's relative tolerance."""
+    """Problem data: exponents p and q, weights a1 and a2."""
 
     p: float
     q: float
     a1: float
     a2: float
-    quad: QuadSpec = QuadSpec()
 
     def __post_init__(self):
-        if not (math.isfinite(self.p) and self.p > 1.0):
-            raise ValueError(f"p must be finite and > 1, got {self.p}")
-        if not (math.isfinite(self.q) and self.q > 1.0):
-            raise ValueError(f"q must be finite and > 1, got {self.q}")
-        if not (0.0 <= self.a1 < math.inf and 0.0 <= self.a2 < math.inf):
-            raise ValueError(f"a1, a2 must be finite and nonnegative, "
-                             f"got {self.a1}, {self.a2}")
-        if self.a1 + self.a2 <= 0.0:
-            raise ZeroCoefficients("a1 + a2 must be positive")
+        check_exponent("p", self.p)
+        check_exponent("q", self.q)
+        check_weights(self.a1, self.a2)
 
     @property
     def regime(self) -> str:
@@ -137,7 +129,7 @@ def _state_at_t(t: float, params: ProblemParams):
     N = a1 ||w||_q^2 + a2 d^2 = d^2 (a1 (||w||_q/d)^2 + a2). The ratio
     ||w||_q/d is at most k/d, so ln N stays finite where d or N would
     under- or overflow, as for p near 1 at extreme alpha."""
-    state = ll._log_state_at_t(t, params.p, (2.0, params.q), params.quad)
+    state = ll._log_state_at_t(t, params.p, (2.0, params.q))
     ln_d, ln_wq = state[2]
     ratio2 = math.exp(2.0 * (ln_wq - ln_d))
     return state, 2.0 * ln_d + math.log(params.a1 * ratio2 + params.a2)
@@ -163,7 +155,7 @@ def g_of_k(k: float, params: ProblemParams) -> float:
     if params.regime == "critical":
         raise InvalidRegime("g = N^{1/(p-3)} d is singular at p = 3")
     check_positive("k", k)
-    t, _ = ll._t_from_k(k, ll.LocalParams(p=params.p, quad=params.quad))
+    t, _ = ll._t_from_k(k, ll.LocalParams(p=params.p))
     state, ln_n = _state_at_t(t, params)
     return math.exp(ln_n / (params.p - 3.0) + state[2][0])
 
@@ -173,7 +165,7 @@ def _subcritical_e1(params: ProblemParams) -> float:
     from the n = 0 coefficient of the moments' small-t series (cached with
     the coefficients the small-t residuals use)."""
     p, q = params.p, params.q
-    a1_val = float(ll._series_coeffs(p, q, params.quad)[0, 0])
+    a1_val = float(ll._series_coeffs(p, q)[0, 0])
     return params.a1 * 2.0 ** ((q + 2.0) / q) * a1_val ** (2.0 / q) \
         + params.a2 * math.pi ** (2.0 / q)
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .errors import NoConvergence, NoSolution, Overflow
+from .errors import (NoConvergence, NoSolution, Overflow, check_exponent,
+                     check_positive)
 from .local_logistic import PI2, LocalPoint, Profile
 
 __all__ = [
@@ -101,10 +102,9 @@ def shoot(gamma: float, m: float, p: float,
     before reaching x = 1 (diverging slope); a crossing trajectory stays
     bounded by the energy level, so overflow always means m was too large.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if m <= 0.0:
-        raise ValueError(f"initial slope must be positive, got {m}")
+    check_positive("gamma", gamma)
+    check_positive("m", m)
+    check_exponent("p", p)
     n = cfg.n_steps
     ws, zs, n_filled, status = kernels.rk4_shoot(gamma, m, p, n)
     if status != 0:
@@ -240,8 +240,8 @@ def _slope_search(gamma: float, p: float, cfg: ShootConfig,
 def _solve_shot(gamma: float, p: float, cfg: ShootConfig,
                 ) -> tuple[LocalPoint, Profile, ShootResult]:
     """solve_bvp's point and profile, and the accepted shot they come from."""
-    if not (math.isfinite(p) and p > 1.0):
-        raise ValueError(f"p must be finite and > 1, got {p}")
+    check_exponent("p", p)
+    check_positive("gamma", gamma)
     if gamma <= PI2:
         raise NoSolution(
             f"no positive solution for gamma = {gamma} <= pi^2")

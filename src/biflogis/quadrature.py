@@ -6,8 +6,8 @@ integrands smooth on the closed interval. Each refinement round bisects
 every panel whose error estimate exceeds its share of the tolerance, up to a
 fixed bound on the number of live panels. Every integrand of this package is
 brought into that class by a change of variable before it gets here. The
-caller sets the relative tolerance (QuadSpec); the absolute floor ABS_TOL and
-the round budget MAX_REFINEMENTS are the same for every request.
+relative tolerance REL_TOL, the absolute floor ABS_TOL and the round budget
+MAX_REFINEMENTS are the same for every request.
 
 Calling convention: the integrand ``f`` receives a NumPy array of nodes and
 must return an array of values, or shape (m, len(nodes)) for m integrands
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NoConvergence, NonFinite
 
-# The rule's name, as error messages and serialized specs report it.
+# The rule's name, as error messages and serialized reports give it.
 GAUSS_LEGENDRE = "gauss_legendre_adaptive"
 
 # Fixed node/weight pairs for the embedded Gauss-Legendre estimate.
@@ -39,22 +39,13 @@ _GL_HI_X, _GL_HI_W = np.polynomial.legendre.leggauss(24)
 # NoConvergence instead.
 _GL_MAX_PANELS = 4096
 
-# Absolute error floor under the relative tolerance, and the most refinement
-# rounds one request may take, for every request.
+# Relative tolerance, the absolute error floor under it, and the most
+# refinement rounds one request may take, for every request. On the 198-case
+# domain grid a looser REL_TOL moves points (by up to 3.7e-7 at 1e-6) and a
+# tighter one turns some into NoConvergence (6 at 1e-14, 16 at 1e-15).
+REL_TOL = 1e-12
 ABS_TOL = 1e-14
 MAX_REFINEMENTS = 30
-
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Relative accuracy for one integration request; the absolute floor is
-    ABS_TOL and the round budget MAX_REFINEMENTS."""
-
-    rel_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0):
-            raise ValueError("rel_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -67,10 +58,10 @@ class QuadResult:
     evaluations: int
 
 
-def integrate(f, a: float, b: float, spec: QuadSpec = QuadSpec()) -> QuadResult:
+def integrate(f, a: float, b: float) -> QuadResult:
     """Approximate the integral of ``f`` over (a, b).
 
-    The result satisfies |error_estimate| <= max(ABS_TOL, rel_tol*|value|),
+    The result satisfies |error_estimate| <= max(ABS_TOL, REL_TOL*|value|),
     componentwise for a stacked integrand; otherwise NoConvergence is
     raised. NonFinite is raised if ``f`` returns NaN or infinity at any
     interior node actually used.
@@ -101,7 +92,7 @@ def integrate(f, a: float, b: float, spec: QuadSpec = QuadSpec()) -> QuadResult:
 
         # A panel is kept only when every component meets its share.
         running = acc_val + i_hi.sum(axis=1)
-        tol = np.maximum(ABS_TOL, spec.rel_tol * np.abs(running))
+        tol = np.maximum(ABS_TOL, REL_TOL * np.abs(running))
         ok = np.all(perr <= tol[:, None] * (2.0 * half / total_len), axis=0)
         acc_val = acc_val + i_hi[:, ok].sum(axis=1)
         acc_err = acc_err + perr[:, ok].sum(axis=1)

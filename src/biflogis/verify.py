@@ -26,7 +26,7 @@ from . import local_logistic as ll
 from . import nonlocal_curve as nc
 from .errors import (AmbiguousReading, BiflogisError, DegenerateFit,
                      WrongRegime)
-from .quadrature import ABS_TOL, GAUSS_LEGENDRE, MAX_REFINEMENTS
+from .quadrature import ABS_TOL, GAUSS_LEGENDRE, MAX_REFINEMENTS, REL_TOL
 
 __all__ = [
     "CheckResult",
@@ -112,7 +112,7 @@ class SweepReport:
             "params": {
                 "p": self.params.p, "q": self.params.q,
                 "a1": self.params.a1, "a2": self.params.a2,
-                "quad": {"rel_tol": self.params.quad.rel_tol,
+                "quad": {"rel_tol": REL_TOL,
                          "abs_tol": ABS_TOL,
                          "max_refinements": MAX_REFINEMENTS,
                          "rule": GAUSS_LEGENDRE},
@@ -220,7 +220,7 @@ def check_theorem_1(report: SweepReport) -> CheckResult:
     resid = lams / alphas ** (p - 1.0) - 1.0
     ys = resid * alphas ** ((p - 3.0) / 2.0)
     estimate = extrapolate_limit(alphas, ys, (p - 3.0) / 2.0)
-    c1 = consts.compute_C1(p, params.quad)
+    c1 = consts.compute_C1(p)
     target = c1 * math.sqrt(params.a1 + params.a2)
     return CheckResult("theorem_1_leading", target, estimate,
                        _rel(estimate, target),

@@ -296,7 +296,7 @@ def test_criterion_11_solution_defects():
         worst_resid = 0.0
         for rep in reports:
             params = rep.params
-            lp = ll.LocalParams(p=params.p, quad=params.quad)
+            lp = ll.LocalParams(p=params.p)
             for sol in rep.solutions:
                 assert sol is not None, "sweep row failed to solve"
                 n_rows += 1

@@ -19,7 +19,7 @@ from biflogis.constants import (READINGS, ConstantSet, compute_A, compute_all,
 from biflogis.errors import (InvalidRegime, NoConvergence, Overflow,
                              ZeroCoefficients)
 from biflogis import quadrature
-from biflogis.quadrature import QuadSpec, integrate
+from biflogis.quadrature import integrate
 
 PI = math.pi
 
@@ -112,9 +112,8 @@ def test_C1_matches_moment_asymptote(p):
     # C1 = (p-1)(B_0 - B_2), with B_q the offsets of the moments' large-t
     # asymptote: Gauss over sqrt(f) in u = 1 - s against Gauss over the
     # moments in the sinh variable, two routes that share no integral.
-    quad = QuadSpec()
-    b = (p - 1.0) * (ll._b_shift(p, 0.0, quad) - ll._b_shift(p, 2.0, quad))
-    assert rel(compute_C1(p, quad), b) < 1e-13
+    b = (p - 1.0) * (ll._b_shift(p, 0.0) - ll._b_shift(p, 2.0))
+    assert rel(compute_C1(p), b) < 1e-13
 
 
 def test_C1_vanishes_toward_linear_limit():
@@ -139,11 +138,10 @@ def test_Cq_matches_moment_asymptote(p):
     # Cq = 2 (B_0 - B_q), from J_0 - J_q -> int (1 - s^q)/sqrt(f) as
     # eps -> 0. The frozen table has no Cq at q = 1.1 or p < 2, where the
     # u = 1 - s integrand's s^q kink at u = 1 costs the most panels.
-    quad = QuadSpec()
-    b0 = ll._b_shift(p, 0.0, quad)
+    b0 = ll._b_shift(p, 0.0)
     for q in (1.1, 2.0, 4.0, 8.0):
-        b = 2.0 * (b0 - ll._b_shift(p, q, quad))
-        assert rel(compute_Cq(p, q, quad), b) < 1e-13, q
+        b = 2.0 * (b0 - ll._b_shift(p, q))
+        assert rel(compute_Cq(p, q), b) < 1e-13, q
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 4.0, 5.0])
@@ -281,6 +279,17 @@ def test_E_validation():
         compute_E(2.0, 2.0, 1.0, 1.0, "folklore")
 
 
+def test_weights_validation():
+    # The weights pass ProblemParams' check: NaN and infinity are rejected
+    # as a negative weight is, not carried into the constants.
+    for bad in (-0.1, math.nan, math.inf):
+        for a1, a2 in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError):
+                compute_all(4.0, 2.0, a1, a2)
+            with pytest.raises(ValueError):
+                compute_E(2.0, 2.0, a1, a2, "proof_variant")
+
+
 # ---------------------------------------------------------------- full set
 
 
@@ -326,19 +335,17 @@ def test_constant_set_frozen():
 
 
 @pytest.fixture
-def cache(monkeypatch):
+def cache(fresh_caches, monkeypatch):
     """An empty (p, q) memo for one test, and a count of the quadratures
     the constants module runs."""
-    fresh = {}
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(constants, "_PQ_CACHE", fresh)
     monkeypatch.setattr(constants, "integrate", counted)
-    return fresh, calls
+    return constants._PQ_CACHE, calls
 
 
 def test_memo_repeats_bit_identical(cache):
@@ -364,14 +371,6 @@ def test_compute_all_readings_share_pq_values(cache):
     assert paper.E3 != variant.E3
 
 
-def test_memo_keys_on_the_spec_that_runs(cache):
-    store, calls = cache
-    compute_A(2.0, 2.0)
-    tight = compute_A(2.0, 2.0, QuadSpec(rel_tol=1e-13))
-    assert len(store) == 2 and len(calls) == 2
-    assert rel(tight["A2"], compute_A(2.0, 2.0)["A2"]) < 1e-13
-
-
 def test_raising_input_leaves_no_entry(cache, monkeypatch):
     store, calls = cache
     with pytest.raises(ValueError):
@@ -389,11 +388,10 @@ def test_raising_input_leaves_no_entry(cache, monkeypatch):
 
 @pytest.mark.parametrize("p,q", A_CASES + [(1.05, 1.1)])
 def test_stacked_A_rows_match_scalar_integrals(p, q):
-    quad = QuadSpec()
     half = 0.5 * PI
 
     def scalar(f):
-        return integrate(f, 0.0, half, quad).value
+        return integrate(f, 0.0, half).value
 
     pref = math.sqrt(2.0) ** (p - 1.0) / ((p + 1.0) * PI ** 2)
     expected = (
@@ -403,7 +401,7 @@ def test_stacked_A_rows_match_scalar_integrals(p, q):
         scalar(lambda th: np.sin(th) ** 2 * ll.phi(np.sin(th), p))
         / ((p + 1.0) * PI ** 2),
     )
-    got = constants._a_integrals(p, q, quad)
+    got = constants._a_integrals(p, q)
     for g, e in zip(got, expected):
         assert type(g) is float
         assert rel(g, e) <= 1e-15

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracle_values import ORACLE
-from biflogis import cli, kernels, verify
+from biflogis import kernels, verify
 from biflogis import local_logistic as ll
 from biflogis import nonlocal_curve as nc
 from biflogis.errors import InvalidBracket, NoConvergence, NoSolution
@@ -21,7 +21,7 @@ from biflogis.local_logistic import (LocalParams, LocalPoint, phi,
                                      point_from_gamma, point_from_k,
                                      point_q_norm, q_norm, sample_profile,
                                      solve_for_d, solve_gamma, time_map)
-from biflogis.quadrature import QuadSpec, integrate
+from biflogis.quadrature import integrate
 
 PR2 = LocalParams(p=2.0)
 PR3 = LocalParams(p=3.0)
@@ -61,22 +61,21 @@ def test_phi_vectorized():
 
 # --- stacked moments -----------------------------------------------------------
 
-def _quad_moment(t, p, q, quad):
+def _quad_moment(t, p, q):
     """J_q at layer coordinate t from its own one-row quadrature."""
-    return float(ll._layer_moments(math.exp(-t), -math.expm1(-t), p, q, quad))
+    return float(ll._layer_moments(math.exp(-t), -math.expm1(-t), p, q))
 
 
 @pytest.mark.parametrize("p", (1.5, 2.0, 2.5, 5.0))
 def test_moments_at_t_match_single_moments(p):
     # The stacked moments of every branch against one one-row quadrature
     # per q.
-    quad = QuadSpec()
     qs = (0.0, 2.0, 3.0, 4.0)
     for t in (1e-6, 0.3, 5.0, 30.0):
-        stacked, _ = ll._moments_at_t(t, p, qs, quad)
+        stacked, _ = ll._moments_at_t(t, p, qs)
         assert len(stacked) == len(qs)
         for q, jq in zip(qs, stacked):
-            assert abs(jq / _quad_moment(t, p, q, quad) - 1.0) <= 1e-14
+            assert abs(jq / _quad_moment(t, p, q) - 1.0) <= 1e-14
 
 
 # --- small-t series branch ------------------------------------------------------
@@ -88,12 +87,11 @@ SERIES_TS = [*np.geomspace(1e-12, ll.T_SERIES, 12).tolist()[:-1], ll.T_SERIES]
 def test_series_branch_matches_quadrature(p):
     # The quadrature branch is the independent cross-check: it integrates
     # in the sinh variable, the series coefficients are integrals in theta.
-    quad = QuadSpec()
     qs = (0.0, 1.1, 2.0, 4.0, 8.0)
     for t in SERIES_TS:
-        series, _ = ll._moments_at_t(t, p, qs, quad)
+        series, _ = ll._moments_at_t(t, p, qs)
         for q, js in zip(qs, series):
-            assert abs(js / _quad_moment(t, p, q, quad) - 1.0) <= 1e-14, (t, q)
+            assert abs(js / _quad_moment(t, p, q) - 1.0) <= 1e-14, (t, q)
 
 
 def test_series_tail_bound_at_switch():
@@ -110,10 +108,9 @@ def test_series_tail_bound_at_switch():
 @pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 2.9, 3.0, 4.0, 8.0))
 def test_log_state_monotone_across_series_switch(p):
     # Bracket and Brent need a monotone state where the branches meet.
-    quad = QuadSpec()
     qs = (1.1, 2.0, 4.0)
     ts = (ll.T_SERIES * (1.0 - 1e-12), ll.T_SERIES, ll.T_SERIES * (1.0 + 1e-12))
-    states = [ll._log_state_at_t(t, p, qs, quad) for t in ts]
+    states = [ll._log_state_at_t(t, p, qs) for t in ts]
     for lo, hi in zip(states, states[1:]):
         assert lo[0] <= hi[0] and lo[1] <= hi[1]
         assert all(a <= b for a, b in zip(lo[2], hi[2]))
@@ -134,11 +131,10 @@ def _panel_mid(panel):
 def test_log_state_monotone_across_panel_edges_and_asym_switch(p):
     # As across T_SERIES: neighbouring panels, and the last panel and the
     # asymptote, must not step backwards where they meet.
-    quad = QuadSpec()
     qs = (1.1, 2.0, 4.0)
     for edge in (*CHEB_EDGES, ll.T_ASYM):
         ts = (edge * (1.0 - 1e-12), edge, edge * (1.0 + 1e-12))
-        states = [ll._log_state_at_t(t, p, qs, quad) for t in ts]
+        states = [ll._log_state_at_t(t, p, qs) for t in ts]
         for lo, hi in zip(states, states[1:]):
             assert lo[0] <= hi[0] and lo[1] <= hi[1], edge
             assert all(a <= b for a, b in zip(lo[2], hi[2])), edge
@@ -149,16 +145,15 @@ def test_chebyshev_branch_matches_quadrature(p):
     # Held out: random tau and every panel edge (the outer two one ulp
     # inside the branch), against the one-row quadrature the coefficients
     # come from.
-    quad = QuadSpec()
     qs = (0.0, 1.1, 2.0, 4.0, 8.0)
     rng = np.random.default_rng(round(100 * p))
     taus = rng.uniform(math.log(ll.T_SERIES), math.log(ll.T_ASYM), 12)
     ts = [math.nextafter(ll.T_SERIES, math.inf), *CHEB_EDGES,
           math.nextafter(ll.T_ASYM, 0.0), *np.exp(taus).tolist()]
     for t in ts:
-        cheb, _ = ll._moments_at_t(t, p, qs, quad)
+        cheb, _ = ll._moments_at_t(t, p, qs)
         for q, jq in zip(qs, cheb):
-            assert abs(jq / _quad_moment(t, p, q, quad) - 1.0) <= 1e-14, (t, q)
+            assert abs(jq / _quad_moment(t, p, q) - 1.0) <= 1e-14, (t, q)
 
 
 # Every branch and where they meet: T_SERIES and T_ASYM with one ulp either
@@ -174,24 +169,23 @@ def test_flat_state_order_and_duplicates(p):
     # Moments and log states are positional: a q's value and slope do not
     # depend on its place in qs or on a repeat, to the bit, and each still
     # matches its own one-row quadrature.
-    quad = QuadSpec()
     qs, perm = (0.0, 1.1, 2.0, 4.0), (4.0, 0.0, 2.0, 1.1)
     order = [qs.index(q) for q in perm]
     for t in BRANCH_TS:
-        m, dm = ll._moments_at_t(t, p, qs, quad)
-        pm, pdm = ll._moments_at_t(t, p, perm, quad)
+        m, dm = ll._moments_at_t(t, p, qs)
+        pm, pdm = ll._moments_at_t(t, p, perm)
         assert pm == [m[i] for i in order] and pdm == [dm[i] for i in order], t
         for q, jq in zip(qs, m):
-            assert abs(jq / _quad_moment(t, p, q, quad) - 1.0) <= 1e-14, (t, q)
+            assert abs(jq / _quad_moment(t, p, q) - 1.0) <= 1e-14, (t, q)
 
-        state = ll._log_state_at_t(t, p, qs[1:], quad)
-        pstate = ll._log_state_at_t(t, p, (4.0, 1.1, 2.0), quad)
+        state = ll._log_state_at_t(t, p, qs[1:])
+        pstate = ll._log_state_at_t(t, p, (4.0, 1.1, 2.0))
         assert pstate[:2] == state[:2] and pstate[3][:2] == state[3][:2], t
         assert pstate[2] == tuple(state[2][i] for i in (2, 0, 1)), t
         assert pstate[3][2] == tuple(state[3][2][i] for i in (2, 0, 1)), t
 
         # q = 2 at ProblemParams(q=2.0): d and ||w||_q are one repeated q.
-        twice = ll._log_state_at_t(t, p, (2.0, 2.0), quad)
+        twice = ll._log_state_at_t(t, p, (2.0, 2.0))
         assert twice[2] == (state[2][1],) * 2, t
         assert twice[3][2] == (state[3][2][1],) * 2, t
         params = nc.ProblemParams(p=p, q=2.0, a1=1.0, a2=1.0)
@@ -199,12 +193,10 @@ def test_flat_state_order_and_duplicates(p):
 
 
 @pytest.fixture
-def cheb_cache(monkeypatch):
+def cheb_cache(fresh_caches, monkeypatch):
     """An empty Chebyshev coefficient cache and the integrate calls made.
-    The stacked views are emptied too: a view left from an earlier test
-    would answer without reading the coefficient cache."""
-    monkeypatch.setattr(ll, "_C_CACHE", {})
-    monkeypatch.setattr(ll, "_VIEW_CACHE", {})
+    Every other cache is emptied too: a stacked view left from an earlier
+    test would answer without reading the coefficient cache."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -218,34 +210,32 @@ def cheb_cache(monkeypatch):
 def test_cold_panel_is_one_quadrature(cheb_cache):
     # One integrate call per cold (q, panel), none once it is warm.
     store, calls = cheb_cache
-    quad = QuadSpec()
     t = _panel_mid(2)
-    ll._moments_at_t(t, 3.0, (0.0, 2.0), quad)
+    ll._moments_at_t(t, 3.0, (0.0, 2.0))
     assert len(calls) == 2 and len(store) == 2
-    ll._moments_at_t(t * 1.01, 3.0, (2.0, 0.0), quad)
+    ll._moments_at_t(t * 1.01, 3.0, (2.0, 0.0))
     assert len(calls) == 2
     # Only the q the panel lacks is calibrated.
-    ll._moments_at_t(t, 3.0, (0.0, 2.0, 4.0), quad)
+    ll._moments_at_t(t, 3.0, (0.0, 2.0, 4.0))
     assert len(calls) == 3 and len(store) == 3
-    ll._moments_at_t(_panel_mid(3), 3.0, (0.0, 2.0, 4.0), quad)
+    ll._moments_at_t(_panel_mid(3), 3.0, (0.0, 2.0, 4.0))
     assert len(calls) == 6 and len(store) == 6
 
 
-def test_calibration_does_not_depend_on_history(monkeypatch):
+def test_calibration_does_not_depend_on_history(fresh_caches):
     # A q's Chebyshev coefficients come from its own quadrature, so states
     # and a curve point at q = 3 keep their bits whether or not q = 2 was
     # calibrated at the same p first. The root lies on the Chebyshev branch.
-    p, quad = 8.0, QuadSpec()
+    p = 8.0
     params = nc.ProblemParams(p=p, q=3.0, a1=1.0, a2=1.0)
     ts = [_panel_mid(panel) for panel in range(ll._CHEB_PANELS)]
     runs = []
     for q2_first in (False, True):
-        monkeypatch.setattr(ll, "_C_CACHE", {})
-        monkeypatch.setattr(ll, "_VIEW_CACHE", {})
+        fresh_caches()
         if q2_first:
             for t in ts:
-                ll._log_state_at_t(t, p, (2.0,), quad)
-        states = [ll._log_state_at_t(t, p, (2.0, 3.0), quad) for t in ts]
+                ll._log_state_at_t(t, p, (2.0,))
+        states = [ll._log_state_at_t(t, p, (2.0, 3.0)) for t in ts]
         runs.append((states, nc.solve_alpha(10.0 ** 0.1, params)))
     assert ll.T_SERIES < runs[0][1].local.layer_t < ll.T_ASYM
     assert runs[0][0] == runs[1][0]
@@ -275,18 +265,16 @@ def test_warm_solve_alpha_makes_no_quadrature(p, q, alphas, monkeypatch):
     assert warm == cold
 
 
-def test_warm_sweep_at_new_q_calibrates_only_that_q(monkeypatch):
+def test_warm_sweep_at_new_q_calibrates_only_that_q(fresh_caches, monkeypatch):
     # At a p calibrated for q = 2 on every branch, a sweep at q = 3 adds
     # only q = 3 calibrations, one integrate call each: the stacked views
     # are built from the per-q caches, not calibrated anew. A second sweep
     # integrates nothing.
-    p, quad = 2.5, QuadSpec()
+    p = 2.5
     caches = ("_S_CACHE", "_B_CACHE", "_C_CACHE")
-    for name in (*caches, "_VIEW_CACHE"):
-        monkeypatch.setattr(ll, name, {})
     alphas = (1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e6)
     for t in (0.1, *map(_panel_mid, range(ll._CHEB_PANELS)), 2.0 * ll.T_ASYM):
-        ll._log_state_at_t(t, p, (2.0,), quad)
+        ll._log_state_at_t(t, p, (2.0,))
     for alpha in alphas:
         nc.solve_alpha(alpha, nc.ProblemParams(p=p, q=2.0, a1=1.0, a2=1.0))
     before = {name: set(getattr(ll, name)) for name in caches}
@@ -308,24 +296,12 @@ def test_warm_sweep_at_new_q_calibrates_only_that_q(monkeypatch):
     assert calls == []
 
 
-def test_cheb_coeffs_key_on_the_spec_that_runs(cheb_cache, monkeypatch):
-    store, calls = cheb_cache
-    t = _panel_mid(1)
-    default = ll._moments_at_t(t, 3.0, (0.0,), QuadSpec())[0][0]
-    monkeypatch.setenv("BIFLOGIS_QUAD_TOL", "1e-10")
-    loose = cli._default_quad()
-    assert loose.rel_tol == 1e-10
-    other = ll._moments_at_t(t, 3.0, (0.0,), loose)[0][0]
-    assert len(calls) == 2 and len(store) == 2
-    assert abs(other / default - 1.0) <= 1e-10
-
-
 def test_unresolved_panel_raises_and_caches_nothing(cheb_cache, monkeypatch):
     # Eight points cannot hold J_q to the quadrature's tolerance.
     store, calls = cheb_cache
     monkeypatch.setattr(ll, "_CHEB_POINTS", 8)
     with pytest.raises(NoConvergence, match="Chebyshev panel"):
-        ll._log_state_at_t(_panel_mid(0), 3.0, (2.0,), QuadSpec())
+        ll._log_state_at_t(_panel_mid(0), 3.0, (2.0,))
     assert len(calls) == 1 and store == {}
 
 
@@ -367,12 +343,11 @@ def _flat(state):
 
 @pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 2.9, 3.0, 4.0, 8.0, 20.0))
 def test_log_state_slopes_match_central_differences(p):
-    quad = QuadSpec()
     qs = (1.1, 2.0, 8.0)
     ln_alpha = math.log(100.0)
 
     def state(tau):
-        return ll._log_state_at_t(math.exp(tau), p, qs, quad)
+        return ll._log_state_at_t(math.exp(tau), p, qs)
 
     for tau in SLOPE_TAUS:
         slopes = _flat(state(tau)[3])
@@ -391,11 +366,10 @@ def test_exact_node_slopes_continue_the_interpolant():
     # and its derivative are continuous there, so one float step away the
     # value and slope barely move.
     t = _exact_node_t()
-    quad = QuadSpec()
     for p in (1.05, 3.0, 20.0):
-        at, d_at = ll._moments_at_t(t, p, (0.0, 2.0), quad)
+        at, d_at = ll._moments_at_t(t, p, (0.0, 2.0))
         near, d_near = ll._moments_at_t(math.nextafter(t, math.inf), p,
-                                        (0.0, 2.0), quad)
+                                        (0.0, 2.0))
         for i in range(2):
             assert abs(near[i] / at[i] - 1.0) <= 1e-14
             assert abs(d_near[i] / d_at[i] - 1.0) <= 1e-12
@@ -405,9 +379,8 @@ def test_exact_node_slopes_continue_the_interpolant():
 @given(p=st.floats(1.05, 8.0), tau=st.floats(math.log(1e-10), 0.0))
 def test_log_state_monotone_in_t(p, tau):
     t = math.exp(tau)
-    quad = QuadSpec()
-    lo = ll._log_state_at_t(t, p, (2.0,), quad)
-    hi = ll._log_state_at_t(t * (1.0 + 1e-6), p, (2.0,), quad)
+    lo = ll._log_state_at_t(t, p, (2.0,))
+    hi = ll._log_state_at_t(t * (1.0 + 1e-6), p, (2.0,))
     assert lo[0] <= hi[0] and lo[1] <= hi[1] and lo[2][0] <= hi[2][0]
 
 
@@ -418,7 +391,7 @@ def test_round_trip_t_d_k(p, tau):
     # inversion ill-conditioned.
     lp = LocalParams(p=p)
     t = math.exp(tau)
-    point = ll._point_from_t(t, p, ll._log_state_at_t(t, p, (2.0,), lp.quad))
+    point = ll._point_from_t(t, p, ll._log_state_at_t(t, p, (2.0,)))
     assert abs(solve_for_d(point.d, lp).k / point.k - 1.0) <= 1e-12
 
 
@@ -500,7 +473,7 @@ def test_pair_maps_match_quadrature(p):
     for target in (1e-3, 0.5, 0.9999, 1.0 - 1e-12):
         gamma = k ** (p - 1.0) / target
         nu = k ** (p - 1.0) / gamma
-        j0, j4 = (float(ll._layer_moments(1.0 - nu, nu, p, q, pr.quad))
+        j0, j4 = (float(ll._layer_moments(1.0 - nu, nu, p, q))
                   for q in (0.0, 4.0))
         T = time_map(k, gamma, pr)
         assert abs(T / (j0 / math.sqrt(gamma)) - 1.0) <= 1e-14, target
@@ -610,8 +583,9 @@ def test_q_norm_bounded_by_k_and_increasing_in_q():
 
 
 def test_q_norm_validates_q():
-    with pytest.raises(ValueError):
-        q_norm(1.0, 15.0, 1.0, PR3)
+    for q in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            q_norm(1.0, 15.0, q, PR3)
 
 
 def test_point_q_norm_matches_pair_form():
@@ -644,8 +618,9 @@ def test_point_q_norm_recomputes_missing_layer():
 
 def test_point_q_norm_validation():
     point = point_from_k(1.0, PR3)
-    with pytest.raises(ValueError):
-        point_q_norm(point, 1.0, PR3)
+    for q in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            point_q_norm(point, q, PR3)
     with pytest.raises(ValueError):
         point_q_norm(point, 2.0, LocalParams(p=5.0))
 
@@ -868,7 +843,7 @@ def test_profile_asymptote_branch(p, k):
 def _loop_profile_xs(point, n, params):
     """Half-profile abscissae by one integrate call per segment, the
     segment-at-a-time form of sample_profile."""
-    p, quad, t = params.p, params.quad, point.layer_t
+    p, t = params.p, point.layer_t
     sqrt_g = math.sqrt(point.gamma)
     s_nodes = np.linspace(0.0, 1.0, n)
     xs = np.zeros(n)
@@ -882,16 +857,16 @@ def _loop_profile_xs(point, n, params):
             return kernels.layer_integrand(v, eps, em, p)
 
         for j in range(1, n):
-            xs[j] = xs[j - 1] + scale * integrate(f, vs[j], vs[j - 1], quad).value
+            xs[j] = xs[j - 1] + scale * integrate(f, vs[j], vs[j - 1]).value
     else:
         def g(s):
             u = 1.0 - s
             return 1.0 / (math.sqrt(p - 1.0) * u * np.sqrt(kernels.c_factor(u, p)))
 
         for j in range(1, n - 1):
-            seg = integrate(g, s_nodes[j - 1], s_nodes[j], quad).value
+            seg = integrate(g, s_nodes[j - 1], s_nodes[j]).value
             xs[j] = xs[j - 1] + seg / sqrt_g
-        xs[n - 1] = ll._moments_at_t(t, p, (0.0,), quad)[0][0] / sqrt_g
+        xs[n - 1] = ll._moments_at_t(t, p, (0.0,))[0][0] / sqrt_g
     return xs
 
 
@@ -912,14 +887,13 @@ def test_stacked_profile_matches_segment_loop(p, k, n):
     (3.0, 1.0, ll._PROFILE_ROWS + 2),
     (3.0, 1.0, 2 * ll._PROFILE_ROWS + 2),
 ])
-def test_profile_quadrature_calls(p, k, n, monkeypatch):
+def test_profile_quadrature_calls(p, k, n, fresh_caches, monkeypatch):
     # One integrate call per block of segments: n - 1 of them on the sinh
     # branch (p = 3), n - 2 on the asymptote branch (p = 6), whose segment
     # cache starts empty.
     params = LocalParams(p=p)
     pt = point_from_k(k, params)
     sample_profile(pt, 3, params)  # calibrates B_0 for the layer crossing
-    monkeypatch.setattr(ll, "_SEG_CACHE", {})
     calls = []
 
     def counted(*args, **kwargs):
@@ -931,7 +905,8 @@ def test_profile_quadrature_calls(p, k, n, monkeypatch):
     assert len(calls) == math.ceil((n - 1) / ll._PROFILE_ROWS)
 
 
-def test_asym_profile_segments_calibrated_once_per_p_and_n(monkeypatch):
+def test_asym_profile_segments_calibrated_once_per_p_and_n(fresh_caches,
+                                                          monkeypatch):
     # On the asymptote branch the segment integrals depend on (p, n) alone:
     # a second profile at another k makes no integrate call and has the
     # abscissae of a cold one, bit for bit; another p or n calibrates anew.
@@ -939,7 +914,6 @@ def test_asym_profile_segments_calibrated_once_per_p_and_n(monkeypatch):
     a, b = point_from_k(1000.0, lp6), point_from_k(5000.0, lp6)
     c = point_from_k(1000.0, lp7)
     assert min(a.layer_t, b.layer_t, c.layer_t) >= ll.T_ASYM
-    monkeypatch.setattr(ll, "_SEG_CACHE", {})
     calls = []
 
     def counted(*args, **kwargs):
@@ -953,6 +927,7 @@ def test_asym_profile_segments_calibrated_once_per_p_and_n(monkeypatch):
     assert len(calls) == 1
     assert all(not segs.flags.writeable for segs in ll._SEG_CACHE.values())
 
+    # The segment cache alone: the layer crossing's B_0 stays warm.
     monkeypatch.setattr(ll, "_SEG_CACHE", {})
     cold = sample_profile(b, 101, lp6)
     assert len(calls) == 2

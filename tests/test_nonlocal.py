@@ -32,7 +32,7 @@ def rel(a, b):
 def wq_of(sol, params):
     # layer-aware norm: the (k, gamma) route loses the layer for the large
     # amplitudes the supercritical curve reaches
-    lp = LocalParams(p=params.p, quad=params.quad)
+    lp = LocalParams(p=params.p)
     return point_q_norm(sol.local, params.q, lp)
 
 

@@ -126,11 +126,23 @@ def test_shoot_overflow():
         shoot(15.0, 1e6, 3.0)
 
 
-def test_shoot_validation():
-    with pytest.raises(ValueError):
-        shoot(-1.0, 0.5, 3.0)
-    with pytest.raises(ValueError):
-        shoot(15.0, 0.0, 3.0)
+def test_shoot_validation(monkeypatch):
+    # Every input outside the domain is a ValueError before any march. NaN
+    # or infinite gamma and m, and p = nan, once marched to a NaN w(1);
+    # p = 0.5 marched below the domain and p = -1 divided by zero.
+    calls = count_marches(monkeypatch)
+    nan, inf = math.nan, math.inf
+    for gamma, m, p in ((-1.0, 0.5, 3.0), (15.0, 0.0, 3.0),
+                        (nan, 1.0, 3.0), (inf, 1.0, 3.0),
+                        (15.0, nan, 3.0), (15.0, inf, 3.0),
+                        (15.0, 1.0, nan), (15.0, 1.0, inf),
+                        (15.0, 1.0, 1.0), (15.0, 1.0, 0.5), (15.0, 1.0, -1.0)):
+        with pytest.raises(ValueError):
+            shoot(gamma, m, p)
+    for gamma in (nan, inf, -1.0):
+        with pytest.raises(ValueError):
+            solve_bvp(gamma, 3.0)
+    assert calls == []
 
 
 def test_shoot_config_validation():

@@ -10,7 +10,6 @@ import pytest
 from biflogis import constants as consts
 from biflogis.errors import (AmbiguousReading, DegenerateFit, WrongRegime)
 from biflogis.nonlocal_curve import ProblemParams
-from biflogis.quadrature import QuadSpec
 from biflogis.verify import (CheckResult, check_local_large_d,
                              check_local_small_d, check_theorem_1,
                              check_theorem_2, check_theorem_3,
@@ -140,13 +139,11 @@ def test_sweep_report_record_shape():
 
 def test_sweep_report_quad_block_pinned():
     # The quad block keeps its four keys, so sweep and verify JSON stay
-    # byte-stable though the spec holds only rel_tol: the absolute floor,
-    # the round budget and the rule are the quadrature module's constants.
-    quad = QuadSpec(rel_tol=1e-11)
-    params = ProblemParams(p=5.0, q=2.0, a1=0.5, a2=0.5, quad=quad)
+    # byte-stable: all four are the quadrature module's constants.
+    params = ProblemParams(p=5.0, q=2.0, a1=0.5, a2=0.5)
     rec = sweep(params, [100.0]).to_record()
     assert json.dumps(rec["params"]["quad"]) == (
-        '{"rel_tol": 1e-11, "abs_tol": 1e-14, "max_refinements": 30, '
+        '{"rel_tol": 1e-12, "abs_tol": 1e-14, "max_refinements": 30, '
         '"rule": "gauss_legendre_adaptive"}')
     assert "root_tol" not in rec["params"]
 
