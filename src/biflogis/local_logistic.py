@@ -73,8 +73,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, quadrature
-from .errors import (InvalidBracket, NoConvergence, NoSolution,
-                     check_exponent, check_positive)
+from .errors import (BracketFailure, InvalidBracket, NoConvergence,
+                     NoSolution, check_exponent, check_positive)
 from .quadrature import integrate
 from .rootfind import solve_monotone
 
@@ -166,7 +166,9 @@ class LocalPoint:
 
 @dataclass(frozen=True)
 class Profile:
-    """Sampled solution profile w(x) on [0, 1], symmetric about x = 1/2."""
+    """Sampled solution profile w(x) on [0, 1], symmetric about x = 1/2;
+    xs rises strictly on [0, 1/2] and can tie on [1/2, 1] deep in the layer
+    (see sample_profile)."""
 
     xs: np.ndarray
     ws: np.ndarray
@@ -186,34 +188,25 @@ class Profile:
 def phi(s, p: float):
     """(1 - s^{p+1}) / (1 - s^2), continued analytically to s = 1.
 
-    Vectorized over s in [0, 1]; phi(1) = (p+1)/2. Near s = 1 the ratio is
-    replaced by its expansion in u = 1 - s to avoid 0/0 noise.
+    Vectorized over s in [0, 1]; phi(1) = (p+1)/2. One formula in u = 1 - s
+    serves every s < 1 (_phi_of_u), within 4.5e-16 of 50-digit mpmath for p
+    in [1.001, 1000], s = 0 and u down to 1e-16 included.
     """
     check_exponent("p", p)
     s_arr = np.asarray(s, dtype=float)
-    scalar = s_arr.ndim == 0
-    s_arr = np.atleast_1d(s_arr)
-    out = np.empty_like(s_arr)
-    u = 1.0 - s_arr
-    near = u < 1e-6
-    mid = ~near & (u < 0.5)
-    big = u >= 0.5
-    if np.any(big):
-        sb = s_arr[big]
-        out[big] = (1.0 - sb ** (p + 1.0)) / (1.0 - sb * sb)
-    if np.any(mid):
-        um = u[mid]
-        # 1 - s^{p+1} through expm1/log1p: exact cancellation control down
-        # to the series handoff
-        num = -np.expm1((p + 1.0) * np.log1p(-um))
-        out[mid] = num / (um * (2.0 - um))
-    if np.any(near):
-        un = u[near]
-        out[near] = 0.5 * (p + 1.0) * (
-            1.0 - 0.5 * (p - 1.0) * un
-            + (p - 1.0) * (2.0 * p - 3.0) / 12.0 * un * un
-        )
-    return float(out[0]) if scalar else out
+    out = _phi_of_u(1.0 - np.atleast_1d(s_arr), p)
+    return float(out[0]) if s_arr.ndim == 0 else out
+
+
+def _phi_of_u(u: np.ndarray, p: float) -> np.ndarray:
+    """phi at s = 1 - u: -expm1((p+1) log1p(-u)) / (u (2-u)), which holds
+    the cancellation of 1 - s^{p+1} and of 1 - s^2 alike, and (p+1)/2 at
+    u = 0. At u = 1, log1p(-1) = -inf and expm1(-inf) = -1 exactly."""
+    with np.errstate(divide="ignore"):
+        num = -np.expm1((p + 1.0) * np.log1p(-u))
+    pos = u > 0.0
+    return np.where(pos, num / np.where(pos, u * (2.0 - u), 1.0),
+                    0.5 * (p + 1.0))
 
 
 # --- moment evaluation ------------------------------------------------------
@@ -297,7 +290,7 @@ def _series_coeffs(p: float, qpow: float) -> np.ndarray:
             # see u only to 1e-16 absolute, and (c phi)^n magnifies that
             # past the tolerance at large p.
             u = 2.0 * np.sin(0.25 * math.pi - 0.5 * th) ** 2
-            cphi = c * -np.expm1((p + 1.0) * np.log1p(-u)) / (u * (2.0 - u))
+            cphi = c * _phi_of_u(u, p)
             return np.sin(th) ** qpow * cphi ** _S_N[:, None]
 
         row = _S_BINOM * integrate(f, 0.0, 0.5 * math.pi).value
@@ -471,7 +464,8 @@ def _t_where(ln_of, target: float, seed: float, params: LocalParams):
     Newton in tau = ln t from the seed tau; the state carries d as its one
     norm. ln_of applied to the state's slopes gives the residual's slope,
     since they share the state's layout. The root's state is the one its
-    last residual evaluation made."""
+    last residual evaluation made. InvalidBracket where the root lies past
+    a wall of tau."""
     p = params.p
     states: dict = {}
 
@@ -479,8 +473,20 @@ def _t_where(ln_of, target: float, seed: float, params: LocalParams):
         state = states[tau] = _log_state_at_t(math.exp(tau), p, (2.0,))
         return ln_of(state) - target, ln_of(state[3])
 
-    tau = solve_monotone(resid, seed, _TAU_LO, _TAU_HI, xtol=1e-14)
+    try:
+        tau = solve_monotone(resid, seed, _TAU_LO, _TAU_HI, xtol=1e-14)
+    except BracketFailure as exc:
+        raise _past_wall(next(reversed(states)), p) from exc
     return math.exp(tau), states[tau]
+
+
+def _past_wall(tau: float, p: float) -> InvalidBracket:
+    """The error for a root past the wall tau = _TAU_LO or _TAU_HI: the last
+    tau a residual saw, as solve_monotone stops only at a wall it has just
+    evaluated, heading one way from its seed."""
+    why = "d would round to k" if tau == _TAU_HI else "t nears underflow"
+    return InvalidBracket(f"the root lies beyond the wall t = exp({tau:g}) "
+                          f"at p = {p!r}, where {why}")
 
 
 def _t_from_k(k: float, params: LocalParams):
@@ -646,8 +652,14 @@ def sample_profile(point: LocalPoint, n: int, params: LocalParams) -> Profile:
     one row of a stacked quadrature on [0, 1], _PROFILE_ROWS rows per call,
     so a profile of up to _PROFILE_ROWS + 1 nodes costs one integrate call.
     On the t >= T_ASYM branch the segment integrals depend on (p, n) alone
-    and are cached, so only the first such profile per (p, n) integrates; later ones reuse the same array, bit for bit.
+    and are cached, so only the first such profile per (p, n) integrates;
+    later ones reuse the same array, bit for bit.
     n must be an integer >= 3; the total node count is 2n - 1.
+
+    xs rises strictly on [0, 1/2]. Its mirror 1 - x is rounded to the 1.1e-16
+    spacing of the doubles below 1, so where the layer, about gamma^{-1/2}
+    wide, nears 1e-14 the right half only rises weakly: at p = 20, k = 30
+    (t = 2.3e14) 4 of its 100 gaps are zero at n = 101, 841 of 1,000 at 1001.
     """
     try:
         n = operator.index(n)

@@ -179,8 +179,9 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
     alpha = h d holds by construction, and beta = h^2 N. At p = 3, r = ln N
     and the point is the normalization N = 1. The solver raises
     MonotonicityViolation if dr/dtau is not positive at the root;
-    InvalidBracket where no float point represents the curve (k, h, beta
-    or lambda out of range, or d rounding to k); NoConvergence if
+    InvalidBracket where no float point represents the curve (the root in
+    tau past a wall of the root-find, k, h, beta or lambda out of range, or
+    d rounding to k); NoConvergence if
     |ln beta - (p-1) ln h|, the log miss of beta = h^{p-1}, exceeds 1e-10.
     """
     check_positive("alpha", alpha)
@@ -205,12 +206,7 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
     try:
         tau = solve_monotone(resid, tau0, ll._TAU_LO, ll._TAU_HI, xtol=1e-12)
     except BracketFailure as exc:
-        # r increases, so r < 0 at the upper wall puts the root beyond it.
-        if not (ll._TAU_HI in evals and evals[ll._TAU_HI][0] < 0.0):
-            raise
-        raise InvalidBracket(
-            f"the root lies beyond t = exp({ll._TAU_HI:g}) at p = {p!r}, "
-            f"q = {params.q!r}, where d would round to k") from exc
+        raise ll._past_wall(next(reversed(evals)), p) from exc
     t = math.exp(tau)
     r, dr, state, ln_n = evals[tau]
     point = ll._point_from_t(t, p, state)

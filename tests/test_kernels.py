@@ -28,13 +28,12 @@ def test_c_factor_p3_closed_form():
 
 
 def test_c_factor_branch_continuity():
-    # values just either side of both branch cuts must agree; the gap is
+    # values just either side of the series cut must agree; the gap is
     # small enough that |c'| * gap ~ 1e-12, so any excess is a branch jump
     for p in P_GRID:
-        for cut in (0.02, 0.5):
-            lo = kernels.c_factor(cut - 1e-12, p)
-            hi = kernels.c_factor(cut + 1e-12, p)
-            assert abs(lo - hi) < 1e-11
+        lo = kernels.c_factor(0.02 - 1e-12, p)
+        hi = kernels.c_factor(0.02 + 1e-12, p)
+        assert abs(lo - hi) < 1e-11
 
 
 def _c_reference(u: float, p: float) -> float:
@@ -47,17 +46,25 @@ def _c_reference(u: float, p: float) -> float:
 
 
 C_REF_P = (1.05, 2.0, 3.0, 5.0, 20.0, 50.0, 100.0)
+C_MP_P = (1.001, 1.05, 1.5, 1.8, 2.0, 2.5, 3.0, 5.0, 20.0, 100.0, 1000.0)
 
 
 def test_c_factor_against_mpmath():
-    # Just below the series cut the truncated series answers, just above it
-    # the expm1/log1p form (or the near-1 form at p = 1.05). u = 0.0199 sat
-    # in a 12-term series branch at every p once, 3.7e-2 off at p = 300.
-    for p in C_REF_P:
+    # The series below its cut and the one identity from there to u = 1,
+    # on log-spaced u, random u, both sides of the cut and u = 1 itself.
+    # The expm1/log1p and direct-power forms this identity replaced were
+    # 4.0e-14 off at p = 1.5, u = 0.0265.
+    rng = np.random.default_rng(27)
+    for p in C_MP_P:
         cut = kernels._series_cut(p)
-        for u in (cut * (1.0 - 1e-9), cut * (1.0 + 1e-9), 1e-6, 0.0199):
+        us = np.concatenate((np.logspace(-14, math.log10(1.0 - 1e-10), 120),
+                             rng.random(40), (cut * (1.0 - 1e-9),
+                                              cut * (1.0 + 1e-9), 0.0265)))
+        got = kernels.c_factor(us, p)
+        for u, c in zip(us.tolist(), got.tolist()):
             ref = _c_reference(u, p)
-            assert abs(kernels.c_factor(u, p) / ref - 1.0) <= 1e-13, (p, u)
+            assert abs(c / ref - 1.0) <= 5e-15, (p, u)
+        assert abs(kernels.c_factor(1.0, p) * (p + 1.0) - 1.0) <= 5e-15, p
 
 
 def test_c_factor_series_tail_below_rounding():

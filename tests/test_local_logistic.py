@@ -6,7 +6,9 @@ before this module existed; agreement is to solver tolerance, not shared code.
 """
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,9 +40,9 @@ def test_phi_trivial_values():
 
 
 def test_phi_branch_continuity():
-    # Straddle the series handoff at 1 - s = 1e-6 by single float steps in s
-    # so the genuine slope term (|dphi/du| = (p+1)(p-1)/4) stays below the
-    # bound and any actual branch mismatch would dominate.
+    # Straddle 1 - s = 1e-6 by single float steps in s so the genuine slope
+    # term (|dphi/du| = (p+1)(p-1)/4) stays below the bound and any jump
+    # would dominate.
     for p in (2.0, 2.5, 3.0, 5.0):
         lo = 1.0 - 1e-6
         while not (1.0 - lo) > 1e-6:
@@ -49,6 +51,30 @@ def test_phi_branch_continuity():
         while not (1.0 - hi) < 1e-6:
             hi = math.nextafter(hi, 1.0)
         assert abs(phi(lo, p) - phi(hi, p)) < 1e-14
+
+
+def _phi_reference(s: float, p: float) -> float:
+    """(1 - s^{p+1})/(1 - s^2) in 50-digit arithmetic, (p+1)/2 at s = 1."""
+    with mpmath.workdps(50):
+        s, p = mpmath.mpf(s), mpmath.mpf(p)
+        if s == 1:
+            return float((p + 1) / 2)
+        return float((1 - s ** (p + 1)) / (1 - s ** 2))
+
+
+@pytest.mark.parametrize("p", (1.001, 1.05, 2.0, 20.0, 100.0, 300.0, 1000.0))
+def test_phi_against_mpmath(p):
+    # One formula for every s < 1, no NumPy warning at s = 0 or s = 1. The
+    # expansion it replaced below 1 - s = 1e-6 was 3.0e-11 off at p = 1000,
+    # 1 - s = 9e-7.
+    s = np.concatenate((1.0 - np.logspace(-16, 0, 200),
+                        (0.0, 1.0 - 9e-7, 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = phi(s, p)
+        assert phi(0.0, p) == 1.0 and phi(1.0, p) == 0.5 * (p + 1.0)
+    for si, v in zip(s.tolist(), got.tolist()):
+        assert abs(v / _phi_reference(si, p) - 1.0) <= 1e-15, (p, si)
 
 
 def test_phi_vectorized():
@@ -838,6 +864,26 @@ def test_profile_asymptote_branch(p, k):
     slope = np.sqrt(np.maximum(wp2, 0.0))
     assert np.all(dx >= (1.0 - 1e-12) * dw / slope[:-1])
     assert np.all(dx[:-1] <= (1.0 + 1e-12) * dw[:-1] / slope[1:-1])
+
+
+def test_profile_right_half_ties_deep_in_the_layer():
+    # At p = 20, k = 30 (t = 2.3e14) the boundary layer is about
+    # gamma^{-1/2} = 9e-15 wide. The left half resolves its x there, but the
+    # mirror 1 - x rounds onto the doubles below 1, 1.1e-16 apart, so
+    # neighbouring right-half abscissae tie: 4 of 100 gaps at n = 101, 841
+    # of 1,000 at n = 1001. This is the limit sample_profile states: xs is
+    # nondecreasing, its left half strictly increasing, and the ties lie in
+    # the layer next to x = 1.
+    params = LocalParams(p=20.0)
+    pt = point_from_k(30.0, params)
+    for n in (101, 1001):
+        xs = sample_profile(pt, n, params).xs
+        assert np.all(np.diff(xs[:n]) > 0.0)
+        gaps = np.diff(xs[n - 1:])
+        assert np.all(gaps >= 0.0)
+        ties = gaps == 0.0
+        assert np.any(ties)
+        assert np.all(xs[n - 1:-1][ties] > 1.0 - 1e-13)
 
 
 def _loop_profile_xs(point, n, params):

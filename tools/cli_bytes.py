@@ -9,8 +9,10 @@ each in a fresh interpreter, once on the base revision's ``src/`` and once
 on the working tree's. The base revision is exported with
 ``tools/bench_pair.py``'s ``git archive`` helper, so the checkout is left
 alone. The list holds the README's seven examples, their ``--format csv``
-(or json) variants, a pinned E3 reading, a solver error, and the flag
-values outside the documented domain that must be usage errors (exit 64).
+(or json) variants, a pinned E3 reading, a solver error, two runs at
+p = 1.5 (its constants, and a solve whose root lies on the moments'
+Chebyshev branch), and the flag values outside the documented domain that
+must be usage errors (exit 64).
 
 An invocation still running after ``TIMEOUT_S`` seconds is stopped and
 shows exit code -1 with empty stdout: a revision that accepts a value a
@@ -55,6 +57,9 @@ INVOCATIONS = [
     "verify --p 2 --q 2 --a1 0 --a2 1 --e3-reading paper_definition",
     "verify --p 5",
     "solve-local --p 3 --gamma 5",
+    # p = 1.5: the constants, and a root on the Chebyshev branch (t = 7.79)
+    "constants --p 1.5 --q 2",
+    "solve --p 1.5 --alpha 0.01",
     # values outside the documented domain
     "solve-local --p 0.5 --k 1",
     "profile --p 0.5 --k 1",
