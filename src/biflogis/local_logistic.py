@@ -202,11 +202,10 @@ def _phi_of_u(u: np.ndarray, p: float) -> np.ndarray:
     """phi at s = 1 - u: -expm1((p+1) log1p(-u)) / (u (2-u)), which holds
     the cancellation of 1 - s^{p+1} and of 1 - s^2 alike, and (p+1)/2 at
     u = 0. At u = 1, log1p(-1) = -inf and expm1(-inf) = -1 exactly."""
-    with np.errstate(divide="ignore"):
-        num = -np.expm1((p + 1.0) * np.log1p(-u))
-    pos = u > 0.0
-    return np.where(pos, num / np.where(pos, u * (2.0 - u), 1.0),
-                    0.5 * (p + 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -np.expm1((p + 1.0) * np.log1p(-u)) / (u * (2.0 - u))
+    out[u == 0.0] = 0.5 * (p + 1.0)
+    return out
 
 
 # --- moment evaluation ------------------------------------------------------

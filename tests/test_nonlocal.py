@@ -274,29 +274,28 @@ def test_tau_wall_raises_invalid_bracket(p, alpha):
             solve_alpha(alpha, ProblemParams(p=p, q=q, a1=1.0, a2=1.0))
 
 
-def _solve_alpha_q2(alpha, p):
-    return solve_alpha(alpha, ProblemParams(p=p, q=2.0, a1=1.0, a2=1.0))
-
-
-def _local(name):
-    return lambda x, p: getattr(ll, name)(x, LocalParams(p=p))
-
-
 @pytest.mark.parametrize("route, x, p, wall", (
-    (_local("point_from_k"), 1e-300, 20.0, "wall t = exp(-700)"),
-    (_local("solve_gamma"), 1e-300, 20.0, "wall t = exp(-700)"),
-    (_local("solve_for_d"), 1e-300, 20.0, "wall t = exp(-700)"),
-    (_local("point_from_gamma"), 1e300, 1.05, "wall t = exp(55)"),
-    (_solve_alpha_q2, 1e-300, 20.0, "wall t = exp(-700)"),
-    (_solve_alpha_q2, 1e300, 1.05, "wall t = exp(-700)"),
+    ("point_from_k", 1e-300, 20.0, "-700"),
+    ("solve_gamma", 1e-300, 20.0, "-700"),
+    ("solve_for_d", 1e-300, 20.0, "-700"),
+    ("point_from_gamma", 1e300, 1.05, "55"),
+    ("solve_alpha", 1e-300, 20.0, "-700"),
+    ("solve_alpha", 1e300, 1.05, "-700"),
 ))
 def test_root_past_a_tau_wall_raises_invalid_bracket(route, x, p, wall):
-    # The root in tau = ln t lies past one of the root-find's walls: t
-    # underflows (tiny k, gamma or d at p = 20; at p = 1.05 a huge alpha
-    # means a tiny d) or gamma passes 1e47. The error names the wall and p.
-    message = re.escape(f"{wall} at p = {p!r}")
+    # The root in tau = ln t lies past one of the root-find's walls: below
+    # exp(-700) for a tiny k or d at p = 20 (at p = 1.05 a huge alpha means
+    # a tiny d), above exp(55) for gamma = 1e300. The error names the wall
+    # and p.
+    if route == "solve_alpha":
+        params = ProblemParams(p=p, q=2.0, a1=1.0, a2=1.0)
+        solve = nonlocal_curve.solve_alpha
+    else:
+        params = LocalParams(p=p)
+        solve = getattr(ll, route)
+    message = re.escape(f"wall t = exp({wall}) at p = {p!r}")
     with pytest.raises(InvalidBracket, match=message):
-        route(x, p)
+        solve(x, params)
 
 
 @pytest.mark.parametrize("p", (1.05, 2.0, 2.9, 3.1, 5.0, 20.0))
