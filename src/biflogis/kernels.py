@@ -119,9 +119,18 @@ def layer_integrand(v, eps: float, em: float, p: float):
     return np.sqrt(h0 / h)
 
 
-def rk4_shoot(gamma: float, slope: float, p: float, n_steps: int):
-    """Fixed-step RK4 for w'' = sign(w)|w|^p - gamma w from w(0)=0, w'(0)=slope,
-    across [0, 1] in n_steps steps of h = 1/n_steps.
+def rk4_shoot(gamma: float, start: float, p: float, n_steps: int,
+              lag: float | None = None):
+    """Fixed-step RK4 for w'' = sign(w)|w|^p - gamma w in n_steps steps:
+    from x = 0 with w = 0, w' = start across [0, 1] (h = 1/n_steps), or,
+    given lag, from x = 1/2 with w = start, w' = 0 across [1/2, 1]
+    (h = 1/(2 n_steps)). lag = 1 - start/k_eq, formed by the caller without
+    cancellation, places the start below the saddle k_eq = gamma^{1/(p-1)}.
+    While the lag y = 1 - w/k_eq is below 1/2 the march runs on
+    y'' = -gamma (1 - y) expm1((p-1) log1p(-y)), which resolves a start a
+    few ulps below the saddle, then on w = k_eq (1 - y), exact there. RK4
+    commutes with that affine change of variable, so both phases are one
+    method; the samples hold w and w'.
 
     The step is classical RK4 in its Nystrom form (Hairer, Norsett and
     Wanner, Solving ODEs I, II.14), which holds for a force F(w) that does
@@ -132,10 +141,13 @@ def rk4_shoot(gamma: float, slope: float, p: float, n_steps: int):
 
     Returns (ws, zs, n_filled, status): trajectory arrays of length
     n_steps + 1 (zero-padded past n_filled), the count of valid samples, and
-    status 0 on completion, 1 if |w| passed the guard or a step overflowed.
+    status 0 on completion, 1 if a step overflowed or, on the launch from
+    x = 0, |w| passed the 1e12 guard. A midpoint march, within 0 <= w <= k
+    until then, stops with status 0 after its first sample with w < 0: near
+    the saddle's energy RK4's error could carry it past the mirror saddle
+    -k_eq and on to overflow. A lag stage past y = 1, which only a step
+    longer than the layer reaches, ends it with status 1.
     """
-    w = 0.0
-    z = slope
     # Derivation, z = w': classical RK4 on (w, z) takes the stages
     # (w_i, z_i) = (w, z) + c_i h (z_{i-1}, k_{i-1}) with c = 1/2, 1/2, 1.
     # The force reads w_i alone, and z_i enters only the next w stage, so
@@ -153,18 +165,46 @@ def rk4_shoot(gamma: float, slope: float, p: float, n_steps: int):
     # 0.0 either way) |w| is w, and for w < 0 negating the power only flips
     # its sign bit, so each value is the one copysign gives. A NaN takes the
     # second branch and stays NaN, an overflowing power raises in either.
+    # The launch from x = 0 ends with status 1 where |w| passes the guard;
+    # the midpoint launch ends with status 0 at its first sample below 0.
+    if lag is None:
+        w, z, h, top, floor, stop = 0.0, start, 1.0 / n_steps, 1e12, -1e12, 1
+    else:
+        w, z, h, top, floor, stop = start, 0.0, 0.5 / n_steps, math.inf, 0.0, 0
     wl = [w]
     zl = [z]
-    h = 1.0 / n_steps
     h_2 = 0.5 * h
     hh_4 = 0.25 * h * h
     hh_2 = 0.5 * h * h
     hh_6 = h * h / 6.0
     h_6 = h / 6.0
-    overflow = 1e12
     status = 0
 
-    for _ in range(n_steps):
+    if lag is not None and lag < 0.5:
+        k_eq = gamma ** (1.0 / (p - 1.0))
+        c = p - 1.0
+        expm1, log1p = math.expm1, math.log1p
+        y, v = lag, 0.0
+        try:
+            while y < 0.5 and len(wl) <= n_steps:
+                k1 = -gamma * (1.0 - y) * expm1(c * log1p(-y))
+                y2 = y + h_2 * v
+                k2 = -gamma * (1.0 - y2) * expm1(c * log1p(-y2))
+                y3 = y2 + hh_4 * k1
+                k3 = -gamma * (1.0 - y3) * expm1(c * log1p(-y3))
+                yh = y + h * v
+                y4 = yh + hh_2 * k2
+                k4 = -gamma * (1.0 - y4) * expm1(c * log1p(-y4))
+                k23 = k2 + k3
+                y = yh + hh_6 * (k1 + k23)
+                v += h_6 * (k1 + 2.0 * k23 + k4)
+                wl.append(k_eq * (1.0 - y))
+                zl.append(-k_eq * v)
+        except (OverflowError, ValueError):
+            status = 1
+        w, z = wl[-1], zl[-1]
+
+    for _ in range(0 if status else n_steps + 1 - len(wl)):
         try:
             k1 = (w ** p if w >= 0.0 else -((-w) ** p)) - gamma * w
             w2 = w + h_2 * z
@@ -182,8 +222,8 @@ def rk4_shoot(gamma: float, slope: float, p: float, n_steps: int):
         z += h_6 * (k1 + 2.0 * k23 + k4)
         wl.append(w)
         zl.append(z)
-        if w > overflow or w < -overflow:
-            status = 1
+        if w > top or w < floor:
+            status = stop
             break
 
     n_filled = len(wl)

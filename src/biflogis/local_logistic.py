@@ -458,6 +458,15 @@ def _seed_tau_for_d(ln_d: float, p: float) -> float:
     return _seed_tau_for_k(ln_d + 0.5 * math.log(2.0), p, ln_d)
 
 
+def _seed_tau_for_gamma(gamma: float, p: float) -> float:
+    """Closed-form seed tau for the curve point at gamma > pi^2, here and in
+    the shooting oracle: t ~ gamma/pi^2 - 1 near the bifurcation, and
+    t ~ sqrt((p-1) gamma)/2 at large gamma; the minimum picks the end."""
+    tau_small = math.log(max(gamma / PI2 - 1.0, 1e-300))
+    tau_large = 0.5 * math.log(gamma) + 0.5 * math.log(p - 1.0) - math.log(2.0)
+    return min(tau_small, tau_large)
+
+
 def _t_where(ln_of, target: float, seed: float, params: LocalParams):
     """(t, log state at t) where ln_of(state) = target, by safeguarded
     Newton in tau = ln t from the seed tau; the state carries d as its one
@@ -500,9 +509,8 @@ def _t_from_gamma(gamma: float, params: LocalParams):
     if gamma <= PI2:
         raise NoSolution(f"no positive solution for gamma <= pi^2 (got {gamma})")
     ln_g = math.log(gamma)
-    tau_small = math.log(max(gamma / PI2 - 1.0, 1e-300))
-    tau_large = 0.5 * ln_g + 0.5 * math.log(params.p - 1.0) - math.log(2.0)
-    return _t_where(lambda s: s[1], ln_g, min(tau_small, tau_large), params)
+    return _t_where(lambda s: s[1], ln_g, _seed_tau_for_gamma(gamma, params.p),
+                    params)
 
 
 def _t_from_d(d: float, params: LocalParams):

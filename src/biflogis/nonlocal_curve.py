@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from . import local_logistic as ll
 from .errors import (BracketFailure, InvalidBracket, InvalidRegime,
                      MonotonicityViolation, NoConvergence, check_exponent,
@@ -240,23 +241,28 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
 
 
 def _phi_prime(s, p: float):
-    """d/ds of phi(s, p), stable through s = 1."""
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.empty_like(s_arr)
-    u = 1.0 - s_arr
-    near = u < 1e-8
-    far = ~near
-    if np.any(far):
-        uf = u[far]
-        sf = s_arr[far]
-        one_m_s2 = uf * (2.0 - uf)
-        a = -np.expm1((p + 1.0) * np.log1p(-uf))
-        sp = np.exp(p * np.log1p(-uf))
-        out[far] = (2.0 * sf * a - (p + 1.0) * sp * one_m_s2) / one_m_s2 ** 2
-    if np.any(near):
-        un = u[near]
-        out[near] = 0.5 * (p + 1.0) * (p - 1.0) \
-            * (0.5 - (2.0 * p - 3.0) * un / 6.0)
+    """d/ds of phi(s, p) on [0, 1], one formula for every 0 < s < 1.
+
+    With u = 1 - s, L = log1p(-u) and E(x) = e^x - 1 - x
+    (kernels._expm1_minus_x), phi'(s) (u (2 - u))^2 is
+
+        2 (p+1) L e^L expm1((p-1) L) - 2 e^L E((p+1) L) + (p+1) e^{pL} E(2L),
+
+    each term of order L^2, so nothing cancels to the rounding of an O(1)
+    term as u -> 0. phi'(1) = (p+1)(p-1)/4 and phi'(0) = 0. Kept apart
+    from phi's own formula on purpose, so that residual_check's u'' is an
+    independent evaluation path.
+    """
+    u = 1.0 - np.atleast_1d(np.asarray(s, dtype=float))
+    out = np.where(u > 0.0, 0.0, 0.25 * (p + 1.0) * (p - 1.0))
+    mid = (u > 0.0) & (u < 1.0)
+    um = u[mid]
+    L = np.log1p(-um)
+    e_l = np.exp(L)
+    num = 2.0 * (p + 1.0) * L * e_l * np.expm1((p - 1.0) * L) \
+        - 2.0 * e_l * kernels._expm1_minus_x((p + 1.0) * L) \
+        + (p + 1.0) * np.exp(p * L) * kernels._expm1_minus_x(2.0 * L)
+    out[mid] = num / (um * (2.0 - um)) ** 2
     return out
 
 

@@ -8,8 +8,9 @@ leave it or the slope is unusable. The curve residuals are log-transformed
 and strictly increasing, so every root there is simple.
 
 brentq (Brent's inverse-quadratic / secant step guarded by bisection) and
-the bracket expander bracket_monotone take residuals without a slope; the
-package itself no longer calls them.
+the bracket expander bracket_monotone take residuals without a slope: the
+shooting oracle brackets and solves its coarse march's return offset with
+them, then hands the root and the last bracket's chord to solve_monotone.
 """
 
 from __future__ import annotations

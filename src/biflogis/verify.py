@@ -362,8 +362,7 @@ def check_local_small_d(p: float, q: float, d_grid) -> list[CheckResult]:
     order = 1.0 - p
 
     A = consts.compute_A(p, q)
-    a4 = consts.compute_A(p, 2.0)
-    a4 = (a4["A3"] - 4.0 * a4["A2"]) / math.pi
+    a4 = consts.compute_A(p, 2.0)["A4"]
     t32 = (2.0 / q) * (A["A2"] / A["A1"])
 
     y1 = (np.sqrt(gammas) - math.pi) / dp

@@ -182,3 +182,36 @@ def test_rk4_is_classical_rk4():
         assert (n, status) == (ref_n, ref_status)
         assert np.max(np.abs(ws - ref_ws)) <= 1e-13 * np.max(np.abs(ref_ws))
         assert np.max(np.abs(zs - ref_zs)) <= 1e-13 * np.max(np.abs(ref_zs))
+
+
+def test_rk4_midpoint_lag_march_is_the_w_march():
+    # RK4 commutes with the affine change w = k_eq (1 - y), so the march on
+    # the lag and the march on w from the same amplitude (a lag >= 1/2
+    # starts on w at once) differ by rounding alone.
+    for gamma, p, lag in ((50.0, 3.0, 0.3), (15.0, 2.0, 0.05),
+                          (30.0, 8.0, 0.45), (12.0, 1.5, 0.2)):
+        k = gamma ** (1.0 / (p - 1.0)) * (1.0 - lag)
+        ws, zs, n, status = kernels.rk4_shoot(gamma, k, p, 2000, lag)
+        ref_ws, ref_zs, ref_n, ref_status = kernels.rk4_shoot(gamma, k, p,
+                                                              2000, 0.5)
+        assert (n, status) == (ref_n, ref_status) and ws[0] == k
+        assert np.max(np.abs(ws - ref_ws)) <= 1e-13 * k
+        assert np.max(np.abs(zs - ref_zs)) <= 1e-13 * np.max(np.abs(ref_zs))
+
+
+def test_rk4_midpoint_march_ends_past_its_crossing():
+    # A midpoint march stops, with status 0, at its first sample below
+    # zero; one a few ulps below the saddle holds there at its start and
+    # never exceeds its amplitude.
+    gamma, p = 50.0, 3.0
+    k_eq = gamma ** 0.5
+    ws, zs, n, status = kernels.rk4_shoot(gamma, 0.5 * k_eq, p, 1000, 0.5)
+    assert status == 0 and n < 1001 and ws[n - 1] < 0.0
+    assert np.all(ws[:n - 1] > 0.0) and not np.any(ws[n:]) and not np.any(zs[n:])
+    assert np.all(np.diff(ws[:n]) < 0.0)
+    lag = 1e-15
+    ws, zs, n, status = kernels.rk4_shoot(gamma, k_eq * (1.0 - lag), p, 1000,
+                                          lag)
+    assert status == 0 and n == 1001
+    assert np.all(ws <= ws[0]) and np.all(zs <= 0.0)
+    assert ws[0] - ws[100] < 1e-12 * k_eq

@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biflogis import kernels, oracle
-from biflogis.errors import BiflogisError, NoConvergence, NoSolution, Overflow
+from biflogis.errors import (BiflogisError, BracketFailure, InvalidBracket,
+                             NoSolution, Overflow)
 from biflogis.local_logistic import (LocalParams, Profile, point_from_gamma,
                                      q_norm)
-from biflogis.oracle import (ShootConfig, ShootResult, _return_offset,
-                             energy_drift, norms_from_profile, shoot,
-                             solve_bvp)
+from biflogis.oracle import (ShootConfig, ShootResult, energy_drift,
+                             norms_from_profile, shoot, solve_bvp)
 
 PI = math.pi
 
@@ -167,13 +167,18 @@ def test_solve_bvp_below_threshold():
 
 
 def test_solve_bvp_near_one_typed_error():
-    # For p near 1 the solution's amplitude gamma^{1/(p-1)} is far past the
-    # march's 1e12 guard, and the saddle slope overflows as a float power.
-    # Every non-crossing shot diverges past the guard, and the search must
-    # end in a typed error within its budget.
-    for gamma, p in ((50.0, 1.001), (15.0, 1.05)):
-        with pytest.raises(NoConvergence):
-            solve_bvp(gamma, p)
+    # For p near 1 the solution's amplitude nears the saddle
+    # k_eq = gamma^{1/(p-1)}: at (50, 1.001) k_eq leaves the floats, and the
+    # solver must say so before any march. At (15, 1.05), k = 1.9e14, far
+    # past the 1e12 guard of the launch from x = 0, the midpoint launch
+    # solves it.
+    with pytest.raises(Overflow):
+        solve_bvp(50.0, 1.001)
+    point, _ = solve_bvp(15.0, 1.05)
+    ref = point_from_gamma(15.0, LocalParams(p=1.05))
+    assert ref.k > 1e14
+    assert abs(point.k - ref.k) < 1e-9 * ref.k
+    assert abs(point.d - ref.d) < 1e-9 * ref.d
     with pytest.raises(ValueError):
         solve_bvp(15.0, 1.0)
 
@@ -191,21 +196,6 @@ def count_marches(monkeypatch):
     return calls
 
 
-def accepted_slope(monkeypatch, gamma, p):
-    """Launch slope of the trajectory solve_bvp accepts: its last shot."""
-    slopes = []
-    shot = oracle.shoot
-
-    def recorded(gamma, m, p, cfg=ShootConfig()):
-        slopes.append(m)
-        return shot(gamma, m, p, cfg)
-
-    monkeypatch.setattr(oracle, "shoot", recorded)
-    solve_bvp(gamma, p)
-    monkeypatch.undo()
-    return slopes[-1]
-
-
 MARCH_COUNT_POINTS = ((2.0, 15.0), (3.0, 50.0), (5.0, 15.0),
                       (5.1857, 14.3376), (4.9204, 50.1527), (5.0578, 53.3147))
 
@@ -217,45 +207,38 @@ def rk4_steps(calls):
 
 @pytest.mark.parametrize("p,gamma", MARCH_COUNT_POINTS)
 def test_solve_bvp_march_count(monkeypatch, p, gamma):
-    # The search on 100-, 1,000- and 10,000-step marches, the finest level
-    # seeded by Richardson and every level aimed mid-window, costs
-    # 12,900-35,600 steps here (1.3-3.6 full marches); aimed at the window's
-    # edge and seeded by the 1,000-step slope it took 22,900-56,600, the
-    # single-level secant search 5-9 full marches, the Illinois search
-    # before it 10-25, plain bisection on the slope 44-54.
+    # The midpoint shots, 7-9 on the 250-step coarse half-march and 2-3 on
+    # the requested 5,000-step one, cost 12,000-17,250 steps here. The slope
+    # search from x = 0 on 100-, 1,000- and 10,000-step marches cost
+    # 12,900-35,600, the single-level secant search 5-9 full marches, the
+    # Illinois search before it 10-25, plain bisection on the slope 44-54.
     calls = count_marches(monkeypatch)
     solve_bvp(gamma, p)
-    assert rk4_steps(calls) <= 36_000
-
-
-# k of the single-level secant search at MARCH_COUNT_POINTS, for the default
-# ShootConfig: the coarse levels only pick the point of the acceptance window
-# that the finest level finds.
-SINGLE_LEVEL_K = {
-    (2.0, 15.0): 6.001570617871284,
-    (3.0, 50.0): 6.877492251142751,
-    (5.0, 15.0): 1.670095549357529,
-    (5.1857, 14.3376): 1.586245219334032,
-    (4.9204, 50.1527): 2.7000589648670936,
-    (5.0578, 53.3147): 2.653793865461056,
-}
+    assert rk4_steps(calls) <= 20_000
 
 
 @pytest.mark.parametrize("p,gamma", MARCH_COUNT_POINTS)
-def test_solve_bvp_keeps_single_level_k(p, gamma):
-    point, _ = solve_bvp(gamma, p)
-    ref = SINGLE_LEVEL_K[(p, gamma)]
-    assert abs(point.k - ref) <= 1e-10 * ref
+def test_solve_bvp_keeps_single_level_k(monkeypatch, p, gamma):
+    # The coarse march only seeds the requested one: with the coarse level
+    # switched off, the requested march brackets and solves alone, and finds
+    # the same root of the same offset.
+    cfg = ShootConfig()
+    point, _ = solve_bvp(gamma, p, cfg)
+    calls = count_marches(monkeypatch)
+    monkeypatch.setattr(oracle, "_MIN_COARSE", cfg.n_steps)
+    single, _ = solve_bvp(gamma, p, cfg)
+    assert {args[3] for args in calls} == {cfg.n_steps // 2}
+    assert abs(point.k - single.k) <= 1e-12 * single.k
+    assert abs(point.d - single.d) <= 1e-12 * single.d
 
 
 @pytest.mark.parametrize("p,gamma", MARCH_COUNT_POINTS + ((1.2, 10.0),
                                                          (20.0, 10.0),
                                                          (8.0, 50.0)))
 def test_solve_bvp_finest_level_decides(monkeypatch, p, gamma):
-    # Whatever the coarse levels found, the accepted shot is a march at the
-    # requested step that meets the acceptance rule itself. At (8, 50) the
-    # 100-step level stalls; it must hand on no seed rather than raise, and
-    # the 1,000-step level seeds the requested march alone.
+    # Whatever the coarse march found, the accepted shot is the last march,
+    # at the requested step, and its own offset is zero to the root-find's
+    # tolerance; the profile's right half is its samples up to the return.
     calls, outs = [], []
     march = kernels.rk4_shoot
 
@@ -266,89 +249,83 @@ def test_solve_bvp_finest_level_decides(monkeypatch, p, gamma):
 
     monkeypatch.setattr(kernels, "rk4_shoot", recorded)
     cfg = ShootConfig()
-    _, profile = solve_bvp(gamma, p, cfg)
-    assert {args[3] for args in calls} == {100, 1_000, cfg.n_steps}
-    m, n = calls[-1][1], calls[-1][3]
-    ws, _, n_filled, status = outs[-1]
-    assert n == cfg.n_steps and status == 0 and n_filled == n + 1
-    assert 0.0 < ws[-1] <= oracle.SLOPE_TOL * m
-    assert np.array_equal(profile.ws, ws)
-
-
-@pytest.mark.parametrize("p,gamma", MARCH_COUNT_POINTS + ((1.2, 10.0),
-                                                         (20.0, 10.0)))
-def test_solve_bvp_richardson_seed(monkeypatch, p, gamma):
-    # Both coarse levels accept here, so the finest level's first shot is
-    # their accepted slopes extrapolated in u = ln(m_sep - m) by the RK4 h^4
-    # law: u = u_1000 - 1e-4 (u_100 - u_1000).
-    shots = []
-    shot = oracle.shoot
-
-    def recorded(gamma, m, p, cfg=ShootConfig()):
-        res = shot(gamma, m, p, cfg)
-        shots.append((cfg.n_steps, res))
-        return res
-
-    monkeypatch.setattr(oracle, "shoot", recorded)
-    cfg = ShootConfig()
-    solve_bvp(gamma, p, cfg)
-    levels = [[res for n, res in shots if n == steps]
-              for steps in (100, 1_000, cfg.n_steps)]
-    for res in (levels[0][-1], levels[1][-1]):
-        assert not res.crossed and 0.0 < res.ws[-1] <= oracle.SLOPE_TOL * res.m
-    m1, m2 = levels[0][-1].m, levels[1][-1].m
-    m_sep = oracle._saddle_slope(gamma, p)
-    u1_minus_u2 = math.log1p((m2 - m1) / (m_sep - m2))
-    seed = m2 - (m_sep - m2) * math.expm1(-1e-4 * u1_minus_u2)
-    assert seed != m2
-    assert levels[2][0].m == seed
+    n = cfg.n_steps // 2
+    _, profile, shot = oracle._solve_shot(gamma, p, cfg)
+    assert {args[3] for args in calls} == {cfg.n_steps // 40, n}
+    ws, _, _, status = outs[-1]
+    assert calls[-1][3] == n and status == 0
+    assert np.array_equal(shot.ws, ws)
+    assert abs(oracle._offset(shot)) < 1e-12
+    right = profile.ws[len(profile.ws) // 2:-1]
+    assert profile.ws[-1] == 0.0 and np.array_equal(right, ws[:len(right)])
 
 
 @pytest.mark.parametrize("step", (1e-2, 5e-3))
 def test_solve_bvp_short_march_single_level(monkeypatch, step):
-    # Below 1,000 steps no coarser march of >= 100 steps exists.
+    # Below 50 coarse steps (2,000 requested) the requested half-march
+    # brackets and solves alone.
     calls = count_marches(monkeypatch)
     cfg = ShootConfig(step=step)
     solve_bvp(20.0, 3.0, cfg)
-    assert calls and all(args[3] == cfg.n_steps for args in calls)
+    assert calls and all(args[3] == cfg.n_steps // 2 for args in calls)
+
+
+def x0_offset(res):
+    """Signed distance past x = 1 at which a shot from x = 0 returns to
+    zero: x_cross - 1, or w(1)/(-w'(1)) for a shot still falling at x = 1."""
+    if res.crossed:
+        return res.x_cross - 1.0
+    assert res.zs[-1] < 0.0
+    return res.ws[-1] / -res.zs[-1]
 
 
 @pytest.mark.parametrize("p,gamma", ((3.0, 50.0), (2.0, 15.0),
                                      (5.1857, 14.3376), (4.9204, 50.1527),
                                      (20.0, 12.0)))
-def test_return_offset_changes_sign_at_accepted_slope(monkeypatch, p, gamma):
-    # The offset the secant drives to zero is continuous across it: just
-    # below the accepted slope the shot crosses short of x = 1, just above
-    # its tangent at x = 1 reaches zero a little past it.
-    m = accepted_slope(monkeypatch, gamma, p)
+def test_return_offset_changes_sign_at_accepted_slope(p, gamma):
+    # The accepted midpoint shot's energy level crosses w = 0 with slope m.
+    # Launched from x = 0 instead, just below m the shot crosses short of
+    # x = 1, and just above m its tangent at x = 1 reaches zero a little
+    # past it.
+    _, _, accepted = oracle._solve_shot(gamma, p, ShootConfig())
+    m = accepted.m
     below = shoot(gamma, m * (1.0 - 1e-9), p)
     above = shoot(gamma, m * (1.0 + 1e-9), p)
     assert below.crossed and not above.crossed
-    g_below, g_above = _return_offset(below), _return_offset(above)
-    assert -1e-6 < g_below < 0.0 < g_above < 1e-6
+    assert -1e-6 < x0_offset(below) < 0.0 < x0_offset(above) < 1e-6
 
 
 def test_return_offset_cases():
-    gamma, p = 50.0, 3.0
-    crossing = shoot(gamma, 1e-3, p)
-    assert _return_offset(crossing) == crossing.x_cross - 1.0 < 0.0
-    # far above the solution's slope the shot is still climbing at x = 1
-    m_sep = oracle._saddle_slope(gamma, p)
-    climbing = shoot(gamma, m_sep * (1.0 - 1e-14), p)
-    assert not climbing.crossed and climbing.zs[-1] >= 0.0
-    assert _return_offset(climbing) is None
+    # The midpoint shot's offset: X - 1 for a shot that returns inside
+    # [1/2, 1], the tangent's reach past x = 1 for one still falling there,
+    # and inf for one launched on the saddle (t past 745, where e^{-t} = 0).
+    gamma, p, n = 50.0, 3.0, 500
+    k_eq = gamma ** 0.5
+    early = oracle._half_shot(gamma, p, k_eq, math.log(0.5), n)
+    assert early.crossed and oracle._offset(early) < 0.0
+    assert abs(oracle._offset(early) - (early.x_cross - 1.0)) < 1e-15
+    late = oracle._half_shot(gamma, p, k_eq, math.log(10.0), n)
+    assert not late.crossed and late.zs[-1] < 0.0
+    assert oracle._offset(late) == late.ws[-1] / -late.zs[-1] > 0.0
+    flat = oracle._half_shot(gamma, p, k_eq, math.log(800.0), n)
+    assert flat.ws[0] == k_eq and np.all(flat.zs == 0.0)
+    assert oracle._offset(flat) == math.inf
 
 
 def test_solve_bvp_stall_is_typed_and_cheap(monkeypatch):
-    # At (3, 120) the solution's slope sits 6.0e-6 below m_sep relative, too
-    # close for the floats to resolve w(1) <= SLOPE_TOL * m: on the requested
-    # march w(1) jumps from -2.1e-10 to 1.5e-10 between adjacent floats, and
-    # the bracket closes there after both coarse levels accepted. That costs
-    # 54,800 steps.
-    calls = count_marches(monkeypatch)
-    with pytest.raises(NoConvergence):
-        solve_bvp(120.0, 3.0)
-    assert rk4_steps(calls) <= 92_000
+    # Where the search cannot reach the root it ends in a typed error
+    # within a few coarse marches. At (1e4, 301) the root lies past the
+    # wall t = 700 (the return time ~ t/mu with mu = sqrt((p-1) gamma) =
+    # 1,732 needs t ~ 870); at (1e5, 50) a stage of the 250-step coarse
+    # march steps past w = 0 from above k_eq/2, the layer being thinner
+    # than a step.
+    for (gamma, p), error in (((1e4, 301.0), BracketFailure),
+                              ((1e5, 50.0), InvalidBracket)):
+        calls = count_marches(monkeypatch)
+        with pytest.raises(error):
+            solve_bvp(gamma, p)
+        assert rk4_steps(calls) <= 1_000
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("p,gamma,max_steps", ((1.2, 10.0, 36_000),
@@ -357,25 +334,40 @@ def test_solve_bvp_stall_is_typed_and_cheap(monkeypatch):
                                                (20.0, 10.0, 25_000),
                                                (50.0, 10.0, 35_000)))
 def test_solve_bvp_far_from_the_saddle(monkeypatch, p, gamma, max_steps):
-    # Near gamma = pi^2 the offset is flat in ln(m_sep - m) until the last
-    # few steps, and the one-sided steps must at least halve m_sep - m_lo;
-    # the coarse levels take most of that walk (p = 8, 20, 50: 2.3-3.4 full
-    # marches, against 10-17 for the single-level search). At p = 1.2 the
-    # slope is nine decades below m_sep, where ln(m_sep - m) cannot resolve
-    # m and the steps are formed from slope differences (k = 4.5e-5; 3.5
-    # full marches, against 24 single-level and 37 for the Illinois search).
+    # Near gamma = pi^2 the offset moves like t, not like tau = ln t, so the
+    # requested march's rounding (about 4e-16 in the offset) sets where its
+    # root-find stops: 2-4 marches of 5,000 steps here, 12,250-21,750 steps
+    # in all. At p = 1.2 the amplitude is nine decades below the saddle
+    # (k = 4.5e-5); the slope search from x = 0 took 3.5 full marches there,
+    # and 24 in its single-level form.
     calls = count_marches(monkeypatch)
     point, _ = solve_bvp(gamma, p)
     assert rk4_steps(calls) <= max_steps
     ref = point_from_gamma(gamma, LocalParams(p=p))
-    assert abs(point.k - ref.k) < 1e-9 * ref.k
-    assert abs(point.d - ref.d) < 1e-9 * ref.d
+    assert abs(point.k - ref.k) < 1e-12 * ref.k
+    assert abs(point.d - ref.d) < 1e-12 * ref.d
+
+
+# The 13 cases of tools/oracle_grid.py on which the slope search from x = 0
+# ended in NoConvergence: its launch slope sat a few 1e-6 below the saddle's,
+# where its acceptance window was narrower than one float step of the slope.
+FORMER_STALLS = tuple((p, gamma) for p in (5.0, 8.0) for gamma in (80.0, 120.0)) \
+    + tuple((p, gamma) for p in (20.0, 50.0)
+            for gamma in (30.0, 50.0, 80.0, 120.0)) + ((3.0, 120.0),)
+
+
+@pytest.mark.parametrize("p,gamma", FORMER_STALLS)
+def test_solve_bvp_former_stalls_match_time_map(p, gamma):
+    point, _ = solve_bvp(gamma, p)
+    ref = point_from_gamma(gamma, LocalParams(p=p))
+    assert abs(point.k - ref.k) <= 1e-12 * ref.k
+    assert abs(point.d - ref.d) <= 1e-10 * ref.d
 
 
 def test_solve_bvp_matches_time_map():
     # Two independent routes to the same boundary-value solution. The
     # time-map route is quadrature-accurate; the shooting error is set by
-    # the RK4 step and the slope search.
+    # the RK4 step and the root-find in t.
     for gamma, p in ((15.0, 3.0), (14.3376, 5.1857), (15.0, 8.0), (12.0, 20.0)):
         params = LocalParams(p=p)
         ref = point_from_gamma(gamma, params)
@@ -396,7 +388,7 @@ def test_solve_bvp_profile_symmetric():
 
 def test_solve_bvp_step_convergence():
     # RK4 is fourth order: halving the step should shrink the amplitude
-    # error by about 16. Loose bounds absorb the slope search's noise floor.
+    # error by about 16 (15.9 at both halvings here).
     params = LocalParams(p=3.0)
     k_ref = point_from_gamma(20.0, params).k
     errs = []
@@ -404,15 +396,14 @@ def test_solve_bvp_step_convergence():
         point, _ = solve_bvp(20.0, 3.0, ShootConfig(step=step))
         errs.append(abs(point.k - k_ref))
     assert errs[0] > errs[1] > errs[2]
-    assert 6.0 < errs[0] / errs[1] < 40.0
-    assert 6.0 < errs[1] / errs[2] < 40.0
+    assert 12.0 < errs[0] / errs[1] < 20.0
+    assert 12.0 < errs[1] / errs[2] < 20.0
 
 
 # ------------------------------------------------- the documented domain
 
-# p and gamma over the documented domain, gamma log-uniform so that some
-# draws return points (most large gammas stall on the float lattice), the
-# launch slope over 24 decades and march lengths short enough for tier-1.
+# p and gamma over the documented domain, gamma log-uniform, the launch
+# slope over 24 decades and march lengths short enough for tier-1.
 # A negative stage value at a fractional p is where a complex power would
 # appear, and a slope far above m_sep is where a march overflows.
 DOMAIN_P = st.floats(1.05, 20.0)
@@ -449,11 +440,14 @@ def test_shooting_domain_real_or_typed(p, gamma, ln_m, n_steps):
 @settings(max_examples=5, deadline=None, derandomize=True, database=None)
 @given(p=DOMAIN_P, gamma=DOMAIN_GAMMA, n_steps=DOMAIN_STEPS)
 def test_solve_bvp_domain_point_or_typed(p, gamma, n_steps):
-    # Inside the domain solve_bvp returns a checked point or raises a
-    # BiflogisError; a bare OverflowError, ValueError or TypeError fails.
+    # Inside the domain solve_bvp returns a point on the time map's curve or
+    # raises a BiflogisError; a bare OverflowError, ValueError or TypeError
+    # fails.
     try:
         point, profile = solve_bvp(gamma, p, ShootConfig(step=1.0 / n_steps))
     except BiflogisError:
         return
     assert isinstance(point.k, float) and isinstance(point.d, float)
     assert profile.ws.dtype == np.float64 and np.all(np.isfinite(profile.ws))
+    ref = point_from_gamma(gamma, LocalParams(p=p))
+    assert abs(point.k - ref.k) <= 1e-6 * ref.k

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The shooting solver's outcome and RK4 work on a fixed (p, gamma) grid.
+"""The shooting solver's outcome, accuracy and RK4 work on a fixed (p, gamma) grid.
 
     python3 tools/oracle_grid.py
     python3 tools/oracle_grid.py --base HEAD~1
@@ -8,21 +8,25 @@ Runs ``oracle.solve_bvp`` at the default ``ShootConfig`` on the 56 cases
 p in {1.2, 1.5, 2, 3, 5, 8, 20, 50} x gamma in {10, 12, 15, 30, 50, 80, 120}
 and prints one line per case: p, gamma, the outcome (``point`` or the
 error's class name), k (full precision, blank without a point), the
+relative misses of k and d against ``local_logistic.point_from_gamma``, the
 number of RK4 marches, the RK4 steps they asked for (the sum of
-``n_steps`` over the ``kernels.rk4_shoot`` calls) and the finest level's
-marches (those of the requested ``n_steps``). The last line holds the
-outcome counts and the march, step and finest-march totals. Outcomes and k
-compare two revisions case by case; the counts compare their work, and the
-finest-march column shows whether a search change moved the coarse levels'
+``n_steps`` over the ``kernels.rk4_shoot`` calls), the fine marches (those
+asking for at least half the requested ``n_steps``: the full marches of a
+launch from x = 0 and the half-marches of a launch from the midpoint alike)
+and, for an error, its message. The last line holds the outcome counts, the
+largest k and d misses and the march, step and fine-march totals. Outcomes
+and k compare two revisions case by case; the counts compare their work,
+and the fine-march column shows whether a change moved the coarse levels'
 work or the requested march's.
 
 With ``--base REV`` the grid also runs on REV's ``src/``, exported with
 ``tools/bench_pair.py``'s ``git archive`` helper, so the checkout is left
 alone. Each line then holds p, gamma, the outcome on the base and on the
-working tree, the relative shift of k where both sides found a point, and
-both sides' RK4 steps. The last lines hold each side's outcome counts and
-totals, the cases whose outcome flipped, the largest k shift and the steps
-of the cases solved on both sides.
+working tree, the relative shift of k where both sides found a point, both
+sides' k and d misses, both sides' RK4 steps and the errors' messages. The
+last lines hold each side's outcome counts, largest misses and totals, the
+cases whose outcome flipped, the largest k shift and the steps of the cases
+solved on both sides.
 """
 
 from __future__ import annotations
@@ -46,10 +50,12 @@ _CHILD = ("import json, sys; sys.path[:0] = sys.argv[1:]; import oracle_grid; "
 
 
 def grid() -> list[list]:
-    """[p, gamma, outcome, k, marches, steps, finest] per case, k None
-    without a point, on the ``biflogis`` that ``sys.path`` finds first."""
+    """[p, gamma, outcome, k, marches, steps, fine, k_miss, d_miss, message]
+    per case on the ``biflogis`` that ``sys.path`` finds first; k and the
+    misses are None without a point, the message is empty with one."""
     from biflogis import kernels, oracle
     from biflogis.errors import BiflogisError
+    from biflogis.local_logistic import LocalParams, point_from_gamma
 
     march = kernels.rk4_shoot
     steps = []
@@ -65,13 +71,19 @@ def grid() -> list[list]:
         for p in PS:
             for gamma in GAMMAS:
                 steps.clear()
+                k = k_miss = d_miss = None
                 try:
                     point, _ = oracle.solve_bvp(gamma, p)
-                    outcome, k = "point", point.k
+                    outcome, k, message = "point", point.k, ""
                 except BiflogisError as exc:
-                    outcome, k = type(exc).__name__, None
+                    outcome, message = type(exc).__name__, str(exc)
+                if k is not None:
+                    ref = point_from_gamma(gamma, LocalParams(p=p))
+                    k_miss = abs(point.k / ref.k - 1.0)
+                    d_miss = abs(point.d / ref.d - 1.0)
                 rows.append([p, gamma, outcome, k, len(steps), sum(steps),
-                             steps.count(n_fine)])
+                             sum(2 * n >= n_fine for n in steps),
+                             k_miss, d_miss, message])
     finally:
         kernels.rk4_shoot = march
     return rows
@@ -90,18 +102,33 @@ def counts(rows: list[list]) -> str:
     return ", ".join(f"{n} {name}" for name, n in sorted(tally.items()))
 
 
+def miss(v) -> str:
+    return "" if v is None else f"{v:.2e}"
+
+
+def worst(rows: list[list]) -> str:
+    """The largest k and d misses of the rows' points."""
+    k = max((r[7] for r in rows if r[7] is not None), default=None)
+    d = max((r[8] for r in rows if r[8] is not None), default=None)
+    return f"max k miss {miss(k)}, max d miss {miss(d)}"
+
+
 def print_grid(rows: list[list]) -> None:
-    print("p\tgamma\toutcome\tk\tmarches\tsteps\tfinest")
-    for p, gamma, outcome, k, marches, steps, fine in rows:
+    print("p\tgamma\toutcome\tk\tk_miss\td_miss\tmarches\tsteps\tfine"
+          "\tmessage")
+    for p, gamma, outcome, k, marches, steps, fine, k_miss, d_miss, msg in rows:
         print(f"{p}\t{gamma}\t{outcome}\t{'' if k is None else repr(k)}"
-              f"\t{marches}\t{steps}\t{fine}")
-    print(f"total\t{len(rows)} cases\t{counts(rows)}\t"
+              f"\t{miss(k_miss)}\t{miss(d_miss)}\t{marches}\t{steps}\t{fine}"
+              f"\t{msg}")
+    print(f"total\t{len(rows)} cases\t{counts(rows)}\t{worst(rows)}"
           f"\t{sum(r[4] for r in rows)}\t{sum(r[5] for r in rows)}"
           f"\t{sum(r[6] for r in rows)}")
 
 
 def print_diff(base: list[list], change: list[list]) -> None:
-    print("p\tgamma\tbase\tchange\tk_shift\tbase_steps\tchange_steps")
+    print("p\tgamma\tbase\tchange\tk_shift\tbase_k_miss\tchange_k_miss"
+          "\tbase_d_miss\tchange_d_miss\tbase_steps\tchange_steps"
+          "\tbase_message\tchange_message")
     shifts, both = [], []
     for b, c in zip(base, change):
         shift = ""
@@ -110,11 +137,13 @@ def print_diff(base: list[list], change: list[list]) -> None:
             shifts.append((rel, b[0], b[1]))
             both.append((b[5], c[5]))
             shift = f"{rel:.2e}"
-        print(f"{b[0]}\t{b[1]}\t{b[2]}\t{c[2]}\t{shift}\t{b[5]}\t{c[5]}")
+        print(f"{b[0]}\t{b[1]}\t{b[2]}\t{c[2]}\t{shift}\t{miss(b[7])}"
+              f"\t{miss(c[7])}\t{miss(b[8])}\t{miss(c[8])}\t{b[5]}\t{c[5]}"
+              f"\t{b[9]}\t{c[9]}")
     for name, rows in (("base", base), ("change", change)):
         print(f"total {name}\t{len(rows)} cases\t{counts(rows)}\t"
-              f"{sum(r[4] for r in rows)} marches\t{sum(r[5] for r in rows)} "
-              f"steps\t{sum(r[6] for r in rows)} finest")
+              f"{worst(rows)}\t{sum(r[4] for r in rows)} marches\t"
+              f"{sum(r[5] for r in rows)} steps\t{sum(r[6] for r in rows)} fine")
     flipped = [f"({b[0]}, {b[1]}) {b[2]} -> {c[2]}"
                for b, c in zip(base, change) if b[2] != c[2]]
     print(f"flipped\t{len(flipped)}\t{'; '.join(flipped)}")
