@@ -126,11 +126,12 @@ def rk4_shoot(gamma: float, start: float, p: float, n_steps: int,
     given lag, from x = 1/2 with w = start, w' = 0 across [1/2, 1]
     (h = 1/(2 n_steps)). lag = 1 - start/k_eq, formed by the caller without
     cancellation, places the start below the saddle k_eq = gamma^{1/(p-1)}.
-    While the lag y = 1 - w/k_eq is below 1/2 the march runs on
-    y'' = -gamma (1 - y) expm1((p-1) log1p(-y)), which resolves a start a
-    few ulps below the saddle, then on w = k_eq (1 - y), exact there. RK4
-    commutes with that affine change of variable, so both phases are one
-    method; the samples hold w and w'.
+    While the lag 1 - w/k_eq is below 1/2 the march runs on its negative
+    u = w/k_eq - 1, u'' = gamma (1 + u) expm1((p-1) log1p(u)), which
+    resolves a start a few ulps below the saddle, then on w = k_eq (1 + u),
+    exact there. RK4 commutes with that affine change of variable, so both
+    phases are one method; the samples hold w and w', those of the lag
+    phase formed from u and u' once its loop ends.
 
     The step is classical RK4 in its Nystrom form (Hairer, Norsett and
     Wanner, Solving ODEs I, II.14), which holds for a force F(w) that does
@@ -145,8 +146,8 @@ def rk4_shoot(gamma: float, start: float, p: float, n_steps: int,
     x = 0, |w| passed the 1e12 guard. A midpoint march, within 0 <= w <= k
     until then, stops with status 0 after its first sample with w < 0: near
     the saddle's energy RK4's error could carry it past the mirror saddle
-    -k_eq and on to overflow. A lag stage past y = 1, which only a step
-    longer than the layer reaches, ends it with status 1.
+    -k_eq and on to overflow. A lag stage past u = -1 (w = 0), which only a
+    step longer than the layer reaches, ends it with status 1.
     """
     # Derivation, z = w': classical RK4 on (w, z) takes the stages
     # (w_i, z_i) = (w, z) + c_i h (z_{i-1}, k_{i-1}) with c = 1/2, 1/2, 1.
@@ -171,8 +172,11 @@ def rk4_shoot(gamma: float, start: float, p: float, n_steps: int,
         w, z, h, top, floor, stop = 0.0, start, 1.0 / n_steps, 1e12, -1e12, 1
     else:
         w, z, h, top, floor, stop = start, 0.0, 0.5 / n_steps, math.inf, 0.0, 0
-    wl = [w]
-    zl = [z]
+    ws = np.zeros(n_steps + 1)
+    zs = np.zeros(n_steps + 1)
+    ws[0], zs[0] = w, z
+    wl = []
+    zl = []
     h_2 = 0.5 * h
     hh_4 = 0.25 * h * h
     hh_2 = 0.5 * h * h
@@ -180,31 +184,49 @@ def rk4_shoot(gamma: float, start: float, p: float, n_steps: int,
     h_6 = h / 6.0
     status = 0
 
+    # The lag phase marches u = -y, y = 1 - w/k_eq the lag: negation is exact
+    # and commutes with every rounding, so each u stage is the negated
+    # y stage bit for bit, with one negation fewer per force than on y. The
+    # loop keeps u and u' alone and is bounded by range, not by a length
+    # test; the samples w = k_eq (1 + u) and w' = k_eq u' are formed after
+    # it in place in the sample arrays, with the bits of the scalar
+    # products. The test `not u > -0.5` stops on a NaN u as well.
+    n_lag = 0
     if lag is not None and lag < 0.5:
         k_eq = gamma ** (1.0 / (p - 1.0))
         c = p - 1.0
         expm1, log1p = math.expm1, math.log1p
-        y, v = lag, 0.0
+        u, v = -lag, 0.0
+        ul = []
+        vl = []
         try:
-            while y < 0.5 and len(wl) <= n_steps:
-                k1 = -gamma * (1.0 - y) * expm1(c * log1p(-y))
-                y2 = y + h_2 * v
-                k2 = -gamma * (1.0 - y2) * expm1(c * log1p(-y2))
-                y3 = y2 + hh_4 * k1
-                k3 = -gamma * (1.0 - y3) * expm1(c * log1p(-y3))
-                yh = y + h * v
-                y4 = yh + hh_2 * k2
-                k4 = -gamma * (1.0 - y4) * expm1(c * log1p(-y4))
+            for _ in range(n_steps):
+                k1 = gamma * (1.0 + u) * expm1(c * log1p(u))
+                u2 = u + h_2 * v
+                k2 = gamma * (1.0 + u2) * expm1(c * log1p(u2))
+                u3 = u2 + hh_4 * k1
+                k3 = gamma * (1.0 + u3) * expm1(c * log1p(u3))
+                uh = u + h * v
+                u4 = uh + hh_2 * k2
+                k4 = gamma * (1.0 + u4) * expm1(c * log1p(u4))
                 k23 = k2 + k3
-                y = yh + hh_6 * (k1 + k23)
+                u = uh + hh_6 * (k1 + k23)
                 v += h_6 * (k1 + 2.0 * k23 + k4)
-                wl.append(k_eq * (1.0 - y))
-                zl.append(-k_eq * v)
+                ul.append(u)
+                vl.append(v)
+                if not u > -0.5:
+                    break
         except (OverflowError, ValueError):
             status = 1
-        w, z = wl[-1], zl[-1]
+        n_lag = len(ul)
+        if n_lag:
+            lag_ws = ws[1:n_lag + 1]
+            np.add(ul, 1.0, out=lag_ws)
+            lag_ws *= k_eq
+            np.multiply(vl, k_eq, out=zs[1:n_lag + 1])
+            w, z = float(ws[n_lag]), float(zs[n_lag])
 
-    for _ in range(0 if status else n_steps + 1 - len(wl)):
+    for _ in range(0 if status else n_steps - n_lag):
         try:
             k1 = (w ** p if w >= 0.0 else -((-w) ** p)) - gamma * w
             w2 = w + h_2 * z
@@ -226,9 +248,7 @@ def rk4_shoot(gamma: float, start: float, p: float, n_steps: int,
             status = stop
             break
 
-    n_filled = len(wl)
-    ws = np.zeros(n_steps + 1)
-    zs = np.zeros(n_steps + 1)
-    ws[:n_filled] = wl
-    zs[:n_filled] = zl
+    n_filled = 1 + n_lag + len(wl)
+    ws[n_lag + 1:n_filled] = wl
+    zs[n_lag + 1:n_filled] = zl
     return ws, zs, n_filled, status

@@ -5,7 +5,8 @@ an initial-value problem by fixed-step classical RK4 (kernels.rk4_shoot).
 The solution peaks at x = 1/2, so solve_bvp launches there, w(1/2) = k,
 w'(1/2) = 0, with k = k_eq nu^{1/(p-1)}, nu = 1 - e^{-t} and
 k_eq = gamma^{1/(p-1)} the saddle, and finds the layer coordinate t where
-the half-march returns to zero at x = 1. The RK4 step is the one setting
+the half-march returns to zero at x = 1, read off the cubic Hermite
+interpolant of the march's (w, w') samples. The RK4 step is the one setting
 (ShootConfig); shoot keeps the launch from x = 0 with a slope m. nu is a
 coordinate for k, not a moment integral: nothing in this module touches the
 moment integrals, so agreement with local_logistic is a real two-route
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, rootfind
-from .errors import (InvalidBracket, NoSolution, Overflow, check_exponent,
-                     check_positive)
+from .errors import (BracketFailure, InvalidBracket, NoSolution, Overflow,
+                     check_exponent, check_positive)
 from .local_logistic import PI2, LocalPoint, Profile, _seed_tau_for_gamma
 
 __all__ = [
@@ -34,9 +35,14 @@ __all__ = [
 ]
 
 # The coarse march has n_steps/_COARSE half-steps, unless that is below
-# _MIN_COARSE, and its root is found to _COARSE_XTOL in tau: the last
+# _MIN_COARSE, and its root is bracketed to _COARSE_XTOL in tau: the last
 # bracket's chord then has a curvature error of about 1e-6 and spans an
 # offset change far above the march's rounding, even near gamma = pi^2.
+# The requested march starts from the chord's own root, which lies within
+# about 1e-12 of the coarse root, so the first Newton step there is the
+# two marches' discretization gap alone and lands. (Bracketing to 1e-8
+# instead shrinks the chord until, near gamma = pi^2, the march's rounding
+# swamps its slope.)
 _COARSE = 40
 _MIN_COARSE = 50
 _COARSE_XTOL = 1e-6
@@ -73,7 +79,8 @@ class ShootResult:
 
     xs, ws, zs sample x, w, w' on the uniform step grid. crossed reports
     whether w hit zero after the launch node; x_cross locates that first
-    crossing by one secant step between the bracketing nodes.
+    crossing on the cubic Hermite interpolant of (w, w') between the
+    bracketing nodes (_back_to_crossing).
     """
 
     xs: np.ndarray
@@ -117,10 +124,33 @@ def _trajectory(xs, ws, zs, gamma: float, p: float, m: float) -> ShootResult:
     ci = _first_crossing(ws)
     if ci < 0:
         return ShootResult(xs, ws, zs, gamma, p, m, False, None)
-    wa, wb = ws[ci - 1], ws[ci]
-    x_cross = xs[ci - 1] + (xs[ci] - xs[ci - 1]) * wa / (wa - wb) \
-        if wa != wb else xs[ci]
+    x_cross = xs[ci] - _back_to_crossing(xs, ws, zs, ci)
     return ShootResult(xs, ws, zs, gamma, p, m, True, float(x_cross))
+
+
+def _back_to_crossing(xs, ws, zs, i: int) -> float:
+    """How far before node i, the first sample with w <= 0, w returns to 0.
+
+    Read off the cubic Hermite interpolant of (w, w') on nodes i-1 and i, in
+    r = (xs[i] - x)/H: from the secant's r, two Newton steps on the cubic,
+    kept in [0, 1]. The secant alone misses by the curvature's share, of
+    order gamma H^3 w'; the cubic by order H^4, as RK4 itself.
+    """
+    h = float(xs[i] - xs[i - 1])
+    wa, wb = float(ws[i - 1]), float(ws[i])
+    if wa == wb:
+        return 0.0
+    sa, sb = -h * float(zs[i - 1]), -h * float(zs[i])   # dw/dr at r = 1, 0
+    dw = wa - wb
+    c2 = 3.0 * dw - 2.0 * sb - sa
+    c3 = sa + sb - 2.0 * dw
+    r = -wb / dw
+    for _ in range(2):
+        dq = sb + r * (2.0 * c2 + 3.0 * r * c3)
+        if dq == 0.0:
+            break
+        r = min(max(r - (wb + r * (sb + r * (c2 + r * c3))) / dq, 0.0), 1.0)
+    return h * r
 
 
 def energy_drift(res: ShootResult) -> float:
@@ -170,14 +200,13 @@ def _half_shot(gamma: float, p: float, k_eq: float, tau: float,
 def _offset(shot: ShootResult) -> float:
     """Signed distance past x = 1 at which the half-march returns to zero,
     increasing in tau. X - 1 for a shot that crosses at X <= 1, by shoot's
-    secant but measured from the node past X, which keeps its digits as X
+    read-off but measured from the node past X, which keeps its digits as X
     nears 1; w(1)/(-w'(1)), its tangent's reach, for one still falling at
     x = 1; inf for one that has not turned, on the saddle."""
     i = _first_crossing(shot.ws)
     if i > 0:
-        wa, wb = shot.ws[i - 1], shot.ws[i]
         return float((shot.xs[i] - 1.0)
-                     + (shot.xs[i] - shot.xs[i - 1]) * wb / (wa - wb))
+                     - _back_to_crossing(shot.xs, shot.ws, shot.zs, i))
     z_end = float(shot.zs[-1])
     return float(shot.ws[-1]) / -z_end if z_end < 0.0 else math.inf
 
@@ -206,12 +235,6 @@ def _solve_shot(gamma: float, p: float, cfg: ShootConfig,
         ends[r > 0.0] = (tau, r)
         return r
 
-    a, b, fa, fb = rootfind.bracket_monotone(
-        bracketed, _seed_tau_for_gamma(gamma, p), _TAU_LO, _TAU_HI)
-    tau = rootfind.brentq(bracketed, a, b, fa, fb, xtol=_COARSE_XTOL)
-    # The requested march moves the root by RK4's error alone.
-    lo, hi = ends.get(False), ends.get(True)
-    slope = (hi[1] - lo[1]) / (hi[0] - lo[0]) if lo and hi else math.nan
     accepted = None
 
     def fine(tau):
@@ -219,10 +242,26 @@ def _solve_shot(gamma: float, p: float, cfg: ShootConfig,
         accepted = _half_shot(gamma, p, k_eq, tau, n)
         return _offset(accepted), slope
 
-    # solve_monotone stops once its Newton step is within xtol/8, and returns
-    # the tau of its last call: accepted is that call's shot.
-    rootfind.solve_monotone(fine, tau, _TAU_LO, _TAU_HI,
-                            xtol=max(1e-13, 8.0 * _X_TOL / slope))
+    # Both root-finds fail to bracket only at a wall of tau, and the offset
+    # is negative at the lower one (X nears pi/(2 sqrt(gamma)) + 1/2 < 1).
+    try:
+        a, b, fa, fb = rootfind.bracket_monotone(
+            bracketed, _seed_tau_for_gamma(gamma, p), _TAU_LO, _TAU_HI)
+        tau = rootfind.brentq(bracketed, a, b, fa, fb, xtol=_COARSE_XTOL)
+        # The requested march moves the root by RK4's error alone.
+        lo, hi = ends.get(False), ends.get(True)
+        slope = (hi[1] - lo[1]) / (hi[0] - lo[0]) if lo and hi else math.nan
+        if slope > 0.0:
+            tau = lo[0] - lo[1] / slope
+        # solve_monotone stops once its Newton step is within xtol/8, and
+        # returns the tau of its last call: accepted is that call's shot.
+        rootfind.solve_monotone(fine, tau, _TAU_LO, _TAU_HI,
+                                xtol=max(1e-13, 8.0 * _X_TOL / slope))
+    except BracketFailure:
+        raise InvalidBracket(
+            f"the root lies beyond the wall t = {math.exp(_TAU_HI):g} at "
+            f"p = {p!r}, where the start's lag below the saddle leaves the "
+            f"normal floats (gamma = {gamma})") from None
 
     # The accepted half's nodes before its return X, then X with w = 0 (a
     # node X rounds onto is dropped), mirrored about x = 1/2.
@@ -250,11 +289,15 @@ def solve_bvp(gamma: float, p: float,
     rootfind.bracket_monotone from the time map's closed-form seed, then
     rootfind.brentq, find tau on a half-march of n/40 steps (of n/2 where
     n/40 < 50); rootfind.solve_monotone then finds it on the requested
-    half-march of n/2 steps, from that root, with the last bracket's chord
-    as its slope. Raises NoSolution for gamma <= pi^2, Overflow where k_eq
-    leaves the floats, InvalidBracket where the step is too long for the
-    layer, BracketFailure where the root lies past t = 700, NoConvergence
-    where a root-finder runs out of its budget.
+    half-march of n/2 steps, from the root of the last bracket's chord,
+    with that chord as its slope. Each march's return X is read off the
+    cubic Hermite interpolant of its (w, w') samples on either side of the
+    crossing.
+
+    Raises NoSolution for gamma <= pi^2, Overflow where k_eq leaves the
+    floats, InvalidBracket where the step is too long for the layer or the
+    root lies past the wall t = 700 (the message names the wall and p),
+    NoConvergence where a root-finder runs out of its budget.
 
     k is the accepted shot's amplitude, exact in t. The profile is its half
     up to X, X the end node with w = 0, mirrored about x = 1/2; d is its L2

@@ -215,3 +215,80 @@ def test_rk4_midpoint_march_ends_past_its_crossing():
     assert status == 0 and n == 1001
     assert np.all(ws <= ws[0]) and np.all(zs <= 0.0)
     assert ws[0] - ws[100] < 1e-12 * k_eq
+
+
+def _rk4_midpoint_reference(gamma, start, p, n_steps, lag):
+    """The midpoint march step by step into preallocated arrays: RK4 on the
+    lag y = 1 - w/k_eq while y < 1/2, each sample k_eq (1 - y), -k_eq y';
+    then on w, until the first sample below zero."""
+    ws = np.zeros(n_steps + 1)
+    zs = np.zeros(n_steps + 1)
+    h = 0.5 / n_steps
+    k_eq = gamma ** (1.0 / (p - 1.0))
+    ws[0] = start
+    fy = lambda y: -gamma * (1.0 - y) * math.expm1((p - 1.0) * math.log1p(-y))
+    i, y, v = 0, lag, 0.0
+    try:
+        while y < 0.5 and i < n_steps:
+            k1 = fy(y)
+            y2 = y + (0.5 * h) * v
+            k2 = fy(y2)
+            y3 = y2 + (0.25 * h * h) * k1
+            k3 = fy(y3)
+            yh = y + h * v
+            y4 = yh + (0.5 * h * h) * k2
+            k4 = fy(y4)
+            y = yh + (h * h / 6.0) * (k1 + (k2 + k3))
+            v = v + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            i += 1
+            ws[i], zs[i] = k_eq * (1.0 - y), -k_eq * v
+    except ValueError:      # a stage past y = 1: log1p of a value below -1
+        return ws, zs, i + 1, 1
+    w, z = ws[i], zs[i]
+    f = lambda v: math.copysign(abs(v) ** p, v) - gamma * v
+    while i < n_steps:
+        k1 = f(w)
+        w2 = w + (0.5 * h) * z
+        k2 = f(w2)
+        w3 = w2 + (0.25 * h * h) * k1
+        k3 = f(w3)
+        wh = w + h * z
+        w4 = wh + (0.5 * h * h) * k2
+        k4 = f(w4)
+        w = wh + (h * h / 6.0) * (k1 + (k2 + k3))
+        z = z + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        i += 1
+        ws[i], zs[i] = w, z
+        if w < 0.0:
+            return ws, zs, i + 1, 0
+    return ws, zs, n_steps + 1, 0
+
+
+def _lag_at(t, p):
+    """The oracle's lag 1 - k/k_eq at layer coordinate t > ln 2."""
+    return -math.expm1(math.log1p(-math.exp(-t)) / (p - 1.0))
+
+
+# (gamma, p, n_steps, lag, samples above k_eq/2): all on the lag, across
+# into w, all on w, a 250-step coarse march across into w and past w = 0,
+# and a coarse march whose lag stage steps past w = 0 (status 1).
+RK4_MIDPOINT_MARCHES = ((50.0, 3.0, 1000, 1e-15, 1001),
+                        (30.0, 8.0, 1000, 0.05, 527),
+                        (50.0, 3.0, 1000, 0.6, 0),
+                        (50.0, 5.0, 250, _lag_at(2.0, 5.0), 136),
+                        (1e5, 50.0, 250, _lag_at(200.0, 50.0), 55))
+
+
+def test_rk4_midpoint_matches_scalar_reference():
+    # Same arithmetic in the same order as the two loops written out: the
+    # samples must agree bit for bit, in both phases and at either status.
+    for gamma, p, n_steps, lag, n_lag in RK4_MIDPOINT_MARCHES:
+        start = gamma ** (1.0 / (p - 1.0)) * (1.0 - lag)
+        ws, zs, n, status = kernels.rk4_shoot(gamma, start, p, n_steps, lag)
+        ref_ws, ref_zs, ref_n, ref_status = _rk4_midpoint_reference(
+            gamma, start, p, n_steps, lag)
+        assert (n, status) == (ref_n, ref_status)
+        assert np.array_equal(ws, ref_ws) and np.array_equal(zs, ref_zs)
+        k_eq = gamma ** (1.0 / (p - 1.0))
+        assert np.count_nonzero(ws[:n] > 0.5 * k_eq) == n_lag
+    assert status == 1 and n == 55

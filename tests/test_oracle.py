@@ -5,6 +5,7 @@ agreement tests at the bottom are genuine cross-validation.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biflogis import kernels, oracle
-from biflogis.errors import (BiflogisError, BracketFailure, InvalidBracket,
-                             NoSolution, Overflow)
+from biflogis.errors import BiflogisError, InvalidBracket, NoSolution, Overflow
 from biflogis.local_logistic import (LocalParams, Profile, point_from_gamma,
                                      q_norm)
 from biflogis.oracle import (ShootConfig, ShootResult, energy_drift,
@@ -207,14 +207,41 @@ def rk4_steps(calls):
 
 @pytest.mark.parametrize("p,gamma", MARCH_COUNT_POINTS)
 def test_solve_bvp_march_count(monkeypatch, p, gamma):
-    # The midpoint shots, 7-9 on the 250-step coarse half-march and 2-3 on
-    # the requested 5,000-step one, cost 12,000-17,250 steps here. The slope
+    # The midpoint shots, 7-9 on the 250-step coarse half-march and 2 on
+    # the requested 5,000-step one, cost 11,750-12,250 steps here. The slope
     # search from x = 0 on 100-, 1,000- and 10,000-step marches cost
     # 12,900-35,600, the single-level secant search 5-9 full marches, the
     # Illinois search before it 10-25, plain bisection on the slope 44-54.
     calls = count_marches(monkeypatch)
     solve_bvp(gamma, p)
     assert rk4_steps(calls) <= 20_000
+
+
+def xcheck_draws(seed):
+    """The (p, gamma) of the oracle_xcheck benchmark's six cross-checks for
+    a seed, drawn as perfbench/workloads.py draws them."""
+    rng = random.Random(f"oracle_xcheck:{seed}")
+    draws = []
+    for p0 in (2.0, 3.0, 5.0):
+        for g0 in (15.0, 50.0):
+            p = round(p0 + rng.uniform(-0.2, 0.2), 4)
+            draws.append((p, round(g0 * math.exp(rng.uniform(-0.1, 0.1)), 4)))
+    return draws
+
+
+def test_solve_bvp_xcheck_work(monkeypatch):
+    # The 18 draws of seeds 1-3 take 37 requested-step half-marches and ask
+    # for 220,500 RK4 steps; the bounds leave 8% and 6.6% for a change of
+    # root-find path. Starting the requested march from the coarse root
+    # itself, with a secant read-off of the return, took 43 marches and
+    # 250,500 steps.
+    calls = count_marches(monkeypatch)
+    n = ShootConfig().n_steps // 2
+    for seed in (1, 2, 3):
+        for p, gamma in xcheck_draws(seed):
+            solve_bvp(gamma, p)
+    assert sum(args[3] == n for args in calls) <= 40
+    assert rk4_steps(calls) <= 235_000
 
 
 @pytest.mark.parametrize("p,gamma", MARCH_COUNT_POINTS)
@@ -316,13 +343,13 @@ def test_solve_bvp_stall_is_typed_and_cheap(monkeypatch):
     # Where the search cannot reach the root it ends in a typed error
     # within a few coarse marches. At (1e4, 301) the root lies past the
     # wall t = 700 (the return time ~ t/mu with mu = sqrt((p-1) gamma) =
-    # 1,732 needs t ~ 870); at (1e5, 50) a stage of the 250-step coarse
-    # march steps past w = 0 from above k_eq/2, the layer being thinner
-    # than a step.
-    for (gamma, p), error in (((1e4, 301.0), BracketFailure),
-                              ((1e5, 50.0), InvalidBracket)):
+    # 1,732 needs t ~ 870), and the error names the wall and p; at (1e5, 50)
+    # a stage of the 250-step coarse march steps past w = 0 from above
+    # k_eq/2, the layer being thinner than a step.
+    for (gamma, p), match in (((1e4, 301.0), "wall t = 700 at p = 301.0"),
+                              ((1e5, 50.0), "stepped past w = 0")):
         calls = count_marches(monkeypatch)
-        with pytest.raises(error):
+        with pytest.raises(InvalidBracket, match=match):
             solve_bvp(gamma, p)
         assert rk4_steps(calls) <= 1_000
         monkeypatch.undo()
@@ -336,7 +363,7 @@ def test_solve_bvp_stall_is_typed_and_cheap(monkeypatch):
 def test_solve_bvp_far_from_the_saddle(monkeypatch, p, gamma, max_steps):
     # Near gamma = pi^2 the offset moves like t, not like tau = ln t, so the
     # requested march's rounding (about 4e-16 in the offset) sets where its
-    # root-find stops: 2-4 marches of 5,000 steps here, 12,250-21,750 steps
+    # root-find stops: 2-4 marches of 5,000 steps here, 11,750-22,000 steps
     # in all. At p = 1.2 the amplitude is nine decades below the saddle
     # (k = 4.5e-5); the slope search from x = 0 took 3.5 full marches there,
     # and 24 in its single-level form.
@@ -379,11 +406,24 @@ def test_solve_bvp_matches_time_map():
 
 
 def test_solve_bvp_profile_symmetric():
-    # the equation is autonomous and the boundary data symmetric, so any
-    # asymmetry in the accepted trajectory is pure integrator error
-    point, profile = solve_bvp(40.0, 2.0)
-    asym = np.max(np.abs(profile.ws - profile.ws[::-1]))
-    assert asym < 1e-7 * point.k
+    # The profile's left half is the accepted half-march mirrored. The
+    # equation is autonomous and the boundary data symmetric, so a march
+    # from x = 0 at the level's slope m = sqrt(gamma k^2 - 2 k^{p+1}/(p+1))
+    # must meet it at every node of the grid they share, up to the two
+    # marches' errors: seen at most 7.9e-14 k, bound 1e-12 k (12x).
+    for gamma, p in ((40.0, 2.0), (15.0, 3.0), (50.0, 5.0), (12.0, 20.0)):
+        point, profile = solve_bvp(gamma, p)
+        k = point.k
+        full = shoot(gamma, math.sqrt(gamma * k * k
+                                      - 2.0 * k ** (p + 1.0) / (p + 1.0)), p)
+        # Node 0 is the mirrored return 1 - X, off the grid; the nodes after
+        # it up to x = 1/2 are 1 - x on the half-march's grid.
+        mid = int(np.argmax(profile.xs >= 0.5))
+        xs = profile.xs[1:mid + 1]
+        nodes = np.rint(xs * ShootConfig().n_steps).astype(int)
+        assert mid >= 5_000 and np.all(np.abs(full.xs[nodes] - xs) <= 2e-16)
+        miss = np.max(np.abs(profile.ws[1:mid + 1] - full.ws[nodes]))
+        assert miss <= 1e-12 * k, (gamma, p)
 
 
 def test_solve_bvp_step_convergence():
