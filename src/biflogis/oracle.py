@@ -37,12 +37,10 @@ __all__ = [
 # The coarse march has n_steps/_COARSE half-steps, unless that is below
 # _MIN_COARSE, and its root is bracketed to _COARSE_XTOL in tau: the last
 # bracket's chord then has a curvature error of about 1e-6 and spans an
-# offset change far above the march's rounding, even near gamma = pi^2.
-# The requested march starts from the chord's own root, which lies within
-# about 1e-12 of the coarse root, so the first Newton step there is the
-# two marches' discretization gap alone and lands. (Bracketing to 1e-8
-# instead shrinks the chord until, near gamma = pi^2, the march's rounding
-# swamps its slope.)
+# offset change far above the march's rounding, even near gamma = pi^2
+# (a 1e-8 bracket does not there). The chord's own root lies within about
+# 1e-12 of the coarse root, so the requested march's first Newton step
+# from it spans the two marches' discretization gap alone.
 _COARSE = 40
 _MIN_COARSE = 50
 _COARSE_XTOL = 1e-6

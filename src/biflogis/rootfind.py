@@ -10,7 +10,7 @@ and strictly increasing, so every root there is simple.
 brentq (Brent's inverse-quadratic / secant step guarded by bisection) and
 the bracket expander bracket_monotone take residuals without a slope: the
 shooting oracle brackets and solves its coarse march's return offset with
-them, then hands the root and the last bracket's chord to solve_monotone.
+them, then hands the last bracket's chord and its root to solve_monotone.
 """
 
 from __future__ import annotations
