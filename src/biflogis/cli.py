@@ -132,8 +132,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--format", choices=formats, default="json")
         return sp
 
-    constants = command("constants", _run_constants, formats=("json",),
-                        help="closed-form constants")
+    command("constants", _run_constants, formats=("json",),
+            help="closed-form constants")
     solve_local = command("solve-local", _run_solve_local, problem=False,
                           formats=("json",), help="local problem at one point")
     solve_local.add_argument("--q", type=float, default=None,
@@ -167,10 +167,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--alpha-max", type=_magnitude, required=sp is sweep)
         sp.add_argument("--points", type=int, default=None,
                         help="grid size in [2, 10**6] (default 5)")
-    for sp in (constants, verify):
-        sp.add_argument("--e3-reading",
-                        choices=("paper_definition", "proof_variant", "both"),
-                        default="both")
     return parser
 
 
@@ -228,12 +224,8 @@ def _local_point(args) -> ll.LocalPoint:
 
 def _run_constants(args) -> tuple[str, bool]:
     p = args.params
-    readings = (("paper_definition", "proof_variant")
-                if args.e3_reading == "both" else (args.e3_reading,))
-    recs = {r: consts.compute_all(p.p, p.q, p.a1, p.a2, r).to_record()
-            for r in readings}
-    obj = recs[readings[0]] if len(readings) == 1 else recs
-    return _json_text(obj), True
+    rec = consts.compute_all(p.p, p.q, p.a1, p.a2).to_record()
+    return _json_text(rec), True
 
 
 def _run_solve_local(args) -> tuple[str, bool]:
@@ -281,19 +273,9 @@ def _run_verify(args) -> tuple[str, bool]:
     elif regime == "critical":
         report.checks.extend(ver.check_theorem_2(report))
     else:
-        cs_paper = consts.compute_all(params.p, params.q, params.a1,
-                                      params.a2, "paper_definition")
-        cs_var = consts.compute_all(params.p, params.q, params.a1,
-                                    params.a2, "proof_variant")
-        if args.e3_reading == "both":
-            lead, second, chosen = ver.check_theorem_3(report, cs_paper,
-                                                       cs_var)
-        else:
-            cs = cs_paper if args.e3_reading == "paper_definition" else cs_var
-            lead, second, chosen = ver.check_theorem_3(report, cs, cs)
+        cs = consts.compute_all(params.p, params.q, params.a1, params.a2)
+        lead, second, _ = ver.check_theorem_3(report, cs, cs)
         report.checks.extend([lead, second])
-        report.chosen_e3_reading = chosen
-        print(f"chosen E3 reading: {chosen}", file=sys.stderr)
     passed = all(c.passed for c in report.checks)
     if args.format == "csv":
         return _checks_csv(report.checks), passed

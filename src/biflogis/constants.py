@@ -9,10 +9,13 @@ The curve's limit laws are governed by a small family of explicit integrals:
 - ``E1..E5``: the subcritical (1 < p < 3) growth-law constants assembled from
   the A family and the Kirchhoff weights (a1, a2).
 
-E3 and E5 carry a ``reading`` switch: the source formulas for their pi-powers
-circulate in two variants whose exponent denominators differ, (p-1)q versus
-(p-3)q. Both are computed; numerical sweeps (verify module) arbitrate. The
-composed subcritical growth law implemented by ``theorem3_coefficients`` is
+E3 = (pi^{-2/q} E1)^{2/(p-3)}, and E5's pi-power shares its exponent
+denominator (p-3)q: this ``proof_variant`` reading of the source is the one
+that matches the computed curve. The other reading, ``paper_definition``,
+puts (p-1)q there; its leading coefficient misses the curve by the factor
+pi^{8/(q(p-1)(3-p))} >= pi^{8/q}, and only ``compute_all`` still offers it.
+The composed subcritical growth law, ``ConstantSet.leading_coeff`` and
+``second_coeff``, is
 
     lambda(alpha) = L0 alpha^2 (1 + S alpha^{p-3} + o(alpha^{p-3})),
     L0 = pi^{2{q(p-3)-(p-1)}/(q(p-3))} E1^{(p-1)/(p-3)} / E3,
@@ -21,11 +24,11 @@ composed subcritical growth law implemented by ``theorem3_coefficients`` is
 the (p-1)/(p-3) powers of E1 and of the E2/E1 term being forced by the exact
 reduction lambda = beta gamma, beta = (normalization)^{(p-1)/(p-3)}; dropping
 them (a common transcription slip) fails against the computed curve under
-every reading.
+either reading.
 
-A1..A3, A5, C1 and Cq depend on (p, q) alone, never on the weights or the
-reading. Each is integrated once per process and kept in ``_PQ_CACHE``; A4,
-A6 and E1..E5 are algebra on top of the stored values.
+A1..A3, A5 and Cq depend on (p, q) alone, never on the weights or the
+reading. Each is integrated once per process and kept in ``_PQ_CACHE``; C1,
+A4, A6 and E1..E5 are algebra on top of the stored values.
 """
 
 from __future__ import annotations
@@ -49,12 +52,13 @@ __all__ = [
     "compute_C1",
     "compute_Cq",
     "compute_E",
-    "theorem3_coefficients",
     "compute_all",
 ]
 
 PI = math.pi
 
+# The E3 readings compute_all accepts: perfbench/workloads.py calls
+# compute_all(p, q, a1, a2, "paper_definition").
 READINGS = ("paper_definition", "proof_variant")
 
 
@@ -77,7 +81,7 @@ def _check_pq(p: float, q: float) -> None:
 
 
 # The reading- and weight-independent integrals, once per process: keys
-# ("A", p, q) -> (A1, A2, A3, A5), ("C1", p) -> C1 and ("Cq", p, q) -> Cq.
+# ("A", p, q) -> (A1, A2, A3, A5) and ("Cq", p, q) -> Cq.
 # A call that raises stores nothing.
 _PQ_CACHE: dict = {}
 
@@ -128,16 +132,11 @@ def _a_integrals(p: float, q: float) -> tuple:
 def compute_C1(p: float) -> float:
     """C1 = (p+3) int_0^1 sqrt(f(s)) ds, f = (p-1)/(p+1) - s^2 + 2s^{p+1}/(p+1).
 
-    f has a double zero at s = 1, and sqrt(f) = u sqrt((p-1) c(u)) in
-    u = 1 - s with the regular factor c, so the integrand is analytic on
-    [0, 1] in u.
+    (p+3) f = 2f + s f' + (p-1)(1-s^2), and (2f + s f')/sqrt(f) is the
+    derivative of 2s sqrt(f), which vanishes at s = 0 and s = 1; so
+    C1 = ((p-1)/2) C2 exactly, from the cached C2 integral.
     """
-    _check_pq(p, 2.0)
-
-    def f(u):
-        return u * np.sqrt((p - 1.0) * kernels.c_factor(u, p))
-
-    return _memo(("C1", p), lambda: (p + 3.0) * integrate(f, 0.0, 1.0).value)
+    return 0.5 * (p - 1.0) * compute_Cq(p, 2.0)
 
 
 def compute_Cq(p: float, q: float) -> float:
@@ -158,22 +157,18 @@ def compute_Cq(p: float, q: float) -> float:
 
 
 def _check_reading(reading: str) -> None:
+    # compute_all's reading, which perfbench/workloads.py passes.
     if reading not in READINGS:
         raise ValueError(f"reading must be one of {READINGS}, got {reading!r}")
 
 
-def compute_E(p: float, q: float, a1: float, a2: float, reading: str) -> dict:
-    """The subcritical growth-law constants E1..E5 (valid for 1 < p < 3).
-
-    ``reading`` selects the exponent denominator of the pi-powers inside E3
-    and E5: (p-1)q for ``paper_definition``, (p-3)q for ``proof_variant``.
-    """
+def compute_E(p: float, q: float, a1: float, a2: float) -> dict:
+    """The subcritical growth-law constants E1..E5 (valid for 1 < p < 3)."""
     _check_pq(p, q)
     check_weights(a1, a2)
-    _check_reading(reading)
     if not (1.0 < p < 3.0):
         raise InvalidRegime(f"E constants require 1 < p < 3, got p = {p}")
-    return _e_from_a(p, q, a1, a2, reading, compute_A(p, q))
+    return _e_from_a(p, q, a1, a2, "proof_variant", compute_A(p, q))
 
 
 def _amplitude_a4(p: float, q: float, A: dict) -> float:
@@ -199,7 +194,7 @@ def _e_from_a(p: float, q: float, a1: float, a2: float, reading: str,
     k^2/(2 d^2) holds d = ||w||_2 whatever norm the weight a1 uses. A4 at
     the problem's q is a transcription slip of this repository, not a
     reading of the paper (see README): the curve's own second coefficient
-    rules it out wherever q != 2 and a1 > 0.
+    rules it out wherever q != 2 and a1 > 0. ``reading`` is compute_all's.
     """
     a1q = a1 * 2.0 ** ((q + 2.0) / q) * A["A1"] ** (2.0 / q)
     e1 = a1q + a2 * PI ** (2.0 / q)
@@ -216,17 +211,12 @@ def _e_from_a(p: float, q: float, a1: float, a2: float, reading: str,
     return {"E1": e1, "E2": e2, "E3": e3, "E4": e4, "E5": e5}
 
 
-def theorem3_coefficients(p: float, q: float, a1: float, a2: float,
-                          reading: str) -> tuple[float, float]:
+def _theorem3_from_e(p: float, q: float, E: dict) -> tuple[float, float]:
     """(leading, second) of the subcritical law lambda = L0 a^2 (1 + S a^{p-3} + o).
 
     Composition of the E constants per the module docstring; the E1 and
     E2/E1 terms enter with power (p-1)/(p-3) from beta = N^{(p-1)/(p-3)}.
     """
-    return _theorem3_from_e(p, q, compute_E(p, q, a1, a2, reading))
-
-
-def _theorem3_from_e(p: float, q: float, E: dict) -> tuple[float, float]:
     expo = (q * (p - 3.0) - (p - 1.0)) / (q * (p - 3.0))
     ratio = (p - 1.0) / (p - 3.0)
     # In log form, as for E3: under proof_variant the powers cancel to
@@ -264,7 +254,7 @@ class ConstantSet:
     E3: float | None
     E4: float | None
     E5: float | None
-    e3_reading: str
+    e3_reading: str  # perfbench/gate.py's constants_pair reads it
     leading_coeff: float | None
     second_coeff: float | None
 
@@ -275,7 +265,10 @@ class ConstantSet:
 
 def compute_all(p: float, q: float, a1: float, a2: float,
                 reading: str = "proof_variant") -> ConstantSet:
-    """Assemble the full ConstantSet; regime-restricted entries become None."""
+    """Assemble the full ConstantSet; regime-restricted entries become None.
+
+    ``reading`` takes "paper_definition" only for perfbench/workloads.py's
+    compute_all(p, q, a1, a2, "paper_definition")."""
     _check_pq(p, q)
     check_weights(a1, a2)
     _check_reading(reading)

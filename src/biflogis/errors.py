@@ -67,7 +67,11 @@ class WrongRegime(BiflogisError):
 
 
 class AmbiguousReading(BiflogisError):
-    """Neither candidate constant reading matches the numerical curve."""
+    """Neither candidate constant reading matches the numerical curve.
+
+    Only check_theorem_3's two-set arbitration raises it, which
+    perfbench/workloads.py calls as check_theorem_3(report, paper, variant).
+    """
 
 
 class Overflow(BiflogisError):

@@ -176,11 +176,6 @@ class Profile:
     gamma: float
     p: float
 
-    @property
-    def nodes(self):
-        """Ordered (x, w) pairs."""
-        return list(zip(self.xs.tolist(), self.ws.tolist()))
-
     def __len__(self):
         return len(self.xs)
 

@@ -26,9 +26,17 @@ _EPS = 2.220446049250313e-16
 FIRST_STEP = 2.0
 MAX_EVALS = 100
 
+# brentq's relative tolerance and iteration budget; bracket_monotone's first
+# step, its growth factor per step and its budget of steps.
+BRENT_RTOL = 4 * _EPS
+BRENT_MAXITER = 100
+BRACKET_STEP0 = 1.0
+BRACKET_GROW = 1.7
+BRACKET_MAXITER = 200
+
 
 def brentq(f, xa: float, xb: float, fa=None, fb=None,
-           xtol: float = 1e-13, rtol: float = 4 * _EPS, maxiter: int = 100) -> float:
+           xtol: float = 1e-13) -> float:
     """Root of f in [xa, xb] with f(xa), f(xb) of opposite sign."""
     xpre, xcur = float(xa), float(xb)
     fpre = float(f(xpre)) if fa is None else float(fa)
@@ -41,7 +49,7 @@ def brentq(f, xa: float, xb: float, fa=None, fb=None,
         raise BracketFailure("brentq: endpoints do not bracket a sign change")
 
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(BRENT_MAXITER):
         if fpre * fcur < 0.0:
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -51,7 +59,7 @@ def brentq(f, xa: float, xb: float, fa=None, fb=None,
             fpre, fcur = fcur, fblk
             fblk = fpre
 
-        delta = 0.5 * (xtol + rtol * abs(xcur))
+        delta = 0.5 * (xtol + BRENT_RTOL * abs(xcur))
         sbis = 0.5 * (xblk - xcur)
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -81,11 +89,10 @@ def brentq(f, xa: float, xb: float, fa=None, fb=None,
         if fcur == 0.0:
             return xcur
 
-    raise NoConvergence(f"brentq: no convergence in {maxiter} iterations")
+    raise NoConvergence(f"brentq: no convergence in {BRENT_MAXITER} iterations")
 
 
-def bracket_monotone(f, x0: float, lo_limit: float, hi_limit: float,
-                     step0: float = 1.0, grow: float = 1.7, maxiter: int = 200):
+def bracket_monotone(f, x0: float, lo_limit: float, hi_limit: float):
     """Expand from x0 along a monotone f until the sign changes.
 
     Returns (a, b, fa, fb) with a < b and opposite signs. Raises
@@ -97,7 +104,7 @@ def bracket_monotone(f, x0: float, lo_limit: float, hi_limit: float,
         return x0, x0, 0.0, 0.0
 
     # Probe to find which way f moves toward zero.
-    step = step0
+    step = BRACKET_STEP0
     xp = x0 + step if x0 + step <= hi_limit else x0 - step
     yp = float(f(xp))
     if y0 * yp <= 0.0:
@@ -109,7 +116,7 @@ def bracket_monotone(f, x0: float, lo_limit: float, hi_limit: float,
     direction = -1.0 if (slope_up == (y0 > 0.0)) else 1.0
 
     xprev, yprev = x0, y0
-    for _ in range(maxiter):
+    for _ in range(BRACKET_MAXITER):
         xnext = xprev + direction * step
         if xnext <= lo_limit:
             xnext = lo_limit
@@ -125,7 +132,7 @@ def bracket_monotone(f, x0: float, lo_limit: float, hi_limit: float,
                 "bracket_monotone: no sign change inside the allowed interval"
             )
         xprev, yprev = xnext, ynext
-        step *= grow
+        step *= BRACKET_GROW
 
     raise BracketFailure("bracket_monotone: expansion budget exhausted")
 

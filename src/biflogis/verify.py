@@ -55,8 +55,7 @@ class CheckResult:
 
     fitted_order is the least-squares slope of log|remainder| vs log of the
     sweep variable (nan when the remainder is too clean to fit, e.g. exact
-    identities drowned in roundoff). other_rel_error carries the losing
-    E3 reading's mismatch on arbitrated checks, else None.
+    identities drowned in roundoff).
     """
 
     name: str
@@ -65,6 +64,7 @@ class CheckResult:
     rel_error: float
     fitted_order: float
     tolerance: float
+    # check_theorem_3's losing E3 reading; perfbench/workloads.py reads it.
     other_rel_error: float | None = None
 
     @property
@@ -73,7 +73,7 @@ class CheckResult:
         return bool(self.rel_error <= self.tolerance)
 
     def to_record(self) -> dict:
-        rec = {
+        return {
             "name": self.name,
             "target": self.target,
             "estimate": self.estimate,
@@ -83,9 +83,6 @@ class CheckResult:
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
-        if self.other_rel_error is not None:
-            rec["other_rel_error"] = self.other_rel_error
-        return rec
 
 
 def _rel(estimate: float, target: float, floor: float = 0.0) -> float:
@@ -105,7 +102,6 @@ class SweepReport:
     rows: list = field(default_factory=list)
     checks: list = field(default_factory=list)
     solutions: list = field(default_factory=list)
-    chosen_e3_reading: str | None = None
 
     def to_record(self) -> dict:
         return {
@@ -119,7 +115,6 @@ class SweepReport:
             },
             "rows": self.rows,
             "checks": [c.to_record() for c in self.checks],
-            "chosen_e3_reading": self.chosen_e3_reading,
         }
 
 
@@ -250,13 +245,15 @@ def check_theorem_2(report: SweepReport) -> tuple[CheckResult, CheckResult]:
 def check_theorem_3(report: SweepReport,
                     constants_paper: consts.ConstantSet,
                     constants_variant: consts.ConstantSet):
-    """Subcritical law under both E3 readings; numerics arbitrate.
+    """Subcritical law lambda = L0 alpha^2 (1 + S alpha^{p-3} + o).
 
-    Returns (leading check, second-order check, chosen reading). The losing
-    reading's leading mismatch rides along in other_rel_error. Raises
-    AmbiguousReading when two different readings are offered and neither
-    leading coefficient matches; a single (pinned) reading that misses is
-    returned as failing checks.
+    Called with one ConstantSet twice, check_theorem_3(report, cs, cs), it
+    checks that set's coefficients. Two sets of different E3 readings are
+    arbitrated, as perfbench/workloads.py's check_theorem_3(report, paper,
+    variant) needs: the closer passing one is chosen, the other's leading
+    mismatch rides along in other_rel_error, and AmbiguousReading is raised
+    if neither matches. Returns (leading check, second-order check, chosen
+    reading).
     """
     params = report.params
     p = params.p
@@ -282,8 +279,8 @@ def check_theorem_3(report: SweepReport,
             + ", ".join(f"{r}: rel_error = {e:.3e}"
                         for r, (_, e) in cands.items()))
     # Both passing cannot genuinely happen (the readings differ by pi powers);
-    # if tolerances ever let both through, prefer the closer one. A pinned
-    # run may pass the same set twice, leaving no losing reading to report.
+    # if tolerances ever let both through, prefer the closer one. The
+    # single-set call leaves no losing reading to report.
     chosen = min(passing or cands, key=lambda r: cands[r][1])
     others = [r for r in cands if r != chosen]
     cs, rel_lead = cands[chosen]

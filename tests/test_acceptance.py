@@ -96,7 +96,7 @@ def test_criterion_01_A1_and_beta_identity(capsys):
     with Budget(1.0) as b:
         assert main(["constants", "--q", "2", "--p", "2"]) == 0
         obj = json.loads(capsys.readouterr().out)
-        a1_val = obj["proof_variant"]["A1"]
+        a1_val = obj["A1"]
         err_q2 = abs(a1_val - PI / 4.0)
         assert err_q2 < 1e-12, f"A1(q=2) off by {err_q2:.3e}"
         worst = 0.0
@@ -259,9 +259,10 @@ def test_criterion_08_small_d_coefficients():
 def test_criterion_09_subcritical_pipeline():
     """d^{p-1} E3^{(p-3)/2} / alpha^{p-3} reaches 1 within 2% by alpha = 1e4."""
     with Budget(30.0) as b:
-        # reading chosen by the arbitration criterion, not assumed
+        # compute_E's E3 is the reading the arbitration criterion chose
         chosen = {c for (_, _, c) in sub_readings().values()}.pop()
-        e3 = consts.compute_E(2.0, 2.0, 1.0, 1.0, chosen)["E3"]
+        assert chosen == "proof_variant"
+        e3 = consts.compute_E(2.0, 2.0, 1.0, 1.0)["E3"]
         rep = sub_sweeps()[(1.0, 1.0)]
         row = rep.rows[-1]
         assert row["alpha"] == 1e4

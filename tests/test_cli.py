@@ -29,23 +29,12 @@ def run_cli(capsys, *argv):
 # ----------------------------------------------------------------- outputs
 
 
-def test_constants_both_readings(capsys):
-    code, out, _ = run_cli(capsys, "constants", "--p", "2", "--q", "2")
-    assert code == 0
-    obj = json.loads(out)
-    assert set(obj) == {"paper_definition", "proof_variant"}
-    assert obj["proof_variant"]["e3_reading"] == "proof_variant"
-    # the two readings must agree on everything but the pi-power entries
-    for key in ("A1", "A3", "C1", "Cq", "E1", "E2", "E4"):
-        assert obj["paper_definition"][key] == obj["proof_variant"][key]
-    assert obj["paper_definition"]["E3"] != obj["proof_variant"]["E3"]
-
-
 def test_constants_single_reading(capsys):
-    code, out, _ = run_cli(capsys, "constants", "--p", "2", "--q", "2",
-                           "--e3-reading", "proof_variant")
-    assert code == 0
+    # one flat ConstantSet record, under the settled E3 reading
+    code, out, err = run_cli(capsys, "constants", "--p", "2", "--q", "2")
+    assert code == 0 and err == ""
     obj = json.loads(out)
+    assert obj == constants.compute_all(2.0, 2.0, 1.0, 1.0).to_record()
     assert obj["e3_reading"] == "proof_variant"
     assert abs(obj["leading_coeff"]) > 0.0
 
@@ -141,15 +130,17 @@ def test_verify_critical_passes(capsys):
     assert all(c["pass"] for c in obj["checks"])
 
 
-def test_verify_subcritical_reports_reading(capsys):
+def test_verify_subcritical_passes(capsys):
+    # theorem 3 is checked under the settled E3 reading alone: no reading
+    # is arbitrated or reported
     code, out, err = run_cli(capsys, "verify", "--p", "2", "--q", "2",
                              "--a1", "0", "--a2", "1")
-    assert code == 0
-    assert "chosen E3 reading: proof_variant" in err
+    assert code == 0 and err == ""
     obj = json.loads(out)
-    assert obj["chosen_e3_reading"] == "proof_variant"
-    lead = obj["checks"][0]
-    assert lead["pass"] and lead["other_rel_error"] > 0.9
+    assert set(obj) == {"params", "rows", "checks"}
+    names = [c["name"] for c in obj["checks"]]
+    assert names == ["theorem_3_leading", "theorem_3_second"]
+    assert all(c["pass"] and "other_rel_error" not in c for c in obj["checks"])
 
 
 def test_repeat_runs_print_identical_output(capsys, fresh_caches):
@@ -201,11 +192,6 @@ def test_exit_check_failure(capsys):
                            "--step", "1e-2", "--tol", "1e-15")
     assert code == 2
     assert json.loads(out)["tolerance"] == 1e-15
-    # a pinned E3 reading that misses the curve reports its failing checks
-    code, out, _ = run_cli(capsys, "verify", "--p", "2", "--q", "2", "--a1",
-                           "0", "--a2", "1", "--e3-reading", "paper_definition")
-    assert code == 2
-    assert json.loads(out)["chosen_e3_reading"] == "paper_definition"
 
 
 def test_exit_usage(capsys, monkeypatch):
@@ -247,13 +233,17 @@ def test_exit_usage(capsys, monkeypatch):
          "100000000000000000000"),  # --points is at most 10**6
         ("sweep", "--alpha-min", "1", "--alpha-max", "10", "--points",
          "10000000"),
+        # E3 has one reading, so no flag selects it
+        ("constants", "--p", "2", "--e3-reading", "proof_variant"),
+        ("verify", "--p", "2", "--q", "2", "--a1", "0", "--a2", "1",
+         "--e3-reading", "paper_definition"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (64, ""), argv
         # The errors found after parsing (--points, --q, --step, the alpha
         # range) show the subcommand's usage line, as argparse's own do;
         # argparse leaves only an unknown flag to the top-level parser.
-        if "--bogus" not in argv:
+        if not {"--bogus", "--e3-reading"} & set(argv):
             assert err.startswith(f"usage: biflogis {argv[0]} "), argv
 
 
@@ -281,8 +271,7 @@ def test_environment_is_not_read(capsys, monkeypatch):
 
 def test_console_script():
     proc = subprocess.run(
-        [sys.executable, "-m", "biflogis.cli", "constants", "--p", "2",
-         "--e3-reading", "proof_variant"],
+        [sys.executable, "-m", "biflogis.cli", "constants", "--p", "2"],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 0

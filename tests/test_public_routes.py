@@ -32,7 +32,7 @@ def _problem(v):
 
 
 def _e_args(v):
-    return v["p"], v["q"], v["a1"], v["a2"], v["reading"]
+    return v["p"], v["q"], v["a1"], v["a2"]
 
 
 class _Unreached(Exception):
@@ -82,10 +82,8 @@ ROUTES = {
     "compute_Cq": (("p", "q"), lambda v: consts.compute_Cq(v["p"], v["q"])),
     "compute_E": (("p", "q", "a1", "a2"),
                   lambda v: consts.compute_E(*_e_args(v))),
-    "theorem3_coefficients": (("p", "q", "a1", "a2"),
-                              lambda v: consts.theorem3_coefficients(*_e_args(v))),
     "compute_all": (("p", "q", "a1", "a2"),
-                    lambda v: consts.compute_all(*_e_args(v))),
+                    lambda v: consts.compute_all(*_e_args(v), v["reading"])),
 }
 
 # Values outside the domain, per input. q excludes (0, 1], which the

@@ -33,9 +33,10 @@ def test_brentq_rejects_same_sign():
         brentq(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
-def test_brentq_maxiter():
-    with pytest.raises(NoConvergence):
-        brentq(lambda x: math.tanh(50.0 * (x - 0.3)), -10.0, 10.0, maxiter=2)
+def test_brentq_maxiter(monkeypatch):
+    monkeypatch.setattr(rootfind, "BRENT_MAXITER", 2)
+    with pytest.raises(NoConvergence, match="in 2 iterations"):
+        brentq(lambda x: math.tanh(50.0 * (x - 0.3)), -10.0, 10.0)
 
 
 def test_bracket_monotone_expands_right():

@@ -9,10 +9,10 @@ each in a fresh interpreter, once on the base revision's ``src/`` and once
 on the working tree's. The base revision is exported with
 ``tools/bench_pair.py``'s ``git archive`` helper, so the checkout is left
 alone. The list holds the README's seven examples, their ``--format csv``
-(or json) variants, a pinned E3 reading, a solver error, two runs at
+(or json) variants, a default grid, a solver error, two runs at
 p = 1.5 (its constants, and a solve whose root lies on the moments'
 Chebyshev branch), and the flag values outside the documented domain that
-must be usage errors (exit 64).
+must be usage errors (exit 64), ``--e3-reading`` among them.
 
 An invocation still running after ``TIMEOUT_S`` seconds is stopped and
 shows exit code -1 with empty stdout: a revision that accepts a value a
@@ -52,9 +52,7 @@ INVOCATIONS = [
     "verify --p 2 --q 2 --a1 0 --a2 1",
     "verify --p 2 --q 2 --a1 0 --a2 1 --format csv",
     "oracle-check --p 3 --gamma 15",
-    # a pinned reading, a default grid and a solver error
-    "constants --p 2 --q 2 --e3-reading proof_variant",
-    "verify --p 2 --q 2 --a1 0 --a2 1 --e3-reading paper_definition",
+    # a default grid and a solver error
     "verify --p 5",
     "solve-local --p 3 --gamma 5",
     # p = 1.5: the constants, and a root on the Chebyshev branch (t = 7.79)
@@ -78,6 +76,8 @@ INVOCATIONS = [
     "verify --p 5 --points 7",
     "sweep --alpha-min 1 --alpha-max 1.0000000000000002 --points 5",
     "profile --p 3 --gamma 20 --points 100000000000000000000",
+    "constants --p 2 --q 2 --e3-reading proof_variant",
+    "verify --p 2 --q 2 --a1 0 --a2 1 --e3-reading paper_definition",
 ]
 
 
