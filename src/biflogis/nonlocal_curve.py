@@ -5,7 +5,8 @@ parameterized by alpha = ||u||_2. Every solution is a rescaled local profile:
 u = h w_d with alpha = h d and h^{p-1} = beta = h^2 N, N = a1 ||w_d||_q^2 +
 a2 d^2, for every p > 1, so the only analytic content here is a scalar
 root-find for the local point where ln N = (p-3) ln(alpha/d), and the
-bookkeeping lambda = beta gamma.
+bookkeeping lambda = beta gamma. The root-find's last Newton step is taken
+on the log state, not evaluated again.
 
 The module file carries a _curve suffix because the bare problem name is a
 Python keyword; the solution field lam is serialized as "lambda" for the same
@@ -42,6 +43,10 @@ _CRITICAL_BAND = 1e-9
 # Bound on |ln beta - (p-1) ln h|, the log miss of beta = h^{p-1}, and on the
 # relative miss of alpha = h d, that every solution meets.
 _ALPHA_RTOL = 1e-10
+
+# Bound on the last Newton step in tau = ln t that solve_alpha takes on the
+# state it holds instead of evaluating the residual once more.
+_LAST_STEP = 1e-8
 
 # Relative bound on the miss of lam = beta gamma: a few ulp of the product.
 _LAM_RTOL = 4.0 * sys.float_info.epsilon
@@ -176,10 +181,16 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
 
     One residual for every p: r(t) = ln N(t) - (p-3)(ln alpha - ln d(t)),
     strictly increasing in the layer coordinate t, is solved by safeguarded
-    Newton in tau = ln t with its analytic slope; then h = alpha/d, so
-    alpha = h d holds by construction, and beta = h^2 N. At p = 3, r = ln N
-    and the point is the normalization N = 1. The solver raises
-    MonotonicityViolation if dr/dtau is not positive at the root;
+    Newton in tau = ln t with its analytic slope. The Newton stops once its
+    step delta = -r/r' is within 1e-8 in tau, and the point is built from
+    the last evaluation's log state moved by delta along its slopes (ln k,
+    ln gamma, ln d, ln ||w||_q and ln N, with tau + delta), so r is zero
+    there to first order and the point's error is O(delta^2). If the
+    Newton stops on a larger step (a collapsed bracket or an unusable
+    slope), the root is settled to xtol 1e-12 and taken as it is. Then
+    h = alpha/d, so alpha = h d holds by construction, and beta = h^2 N. At
+    p = 3, r = ln N and the point is the normalization N = 1. The solver
+    raises MonotonicityViolation if dr/dtau is not positive at the root;
     InvalidBracket where no float point represents the curve (the root in
     tau past a wall of the root-find, k, h, beta or lambda out of range, or
     d rounding to k); NoConvergence if
@@ -205,11 +216,30 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
 
     tau0 = ll._seed_tau_for_d(ln_d, p)
     try:
-        tau = solve_monotone(resid, tau0, ll._TAU_LO, ll._TAU_HI, xtol=1e-12)
+        # solve_monotone returns once its Newton step is within xtol/8.
+        tau = solve_monotone(resid, tau0, ll._TAU_LO, ll._TAU_HI,
+                             xtol=8.0 * _LAST_STEP)
+        r, dr, state, ln_n = evals[tau]
+        step = -r / dr if dr > 0.0 else math.nan
+        if not abs(step) <= _LAST_STEP:
+            # Stopped on a collapsed bracket or an unusable slope: settle
+            # the root to xtol 1e-12 instead.
+            tau = solve_monotone(resid, tau, ll._TAU_LO, ll._TAU_HI,
+                                 xtol=1e-12)
+            r, dr, state, ln_n = evals[tau]
+            step = 0.0
     except BracketFailure as exc:
         raise ll._past_wall(next(reversed(evals)), p) from exc
+    if step:
+        # The last Newton step, taken on the log state along its slopes:
+        # d(ln N)/dtau is dr/dtau less the (p-3) d(ln d)/dtau term of r.
+        ln_k, ln_gamma, (ln_d, ln_wq), slopes = state
+        dln_k, dln_gamma, (dln_d, dln_wq) = slopes
+        tau += step
+        ln_n += step * (dr - (p - 3.0) * dln_d)
+        state = (ln_k + step * dln_k, ln_gamma + step * dln_gamma,
+                 (ln_d + step * dln_d, ln_wq + step * dln_wq), slopes)
     t = math.exp(tau)
-    r, dr, state, ln_n = evals[tau]
     point = ll._point_from_t(t, p, state)
 
     # k(t) is strictly increasing, so dr/dtau > 0 at the root is the

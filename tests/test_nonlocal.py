@@ -224,17 +224,23 @@ def test_extreme_points_valid_or_typed_error(p, alpha):
         assert_valid_or_typed_error(alpha, ProblemParams(p=p, q=q, a1=1.0, a2=1.0))
 
 
+# 11 p x 3 q x 6 alpha, a1 = a2 = 1.
+DOMAIN_PS = (1.05, 1.5, 2.0, 2.9, 3.0 - 1e-6, 3.0 + 1e-6, 3.0 + 1e-8, 3.1,
+             4.0, 8.0, 20.0)
+DOMAIN_QS = (1.1, 2.0, 8.0)
+DOMAIN_ALPHAS = (1e-6, 1e-2, 1.0, 1e2, 1e6, 1e12)
+
+
 def test_domain_grid_solved_or_typed_error():
     # The documented domain's regression grid: 198 cases across all three
     # regimes, 3 of them within 1e-6 of p = 3. Every case returns a point
     # that meets its invariants or raises a package error other than
     # NoConvergence; the 15 refusals are float-range and tau-wall cases.
     valid = 0
-    for p in (1.05, 1.5, 2.0, 2.9, 3.0 - 1e-6, 3.0 + 1e-6, 3.0 + 1e-8, 3.1,
-              4.0, 8.0, 20.0):
-        for q in (1.1, 2.0, 8.0):
+    for p in DOMAIN_PS:
+        for q in DOMAIN_QS:
             params = ProblemParams(p=p, q=q, a1=1.0, a2=1.0)
-            for alpha in (1e-6, 1e-2, 1.0, 1e2, 1e6, 1e12):
+            for alpha in DOMAIN_ALPHAS:
                 try:
                     sol = solve_alpha(alpha, params)
                 except NoConvergence as exc:
@@ -244,6 +250,67 @@ def test_domain_grid_solved_or_typed_error():
                 assert_invariants(sol, params, alpha_rtol=1e-10)
                 valid += 1
     assert valid >= 183
+
+
+def _domain_grid_fields():
+    # Every field of every point of the domain grid, or the error's class.
+    out = {}
+    for p in DOMAIN_PS:
+        for q in DOMAIN_QS:
+            params = ProblemParams(p=p, q=q, a1=1.0, a2=1.0)
+            for alpha in DOMAIN_ALPHAS:
+                try:
+                    sol = solve_alpha(alpha, params)
+                except BiflogisError as exc:
+                    out[p, q, alpha] = type(exc).__name__
+                    continue
+                loc = sol.local
+                out[p, q, alpha] = (loc.k, loc.gamma, loc.d, loc.layer_t,
+                                    sol.h, sol.beta, sol.lam)
+    return out
+
+
+def test_last_newton_step_matches_tight_root(monkeypatch):
+    # solve_alpha stops within 1e-8 in tau and takes that last step on the
+    # log state it holds; the point must match a root settled to xtol 1e-16
+    # in every field. At p = 1.05 tau is fixed only to the residual's
+    # rounding, which ln k = (ln em + ln gamma)/(p-1) magnifies.
+    got = _domain_grid_fields()
+    solve_monotone = nonlocal_curve.solve_monotone
+    monkeypatch.setattr(
+        nonlocal_curve, "solve_monotone",
+        lambda f, x0, lo, hi, xtol: solve_monotone(f, x0, lo, hi, xtol=1e-16))
+    tight = _domain_grid_fields()
+    assert sum(not isinstance(v, str) for v in got.values()) == 183
+    for case, fields in got.items():
+        assert type(fields) is type(tight[case]), case
+        if isinstance(fields, str) or case[0] <= 1.05:
+            continue
+        for a, b in zip(fields, tight[case]):
+            assert rel(a, b) <= 5e-13, case
+
+
+def test_last_step_falls_back_to_a_tight_solve(monkeypatch):
+    # Where the Newton stops with a step above 1e-8 in tau, here because the
+    # first solve returns its seed, solve_alpha settles the root to xtol
+    # 1e-12 rather than stepping that far on the slope.
+    params = ProblemParams(p=5.0, q=2.0, a1=1.0, a2=1.0)
+    want = solve_alpha(100.0, params)
+    solve_monotone = nonlocal_curve.solve_monotone
+    xtols = []
+
+    def seed_first(f, x0, lo, hi, xtol):
+        xtols.append(xtol)
+        if len(xtols) == 1:
+            f(x0)
+            return x0
+        return solve_monotone(f, x0, lo, hi, xtol=xtol)
+
+    monkeypatch.setattr(nonlocal_curve, "solve_monotone", seed_first)
+    sol = solve_alpha(100.0, params)
+    assert xtols == [8e-8, 1e-12]
+    assert rel(sol.local.k, want.local.k) <= 1e-12
+    assert rel(sol.lam, want.lam) <= 1e-12
 
 
 # tau = ln t from deep in the small-amplitude series branch to past T_ASYM.
@@ -360,10 +427,10 @@ SUPER_COMBOS = ((2.0, 1.0, 0.0), (3.0, 0.0, 1.0), (4.0, 0.5, 0.5))
 
 
 @pytest.mark.parametrize("p, residuals", [
-    # Flat-profile regime: at most 2.5 per solve.
-    (5.0, 450), (6.5, 450), (8.0, 450),
-    # Elsewhere no more than the k ~ sqrt(2) d seed took.
-    (2.0, 360), (3.0, 720), (3.01, 720), (3.5, 839), (4.0, 720),
+    # The counts solve_alpha makes when it stops within 1e-8 in tau and
+    # takes that last Newton step on the state it holds.
+    (5.0, 360), (6.5, 260), (8.0, 180),
+    (2.0, 360), (3.0, 600), (3.01, 600), (3.5, 635), (4.0, 501),
 ])
 def test_warm_solve_alpha_residuals_from_seed(p, residuals, monkeypatch):
     # Residuals over 180 warm solves: SUPER_GRID for each combination.

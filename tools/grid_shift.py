@@ -13,9 +13,11 @@ interpreter. The base revision is exported with ``tools/bench_pair.py``'s
 
 Prints one line per case: p, q, alpha, the outcome on each side (``point``
 or the error's class name) and, where both return a point, the largest
-relative shift over its fields. Then the outcome counts per side, the
-number of points whose fields differ at all, and for every field the worst
-relative shift and the case where it occurs.
+relative shift over its fields. Then the outcome counts per side with the
+side's total of curve-residual evaluations over the grid (calls of
+``nonlocal_curve._residual``, a deterministic work count), the number of
+points whose fields differ at all, and for every field the worst relative
+shift and the case where it occurs.
 """
 
 from __future__ import annotations
@@ -40,13 +42,24 @@ FIELDS = ("k", "gamma", "d", "layer_t", "h", "beta", "lam")
 CASES = [(p, q, alpha) for p in PS for q in QS for alpha in ALPHAS]
 
 
-def run_grid(src: str) -> list:
-    """Every case's fields as a dict, or its error's class name, solved
+def run_grid(src: str) -> dict:
+    """{"cases": every case's fields as a dict, or its error's class name,
+    "resid_evals": the curve-residual evaluations over the grid}, solved
     with the package under src."""
     sys.path.insert(0, src)
+    from biflogis import nonlocal_curve
     from biflogis.errors import BiflogisError
     from biflogis.nonlocal_curve import ProblemParams, solve_alpha
 
+    evals = 0
+    residual = nonlocal_curve._residual
+
+    def counted(*args):
+        nonlocal evals
+        evals += 1
+        return residual(*args)
+
+    nonlocal_curve._residual = counted
     out = []
     for p, q, alpha in CASES:
         try:
@@ -57,10 +70,10 @@ def run_grid(src: str) -> list:
         loc = sol.local
         out.append(dict(zip(FIELDS, (loc.k, loc.gamma, loc.d, loc.layer_t,
                                      sol.h, sol.beta, sol.lam))))
-    return out
+    return {"cases": out, "resid_evals": evals}
 
 
-def side(root: Path) -> list:
+def side(root: Path) -> dict:
     """run_grid on root's src/, in a fresh interpreter."""
     argv = [sys.executable, str(Path(__file__).resolve()),
             "--src", str(root / "src")]
@@ -91,6 +104,8 @@ def main(argv=None) -> int:
         base = side(Path(tmp))
     change = side(ROOT)
 
+    evals = {"base": base["resid_evals"], "change": change["resid_evals"]}
+    base, change = base["cases"], change["cases"]
     worst = {name: (0.0, None) for name in FIELDS}
     counts = {"base": Counter(), "change": Counter()}
     moved = 0
@@ -110,7 +125,8 @@ def main(argv=None) -> int:
         print(line)
     for name in ("base", "change"):
         print(f"{name}: " + ", ".join(f"{k} {v}" for k, v in
-                                      sorted(counts[name].items())))
+                                      sorted(counts[name].items()))
+              + f"; {evals[name]} curve-residual evaluations")
     print(f"points that moved: {moved}")
     for name, (s, case) in worst.items():
         at = "" if case is None else " at p, q, alpha = %r, %r, %r" % case
