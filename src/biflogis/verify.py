@@ -1,12 +1,13 @@
 """Numerical verification of every asymptotic law the curve satisfies.
 
-Each check sweeps the solver over a grid, extracts a limiting coefficient by
-two-point Richardson extrapolation, fits the remainder order on a log-log
-grid, and compares against the closed-form target from the constants module.
-The extrapolation uses the last two grid points, so every caller orders its
-grid toward the limit: alpha and large d increasing, small d decreasing.
-Targets are never hard-coded here; they are recomputed per call so a constants
-bug cannot hide behind a stale number.
+Each check reads a coefficient y that tends to its limit as x -> 0,
+extrapolates it to x = 0 by Neville's scheme (Sidi, Practical Extrapolation
+Methods, CUP 2003), fits the remainder order on a log-log grid, and compares
+against the closed-form target from the constants module. The theorem checks
+take x = alpha^{-order} on the last two rows of an alpha sweep; the local
+checks read the local problem's log state on fixed windows of the layer
+coordinate t, with no root-find. Targets are never hard-coded here; they are
+recomputed per call so a constants bug cannot hide behind a stale number.
 
 rel_error convention: |estimate - target| / |target| when the target is away
 from zero; checks whose target is exactly zero (identities, residuals) report
@@ -33,7 +34,6 @@ __all__ = [
     "SweepReport",
     "sweep",
     "estimate_order",
-    "extrapolate_limit",
     "check_theorem_1",
     "check_theorem_2",
     "check_theorem_3",
@@ -47,6 +47,11 @@ SQRT10 = math.sqrt(10.0)
 
 DEFAULT_SUPER_ALPHAS = tuple(1e3 * SQRT10 ** i for i in range(5))
 DEFAULT_SUB_ALPHAS = tuple(1e2 * SQRT10 ** i for i in range(5))
+
+# The local checks' t-windows: small d on the series branch; large d on the
+# asymptote branch, late enough that the non-power remainder has died out.
+_SMALL_D_TS = tuple(np.geomspace(1e-4, 1e-2, 6).tolist())
+_LARGE_D_TS = tuple(np.exp(np.linspace(4.0, 6.0, 6)).tolist())
 
 
 @dataclass(frozen=True)
@@ -168,29 +173,28 @@ def _order_or_nan(xs, rs) -> float:
         return math.nan
 
 
-def extrapolate_limit(xs, ys, order: float) -> float:
-    """Two-point Richardson limit of y = L + c x^{-order} from the last two
-    grid points; the caller orders the grid toward the limit (x to zero
-    takes a decreasing grid and a negative order)."""
-    xs = np.asarray(list(xs), dtype=float)
-    ys = np.asarray(list(ys), dtype=float)
-    if len(xs) < 2:
-        raise DegenerateFit("need >= 2 points to extrapolate")
-    pa, pb = xs[-2] ** (-order), xs[-1] ** (-order)
-    if pa == pb:
-        raise DegenerateFit("identical extrapolation abscissae")
-    c = (ys[-2] - ys[-1]) / (pa - pb)
-    return float(ys[-1] - c * pb)
+def _neville_at_zero(xs, ys) -> float:
+    """Value at x = 0 of the polynomial through the points (xs, ys), by
+    Neville's scheme; on two points, the linear (Richardson) extrapolation."""
+    xs = [float(x) for x in xs]
+    vals = [float(y) for y in ys]
+    if len(xs) < 2 or len(set(xs)) < len(xs):
+        raise DegenerateFit("need >= 2 distinct abscissae to extrapolate")
+    for m in range(1, len(xs)):
+        for i in range(len(xs) - m):
+            slope = (vals[i] - vals[i + 1]) / (xs[i] - xs[i + m])
+            vals[i] = vals[i + 1] - slope * xs[i + m]
+    return vals[0]
 
 
-def _limit_check(name: str, target: float, xs, ys, order: float,
-                 tolerance: float, floor: float = 0.0) -> CheckResult:
-    """The check that ys tends to target, with the fitted order of
-    ys - target."""
-    estimate = extrapolate_limit(xs, ys, order)
+def _limit_check(name: str, target: float, ds, xs, ys, tolerance: float,
+                 floor: float = 0.0) -> CheckResult:
+    """The check that ys tends to target as xs tends to 0, with the order of
+    ys - target fitted against ds."""
+    estimate = _neville_at_zero(xs, ys)
     return CheckResult(name, target, estimate,
                        _rel(estimate, target, floor),
-                       _order_or_nan(xs, ys - target), tolerance)
+                       _order_or_nan(ds, ys - target), tolerance)
 
 
 def _valid_rows(report: SweepReport):
@@ -214,7 +218,8 @@ def check_theorem_1(report: SweepReport) -> CheckResult:
         raise ValueError("need >= 4 points spanning at least a decade")
     resid = lams / alphas ** (p - 1.0) - 1.0
     ys = resid * alphas ** ((p - 3.0) / 2.0)
-    estimate = extrapolate_limit(alphas, ys, (p - 3.0) / 2.0)
+    xs = [a ** -((p - 3.0) / 2.0) for a in alphas[-2:]]
+    estimate = _neville_at_zero(xs, ys[-2:])
     c1 = consts.compute_C1(p)
     target = c1 * math.sqrt(params.a1 + params.a2)
     return CheckResult("theorem_1_leading", target, estimate,
@@ -263,7 +268,8 @@ def check_theorem_3(report: SweepReport,
     if len(alphas) < 3 or alphas[-1] / alphas[0] < 100.0:
         raise ValueError("need >= 3 points spanning at least two decades")
     ys = lams / alphas ** 2
-    estimate = extrapolate_limit(alphas, ys, 3.0 - p)
+    xs = [a ** -(3.0 - p) for a in alphas[-2:]]
+    estimate = _neville_at_zero(xs, ys[-2:])
 
     tol_leading = 0.005
     cands = {}
@@ -294,78 +300,71 @@ def check_theorem_3(report: SweepReport,
                           if others else None)
 
     y2 = remainder * alphas ** (3.0 - p)
-    est2 = extrapolate_limit(alphas, y2, 3.0 - p)
+    est2 = _neville_at_zero(xs, y2[-2:])
     target2 = cs.second_coeff
     second = CheckResult("theorem_3_second", target2, est2,
                          _rel(est2, target2), order, 0.05)
     return leading, second, chosen
 
 
-def _local_states(p: float, q: float, ds):
-    """Arrays d, gamma, k and ||w||_q of the local solutions at ds."""
-    lp = ll.LocalParams(p=p)
-    points = [ll.solve_for_d(d, lp) for d in ds]
-    return (np.array([pt.d for pt in points]),
-            np.array([pt.gamma for pt in points]),
-            np.array([pt.k for pt in points]),
-            np.array([ll.point_q_norm(pt, q, lp) for pt in points]))
+def _local_log_states(ts, p: float, q: float) -> np.ndarray:
+    """Rows ln k, ln gamma, ln d and ln ||w||_q of the local solutions at
+    the layer coordinates ts."""
+    return np.array([(s[0], s[1], *s[2]) for s in
+                     (ll._log_state_at_t(t, p, (2.0, q)) for t in ts)]).T
 
 
-def check_local_large_d(p: float, q: float, d_grid) -> list[CheckResult]:
+def check_local_large_d(p: float, q: float) -> list[CheckResult]:
     """Large-d laws: eigenvalue shift C1, the q-norm relation residual, and
-    the D(d) coefficient (2/(p-1)) C1 - (2/q) Cq."""
+    the D(d) coefficient (2/(p-1)) C1 - (2/q) Cq.
+
+    Read on ln t in [4, 6] (six points), with x = d^{-(p-1)/2}; the relation
+    residual, which falls like e^{-2t}, is taken at the window's last t.
+    """
     if p <= 3.0:
         raise WrongRegime(f"large-d checks need p > 3, got p = {p}")
-    ds = [float(d) for d in d_grid]
-    if len(ds) < 2 or any(b <= a for a, b in zip(ds, ds[1:])):
-        raise ValueError("d_grid must be increasing with >= 2 points")
-    if max(ds) < 1e3:
-        raise ValueError("d_grid must reach 1e3")
-    dd, gammas, _, wqs = _local_states(p, q, ds)
+    _, ln_g, ln_d, ln_wq = _local_log_states(_LARGE_D_TS, p, q)
+    dd = np.exp(ln_d)
+    xs = np.exp(-0.5 * (p - 1.0) * ln_d)
     c1 = consts.compute_C1(p)
     cq = consts.compute_Cq(p, q)
-    order = (p - 1.0) / 2.0
 
-    y1 = (gammas - dd ** (p - 1.0)) / dd ** order
-    shift = _limit_check("large_d_gamma_shift", c1, dd, y1, order, 0.01)
+    y1 = np.expm1(ln_g - (p - 1.0) * ln_d) / xs
+    shift = _limit_check("large_d_gamma_shift", c1, dd, xs, y1, 0.01)
 
-    model = gammas * (1.0 - cq / np.sqrt(gammas)) ** ((p - 1.0) / q)
-    resid = wqs ** (p - 1.0) / model - 1.0
+    resid = np.expm1((p - 1.0) * ln_wq - ln_g - (p - 1.0) / q
+                     * np.log1p(-cq * np.exp(-0.5 * ln_g)))
     est2 = float(resid[-1])
     relation = CheckResult("large_d_qnorm_relation", 0.0, est2, abs(est2),
                            _order_or_nan(dd, resid), 1e-6)
 
-    y3 = (wqs ** 2 / dd ** 2 - 1.0) * dd ** order
+    y3 = np.expm1(2.0 * (ln_wq - ln_d)) / xs
     target3 = (2.0 / (p - 1.0)) * c1 - (2.0 / q) * cq
-    dcoef = _limit_check("large_d_D_coefficient", target3, dd, y3, order,
-                         0.02, floor=cq)
+    dcoef = _limit_check("large_d_D_coefficient", target3, dd, xs, y3, 0.02,
+                         floor=cq)
     return [shift, relation, dcoef]
 
 
-def check_local_small_d(p: float, q: float, d_grid) -> list[CheckResult]:
+def check_local_small_d(p: float, q: float) -> list[CheckResult]:
     """Small-d laws: the A3, A4, and (2/q) A2/A1 expansion coefficients.
 
-    The A4 target is evaluated at q = 2 regardless of the sweep's q: the
-    amplitude ratio k^2/(2 d^2) does not involve q, and its derivation pins
-    the norm exponent to 2.
+    Read on t in [1e-4, 1e-2] (six points), with x = d^{p-1}. The A4 target
+    is evaluated at q = 2 regardless of the check's q: the amplitude ratio
+    k^2/(2 d^2) does not involve q, and its derivation pins the norm
+    exponent to 2.
     """
-    ds = [float(d) for d in d_grid]
-    if len(ds) < 2 or any(b >= a for a, b in zip(ds, ds[1:])):
-        raise ValueError("d_grid must be decreasing with >= 2 points")
-    if min(ds) > 1e-3:
-        raise ValueError("d_grid must reach down to 1e-3")
-    dd, gammas, ks, wqs = _local_states(p, q, ds)
-    dp = dd ** (p - 1.0)
-    order = 1.0 - p
+    ln_k, ln_g, ln_d, ln_wq = _local_log_states(_SMALL_D_TS, p, q)
+    dd = np.exp(ln_d)
+    xs = np.exp((p - 1.0) * ln_d)
 
     A = consts.compute_A(p, q)
     a4 = consts.compute_A(p, 2.0)["A4"]
     t32 = (2.0 / q) * (A["A2"] / A["A1"])
 
-    y1 = (np.sqrt(gammas) - math.pi) / dp
-    y2 = (ks ** 2 / (2.0 * dd ** 2) - 1.0) / dp
-    y3 = (wqs ** 2 * gammas ** (1.0 / q)
-          / ((2.0 * A["A1"]) ** (2.0 / q) * ks ** 2) - 1.0) / dp
-    return [_limit_check("small_d_gamma_shift", A["A3"], dd, y1, order, 0.01),
-            _limit_check("small_d_amplitude", a4, dd, y2, order, 0.02),
-            _limit_check("small_d_qnorm", t32, dd, y3, order, 0.02)]
+    y1 = math.pi * np.expm1(0.5 * ln_g - math.log(math.pi)) / xs
+    y2 = np.expm1(2.0 * (ln_k - ln_d) - math.log(2.0)) / xs
+    y3 = np.expm1(2.0 * (ln_wq - ln_k) + ln_g / q
+                  - (2.0 / q) * math.log(2.0 * A["A1"])) / xs
+    return [_limit_check("small_d_gamma_shift", A["A3"], dd, xs, y1, 0.01),
+            _limit_check("small_d_amplitude", a4, dd, xs, y2, 0.02),
+            _limit_check("small_d_qnorm", t32, dd, xs, y3, 0.02)]

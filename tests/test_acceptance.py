@@ -244,7 +244,7 @@ def test_criterion_08_small_d_coefficients():
                  "small_d_qnorm": 0.0}
         for p in (2.0, 2.5):
             for q in (2.0, 3.0):
-                results = check_local_small_d(p, q, (1e-2, 3e-3, 1e-3))
+                results = check_local_small_d(p, q)
                 for r in results:
                     assert r.passed, (
                         f"p={p} q={q} {r.name}: rel {r.rel_error:.3e} "
@@ -276,8 +276,7 @@ def test_criterion_09_subcritical_pipeline():
 def test_criterion_10_large_d_laws():
     """(gamma - d^4)/d^2 -> C1 within 1%; D coefficient within 2%."""
     with Budget(60.0) as b:
-        results = check_local_large_d(5.0, 2.0,
-                                      (1e2, 316.22776601683796, 1e3))
+        results = check_local_large_d(5.0, 2.0)
         by_name = {r.name: r for r in results}
         shift = by_name["large_d_gamma_shift"]
         dcoef = by_name["large_d_D_coefficient"]

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from biflogis import constants as consts
+from biflogis import local_logistic as ll
 from biflogis.errors import (AmbiguousReading, DegenerateFit, WrongRegime)
 from biflogis.nonlocal_curve import ProblemParams
-from biflogis.verify import (CheckResult, check_local_large_d,
-                             check_local_small_d, check_theorem_1,
-                             check_theorem_2, check_theorem_3,
-                             DEFAULT_SUB_ALPHAS, estimate_order,
-                             extrapolate_limit, sweep)
+from biflogis.verify import (CheckResult, _neville_at_zero,
+                             check_local_large_d, check_local_small_d,
+                             check_theorem_1, check_theorem_2,
+                             check_theorem_3, DEFAULT_SUB_ALPHAS,
+                             estimate_order, sweep)
 
 
 def params_for(p, q=2.0, a1=0.5, a2=0.5):
@@ -46,21 +47,27 @@ def test_estimate_order_degenerate():
 
 
 def test_extrapolate_limit_toward_infinity():
+    # a limit at large s is one at x = s^-order = 0
     xs = np.array([10.0, 100.0, 1000.0])
     ys = 4.0 + 3.0 * xs ** -2.0
-    assert abs(extrapolate_limit(xs, ys, 2.0) - 4.0) < 1e-12
+    assert abs(_neville_at_zero(xs ** -2.0, ys) - 4.0) < 1e-12
 
 
 def test_extrapolate_limit_toward_zero():
-    # toward zero: a decreasing grid and a negative order
     xs = np.array([1e-1, 1e-2, 1e-3])
     ys = -2.0 + 5.0 * xs ** 1.5
-    assert abs(extrapolate_limit(xs, ys, -1.5) - (-2.0)) < 1e-12
+    assert abs(_neville_at_zero(xs ** 1.5, ys) - (-2.0)) < 1e-12
+    # n points of a degree n - 1 polynomial in x give its value at 0
+    xs = np.geomspace(1e-3, 1e-1, 6)
+    ys = np.polynomial.polynomial.polyval(xs, [0.7, -1.3, 2.1, 0.4, -0.9, 1.7])
+    assert abs(_neville_at_zero(xs, ys) - 0.7) < 1e-15
 
 
 def test_extrapolate_limit_validation():
     with pytest.raises(DegenerateFit):
-        extrapolate_limit([1.0], [1.0], 1.0)
+        _neville_at_zero([1.0], [1.0])
+    with pytest.raises(DegenerateFit):
+        _neville_at_zero([1.0, 2.0, 1.0], [1.0, 2.0, 3.0])
 
 
 # ------------------------------------------------------------ CheckResult
@@ -266,10 +273,21 @@ def test_theorem_3_rejects_supercritical_constants(sub_report):
 # -------------------------------------------------------- local-d checks
 
 
-def test_large_d_checks_pass_q4():
-    # q = 4 keeps the D coefficient away from zero (at q = 2 it vanishes
+@pytest.fixture
+def no_root_find(monkeypatch):
+    """The local checks read the log state at fixed t: no local root-find."""
+    def fail(*args):
+        raise AssertionError("a local check called a root-find")
+    monkeypatch.setattr(ll, "_t_where", fail)
+
+
+@pytest.mark.usefixtures("no_root_find")
+@pytest.mark.parametrize("q", (1.1, 4.0, 8.0))
+@pytest.mark.parametrize("p", (3.01, 5.0, 12.0, 20.0))
+def test_large_d_checks_pass_q4(p, q):
+    # q != 2 keeps the D coefficient away from zero (at q = 2 it vanishes
     # identically), so all three checks carry information.
-    results = check_local_large_d(5.0, 4.0, [10.0, 100.0, 1000.0])
+    results = check_local_large_d(p, q)
     by_name = {r.name: r for r in results}
     assert set(by_name) == {"large_d_gamma_shift", "large_d_qnorm_relation",
                             "large_d_D_coefficient"}
@@ -277,28 +295,30 @@ def test_large_d_checks_pass_q4():
     assert by_name["large_d_D_coefficient"].target != 0.0
 
 
+def test_large_d_D_check_sees_the_cq_term():
+    # Dropping the (2/q) Cq term from the D target must fail the check.
+    dcoef = check_local_large_d(5.0, 4.0)[2]
+    c1 = consts.compute_C1(5.0)
+    cq = consts.compute_Cq(5.0, 4.0)
+    dropped = (2.0 / 4.0) * c1
+    assert dcoef.target == dropped - (2.0 / 4.0) * cq
+    miss = abs(dcoef.estimate - dropped) / max(abs(dropped), cq)
+    assert miss > dcoef.tolerance == 0.02
+
+
 def test_large_d_validation():
     with pytest.raises(WrongRegime):
-        check_local_large_d(3.0, 2.0, [10.0, 1000.0])
+        check_local_large_d(3.0, 2.0)
     with pytest.raises(WrongRegime):
-        check_local_large_d(2.0, 2.0, [10.0, 1000.0])
-    with pytest.raises(ValueError):
-        check_local_large_d(5.0, 2.0, [1000.0, 10.0])
-    with pytest.raises(ValueError):
-        check_local_large_d(5.0, 2.0, [10.0, 100.0])
+        check_local_large_d(2.0, 2.0)
 
 
-@pytest.mark.parametrize("p", (2.0, 5.0))
-def test_small_d_checks_pass(p):
-    results = check_local_small_d(p, 2.0, [1e-2, 3e-3, 1e-3])
+@pytest.mark.usefixtures("no_root_find")
+@pytest.mark.parametrize("q", (1.1, 2.0, 8.0))
+@pytest.mark.parametrize("p", (1.05, 2.0, 3.0, 5.0, 20.0))
+def test_small_d_checks_pass(p, q):
+    results = check_local_small_d(p, q)
     names = [r.name for r in results]
     assert names == ["small_d_gamma_shift", "small_d_amplitude",
                      "small_d_qnorm"]
     assert all(r.passed for r in results)
-
-
-def test_small_d_validation():
-    with pytest.raises(ValueError):
-        check_local_small_d(2.0, 2.0, [1e-3, 1e-2])
-    with pytest.raises(ValueError):
-        check_local_small_d(2.0, 2.0, [1e-1, 1e-2])
