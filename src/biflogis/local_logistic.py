@@ -95,6 +95,10 @@ __all__ = [
 ]
 
 PI2 = math.pi ** 2
+# Logs the curve state and the root-find seeds read on every call.
+_LN2 = math.log(2.0)
+_LN4 = math.log(4.0)
+_LN_PI2 = math.log(PI2)
 
 # Switch points of the moment evaluator. For t >= T_ASYM (eps <= 1e-18) the
 # linear asymptote in t is exact to well below float64 resolution of J_q.
@@ -152,8 +156,10 @@ class LocalPoint:
     layer_t: float | None = None
 
     def __post_init__(self):
-        for name in ("k", "gamma", "d", "p"):
-            check_positive(name, getattr(self, name))
+        check_positive("k", self.k)
+        check_positive("gamma", self.gamma)
+        check_positive("d", self.d)
+        check_positive("p", self.p)
         if self.gamma < PI2 * (1.0 - 1e-12):
             raise ValueError(f"gamma must be >= pi^2, got {self.gamma}")
         # gamma > k^{p-1}, compared in log space with 1e-12 slack: at the
@@ -389,21 +395,22 @@ def _log_state_at_t(t: float, p: float, qs: tuple):
     tau = ln t of the first three entries, laid out as they are.
     d = ||w||_2, so a caller that needs d passes 2.0 in qs. Finite over the
     whole tau bracket, also where k itself under- or overflows."""
-    (j0, *m), (dj0, *dm) = _moments_at_t(t, p, (0.0, *qs))
-    dln_j0 = dj0 / j0
+    js, djs = _moments_at_t(t, p, (0.0, *qs))
+    j0 = js[0]
+    dln_j0 = djs[0] / j0
     em = -math.expm1(-t)
-    ln_gamma = math.log(4.0) + 2.0 * math.log(j0)
+    ln_gamma = _LN4 + 2.0 * math.log(j0)
     ln_k = (math.log(em) + ln_gamma) / (p - 1.0)
     # d(ln em)/dtau = t e^-t/em: the form t/expm1(t) overflows deep in the
     # layer.
     dln_k = (t * math.exp(-t) / em + 2.0 * dln_j0) / (p - 1.0)
-    norms, slopes = [], []
-    for q, jq, djq in zip(qs, m, dm):
-        # ln of the ratio, not a difference of logs: deep in the layer
-        # J_q/J0 is 1 - O(1/t), below the rounding of ln J_q itself.
-        norms.append(ln_k + math.log(jq / j0) / q)
-        slopes.append(dln_k + (djq / jq - dln_j0) / q)
-    return ln_k, ln_gamma, tuple(norms), (dln_k, 2.0 * dln_j0, tuple(slopes))
+    # ln of the ratio, not a difference of logs: deep in the layer J_q/J0 is
+    # 1 - O(1/t), below the rounding of ln J_q itself.
+    norms = tuple([ln_k + math.log(js[i] / j0) / q
+                   for i, q in enumerate(qs, 1)])
+    slopes = tuple([dln_k + (djs[i] / js[i] - dln_j0) / q
+                    for i, q in enumerate(qs, 1)])
+    return ln_k, ln_gamma, norms, (dln_k, 2.0 * dln_j0, slopes)
 
 
 def _point_from_t(t: float, p: float, state) -> LocalPoint:
@@ -421,7 +428,7 @@ def _point_from_t(t: float, p: float, state) -> LocalPoint:
         raise InvalidBracket(
             f"no float curve point with 0 < d < k < inf at t = {t:.6g}, "
             f"p = {p!r} (ln k = {ln_k:.6g})")
-    return LocalPoint(k=k, gamma=math.exp(ln_gamma), d=d, p=p, layer_t=t)
+    return LocalPoint(k, math.exp(ln_gamma), d, p, t)
 
 
 def _qnorm_from_t(t: float, q: float, params: LocalParams) -> float:
@@ -437,9 +444,8 @@ def _seed_tau_for_k(ln_k: float, p: float, ln_k_large: float | None = None) -> f
     # given, is the ln k the large-k exponent reads instead of ln_k.
     if ln_k_large is None:
         ln_k_large = ln_k
-    tau_small = (p - 1.0) * ln_k - math.log(PI2)
-    tau_large = 0.5 * (p - 1.0) * ln_k_large + 0.5 * math.log(p - 1.0) \
-        - math.log(2.0)
+    tau_small = (p - 1.0) * ln_k - _LN_PI2
+    tau_large = 0.5 * (p - 1.0) * ln_k_large + 0.5 * math.log(p - 1.0) - _LN2
     return min(tau_small, tau_large)
 
 
@@ -450,7 +456,7 @@ def _seed_tau_for_d(ln_d: float, p: float) -> float:
     layers of width O(1/sqrt(gamma)), so k ~ d; reading that end at
     sqrt(2) d too would put the seed (p-1) ln(2)/4 high in tau.
     """
-    return _seed_tau_for_k(ln_d + 0.5 * math.log(2.0), p, ln_d)
+    return _seed_tau_for_k(ln_d + 0.5 * _LN2, p, ln_d)
 
 
 def _seed_tau_for_gamma(gamma: float, p: float) -> float:
@@ -458,7 +464,7 @@ def _seed_tau_for_gamma(gamma: float, p: float) -> float:
     the shooting oracle: t ~ gamma/pi^2 - 1 near the bifurcation, and
     t ~ sqrt((p-1) gamma)/2 at large gamma; the minimum picks the end."""
     tau_small = math.log(max(gamma / PI2 - 1.0, 1e-300))
-    tau_large = 0.5 * math.log(gamma) + 0.5 * math.log(p - 1.0) - math.log(2.0)
+    tau_large = 0.5 * math.log(gamma) + 0.5 * math.log(p - 1.0) - _LN2
     return min(tau_small, tau_large)
 
 

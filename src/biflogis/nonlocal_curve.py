@@ -96,8 +96,10 @@ class NonlocalSolution:
     regime: str
 
     def __post_init__(self):
-        for name in ("alpha", "h", "beta", "lam"):
-            check_positive(name, getattr(self, name))
+        check_positive("alpha", self.alpha)
+        check_positive("h", self.h)
+        check_positive("beta", self.beta)
+        check_positive("lam", self.lam)
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         if not abs(self.alpha - self.h * self.local.d) \
@@ -256,7 +258,8 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
     except OverflowError:
         h = beta = math.inf
     lam = beta * point.gamma
-    if not all(0.0 < v < math.inf for v in (h, beta, lam)):
+    if not (0.0 < h < math.inf and 0.0 < beta < math.inf
+            and 0.0 < lam < math.inf):
         raise InvalidBracket(
             f"h = {h:.3g}, beta = {beta:.3g} or lambda = {lam:.3g} leaves "
             f"the float range at alpha = {alpha!r}, p = {p!r}")
@@ -266,8 +269,7 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
         raise NoConvergence(
             f"beta = h^2 N misses h^(p-1) by {miss:.3g} in log at "
             f"alpha = {alpha!r}, p = {p!r}")
-    return NonlocalSolution(alpha=alpha, local=point, h=h, beta=beta,
-                            lam=lam, regime=params.regime)
+    return NonlocalSolution(alpha, point, h, beta, lam, params.regime)
 
 
 def _phi_prime(s, p: float):

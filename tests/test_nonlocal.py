@@ -102,6 +102,19 @@ def test_solution_validation():
         dataclasses.replace(sol, regime="sideways")
 
 
+@pytest.mark.parametrize("bad", (0.0, -1.0, math.nan, math.inf))
+@pytest.mark.parametrize("field", ("local.k", "local.gamma", "local.d",
+                                   "local.p", "alpha", "h", "beta", "lam"))
+def test_nonpositive_field_message_names_it(field, bad):
+    # Every positive field of LocalPoint and NonlocalSolution is checked
+    # first, by its own name, before any relation between the fields.
+    sol = solve_alpha(10.0, ProblemParams(p=5.0, q=2.0, a1=1.0, a2=0.0))
+    owner, _, name = field.rpartition(".")
+    match = rf"^{name} must be finite and positive, got {bad}$"
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(sol.local if owner else sol, **{name: bad})
+
+
 def test_inconsistent_solution_raises():
     # Finite positive fields that break one of the curve's relations:
     # alpha = h d, beta = h^{p-1}, lam = beta gamma.

@@ -293,6 +293,12 @@ def test_large_d_checks_pass_q4(p, q):
                             "large_d_D_coefficient"}
     assert all(r.passed for r in results)
     assert by_name["large_d_D_coefficient"].target != 0.0
+    # The relation's residual is at rounding level all over the window, so
+    # a fitted order would fit the rounding: it is nan, as for theorem 2.
+    relation = by_name["large_d_qnorm_relation"]
+    assert math.isnan(relation.fitted_order)
+    assert relation.to_record()["fitted_order"] is None
+    assert relation.tolerance == 1e-6
 
 
 def test_large_d_D_check_sees_the_cq_term():

@@ -18,11 +18,17 @@ command and ``run_seconds`` declared in the working tree's
 ``BENCHMARK.json``, with ``--trace 0``.
 
 The output file holds every run's result and environment lines, and for
-each workload and end-to-end metric the median and quartiles of both sides
-and the number of pairs the change won (ties count for neither), and per
-workload every run's attempted and failed ops, listed per side in pair
-order. It is rewritten after every pair, so an interrupted session keeps
-what it ran.
+each workload and end-to-end metric the median and quartiles of both sides,
+the number of pairs the change won (ties count for neither) and a verdict,
+and per workload every run's attempted and failed ops, listed per side in
+pair order. It is rewritten after every pair, so an interrupted session
+keeps what it ran. The verdicts are printed once all pairs have run.
+
+A verdict is "gain met" when the change won at least 9 of every 10 pairs
+and its median is better than the base's by more than the base's
+interquartile range q3 - q1. Otherwise it is "within bound" or "worse than
+bound": whether the change's median is worse than the base's by at most the
+metric's relative ``bound`` in ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -99,6 +105,18 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
 
 
+def verdict(base: dict, change: dict, wins: int, pairs: int, sign: float,
+            bound: float) -> str:
+    """The change's verdict on one metric from both sides' spread; sign is
+    +1 where higher is better, -1 where lower is."""
+    gain = sign * (change["median"] - base["median"])
+    if wins >= 0.9 * pairs and gain > base["q3"] - base["q1"]:
+        return "gain met"
+    if -gain <= bound * abs(base["median"]):
+        return "within bound"
+    return "worse than bound"
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload and metric: both sides' spread and the change's wins."""
     out = {}
@@ -121,13 +139,26 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                     for side in ("base", "change")}
             wins = sum(sign * (c - b) > 0.0
                        for b, c in zip(vals["base"], vals["change"]))
+            base, change = spread(vals["base"]), spread(vals["change"])
             row[name] = {"unit": metric["unit"], "better": metric["better"],
-                         "bound": metric["bound"],
-                         "base": spread(vals["base"]),
-                         "change": spread(vals["change"]),
-                         "change_wins": wins}
+                         "bound": metric["bound"], "base": base,
+                         "change": change, "change_wins": wins,
+                         "verdict": verdict(base, change, wins, len(pairs),
+                                            sign, metric["bound"])}
         out[workload] = row
     return out
+
+
+def report(summary: dict, end_to_end: list[dict]) -> None:
+    """One line per workload and metric: medians, wins and the verdict."""
+    for workload, row in summary.items():
+        for name in (m["name"] for m in end_to_end):
+            m = row[name]
+            base, change = m["base"], m["change"]
+            print(f"{workload} {name}: {base['median']:.4g} "
+                  f"[{base['q1']:.4g}, {base['q3']:.4g}] -> "
+                  f"{change['median']:.4g}, {m['change_wins']}/{row['pairs']} "
+                  f"pairs won, {m['verdict']}")
 
 
 def main(argv=None) -> int:
@@ -162,6 +193,7 @@ def main(argv=None) -> int:
                 n_pair += 1
                 record["summary"] = summarize(record["runs"], bench["end_to_end"])
                 args.out.write_text(json.dumps(record, indent=1) + "\n")
+    report(record["summary"], bench["end_to_end"])
     return 0
 
 
