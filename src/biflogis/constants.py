@@ -26,9 +26,9 @@ reduction lambda = beta gamma, beta = (normalization)^{(p-1)/(p-3)}; dropping
 them (a common transcription slip) fails against the computed curve under
 either reading.
 
-A1..A3, A5 and Cq depend on (p, q) alone, never on the weights or the
-reading. Each is integrated once per process and kept in ``_PQ_CACHE``; C1,
-A4, A6 and E1..E5 are algebra on top of the stored values.
+A1..A3, A5 and Cq depend on (p, q) alone. This module integrates none of
+them: they are moments that local_logistic calibrates to build the curve,
+read off its caches. C1, A4, A6 and E1..E5 are algebra on top of them.
 """
 
 from __future__ import annotations
@@ -37,13 +37,11 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from . import kernels
 from .errors import (InvalidRegime, Overflow, check_exponent, check_positive,
                      check_weights)
-from .local_logistic import phi
-from .quadrature import integrate
+from .local_logistic import _norm_deficit, _series_coeffs
+# Unused here: perfbench/tracer.py patches constants.integrate.
+from .quadrature import integrate  # noqa: F401
 
 __all__ = [
     "READINGS",
@@ -80,53 +78,34 @@ def _check_pq(p: float, q: float) -> None:
     check_positive("q", q)
 
 
-# The reading- and weight-independent integrals, once per process: keys
-# ("A", p, q) -> (A1, A2, A3, A5) and ("Cq", p, q) -> Cq.
-# A call that raises stores nothing.
-_PQ_CACHE: dict = {}
-
-
-def _memo(key: tuple, compute):
-    val = _PQ_CACHE.get(key)
-    if val is None:
-        val = _PQ_CACHE[key] = compute()
-    return val
-
-
 def compute_A(p: float, q: float) -> dict:
-    """The A-family of small-d expansion constants.
+    """The A-family of small-d expansion constants, read off the moments'
+    small-t series rows b_n a_{q,n}, a_{q,n} = int_0^{pi/2} sin^q(theta)
+    (c phi(sin theta))^n dtheta, c = 2/(p+1) (local_logistic._series_coeffs):
 
-    A1 = int_0^1 s^q (1-s^2)^{-1/2} ds and the phi-weighted variants A2, A3,
-    A5; A4 and A6 follow algebraically. All integrals are evaluated after
-    s = sin(theta), which removes the endpoint square root exactly and
-    leaves smooth integrands, so the four share one stacked Gauss call. A6
-    has p - 3 in its denominator and is left out at p = 3 (it backs
-    constants that only serve the subcritical regime).
+        A1 = a_{q,0},  A2 = pref a_{q,1}/c,  A3 = 2 pref a_{0,1}/c,
+        A5 = a_{2,1}/(c (p+1) pi^2),  pref = sqrt(2)^{p-1}/((p+1) pi^2).
+
+    A4 and A6 follow algebraically; A6, with p - 3 in its denominator, is
+    left out at p = 3 (it serves the subcritical regime alone).
     """
     _check_pq(p, q)
-    a1, a2, a3, a5 = _memo(("A", p, q), lambda: _a_integrals(p, q))
-    out = {"A1": a1, "A2": a2, "A3": a3, "A4": (a3 - 4.0 * a2) / PI, "A5": a5}
-    if p != 3.0:
-        out["A6"] = 4.0 * a3 / ((p - 3.0) * q * PI)
-    return out
-
-
-def _a_integrals(p: float, q: float) -> tuple:
-    """(A1, A2, A3, A5): rows sin^q, sin^q phi, phi and sin^2 phi over
-    theta in [0, pi/2], integrated on shared panels."""
-
-    def f(th):
-        s = np.sin(th)
-        ph = phi(s, p)
-        sq = s ** q
-        return np.stack((sq, sq * ph, ph, s * s * ph))
-
+    # pref before any calibration, so that an overflow caches nothing.
     try:
         pref = math.sqrt(2.0) ** (p - 1.0) / ((p + 1.0) * PI ** 2)
     except OverflowError:
         raise Overflow(f"A2 and A3 exceed the double range at p = {p}") from None
-    i1, iq, i0, i2 = integrate(f, 0.0, 0.5 * PI).value.tolist()
-    return i1, pref * iq, 2.0 * pref * i0, i2 / ((p + 1.0) * PI ** 2)
+    # Row 0 holds b_n a_{r,n}, and b_1 = 1/2: a_{r,1}/c = 2 b_1 a_{r,1}/c.
+    c = 2.0 / (p + 1.0)
+    rows = _series_coeffs(p, q)
+    a1, iq = rows.item(0, 0), 2.0 * rows.item(0, 1) / c
+    i0 = 2.0 * _series_coeffs(p, 0.0).item(0, 1) / c
+    i2 = 2.0 * _series_coeffs(p, 2.0).item(0, 1) / c
+    a2, a3, a5 = pref * iq, 2.0 * pref * i0, i2 / ((p + 1.0) * PI ** 2)
+    out = {"A1": a1, "A2": a2, "A3": a3, "A4": (a3 - 4.0 * a2) / PI, "A5": a5}
+    if p != 3.0:
+        out["A6"] = 4.0 * a3 / ((p - 3.0) * q * PI)
+    return out
 
 
 def compute_C1(p: float) -> float:
@@ -134,32 +113,16 @@ def compute_C1(p: float) -> float:
 
     (p+3) f = 2f + s f' + (p-1)(1-s^2), and (2f + s f')/sqrt(f) is the
     derivative of 2s sqrt(f), which vanishes at s = 0 and s = 1; so
-    C1 = ((p-1)/2) C2 exactly, from the cached C2 integral.
+    C1 = ((p-1)/2) C2 exactly, from the calibrated C2.
     """
     return 0.5 * (p - 1.0) * compute_Cq(p, 2.0)
 
 
 def compute_Cq(p: float, q: float) -> float:
-    """Cq = 2 int_0^1 (1 - s^q)/sqrt(f(s)) ds.
-
-    In u = 1 - s the integrand is (1 - (1-u)^q) / (u sqrt((p-1) c(u))):
-    numerator and denominator both vanish linearly at u = 0, and forming
-    the numerator as -expm1(q log1p(-u)) keeps its relative accuracy there,
-    so the ratio needs no series branch.
-    """
+    """Cq = 2 int_0^1 (1 - s^q)/sqrt(f(s)) ds, read off its calibration
+    local_logistic._norm_deficit (the asymptote's B_q = B_0 - Cq/2)."""
     _check_pq(p, q)
-
-    def f(u):
-        return -np.expm1(q * np.log1p(-u)) \
-            / (u * np.sqrt((p - 1.0) * kernels.c_factor(u, p)))
-
-    return _memo(("Cq", p, q), lambda: 2.0 * integrate(f, 0.0, 1.0).value)
-
-
-def _check_reading(reading: str) -> None:
-    # compute_all's reading, which perfbench/workloads.py passes.
-    if reading not in READINGS:
-        raise ValueError(f"reading must be one of {READINGS}, got {reading!r}")
+    return _norm_deficit(p, q)
 
 
 def compute_E(p: float, q: float, a1: float, a2: float) -> dict:
@@ -271,7 +234,8 @@ def compute_all(p: float, q: float, a1: float, a2: float,
     compute_all(p, q, a1, a2, "paper_definition")."""
     _check_pq(p, q)
     check_weights(a1, a2)
-    _check_reading(reading)
+    if reading not in READINGS:
+        raise ValueError(f"reading must be one of {READINGS}, got {reading!r}")
     subcritical = 1.0 < p < 3.0
     A = compute_A(p, q)
     c1 = compute_C1(p)

@@ -42,19 +42,20 @@ The moments have three branches, each closed form once calibrated:
   the quadrature's own tolerance raises NoConvergence. That happens only
   below p = 1.005 (on the panel t in [4.6, 9.5]; largest failing p 1.0045
   on a grid of step 0.0005).
-- t >= T_ASYM: the asymptote J_q = t/sqrt(p-1) + B_q, with B_q calibrated
-  once per (p, q) by that quadrature.
+- t >= T_ASYM: the asymptote J_q = t/sqrt(p-1) + B_q, with B_0 calibrated
+  once per p by that quadrature and B_q = B_0 - Cq/2 for every other q.
 
 Each branch also gives dJ_q/dtau: the series term by term, the asymptote as
 t/sqrt(p-1), the Chebyshev series through the derivative coefficients its
 panel caches beside its values. Every calibration runs at the quadrature's
-one tolerance, quadrature.REL_TOL, and depends on its own (p, q) key alone,
-never on which other q came before it. A moment call reads its q from one
-view per (p, qs, branch), stacked in the caller's q order from the per-q
-caches; both series share one row-wise dot product against their basis
-(none on the asymptote). The (k, gamma) maps time_map and q_norm read the
-same moments at t = -ln(1 - k^{p-1}/gamma), so no public route integrates
-outside calibration.
+one tolerance, quadrature.REL_TOL, and depends on its own (p, q) key alone
+(and B_q on B_0), never on which other q came before it. A moment call reads
+its q from one view per (p, qs, branch), stacked in the caller's q order
+from the per-q caches; both series share one row-wise dot product against
+their basis (none on the asymptote). The (k, gamma) maps time_map and
+q_norm read the same moments at t = -ln(1 - k^{p-1}/gamma), and constants
+reads A and Cq off the series rows and _norm_deficit, so no public route
+integrates outside calibration.
 
 A sampled profile is the cumulative sum of the segment integrals of x'(s)
 between its nodes (in the sinh variable below T_ASYM, in s above it). Each
@@ -212,6 +213,7 @@ def _phi_of_u(u: np.ndarray, p: float) -> np.ndarray:
 # --- moment evaluation ------------------------------------------------------
 
 _B_CACHE: dict = {}
+_CQ_CACHE: dict = {}
 _S_CACHE: dict = {}
 _C_CACHE: dict = {}
 _SEG_CACHE: dict = {}
@@ -253,16 +255,39 @@ def _layer_moments(eps, em, p: float, q: float):
 def _b_shift(p: float, qpow: float) -> float:
     """Offset B_q of the large-t asymptote J_q = t/sqrt(p-1) + B_q.
 
-    Calibrated once per (p, q) at eps = 1e-18, where the residual
-    O(eps log(1/eps)) sits far below float64 resolution of J_q itself.
+    B_0 is calibrated once per p at eps = 1e-18, where the residual
+    O(eps log(1/eps)) sits far below float64 resolution of J_0 itself.
+    Every other B_q is B_0 - Cq/2, exact up to the same residual, as
+    J_0 - J_q -> int_0^1 (1 - s^q) f(s)^{-1/2} ds = Cq/2 when eps -> 0.
     """
     key = (p, qpow)
     val = _B_CACHE.get(key)
     if val is None:
-        eps0 = 1e-18
-        val = float(_layer_moments(eps0, 1.0 - eps0, p, qpow)) \
-            - T_ASYM / math.sqrt(p - 1.0)
+        if qpow:
+            val = _b_shift(p, 0.0) - 0.5 * _norm_deficit(p, qpow)
+        else:
+            val = float(_layer_moments(1e-18, 1.0 - 1e-18, p, 0.0)) \
+                - T_ASYM / math.sqrt(p - 1.0)
         _B_CACHE[key] = val
+    return val
+
+
+def _norm_deficit(p: float, qpow: float) -> float:
+    """Cq = 2 int_0^1 (1 - s^q)/sqrt(f(s)) ds, calibrated once per (p, q).
+
+    In u = 1 - s the integrand is (1 - (1-u)^q) / (u sqrt((p-1) c(u))):
+    numerator and denominator both vanish linearly at u = 0, and forming
+    the numerator as -expm1(q log1p(-u)) keeps its relative accuracy there,
+    so the ratio needs no series branch.
+    """
+    key = (p, qpow)
+    val = _CQ_CACHE.get(key)
+    if val is None:
+        def f(u):
+            return -np.expm1(qpow * np.log1p(-u)) \
+                / (u * np.sqrt((p - 1.0) * kernels.c_factor(u, p)))
+
+        val = _CQ_CACHE[key] = 2.0 * integrate(f, 0.0, 1.0).value
     return val
 
 

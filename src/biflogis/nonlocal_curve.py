@@ -16,6 +16,7 @@ reason.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -307,6 +308,10 @@ def residual_check(sol: NonlocalSolution, n: int,
     [gamma - 2 k^{p-1} phi(w/k)/(p+1)] through phi, an independent
     evaluation path. Returns max |defect| / (lambda ||u||_inf).
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
     if n < 5:
         raise ValueError(f"need at least 5 sample points, got {n}")
     k = sol.local.k

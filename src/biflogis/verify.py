@@ -323,7 +323,10 @@ def check_local_large_d(p: float, q: float) -> list[CheckResult]:
     Its fitted_order is nan, as for theorem 2's exact law: with t >= 54 on
     the window the residual is at rounding level (at most 4.1e-15 for p in
     [3.01, 20], q in [1.1, 8]), and a fit of it would fit the rounding.
+    p and q outside compute_A's domain raise ValueError before any
+    calibration runs.
     """
+    consts._check_pq(p, q)
     if p <= 3.0:
         raise WrongRegime(f"large-d checks need p > 3, got p = {p}")
     _, ln_g, ln_d, ln_wq = _local_log_states(_LARGE_D_TS, p, q)
@@ -354,8 +357,10 @@ def check_local_small_d(p: float, q: float) -> list[CheckResult]:
     Read on t in [1e-4, 1e-2] (six points), with x = d^{p-1}. The A4 target
     is evaluated at q = 2 regardless of the check's q: the amplitude ratio
     k^2/(2 d^2) does not involve q, and its derivation pins the norm
-    exponent to 2.
+    exponent to 2. p and q outside compute_A's domain raise ValueError
+    before any calibration runs.
     """
+    consts._check_pq(p, q)
     ln_k, ln_g, ln_d, ln_wq = _local_log_states(_SMALL_D_TS, p, q)
     dd = np.exp(ln_d)
     xs = np.exp((p - 1.0) * ln_d)

@@ -2,27 +2,41 @@
 
 import pytest
 
-from biflogis import constants
 from biflogis import local_logistic as ll
 
-# The calibration caches of the moment stack and of the profile segments.
-_LL_CACHES = ("_B_CACHE", "_S_CACHE", "_C_CACHE", "_VIEW_CACHE", "_SEG_CACHE")
+
+def _cache_names():
+    """Every module-level dict of local_logistic whose name ends in _CACHE:
+    found by name, so a new calibration cache is covered too."""
+    return [name for name, val in vars(ll).items()
+            if name.endswith("_CACHE") and isinstance(val, dict)]
 
 
 @pytest.fixture
 def fresh_caches(monkeypatch):
-    """Empty calibration caches, local_logistic's and constants._PQ_CACHE,
-    for one test; the process-wide ones come back after it. Returns a
-    function that empties them again.
+    """Empty calibration caches, all of local_logistic's, for one test; the
+    process-wide ones come back after it. Returns a function that empties
+    them again.
 
     The cache keys hold no tolerance, so a test that changes
     quadrature.REL_TOL must take this fixture: otherwise its calibrations
     would be read by every later test."""
+    names = _cache_names()
 
     def empty():
-        for name in _LL_CACHES:
+        for name in names:
             monkeypatch.setattr(ll, name, {})
-        monkeypatch.setattr(constants, "_PQ_CACHE", {})
 
     empty()
     return empty
+
+
+@pytest.fixture
+def calibrations():
+    """A function that returns every entry of local_logistic's calibration
+    caches, keyed by (cache name, key)."""
+    def snapshot():
+        return {(name, key): val for name in _cache_names()
+                for key, val in getattr(ll, name).items()}
+
+    return snapshot

@@ -143,16 +143,18 @@ def test_verify_subcritical_passes(capsys):
     assert all(c["pass"] and "other_rel_error" not in c for c in obj["checks"])
 
 
-def test_repeat_runs_print_identical_output(capsys, fresh_caches):
-    # The second run of each command reads every (p, q) integral from the
-    # constants memo the first run filled.
-    store = constants._PQ_CACHE
+def test_repeat_runs_print_identical_output(capsys, fresh_caches,
+                                           calibrations):
+    # The second run of each command reads every (p, q) calibration the
+    # first run filled, constants included, and adds none.
     for argv in (("constants", "--p", "2.2", "--q", "3"),
                  ("verify", "--p", "2.2", "--q", "3", "--a1", "1", "--a2", "1")):
         first = run_cli(capsys, *argv)
-        filled = dict(store)
+        filled = calibrations()
         second = run_cli(capsys, *argv)
-        assert filled and store == filled
+        again = calibrations()
+        assert filled and again.keys() == filled.keys()
+        assert all(again[key] is val for key, val in filled.items())
         assert first[0] == second[0] == 0
         assert first[1] == second[1]
 

@@ -106,13 +106,23 @@ def test_C1_cubic_closed_form():
     assert rel(compute_C1(3.0), 2.0 * math.sqrt(2.0)) < 1e-10
 
 
+def _direct_b(p, q):
+    """B_q = J_q - T_ASYM/sqrt(p-1) from the moment quadrature in the sinh
+    variable at eps = 1e-18, the route _b_shift takes for q = 0 alone."""
+    eps = 1e-18
+    return float(ll._layer_moments(eps, 1.0 - eps, p, q)) \
+        - ll.T_ASYM / math.sqrt(p - 1.0)
+
+
 @pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 5.0, 8.0))
 def test_C1_matches_moment_asymptote(p):
     # C1 = (p-1)(B_0 - B_2), with B_q the offsets of the moments' large-t
     # asymptote: Gauss over C2's integrand in u = 1 - s against Gauss over
     # the moments in the sinh variable, two routes that share no integral.
-    b = (p - 1.0) * (ll._b_shift(p, 0.0) - ll._b_shift(p, 2.0))
-    assert rel(compute_C1(p), b) < 1e-13
+    # _b_shift's B_2 = B_0 - C2/2 must meet the direct B_2 as closely.
+    b0, b2 = _direct_b(p, 0.0), _direct_b(p, 2.0)
+    assert rel(compute_C1(p), (p - 1.0) * (b0 - b2)) < 1e-13
+    assert abs(ll._b_shift(p, 2.0) - b2) < 1e-13 * compute_Cq(p, 2.0)
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 4.0, 5.0])
@@ -148,10 +158,12 @@ def test_Cq_matches_moment_asymptote(p):
     # Cq = 2 (B_0 - B_q), from J_0 - J_q -> int (1 - s^q)/sqrt(f) as
     # eps -> 0. The frozen table has no Cq at q = 1.1 or p < 2, where the
     # u = 1 - s integrand's s^q kink at u = 1 costs the most panels.
-    b0 = ll._b_shift(p, 0.0)
+    # _b_shift's B_q = B_0 - Cq/2 must meet the direct B_q as closely.
+    b0 = _direct_b(p, 0.0)
     for q in (1.1, 2.0, 4.0, 8.0):
-        b = 2.0 * (b0 - ll._b_shift(p, q))
-        assert rel(compute_Cq(p, q), b) < 1e-13, q
+        bq, cq = _direct_b(p, q), compute_Cq(p, q)
+        assert rel(cq, 2.0 * (b0 - bq)) < 1e-13, q
+        assert abs(ll._b_shift(p, q) - bq) < 1e-13 * cq, q
 
 
 # ---------------------------------------------------------------- E family
@@ -340,29 +352,29 @@ def test_constant_set_frozen():
         cs.C1 = 0.0
 
 
-# ---------------------------------------------------------------- memo
+# ---------------------------------------------------------------- calibrations
 
 
 @pytest.fixture
-def cache(fresh_caches, monkeypatch):
-    """An empty (p, q) memo for one test, and a count of the quadratures
-    the constants module runs."""
+def calls(fresh_caches, monkeypatch):
+    """Empty calibration caches for one test, and the quadratures that
+    local_logistic runs from then on."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(constants, "integrate", counted)
-    return constants._PQ_CACHE, calls
+    monkeypatch.setattr(ll, "integrate", counted)
+    return calls
 
 
-def test_memo_repeats_bit_identical(cache):
-    _, calls = cache
+def test_memo_repeats_bit_identical(calls):
+    # Cold: the series rows at q = 3, 0 and 2 for A, C2 for C1 and C3.
     first = (compute_A(2.5, 3.0), compute_C1(2.5), compute_Cq(2.5, 3.0))
-    assert len(calls) == 3
+    assert len(calls) == 5
     again = (compute_A(2.5, 3.0), compute_C1(2.5), compute_Cq(2.5, 3.0))
-    assert len(calls) == 3
+    assert len(calls) == 5
     assert again == first
     # every call hands out its own dict
     assert again[0] is not first[0]
@@ -370,18 +382,16 @@ def test_memo_repeats_bit_identical(cache):
     assert compute_A(2.5, 3.0) == first[0]
 
 
-def test_compute_all_readings_share_pq_values(cache):
-    _, calls = cache
+def test_compute_all_readings_share_pq_values(calls):
     paper = compute_all(2.3, 3.0, 0.7, 0.4, "paper_definition")
     variant = compute_all(2.3, 3.0, 0.7, 0.4, "proof_variant")
-    assert len(calls) == 3
+    assert len(calls) == 5
     for key in ("C1", "Cq", "A1", "A2", "A3", "A4", "A5", "A6"):
         assert getattr(paper, key) == getattr(variant, key)
     assert paper.E3 != variant.E3
 
 
-def test_raising_input_leaves_no_entry(cache, monkeypatch):
-    store, calls = cache
+def test_raising_input_leaves_no_entry(calls, calibrations, monkeypatch):
     with pytest.raises(ValueError):
         compute_A(1.0, 2.0)
     with pytest.raises(Overflow):
@@ -390,13 +400,40 @@ def test_raising_input_leaves_no_entry(cache, monkeypatch):
         m.setattr(quadrature, "MAX_REFINEMENTS", 1)
         with pytest.raises(NoConvergence):
             compute_Cq(2.0, 1.1)
-    assert store == {}
+    assert calibrations() == {}
     assert len(calls) == 1
     assert rel(compute_Cq(2.0, 2.0), ORACLE["Cq[p=2,q=2]"]) < 1e-12
 
 
+def test_constants_integrate_nothing(fresh_caches, monkeypatch):
+    # The constants are algebra on local_logistic's calibrations, and the
+    # eps = 1e-18 quadrature of the large-t asymptote runs for q = 0 alone:
+    # B_q = B_0 - Cq/2 reads the Cq that compute_Cq returns.
+    def refuse(*args, **kwargs):
+        raise AssertionError("constants ran a quadrature")
+
+    layer_moments = ll._layer_moments
+    asym = []
+
+    def recorded(eps, em, p, q):
+        if np.ndim(eps) == 0 and eps == 1e-18:
+            asym.append((p, q))
+        return layer_moments(eps, em, p, q)
+
+    monkeypatch.setattr(constants, "integrate", refuse)
+    monkeypatch.setattr(ll, "_layer_moments", recorded)
+    ps, qs = (1.05, 2.0, 3.0, 5.0, 20.0), (1.1, 2.0, 8.0)
+    for p in ps:
+        for q in qs:
+            compute_all(p, q, 1.0, 1.0)
+            ll._log_state_at_t(2.0 * ll.T_ASYM, p, (2.0, q))
+    assert asym == [(p, 0.0) for p in ps]
+
+
 @pytest.mark.parametrize("p,q", A_CASES + [(1.05, 1.1)])
 def test_stacked_A_rows_match_scalar_integrals(p, q):
+    # compute_A reads the moments' series rows; each value must match its
+    # own scalar quadrature in theta.
     half = 0.5 * PI
 
     def scalar(f):
@@ -410,7 +447,8 @@ def test_stacked_A_rows_match_scalar_integrals(p, q):
         scalar(lambda th: np.sin(th) ** 2 * ll.phi(np.sin(th), p))
         / ((p + 1.0) * PI ** 2),
     )
-    got = constants._a_integrals(p, q)
+    A = compute_A(p, q)
+    got = (A["A1"], A["A2"], A["A3"], A["A5"])
     for g, e in zip(got, expected):
         assert type(g) is float
         assert rel(g, e) <= 1e-15

@@ -300,16 +300,17 @@ def test_warm_solve_alpha_makes_no_quadrature(p, q, alphas, monkeypatch):
 def test_warm_sweep_at_new_q_calibrates_only_that_q(fresh_caches, monkeypatch):
     # At a p calibrated for q = 2 on every branch, a sweep at q = 3 adds
     # only q = 3 calibrations, one integrate call each: the stacked views
-    # are built from the per-q caches, not calibrated anew. A second sweep
-    # integrates nothing.
+    # are built from the per-q caches, not calibrated anew, and B_3 is
+    # B_0 - C3/2, algebra on two of them. A second sweep integrates nothing.
     p = 2.5
-    caches = ("_S_CACHE", "_B_CACHE", "_C_CACHE")
+    caches = ("_S_CACHE", "_CQ_CACHE", "_C_CACHE")
     alphas = (1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e6)
     for t in (0.1, *map(_panel_mid, range(ll._CHEB_PANELS)), 2.0 * ll.T_ASYM):
         ll._log_state_at_t(t, p, (2.0,))
     for alpha in alphas:
         nc.solve_alpha(alpha, nc.ProblemParams(p=p, q=2.0, a1=1.0, a2=1.0))
     before = {name: set(getattr(ll, name)) for name in caches}
+    b_before = set(ll._B_CACHE)
     calls = []
     monkeypatch.setattr(ll, "integrate", lambda *args, **kwargs:
                         calls.append(args) or integrate(*args, **kwargs))
@@ -323,6 +324,7 @@ def test_warm_sweep_at_new_q_calibrates_only_that_q(fresh_caches, monkeypatch):
     assert any(ll.T_SERIES < t < ll.T_ASYM for t in ts)
     assert added and all(key[1] == 3.0 for key in added), added
     assert len(calls) == len(added)
+    assert set(ll._B_CACHE) - b_before == {(p, 3.0)}
     calls.clear()
     assert [nc.solve_alpha(alpha, params) for alpha in alphas] == sols
     assert calls == []

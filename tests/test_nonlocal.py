@@ -487,6 +487,15 @@ def test_residual_needs_enough_points():
         residual_check(sol, 4, params)
 
 
+@pytest.mark.parametrize("n", (5.5, 6.0, "7"))
+def test_residual_needs_an_integer_count(n):
+    # n is read through operator.index, as sample_profile reads its n.
+    params = ProblemParams(p=5.0, q=2.0, a1=1.0, a2=0.0)
+    sol = solve_alpha(10.0, params)
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        residual_check(sol, n, params)
+
+
 def _phi_prime_reference(s: float, p: float) -> float:
     """dphi/ds in 60-digit arithmetic, (p+1)(p-1)/4 at s = 1."""
     with mpmath.workdps(60):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from biflogis import constants as consts
 from biflogis import local_logistic as ll
 from biflogis import nonlocal_curve as nc
+from biflogis import verify
 from biflogis.errors import BiflogisError
 
 
@@ -84,6 +85,11 @@ ROUTES = {
                   lambda v: consts.compute_E(*_e_args(v))),
     "compute_all": (("p", "q", "a1", "a2"),
                     lambda v: consts.compute_all(*_e_args(v), v["reading"])),
+    # As records, so that a nan fitted order reads as None.
+    "check_local_small_d": (("p", "q"), lambda v: [
+        c.to_record() for c in verify.check_local_small_d(v["p"], v["q"])]),
+    "check_local_large_d": (("p", "q"), lambda v: [
+        c.to_record() for c in verify.check_local_large_d(v["p"], v["q"])]),
 }
 
 # Values outside the domain, per input. q excludes (0, 1], which the

@@ -319,6 +319,20 @@ def test_large_d_validation():
         check_local_large_d(2.0, 2.0)
 
 
+@pytest.mark.parametrize("check", (check_local_small_d, check_local_large_d))
+@pytest.mark.parametrize("p, q", [(5.0, 0.0), (5.0, math.inf), (5.0, math.nan),
+                                  (5.0, -1.0), (1.0, 2.0), (math.nan, 2.0)])
+def test_local_checks_reject_bad_pq_before_calibrating(check, p, q,
+                                                       fresh_caches,
+                                                       calibrations):
+    # The domain compute_A accepts, checked before any calibration: q = 0
+    # used to raise ZeroDivisionError, and q = -1 NoConvergence after
+    # thousands of quadrature panels.
+    with pytest.raises(ValueError):
+        check(p, q)
+    assert calibrations() == {}
+
+
 @pytest.mark.usefixtures("no_root_find")
 @pytest.mark.parametrize("q", (1.1, 2.0, 8.0))
 @pytest.mark.parametrize("p", (1.05, 2.0, 3.0, 5.0, 20.0))
