@@ -11,7 +11,9 @@ The curve's limit laws are governed by a small family of explicit integrals:
 
 E3 = (pi^{-2/q} E1)^{2/(p-3)}, and E5's pi-power shares its exponent
 denominator (p-3)q: this ``proof_variant`` reading of the source is the one
-that matches the computed curve. The other reading, ``paper_definition``,
+that matches the computed curve. E3 is kept as ln E3 (``ln_E3``): it leaves
+the double range a few thousandths below p = 3 (ln E3 = -1386 at p = 2.999,
+q = 2), where L0 and S are finite. The other reading, ``paper_definition``,
 puts (p-1)q there; its leading coefficient misses the curve by the factor
 pi^{8/(q(p-1)(3-p))} >= pi^{8/q}, and only ``compute_all`` still offers it.
 The composed subcritical growth law, ``ConstantSet.leading_coeff`` and
@@ -24,7 +26,10 @@ The composed subcritical growth law, ``ConstantSet.leading_coeff`` and
 the (p-1)/(p-3) powers of E1 and of the E2/E1 term being forced by the exact
 reduction lambda = beta gamma, beta = (normalization)^{(p-1)/(p-3)}; dropping
 them (a common transcription slip) fails against the computed curve under
-either reading.
+either reading. Both are formed from ln E3. Under proof_variant L0 is
+pi^{2-2/q} E1 and E3^{-(p-3)/2} is pi^{2/q}/E1, so both stay finite up to
+p = 3 - 1e-6; each term of S grows like 1/(p-3) there, and S keeps the
+rounding of their difference.
 
 A1..A3, A5 and Cq depend on (p, q) alone. This module integrates none of
 them: they are moments that local_logistic calibrates to build the curve,
@@ -126,7 +131,8 @@ def compute_Cq(p: float, q: float) -> float:
 
 
 def compute_E(p: float, q: float, a1: float, a2: float) -> dict:
-    """The subcritical growth-law constants E1..E5 (valid for 1 < p < 3)."""
+    """The subcritical growth-law constants E1, E2, ln E3, E4 and E5 (valid
+    for 1 < p < 3)."""
     _check_pq(p, q)
     check_weights(a1, a2)
     if not (1.0 < p < 3.0):
@@ -150,7 +156,8 @@ def _amplitude_a4(p: float, q: float, A: dict) -> float:
 
 def _e_from_a(p: float, q: float, a1: float, a2: float, reading: str,
               A: dict) -> dict:
-    """E1..E5 from the A family; arguments already validated.
+    """E1, E2, ln E3, E4 and E5 from the A family; arguments already
+    validated.
 
     E2's a1 term carries the amplitude coefficient A4 at q = 2
     (`_amplitude_a4`), not ``A["A4"]`` at the problem's q: the expansion of
@@ -164,14 +171,14 @@ def _e_from_a(p: float, q: float, a1: float, a2: float, reading: str,
     e2 = a1q * (_amplitude_a4(p, q, A) + (2.0 / q) * (A["A2"] / A["A1"])) \
         + (2.0 * a2 * PI ** ((2.0 - q) / q) / q) * A["A3"]
     denom = (p - 1.0) if reading == "paper_definition" else (p - 3.0)
-    # In log form: near p = 3 the pi- and E1-powers each leave the double
-    # range before their product does.
-    e3 = _exp_in_range((2.0 / (p - 3.0)) * math.log(e1)
-                       - (4.0 / (denom * q)) * math.log(PI), "E3", p, q)
+    # In log form: near p = 3, E3 leaves the double range (ln E3 = -1386
+    # at p = 2.999, q = 2) where L0 and S stay finite.
+    ln_e3 = (2.0 / (p - 3.0)) * math.log(e1) \
+        - (4.0 / (denom * q)) * math.log(PI)
     e4 = 2.0 * (q * (p - 3.0) - (p - 1.0)) / (q * (p - 3.0) * PI) * A["A3"]
     e5 = ((2.0 / (p - 3.0)) * (e2 / e1) - A["A6"]) \
         * PI ** (2.0 * (p - 3.0) / (denom * q)) / e1
-    return {"E1": e1, "E2": e2, "E3": e3, "E4": e4, "E5": e5}
+    return {"E1": e1, "E2": e2, "ln_E3": ln_e3, "E4": e4, "E5": e5}
 
 
 def _theorem3_from_e(p: float, q: float, E: dict) -> tuple[float, float]:
@@ -182,13 +189,14 @@ def _theorem3_from_e(p: float, q: float, E: dict) -> tuple[float, float]:
     """
     expo = (q * (p - 3.0) - (p - 1.0)) / (q * (p - 3.0))
     ratio = (p - 1.0) / (p - 3.0)
-    # In log form, as for E3: under proof_variant the powers cancel to
-    # pi^{2-2/q} E1, which stays finite where each power overflows.
+    # From ln E3: under proof_variant the powers cancel to pi^{2-2/q} E1,
+    # and E3^{-(p-3)/2} to pi^{2/q}/E1, which stay finite where each power
+    # overflows.
     leading = _exp_in_range(2.0 * expo * math.log(PI)
-                            + ratio * math.log(E["E1"]) - math.log(E["E3"]),
+                            + ratio * math.log(E["E1"]) - E["ln_E3"],
                             "L0", p, q)
     second = (ratio * (E["E2"] / E["E1"]) + E["E4"]) \
-        * E["E3"] ** (-(p - 3.0) / 2.0) - E["E5"]
+        * math.exp(-0.5 * (p - 3.0) * E["ln_E3"]) - E["E5"]
     return leading, second
 
 
@@ -196,8 +204,8 @@ def _theorem3_from_e(p: float, q: float, E: dict) -> tuple[float, float]:
 class ConstantSet:
     """Every constant the curve's asymptotics use, for one (p, q, a1, a2).
 
-    E1..E5, leading_coeff, second_coeff are None outside 1 < p < 3, and A6
-    is None at p = 3 (undefined there).
+    E1..E5 (E3 as ln_E3), leading_coeff, second_coeff are None outside
+    1 < p < 3, and A6 is None at p = 3 (undefined there).
     """
 
     p: float
@@ -214,7 +222,7 @@ class ConstantSet:
     A6: float | None
     E1: float | None
     E2: float | None
-    E3: float | None
+    ln_E3: float | None
     E4: float | None
     E5: float | None
     e3_reading: str  # perfbench/gate.py's constants_pair reads it
@@ -244,12 +252,12 @@ def compute_all(p: float, q: float, a1: float, a2: float,
         E = _e_from_a(p, q, a1, a2, reading, A)
         leading, second = _theorem3_from_e(p, q, E)
     else:
-        E = {f"E{i}": None for i in range(1, 6)}
+        E = dict.fromkeys(("E1", "E2", "ln_E3", "E4", "E5"))
         leading = second = None
     return ConstantSet(
         p=p, q=q, a1=a1, a2=a2, C1=c1, Cq=cq,
         A1=A["A1"], A2=A["A2"], A3=A["A3"], A4=A["A4"], A5=A["A5"],
         A6=A.get("A6"),
-        E1=E["E1"], E2=E["E2"], E3=E["E3"], E4=E["E4"], E5=E["E5"],
+        E1=E["E1"], E2=E["E2"], ln_E3=E["ln_E3"], E4=E["E4"], E5=E["E5"],
         e3_reading=reading, leading_coeff=leading, second_coeff=second,
     )

@@ -2,12 +2,15 @@
 
 Each check reads a coefficient y that tends to its limit as x -> 0,
 extrapolates it to x = 0 by Neville's scheme (Sidi, Practical Extrapolation
-Methods, CUP 2003), fits the remainder order on a log-log grid, and compares
-against the closed-form target from the constants module. The theorem checks
-take x = alpha^{-order} on the last two rows of an alpha sweep; the local
-checks read the local problem's log state on fixed windows of the layer
-coordinate t, with no root-find. Targets are never hard-coded here; they are
-recomputed per call so a constants bug cannot hide behind a stale number.
+Methods, CUP 2003), fits the remainder order against the log of the sweep
+variable, and compares against the closed-form target from the constants
+module. Every check but theorem 2's reads six points on one of two fixed
+windows of the layer coordinate t, with no root-find: the local checks the
+local problem's log state, theorems 1 and 3 the curve's (ln N as well), with
+x = alpha^{-(p-3)/2} or alpha^{p-3} formed from the state and alpha never
+formed. Theorem 2's law is exact and is read on the rows of an alpha sweep.
+Targets are never hard-coded here; they are recomputed per call so a
+constants bug cannot hide behind a stale number.
 
 rel_error convention: |estimate - target| / |target| when the target is away
 from zero; checks whose target is exactly zero (identities, residuals) report
@@ -48,7 +51,8 @@ SQRT10 = math.sqrt(10.0)
 DEFAULT_SUPER_ALPHAS = tuple(1e3 * SQRT10 ** i for i in range(5))
 DEFAULT_SUB_ALPHAS = tuple(1e2 * SQRT10 ** i for i in range(5))
 
-# The local checks' t-windows: small d on the series branch; large d on the
+# The t-windows of the local and theorem checks: small d (large alpha for
+# p < 3) on the series branch; large d (large alpha for p > 3) on the
 # asymptote branch, late enough that the non-power remainder has died out.
 _SMALL_D_TS = tuple(np.geomspace(1e-4, 1e-2, 6).tolist())
 _LARGE_D_TS = tuple(np.exp(np.linspace(4.0, 6.0, 6)).tolist())
@@ -154,23 +158,23 @@ def estimate_order(xs, rs) -> float:
     what the least-squares fit reduces to there.
     """
     xs = np.asarray(list(xs), dtype=float)
+    return _order_in_log(np.log(np.where(xs > 0.0, xs, np.nan)), rs)
+
+
+def _order_in_log(ln_xs, rs) -> float:
+    """estimate_order with log x given, so x itself is never formed; the
+    slope in closed form, sum(dx dy)/sum(dx^2) with dx centred."""
+    ln_xs = np.asarray(ln_xs, dtype=float)
     rs = np.asarray(list(rs), dtype=float)
-    if xs.shape != rs.shape:
+    if ln_xs.shape != rs.shape:
         raise ValueError("xs and rs must have equal length")
-    keep = (rs != 0.0) & np.isfinite(rs) & np.isfinite(xs) & (xs > 0.0)
-    xs, rs = xs[keep], rs[keep]
-    if len(xs) < 2 or len(np.unique(xs)) < 2:
+    keep = (rs != 0.0) & np.isfinite(rs) & np.isfinite(ln_xs)
+    ln_xs, rs = ln_xs[keep], rs[keep]
+    if len(ln_xs) < 2 or ln_xs.min() == ln_xs.max():
         raise DegenerateFit(
-            f"need >= 2 distinct x with nonzero remainders, kept {len(xs)}")
-    slope = np.polyfit(np.log(xs), np.log(np.abs(rs)), 1)[0]
-    return float(slope)
-
-
-def _order_or_nan(xs, rs) -> float:
-    try:
-        return estimate_order(xs, rs)
-    except DegenerateFit:
-        return math.nan
+            f"need >= 2 distinct x with nonzero remainders, kept {len(ln_xs)}")
+    dx = ln_xs - ln_xs.mean()
+    return float(dx @ np.log(np.abs(rs)) / (dx @ dx))
 
 
 def _neville_at_zero(xs, ys) -> float:
@@ -187,44 +191,45 @@ def _neville_at_zero(xs, ys) -> float:
     return vals[0]
 
 
-def _limit_check(name: str, target: float, ds, xs, ys, tolerance: float,
-                 floor: float = 0.0) -> CheckResult:
+def _limit_check(name: str, target: float, ln_s, xs, ys, tolerance: float,
+                 floor: float = 0.0,
+                 other_rel_error: float | None = None) -> CheckResult:
     """The check that ys tends to target as xs tends to 0, with the order of
-    ys - target fitted against ds."""
+    ys - target fitted against the sweep variable s, given as ln s."""
     estimate = _neville_at_zero(xs, ys)
-    return CheckResult(name, target, estimate,
-                       _rel(estimate, target, floor),
-                       _order_or_nan(ds, ys - target), tolerance)
+    try:
+        order = _order_in_log(ln_s, ys - target)
+    except DegenerateFit:
+        order = math.nan
+    return CheckResult(name, target, estimate, _rel(estimate, target, floor),
+                       order, tolerance, other_rel_error)
 
 
-def _valid_rows(report: SweepReport):
-    """Alphas and lambdas of the solved rows, in increasing alpha."""
-    rows = sorted((row["alpha"], sol.lam) for row, sol in
-                  zip(report.rows, report.solutions) if sol is not None)
-    if not rows:
-        raise ValueError("report contains no valid rows")
-    return np.array(rows).T
+def _curve_log_states(ts, params: nc.ProblemParams) -> np.ndarray:
+    """Rows ln gamma, ln d and ln N of the curve at the layer coordinates
+    ts. There alpha = h d and h^{p-3} = N, so ln alpha = ln N/(p-3) + ln d."""
+    return np.array([(s[1], s[2][0], ln_n) for s, ln_n in
+                     (nc._state_at_t(t, params) for t in ts)]).T
 
 
 def check_theorem_1(report: SweepReport) -> CheckResult:
     """Supercritical growth law lambda = alpha^{p-1}(1 + C1 sqrt(a1+a2)
-    alpha^{-(p-3)/2} + O(alpha^{-(p-3)}))."""
+    alpha^{-(p-3)/2} + O(alpha^{-(p-3)})).
+
+    Read on the large-d window, ln t in [4, 6] (six points), where
+    lambda/alpha^{p-1} = gamma/d^{p-1} and x = alpha^{-(p-3)/2}
+    = N^{-1/2} d^{-(p-3)/2}; only report.params is read.
+    """
     params = report.params
     p = params.p
     if params.regime != "supercritical":
         raise WrongRegime(f"supercritical law needs p > 3, got p = {p}")
-    alphas, lams = _valid_rows(report)
-    if len(alphas) < 4 or alphas[-1] / alphas[0] < 10.0:
-        raise ValueError("need >= 4 points spanning at least a decade")
-    resid = lams / alphas ** (p - 1.0) - 1.0
-    ys = resid * alphas ** ((p - 3.0) / 2.0)
-    xs = [a ** -((p - 3.0) / 2.0) for a in alphas[-2:]]
-    estimate = _neville_at_zero(xs, ys[-2:])
-    c1 = consts.compute_C1(p)
-    target = c1 * math.sqrt(params.a1 + params.a2)
-    return CheckResult("theorem_1_leading", target, estimate,
-                       _rel(estimate, target),
-                       _order_or_nan(alphas, resid), 0.02)
+    ln_g, ln_d, ln_n = _curve_log_states(_LARGE_D_TS, params)
+    xs = np.exp(-0.5 * (ln_n + (p - 3.0) * ln_d))
+    ys = np.expm1(ln_g - (p - 1.0) * ln_d) / xs
+    target = consts.compute_C1(p) * math.sqrt(params.a1 + params.a2)
+    return _limit_check("theorem_1_leading", target, ln_n / (p - 3.0) + ln_d,
+                        xs, ys, 0.02)
 
 
 def check_theorem_2(report: SweepReport) -> tuple[CheckResult, CheckResult]:
@@ -232,7 +237,11 @@ def check_theorem_2(report: SweepReport) -> tuple[CheckResult, CheckResult]:
     params = report.params
     if params.regime != "critical":
         raise WrongRegime(f"critical law needs p = 3, got p = {params.p}")
-    alphas, lams = _valid_rows(report)
+    rows = sorted((row["alpha"], sol.lam) for row, sol in
+                  zip(report.rows, report.solutions) if sol is not None)
+    if not rows:
+        raise ValueError("report contains no valid rows")
+    alphas, lams = np.array(rows).T
     ratios = lams / alphas ** 2
     mean = float(np.mean(ratios))
     spread = float((ratios.max() - ratios.min()) / mean)
@@ -252,6 +261,10 @@ def check_theorem_3(report: SweepReport,
                     constants_variant: consts.ConstantSet):
     """Subcritical law lambda = L0 alpha^2 (1 + S alpha^{p-3} + o).
 
+    Read on the small-d window, t in [1e-4, 1e-2] (six points), where
+    lambda/alpha^2 = N gamma/d^2 and x = alpha^{p-3} = N d^{p-3}; S is the
+    limit of (lambda/(L0 alpha^2) - 1)/x. Only report.params is read.
+
     Called with one ConstantSet twice, check_theorem_3(report, cs, cs), it
     checks that set's coefficients. Two sets of different E3 readings are
     arbitrated, as perfbench/workloads.py's check_theorem_3(report, paper,
@@ -264,21 +277,19 @@ def check_theorem_3(report: SweepReport,
     p = params.p
     if params.regime != "subcritical":
         raise WrongRegime(f"subcritical law needs 1 < p < 3, got p = {p}")
-    alphas, lams = _valid_rows(report)
-    if len(alphas) < 3 or alphas[-1] / alphas[0] < 100.0:
-        raise ValueError("need >= 3 points spanning at least two decades")
-    ys = lams / alphas ** 2
-    xs = [a ** -(3.0 - p) for a in alphas[-2:]]
-    estimate = _neville_at_zero(xs, ys[-2:])
-
-    tol_leading = 0.005
-    cands = {}
     for cs in (constants_paper, constants_variant):
         if cs.leading_coeff is None:
             raise ValueError(f"ConstantSet for reading {cs.e3_reading!r} "
                              "carries no subcritical coefficients")
-        cands[cs.e3_reading] = (cs, _rel(estimate, cs.leading_coeff))
-    passing = [r for r, (_, e) in cands.items() if e <= tol_leading]
+    ln_g, ln_d, ln_n = _curve_log_states(_SMALL_D_TS, params)
+    ln_alpha = ln_n / (p - 3.0) + ln_d
+    xs = np.exp(ln_n + (p - 3.0) * ln_d)
+    ys = np.exp(ln_n + ln_g - 2.0 * ln_d)
+
+    estimate = _neville_at_zero(xs, ys)
+    cands = {cs.e3_reading: (cs, _rel(estimate, cs.leading_coeff))
+             for cs in (constants_paper, constants_variant)}
+    passing = [r for r, (_, e) in cands.items() if e <= 0.005]
     if not passing and len(cands) > 1:
         raise AmbiguousReading(
             "neither E3 reading matches the computed curve: "
@@ -288,22 +299,12 @@ def check_theorem_3(report: SweepReport,
     # if tolerances ever let both through, prefer the closer one. The
     # single-set call leaves no losing reading to report.
     chosen = min(passing or cands, key=lambda r: cands[r][1])
-    others = [r for r in cands if r != chosen]
-    cs, rel_lead = cands[chosen]
-    lam0 = cs.leading_coeff
-
-    remainder = ys / lam0 - 1.0
-    order = _order_or_nan(alphas, remainder)
-    leading = CheckResult("theorem_3_leading", lam0, estimate, rel_lead,
-                          order, tol_leading,
-                          other_rel_error=cands[others[0]][1]
-                          if others else None)
-
-    y2 = remainder * alphas ** (3.0 - p)
-    est2 = _neville_at_zero(xs, y2[-2:])
-    target2 = cs.second_coeff
-    second = CheckResult("theorem_3_second", target2, est2,
-                         _rel(est2, target2), order, 0.05)
+    other = next((e for r, (_, e) in cands.items() if r != chosen), None)
+    cs = cands[chosen][0]
+    leading = _limit_check("theorem_3_leading", cs.leading_coeff, ln_alpha,
+                           xs, ys, 0.005, other_rel_error=other)
+    second = _limit_check("theorem_3_second", cs.second_coeff, ln_alpha, xs,
+                          (ys / cs.leading_coeff - 1.0) / xs, 0.05)
     return leading, second, chosen
 
 
@@ -330,13 +331,12 @@ def check_local_large_d(p: float, q: float) -> list[CheckResult]:
     if p <= 3.0:
         raise WrongRegime(f"large-d checks need p > 3, got p = {p}")
     _, ln_g, ln_d, ln_wq = _local_log_states(_LARGE_D_TS, p, q)
-    dd = np.exp(ln_d)
     xs = np.exp(-0.5 * (p - 1.0) * ln_d)
     c1 = consts.compute_C1(p)
     cq = consts.compute_Cq(p, q)
 
     y1 = np.expm1(ln_g - (p - 1.0) * ln_d) / xs
-    shift = _limit_check("large_d_gamma_shift", c1, dd, xs, y1, 0.01)
+    shift = _limit_check("large_d_gamma_shift", c1, ln_d, xs, y1, 0.01)
 
     resid = np.expm1((p - 1.0) * ln_wq - ln_g - (p - 1.0) / q
                      * np.log1p(-cq * np.exp(-0.5 * ln_g)))
@@ -346,7 +346,7 @@ def check_local_large_d(p: float, q: float) -> list[CheckResult]:
 
     y3 = np.expm1(2.0 * (ln_wq - ln_d)) / xs
     target3 = (2.0 / (p - 1.0)) * c1 - (2.0 / q) * cq
-    dcoef = _limit_check("large_d_D_coefficient", target3, dd, xs, y3, 0.02,
+    dcoef = _limit_check("large_d_D_coefficient", target3, ln_d, xs, y3, 0.02,
                          floor=cq)
     return [shift, relation, dcoef]
 
@@ -362,7 +362,6 @@ def check_local_small_d(p: float, q: float) -> list[CheckResult]:
     """
     consts._check_pq(p, q)
     ln_k, ln_g, ln_d, ln_wq = _local_log_states(_SMALL_D_TS, p, q)
-    dd = np.exp(ln_d)
     xs = np.exp((p - 1.0) * ln_d)
 
     A = consts.compute_A(p, q)
@@ -373,6 +372,6 @@ def check_local_small_d(p: float, q: float) -> list[CheckResult]:
     y2 = np.expm1(2.0 * (ln_k - ln_d) - math.log(2.0)) / xs
     y3 = np.expm1(2.0 * (ln_wq - ln_k) + ln_g / q
                   - (2.0 / q) * math.log(2.0 * A["A1"])) / xs
-    return [_limit_check("small_d_gamma_shift", A["A3"], dd, xs, y1, 0.01),
-            _limit_check("small_d_amplitude", a4, dd, xs, y2, 0.02),
-            _limit_check("small_d_qnorm", t32, dd, xs, y3, 0.02)]
+    return [_limit_check("small_d_gamma_shift", A["A3"], ln_d, xs, y1, 0.01),
+            _limit_check("small_d_amplitude", a4, ln_d, xs, y2, 0.02),
+            _limit_check("small_d_qnorm", t32, ln_d, xs, y3, 0.02)]

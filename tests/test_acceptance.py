@@ -262,7 +262,7 @@ def test_criterion_09_subcritical_pipeline():
         # compute_E's E3 is the reading the arbitration criterion chose
         chosen = {c for (_, _, c) in sub_readings().values()}.pop()
         assert chosen == "proof_variant"
-        e3 = consts.compute_E(2.0, 2.0, 1.0, 1.0)["E3"]
+        e3 = math.exp(consts.compute_E(2.0, 2.0, 1.0, 1.0)["ln_E3"])
         rep = sub_sweeps()[(1.0, 1.0)]
         row = rep.rows[-1]
         assert row["alpha"] == 1e4

@@ -143,6 +143,32 @@ def test_verify_subcritical_passes(capsys):
     assert all(c["pass"] and "other_rel_error" not in c for c in obj["checks"])
 
 
+@pytest.mark.parametrize("p, names", [
+    ("3.01", ["theorem_1_leading"]), ("3.1", ["theorem_1_leading"]),
+    ("3.3", ["theorem_1_leading"]),
+    ("2.99", ["theorem_3_leading", "theorem_3_second"]),
+    ("2.999", ["theorem_3_leading", "theorem_3_second"])])
+def test_verify_near_critical_passes(capsys, p, names):
+    # Near p = 3 the theorems' alpha exceeds 10^400 (theorem 1 at p = 3.01)
+    # and E3 leaves the double range (ln E3 = -1386 at p = 2.999); the laws
+    # are read at fixed layer coordinates and from ln E3.
+    code, out, err = run_cli(capsys, "verify", "--p", p, "--q", "2",
+                             "--a1", "1", "--a2", "1")
+    assert (code, err) == (0, "")
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == names
+    assert all(c["pass"] for c in checks)
+
+
+@pytest.mark.parametrize("p", ("2.999", "2.9999"))
+def test_constants_near_critical(capsys, p):
+    code, out, err = run_cli(capsys, "constants", "--p", p)
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["ln_E3"] < -1000.0
+    assert obj["leading_coeff"] > 0.0 and obj["second_coeff"] > 0.0
+
+
 def test_repeat_runs_print_identical_output(capsys, fresh_caches,
                                            calibrations):
     # The second run of each command reads every (p, q) calibration the

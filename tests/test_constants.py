@@ -172,7 +172,8 @@ def test_Cq_matches_moment_asymptote(p):
 def test_E_trivial_composition():
     # a1 = 0, a2 = 1, p = 2, q = 2 collapses every ingredient:
     #   E1 = pi, E2 = A3, E4 = 3 A3 / pi,
-    #   E3 = pi^-4 (paper_definition) or exactly 1 (proof_variant).
+    #   E3 = pi^-4 (paper_definition) or exactly 1 (proof_variant), kept
+    #   as ln E3.
     A3 = compute_A(2.0, 2.0)["A3"]
     Ep = compute_all(2.0, 2.0, 0.0, 1.0, "paper_definition")
     Ev = compute_E(2.0, 2.0, 0.0, 1.0)
@@ -180,8 +181,8 @@ def test_E_trivial_composition():
         assert rel(E["E1"], PI) < 1e-14
         assert rel(E["E2"], A3) < 1e-14
         assert rel(E["E4"], 3.0 * A3 / PI) < 1e-13
-    assert rel(Ep.E3, PI ** -4.0) < 1e-14
-    assert abs(Ev["E3"] - 1.0) < 1e-15
+    assert rel(math.exp(Ep.ln_E3), PI ** -4.0) < 1e-14
+    assert abs(math.exp(Ev["ln_E3"]) - 1.0) < 1e-15
 
 
 def test_E_reading_changes_only_pi_powers():
@@ -193,7 +194,7 @@ def test_E_reading_changes_only_pi_powers():
     for name in ("E1", "E2", "E4"):
         assert getattr(Ep, name) == Ev[name]
     shift = -4.0 / q * (1.0 / (p - 1.0) - 1.0 / (p - 3.0))
-    assert rel(Ep.E3 / Ev["E3"], PI ** shift) < 1e-13
+    assert rel(math.exp(Ep.ln_E3 - Ev["ln_E3"]), PI ** shift) < 1e-13
 
 
 @pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 2.5, 2.99))
@@ -259,13 +260,15 @@ def test_leading_coefficient_positive():
 @pytest.mark.parametrize("q", (1.1, 2.0, 8.0))
 @pytest.mark.parametrize("reading", READINGS)
 def test_near_critical_constants_finite_or_overflow(q, reading):
-    # At p = 3 - 1e-6, E3 holds E1^{2/(p-3)}: either every value of the set
-    # is a finite double or the package's Overflow says why; never a bare
-    # OverflowError or a zero that underflowed.
+    # At p = 3 - 1e-6, E3 = E1^{2/(p-3)} is kept as its log: either every
+    # value of the set is a finite double or the package's Overflow says
+    # why (paper_definition's L0); never a bare OverflowError or a zero that
+    # underflowed. proof_variant's set is finite.
     p = 3.0 - 1e-6
     try:
         rec = compute_all(p, q, 1.0, 1.0, reading).to_record()
     except Overflow:
+        assert reading == "paper_definition"
         return
     for key, val in rec.items():
         if isinstance(val, float):
@@ -281,7 +284,7 @@ def test_proof_variant_leading_is_pi_power_times_E1(p, q):
     # Under proof_variant the pi- and E1-powers of L0 and E3 cancel to
     # L0 = pi^{2-2/q} E1 for every p; the log form loses only the rounding
     # of the (p-1)/(p-3) powers it cancels. At p = 2.9975 the pi-power of L0
-    # alone is e^917 (q = 2), yet E3 and L0 are doubles.
+    # alone is e^917 (q = 2), yet ln E3 and L0 are doubles.
     cs = compute_all(p, q, 0.7, 0.4)
     ratio = abs((p - 1.0) / (p - 3.0))
     assert rel(cs.leading_coeff, PI ** (2.0 - 2.0 / q) * cs.E1) \
@@ -322,14 +325,14 @@ def test_compute_all_subcritical():
     assert set(rec) == {
         "p", "q", "a1", "a2", "C1", "Cq",
         "A1", "A2", "A3", "A4", "A5", "A6",
-        "E1", "E2", "E3", "E4", "E5",
+        "E1", "E2", "ln_E3", "E4", "E5",
         "e3_reading", "leading_coeff", "second_coeff",
     }
 
 
 def test_compute_all_supercritical_has_no_E():
     cs = compute_all(5.0, 2.0, 1.0, 0.0)
-    for name in ("E1", "E2", "E3", "E4", "E5",
+    for name in ("E1", "E2", "ln_E3", "E4", "E5",
                  "leading_coeff", "second_coeff"):
         assert getattr(cs, name) is None
     assert cs.A6 is not None
@@ -388,7 +391,7 @@ def test_compute_all_readings_share_pq_values(calls):
     assert len(calls) == 5
     for key in ("C1", "Cq", "A1", "A2", "A3", "A4", "A5", "A6"):
         assert getattr(paper, key) == getattr(variant, key)
-    assert paper.E3 != variant.E3
+    assert paper.ln_E3 != variant.ln_E3
 
 
 def test_raising_input_leaves_no_entry(calls, calibrations, monkeypatch):

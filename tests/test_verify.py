@@ -10,8 +10,10 @@ import pytest
 from biflogis import constants as consts
 from biflogis import local_logistic as ll
 from biflogis.errors import (AmbiguousReading, DegenerateFit, WrongRegime)
-from biflogis.nonlocal_curve import ProblemParams
-from biflogis.verify import (CheckResult, _neville_at_zero,
+from biflogis import nonlocal_curve as nc
+from biflogis.nonlocal_curve import ProblemParams, solve_alpha
+from biflogis.verify import (_LARGE_D_TS, _SMALL_D_TS, CheckResult,
+                             SweepReport, _curve_log_states, _neville_at_zero,
                              check_local_large_d, check_local_small_d,
                              check_theorem_1, check_theorem_2,
                              check_theorem_3, DEFAULT_SUB_ALPHAS,
@@ -174,10 +176,30 @@ def test_theorem_1_wrong_regime():
         check_theorem_1(rep)
 
 
-def test_theorem_1_needs_decade():
-    rep = sweep(params_for(5.0), [1000.0, 1200.0, 1400.0, 1600.0])
-    with pytest.raises(ValueError):
-        check_theorem_1(rep)
+@pytest.mark.parametrize("p, ts", [(5.0, _LARGE_D_TS), (8.0, _LARGE_D_TS),
+                                   (1.5, _SMALL_D_TS), (2.0, _SMALL_D_TS)])
+def test_theorem_windows_lie_on_the_solved_curve(p, ts):
+    # The theorem checks read the curve at fixed t with alpha(t) = h d,
+    # h^{p-3} = N; the solver, given that alpha, returns the same t.
+    params = params_for(p, q=3.0, a1=1.0, a2=0.5)
+    _, ln_d, ln_n = _curve_log_states(ts, params)
+    for t, ln_alpha in zip(ts, ln_n / (p - 3.0) + ln_d):
+        sol = solve_alpha(math.exp(ln_alpha), params)
+        assert abs(math.log(sol.local.layer_t / t)) <= 1e-12, (p, t)
+
+
+def test_theorem_checks_read_params_alone(monkeypatch):
+    # No solve and no root-find: a report without rows is read on the
+    # t-windows alone.
+    def fail(*args):
+        raise AssertionError("a theorem check solved for a point")
+    monkeypatch.setattr(nc, "solve_alpha", fail)
+    monkeypatch.setattr(ll, "_t_where", fail)
+    assert check_theorem_1(SweepReport(params_for(3.01))).passed
+    cs = consts.compute_all(2.999, 2.0, 1.0, 1.0)
+    leading, second, _ = check_theorem_3(
+        SweepReport(params_for(2.999, a1=1.0, a2=1.0)), cs, cs)
+    assert leading.passed and second.passed
 
 
 # ---------------------------------------------------------- critical law

@@ -11,8 +11,10 @@ on the working tree's. The base revision is exported with
 alone. The list holds the README's seven examples, their ``--format csv``
 (or json) variants, a default grid, a solver error, two runs at
 p = 1.5 (its constants, and a solve whose root lies on the moments'
-Chebyshev branch), and the flag values outside the documented domain that
-must be usage errors (exit 64), ``--e3-reading`` among them.
+Chebyshev branch), three near-critical runs (the laws of theorems 1 and 3
+at p = 3.01 and 2.999, and the constants at 2.999), and the flag values
+outside the documented domain that must be usage errors (exit 64),
+``--e3-reading`` among them.
 
 An invocation still running after ``TIMEOUT_S`` seconds is stopped and
 shows exit code -1 with empty stdout: a revision that accepts a value a
@@ -58,6 +60,10 @@ INVOCATIONS = [
     # p = 1.5: the constants, and a root on the Chebyshev branch (t = 7.79)
     "constants --p 1.5 --q 2",
     "solve --p 1.5 --alpha 0.01",
+    # near p = 3: alpha(t) exceeds 10^400 at p = 3.01, ln E3 = -1386 at 2.999
+    "verify --p 3.01",
+    "verify --p 2.999",
+    "constants --p 2.999",
     # values outside the documented domain
     "solve-local --p 0.5 --k 1",
     "profile --p 0.5 --k 1",
