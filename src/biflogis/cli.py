@@ -267,15 +267,13 @@ def _run_sweep(args) -> tuple[str, bool]:
 def _run_verify(args) -> tuple[str, bool]:
     params = args.params
     report = ver.sweep(params, args.alphas)
-    regime = params.regime
-    if regime == "supercritical":
-        report.checks.append(ver.check_theorem_1(report))
-    elif regime == "critical":
+    if params.regime == "critical":
         report.checks.extend(ver.check_theorem_2(report))
     else:
+        # Both ends of the curve: large d (theorem 1) and small d (theorem 3).
         cs = consts.compute_all(params.p, params.q, params.a1, params.a2)
         lead, second, _ = ver.check_theorem_3(report, cs, cs)
-        report.checks.extend([lead, second])
+        report.checks.extend([ver.check_theorem_1(report), lead, second])
     passed = all(c.passed for c in report.checks)
     if args.format == "csv":
         return _checks_csv(report.checks), passed

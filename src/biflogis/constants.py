@@ -6,30 +6,33 @@ The curve's limit laws are governed by a small family of explicit integrals:
 - ``Cq``: large-d norm deficit, ||w||_q^{p-1} = gamma (1 - Cq/sqrt(gamma))^{(p-1)/q};
 - ``A1..A6``: small-d expansion coefficients (gamma, k, and ||w||_q near the
   bifurcation point pi^2);
-- ``E1..E5``: the subcritical (1 < p < 3) growth-law constants assembled from
-  the A family and the Kirchhoff weights (a1, a2).
+- ``E1..E5``: the growth-law constants of theorem 3, assembled from the A
+  family and the Kirchhoff weights (a1, a2), for every p != 3.
 
 E3 = (pi^{-2/q} E1)^{2/(p-3)}, and E5's pi-power shares its exponent
 denominator (p-3)q: this ``proof_variant`` reading of the source is the one
-that matches the computed curve. E3 is kept as ln E3 (``ln_E3``): it leaves
-the double range a few thousandths below p = 3 (ln E3 = -1386 at p = 2.999,
-q = 2), where L0 and S are finite. The other reading, ``paper_definition``,
-puts (p-1)q there; its leading coefficient misses the curve by the factor
-pi^{8/(q(p-1)(3-p))} >= pi^{8/q}, and only ``compute_all`` still offers it.
-The composed subcritical growth law, ``ConstantSet.leading_coeff`` and
-``second_coeff``, is
+that matches the computed curve. The other, ``paper_definition``, puts
+(p-1)q there, which multiplies E3 by pi^{8/(q(p-1)(p-3))}; only
+``compute_all`` still offers it. E3 is kept as ln E3 (``ln_E3``): it leaves
+the double range a few thousandths from p = 3 (-1386 at p = 2.999, q = 2).
+Theorem 3's law, lambda = L0 alpha^2 (1 + S alpha^{p-3} + o(alpha^{p-3})),
+holds at small d: alpha -> infinity for p < 3 (the paper's statement) and
+alpha -> 0 for p > 3. The paper composes its ``leading_coeff`` and
+``second_coeff`` from the E family, the (p-1)/(p-3) powers forced by
+lambda = beta gamma, beta = (normalization)^{(p-1)/(p-3)}:
 
-    lambda(alpha) = L0 alpha^2 (1 + S alpha^{p-3} + o(alpha^{p-3})),
     L0 = pi^{2{q(p-3)-(p-1)}/(q(p-3))} E1^{(p-1)/(p-3)} / E3,
-    S  = {(p-1)/(p-3) (E2/E1) + E4} E3^{-(p-3)/2} - E5,
+    S  = {(p-1)/(p-3) (E2/E1) + E4} E3^{-(p-3)/2} - E5.
 
-the (p-1)/(p-3) powers of E1 and of the E2/E1 term being forced by the exact
-reduction lambda = beta gamma, beta = (normalization)^{(p-1)/(p-3)}; dropping
-them (a common transcription slip) fails against the computed curve under
-either reading. Both are formed from ln E3. Under proof_variant L0 is
-pi^{2-2/q} E1 and E3^{-(p-3)/2} is pi^{2/q}/E1, so both stay finite up to
-p = 3 - 1e-6; each term of S grows like 1/(p-3) there, and S keeps the
-rounding of their difference.
+Under proof_variant E3^{-(p-3)/2} = pi^{2/q}/E1 and E5 = ((2/(p-3)) E2/E1
+- A6) pi^{2/q}/E1, and two cancellations leave no 1/(p-3) term:
+(p-1)/(p-3) - 2/(p-3) = 1 (the power of E1 in L0, the weight of E2/E1 in
+S) and E4 + A6 = 2 (1 - 1/q) A3/pi. So they are computed as
+
+    L0 = pi^{2-2/q} E1,   S = (pi^{2/q}/E1) (E2/E1 + 2 (1 - 1/q) A3/pi),
+
+and under paper_definition as these times pi^{8/(q(p-1)(3-p))} (at least
+pi^{8/q} for p < 3, its miss of the curve) and pi^{-4/(q(p-1))}.
 
 A1..A3, A5 and Cq depend on (p, q) alone. This module integrates none of
 them: they are moments that local_logistic calibrates to build the curve,
@@ -92,7 +95,7 @@ def compute_A(p: float, q: float) -> dict:
         A5 = a_{2,1}/(c (p+1) pi^2),  pref = sqrt(2)^{p-1}/((p+1) pi^2).
 
     A4 and A6 follow algebraically; A6, with p - 3 in its denominator, is
-    left out at p = 3 (it serves the subcritical regime alone).
+    left out at p = 3 (it serves E5 alone).
     """
     _check_pq(p, q)
     # pref before any calibration, so that an overflow caches nothing.
@@ -131,12 +134,13 @@ def compute_Cq(p: float, q: float) -> float:
 
 
 def compute_E(p: float, q: float, a1: float, a2: float) -> dict:
-    """The subcritical growth-law constants E1, E2, ln E3, E4 and E5 (valid
-    for 1 < p < 3)."""
+    """The growth-law constants E1, E2, ln E3, E4 and E5 of theorem 3, for
+    every p != 3."""
     _check_pq(p, q)
     check_weights(a1, a2)
-    if not (1.0 < p < 3.0):
-        raise InvalidRegime(f"E constants require 1 < p < 3, got p = {p}")
+    if p == 3.0:
+        raise InvalidRegime("E constants have p - 3 in their powers; "
+                            "undefined at p = 3")
     return _e_from_a(p, q, a1, a2, "proof_variant", compute_A(p, q))
 
 
@@ -154,6 +158,14 @@ def _amplitude_a4(p: float, q: float, A: dict) -> float:
     return (A["A3"] - 4.0 * math.sqrt(2.0) ** (p - 1.0) * A["A5"]) / PI
 
 
+def _e1_terms(q: float, a1: float, a2: float,
+              A1: float) -> tuple[float, float]:
+    """(a1 term, E1) of E1 = a1 2^{(q+2)/q} A1^{2/q} + a2 pi^{2/q}; the a1
+    term enters E2 too. nonlocal_curve seeds its root-find with E1."""
+    a1q = a1 * 2.0 ** ((q + 2.0) / q) * A1 ** (2.0 / q)
+    return a1q, a1q + a2 * PI ** (2.0 / q)
+
+
 def _e_from_a(p: float, q: float, a1: float, a2: float, reading: str,
               A: dict) -> dict:
     """E1, E2, ln E3, E4 and E5 from the A family; arguments already
@@ -166,13 +178,11 @@ def _e_from_a(p: float, q: float, a1: float, a2: float, reading: str,
     reading of the paper (see README): the curve's own second coefficient
     rules it out wherever q != 2 and a1 > 0. ``reading`` is compute_all's.
     """
-    a1q = a1 * 2.0 ** ((q + 2.0) / q) * A["A1"] ** (2.0 / q)
-    e1 = a1q + a2 * PI ** (2.0 / q)
+    a1q, e1 = _e1_terms(q, a1, a2, A["A1"])
     e2 = a1q * (_amplitude_a4(p, q, A) + (2.0 / q) * (A["A2"] / A["A1"])) \
         + (2.0 * a2 * PI ** ((2.0 - q) / q) / q) * A["A3"]
     denom = (p - 1.0) if reading == "paper_definition" else (p - 3.0)
-    # In log form: near p = 3, E3 leaves the double range (ln E3 = -1386
-    # at p = 2.999, q = 2) where L0 and S stay finite.
+    # In log form: E3 leaves the double range near p = 3.
     ln_e3 = (2.0 / (p - 3.0)) * math.log(e1) \
         - (4.0 / (denom * q)) * math.log(PI)
     e4 = 2.0 * (q * (p - 3.0) - (p - 1.0)) / (q * (p - 3.0) * PI) * A["A3"]
@@ -181,31 +191,12 @@ def _e_from_a(p: float, q: float, a1: float, a2: float, reading: str,
     return {"E1": e1, "E2": e2, "ln_E3": ln_e3, "E4": e4, "E5": e5}
 
 
-def _theorem3_from_e(p: float, q: float, E: dict) -> tuple[float, float]:
-    """(leading, second) of the subcritical law lambda = L0 a^2 (1 + S a^{p-3} + o).
-
-    Composition of the E constants per the module docstring; the E1 and
-    E2/E1 terms enter with power (p-1)/(p-3) from beta = N^{(p-1)/(p-3)}.
-    """
-    expo = (q * (p - 3.0) - (p - 1.0)) / (q * (p - 3.0))
-    ratio = (p - 1.0) / (p - 3.0)
-    # From ln E3: under proof_variant the powers cancel to pi^{2-2/q} E1,
-    # and E3^{-(p-3)/2} to pi^{2/q}/E1, which stay finite where each power
-    # overflows.
-    leading = _exp_in_range(2.0 * expo * math.log(PI)
-                            + ratio * math.log(E["E1"]) - E["ln_E3"],
-                            "L0", p, q)
-    second = (ratio * (E["E2"] / E["E1"]) + E["E4"]) \
-        * math.exp(-0.5 * (p - 3.0) * E["ln_E3"]) - E["E5"]
-    return leading, second
-
-
 @dataclass(frozen=True)
 class ConstantSet:
     """Every constant the curve's asymptotics use, for one (p, q, a1, a2).
 
-    E1..E5 (E3 as ln_E3), leading_coeff, second_coeff are None outside
-    1 < p < 3, and A6 is None at p = 3 (undefined there).
+    E1..E5 (E3 as ln_E3), leading_coeff, second_coeff and A6 are None at
+    p = 3 (undefined there).
     """
 
     p: float
@@ -236,7 +227,8 @@ class ConstantSet:
 
 def compute_all(p: float, q: float, a1: float, a2: float,
                 reading: str = "proof_variant") -> ConstantSet:
-    """Assemble the full ConstantSet; regime-restricted entries become None.
+    """Assemble the full ConstantSet; the entries undefined at p = 3 are
+    None there.
 
     ``reading`` takes "paper_definition" only for perfbench/workloads.py's
     compute_all(p, q, a1, a2, "paper_definition")."""
@@ -244,16 +236,27 @@ def compute_all(p: float, q: float, a1: float, a2: float,
     check_weights(a1, a2)
     if reading not in READINGS:
         raise ValueError(f"reading must be one of {READINGS}, got {reading!r}")
-    subcritical = 1.0 < p < 3.0
     A = compute_A(p, q)
     c1 = compute_C1(p)
     cq = compute_Cq(p, q)
-    if subcritical:
-        E = _e_from_a(p, q, a1, a2, reading, A)
-        leading, second = _theorem3_from_e(p, q, E)
-    else:
+    if p == 3.0:
         E = dict.fromkeys(("E1", "E2", "ln_E3", "E4", "E5"))
         leading = second = None
+    else:
+        # L0 and S in the closed forms of the module docstring.
+        E = _e_from_a(p, q, a1, a2, reading, A)
+        e1 = E["E1"]
+        leading = PI ** (2.0 - 2.0 / q) * e1
+        second = PI ** (2.0 / q) / e1 \
+            * (E["E2"] / e1 + 2.0 * (1.0 - 1.0 / q) * A["A3"] / PI)
+        if reading == "paper_definition":
+            leading *= _exp_in_range(8.0 * math.log(PI) / (q * (p - 1.0)
+                                     * (3.0 - p)), "L0's pi factor", p, q)
+            second *= _exp_in_range(-4.0 * math.log(PI) / (q * (p - 1.0)),
+                                    "S's pi factor", p, q)
+        if leading == math.inf:
+            raise Overflow(f"L0 exceeds the double range at p = {p!r}, "
+                           f"q = {q!r}")
     return ConstantSet(
         p=p, q=q, a1=a1, a2=a2, C1=c1, Cq=cq,
         A1=A["A1"], A2=A["A2"], A3=A["A3"], A4=A["A4"], A5=A["A5"],

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import constants as consts
 from . import kernels
 from . import local_logistic as ll
 from .errors import (BracketFailure, InvalidBracket, InvalidRegime,
@@ -169,16 +170,6 @@ def g_of_k(k: float, params: ProblemParams) -> float:
     return math.exp(ln_n / (params.p - 3.0) + state[2][0])
 
 
-def _subcritical_e1(params: ProblemParams) -> float:
-    """E1 = a1 2^{(q+2)/q} A1^{2/q} + a2 pi^{2/q}, with A1 = J_q(eps = 1) read
-    from the n = 0 coefficient of the moments' small-t series (cached with
-    the coefficients the small-t residuals use)."""
-    p, q = params.p, params.q
-    a1_val = float(ll._series_coeffs(p, q)[0, 0])
-    return params.a1 * 2.0 ** ((q + 2.0) / q) * a1_val ** (2.0 / q) \
-        + params.a2 * math.pi ** (2.0 / q)
-
-
 def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
     """The unique curve point with ||u||_2 = alpha.
 
@@ -208,9 +199,12 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
         ln_d = ((p - 3.0) * ln_alpha - math.log(params.a1 + params.a2)) \
             / (p - 1.0)
     else:
-        # Leading subcritical law d^{p-1} = alpha^{p-3} pi^{2/q} / E1.
+        # Leading small-d law d^{p-1} = alpha^{p-3} pi^{2/q} / E1, with
+        # A1 = J_q(eps = 1) the n = 0 coefficient of the moments' series.
+        _, e1 = consts._e1_terms(params.q, params.a1, params.a2,
+                                 ll._series_coeffs(p, params.q).item(0, 0))
         ln_d = ((p - 3.0) * ln_alpha + (2.0 / params.q) * math.log(math.pi)
-                - math.log(_subcritical_e1(params))) / (p - 1.0)
+                - math.log(e1)) / (p - 1.0)
     evals: dict = {}
 
     def resid(tau: float):

@@ -51,8 +51,8 @@ SQRT10 = math.sqrt(10.0)
 DEFAULT_SUPER_ALPHAS = tuple(1e3 * SQRT10 ** i for i in range(5))
 DEFAULT_SUB_ALPHAS = tuple(1e2 * SQRT10 ** i for i in range(5))
 
-# The t-windows of the local and theorem checks: small d (large alpha for
-# p < 3) on the series branch; large d (large alpha for p > 3) on the
+# The t-windows of the local and theorem checks: small d (alpha -> inf for
+# p < 3, -> 0 for p > 3) on the series branch; large d (the reverse) on the
 # asymptote branch, late enough that the non-power remainder has died out.
 _SMALL_D_TS = tuple(np.geomspace(1e-4, 1e-2, 6).tolist())
 _LARGE_D_TS = tuple(np.exp(np.linspace(4.0, 6.0, 6)).tolist())
@@ -213,8 +213,9 @@ def _curve_log_states(ts, params: nc.ProblemParams) -> np.ndarray:
 
 
 def check_theorem_1(report: SweepReport) -> CheckResult:
-    """Supercritical growth law lambda = alpha^{p-1}(1 + C1 sqrt(a1+a2)
-    alpha^{-(p-3)/2} + O(alpha^{-(p-3)})).
+    """Large-d growth law lambda = alpha^{p-1}(1 + C1 sqrt(a1+a2)
+    alpha^{-(p-3)/2} + O(alpha^{-(p-3)})): alpha -> infinity for p > 3 (the
+    paper's theorem 1), alpha -> 0 for 1 < p < 3; WrongRegime at p = 3.
 
     Read on the large-d window, ln t in [4, 6] (six points), where
     lambda/alpha^{p-1} = gamma/d^{p-1} and x = alpha^{-(p-3)/2}
@@ -222,8 +223,8 @@ def check_theorem_1(report: SweepReport) -> CheckResult:
     """
     params = report.params
     p = params.p
-    if params.regime != "supercritical":
-        raise WrongRegime(f"supercritical law needs p > 3, got p = {p}")
+    if params.regime == "critical":
+        raise WrongRegime(f"theorem 1 needs p != 3, got p = {p}")
     ln_g, ln_d, ln_n = _curve_log_states(_LARGE_D_TS, params)
     xs = np.exp(-0.5 * (ln_n + (p - 3.0) * ln_d))
     ys = np.expm1(ln_g - (p - 1.0) * ln_d) / xs
@@ -259,7 +260,9 @@ def check_theorem_2(report: SweepReport) -> tuple[CheckResult, CheckResult]:
 def check_theorem_3(report: SweepReport,
                     constants_paper: consts.ConstantSet,
                     constants_variant: consts.ConstantSet):
-    """Subcritical law lambda = L0 alpha^2 (1 + S alpha^{p-3} + o).
+    """Small-d law lambda = L0 alpha^2 (1 + S alpha^{p-3} + o): alpha ->
+    infinity for 1 < p < 3 (the paper's theorem 3), alpha -> 0 for p > 3;
+    WrongRegime at p = 3.
 
     Read on the small-d window, t in [1e-4, 1e-2] (six points), where
     lambda/alpha^2 = N gamma/d^2 and x = alpha^{p-3} = N d^{p-3}; S is the
@@ -275,12 +278,12 @@ def check_theorem_3(report: SweepReport,
     """
     params = report.params
     p = params.p
-    if params.regime != "subcritical":
-        raise WrongRegime(f"subcritical law needs 1 < p < 3, got p = {p}")
+    if params.regime == "critical":
+        raise WrongRegime(f"theorem 3 needs p != 3, got p = {p}")
     for cs in (constants_paper, constants_variant):
         if cs.leading_coeff is None:
-            raise ValueError(f"ConstantSet for reading {cs.e3_reading!r} "
-                             "carries no subcritical coefficients")
+            raise ValueError(f"ConstantSet at p = {cs.p} carries no "
+                             "theorem 3 coefficients")
     ln_g, ln_d, ln_n = _curve_log_states(_SMALL_D_TS, params)
     ln_alpha = ln_n / (p - 3.0) + ln_d
     xs = np.exp(ln_n + (p - 3.0) * ln_d)
@@ -316,20 +319,18 @@ def _local_log_states(ts, p: float, q: float) -> np.ndarray:
 
 
 def check_local_large_d(p: float, q: float) -> list[CheckResult]:
-    """Large-d laws: eigenvalue shift C1, the q-norm relation residual, and
-    the D(d) coefficient (2/(p-1)) C1 - (2/q) Cq.
+    """Large-d laws, for every p: eigenvalue shift C1, the q-norm relation
+    residual, and the D(d) coefficient (2/(p-1)) C1 - (2/q) Cq.
 
     Read on ln t in [4, 6] (six points), with x = d^{-(p-1)/2}; the relation
     residual, which falls like e^{-2t}, is taken at the window's last t.
     Its fitted_order is nan, as for theorem 2's exact law: with t >= 54 on
     the window the residual is at rounding level (at most 4.1e-15 for p in
-    [3.01, 20], q in [1.1, 8]), and a fit of it would fit the rounding.
+    [1.05, 20], q in [1.1, 8]), and a fit of it would fit the rounding.
     p and q outside compute_A's domain raise ValueError before any
     calibration runs.
     """
     consts._check_pq(p, q)
-    if p <= 3.0:
-        raise WrongRegime(f"large-d checks need p > 3, got p = {p}")
     _, ln_g, ln_d, ln_wq = _local_log_states(_LARGE_D_TS, p, q)
     xs = np.exp(-0.5 * (p - 1.0) * ln_d)
     c1 = consts.compute_C1(p)

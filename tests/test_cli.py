@@ -18,6 +18,8 @@ from biflogis.cli import main
 
 CSV_HEADER = "alpha,k,d,gamma,h,beta,lambda"
 CHECK_HEADER = "name,target,estimate,rel_error,fitted_order,tolerance,pass"
+# verify's checks off p = 3: theorem 1 at large d, theorem 3 at small d.
+BOTH_ENDS = ["theorem_1_leading", "theorem_3_leading", "theorem_3_second"]
 
 
 def run_cli(capsys, *argv):
@@ -139,25 +141,36 @@ def test_verify_subcritical_passes(capsys):
     obj = json.loads(out)
     assert set(obj) == {"params", "rows", "checks"}
     names = [c["name"] for c in obj["checks"]]
-    assert names == ["theorem_3_leading", "theorem_3_second"]
+    assert names == BOTH_ENDS
     assert all(c["pass"] and "other_rel_error" not in c for c in obj["checks"])
 
 
 @pytest.mark.parametrize("p, names", [
-    ("3.01", ["theorem_1_leading"]), ("3.1", ["theorem_1_leading"]),
-    ("3.3", ["theorem_1_leading"]),
-    ("2.99", ["theorem_3_leading", "theorem_3_second"]),
-    ("2.999", ["theorem_3_leading", "theorem_3_second"])])
+    ("3.01", BOTH_ENDS), ("3.1", BOTH_ENDS), ("3.3", BOTH_ENDS),
+    ("2.99", BOTH_ENDS), ("2.999", BOTH_ENDS)])
 def test_verify_near_critical_passes(capsys, p, names):
     # Near p = 3 the theorems' alpha exceeds 10^400 (theorem 1 at p = 3.01)
     # and E3 leaves the double range (ln E3 = -1386 at p = 2.999); the laws
-    # are read at fixed layer coordinates and from ln E3.
+    # are read at fixed layer coordinates, and L0 and S are closed forms.
     code, out, err = run_cli(capsys, "verify", "--p", p, "--q", "2",
                              "--a1", "1", "--a2", "1")
     assert (code, err) == (0, "")
     checks = json.loads(out)["checks"]
     assert [c["name"] for c in checks] == names
     assert all(c["pass"] for c in checks)
+
+
+@pytest.mark.parametrize("q", ("1.1", "2", "8"))
+def test_verify_just_below_critical_reads_S(capsys, q):
+    # At p = 3 - 1e-6 the composed L0 missed its closed form by up to
+    # 7.5e-10, and theorem_3_second read that miss divided by x: 9.1e-6 to
+    # 1.7e-5. The closed forms leave the curve's own error, 4.7e-13 to
+    # 1.6e-11.
+    code, out, err = run_cli(capsys, "verify", "--p", "2.999999", "--q", q)
+    assert (code, err) == (0, "")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert list(checks) == BOTH_ENDS
+    assert checks["theorem_3_second"]["rel_error"] < 1e-9
 
 
 @pytest.mark.parametrize("p", ("2.999", "2.9999"))

@@ -249,6 +249,31 @@ def test_paper_definition_misses_by_a_pi_power(p):
                        factor) < 1e-13, (q, a1, a2)
 
 
+def _composed_l0_s(p, q, a1, a2, reading):
+    """The paper's composition of L0 and S from E1, E2, ln E3, E4 and E5,
+    written out term by term: the reference of the closed forms."""
+    E = compute_all(p, q, a1, a2, reading)
+    ln_pi = math.log(PI)
+    ratio = (p - 1.0) / (p - 3.0)
+    expo = (q * (p - 3.0) - (p - 1.0)) / (q * (p - 3.0))
+    l0 = math.exp(2.0 * expo * ln_pi + ratio * math.log(E.E1) - E.ln_E3)
+    s = (ratio * E.E2 / E.E1 + E.E4) * math.exp(-0.5 * (p - 3.0) * E.ln_E3) \
+        - E.E5
+    return E, l0, s
+
+
+@pytest.mark.parametrize("reading", READINGS)
+@pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 2.5, 2.9))
+def test_closed_forms_match_the_papers_composition(p, reading):
+    # Every 1/(p-3) term of the composition cancels: the closed forms
+    # differ from it by its own rounding, at most 1.3e-14 here.
+    for q in (1.1, 2.0, 4.0, 8.0):
+        for a1, a2 in ((1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.7, 0.4)):
+            cs, l0, s = _composed_l0_s(p, q, a1, a2, reading)
+            assert rel(cs.leading_coeff, l0) < 1e-13, (q, a1, a2)
+            assert rel(cs.second_coeff, s) < 1e-13, (q, a1, a2)
+
+
 def test_leading_coefficient_positive():
     for a1, a2 in ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5)):
         for reading in READINGS:
@@ -275,6 +300,13 @@ def test_near_critical_constants_finite_or_overflow(q, reading):
             assert math.isfinite(val) and val != 0.0, key
 
 
+def test_L0_past_the_double_range_is_typed():
+    # E1 = pi (a1 + a2) at q = 2 overflows from a1 = 1e308; L0 = pi E1 is
+    # reported as Overflow, not returned as inf.
+    with pytest.raises(Overflow):
+        compute_all(2.0, 2.0, 1e308, 1.0)
+
+
 PROOF_VARIANT_PQ = [(p, q) for p in (1.5, 2.0, 2.5, 2.9, 2.99)
                     for q in (1.1, 2.0, 8.0)] + [(2.9975, 1.1), (2.9975, 2.0)]
 
@@ -282,9 +314,9 @@ PROOF_VARIANT_PQ = [(p, q) for p in (1.5, 2.0, 2.5, 2.9, 2.99)
 @pytest.mark.parametrize("p,q", PROOF_VARIANT_PQ)
 def test_proof_variant_leading_is_pi_power_times_E1(p, q):
     # Under proof_variant the pi- and E1-powers of L0 and E3 cancel to
-    # L0 = pi^{2-2/q} E1 for every p; the log form loses only the rounding
-    # of the (p-1)/(p-3) powers it cancels. At p = 2.9975 the pi-power of L0
-    # alone is e^917 (q = 2), yet ln E3 and L0 are doubles.
+    # L0 = pi^{2-2/q} E1 for every p, which is how L0 is computed. At
+    # p = 2.9975 the pi-power of the paper's composed L0 alone is e^917
+    # (q = 2), yet ln E3 and L0 are doubles.
     cs = compute_all(p, q, 0.7, 0.4)
     ratio = abs((p - 1.0) / (p - 3.0))
     assert rel(cs.leading_coeff, PI ** (2.0 - 2.0 / q) * cs.E1) \
@@ -295,8 +327,9 @@ def test_proof_variant_leading_is_pi_power_times_E1(p, q):
 def test_E_validation():
     with pytest.raises(InvalidRegime):
         compute_E(3.0, 2.0, 1.0, 1.0)
-    with pytest.raises(InvalidRegime):
-        compute_E(5.0, 2.0, 1.0, 1.0)
+    # p = 3 is the only gap: p > 3 gives the constants of the alpha -> 0 end.
+    E = compute_E(5.0, 2.0, 1.0, 1.0)
+    assert all(math.isfinite(v) for v in E.values())
     with pytest.raises(ZeroCoefficients):
         compute_E(2.0, 2.0, 0.0, 0.0)
     with pytest.raises(ValueError):
@@ -330,18 +363,22 @@ def test_compute_all_subcritical():
     }
 
 
-def test_compute_all_supercritical_has_no_E():
+THEOREM_3_KEYS = ("E1", "E2", "ln_E3", "E4", "E5",
+                  "leading_coeff", "second_coeff")
+
+
+def test_compute_all_supercritical_has_E():
     cs = compute_all(5.0, 2.0, 1.0, 0.0)
-    for name in ("E1", "E2", "ln_E3", "E4", "E5",
-                 "leading_coeff", "second_coeff"):
-        assert getattr(cs, name) is None
+    for name in THEOREM_3_KEYS:
+        assert math.isfinite(getattr(cs, name)), name
     assert cs.A6 is not None
 
 
 def test_compute_all_critical_drops_A6():
     cs = compute_all(3.0, 2.0, 1.0, 1.0)
     assert cs.A6 is None
-    assert cs.E1 is None
+    for name in THEOREM_3_KEYS:
+        assert getattr(cs, name) is None, name
 
 
 def test_compute_all_rejects_bad_reading():

@@ -171,7 +171,7 @@ def test_theorem_1_passes():
 
 
 def test_theorem_1_wrong_regime():
-    rep = sweep(params_for(2.0), [10.0, 100.0, 1000.0, 10000.0])
+    rep = sweep(params_for(3.0), [10.0, 100.0, 1000.0, 10000.0])
     with pytest.raises(WrongRegime):
         check_theorem_1(rep)
 
@@ -280,16 +280,41 @@ def test_theorem_3_ambiguous(sub_report):
 
 
 def test_theorem_3_wrong_regime():
-    rep = sweep(params_for(5.0), [100.0, 1000.0, 10000.0])
+    rep = sweep(params_for(3.0), [100.0, 1000.0, 10000.0])
     cp, cv = constant_sets()
     with pytest.raises(WrongRegime):
         check_theorem_3(rep, cp, cv)
 
 
-def test_theorem_3_rejects_supercritical_constants(sub_report):
-    cs = consts.compute_all(5.0, 2.0, 0.0, 1.0)
+def test_theorem_3_rejects_critical_constants(sub_report):
+    cs = consts.compute_all(3.0, 2.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         check_theorem_3(sub_report, cs, cs)
+
+
+# ---------------------------------------------------- the alpha -> 0 end
+
+ZERO_END_WEIGHTS = ((1.0, 1.0), (0.0, 1.0), (1.0, 0.0))
+
+
+@pytest.mark.parametrize("q", (1.1, 2.0, 8.0))
+@pytest.mark.parametrize("p", (1.05, 2.0, 2.9))
+def test_theorem_1_holds_as_alpha_to_0_below_3(p, q):
+    # For p < 3 large d is alpha -> 0, and x = alpha^{(3-p)/2} -> 0 there.
+    for a1, a2 in ZERO_END_WEIGHTS:
+        res = check_theorem_1(SweepReport(params_for(p, q, a1, a2)))
+        assert res.passed, (a1, a2, res.rel_error)
+
+
+@pytest.mark.parametrize("q", (1.1, 2.0, 8.0))
+@pytest.mark.parametrize("p", (3.1, 5.0, 12.0))
+def test_theorem_3_holds_as_alpha_to_0_above_3(p, q):
+    # For p > 3 small d is alpha -> 0, and x = alpha^{p-3} -> 0 there.
+    for a1, a2 in ZERO_END_WEIGHTS:
+        cs = consts.compute_all(p, q, a1, a2)
+        leading, second, _ = check_theorem_3(
+            SweepReport(params_for(p, q, a1, a2)), cs, cs)
+        assert leading.passed and second.passed, (a1, a2)
 
 
 # -------------------------------------------------------- local-d checks
@@ -305,7 +330,7 @@ def no_root_find(monkeypatch):
 
 @pytest.mark.usefixtures("no_root_find")
 @pytest.mark.parametrize("q", (1.1, 4.0, 8.0))
-@pytest.mark.parametrize("p", (3.01, 5.0, 12.0, 20.0))
+@pytest.mark.parametrize("p", (1.05, 2.0, 3.0, 3.01, 5.0, 12.0, 20.0))
 def test_large_d_checks_pass_q4(p, q):
     # q != 2 keeps the D coefficient away from zero (at q = 2 it vanishes
     # identically), so all three checks carry information.
@@ -335,10 +360,10 @@ def test_large_d_D_check_sees_the_cq_term():
 
 
 def test_large_d_validation():
-    with pytest.raises(WrongRegime):
-        check_local_large_d(3.0, 2.0)
-    with pytest.raises(WrongRegime):
-        check_local_large_d(2.0, 2.0)
+    # The local problem has no regime: the large-d laws hold at p = 3 and
+    # below as well.
+    for p in (3.0, 2.0):
+        assert all(r.passed for r in check_local_large_d(p, 2.0))
 
 
 @pytest.mark.parametrize("check", (check_local_small_d, check_local_large_d))

@@ -11,8 +11,9 @@ on the working tree's. The base revision is exported with
 alone. The list holds the README's seven examples, their ``--format csv``
 (or json) variants, a default grid, a solver error, two runs at
 p = 1.5 (its constants, and a solve whose root lies on the moments'
-Chebyshev branch), three near-critical runs (the laws of theorems 1 and 3
-at p = 3.01 and 2.999, and the constants at 2.999), and the flag values
+Chebyshev branch), four near-critical runs (both ends' laws at p = 3.01,
+2.999 and 3 - 1e-6, and the constants at 2.999), both ends' laws at
+p = 1.05 and 12 and the constants at p = 5, and the flag values
 outside the documented domain that must be usage errors (exit 64),
 ``--e3-reading`` among them.
 
@@ -64,6 +65,11 @@ INVOCATIONS = [
     "verify --p 3.01",
     "verify --p 2.999",
     "constants --p 2.999",
+    "verify --p 2.999999",
+    # far from p = 3: theorems 1 and 3 at both ends, p > 3's L0 and S
+    "verify --p 1.05",
+    "verify --p 12",
+    "constants --p 5",
     # values outside the documented domain
     "solve-local --p 0.5 --k 1",
     "profile --p 0.5 --k 1",
