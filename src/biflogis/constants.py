@@ -177,10 +177,15 @@ def _e_from_a(p: float, q: float, a1: float, a2: float, reading: str,
     the problem's q is a transcription slip of this repository, not a
     reading of the paper (see README): the curve's own second coefficient
     rules it out wherever q != 2 and a1 > 0. ``reading`` is compute_all's.
+    Overflow where E1 or E2 leaves the double range, as a weight near the
+    largest double takes them.
     """
     a1q, e1 = _e1_terms(q, a1, a2, A["A1"])
     e2 = a1q * (_amplitude_a4(p, q, A) + (2.0 / q) * (A["A2"] / A["A1"])) \
         + (2.0 * a2 * PI ** ((2.0 - q) / q) / q) * A["A3"]
+    if not (math.isfinite(e1) and math.isfinite(e2)):
+        raise Overflow(f"E1 or E2 leaves the double range at p = {p!r}, "
+                       f"q = {q!r}, a1 = {a1!r}, a2 = {a2!r}")
     denom = (p - 1.0) if reading == "paper_definition" else (p - 3.0)
     # In log form: E3 leaves the double range near p = 3.
     ln_e3 = (2.0 / (p - 3.0)) * math.log(e1) \

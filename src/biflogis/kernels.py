@@ -16,28 +16,20 @@ __all__ = ["c_factor", "layer_integrand", "rk4_shoot", "IMPLEMENTATION"]
 # Name of the kernel implementation, recorded with benchmark results.
 IMPLEMENTATION = "pure"
 
-# c_factor has two branches. Below the series cut it sums the power series
-# in u. Its m-th coefficient is at most 2 max(p, m)^m/(m+2)! in size, so
-# with max(p, 20) u <= 0.4 the first dropped term (m = 13) is below 1.1e-17
-# while c stays above 0.86: under 2^-53 of c. Hence the cut 0.02 up to
-# p = 20 and 0.4/p beyond. From the cut up to u = 1 one exact rearrangement
-# without cancellation serves every p (see c_factor). Against 50-digit
-# mpmath the two branches are within 2.4e-15 relative for p from 1.001 to
-# 1000 and u from 1e-14 to 1.
-# The series stays below the cut because the rearrangement divides by u^2:
-# as u^2 nears underflow it loses digits (1.6e-14 at u = 1e-155) and then
-# all of them (NaN from u = 1e-165).
-_SERIES_CUT = 0.02
-_SERIES_P = 20.0
-_SERIES_TERMS = 12
+# c_factor is one exact rearrangement without cancellation for every u in
+# (0, 1) and every p (see c_factor), with two exact ends: 1/(p+1) at u = 1,
+# and 1.0 below _C_ONE_BELOW, where c = 1 - (p/3) u + O(p^2 u^2) rounds to
+# 1 for p below about 1e134. The rearrangement divides by u^2, which stays
+# a normal double down to that end; past it, u^2 nears underflow and the
+# quotient loses digits (1.6e-14 at u = 1e-155 and p = 2, 6.3e-11 at
+# p = 1.0001; NaN from u = 1e-165).
+# Against mpmath at 2 |log10 u| + 30 digits, c is within 6.7e-16 relative
+# for p from 1.0001 to 1e4 and u from 1e-160 to 0.5, and within 3.6e-15 up
+# to u = 1 - 1e-6.
+_C_ONE_BELOW = 1e-150
 # expm1(x) - x by its Taylor series (through x^20) where |x| < 0.5.
 _EXM1X_CUT = 0.5
 _EXM1X_COEFS = [1.0 / math.factorial(n) for n in range(20, 1, -1)]
-
-
-def _series_cut(p: float) -> float:
-    """Upper end of c_factor's series branch: p u stays at most 0.4."""
-    return _SERIES_CUT if p <= _SERIES_P else _SERIES_CUT * _SERIES_P / p
 
 
 def _expm1_minus_x(x: np.ndarray) -> np.ndarray:
@@ -60,34 +52,23 @@ def c_factor(u, p: float):
     s = 1, and c is its regular part: c(0) = 1, c(1) = 1/(p+1), c analytic on
     [0, 1] for p > 1. Accepts scalars or arrays on [0, 1].
 
-    Below _series_cut(p), the 12-term power series in u. From there to
-    u < 1, the exact identity, with L = ln(1-u) and E(x) = e^x - 1 - x,
+    For _C_ONE_BELOW <= u < 1, the exact identity, with L = ln(1-u) and
+    E(x) = e^x - 1 - x,
 
         (p+1) f(1-u) = (p-1) [2L expm1(2L) - E(2L)] + 2 (1-u)^2 E((p-1) L).
 
     Both terms are nonnegative and the bracket is about 2 L^2, so no step
     cancels more than one bit, at p near 1 as at large p. At u = 1 (L = -inf)
-    the closed value 1/(p+1).
+    the closed value 1/(p+1), and below _C_ONE_BELOW the value 1.0 that c
+    rounds to there.
     """
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 0
     u = np.atleast_1d(u)
-    out = np.empty_like(u)
+    out = np.ones_like(u)
 
-    lo = u < _series_cut(p)
     one = u >= 1.0
-    mid = ~(lo | one)
-
-    if np.any(lo):
-        ul = u[lo]
-        val = np.ones_like(ul)
-        term = np.ones_like(ul)
-        coef = 1.0
-        for m in range(1, _SERIES_TERMS + 1):
-            coef = -p / 3.0 if m == 1 else coef * (-(p - m) / (m + 2.0))
-            term = term * ul
-            val = val + coef * term
-        out[lo] = val
+    mid = ~(one | (u < _C_ONE_BELOW))
     if np.any(mid):
         um = u[mid]
         L = np.log1p(-um)
@@ -100,14 +81,14 @@ def c_factor(u, p: float):
     return out[0] if scalar else out
 
 
-def layer_integrand(v, eps: float, em: float, p: float):
-    """Integrand of the layer-regularized moment J_0 after s = 1 - x^2,
-    x = sqrt(2 eps/(p-1)) sinh(v); J_q weights it by s^q = (1-u)^q.
+def layer_integrand(v, eps: float, em: float, p: float, q: float):
+    """Integrand of the layer-regularized moment J_q after s = 1 - x^2,
+    x = sqrt(2 eps/(p-1)) sinh(v): sqrt(H0/H) (1-u)^q, u = x^2 clamped to
+    [0, 1], with H0 = 2 eps + (p-1) u and H = eps (2-u) + em (p-1) u c(u).
+    At q = 0.0 the weight is 1.0 exactly and sqrt(H0/H) is returned as is.
 
     eps and em = 1 - eps are passed separately so callers can supply
-    em = -expm1(-t) and keep full precision when eps is tiny. Returns
-    sqrt(H0/H) with H0 = 2 eps + (p-1) u and
-    H = eps (2-u) + em (p-1) u c(u), u = x^2 clamped to [0, 1]. eps and em
+    em = -expm1(-t) and keep full precision when eps is tiny. eps and em
     may be columns of shape (m, 1) against v of shape (m, nodes): row j is
     then the integrand at (eps_j, em_j).
     """
@@ -116,7 +97,7 @@ def layer_integrand(v, eps: float, em: float, p: float):
     u = np.minimum(x * x, 1.0)
     h0 = 2.0 * eps + (p - 1.0) * u
     h = eps * (2.0 - u) + em * (p - 1.0) * u * c_factor(u, p)
-    return np.sqrt(h0 / h)
+    return np.sqrt(h0 / h) * (1.0 - u) ** q
 
 
 def rk4_shoot(gamma: float, start: float, p: float, n_steps: int,

@@ -229,7 +229,8 @@ _S_BINOM = np.cumprod(np.concatenate(([1.0], 1.0 - 0.5 / _S_N[1:])))
 
 def _layer_moments(eps, em, p: float, q: float):
     """J_q(eps) at every node of eps from one stacked adaptive pass in the
-    sinh variable, in the shape of eps.
+    sinh variable, in the shape of eps; kernels.layer_integrand forms the
+    substitution and applies the weight (1 - u)^q.
 
     em = 1 - eps is passed separately so callers can hand over -expm1(-t)
     at full precision when eps is tiny. Every node is one row, its range
@@ -240,13 +241,9 @@ def _layer_moments(eps, em, p: float, q: float):
     eps = np.reshape(eps, (-1, 1))
     em = np.reshape(em, (-1, 1))
     v_top = np.arcsinh(np.sqrt((p - 1.0) / (2.0 * eps)))
-    w0 = np.sqrt(2.0 * eps / (p - 1.0))
 
     def f(y):
-        v = v_top * y
-        x = w0 * np.sinh(v)
-        weight = (1.0 - np.minimum(x * x, 1.0)) ** q
-        return v_top * kernels.layer_integrand(v, eps, em, p) * weight
+        return v_top * kernels.layer_integrand(v_top * y, eps, em, p, q)
 
     res = integrate(f, 0.0, 1.0)
     return (2.0 / math.sqrt(p - 1.0)) * res.value.reshape(shape)
@@ -722,7 +719,7 @@ def sample_profile(point: LocalPoint, n: int, params: LocalParams) -> Profile:
         scale = 2.0 / (math.sqrt(p - 1.0) * sqrt_g)
 
         def f(v):
-            return kernels.layer_integrand(v, eps, em, p)
+            return kernels.layer_integrand(v, eps, em, p, 0.0)
 
         segs = _segment_integrals(f, vs[1:], vs[:-1] - vs[1:])
         xs_half[1:] = np.cumsum(scale * segs)

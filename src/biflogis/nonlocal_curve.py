@@ -161,13 +161,16 @@ def _residual(tau: float, ln_alpha: float, params: ProblemParams):
 
 
 def g_of_k(k: float, params: ProblemParams) -> float:
-    """g = N^{1/(p-3)} d, the alpha reached by local amplitude k (p != 3)."""
+    """g = N^{1/(p-3)} d, the alpha reached by local amplitude k (p != 3);
+    Overflow where g leaves the normal double range, as near p = 3 or at
+    weights near the largest double."""
     if params.regime == "critical":
         raise InvalidRegime("g = N^{1/(p-3)} d is singular at p = 3")
     check_positive("k", k)
     t, _ = ll._t_from_k(k, ll.LocalParams(p=params.p))
     state, ln_n = _state_at_t(t, params)
-    return math.exp(ln_n / (params.p - 3.0) + state[2][0])
+    return consts._exp_in_range(ln_n / (params.p - 3.0) + state[2][0], "g",
+                                params.p, params.q)
 
 
 def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:

@@ -356,17 +356,17 @@ def check_local_small_d(p: float, q: float) -> list[CheckResult]:
     """Small-d laws: the A3, A4, and (2/q) A2/A1 expansion coefficients.
 
     Read on t in [1e-4, 1e-2] (six points), with x = d^{p-1}. The A4 target
-    is evaluated at q = 2 regardless of the check's q: the amplitude ratio
-    k^2/(2 d^2) does not involve q, and its derivation pins the norm
-    exponent to 2. p and q outside compute_A's domain raise ValueError
-    before any calibration runs.
+    is A4 at q = 2 whatever the check's q, read through
+    constants._amplitude_a4 as E2 reads it: the amplitude ratio
+    k^2/(2 d^2) involves the L2 norm alone. p and q outside compute_A's
+    domain raise ValueError before any calibration runs.
     """
     consts._check_pq(p, q)
     ln_k, ln_g, ln_d, ln_wq = _local_log_states(_SMALL_D_TS, p, q)
     xs = np.exp((p - 1.0) * ln_d)
 
     A = consts.compute_A(p, q)
-    a4 = consts.compute_A(p, 2.0)["A4"]
+    a4 = consts._amplitude_a4(p, q, A)
     t32 = (2.0 / q) * (A["A2"] / A["A1"])
 
     y1 = math.pi * np.expm1(0.5 * ln_g - math.log(math.pi)) / xs

@@ -307,6 +307,14 @@ def test_L0_past_the_double_range_is_typed():
         compute_all(2.0, 2.0, 1e308, 1.0)
 
 
+@pytest.mark.parametrize("p", (2.0, 5.0))
+def test_E_past_the_double_range_is_typed(p):
+    # The same weights overflow E1 and E2 on either side of p = 3: Overflow,
+    # not inf, -inf and nan in the returned E family.
+    with pytest.raises(Overflow):
+        compute_E(p, 2.0, 1e308, 1.0)
+
+
 PROOF_VARIANT_PQ = [(p, q) for p in (1.5, 2.0, 2.5, 2.9, 2.99)
                     for q in (1.1, 2.0, 8.0)] + [(2.9975, 1.1), (2.9975, 2.0)]
 

@@ -1,4 +1,5 @@
-"""The NumPy kernels: c_factor branches, RK4 accuracy and overflow status."""
+"""The NumPy kernels: c_factor against mpmath, RK4 accuracy and overflow
+status."""
 
 import math
 
@@ -28,56 +29,49 @@ def test_c_factor_p3_closed_form():
 
 
 def test_c_factor_branch_continuity():
-    # values just either side of the series cut must agree; the gap is
-    # small enough that |c'| * gap ~ 1e-12, so any excess is a branch jump
-    for p in P_GRID:
-        lo = kernels.c_factor(0.02 - 1e-12, p)
-        hi = kernels.c_factor(0.02 + 1e-12, p)
-        assert abs(lo - hi) < 1e-11
+    # Below _C_ONE_BELOW c is 1.0 exactly, and just above it the identity
+    # gives 1 - (p/3) u, which rounds to 1.0, within two ulps: the switch
+    # does not jump
+    one_below = kernels._C_ONE_BELOW
+    for p in P_GRID + (1.0001, 1e4):
+        assert kernels.c_factor(math.nextafter(one_below, 0.0), p) == 1.0
+        assert kernels.c_factor(one_below * 1e-9, p) == 1.0
+        assert abs(kernels.c_factor(one_below, p) - 1.0) <= 4.5e-16
+        assert abs(kernels.c_factor(one_below * (1.0 + 1e-9), p) - 1.0) \
+            <= 4.5e-16
 
 
 def _c_reference(u: float, p: float) -> float:
-    """f(1-u)/((p-1) u^2) in 50-digit arithmetic."""
-    with mpmath.workdps(50):
+    """f(1-u)/((p-1) u^2) in mpmath at 2 |log10 u| + 30 digits: f is about
+    u^2 against terms of size 1, so it cancels 2 |log10 u| digits."""
+    with mpmath.workdps(int(2 * abs(math.log10(u))) + 30):
         u, p = mpmath.mpf(u), mpmath.mpf(p)
         s = 1 - u
         f = (p - 1) / (p + 1) - s ** 2 + 2 * s ** (p + 1) / (p + 1)
         return float(f / ((p - 1) * u ** 2))
 
 
-C_REF_P = (1.05, 2.0, 3.0, 5.0, 20.0, 50.0, 100.0)
-C_MP_P = (1.001, 1.05, 1.5, 1.8, 2.0, 2.5, 3.0, 5.0, 20.0, 100.0, 1000.0)
+C_MP_P = (1.0001, 1.001, 1.05, 1.5, 1.8, 2.0, 2.5, 3.0, 5.0, 20.0, 100.0,
+          1000.0, 1e4)
 
 
 def test_c_factor_against_mpmath():
-    # The series below its cut and the one identity from there to u = 1,
-    # on log-spaced u, random u, both sides of the cut and u = 1 itself.
-    # The expm1/log1p and direct-power forms this identity replaced were
-    # 4.0e-14 off at p = 1.5, u = 0.0265.
+    # The one identity from the exact end up to u = 1, on log-spaced u,
+    # random u, both sides of the end and u = 1 itself. The expm1/log1p and
+    # direct-power forms this identity replaced were 4.0e-14 off at p = 1.5,
+    # u = 0.0265.
     rng = np.random.default_rng(27)
+    one_below = kernels._C_ONE_BELOW
     for p in C_MP_P:
-        cut = kernels._series_cut(p)
-        us = np.concatenate((np.logspace(-14, math.log10(1.0 - 1e-10), 120),
-                             rng.random(40), (cut * (1.0 - 1e-9),
-                                              cut * (1.0 + 1e-9), 0.0265)))
+        us = np.concatenate((np.logspace(-150, math.log10(1.0 - 1e-10), 120),
+                             rng.random(40), 10.0 ** rng.uniform(-150, -2, 20),
+                             (math.nextafter(one_below, 0.0), one_below,
+                              one_below * (1.0 + 1e-9), 0.02, 0.0265)))
         got = kernels.c_factor(us, p)
         for u, c in zip(us.tolist(), got.tolist()):
             ref = _c_reference(u, p)
             assert abs(c / ref - 1.0) <= 5e-15, (p, u)
         assert abs(kernels.c_factor(1.0, p) * (p + 1.0) - 1.0) <= 5e-15, p
-
-
-def test_c_factor_series_tail_below_rounding():
-    # The first dropped series term at the cut stays under 2^-53 of c.
-    for p in C_REF_P + (300.0, 1e4):
-        u = kernels._series_cut(p)
-        coef = 1.0
-        for m in range(1, kernels._SERIES_TERMS + 2):
-            coef = -p / 3.0 if m == 1 else coef * (-(p - m) / (m + 2.0))
-        dropped = abs(coef) * u ** (kernels._SERIES_TERMS + 1)
-        assert dropped <= 2.0 ** -53 * kernels.c_factor(u, p), p
-    # the cut does not move up to p = 20
-    assert kernels._series_cut(20.0) == kernels._series_cut(1.05) == 0.02
 
 
 def test_c_factor_scalar_and_array():

@@ -908,7 +908,7 @@ def _loop_profile_xs(point, n, params):
         scale = 2.0 / (math.sqrt(p - 1.0) * sqrt_g)
 
         def f(v):
-            return kernels.layer_integrand(v, eps, em, p)
+            return kernels.layer_integrand(v, eps, em, p, 0.0)
 
         for j in range(1, n):
             xs[j] = xs[j - 1] + scale * integrate(f, vs[j], vs[j - 1]).value

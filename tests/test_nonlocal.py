@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biflogis.errors import (BiflogisError, InvalidBracket, InvalidRegime,
-                             MonotonicityViolation, NoConvergence,
+                             MonotonicityViolation, NoConvergence, Overflow,
                              ZeroCoefficients)
 from biflogis import local_logistic as ll, nonlocal_curve
 from biflogis.local_logistic import LocalParams, point_q_norm
@@ -537,6 +537,17 @@ def test_g_of_k_validation():
         g_of_k(0.0, params)
     with pytest.raises(InvalidRegime):
         g_of_k(1.0, ProblemParams(p=3.0, q=2.0, a1=1.0, a2=0.0))
+
+
+@pytest.mark.parametrize("p, q, a1, a2", [(3.01, 2.0, 1e10, 1.0),
+                                          (2.99, 2.0, 1e10, 1.0),
+                                          (5.0, 8.0, 1e308, 1e308)])
+def test_g_of_k_past_the_double_range_is_typed(p, q, a1, a2):
+    # N^{1/(p-3)} near p = 3, and N = a1 ||w||_q^2 + a2 d^2 itself at
+    # weights near the largest double, leave the double range: Overflow,
+    # not a bare OverflowError, 0.0 or inf.
+    with pytest.raises(Overflow):
+        g_of_k(1.0, ProblemParams(p=p, q=q, a1=a1, a2=a2))
 
 
 def test_d_monotone_along_curve():

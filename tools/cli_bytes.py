@@ -11,11 +11,12 @@ on the working tree's. The base revision is exported with
 alone. The list holds the README's seven examples, their ``--format csv``
 (or json) variants, a default grid, a solver error, two runs at
 p = 1.5 (its constants, and a solve whose root lies on the moments'
-Chebyshev branch), four near-critical runs (both ends' laws at p = 3.01,
-2.999 and 3 - 1e-6, and the constants at 2.999), both ends' laws at
-p = 1.05 and 12 and the constants at p = 5, and the flag values
-outside the documented domain that must be usage errors (exit 64),
-``--e3-reading`` among them.
+Chebyshev branch), two runs near p = 1 (a Chebyshev-panel solve at
+p = 1.05 and a profile on the sinh route at p = 1.2), four near-critical
+runs (both ends' laws at p = 3.01, 2.999 and 3 - 1e-6, and the constants
+at 2.999), both ends' laws at p = 1.05 and 12 and the constants at p = 5,
+and the flag values outside the documented domain that must be usage
+errors (exit 64), ``--e3-reading`` among them.
 
 An invocation still running after ``TIMEOUT_S`` seconds is stopped and
 shows exit code -1 with empty stdout: a revision that accepts a value a
@@ -61,6 +62,10 @@ INVOCATIONS = [
     # p = 1.5: the constants, and a root on the Chebyshev branch (t = 7.79)
     "constants --p 1.5 --q 2",
     "solve --p 1.5 --alpha 0.01",
+    # near p = 1: a Chebyshev-panel calibration whose nodes mostly have
+    # small u (t = 1.13), and a profile on the sinh route (t = 1.19)
+    "solve-local --p 1.05 --gamma 30 --q 8",
+    "profile --p 1.2 --gamma 30",
     # near p = 3: alpha(t) exceeds 10^400 at p = 3.01, ln E3 = -1386 at 2.999
     "verify --p 3.01",
     "verify --p 2.999",
