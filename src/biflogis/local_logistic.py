@@ -49,13 +49,14 @@ Each branch also gives dJ_q/dtau: the series term by term, the asymptote as
 t/sqrt(p-1), the Chebyshev series through the derivative coefficients its
 panel caches beside its values. Every calibration runs at the quadrature's
 one tolerance, quadrature.REL_TOL, and depends on its own (p, q) key alone
-(and B_q on B_0), never on which other q came before it. A moment call reads
-its q from one view per (p, qs, branch), stacked in the caller's q order
-from the per-q caches; both series share one row-wise dot product against
-their basis (none on the asymptote). The (k, gamma) maps time_map and
-q_norm read the same moments at t = -ln(1 - k^{p-1}/gamma), and constants
-reads A and Cq off the series rows and _norm_deficit, so no public route
-integrates outside calibration.
+(and B_q on B_0), never on which other q came before it. Every moment call
+returns J_0, J_2 and J_q with their slopes, from one view per (p, q, branch)
+stacked from the per-q caches; both series share one row-wise dot product
+against their basis (none on the asymptote). Every curve state is the flat
+log state (ln k, ln gamma, ln d, ln ||w||_q and their slopes) built from one
+such call. The (k, gamma) maps time_map and q_norm read the same moments at
+t = -ln(1 - k^{p-1}/gamma), and constants reads A and Cq off the series rows
+and _norm_deficit, so no public route integrates outside calibration.
 
 A sampled profile is the cumulative sum of the segment integrals of x'(s)
 between its nodes (in the sinh variable below T_ASYM, in s above it). Each
@@ -217,9 +218,9 @@ _CQ_CACHE: dict = {}
 _S_CACHE: dict = {}
 _C_CACHE: dict = {}
 _SEG_CACHE: dict = {}
-# Copies of the calibrations above stacked for _moments_at_t, one per (p, qs,
-# branch) and so per order of qs, never trimmed; branch -1 is the
-# series, _CHEB_PANELS the asymptote, and those between the Chebyshev panels.
+# Copies of the calibrations above stacked for _moments_at_t, one per (p, q,
+# branch), each holding q = 0, 2 and q; branch -1 is the series,
+# _CHEB_PANELS the asymptote, and those between the Chebyshev panels.
 _VIEW_CACHE: dict = {}
 
 _S_N = np.arange(_S_TERMS, dtype=float)
@@ -361,9 +362,9 @@ def _cheb_coeffs(p: float, qpow: float, panel: int) -> np.ndarray:
     return val
 
 
-def _moments_at_t(t: float, p: float, qs: tuple):
-    """([J_q for q in qs], [dJ_q/dtau for q in qs]) at layer coordinate
-    t = -ln(eps) = e^tau; a q may repeat.
+def _moments_at_t(t: float, p: float, q: float):
+    """(J_0, J_2, J_q, dJ_0/dtau, dJ_2/dtau, dJ_q/dtau) at layer coordinate
+    t = -ln(eps) = e^tau.
 
     Three branches, all closed form once calibrated: up to T_SERIES, the
     power series in em = -expm1(-t) with the cached coefficients, whose tail
@@ -371,12 +372,13 @@ def _moments_at_t(t: float, p: float, qs: tuple):
     sum there; between the switch points, the Chebyshev series in
     tau = ln t with the cached coefficients of its panel; at or past
     T_ASYM, the asymptote with the cached B_q. Each branch reads one view
-    per (p, qs, branch), stacked once from the per-q caches: the
-    (2, len(qs), _S_TERMS) series coefficients, the B_q tuple, or a panel's
-    (2, len(qs), points) Chebyshev coefficients, values first, then slopes.
+    per (p, q, branch), stacked once from the per-q caches of 0, 2 and q:
+    the (6, _S_TERMS) series coefficients, the (B_0, B_2, B_q) triple, or a
+    panel's (6, points) Chebyshev coefficients, values first, then slopes.
     The series and Chebyshev views are evaluated by one np.vecdot against
     their basis, the powers em^n or T_k(x) = cos(k arccos x), each row by
-    the same arithmetic, so a q's bits do not depend on its place in qs.
+    the same arithmetic, so a moment's bits do not depend on its row or on
+    the q it is stacked with.
     """
     if t <= T_SERIES:
         branch = -1
@@ -385,41 +387,40 @@ def _moments_at_t(t: float, p: float, qs: tuple):
     else:
         s = (math.log(t) - _CHEB_TAU0) / _CHEB_WIDTH
         branch = min(int(s), _CHEB_PANELS - 1)
-    key = (p, qs, branch)
+    key = (p, q, branch)
     view = _VIEW_CACHE.get(key)
     if view is None:
-        if branch < 0:
-            view = np.stack([_series_coeffs(p, q) for q in qs], axis=1)
-        elif branch == _CHEB_PANELS:
-            view = tuple(_b_shift(p, q) for q in qs)
+        qs = (0.0, 2.0, q)
+        if branch == _CHEB_PANELS:
+            view = tuple(_b_shift(p, x) for x in qs)
         else:
-            view = np.stack([_cheb_coeffs(p, q, branch) for q in qs], axis=1)
+            view = np.stack([_series_coeffs(p, x) if branch < 0
+                             else _cheb_coeffs(p, x, branch) for x in qs],
+                            axis=1).reshape(6, -1)
         _VIEW_CACHE[key] = view
     if branch < 0:
         em = -math.expm1(-t)
         basis, scale = em ** _S_N, t * math.exp(-t) / em    # d(ln em)/dtau
     elif branch == _CHEB_PANELS:
         lin = t / math.sqrt(p - 1.0)
-        return [lin + b for b in view], [lin] * len(qs)
+        b0, b2, bq = view
+        return lin + b0, lin + b2, lin + bq, lin, lin, lin
     else:
-        k = np.arange(float(view.shape[2]))
+        k = np.arange(float(view.shape[1]))
         basis, scale = np.cos(math.acos(2.0 * (s - branch) - 1.0) * k), 1.0
-    vals, slopes = np.vecdot(view, basis).tolist()
-    return vals, [slope * scale for slope in slopes]
+    j0, j2, jq, dj0, dj2, djq = np.vecdot(view, basis).tolist()
+    return j0, j2, jq, dj0 * scale, dj2 * scale, djq * scale
 
 
 # --- curve state at a given t -------------------------------------------------
 
-def _log_state_at_t(t: float, p: float, qs: tuple):
-    """(ln k, ln gamma, norms, slopes) at layer coordinate t, from one
-    _moments_at_t call; norms holds ln ||w||_q for every q in qs, as a tuple
-    in the order of qs (a q may repeat), and slopes the derivatives in
-    tau = ln t of the first three entries, laid out as they are.
-    d = ||w||_2, so a caller that needs d passes 2.0 in qs. Finite over the
-    whole tau bracket, also where k itself under- or overflows."""
-    js, djs = _moments_at_t(t, p, (0.0, *qs))
-    j0 = js[0]
-    dln_j0 = djs[0] / j0
+def _log_state_at_t(t: float, p: float, q: float):
+    """(ln k, ln gamma, ln d, ln ||w||_q, then their four derivatives in
+    tau = ln t) at layer coordinate t, from one _moments_at_t call; entry
+    i + 4 is the slope of entry i. Finite over the whole tau bracket, also
+    where k itself under- or overflows."""
+    j0, j2, jq, dj0, dj2, djq = _moments_at_t(t, p, q)
+    dln_j0 = dj0 / j0
     em = -math.expm1(-t)
     ln_gamma = _LN4 + 2.0 * math.log(j0)
     ln_k = (math.log(em) + ln_gamma) / (p - 1.0)
@@ -428,22 +429,21 @@ def _log_state_at_t(t: float, p: float, qs: tuple):
     dln_k = (t * math.exp(-t) / em + 2.0 * dln_j0) / (p - 1.0)
     # ln of the ratio, not a difference of logs: deep in the layer J_q/J0 is
     # 1 - O(1/t), below the rounding of ln J_q itself.
-    norms = tuple([ln_k + math.log(js[i] / j0) / q
-                   for i, q in enumerate(qs, 1)])
-    slopes = tuple([dln_k + (djs[i] / js[i] - dln_j0) / q
-                    for i, q in enumerate(qs, 1)])
-    return ln_k, ln_gamma, norms, (dln_k, 2.0 * dln_j0, slopes)
+    return (ln_k, ln_gamma, ln_k + math.log(j2 / j0) / 2.0,
+            ln_k + math.log(jq / j0) / q,
+            dln_k, 2.0 * dln_j0, dln_k + (dj2 / j2 - dln_j0) / 2.0,
+            dln_k + (djq / jq - dln_j0) / q)
 
 
 def _point_from_t(t: float, p: float, state) -> LocalPoint:
-    """Curve point at layer coordinate t from its log state (first norm d).
+    """Curve point at layer coordinate t from its log state.
 
     InvalidBracket where k under- or overflows (p near 1) or d rounds to k
     (large p deep in the layer): no float point represents the curve there.
     """
-    ln_k, ln_gamma, ln_norms, _ = state
+    ln_k, ln_gamma, ln_d = state[:3]
     try:
-        k, d = math.exp(ln_k), math.exp(ln_norms[0])
+        k, d = math.exp(ln_k), math.exp(ln_d)
     except OverflowError:
         k = d = math.inf
     if not 0.0 < d < k < math.inf:
@@ -454,7 +454,7 @@ def _point_from_t(t: float, p: float, state) -> LocalPoint:
 
 
 def _qnorm_from_t(t: float, q: float, params: LocalParams) -> float:
-    return math.exp(_log_state_at_t(t, params.p, (q,))[2][0])
+    return math.exp(_log_state_at_t(t, params.p, q)[3])
 
 
 # --- inverse problems: root-finds in tau = ln t ------------------------------
@@ -490,19 +490,18 @@ def _seed_tau_for_gamma(gamma: float, p: float) -> float:
     return min(tau_small, tau_large)
 
 
-def _t_where(ln_of, target: float, seed: float, params: LocalParams):
-    """(t, log state at t) where ln_of(state) = target, by safeguarded
-    Newton in tau = ln t from the seed tau; the state carries d as its one
-    norm. ln_of applied to the state's slopes gives the residual's slope,
-    since they share the state's layout. The root's state is the one its
-    last residual evaluation made. InvalidBracket where the root lies past
-    a wall of tau."""
+def _t_where(i: int, target: float, seed: float, params: LocalParams):
+    """(t, log state at t) where entry i of the log state (0 ln k, 1 ln gamma,
+    2 ln d) equals target, by safeguarded Newton in tau = ln t from the seed
+    tau; entry i + 4 is the residual's slope. The state is read at q = 2.
+    The root's state is the one its last residual evaluation made.
+    InvalidBracket where the root lies past a wall of tau."""
     p = params.p
     states: dict = {}
 
     def resid(tau: float):
-        state = states[tau] = _log_state_at_t(math.exp(tau), p, (2.0,))
-        return ln_of(state) - target, ln_of(state[3])
+        state = states[tau] = _log_state_at_t(math.exp(tau), p, 2.0)
+        return state[i] - target, state[i + 4]
 
     try:
         tau = solve_monotone(resid, seed, _TAU_LO, _TAU_HI, xtol=1e-14)
@@ -523,8 +522,7 @@ def _past_wall(tau: float, p: float) -> InvalidBracket:
 def _t_from_k(k: float, params: LocalParams):
     check_positive("k", k)
     ln_k = math.log(k)
-    return _t_where(lambda s: s[0], ln_k, _seed_tau_for_k(ln_k, params.p),
-                    params)
+    return _t_where(0, ln_k, _seed_tau_for_k(ln_k, params.p), params)
 
 
 def _t_from_gamma(gamma: float, params: LocalParams):
@@ -532,15 +530,13 @@ def _t_from_gamma(gamma: float, params: LocalParams):
     if gamma <= PI2:
         raise NoSolution(f"no positive solution for gamma <= pi^2 (got {gamma})")
     ln_g = math.log(gamma)
-    return _t_where(lambda s: s[1], ln_g, _seed_tau_for_gamma(gamma, params.p),
-                    params)
+    return _t_where(1, ln_g, _seed_tau_for_gamma(gamma, params.p), params)
 
 
 def _t_from_d(d: float, params: LocalParams):
     check_positive("d", d)
     ln_d = math.log(d)
-    return _t_where(lambda s: s[2][0], ln_d, _seed_tau_for_d(ln_d, params.p),
-                    params)
+    return _t_where(2, ln_d, _seed_tau_for_d(ln_d, params.p), params)
 
 
 def _layer_t(k: float, gamma: float, p: float, name: str) -> float:
@@ -570,7 +566,7 @@ def time_map(k: float, gamma: float, params: LocalParams) -> float:
     """Half-interval traversal time T(k, gamma); solution exists iff T = 1/2."""
     p = params.p
     t = _layer_t(k, gamma, p, "time_map")
-    return _moments_at_t(t, p, (0.0,))[0][0] / math.sqrt(gamma)
+    return _moments_at_t(t, p, 2.0)[0] / math.sqrt(gamma)
 
 
 def solve_gamma(k: float, params: LocalParams) -> float:
@@ -593,7 +589,7 @@ def q_norm(k: float, gamma: float, q: float, params: LocalParams) -> float:
     check_exponent("q", q)
     p = params.p
     t = _layer_t(k, gamma, p, "q_norm")
-    j0, jq = _moments_at_t(t, p, (0.0, q))[0]
+    j0, _, jq = _moments_at_t(t, p, q)[:3]
     return k * (jq / j0) ** (1.0 / q)
 
 
@@ -727,7 +723,7 @@ def sample_profile(point: LocalPoint, n: int, params: LocalParams) -> Profile:
         # Boundary-layer regime: the final node takes the layer crossing
         # from the moment asymptote.
         xs_half[1:-1] = np.cumsum(_asym_segments(p, n) / sqrt_g)
-        xs_half[-1] = _moments_at_t(t, p, (0.0,))[0][0] / sqrt_g
+        xs_half[-1] = _moments_at_t(t, p, 2.0)[0] / sqrt_g
 
     ws_half = point.k * s_nodes
     xs = np.concatenate([xs_half, 1.0 - xs_half[-2::-1]])

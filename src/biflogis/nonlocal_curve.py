@@ -139,8 +139,8 @@ def _state_at_t(t: float, params: ProblemParams):
     N = a1 ||w||_q^2 + a2 d^2 = d^2 (a1 (||w||_q/d)^2 + a2). The ratio
     ||w||_q/d is at most k/d, so ln N stays finite where d or N would
     under- or overflow, as for p near 1 at extreme alpha."""
-    state = ll._log_state_at_t(t, params.p, (2.0, params.q))
-    ln_d, ln_wq = state[2]
+    state = ll._log_state_at_t(t, params.p, params.q)
+    ln_d, ln_wq = state[2:4]
     ratio2 = math.exp(2.0 * (ln_wq - ln_d))
     return state, 2.0 * ln_d + math.log(params.a1 * ratio2 + params.a2)
 
@@ -152,8 +152,8 @@ def _residual(tau: float, ln_alpha: float, params: ProblemParams):
     + f d(ln ||w||_q)/dtau)."""
     state, ln_n = _state_at_t(math.exp(tau), params)
     p = params.p
-    ln_d, ln_wq = state[2]
-    dln_d, dln_wq = state[3][2]
+    ln_d, ln_wq = state[2:4]
+    dln_d, dln_wq = state[6:]
     share = params.a1 * math.exp(2.0 * ln_wq - ln_n)
     r = ln_n - (p - 3.0) * (ln_alpha - ln_d)
     dr = 2.0 * ((1.0 - share) * dln_d + share * dln_wq) + (p - 3.0) * dln_d
@@ -169,7 +169,7 @@ def g_of_k(k: float, params: ProblemParams) -> float:
     check_positive("k", k)
     t, _ = ll._t_from_k(k, ll.LocalParams(p=params.p))
     state, ln_n = _state_at_t(t, params)
-    return consts._exp_in_range(ln_n / (params.p - 3.0) + state[2][0], "g",
+    return consts._exp_in_range(ln_n / (params.p - 3.0) + state[2], "g",
                                 params.p, params.q)
 
 
@@ -233,12 +233,10 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
     if step:
         # The last Newton step, taken on the log state along its slopes:
         # d(ln N)/dtau is dr/dtau less the (p-3) d(ln d)/dtau term of r.
-        ln_k, ln_gamma, (ln_d, ln_wq), slopes = state
-        dln_k, dln_gamma, (dln_d, dln_wq) = slopes
         tau += step
-        ln_n += step * (dr - (p - 3.0) * dln_d)
-        state = (ln_k + step * dln_k, ln_gamma + step * dln_gamma,
-                 (ln_d + step * dln_d, ln_wq + step * dln_wq), slopes)
+        ln_n += step * (dr - (p - 3.0) * state[6])
+        slopes = state[4:]
+        state = (*(v + step * dv for v, dv in zip(state, slopes)), *slopes)
     t = math.exp(tau)
     point = ll._point_from_t(t, p, state)
 
@@ -249,7 +247,7 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
             f"the residual is not increasing at the root t = {t:.6g} "
             f"(k = {point.k:.6g}): r = {r:.12g}, dr/dtau = {dr:.12g}")
 
-    ln_h = ln_alpha - state[2][0]
+    ln_h = ln_alpha - state[2]
     # In log form: h^2 alone under- or overflows for p near 1.
     try:
         h, beta = math.exp(ln_h), math.exp(2.0 * ln_h + ln_n)

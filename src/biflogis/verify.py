@@ -208,7 +208,7 @@ def _limit_check(name: str, target: float, ln_s, xs, ys, tolerance: float,
 def _curve_log_states(ts, params: nc.ProblemParams) -> np.ndarray:
     """Rows ln gamma, ln d and ln N of the curve at the layer coordinates
     ts. There alpha = h d and h^{p-3} = N, so ln alpha = ln N/(p-3) + ln d."""
-    return np.array([(s[1], s[2][0], ln_n) for s, ln_n in
+    return np.array([(s[1], s[2], ln_n) for s, ln_n in
                      (nc._state_at_t(t, params) for t in ts)]).T
 
 
@@ -314,8 +314,7 @@ def check_theorem_3(report: SweepReport,
 def _local_log_states(ts, p: float, q: float) -> np.ndarray:
     """Rows ln k, ln gamma, ln d and ln ||w||_q of the local solutions at
     the layer coordinates ts."""
-    return np.array([(s[0], s[1], *s[2]) for s in
-                     (ll._log_state_at_t(t, p, (2.0, q)) for t in ts)]).T
+    return np.array([ll._log_state_at_t(t, p, q)[:4] for t in ts]).T
 
 
 def check_local_large_d(p: float, q: float) -> list[CheckResult]:

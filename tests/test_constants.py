@@ -474,7 +474,7 @@ def test_constants_integrate_nothing(fresh_caches, monkeypatch):
     for p in ps:
         for q in qs:
             compute_all(p, q, 1.0, 1.0)
-            ll._log_state_at_t(2.0 * ll.T_ASYM, p, (2.0, q))
+            ll._log_state_at_t(2.0 * ll.T_ASYM, p, q)
     assert asym == [(p, 0.0) for p in ps]
 
 

@@ -92,15 +92,25 @@ def _quad_moment(t, p, q):
     return float(ll._layer_moments(math.exp(-t), -math.expm1(-t), p, q))
 
 
+def _moments_by_q(t, p, qs):
+    """{q: J_q at t} for q = 0, 2 and every q in qs, read off one moment
+    call per q in qs."""
+    out = {}
+    for q in qs:
+        m = ll._moments_at_t(t, p, q)
+        assert len(m) == 6
+        out.update({0.0: m[0], 2.0: m[1], q: m[2]})
+    return out
+
+
 @pytest.mark.parametrize("p", (1.5, 2.0, 2.5, 5.0))
 def test_moments_at_t_match_single_moments(p):
     # The stacked moments of every branch against one one-row quadrature
     # per q.
-    qs = (0.0, 2.0, 3.0, 4.0)
     for t in (1e-6, 0.3, 5.0, 30.0):
-        stacked, _ = ll._moments_at_t(t, p, qs)
-        assert len(stacked) == len(qs)
-        for q, jq in zip(qs, stacked):
+        stacked = _moments_by_q(t, p, (3.0, 4.0))
+        assert sorted(stacked) == [0.0, 2.0, 3.0, 4.0]
+        for q, jq in stacked.items():
             assert abs(jq / _quad_moment(t, p, q) - 1.0) <= 1e-14
 
 
@@ -113,10 +123,8 @@ SERIES_TS = [*np.geomspace(1e-12, ll.T_SERIES, 12).tolist()[:-1], ll.T_SERIES]
 def test_series_branch_matches_quadrature(p):
     # The quadrature branch is the independent cross-check: it integrates
     # in the sinh variable, the series coefficients are integrals in theta.
-    qs = (0.0, 1.1, 2.0, 4.0, 8.0)
     for t in SERIES_TS:
-        series, _ = ll._moments_at_t(t, p, qs)
-        for q, js in zip(qs, series):
+        for q, js in _moments_by_q(t, p, (1.1, 4.0, 8.0)).items():
             assert abs(js / _quad_moment(t, p, q) - 1.0) <= 1e-14, (t, q)
 
 
@@ -133,13 +141,13 @@ def test_series_tail_bound_at_switch():
 
 @pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 2.9, 3.0, 4.0, 8.0))
 def test_log_state_monotone_across_series_switch(p):
-    # Bracket and Brent need a monotone state where the branches meet.
-    qs = (1.1, 2.0, 4.0)
+    # Bracket and Brent need a monotone state where the branches meet:
+    # ln k, ln gamma, ln d and ln ||w||_q.
     ts = (ll.T_SERIES * (1.0 - 1e-12), ll.T_SERIES, ll.T_SERIES * (1.0 + 1e-12))
-    states = [ll._log_state_at_t(t, p, qs) for t in ts]
-    for lo, hi in zip(states, states[1:]):
-        assert lo[0] <= hi[0] and lo[1] <= hi[1]
-        assert all(a <= b for a, b in zip(lo[2], hi[2]))
+    for q in (1.1, 4.0):
+        states = [ll._log_state_at_t(t, p, q)[:4] for t in ts]
+        for lo, hi in zip(states, states[1:]):
+            assert all(a <= b for a, b in zip(lo, hi)), q
 
 
 # --- middle Chebyshev branch ----------------------------------------------------
@@ -157,13 +165,12 @@ def _panel_mid(panel):
 def test_log_state_monotone_across_panel_edges_and_asym_switch(p):
     # As across T_SERIES: neighbouring panels, and the last panel and the
     # asymptote, must not step backwards where they meet.
-    qs = (1.1, 2.0, 4.0)
     for edge in (*CHEB_EDGES, ll.T_ASYM):
         ts = (edge * (1.0 - 1e-12), edge, edge * (1.0 + 1e-12))
-        states = [ll._log_state_at_t(t, p, qs) for t in ts]
-        for lo, hi in zip(states, states[1:]):
-            assert lo[0] <= hi[0] and lo[1] <= hi[1], edge
-            assert all(a <= b for a, b in zip(lo[2], hi[2])), edge
+        for q in (1.1, 4.0):
+            states = [ll._log_state_at_t(t, p, q)[:4] for t in ts]
+            for lo, hi in zip(states, states[1:]):
+                assert all(a <= b for a, b in zip(lo, hi)), (edge, q)
 
 
 @pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 2.5, 2.9, 3.0, 4.0, 8.0, 20.0))
@@ -175,16 +182,15 @@ def test_chebyshev_branch_matches_quadrature(p, monkeypatch):
     # weight's endpoint needs more than 30 refinement rounds deep in the
     # layer, so the reference gets 60. The Chebyshev values are read first,
     # so their cached calibrations keep the default tolerance.
-    qs = (0.0, 1.1, 2.0, 4.0, 8.0)
     rng = np.random.default_rng(round(100 * p))
     taus = rng.uniform(math.log(ll.T_SERIES), math.log(ll.T_ASYM), 12)
     ts = [math.nextafter(ll.T_SERIES, math.inf), *CHEB_EDGES,
           math.nextafter(ll.T_ASYM, 0.0), *np.exp(taus).tolist()]
-    cheb = [ll._moments_at_t(t, p, qs)[0] for t in ts]
+    cheb = [_moments_by_q(t, p, (1.1, 4.0, 8.0)) for t in ts]
     monkeypatch.setattr(quadrature, "REL_TOL", 1e-15)
     monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 60)
     for t, row in zip(ts, cheb):
-        for q, jq in zip(qs, row):
+        for q, jq in row.items():
             assert abs(jq / _quad_moment(t, p, q) - 1.0) <= 1e-14, (t, q)
 
 
@@ -197,31 +203,29 @@ BRANCH_TS = [math.nextafter(ll.T_SERIES, 0.0), ll.T_SERIES,
 
 
 @pytest.mark.parametrize("p", (1.05, 2.0, 3.0, 8.0))
-def test_flat_state_order_and_duplicates(p):
-    # Moments and log states are positional: a q's value and slope do not
-    # depend on its place in qs or on a repeat, to the bit, and each still
-    # matches its own one-row quadrature.
-    qs, perm = (0.0, 1.1, 2.0, 4.0), (4.0, 0.0, 2.0, 1.1)
-    order = [qs.index(q) for q in perm]
+def test_fixed_layout_invariants(p):
+    # J_0 and J_2 and their slopes keep their bits whichever q they are
+    # stacked with, and so do ln k, ln gamma and ln d with theirs; every
+    # moment still matches its own one-row quadrature. At q = 2 the
+    # ||w||_q entries are d's own, to the bit, in the local state and in
+    # the curve's.
+    qs = (1.1, 2.0, 4.0)
+    params = nc.ProblemParams(p=p, q=2.0, a1=1.0, a2=1.0)
     for t in BRANCH_TS:
-        m, dm = ll._moments_at_t(t, p, qs)
-        pm, pdm = ll._moments_at_t(t, p, perm)
-        assert pm == [m[i] for i in order] and pdm == [dm[i] for i in order], t
-        for q, jq in zip(qs, m):
+        rows = [ll._moments_at_t(t, p, q) for q in qs]
+        states = [ll._log_state_at_t(t, p, q) for q in qs]
+        for m, state in zip(rows[1:], states[1:]):
+            assert m[:2] == rows[0][:2] and m[3:5] == rows[0][3:5], t
+            assert state[:3] == states[0][:3], t
+            assert state[4:7] == states[0][4:7], t
+        for q, jq in _moments_by_q(t, p, qs).items():
             assert abs(jq / _quad_moment(t, p, q) - 1.0) <= 1e-14, (t, q)
 
-        state = ll._log_state_at_t(t, p, qs[1:])
-        pstate = ll._log_state_at_t(t, p, (4.0, 1.1, 2.0))
-        assert pstate[:2] == state[:2] and pstate[3][:2] == state[3][:2], t
-        assert pstate[2] == tuple(state[2][i] for i in (2, 0, 1)), t
-        assert pstate[3][2] == tuple(state[3][2][i] for i in (2, 0, 1)), t
-
-        # q = 2 at ProblemParams(q=2.0): d and ||w||_q are one repeated q.
-        twice = ll._log_state_at_t(t, p, (2.0, 2.0))
-        assert twice[2] == (state[2][1],) * 2, t
-        assert twice[3][2] == (state[3][2][1],) * 2, t
-        params = nc.ProblemParams(p=p, q=2.0, a1=1.0, a2=1.0)
-        assert nc._state_at_t(t, params)[0] == twice, t
+        m, state = rows[1], states[1]
+        assert m[2] == m[1] and m[5] == m[4], t
+        assert state[3] == state[2] and state[7] == state[6], t
+        curve = nc._state_at_t(t, params)[0]
+        assert curve == state and curve[3] == curve[2], t
 
 
 @pytest.fixture
@@ -243,14 +247,14 @@ def test_cold_panel_is_one_quadrature(cheb_cache):
     # One integrate call per cold (q, panel), none once it is warm.
     store, calls = cheb_cache
     t = _panel_mid(2)
-    ll._moments_at_t(t, 3.0, (0.0, 2.0))
+    ll._moments_at_t(t, 3.0, 2.0)
     assert len(calls) == 2 and len(store) == 2
-    ll._moments_at_t(t * 1.01, 3.0, (2.0, 0.0))
+    ll._moments_at_t(t * 1.01, 3.0, 2.0)
     assert len(calls) == 2
     # Only the q the panel lacks is calibrated.
-    ll._moments_at_t(t, 3.0, (0.0, 2.0, 4.0))
+    ll._moments_at_t(t, 3.0, 4.0)
     assert len(calls) == 3 and len(store) == 3
-    ll._moments_at_t(_panel_mid(3), 3.0, (0.0, 2.0, 4.0))
+    ll._moments_at_t(_panel_mid(3), 3.0, 4.0)
     assert len(calls) == 6 and len(store) == 6
 
 
@@ -266,8 +270,8 @@ def test_calibration_does_not_depend_on_history(fresh_caches):
         fresh_caches()
         if q2_first:
             for t in ts:
-                ll._log_state_at_t(t, p, (2.0,))
-        states = [ll._log_state_at_t(t, p, (2.0, 3.0)) for t in ts]
+                ll._log_state_at_t(t, p, 2.0)
+        states = [ll._log_state_at_t(t, p, 3.0) for t in ts]
         runs.append((states, nc.solve_alpha(10.0 ** 0.1, params)))
     assert ll.T_SERIES < runs[0][1].local.layer_t < ll.T_ASYM
     assert runs[0][0] == runs[1][0]
@@ -306,7 +310,7 @@ def test_warm_sweep_at_new_q_calibrates_only_that_q(fresh_caches, monkeypatch):
     caches = ("_S_CACHE", "_CQ_CACHE", "_C_CACHE")
     alphas = (1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e6)
     for t in (0.1, *map(_panel_mid, range(ll._CHEB_PANELS)), 2.0 * ll.T_ASYM):
-        ll._log_state_at_t(t, p, (2.0,))
+        ll._log_state_at_t(t, p, 2.0)
     for alpha in alphas:
         nc.solve_alpha(alpha, nc.ProblemParams(p=p, q=2.0, a1=1.0, a2=1.0))
     before = {name: set(getattr(ll, name)) for name in caches}
@@ -330,12 +334,43 @@ def test_warm_sweep_at_new_q_calibrates_only_that_q(fresh_caches, monkeypatch):
     assert calls == []
 
 
+def test_view_cache_holds_one_view_per_p_q_branch(fresh_caches):
+    # After sweeps at two q, the second spelled once as a float and once as
+    # an int, and the local routes at the same p, _VIEW_CACHE holds one view
+    # per (p, q, branch) reached and no other: the rows J_0, J_2, J_q, then
+    # their slopes, copied from the per-q calibrations.
+    p = 2.5
+    alphas = (1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e6)
+    for q in (2.0, 3.0, 3):
+        verify.sweep(nc.ProblemParams(p=p, q=q, a1=1.0, a2=1.0), alphas)
+    lp = LocalParams(p=p)
+    time_map(2.0, 50.0, lp)
+    q_norm(2.0, 50.0, 3.0, lp)
+    point_q_norm(point_from_k(2.0, lp), 3.0, lp)
+    keys = list(ll._VIEW_CACHE)
+    assert {key[:2] for key in keys} == {(p, 2.0), (p, 3.0)}
+    branches = {key[2] for key in keys if key[1] == 3.0}
+    assert {-1, ll._CHEB_PANELS} < branches \
+        <= set(range(-1, ll._CHEB_PANELS + 1))
+    assert len(keys) <= 2 * (ll._CHEB_PANELS + 2)
+    for (_, q, branch), view in ll._VIEW_CACHE.items():
+        qs = (0.0, 2.0, q)
+        if branch == ll._CHEB_PANELS:
+            assert view == tuple(ll._b_shift(p, x) for x in qs)
+            continue
+        rows = [ll._series_coeffs(p, x) if branch < 0
+                else ll._cheb_coeffs(p, x, branch) for x in qs]
+        assert view.shape == (6, rows[0].shape[1])
+        for i in range(6):
+            assert np.array_equal(view[i], rows[i % 3][i // 3]), (q, branch, i)
+
+
 def test_unresolved_panel_raises_and_caches_nothing(cheb_cache, monkeypatch):
     # Eight points cannot hold J_q to the quadrature's tolerance.
     store, calls = cheb_cache
     monkeypatch.setattr(ll, "_CHEB_POINTS", 8)
     with pytest.raises(NoConvergence, match="Chebyshev panel"):
-        ll._log_state_at_t(_panel_mid(0), 3.0, (2.0,))
+        ll._log_state_at_t(_panel_mid(0), 3.0, 2.0)
     assert len(calls) == 1 and store == {}
 
 
@@ -369,26 +404,21 @@ def _central(f, tau):
     return (f(tau + SLOPE_STEP) - f(tau - SLOPE_STEP)) / (2.0 * SLOPE_STEP)
 
 
-def _flat(state):
-    """ln k, ln gamma and the ln ||w||_q of a log state (or of its slopes,
-    which share its layout) as one array."""
-    return np.array([state[0], state[1], *state[2]])
-
-
 @pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 2.9, 3.0, 4.0, 8.0, 20.0))
 def test_log_state_slopes_match_central_differences(p):
     qs = (1.1, 2.0, 8.0)
     ln_alpha = math.log(100.0)
 
-    def state(tau):
-        return ll._log_state_at_t(math.exp(tau), p, qs)
+    def values(tau, q):
+        return np.array(ll._log_state_at_t(math.exp(tau), p, q)[:4])
 
     for tau in SLOPE_TAUS:
-        slopes = _flat(state(tau)[3])
-        refs = _central(lambda x: _flat(state(x)), tau)
-        assert np.all(np.abs(slopes - refs) <= 1e-6 * np.maximum(1.0, np.abs(refs))), \
-            (tau, slopes, refs)
         for q in qs:
+            slopes = np.array(ll._log_state_at_t(math.exp(tau), p, q)[4:])
+            refs = _central(lambda x: values(x, q), tau)
+            assert np.all(np.abs(slopes - refs)
+                          <= 1e-6 * np.maximum(1.0, np.abs(refs))), \
+                (tau, q, slopes, refs)
             params = nc.ProblemParams(p=p, q=q, a1=0.3, a2=0.7)
             dr = nc._residual(tau, ln_alpha, params)[1]
             ref = _central(lambda x: nc._residual(x, ln_alpha, params)[0], tau)
@@ -401,21 +431,20 @@ def test_exact_node_slopes_continue_the_interpolant():
     # value and slope barely move.
     t = _exact_node_t()
     for p in (1.05, 3.0, 20.0):
-        at, d_at = ll._moments_at_t(t, p, (0.0, 2.0))
-        near, d_near = ll._moments_at_t(math.nextafter(t, math.inf), p,
-                                        (0.0, 2.0))
+        at = ll._moments_at_t(t, p, 2.0)
+        near = ll._moments_at_t(math.nextafter(t, math.inf), p, 2.0)
         for i in range(2):
             assert abs(near[i] / at[i] - 1.0) <= 1e-14
-            assert abs(d_near[i] / d_at[i] - 1.0) <= 1e-12
+            assert abs(near[i + 3] / at[i + 3] - 1.0) <= 1e-12
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(p=st.floats(1.05, 8.0), tau=st.floats(math.log(1e-10), 0.0))
 def test_log_state_monotone_in_t(p, tau):
     t = math.exp(tau)
-    lo = ll._log_state_at_t(t, p, (2.0,))
-    hi = ll._log_state_at_t(t * (1.0 + 1e-6), p, (2.0,))
-    assert lo[0] <= hi[0] and lo[1] <= hi[1] and lo[2][0] <= hi[2][0]
+    lo = ll._log_state_at_t(t, p, 2.0)
+    hi = ll._log_state_at_t(t * (1.0 + 1e-6), p, 2.0)
+    assert lo[0] <= hi[0] and lo[1] <= hi[1] and lo[2] <= hi[2]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -425,7 +454,7 @@ def test_round_trip_t_d_k(p, tau):
     # inversion ill-conditioned.
     lp = LocalParams(p=p)
     t = math.exp(tau)
-    point = ll._point_from_t(t, p, ll._log_state_at_t(t, p, (2.0,)))
+    point = ll._point_from_t(t, p, ll._log_state_at_t(t, p, 2.0))
     assert abs(solve_for_d(point.d, lp).k / point.k - 1.0) <= 1e-12
 
 
@@ -734,8 +763,8 @@ def test_solve_for_d_states_from_flat_seed(d, states, monkeypatch):
 
 
 def test_inverse_solves_build_the_point_from_the_root_state(monkeypatch):
-    # One log state per residual evaluation and none after it: the point
-    # comes from the state of the root's own evaluation.
+    # One log state per residual evaluation, at q = 2, and none after it:
+    # the point comes from the state of the root's own evaluation.
     states, resids = [], []
     log_state, solve = ll._log_state_at_t, ll.solve_monotone
 
@@ -751,6 +780,7 @@ def test_inverse_solves_build_the_point_from_the_root_state(monkeypatch):
             del states[:], resids[:]
             point = solver(x, pr)
             assert len(states) == len(resids) > 0, (pr.p, solver.__name__)
+            assert all(args[2] == 2.0 for args in states)
             assert point.layer_t == math.exp(resids[-1])
 
 
@@ -920,7 +950,7 @@ def _loop_profile_xs(point, n, params):
         for j in range(1, n - 1):
             seg = integrate(g, s_nodes[j - 1], s_nodes[j]).value
             xs[j] = xs[j - 1] + seg / sqrt_g
-        xs[n - 1] = ll._moments_at_t(t, p, (0.0,))[0][0] / sqrt_g
+        xs[n - 1] = ll._moments_at_t(t, p, 2.0)[0] / sqrt_g
     return xs
 
 

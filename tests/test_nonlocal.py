@@ -244,12 +244,18 @@ DOMAIN_QS = (1.1, 2.0, 8.0)
 DOMAIN_ALPHAS = (1e-6, 1e-2, 1.0, 1e2, 1e6, 1e12)
 
 
-def test_domain_grid_solved_or_typed_error():
+def test_domain_grid_solved_or_typed_error(monkeypatch):
     # The documented domain's regression grid: 198 cases across all three
     # regimes, 3 of them within 1e-6 of p = 3. Every case returns a point
     # that meets its invariants or raises a package error other than
     # NoConvergence; the 15 refusals are float-range and tau-wall cases.
-    valid = 0
+    # The grid's work is gated too: at most 513 curve-residual evaluations,
+    # the count tools/grid_shift.py reports.
+    evals = []
+    residual = nonlocal_curve._residual
+    monkeypatch.setattr(nonlocal_curve, "_residual",
+                        lambda *args: evals.append(args) or residual(*args))
+    valid = refused = 0
     for p in DOMAIN_PS:
         for q in DOMAIN_QS:
             params = ProblemParams(p=p, q=q, a1=1.0, a2=1.0)
@@ -259,10 +265,13 @@ def test_domain_grid_solved_or_typed_error():
                 except NoConvergence as exc:
                     pytest.fail(f"p = {p!r}, q = {q}, alpha = {alpha}: {exc}")
                 except BiflogisError:
+                    refused += 1
                     continue
                 assert_invariants(sol, params, alpha_rtol=1e-10)
                 valid += 1
     assert valid >= 183
+    assert refused == 15
+    assert len(evals) <= 513, len(evals)
 
 
 def _domain_grid_fields():
@@ -343,7 +352,7 @@ def test_documented_domain_property(p, q, log_alpha, weights):
     r = []
     for tau in PROPERTY_TAUS:
         state, ln_n = nonlocal_curve._state_at_t(math.exp(tau), params)
-        r.append(ln_n - (p - 3.0) * (math.log(alpha) - state[2][0]))
+        r.append(ln_n - (p - 3.0) * (math.log(alpha) - state[2]))
     assert all(lo < hi for lo, hi in zip(r, r[1:])), r
 
 

@@ -104,6 +104,13 @@ MAGNITUDE_BAD = (math.nan, math.inf, -math.inf, 0.0, -1.0)
 
 magnitudes = st.floats(-307.0, 308.0).map(lambda e: 10.0 ** e)
 
+# p over the domain, mixed with a stratum at p = 3 +- 10^-k, k in [1, 9],
+# where the 1/(p - 3) powers of g, h and the constants grow.
+exponents = st.one_of(
+    st.floats(1.05, 20.0),
+    st.builds(lambda k, sign: 3.0 + sign * 10.0 ** -k,
+              st.floats(1.0, 9.0), st.sampled_from((-1.0, 1.0))))
+
 
 def _floats(value):
     """Every float a returned value holds."""
@@ -123,7 +130,7 @@ def _floats(value):
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(p=st.floats(1.05, 20.0), q=st.floats(1.1, 8.0),
+@given(p=exponents, q=st.floats(1.1, 8.0),
        k=magnitudes, gamma=magnitudes, d=magnitudes, alpha=magnitudes,
        a1=magnitudes, a2=magnitudes, n=st.integers(3, 40),
        reading=st.sampled_from(consts.READINGS), data=st.data())
