@@ -119,6 +119,8 @@ _CHEB_PANELS = 6
 _CHEB_POINTS = 25
 _CHEB_TAU0 = math.log(T_SERIES)
 _CHEB_WIDTH = (math.log(T_ASYM) - _CHEB_TAU0) / _CHEB_PANELS
+# The orders k of the basis T_k(x) = cos(k arccos x) a panel is summed in.
+_CHEB_ORDERS = np.arange(float(_CHEB_POINTS))
 
 # Walls for the tau = ln t root-finds. exp(-700) is still a normal double;
 # exp(55) puts gamma near 1e47, far beyond any supported input.
@@ -362,6 +364,27 @@ def _cheb_coeffs(p: float, qpow: float, panel: int) -> np.ndarray:
     return val
 
 
+def _view(p: float, q: float, branch: int):
+    """The calibrations of q = 0, 2 and q on one branch, stacked once per
+    (p, q, branch) and cached: for the series (branch -1) and each
+    Chebyshev panel a (6, m) array, values of J_0, J_2, J_q, then their
+    slopes; for the asymptote (branch _CHEB_PANELS) the triple
+    (B_0, B_2, B_q). The series view's columns 0 and 1 are b_n a_{r,n} at
+    n = 0 and 1, the rows the curve root's series seed reads."""
+    key = (p, q, branch)
+    view = _VIEW_CACHE.get(key)
+    if view is None:
+        qs = (0.0, 2.0, q)
+        if branch == _CHEB_PANELS:
+            view = tuple(_b_shift(p, x) for x in qs)
+        else:
+            view = np.stack([_series_coeffs(p, x) if branch < 0
+                             else _cheb_coeffs(p, x, branch) for x in qs],
+                            axis=1).reshape(6, -1)
+        _VIEW_CACHE[key] = view
+    return view
+
+
 def _moments_at_t(t: float, p: float, q: float):
     """(J_0, J_2, J_q, dJ_0/dtau, dJ_2/dtau, dJ_q/dtau) at layer coordinate
     t = -ln(eps) = e^tau.
@@ -371,10 +394,10 @@ def _moments_at_t(t: float, p: float, q: float):
     after _S_TERMS = N terms is at most b_{N-1} em^N/(1 - em) < 2^-53 of the
     sum there; between the switch points, the Chebyshev series in
     tau = ln t with the cached coefficients of its panel; at or past
-    T_ASYM, the asymptote with the cached B_q. Each branch reads one view
-    per (p, q, branch), stacked once from the per-q caches of 0, 2 and q:
-    the (6, _S_TERMS) series coefficients, the (B_0, B_2, B_q) triple, or a
-    panel's (6, points) Chebyshev coefficients, values first, then slopes.
+    T_ASYM, the asymptote with the cached B_q. Each branch reads its
+    _view: the (6, _S_TERMS) series coefficients, the (B_0, B_2, B_q)
+    triple, or a panel's (6, points) Chebyshev coefficients, values first,
+    then slopes.
     The series and Chebyshev views are evaluated by one np.vecdot against
     their basis, the powers em^n or T_k(x) = cos(k arccos x), each row by
     the same arithmetic, so a moment's bits do not depend on its row or on
@@ -387,17 +410,10 @@ def _moments_at_t(t: float, p: float, q: float):
     else:
         s = (math.log(t) - _CHEB_TAU0) / _CHEB_WIDTH
         branch = min(int(s), _CHEB_PANELS - 1)
-    key = (p, q, branch)
-    view = _VIEW_CACHE.get(key)
+    # _view is called only on a miss: a warm state makes no extra call.
+    view = _VIEW_CACHE.get((p, q, branch))
     if view is None:
-        qs = (0.0, 2.0, q)
-        if branch == _CHEB_PANELS:
-            view = tuple(_b_shift(p, x) for x in qs)
-        else:
-            view = np.stack([_series_coeffs(p, x) if branch < 0
-                             else _cheb_coeffs(p, x, branch) for x in qs],
-                            axis=1).reshape(6, -1)
-        _VIEW_CACHE[key] = view
+        view = _view(p, q, branch)
     if branch < 0:
         em = -math.expm1(-t)
         basis, scale = em ** _S_N, t * math.exp(-t) / em    # d(ln em)/dtau
@@ -406,8 +422,8 @@ def _moments_at_t(t: float, p: float, q: float):
         b0, b2, bq = view
         return lin + b0, lin + b2, lin + bq, lin, lin, lin
     else:
-        k = np.arange(float(view.shape[1]))
-        basis, scale = np.cos(math.acos(2.0 * (s - branch) - 1.0) * k), 1.0
+        basis = np.cos(math.acos(2.0 * (s - branch) - 1.0) * _CHEB_ORDERS)
+        scale = 1.0
     j0, j2, jq, dj0, dj2, djq = np.vecdot(view, basis).tolist()
     return j0, j2, jq, dj0 * scale, dj2 * scale, djq * scale
 

@@ -5,8 +5,9 @@ parameterized by alpha = ||u||_2. Every solution is a rescaled local profile:
 u = h w_d with alpha = h d and h^{p-1} = beta = h^2 N, N = a1 ||w_d||_q^2 +
 a2 d^2, for every p > 1, so the only analytic content here is a scalar
 root-find for the local point where ln N = (p-3) ln(alpha/d), and the
-bookkeeping lambda = beta gamma. The root-find's last Newton step is taken
-on the log state, not evaluated again.
+bookkeeping lambda = beta gamma. The root-find is seeded one order past
+the leading law of the end of the curve its root lies at, and its last
+Newton step is taken on the log state, not evaluated again.
 
 The module file carries a _curve suffix because the bare problem name is a
 Python keyword; the solution field lam is serialized as "lambda" for the same
@@ -49,6 +50,11 @@ _ALPHA_RTOL = 1e-10
 # Bound on the last Newton step in tau = ln t that solve_alpha takes on the
 # state it holds instead of evaluating the residual once more.
 _LAST_STEP = 1e-8
+
+# ln T_ASYM and ln em at T_SERIES: the ends of the branches _seed_tau's two
+# seeds serve.
+_LN_T_ASYM = math.log(ll.T_ASYM)
+_LN_EM_SERIES = math.log(-math.expm1(-ll.T_SERIES))
 
 # Relative bound on the miss of lam = beta gamma: a few ulp of the product.
 _LAM_RTOL = 4.0 * sys.float_info.epsilon
@@ -135,29 +141,102 @@ def _beta_log_miss(h: float, beta: float, p: float) -> float:
 
 
 def _state_at_t(t: float, params: ProblemParams):
-    """(log-form local state, ln N) at layer coordinate t, where
-    N = a1 ||w||_q^2 + a2 d^2 = d^2 (a1 (||w||_q/d)^2 + a2). The ratio
-    ||w||_q/d is at most k/d, so ln N stays finite where d or N would
-    under- or overflow, as for p near 1 at extreme alpha."""
+    """(log-form local state, ln N, d(ln N)/dtau) at layer coordinate t,
+    where N = a1 ||w||_q^2 + a2 d^2 = d^2 (a1 (||w||_q/d)^2 + a2). The
+    ratio ||w||_q/d is at most k/d, so ln N stays finite where d or N would
+    under- or overflow, as for p near 1 at extreme alpha. With f the share
+    of N that a1 ||w||_q^2 carries, d(ln N)/dtau = 2 ((1-f) d(ln d)/dtau
+    + f d(ln ||w||_q)/dtau)."""
     state = ll._log_state_at_t(t, params.p, params.q)
     ln_d, ln_wq = state[2:4]
-    ratio2 = math.exp(2.0 * (ln_wq - ln_d))
-    return state, 2.0 * ln_d + math.log(params.a1 * ratio2 + params.a2)
+    dln_d = state[6]
+    wq2 = params.a1 * math.exp(2.0 * (ln_wq - ln_d))
+    n_by_d2 = wq2 + params.a2
+    return (state, 2.0 * ln_d + math.log(n_by_d2),
+            2.0 * (dln_d + wq2 / n_by_d2 * (state[7] - dln_d)))
 
 
-def _residual(tau: float, ln_alpha: float, params: ProblemParams):
-    """(r, dr/dtau, state, ln N) at tau = ln t for the curve residual
-    r = ln N - (p-3)(ln alpha - ln d). With f = a1 ||w||_q^2/N, the share
-    of N that ||w||_q carries, d(ln N)/dtau = 2 ((1-f) d(ln d)/dtau
-    + f d(ln ||w||_q)/dtau)."""
-    state, ln_n = _state_at_t(math.exp(tau), params)
-    p = params.p
-    ln_d, ln_wq = state[2:4]
-    dln_d, dln_wq = state[6:]
-    share = params.a1 * math.exp(2.0 * ln_wq - ln_n)
-    r = ln_n - (p - 3.0) * (ln_alpha - ln_d)
-    dr = 2.0 * ((1.0 - share) * dln_d + share * dln_wq) + (p - 3.0) * dln_d
-    return r, dr, state, ln_n
+def _seed_tau(ln_alpha: float, params: ProblemParams) -> float:
+    """Seed tau = ln t for solve_alpha's root, from the moment branch the
+    root lands on.
+
+    In the state, r = ln(4 em J_0^2) + ln(a1 R_q + a2 R_2)
+    + ((p-3)/2) ln R_2 - (p-3) ln alpha, with R_2 = J_2/J_0 and
+    R_q = (J_q/J_0)^{2/q}. Each end expands this to one order past its
+    leading law, with the constants its branch has already calibrated.
+    Both formulas hold for every p; L = ((p-3) ln alpha - ln(4(a1+a2)))/2
+    picks the end.
+
+    - Asymptote, L > 1. There em rounds to 1 and J_r = J - (B_0 - B_r) with
+      J = J_0, so r = 2 ln J + ln(4(a1+a2)) - kappa/J - (p-3) ln alpha
+      + O(J^-2), where kappa = [a1 (2/q)(B_0-B_q) + a2 (B_0-B_2)]/(a1+a2)
+      + ((p-3)/2)(B_0-B_2). The root is J = e^L + kappa/2 + O(1/J), so
+      t0 = sqrt(p-1) (e^L + kappa/2 - B_0), taken if t0 >= T_ASYM.
+    - Series, L <= 1. With A_r = a_{r,0} and beta_r = b_1 a_{r,1}/a_{r,0}
+      for r in (0, 2, q), J_r = A_r (1 + beta_r em) + O(em^2), so
+      r = ln em + c0 + c1 em - (p-3) ln alpha + O(em^2), where
+      c0 = ln(4 A_0^2 D) + ((p-3)/2) ln(A_2/A_0),
+      D = a1 (A_q/A_0)^{2/q} + a2 A_2/A_0 and c1 = 2 beta_0
+      + [a1 (A_q/A_0)^{2/q} (2/q)(beta_q-beta_0) + a2 (A_2/A_0)
+      (beta_2-beta_0)]/D + ((p-3)/2)(beta_2-beta_0). With
+      Lambda = (p-3) ln alpha - c0 the root is ln em = Lambda
+      - c1 e^Lambda + O(em^2), and t0 = -log1p(-em), taken if
+      t0 <= T_SERIES.
+
+    Either seed misses the root in tau by O(x^2), x = alpha^{-(p-3)/2} at
+    the asymptote and alpha^{p-3} in the series. Both are formed in log
+    space, so they stay finite where e^L or em leave the double range;
+    solve_monotone clamps the seed to [_TAU_LO, _TAU_HI]. At the root L
+    rises with t. Over p in [1.01, 30], q in [1.1, 8] and weight ratios
+    a1/a2 of 0, 1e-6, 0.01, 1, 100, 1e6 and infinity it is at most 0.42
+    at t = T_SERIES and at least 1.5 at T_ASYM, so each seed reads only
+    the view its root's own state reads. Between p = 30 and 50 (0.59 at
+    p = 50) the asymptote comes to start below L = 1, and its roots there
+    take the leading law. So does a root on the Chebyshev panels between
+    the two ends: ||w||_q ~ d and N ~ (a1+a2) d^2 at large d for p >= 3,
+    the small-d law d^{p-1} = alpha^{p-3} pi^{2/q}/E1 for p < 3.
+    """
+    p, q, a1, a2 = params.p, params.q, params.a1, params.a2
+    x = (p - 3.0) * ln_alpha
+    half = 0.5 * (p - 3.0)
+    big_l = 0.5 * (x - ll._LN4 - math.log(a1 + a2))
+    if big_l > 1.0:
+        b0, b2, bq = ll._view(p, q, ll._CHEB_PANELS)
+        kappa = (a1 * (2.0 / q) * (b0 - bq) + a2 * (b0 - b2)) / (a1 + a2) \
+            + half * (b0 - b2)
+        # t0 = sqrt(p-1) e^L (1 + s).
+        s = (0.5 * kappa - b0) * math.exp(-big_l)
+        if s > -1.0:
+            tau0 = 0.5 * math.log(p - 1.0) + big_l + math.log1p(s)
+            if tau0 >= _LN_T_ASYM:
+                return tau0
+    else:
+        # J_r at em = 0, A_r, and b_1 a_{r,1}, for r = 0, 2 and q.
+        (j0, n0), (j2, n2), (jq, nq) = ll._view(p, q, -1)[:3, :2].tolist()
+        r2 = j2 / j0
+        rq = (jq / j0) ** (2.0 / q)
+        big_d = a1 * rq + a2 * r2
+        beta0 = n0 / j0
+        dbeta2 = n2 / j2 - beta0
+        lam = x - math.log(4.0 * j0 * j0 * big_d) - half * math.log(r2)
+        # em < 1 at the root needs Lambda < 0; e^Lambda stays finite.
+        if lam < 0.0:
+            c1 = 2.0 * beta0 + half * dbeta2 \
+                + (a1 * rq * (2.0 / q) * (nq / jq - beta0)
+                   + a2 * r2 * dbeta2) / big_d
+            ln_em = lam - c1 * math.exp(lam)
+            if ln_em <= _LN_EM_SERIES:
+                # t = em to the last bit where em underflows.
+                t0 = -math.log1p(-math.exp(ln_em))
+                return math.log(t0) if t0 > 0.0 else ln_em
+    if p >= 3.0:
+        ln_d = (x - math.log(a1 + a2)) / (p - 1.0)
+    else:
+        # A_q = J_q(eps = 1), the n = 0 coefficient of the moments' series.
+        _, e1 = consts._e1_terms(q, a1, a2,
+                                 ll._series_coeffs(p, q).item(0, 0))
+        ln_d = (x + (2.0 / q) * math.log(math.pi) - math.log(e1)) / (p - 1.0)
+    return ll._seed_tau_for_d(ln_d, p)
 
 
 def g_of_k(k: float, params: ProblemParams) -> float:
@@ -168,7 +247,7 @@ def g_of_k(k: float, params: ProblemParams) -> float:
         raise InvalidRegime("g = N^{1/(p-3)} d is singular at p = 3")
     check_positive("k", k)
     t, _ = ll._t_from_k(k, ll.LocalParams(p=params.p))
-    state, ln_n = _state_at_t(t, params)
+    state, ln_n, _ = _state_at_t(t, params)
     return consts._exp_in_range(ln_n / (params.p - 3.0) + state[2], "g",
                                 params.p, params.q)
 
@@ -178,10 +257,15 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
 
     One residual for every p: r(t) = ln N(t) - (p-3)(ln alpha - ln d(t)),
     strictly increasing in the layer coordinate t, is solved by safeguarded
-    Newton in tau = ln t with its analytic slope. The Newton stops once its
-    step delta = -r/r' is within 1e-8 in tau, and the point is built from
-    the last evaluation's log state moved by delta along its slopes (ln k,
-    ln gamma, ln d, ln ||w||_q and ln N, with tau + delta), so r is zero
+    Newton in tau = ln t with its analytic slope
+    d(ln N)/dtau + (p-3) d(ln d)/dtau, from the seed of _seed_tau: one
+    order past the leading law of the end the root lies at, on the
+    asymptote t >= T_ASYM from its offsets B_0, B_2 and B_q, in the series
+    t <= T_SERIES from its n <= 1 coefficients, so the seed misses the
+    root by O(x^2), x = alpha^{-(p-3)/2} or alpha^{p-3}. The Newton stops
+    once its step delta = -r/r' is within 1e-8 in tau, and the point is
+    built from the last evaluation's log state moved by delta along its
+    slopes (ln k, ln gamma, ln d and ln N, with tau + delta), so r is zero
     there to first order and the point's error is O(delta^2). If the
     Newton stops on a larger step (a collapsed bracket or an unusable
     slope), the root is settled to xtol 1e-12 and taken as it is. Then
@@ -196,47 +280,37 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
     check_positive("alpha", alpha)
     p = params.p
     ln_alpha = math.log(alpha)
-    if p >= 3.0:
-        # Large d: ||w||_q ~ d, so N ~ (a1+a2) d^2; at p = 3 this is the
-        # alpha-free root N = 1 of the q = 2 case.
-        ln_d = ((p - 3.0) * ln_alpha - math.log(params.a1 + params.a2)) \
-            / (p - 1.0)
-    else:
-        # Leading small-d law d^{p-1} = alpha^{p-3} pi^{2/q} / E1, with
-        # A1 = J_q(eps = 1) the n = 0 coefficient of the moments' series.
-        _, e1 = consts._e1_terms(params.q, params.a1, params.a2,
-                                 ll._series_coeffs(p, params.q).item(0, 0))
-        ln_d = ((p - 3.0) * ln_alpha + (2.0 / params.q) * math.log(math.pi)
-                - math.log(e1)) / (p - 1.0)
-    evals: dict = {}
+    last = None
 
     def resid(tau: float):
-        out = evals[tau] = _residual(tau, ln_alpha, params)
-        return out[:2]
+        # solve_monotone returns the tau of its last call, so the root's
+        # state is the one kept here.
+        nonlocal last
+        state, ln_n, dln_n = _state_at_t(math.exp(tau), params)
+        last = (ln_n - (p - 3.0) * (ln_alpha - state[2]),
+                dln_n + (p - 3.0) * state[6], tau, state, ln_n, dln_n)
+        return last[:2]
 
-    tau0 = ll._seed_tau_for_d(ln_d, p)
     try:
         # solve_monotone returns once its Newton step is within xtol/8.
-        tau = solve_monotone(resid, tau0, ll._TAU_LO, ll._TAU_HI,
-                             xtol=8.0 * _LAST_STEP)
-        r, dr, state, ln_n = evals[tau]
-        step = -r / dr if dr > 0.0 else math.nan
+        tau = solve_monotone(resid, _seed_tau(ln_alpha, params), ll._TAU_LO,
+                             ll._TAU_HI, xtol=8.0 * _LAST_STEP)
+        step = -last[0] / last[1] if last[1] > 0.0 else math.nan
         if not abs(step) <= _LAST_STEP:
             # Stopped on a collapsed bracket or an unusable slope: settle
             # the root to xtol 1e-12 instead.
             tau = solve_monotone(resid, tau, ll._TAU_LO, ll._TAU_HI,
                                  xtol=1e-12)
-            r, dr, state, ln_n = evals[tau]
             step = 0.0
     except BracketFailure as exc:
-        raise ll._past_wall(next(reversed(evals)), p) from exc
+        raise ll._past_wall(last[2], p) from exc
+    r, dr, _, state, ln_n, dln_n = last
     if step:
-        # The last Newton step, taken on the log state along its slopes:
-        # d(ln N)/dtau is dr/dtau less the (p-3) d(ln d)/dtau term of r.
+        # The last Newton step, taken on the log state along its slopes.
         tau += step
-        ln_n += step * (dr - (p - 3.0) * state[6])
-        slopes = state[4:]
-        state = (*(v + step * dv for v, dv in zip(state, slopes)), *slopes)
+        ln_n += step * dln_n
+        state = (state[0] + step * state[4], state[1] + step * state[5],
+                 state[2] + step * state[6])
     t = math.exp(tau)
     point = ll._point_from_t(t, p, state)
 

@@ -208,7 +208,7 @@ def _limit_check(name: str, target: float, ln_s, xs, ys, tolerance: float,
 def _curve_log_states(ts, params: nc.ProblemParams) -> np.ndarray:
     """Rows ln gamma, ln d and ln N of the curve at the layer coordinates
     ts. There alpha = h d and h^{p-3} = N, so ln alpha = ln N/(p-3) + ln d."""
-    return np.array([(s[1], s[2], ln_n) for s, ln_n in
+    return np.array([(s[1], s[2], ln_n) for s, ln_n, _ in
                      (nc._state_at_t(t, params) for t in ts)]).T
 
 

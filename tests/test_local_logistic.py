@@ -407,7 +407,6 @@ def _central(f, tau):
 @pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 2.9, 3.0, 4.0, 8.0, 20.0))
 def test_log_state_slopes_match_central_differences(p):
     qs = (1.1, 2.0, 8.0)
-    ln_alpha = math.log(100.0)
 
     def values(tau, q):
         return np.array(ll._log_state_at_t(math.exp(tau), p, q)[:4])
@@ -419,10 +418,13 @@ def test_log_state_slopes_match_central_differences(p):
             assert np.all(np.abs(slopes - refs)
                           <= 1e-6 * np.maximum(1.0, np.abs(refs))), \
                 (tau, q, slopes, refs)
+            # The curve residual's slope is d(ln N)/dtau + (p-3) d(ln d)/dtau.
             params = nc.ProblemParams(p=p, q=q, a1=0.3, a2=0.7)
-            dr = nc._residual(tau, ln_alpha, params)[1]
-            ref = _central(lambda x: nc._residual(x, ln_alpha, params)[0], tau)
-            assert abs(dr - ref) <= 1e-6 * max(1.0, abs(ref)), (tau, q, dr, ref)
+            dln_n = nc._state_at_t(math.exp(tau), params)[2]
+            ref = _central(
+                lambda x: nc._state_at_t(math.exp(x), params)[1], tau)
+            assert abs(dln_n - ref) <= 1e-6 * max(1.0, abs(ref)), \
+                (tau, q, dln_n, ref)
 
 
 def test_exact_node_slopes_continue_the_interpolant():

@@ -249,12 +249,12 @@ def test_domain_grid_solved_or_typed_error(monkeypatch):
     # regimes, 3 of them within 1e-6 of p = 3. Every case returns a point
     # that meets its invariants or raises a package error other than
     # NoConvergence; the 15 refusals are float-range and tau-wall cases.
-    # The grid's work is gated too: at most 513 curve-residual evaluations,
-    # the count tools/grid_shift.py reports.
+    # The grid's work is gated too: at most 457 curve-residual evaluations,
+    # one state each, the count tools/grid_shift.py reports.
     evals = []
-    residual = nonlocal_curve._residual
-    monkeypatch.setattr(nonlocal_curve, "_residual",
-                        lambda *args: evals.append(args) or residual(*args))
+    state_at_t = nonlocal_curve._state_at_t
+    monkeypatch.setattr(nonlocal_curve, "_state_at_t",
+                        lambda *args: evals.append(args) or state_at_t(*args))
     valid = refused = 0
     for p in DOMAIN_PS:
         for q in DOMAIN_QS:
@@ -271,7 +271,7 @@ def test_domain_grid_solved_or_typed_error(monkeypatch):
                 valid += 1
     assert valid >= 183
     assert refused == 15
-    assert len(evals) <= 513, len(evals)
+    assert len(evals) <= 457, len(evals)
 
 
 def _domain_grid_fields():
@@ -315,9 +315,10 @@ def test_last_newton_step_matches_tight_root(monkeypatch):
 def test_last_step_falls_back_to_a_tight_solve(monkeypatch):
     # Where the Newton stops with a step above 1e-8 in tau, here because the
     # first solve returns its seed, solve_alpha settles the root to xtol
-    # 1e-12 rather than stepping that far on the slope.
-    params = ProblemParams(p=5.0, q=2.0, a1=1.0, a2=1.0)
-    want = solve_alpha(100.0, params)
+    # 1e-12 rather than stepping that far on the slope. The root, t = 1.03,
+    # lies on the Chebyshev panels, where the seed is the leading law.
+    params = ProblemParams(p=4.0, q=3.0, a1=1.0, a2=1.0)
+    want = solve_alpha(10.0, params)
     solve_monotone = nonlocal_curve.solve_monotone
     xtols = []
 
@@ -329,7 +330,7 @@ def test_last_step_falls_back_to_a_tight_solve(monkeypatch):
         return solve_monotone(f, x0, lo, hi, xtol=xtol)
 
     monkeypatch.setattr(nonlocal_curve, "solve_monotone", seed_first)
-    sol = solve_alpha(100.0, params)
+    sol = solve_alpha(10.0, params)
     assert xtols == [8e-8, 1e-12]
     assert rel(sol.local.k, want.local.k) <= 1e-12
     assert rel(sol.lam, want.lam) <= 1e-12
@@ -351,7 +352,7 @@ def test_documented_domain_property(p, q, log_alpha, weights):
     assert_valid_or_typed_error(alpha, params)
     r = []
     for tau in PROPERTY_TAUS:
-        state, ln_n = nonlocal_curve._state_at_t(math.exp(tau), params)
+        state, ln_n, _ = nonlocal_curve._state_at_t(math.exp(tau), params)
         r.append(ln_n - (p - 3.0) * (math.log(alpha) - state[2]))
     assert all(lo < hi for lo, hi in zip(r, r[1:])), r
 
@@ -397,22 +398,23 @@ def test_ln_g_finite_over_bracket(p):
     for q in (1.1, 2.0, 8.0):
         params = ProblemParams(p=p, q=q, a1=1.0, a2=1.0)
         for tau in (ll._TAU_LO, -50.0, 50.0, ll._TAU_HI):
-            ln_n = nonlocal_curve._state_at_t(math.exp(tau), params)[1]
+            state, ln_n, dln_n = nonlocal_curve._state_at_t(math.exp(tau),
+                                                            params)
             assert math.isfinite(ln_n)
-            dr = nonlocal_curve._residual(tau, math.log(100.0), params)[1]
-            assert math.isfinite(dr)
+            assert math.isfinite(dln_n + (p - 3.0) * state[6])
 
 
 def test_flipped_slope_raises_monotonicity_violation(monkeypatch):
     # A residual whose slope at the root is negative, for every p, p = 3
     # included: the solver must refuse the point.
-    residual = nonlocal_curve._residual
+    # Every slope of the state turns sign, and with them dr/dtau.
+    state_at_t = nonlocal_curve._state_at_t
 
     def flipped(*args):
-        r, dr, *rest = residual(*args)
-        return (r, -dr, *rest)
+        state, ln_n, dln_n = state_at_t(*args)
+        return (*state[:4], *(-v for v in state[4:])), ln_n, -dln_n
 
-    monkeypatch.setattr(nonlocal_curve, "_residual", flipped)
+    monkeypatch.setattr(nonlocal_curve, "_state_at_t", flipped)
     for p in (2.0, 3.0, 5.0):
         with pytest.raises(MonotonicityViolation):
             solve_alpha(100.0, ProblemParams(p=p, q=2.0, a1=1.0, a2=0.0))
@@ -449,17 +451,20 @@ SUPER_COMBOS = ((2.0, 1.0, 0.0), (3.0, 0.0, 1.0), (4.0, 0.5, 0.5))
 
 
 @pytest.mark.parametrize("p, residuals", [
-    # The counts solve_alpha makes when it stops within 1e-8 in tau and
-    # takes that last Newton step on the state it holds.
-    (5.0, 360), (6.5, 260), (8.0, 180),
-    (2.0, 360), (3.0, 600), (3.01, 600), (3.5, 635), (4.0, 501),
+    # The counts solve_alpha makes when it seeds from the branch its root
+    # lands on, stops within 1e-8 in tau and takes that last Newton step on
+    # the state it holds: one state per solve wherever the seed is within
+    # 1e-8 of the root, as on the asymptote at p = 6.5 and 8 and in the
+    # series at p = 2.
+    (5.0, 195), (6.5, 180), (8.0, 180),
+    (2.0, 180), (3.0, 540), (3.01, 540), (3.5, 635), (4.0, 384),
 ])
 def test_warm_solve_alpha_residuals_from_seed(p, residuals, monkeypatch):
     # Residuals over 180 warm solves: SUPER_GRID for each combination.
     calls = []
-    residual = nonlocal_curve._residual
-    monkeypatch.setattr(nonlocal_curve, "_residual",
-                        lambda *args: calls.append(args) or residual(*args))
+    state_at_t = nonlocal_curve._state_at_t
+    monkeypatch.setattr(nonlocal_curve, "_state_at_t",
+                        lambda *args: calls.append(args) or state_at_t(*args))
 
     def sweep():
         for q, a1, a2 in SUPER_COMBOS:
@@ -471,6 +476,36 @@ def test_warm_solve_alpha_residuals_from_seed(p, residuals, monkeypatch):
     calls.clear()
     sweep()
     assert 180 <= len(calls) <= residuals, len(calls) / 180
+
+
+# Roots four times nearer each end in x than the last: t falling by 4 in
+# the series (x = alpha^{p-3} ~ em ~ t), rising by 4 on the asymptote
+# (x = alpha^{-(p-3)/2} ~ 1/J ~ 1/t).
+SEED_ENDS = {"series": (1e-3, 2.5e-4, 6.25e-5),
+             "asymptote": (1e3, 4e3, 1.6e4)}
+
+
+@pytest.mark.parametrize("p", (1.5, 2.0, 2.5, 4.0, 5.0, 8.0))
+def test_seed_error_falls_like_x_squared(p):
+    # The seed is one order past the leading law of its end, so its miss of
+    # the root in tau falls like x^2: by 16 when x falls by 4, where a seed
+    # without kappa or c1 falls by 4. Roots are placed exactly, at alpha(t)
+    # = N^{1/(p-3)} d read off the state at t. At p = 5 and q = 2, or
+    # a1 = 0, the asymptote seed is exact (r = 2 ln(J - B_0 + B_2) + ...)
+    # and its miss is rounding.
+    for q in (1.1, 2.0, 8.0):
+        for a1, a2 in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (100.0, 0.01)):
+            params = ProblemParams(p=p, q=q, a1=a1, a2=a2)
+            for end, ts in SEED_ENDS.items():
+                misses = []
+                for t in ts:
+                    state, ln_n, _ = nonlocal_curve._state_at_t(t, params)
+                    ln_alpha = ln_n / (p - 3.0) + state[2]
+                    misses.append(abs(nonlocal_curve._seed_tau(ln_alpha, params)
+                                      - math.log(t)))
+                for far, near in zip(misses, misses[1:]):
+                    assert near <= max(far / 12.0, 1e-13), \
+                        (q, a1, a2, end, misses)
 
 
 @pytest.mark.parametrize("p,q,a1,a2,alpha", CASES)

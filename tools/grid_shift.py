@@ -14,10 +14,12 @@ interpreter. The base revision is exported with ``tools/bench_pair.py``'s
 Prints one line per case: p, q, alpha, the outcome on each side (``point``
 or the error's class name) and, where both return a point, the largest
 relative shift over its fields. Then the outcome counts per side with the
-side's total of curve-residual evaluations over the grid (calls of
-``nonlocal_curve._residual``, a deterministic work count), the number of
-points whose fields differ at all, and for every field the worst relative
-shift and the case where it occurs.
+side's curve-residual evaluations over the grid (calls of
+``nonlocal_curve._state_at_t``, one per evaluation, a deterministic work
+count), in total and per regime: p < 3, the critical band (the grid's three
+p within 1e-6 of 3) and p > 3. Last come the number of points whose fields
+differ at all, and for every field the worst relative shift and the case
+where it occurs.
 """
 
 from __future__ import annotations
@@ -40,26 +42,34 @@ QS = (1.1, 2.0, 8.0)
 ALPHAS = (1e-6, 1e-2, 1.0, 1e2, 1e6, 1e12)
 FIELDS = ("k", "gamma", "d", "layer_t", "h", "beta", "lam")
 CASES = [(p, q, alpha) for p in PS for q in QS for alpha in ALPHAS]
+# Half-width of the critical band the evaluation counts are split by.
+BAND = 1e-5
+REGIMES = ("p < 3", "critical band", "p > 3")
+
+
+def regime(p: float) -> str:
+    if abs(p - 3.0) <= BAND:
+        return REGIMES[1]
+    return REGIMES[0] if p < 3.0 else REGIMES[2]
 
 
 def run_grid(src: str) -> dict:
     """{"cases": every case's fields as a dict, or its error's class name,
-    "resid_evals": the curve-residual evaluations over the grid}, solved
-    with the package under src."""
+    "resid_evals": the curve-residual evaluations over the grid per regime},
+    solved with the package under src."""
     sys.path.insert(0, src)
     from biflogis import nonlocal_curve
     from biflogis.errors import BiflogisError
     from biflogis.nonlocal_curve import ProblemParams, solve_alpha
 
-    evals = 0
-    residual = nonlocal_curve._residual
+    evals = Counter()
+    state_at_t = nonlocal_curve._state_at_t
 
-    def counted(*args):
-        nonlocal evals
-        evals += 1
-        return residual(*args)
+    def counted(t, params):
+        evals[regime(params.p)] += 1
+        return state_at_t(t, params)
 
-    nonlocal_curve._residual = counted
+    nonlocal_curve._state_at_t = counted
     out = []
     for p, q, alpha in CASES:
         try:
@@ -126,7 +136,9 @@ def main(argv=None) -> int:
     for name in ("base", "change"):
         print(f"{name}: " + ", ".join(f"{k} {v}" for k, v in
                                       sorted(counts[name].items()))
-              + f"; {evals[name]} curve-residual evaluations")
+              + f"; {sum(evals[name].values())} curve-residual evaluations ("
+              + ", ".join(f"{r} {evals[name].get(r, 0)}" for r in REGIMES)
+              + ")")
     print(f"points that moved: {moved}")
     for name, (s, case) in worst.items():
         at = "" if case is None else " at p, q, alpha = %r, %r, %r" % case
