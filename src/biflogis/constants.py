@@ -158,14 +158,6 @@ def _amplitude_a4(p: float, q: float, A: dict) -> float:
     return (A["A3"] - 4.0 * math.sqrt(2.0) ** (p - 1.0) * A["A5"]) / PI
 
 
-def _e1_terms(q: float, a1: float, a2: float,
-              A1: float) -> tuple[float, float]:
-    """(a1 term, E1) of E1 = a1 2^{(q+2)/q} A1^{2/q} + a2 pi^{2/q}; the a1
-    term enters E2 too. nonlocal_curve seeds its root-find with E1."""
-    a1q = a1 * 2.0 ** ((q + 2.0) / q) * A1 ** (2.0 / q)
-    return a1q, a1q + a2 * PI ** (2.0 / q)
-
-
 def _e_from_a(p: float, q: float, a1: float, a2: float, reading: str,
               A: dict) -> dict:
     """E1, E2, ln E3, E4 and E5 from the A family; arguments already
@@ -180,7 +172,8 @@ def _e_from_a(p: float, q: float, a1: float, a2: float, reading: str,
     Overflow where E1 or E2 leaves the double range, as a weight near the
     largest double takes them.
     """
-    a1q, e1 = _e1_terms(q, a1, a2, A["A1"])
+    a1q = a1 * 2.0 ** ((q + 2.0) / q) * A["A1"] ** (2.0 / q)
+    e1 = a1q + a2 * PI ** (2.0 / q)
     e2 = a1q * (_amplitude_a4(p, q, A) + (2.0 / q) * (A["A2"] / A["A1"])) \
         + (2.0 * a2 * PI ** ((2.0 - q) / q) / q) * A["A3"]
     if not (math.isfinite(e1) and math.isfinite(e2)):

@@ -475,26 +475,26 @@ def _qnorm_from_t(t: float, q: float, params: LocalParams) -> float:
 
 # --- inverse problems: root-finds in tau = ln t ------------------------------
 
-def _seed_tau_for_k(ln_k: float, p: float, ln_k_large: float | None = None) -> float:
+def _seed_tau_for_k(ln_k: float, p: float) -> float:
     # Small k: em ~ t, gamma ~ pi^2, so t ~ k^{p-1}/pi^2. Large k: em ~ 1 and
     # gamma ~ 4 t^2/(p-1), so t ~ sqrt(p-1) k^{(p-1)/2} / 2. The minimum of
-    # the two exponents picks the right regime on both ends. ln_k_large, if
-    # given, is the ln k the large-k exponent reads instead of ln_k.
-    if ln_k_large is None:
-        ln_k_large = ln_k
+    # the two exponents picks the right regime on both ends.
     tau_small = (p - 1.0) * ln_k - _LN_PI2
-    tau_large = 0.5 * (p - 1.0) * ln_k_large + 0.5 * math.log(p - 1.0) - _LN2
+    tau_large = 0.5 * (p - 1.0) * ln_k + 0.5 * math.log(p - 1.0) - _LN2
     return min(tau_small, tau_large)
 
 
 def _seed_tau_for_d(ln_d: float, p: float) -> float:
-    """Seed tau for the curve point with L2 norm d = e^{ln_d}.
+    """Seed tau for the curve point with L2 norm d = e^{ln_d}: the two ends
+    of _seed_tau_for_k, each with its own k.
 
     Small d: w ~ k sin(pi x), so k ~ sqrt(2) d. Large d: w ~ k outside two
     layers of width O(1/sqrt(gamma)), so k ~ d; reading that end at
     sqrt(2) d too would put the seed (p-1) ln(2)/4 high in tau.
     """
-    return _seed_tau_for_k(ln_d + 0.5 * _LN2, p, ln_d)
+    tau_small = (p - 1.0) * (ln_d + 0.5 * _LN2) - _LN_PI2
+    tau_large = 0.5 * (p - 1.0) * ln_d + 0.5 * math.log(p - 1.0) - _LN2
+    return min(tau_small, tau_large)
 
 
 def _seed_tau_for_gamma(gamma: float, p: float) -> float:

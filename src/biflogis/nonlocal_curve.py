@@ -162,81 +162,74 @@ def _seed_tau(ln_alpha: float, params: ProblemParams) -> float:
 
     In the state, r = ln(4 em J_0^2) + ln(a1 R_q + a2 R_2)
     + ((p-3)/2) ln R_2 - (p-3) ln alpha, with R_2 = J_2/J_0 and
-    R_q = (J_q/J_0)^{2/q}. Each end expands this to one order past its
-    leading law, with the constants its branch has already calibrated.
-    Both formulas hold for every p; L = ((p-3) ln alpha - ln(4(a1+a2)))/2
-    picks the end.
+    R_q = (J_q/J_0)^{2/q}. Each end has a small z with
+    J_r = A_r z^{-n} (1 + beta_r z) + O(z^{2-n}) for r in (0, 2, q):
 
-    - Asymptote, L > 1. There em rounds to 1 and J_r = J - (B_0 - B_r) with
-      J = J_0, so r = 2 ln J + ln(4(a1+a2)) - kappa/J - (p-3) ln alpha
-      + O(J^-2), where kappa = [a1 (2/q)(B_0-B_q) + a2 (B_0-B_2)]/(a1+a2)
-      + ((p-3)/2)(B_0-B_2). The root is J = e^L + kappa/2 + O(1/J), so
-      t0 = sqrt(p-1) (e^L + kappa/2 - B_0), taken if t0 >= T_ASYM.
-    - Series, L <= 1. With A_r = a_{r,0} and beta_r = b_1 a_{r,1}/a_{r,0}
-      for r in (0, 2, q), J_r = A_r (1 + beta_r em) + O(em^2), so
-      r = ln em + c0 + c1 em - (p-3) ln alpha + O(em^2), where
-      c0 = ln(4 A_0^2 D) + ((p-3)/2) ln(A_2/A_0),
-      D = a1 (A_q/A_0)^{2/q} + a2 A_2/A_0 and c1 = 2 beta_0
-      + [a1 (A_q/A_0)^{2/q} (2/q)(beta_q-beta_0) + a2 (A_2/A_0)
-      (beta_2-beta_0)]/D + ((p-3)/2)(beta_2-beta_0). With
-      Lambda = (p-3) ln alpha - c0 the root is ln em = Lambda
-      - c1 e^Lambda + O(em^2), and t0 = -log1p(-em), taken if
-      t0 <= T_SERIES.
+    - series: z = em, n = 0, A_r = a_{r,0}, beta_r = b_1 a_{r,1}/a_{r,0};
+    - asymptote: z = sqrt(p-1)/t, n = 1, A_r = 1, beta_r = B_r (exact),
+      and em rounds to 1.
 
-    Either seed misses the root in tau by O(x^2), x = alpha^{-(p-3)/2} at
-    the asymptote and alpha^{p-3} in the series. Both are formed in log
-    space, so they stay finite where e^L or em leave the double range;
-    solve_monotone clamps the seed to [_TAU_LO, _TAU_HI]. At the root L
+    So r = m ln z + c0 + c1 z - (p-3) ln alpha + O(z^2), where m = 1 from
+    ln em in the series and m = -2 from ln J_0^2 on the asymptote, and
+    with R_2 = A_2/A_0, R_q = (A_q/A_0)^{2/q} and D = a1 R_q + a2 R_2
+    (R = 1 and D = a1 + a2 on the asymptote)
+
+        c0 = ln(4 A_0^2 D) + ((p-3)/2) ln R_2,
+        c1 = 2 beta_0 + [a1 R_q (2/q)(beta_q - beta_0)
+             + a2 R_2 (beta_2 - beta_0)]/D + ((p-3)/2)(beta_2 - beta_0).
+
+    With Lambda = ((p-3) ln alpha - c0)/m the root is
+    ln z = Lambda - log1p((c1/m) e^Lambda), which misses it in tau by
+    O(x^2), x = alpha^{p-3} in the series and alpha^{-(p-3)/2} on the
+    asymptote. Then t0 = sqrt(p-1)/z, taken if t0 >= T_ASYM, or
+    t0 = -log1p(-em), taken if t0 <= T_SERIES. The seed is formed in log
+    space, so it stays finite where z leaves the double range;
+    solve_monotone clamps it to [_TAU_LO, _TAU_HI].
+
+    L = ((p-3) ln alpha - ln(4(a1+a2)))/2 picks the end. At the root L
     rises with t. Over p in [1.01, 30], q in [1.1, 8] and weight ratios
     a1/a2 of 0, 1e-6, 0.01, 1, 100, 1e6 and infinity it is at most 0.42
     at t = T_SERIES and at least 1.5 at T_ASYM, so each seed reads only
     the view its root's own state reads. Between p = 30 and 50 (0.59 at
     p = 50) the asymptote comes to start below L = 1, and its roots there
-    take the leading law. So does a root on the Chebyshev panels between
-    the two ends: ||w||_q ~ d and N ~ (a1+a2) d^2 at large d for p >= 3,
-    the small-d law d^{p-1} = alpha^{p-3} pi^{2/q}/E1 for p < 3.
+    take the leading law N ~ (a1+a2) d^2, as does a root on the Chebyshev
+    panels between the two ends.
     """
     p, q, a1, a2 = params.p, params.q, params.a1, params.a2
     x = (p - 3.0) * ln_alpha
     half = 0.5 * (p - 3.0)
-    big_l = 0.5 * (x - ll._LN4 - math.log(a1 + a2))
-    if big_l > 1.0:
-        b0, b2, bq = ll._view(p, q, ll._CHEB_PANELS)
-        kappa = (a1 * (2.0 / q) * (b0 - bq) + a2 * (b0 - b2)) / (a1 + a2) \
-            + half * (b0 - b2)
-        # t0 = sqrt(p-1) e^L (1 + s).
-        s = (0.5 * kappa - b0) * math.exp(-big_l)
-        if s > -1.0:
-            tau0 = 0.5 * math.log(p - 1.0) + big_l + math.log1p(s)
-            if tau0 >= _LN_T_ASYM:
-                return tau0
+    ln_a = math.log(a1 + a2)
+    big_l = 0.5 * (x - ll._LN4 - ln_a)
+    asym = big_l > 1.0
+    # w1 = a1 R_q and w2 = a2 R_2, so D = w1 + w2.
+    if asym:
+        m, lam, w1, w2 = -2.0, -big_l, a1, a2
+        beta0, beta2, betaq = ll._view(p, q, ll._CHEB_PANELS)
     else:
-        # J_r at em = 0, A_r, and b_1 a_{r,1}, for r = 0, 2 and q.
+        # A_r, and b_1 a_{r,1} = A_r beta_r, for r = 0, 2 and q.
         (j0, n0), (j2, n2), (jq, nq) = ll._view(p, q, -1)[:3, :2].tolist()
+        beta0, beta2, betaq = n0 / j0, n2 / j2, nq / jq
         r2 = j2 / j0
-        rq = (jq / j0) ** (2.0 / q)
-        big_d = a1 * rq + a2 * r2
-        beta0 = n0 / j0
-        dbeta2 = n2 / j2 - beta0
-        lam = x - math.log(4.0 * j0 * j0 * big_d) - half * math.log(r2)
-        # em < 1 at the root needs Lambda < 0; e^Lambda stays finite.
-        if lam < 0.0:
-            c1 = 2.0 * beta0 + half * dbeta2 \
-                + (a1 * rq * (2.0 / q) * (nq / jq - beta0)
-                   + a2 * r2 * dbeta2) / big_d
-            ln_em = lam - c1 * math.exp(lam)
-            if ln_em <= _LN_EM_SERIES:
+        w1, w2 = a1 * (jq / j0) ** (2.0 / q), a2 * r2
+        m = 1.0
+        lam = x - math.log(4.0 * j0 * j0 * (w1 + w2)) - half * math.log(r2)
+    # z < 1 at either end's root needs Lambda < 0; e^Lambda stays finite.
+    if lam < 0.0:
+        c1 = 2.0 * beta0 + half * (beta2 - beta0) \
+            + (w1 * (2.0 / q) * (betaq - beta0)
+               + w2 * (beta2 - beta0)) / (w1 + w2)
+        s = c1 / m * math.exp(lam)
+        if s > -1.0:
+            ln_z = lam - math.log1p(s)
+            if asym:
+                tau0 = 0.5 * math.log(p - 1.0) - ln_z
+                if tau0 >= _LN_T_ASYM:
+                    return tau0
+            elif ln_z <= _LN_EM_SERIES:
                 # t = em to the last bit where em underflows.
-                t0 = -math.log1p(-math.exp(ln_em))
-                return math.log(t0) if t0 > 0.0 else ln_em
-    if p >= 3.0:
-        ln_d = (x - math.log(a1 + a2)) / (p - 1.0)
-    else:
-        # A_q = J_q(eps = 1), the n = 0 coefficient of the moments' series.
-        _, e1 = consts._e1_terms(q, a1, a2,
-                                 ll._series_coeffs(p, q).item(0, 0))
-        ln_d = (x + (2.0 / q) * math.log(math.pi) - math.log(e1)) / (p - 1.0)
-    return ll._seed_tau_for_d(ln_d, p)
+                t0 = -math.log1p(-math.exp(ln_z))
+                return math.log(t0) if t0 > 0.0 else ln_z
+    return ll._seed_tau_for_d((x - ln_a) / (p - 1.0), p)
 
 
 def g_of_k(k: float, params: ProblemParams) -> float:

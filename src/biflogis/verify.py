@@ -128,7 +128,8 @@ class SweepReport:
 
 
 def sweep(params: nc.ProblemParams, alphas) -> SweepReport:
-    """Solve the curve on an alpha grid; row failures are recorded, not raised."""
+    """Solve the curve on an alpha grid. A row's package error is recorded,
+    not raised; any other exception is a bug and propagates."""
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("alpha grid must be nonempty")
@@ -140,7 +141,7 @@ def sweep(params: nc.ProblemParams, alphas) -> SweepReport:
     for a in sorted(alphas):
         try:
             sol = nc.solve_alpha(a, params)
-        except (BiflogisError, ValueError, OverflowError) as exc:
+        except BiflogisError as exc:
             report.rows.append(
                 {"alpha": a, "error": f"{type(exc).__name__}: {exc}"})
             report.solutions.append(None)

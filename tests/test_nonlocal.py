@@ -249,7 +249,7 @@ def test_domain_grid_solved_or_typed_error(monkeypatch):
     # regimes, 3 of them within 1e-6 of p = 3. Every case returns a point
     # that meets its invariants or raises a package error other than
     # NoConvergence; the 15 refusals are float-range and tau-wall cases.
-    # The grid's work is gated too: at most 457 curve-residual evaluations,
+    # The grid's work is gated too: at most 372 curve-residual evaluations,
     # one state each, the count tools/grid_shift.py reports.
     evals = []
     state_at_t = nonlocal_curve._state_at_t
@@ -271,7 +271,7 @@ def test_domain_grid_solved_or_typed_error(monkeypatch):
                 valid += 1
     assert valid >= 183
     assert refused == 15
-    assert len(evals) <= 457, len(evals)
+    assert len(evals) <= 372, len(evals)
 
 
 def _domain_grid_fields():
@@ -446,36 +446,45 @@ def test_warm_solve_alpha_evaluations(ps, alphas, monkeypatch):
     assert solves <= states <= 4 * solves, states / solves
 
 
-# The benchmark's three supercritical (q, a1, a2) combinations.
+# The benchmark's three supercritical (q, a1, a2) combinations, and the
+# nine q x weight combinations its subcritical sets draw from.
 SUPER_COMBOS = ((2.0, 1.0, 0.0), (3.0, 0.0, 1.0), (4.0, 0.5, 0.5))
+SUB_COMBOS = tuple((q, a1, a2) for q in (2.0, 3.0, 4.0)
+                   for a1, a2 in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0)))
 
 
-@pytest.mark.parametrize("p, residuals", [
+@pytest.mark.parametrize("p, residuals, combos, alphas", [
     # The counts solve_alpha makes when it seeds from the branch its root
     # lands on, stops within 1e-8 in tau and takes that last Newton step on
     # the state it holds: one state per solve wherever the seed is within
     # 1e-8 of the root, as on the asymptote at p = 6.5 and 8 and in the
-    # series at p = 2.
-    (5.0, 195), (6.5, 180), (8.0, 180),
-    (2.0, 180), (3.0, 540), (3.01, 540), (3.5, 635), (4.0, 384),
+    # series at p = 2 on SUPER_GRID and p = 1.5 on DEFAULT_SUB_ALPHAS.
+    *(pytest.param(p, n, SUPER_COMBOS, SUPER_GRID, id=f"{p}-{n}")
+      for p, n in ((5.0, 195), (6.5, 180), (8.0, 180), (2.0, 180),
+                   (3.0, 540), (3.01, 540), (3.5, 635), (4.0, 384))),
+    *(pytest.param(p, n, SUB_COMBOS, DEFAULT_SUB_ALPHAS, id=f"sub-{p}-{n}")
+      for p, n in ((1.5, 45), (2.0, 51), (2.5, 88), (2.9, 90), (3.0, 110))),
 ])
-def test_warm_solve_alpha_residuals_from_seed(p, residuals, monkeypatch):
-    # Residuals over 180 warm solves: SUPER_GRID for each combination.
+def test_warm_solve_alpha_residuals_from_seed(p, residuals, combos, alphas,
+                                              monkeypatch):
+    # Residuals over a warm pass of every alpha for each combination: 180
+    # solves on SUPER_GRID, 45 on DEFAULT_SUB_ALPHAS.
     calls = []
     state_at_t = nonlocal_curve._state_at_t
     monkeypatch.setattr(nonlocal_curve, "_state_at_t",
                         lambda *args: calls.append(args) or state_at_t(*args))
 
     def sweep():
-        for q, a1, a2 in SUPER_COMBOS:
+        for q, a1, a2 in combos:
             params = ProblemParams(p=p, q=q, a1=a1, a2=a2)
-            for alpha in SUPER_GRID:
+            for alpha in alphas:
                 solve_alpha(alpha, params)
 
     sweep()
     calls.clear()
     sweep()
-    assert 180 <= len(calls) <= residuals, len(calls) / 180
+    solves = len(combos) * len(alphas)
+    assert solves <= len(calls) <= residuals, len(calls) / solves
 
 
 # Roots four times nearer each end in x than the last: t falling by 4 in
@@ -489,7 +498,7 @@ SEED_ENDS = {"series": (1e-3, 2.5e-4, 6.25e-5),
 def test_seed_error_falls_like_x_squared(p):
     # The seed is one order past the leading law of its end, so its miss of
     # the root in tau falls like x^2: by 16 when x falls by 4, where a seed
-    # without kappa or c1 falls by 4. Roots are placed exactly, at alpha(t)
+    # without c1 falls by 4. Roots are placed exactly, at alpha(t)
     # = N^{1/(p-3)} d read off the state at t. At p = 5 and q = 2, or
     # a1 = 0, the asymptote seed is exact (r = 2 ln(J - B_0 + B_2) + ...)
     # and its miss is rounding.

@@ -128,6 +128,17 @@ def test_sweep_records_row_failures():
     assert rep.rows[1]["alpha"] == 1e300
 
 
+def test_sweep_propagates_a_bare_error(monkeypatch):
+    # Only package errors become rows: a bare ValueError from solve_alpha
+    # is a bug, and sweep must not hide it in a recorded row.
+    def broken(alpha, params):
+        raise ValueError("not a package error")
+
+    monkeypatch.setattr(nc, "solve_alpha", broken)
+    with pytest.raises(ValueError, match="not a package error"):
+        sweep(params_for(5.0), [10.0, 100.0])
+
+
 def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep(params_for(5.0), [])

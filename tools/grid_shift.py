@@ -17,9 +17,10 @@ relative shift over its fields. Then the outcome counts per side with the
 side's curve-residual evaluations over the grid (calls of
 ``nonlocal_curve._state_at_t``, one per evaluation, a deterministic work
 count), in total and per regime: p < 3, the critical band (the grid's three
-p within 1e-6 of 3) and p > 3. Last come the number of points whose fields
-differ at all, and for every field the worst relative shift and the case
-where it occurs.
+p within 1e-6 of 3) and p > 3, and per regime how many solves took 1, 2, 3
+and 4 or more of them. Last come the number of points whose fields differ
+at all, and for every field the worst relative shift and the case where it
+occurs.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ CASES = [(p, q, alpha) for p in PS for q in QS for alpha in ALPHAS]
 # Half-width of the critical band the evaluation counts are split by.
 BAND = 1e-5
 REGIMES = ("p < 3", "critical band", "p > 3")
+# The per-solve state counts the histogram tells apart; the last is "or more".
+STATES = (1, 2, 3, 4)
 
 
 def regime(p: float) -> str:
@@ -55,8 +58,9 @@ def regime(p: float) -> str:
 
 def run_grid(src: str) -> dict:
     """{"cases": every case's fields as a dict, or its error's class name,
-    "resid_evals": the curve-residual evaluations over the grid per regime},
-    solved with the package under src."""
+    "resid_evals": the curve-residual evaluations over the grid per regime,
+    "states": per regime, the number of solves that took each count of
+    STATES}, solved with the package under src."""
     sys.path.insert(0, src)
     from biflogis import nonlocal_curve
     from biflogis.errors import BiflogisError
@@ -71,16 +75,21 @@ def run_grid(src: str) -> dict:
 
     nonlocal_curve._state_at_t = counted
     out = []
+    states = {r: Counter() for r in REGIMES}
     for p, q, alpha in CASES:
+        r = regime(p)
+        before = evals[r]
         try:
             sol = solve_alpha(alpha, ProblemParams(p=p, q=q, a1=1.0, a2=1.0))
         except BiflogisError as exc:
             out.append(type(exc).__name__)
             continue
+        finally:
+            states[r][min(evals[r] - before, STATES[-1])] += 1
         loc = sol.local
         out.append(dict(zip(FIELDS, (loc.k, loc.gamma, loc.d, loc.layer_t,
                                      sol.h, sol.beta, sol.lam))))
-    return {"cases": out, "resid_evals": evals}
+    return {"cases": out, "resid_evals": evals, "states": states}
 
 
 def side(root: Path) -> dict:
@@ -115,6 +124,7 @@ def main(argv=None) -> int:
     change = side(ROOT)
 
     evals = {"base": base["resid_evals"], "change": change["resid_evals"]}
+    states = {"base": base["states"], "change": change["states"]}
     base, change = base["cases"], change["cases"]
     worst = {name: (0.0, None) for name in FIELDS}
     counts = {"base": Counter(), "change": Counter()}
@@ -139,6 +149,10 @@ def main(argv=None) -> int:
               + f"; {sum(evals[name].values())} curve-residual evaluations ("
               + ", ".join(f"{r} {evals[name].get(r, 0)}" for r in REGIMES)
               + ")")
+        # JSON keys are strings: the counts of STATES read back as "1" etc.
+        print(f"{name} solves by states (1, 2, 3, 4+): " + "; ".join(
+            f"{r} " + ", ".join(str(states[name][r].get(str(n), 0))
+                                for n in STATES) for r in REGIMES))
     print(f"points that moved: {moved}")
     for name, (s, case) in worst.items():
         at = "" if case is None else " at p, q, alpha = %r, %r, %r" % case
