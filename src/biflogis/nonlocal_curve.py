@@ -5,9 +5,10 @@ parameterized by alpha = ||u||_2. Every solution is a rescaled local profile:
 u = h w_d with alpha = h d and h^{p-1} = beta = h^2 N, N = a1 ||w_d||_q^2 +
 a2 d^2, for every p > 1, so the only analytic content here is a scalar
 root-find for the local point where ln N = (p-3) ln(alpha/d), and the
-bookkeeping lambda = beta gamma. The root-find is seeded one order past
-the leading law of the end of the curve its root lies at, and its last
-Newton step is taken on the log state, not evaluated again.
+bookkeeping lambda = beta gamma. The root-find is seeded from the law of
+the end of the curve its root lies at, to order 8 in the series and one
+order past the leading law on the asymptote, and its last Newton step is
+taken on the log state, not evaluated again.
 
 The module file carries a _curve suffix because the bare problem name is a
 Python keyword; the solution field lam is serialized as "lambda" for the same
@@ -55,6 +56,11 @@ _LAST_STEP = 1e-8
 # seeds serve.
 _LN_T_ASYM = math.log(ll.T_ASYM)
 _LN_EM_SERIES = math.log(-math.expm1(-ll.T_SERIES))
+
+# Order K of the small-em series whose reversion seeds the curve root in
+# the series branch, and the coefficients of each (p, q, a1, a2) there.
+_SEED_ORDER = 8
+_SEED_CACHE: dict = {}
 
 # Relative bound on the miss of lam = beta gamma: a few ulp of the product.
 _LAM_RTOL = 4.0 * sys.float_info.epsilon
@@ -156,79 +162,142 @@ def _state_at_t(t: float, params: ProblemParams):
             2.0 * (dln_d + wq2 / n_by_d2 * (state[7] - dln_d)))
 
 
+def _series_log(c):
+    """ln of the power series sum_n c_n z^n, c_0 > 0, to as many terms:
+    with a = c/c_0, n L_n = n a_n - sum_{0<k<n} k L_k a_{n-k}."""
+    a = [x / c[0] for x in c]
+    kl = [0.0] * len(c)
+    for n in range(1, len(c)):
+        acc = n * a[n]
+        for k in range(1, n):
+            acc -= kl[k] * a[n - k]
+        kl[n] = acc
+    return [math.log(c[0])] + [kl[n] / n for n in range(1, len(c))]
+
+
+def _series_exp(c, scale=1.0):
+    """exp of the power series scale (c - c_0) to as many terms:
+    E_0 = 1 and n E_n = scale sum_{0<k<=n} k c_k E_{n-k}."""
+    out = [1.0] * len(c)
+    for n in range(1, len(c)):
+        acc = 0.0
+        for k in range(1, n + 1):
+            acc += k * c[k] * out[n - k]
+        out[n] = scale / n * acc
+    return out
+
+
+def _series_seed(params: ProblemParams):
+    """(g_0, (e_K, ..., e_2), (g_K, ..., g_1)) with K = _SEED_ORDER,
+    built once per (p, q, a1, a2) and cached.
+
+    g_n are the coefficients of G(z) = ln 4 + 2 ln J_0 + ln D
+    + ((p-3)/2) ln R_2 in z = em, with R_2 = J_2/J_0, R_q = (J_q/J_0)^{2/q}
+    and D = a1 R_q + a2 R_2, read off columns 0 ... K of the series view by
+    truncated series ln and exp. e_n are those of the reversion
+    z = sum_n e_n w^n of ln z + sum_{n>=1} g_n z^n = ln w, by Lagrange:
+    e_1 = 1 and e_n = [z^{n-1}] exp(-n (G - g_0))/n.
+    """
+    p, q, a1, a2 = params.p, params.q, params.a1, params.a2
+    c0, c2, cq = ll._view(p, q, -1)[:3, :_SEED_ORDER + 1].tolist()
+    l0, l2, lq = _series_log(c0), _series_log(c2), _series_log(cq)
+    # ln D = ln R_2 + ln(a2 + a1 e^u), u = ln R_q - ln R_2, read over
+    # s = max(a1, a2) so that no term overflows.
+    ln_r2 = [y - x for x, y in zip(l0, l2)]
+    u = [2.0 / q * (y - x) - r for x, y, r in zip(l0, lq, ln_r2)]
+    s = max(a1, a2)
+    b1 = a1 / s * math.exp(u[0])
+    ln_d = _series_log([a2 / s + b1] + [b1 * x for x in _series_exp(u)[1:]])
+    g = [2.0 * x + (0.5 * (p - 3.0) + 1.0) * r + y
+         for x, r, y in zip(l0, ln_r2, ln_d)]
+    g[0] += ll._LN4 + math.log(s)
+    # exp(-n (G - g_0)) to order n - 1, of which e_n is the last term / n.
+    rev = tuple(_series_exp(g[:n], -n)[-1] / n
+                for n in range(_SEED_ORDER, 1, -1))
+    val = _SEED_CACHE[p, q, a1, a2] = (g[0], rev, tuple(g[:0:-1]))
+    return val
+
+
 def _seed_tau(ln_alpha: float, params: ProblemParams) -> float:
     """Seed tau = ln t for solve_alpha's root, from the moment branch the
     root lands on.
 
-    In the state, r = ln(4 em J_0^2) + ln(a1 R_q + a2 R_2)
-    + ((p-3)/2) ln R_2 - (p-3) ln alpha, with R_2 = J_2/J_0 and
-    R_q = (J_q/J_0)^{2/q}. Each end has a small z with
-    J_r = A_r z^{-n} (1 + beta_r z) + O(z^{2-n}) for r in (0, 2, q):
+    In the state, r = ln em + G - (p-3) ln alpha, with
+    G = ln 4 + 2 ln J_0 + ln D + ((p-3)/2) ln R_2, R_2 = J_2/J_0,
+    R_q = (J_q/J_0)^{2/q} and D = a1 R_q + a2 R_2. At each end of the
+    curve G is a series in a small z:
 
-    - series: z = em, n = 0, A_r = a_{r,0}, beta_r = b_1 a_{r,1}/a_{r,0};
-    - asymptote: z = sqrt(p-1)/t, n = 1, A_r = 1, beta_r = B_r (exact),
-      and em rounds to 1.
+    - series (t <= T_SERIES): z = em, and G = g_0 + sum_n g_n z^n to
+      order K = _SEED_ORDER from _series_seed, with the reversion
+      z = sum_n e_n w^n of ln z + sum_{n>=1} g_n z^n = Lambda, w = e^Lambda,
+      Lambda = (p-3) ln alpha - g_0. The seed evaluates that polynomial by
+      Horner and takes one Newton step in ln z on the forward series, so
+      it misses the root by the forward series' truncation, O(z^{K+1}):
+      within 1e-8 up to em of about 0.18, where the alpha-free p = 3 roots
+      of most weights lie. Then t0 = -log1p(-em), taken if t0 <= T_SERIES.
+    - asymptote (t >= T_ASYM): z = sqrt(p-1)/t, so J_r = (1 + B_r z)/z
+      exactly, em rounds to 1, and r = -2 ln z + c0 + c1 z
+      - (p-3) ln alpha + O(z^2), with c0 = ln(4 (a1+a2)) and
 
-    So r = m ln z + c0 + c1 z - (p-3) ln alpha + O(z^2), where m = 1 from
-    ln em in the series and m = -2 from ln J_0^2 on the asymptote, and
-    with R_2 = A_2/A_0, R_q = (A_q/A_0)^{2/q} and D = a1 R_q + a2 R_2
-    (R = 1 and D = a1 + a2 on the asymptote)
+          c1 = 2 B_0 + [a1 (2/q)(B_q - B_0) + a2 (B_2 - B_0)]/(a1+a2)
+               + ((p-3)/2)(B_2 - B_0).
 
-        c0 = ln(4 A_0^2 D) + ((p-3)/2) ln R_2,
-        c1 = 2 beta_0 + [a1 R_q (2/q)(beta_q - beta_0)
-             + a2 R_2 (beta_2 - beta_0)]/D + ((p-3)/2)(beta_2 - beta_0).
+      With L = ((p-3) ln alpha - c0)/2 the root is
+      ln z = -L - log1p(-(c1/2) e^-L), which misses it in tau by O(x^2),
+      x = alpha^{-(p-3)/2}. Then t0 = sqrt(p-1)/z, taken if t0 >= T_ASYM.
 
-    With Lambda = ((p-3) ln alpha - c0)/m the root is
-    ln z = Lambda - log1p((c1/m) e^Lambda), which misses it in tau by
-    O(x^2), x = alpha^{p-3} in the series and alpha^{-(p-3)/2} on the
-    asymptote. Then t0 = sqrt(p-1)/z, taken if t0 >= T_ASYM, or
-    t0 = -log1p(-em), taken if t0 <= T_SERIES. The seed is formed in log
-    space, so it stays finite where z leaves the double range;
-    solve_monotone clamps it to [_TAU_LO, _TAU_HI].
+    The seed is formed in log space, so it stays finite where z leaves the
+    double range; solve_monotone clamps it to [_TAU_LO, _TAU_HI].
 
-    L = ((p-3) ln alpha - ln(4(a1+a2)))/2 picks the end. At the root L
-    rises with t. Over p in [1.01, 30], q in [1.1, 8] and weight ratios
-    a1/a2 of 0, 1e-6, 0.01, 1, 100, 1e6 and infinity it is at most 0.42
-    at t = T_SERIES and at least 1.5 at T_ASYM, so each seed reads only
-    the view its root's own state reads. Between p = 30 and 50 (0.59 at
-    p = 50) the asymptote comes to start below L = 1, and its roots there
-    take the leading law N ~ (a1+a2) d^2, as does a root on the Chebyshev
-    panels between the two ends.
+    L picks the end. At the root L rises with t. Over p in [1.01, 30],
+    q in [1.1, 8] and weight ratios a1/a2 of 0, 1e-6, 0.01, 1, 100, 1e6
+    and infinity it is at most 0.42 at t = T_SERIES and at least 1.5 at
+    T_ASYM, so each seed reads only the view its root's own state reads.
+    Between p = 30 and 50 (0.59 at p = 50) the asymptote comes to start
+    below L = 1, and its roots there take the leading law
+    N ~ (a1+a2) d^2, as does a root on the Chebyshev panels between the
+    two ends.
     """
     p, q, a1, a2 = params.p, params.q, params.a1, params.a2
     x = (p - 3.0) * ln_alpha
-    half = 0.5 * (p - 3.0)
     ln_a = math.log(a1 + a2)
     big_l = 0.5 * (x - ll._LN4 - ln_a)
-    asym = big_l > 1.0
-    # w1 = a1 R_q and w2 = a2 R_2, so D = w1 + w2.
-    if asym:
-        m, lam, w1, w2 = -2.0, -big_l, a1, a2
-        beta0, beta2, betaq = ll._view(p, q, ll._CHEB_PANELS)
-    else:
-        # A_r, and b_1 a_{r,1} = A_r beta_r, for r = 0, 2 and q.
-        (j0, n0), (j2, n2), (jq, nq) = ll._view(p, q, -1)[:3, :2].tolist()
-        beta0, beta2, betaq = n0 / j0, n2 / j2, nq / jq
-        r2 = j2 / j0
-        w1, w2 = a1 * (jq / j0) ** (2.0 / q), a2 * r2
-        m = 1.0
-        lam = x - math.log(4.0 * j0 * j0 * (w1 + w2)) - half * math.log(r2)
-    # z < 1 at either end's root needs Lambda < 0; e^Lambda stays finite.
-    if lam < 0.0:
-        c1 = 2.0 * beta0 + half * (beta2 - beta0) \
-            + (w1 * (2.0 / q) * (betaq - beta0)
-               + w2 * (beta2 - beta0)) / (w1 + w2)
-        s = c1 / m * math.exp(lam)
+    if big_l > 1.0:
+        b0, b2, bq = ll._view(p, q, ll._CHEB_PANELS)
+        c1 = 2.0 * b0 + 0.5 * (p - 3.0) * (b2 - b0) \
+            + (a1 * (2.0 / q) * (bq - b0) + a2 * (b2 - b0)) / (a1 + a2)
+        s = -0.5 * c1 * math.exp(-big_l)
         if s > -1.0:
-            ln_z = lam - math.log1p(s)
-            if asym:
-                tau0 = 0.5 * math.log(p - 1.0) - ln_z
-                if tau0 >= _LN_T_ASYM:
-                    return tau0
-            elif ln_z <= _LN_EM_SERIES:
-                # t = em to the last bit where em underflows.
-                t0 = -math.log1p(-math.exp(ln_z))
-                return math.log(t0) if t0 > 0.0 else ln_z
+            tau0 = 0.5 * math.log(p - 1.0) - (-big_l - math.log1p(s))
+            if tau0 >= _LN_T_ASYM:
+                return tau0
+    else:
+        g0, es, gs = _SEED_CACHE.get((p, q, a1, a2)) \
+            or _series_seed(params)
+        lam = x - g0
+        # z < 1 at the root needs Lambda < 0; e^Lambda stays finite.
+        if lam < 0.0:
+            w = math.exp(lam)
+            s = 0.0
+            for e in es:
+                s = s * w + e
+            s *= w
+            if s > -1.0:
+                ln_z = lam + math.log1p(s)
+                # G - g_0 = z P(z), with P and P' by one Horner pass.
+                z = w + w * s
+                h = dh = 0.0
+                for g in gs:
+                    dh = dh * z + h
+                    h = h * z + g
+                h *= z
+                slope = 1.0 + h + z * z * dh
+                if slope > 0.0:
+                    ln_z -= (ln_z + h - lam) / slope
+                    if ln_z <= _LN_EM_SERIES:
+                        # t = em to the last bit where em underflows.
+                        t0 = -math.log1p(-math.exp(ln_z))
+                        return math.log(t0) if t0 > 0.0 else ln_z
     return ll._seed_tau_for_d((x - ln_a) / (p - 1.0), p)
 
 
@@ -251,11 +320,14 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
     One residual for every p: r(t) = ln N(t) - (p-3)(ln alpha - ln d(t)),
     strictly increasing in the layer coordinate t, is solved by safeguarded
     Newton in tau = ln t with its analytic slope
-    d(ln N)/dtau + (p-3) d(ln d)/dtau, from the seed of _seed_tau: one
-    order past the leading law of the end the root lies at, on the
-    asymptote t >= T_ASYM from its offsets B_0, B_2 and B_q, in the series
-    t <= T_SERIES from its n <= 1 coefficients, so the seed misses the
-    root by O(x^2), x = alpha^{-(p-3)/2} or alpha^{p-3}. The Newton stops
+    d(ln N)/dtau + (p-3) d(ln d)/dtau, from the seed of _seed_tau, read
+    off the law of the end the root lies at: on the asymptote
+    t >= T_ASYM one order past the leading law, from its offsets B_0, B_2
+    and B_q, so the seed misses the root by O(x^2), x = alpha^{-(p-3)/2};
+    in the series t <= T_SERIES from the order-8 reversion of the law in
+    em and one Newton step on it, so the seed misses by O(em^9) and lands
+    within the stop below wherever em is below about 0.17, the p = 3
+    roots included. The Newton stops
     once its step delta = -r/r' is within 1e-8 in tau, and the point is
     built from the last evaluation's log state moved by delta along its
     slopes (ln k, ln gamma, ln d and ln N, with tau + delta), so r is zero

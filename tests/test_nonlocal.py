@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from biflogis.errors import (BiflogisError, InvalidBracket, InvalidRegime,
                              MonotonicityViolation, NoConvergence, Overflow,
                              ZeroCoefficients)
+from biflogis import constants as consts
 from biflogis import local_logistic as ll, nonlocal_curve
 from biflogis.local_logistic import LocalParams, point_q_norm
 from biflogis.nonlocal_curve import (NonlocalSolution, ProblemParams, g_of_k,
@@ -249,7 +250,7 @@ def test_domain_grid_solved_or_typed_error(monkeypatch):
     # regimes, 3 of them within 1e-6 of p = 3. Every case returns a point
     # that meets its invariants or raises a package error other than
     # NoConvergence; the 15 refusals are float-range and tau-wall cases.
-    # The grid's work is gated too: at most 372 curve-residual evaluations,
+    # The grid's work is gated too: at most 268 curve-residual evaluations,
     # one state each, the count tools/grid_shift.py reports.
     evals = []
     state_at_t = nonlocal_curve._state_at_t
@@ -271,7 +272,7 @@ def test_domain_grid_solved_or_typed_error(monkeypatch):
                 valid += 1
     assert valid >= 183
     assert refused == 15
-    assert len(evals) <= 372, len(evals)
+    assert len(evals) <= 268, len(evals)
 
 
 def _domain_grid_fields():
@@ -458,12 +459,13 @@ SUB_COMBOS = tuple((q, a1, a2) for q in (2.0, 3.0, 4.0)
     # lands on, stops within 1e-8 in tau and takes that last Newton step on
     # the state it holds: one state per solve wherever the seed is within
     # 1e-8 of the root, as on the asymptote at p = 6.5 and 8 and in the
-    # series at p = 2 on SUPER_GRID and p = 1.5 on DEFAULT_SUB_ALPHAS.
+    # series at p = 2 and 3 on SUPER_GRID and at every p on
+    # DEFAULT_SUB_ALPHAS.
     *(pytest.param(p, n, SUPER_COMBOS, SUPER_GRID, id=f"{p}-{n}")
       for p, n in ((5.0, 195), (6.5, 180), (8.0, 180), (2.0, 180),
-                   (3.0, 540), (3.01, 540), (3.5, 635), (4.0, 384))),
+                   (3.0, 180), (3.01, 313), (3.5, 635), (4.0, 384))),
     *(pytest.param(p, n, SUB_COMBOS, DEFAULT_SUB_ALPHAS, id=f"sub-{p}-{n}")
-      for p, n in ((1.5, 45), (2.0, 51), (2.5, 88), (2.9, 90), (3.0, 110))),
+      for p, n in ((1.5, 45), (2.0, 45), (2.5, 45), (2.9, 45), (3.0, 45))),
 ])
 def test_warm_solve_alpha_residuals_from_seed(p, residuals, combos, alphas,
                                               monkeypatch):
@@ -487,21 +489,30 @@ def test_warm_solve_alpha_residuals_from_seed(p, residuals, combos, alphas,
     assert solves <= len(calls) <= residuals, len(calls) / solves
 
 
-# Roots four times nearer each end in x than the last: t falling by 4 in
-# the series (x = alpha^{p-3} ~ em ~ t), rising by 4 on the asymptote
+# Roots four times nearer each end in x than the last: em falling by 4 in
+# the series (x = alpha^{p-3} ~ em), t rising by 4 on the asymptote
 # (x = alpha^{-(p-3)/2} ~ 1/J ~ 1/t).
-SEED_ENDS = {"series": (1e-3, 2.5e-4, 6.25e-5),
+SEED_ENDS = {"series": tuple(-math.log1p(-em) for em in (0.32, 0.08, 0.02)),
              "asymptote": (1e3, 4e3, 1.6e4)}
+# The factor each end's seed miss must fall by from one root to the next.
+# The series seed misses by O(x^{K+1}), K = _SEED_ORDER, so by 4^{K+1} a
+# step; half of that still fails a miss of order K, which falls by 4^K.
+# The asymptote seed misses by O(x^2), so by 16.
+SEED_FALLS = {"series": 0.5 * 4.0 ** (nonlocal_curve._SEED_ORDER + 1),
+              "asymptote": 12.0}
 
 
 @pytest.mark.parametrize("p", (1.5, 2.0, 2.5, 4.0, 5.0, 8.0))
 def test_seed_error_falls_like_x_squared(p):
-    # The seed is one order past the leading law of its end, so its miss of
+    # The asymptote seed is one order past its leading law, so its miss of
     # the root in tau falls like x^2: by 16 when x falls by 4, where a seed
-    # without c1 falls by 4. Roots are placed exactly, at alpha(t)
-    # = N^{1/(p-3)} d read off the state at t. At p = 5 and q = 2, or
-    # a1 = 0, the asymptote seed is exact (r = 2 ln(J - B_0 + B_2) + ...)
-    # and its miss is rounding.
+    # without c1 falls by 4. The series seed reverts its end's law to order
+    # K and takes one Newton step on it, so its miss falls like x^{K+1}:
+    # 2.4e-6 to 3.2e-6 in tau at em = 0.32, 7.6e-12 to 9.8e-12 at 0.08 (a
+    # fall of 3.1e5 or more) and rounding at 0.02. Roots are placed
+    # exactly, at alpha(t) = N^{1/(p-3)} d read off the state at t. At
+    # p = 5 and q = 2, or a1 = 0, the asymptote seed is exact
+    # (r = 2 ln(J - B_0 + B_2) + ...) and its miss is rounding.
     for q in (1.1, 2.0, 8.0):
         for a1, a2 in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (100.0, 0.01)):
             params = ProblemParams(p=p, q=q, a1=a1, a2=a2)
@@ -513,8 +524,42 @@ def test_seed_error_falls_like_x_squared(p):
                     misses.append(abs(nonlocal_curve._seed_tau(ln_alpha, params)
                                       - math.log(t)))
                 for far, near in zip(misses, misses[1:]):
-                    assert near <= max(far / 12.0, 1e-13), \
+                    assert near <= max(far / SEED_FALLS[end], 1e-13), \
                         (q, a1, a2, end, misses)
+
+
+@pytest.mark.parametrize("q", (1.1, 2.0, 8.0))
+def test_seed_lands_the_critical_root(q):
+    # At p = 3 the root N = 1 does not depend on alpha and lies at em of
+    # 0.001 to 0.17 for these weights, where the series seed is within
+    # 1e-8 of it (at most 8.6e-9, with a2 alone); the first-order seed
+    # missed it by up to 7.5e-4. With a1 alone at q = 1.1 the root is at
+    # em = 0.20 and the seed misses it by 3.5e-8.
+    for a1, a2 in ((0.0, 1.0), (1.0, 1.0), (100.0, 0.01)):
+        params = ProblemParams(p=3.0, q=q, a1=a1, a2=a2)
+        tau = math.log(solve_alpha(1.0, params).local.layer_t)
+        for alpha in (1e-6, 1.0, 1e6):
+            seed = nonlocal_curve._seed_tau(math.log(alpha), params)
+            assert abs(seed - tau) <= 1e-8, (a1, a2, alpha, seed - tau)
+
+
+@pytest.mark.parametrize("p", (1.5, 2.0, 2.5, 2.9, 3.01, 4.0, 5.0, 8.0))
+def test_series_seed_matches_theorem_3(p):
+    # The seed's series G(em) = ln(alpha^{p-3}/em) against theorem 3's
+    # closed forms, an independent route through the E constants: with
+    # h = ln(lambda/alpha^2) = G - ((p-1)/2) ln R_2 as a series in em,
+    # L0 = e^{h_0} and S = h_1 e^{-g_0}, since em = x e^{-g_0} + O(x^2)
+    # for x = alpha^{p-3}. Agreement is within 1.2e-15.
+    for q, a1, a2 in ((2.0, 1.0, 1.0), (4.0, 1.0, 0.0), (1.1, 0.0, 1.0),
+                      (8.0, 100.0, 0.01)):
+        g0, _, gs = nonlocal_curve._series_seed(
+            ProblemParams(p=p, q=q, a1=a1, a2=a2))
+        (j0, n0), (j2, n2) = ll._view(p, q, -1)[:2, :2].tolist()
+        h0 = g0 - 0.5 * (p - 1.0) * math.log(j2 / j0)
+        h1 = gs[-1] - 0.5 * (p - 1.0) * (n2 / j2 - n0 / j0)
+        cs = consts.compute_all(p, q, a1, a2, "proof_variant")
+        assert rel(math.exp(h0), cs.leading_coeff) <= 1e-14, (q, a1, a2)
+        assert rel(h1 * math.exp(-g0), cs.second_coeff) <= 1e-14, (q, a1, a2)
 
 
 @pytest.mark.parametrize("p,q,a1,a2,alpha", CASES)

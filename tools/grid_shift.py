@@ -20,7 +20,9 @@ count), in total and per regime: p < 3, the critical band (the grid's three
 p within 1e-6 of 3) and p > 3, and per regime how many solves took 1, 2, 3
 and 4 or more of them. Last come the number of points whose fields differ
 at all, and for every field the worst relative shift and the case where it
-occurs.
+occurs, once over p >= 1.5 and once over p < 1.5: below 1.5 the
+conditioning of ln k = (ln em + ln gamma)/(p-1) near p = 1 (p = 1.05 in
+the grid) magnifies a root's rounding, and sets the worst shift overall.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ BAND = 1e-5
 REGIMES = ("p < 3", "critical band", "p > 3")
 # The per-solve state counts the histogram tells apart; the last is "or more".
 STATES = (1, 2, 3, 4)
+# The p below which the worst shifts are reported apart.
+P_SPLIT = 1.5
+SPANS = (f"p >= {P_SPLIT}", f"p < {P_SPLIT}")
 
 
 def regime(p: float) -> str:
@@ -126,7 +131,7 @@ def main(argv=None) -> int:
     evals = {"base": base["resid_evals"], "change": change["resid_evals"]}
     states = {"base": base["states"], "change": change["states"]}
     base, change = base["cases"], change["cases"]
-    worst = {name: (0.0, None) for name in FIELDS}
+    worst = {(span, name): (0.0, None) for span in SPANS for name in FIELDS}
     counts = {"base": Counter(), "change": Counter()}
     moved = 0
     print("p q alpha base change max_rel_shift")
@@ -138,9 +143,10 @@ def main(argv=None) -> int:
         if outcomes == ["point", "point"]:
             shifts = {name: shift(b[name], c[name]) for name in FIELDS}
             moved += any(shifts.values())
+            span = SPANS[case[0] < P_SPLIT]
             for name, s in shifts.items():
-                if s > worst[name][0]:
-                    worst[name] = (s, case)
+                if s > worst[span, name][0]:
+                    worst[span, name] = (s, case)
             line += f" {max(shifts.values()):.3g}"
         print(line)
     for name in ("base", "change"):
@@ -154,9 +160,9 @@ def main(argv=None) -> int:
             f"{r} " + ", ".join(str(states[name][r].get(str(n), 0))
                                 for n in STATES) for r in REGIMES))
     print(f"points that moved: {moved}")
-    for name, (s, case) in worst.items():
+    for (span, name), (s, case) in worst.items():
         at = "" if case is None else " at p, q, alpha = %r, %r, %r" % case
-        print(f"worst {name}: {s:.3g}{at}")
+        print(f"worst {name} ({span}): {s:.3g}{at}")
     return 0
 
 
