@@ -144,13 +144,17 @@ class LocalParams:
         check_exponent("p", self.p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LocalPoint:
     """One point of the curve: amplitude k, eigenvalue gamma, L2 norm d.
 
     layer_t carries the internal coordinate t = -ln(1 - k^{p-1}/gamma) when
     the point came from a solver; it lets downstream sampling avoid
     re-deriving eps from a catastrophic subtraction.
+
+    The constructor is written out: it stores the fields straight into the
+    instance dict, one frame and no object.__setattr__ per field, then
+    checks them. The generated frozen __init__ cost twice as much.
     """
 
     k: float
@@ -159,18 +163,27 @@ class LocalPoint:
     p: float
     layer_t: float | None = None
 
-    def __post_init__(self):
-        check_positive("k", self.k)
-        check_positive("gamma", self.gamma)
-        check_positive("d", self.d)
-        check_positive("p", self.p)
-        if self.gamma < PI2 * (1.0 - 1e-12):
-            raise ValueError(f"gamma must be >= pi^2, got {self.gamma}")
+    def __init__(self, k: float, gamma: float, d: float, p: float,
+                 layer_t: float | None = None):
+        fields = self.__dict__
+        fields["k"] = k
+        fields["gamma"] = gamma
+        fields["d"] = d
+        fields["p"] = p
+        fields["layer_t"] = layer_t
+        if not (0.0 < k < math.inf and 0.0 < gamma < math.inf
+                and 0.0 < d < math.inf and 0.0 < p < math.inf):
+            check_positive("k", k)
+            check_positive("gamma", gamma)
+            check_positive("d", d)
+            check_positive("p", p)
+        if gamma < PI2 * (1.0 - 1e-12):
+            raise ValueError(f"gamma must be >= pi^2, got {gamma}")
         # gamma > k^{p-1}, compared in log space with 1e-12 slack: at the
         # boundary-layer end the two coincide to the last float64 bit.
-        if math.log(self.gamma) + 1e-12 < (self.p - 1.0) * math.log(self.k):
+        if math.log(gamma) + 1e-12 < (p - 1.0) * math.log(k):
             raise ValueError("gamma must exceed k^(p-1)")
-        if not (self.d < self.k):
+        if not (d < k):
             raise ValueError("d must lie strictly below k")
 
 

@@ -58,9 +58,12 @@ _LN_T_ASYM = math.log(ll.T_ASYM)
 _LN_EM_SERIES = math.log(-math.expm1(-ll.T_SERIES))
 
 # Order K of the small-em series whose reversion seeds the curve root in
-# the series branch, and the coefficients of each (p, q, a1, a2) there.
+# the series branch, and the coefficients of each (p, q, a1, a2) there; the
+# asymptote seed's two constants of each (p, q, a1, a2), filled the first
+# time a root is seeded there, so a series-only sweep calibrates no B_q.
 _SEED_ORDER = 8
 _SEED_CACHE: dict = {}
+_ASYM_SEED_CACHE: dict = {}
 
 # Relative bound on the miss of lam = beta gamma: a few ulp of the product.
 _LAM_RTOL = 4.0 * sys.float_info.epsilon
@@ -89,7 +92,7 @@ class ProblemParams:
         return "supercritical" if self.p > 3.0 else "subcritical"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NonlocalSolution:
     """One point of the bifurcation curve: alpha with its scaled local data.
 
@@ -100,6 +103,7 @@ class NonlocalSolution:
     for every p, the critical band included. Building an instance checks
     alpha = h d to 1e-10 relative, |ln beta - (p-1) ln h| <= 1e-10 and
     lam = beta gamma to a few ulp, and raises ValueError if one fails.
+    The constructor is written out, as LocalPoint's is.
     """
 
     alpha: float
@@ -109,24 +113,32 @@ class NonlocalSolution:
     lam: float
     regime: str
 
-    def __post_init__(self):
-        check_positive("alpha", self.alpha)
-        check_positive("h", self.h)
-        check_positive("beta", self.beta)
-        check_positive("lam", self.lam)
-        if self.regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}")
-        if not abs(self.alpha - self.h * self.local.d) \
-                <= _ALPHA_RTOL * self.alpha:
-            raise ValueError(f"alpha = {self.alpha!r} is not h d = "
-                             f"{self.h * self.local.d!r}")
-        miss = _beta_log_miss(self.h, self.beta, self.local.p)
+    def __init__(self, alpha: float, local: LocalPoint, h: float,
+                 beta: float, lam: float, regime: str):
+        fields = self.__dict__
+        fields["alpha"] = alpha
+        fields["local"] = local
+        fields["h"] = h
+        fields["beta"] = beta
+        fields["lam"] = lam
+        fields["regime"] = regime
+        if not (0.0 < alpha < math.inf and 0.0 < h < math.inf
+                and 0.0 < beta < math.inf and 0.0 < lam < math.inf):
+            check_positive("alpha", alpha)
+            check_positive("h", h)
+            check_positive("beta", beta)
+            check_positive("lam", lam)
+        if regime not in REGIMES:
+            raise ValueError(f"unknown regime {regime!r}")
+        if not abs(alpha - h * local.d) <= _ALPHA_RTOL * alpha:
+            raise ValueError(f"alpha = {alpha!r} is not h d = "
+                             f"{h * local.d!r}")
+        miss = math.log(beta) - (local.p - 1.0) * math.log(h)
         if not abs(miss) <= _ALPHA_RTOL:
             raise ValueError(f"beta misses h^(p-1) by {miss:.3g} in log")
-        if not abs(self.lam - self.beta * self.local.gamma) \
-                <= _LAM_RTOL * self.lam:
-            raise ValueError(f"lam = {self.lam!r} is not beta gamma = "
-                             f"{self.beta * self.local.gamma!r}")
+        if not abs(lam - beta * local.gamma) <= _LAM_RTOL * lam:
+            raise ValueError(f"lam = {lam!r} is not beta gamma = "
+                             f"{beta * local.gamma!r}")
 
     def to_record(self) -> dict:
         """Row of curve data keyed by the canonical column names."""
@@ -139,11 +151,6 @@ class NonlocalSolution:
             "beta": self.beta,
             "lambda": self.lam,
         }
-
-
-def _beta_log_miss(h: float, beta: float, p: float) -> float:
-    """ln beta - (p-1) ln h, the log miss of beta = h^{p-1}."""
-    return math.log(beta) - (p - 1.0) * math.log(h)
 
 
 def _state_at_t(t: float, params: ProblemParams):
@@ -218,6 +225,18 @@ def _series_seed(params: ProblemParams):
     return val
 
 
+def _asym_seed(params: ProblemParams):
+    """(-c_1/2, ln(p-1)/2) of the asymptote seed, with c_1 from the offsets
+    (B_0, B_2, B_q) as _seed_tau states it, built once per (p, q, a1, a2)
+    and cached."""
+    p, q, a1, a2 = params.p, params.q, params.a1, params.a2
+    b0, b2, bq = ll._view(p, q, ll._CHEB_PANELS)
+    c1 = 2.0 * b0 + 0.5 * (p - 3.0) * (b2 - b0) \
+        + (a1 * (2.0 / q) * (bq - b0) + a2 * (b2 - b0)) / (a1 + a2)
+    val = _ASYM_SEED_CACHE[p, q, a1, a2] = (-0.5 * c1, 0.5 * math.log(p - 1.0))
+    return val
+
+
 def _seed_tau(ln_alpha: float, params: ProblemParams) -> float:
     """Seed tau = ln t for solve_alpha's root, from the moment branch the
     root lands on.
@@ -263,12 +282,11 @@ def _seed_tau(ln_alpha: float, params: ProblemParams) -> float:
     ln_a = math.log(a1 + a2)
     big_l = 0.5 * (x - ll._LN4 - ln_a)
     if big_l > 1.0:
-        b0, b2, bq = ll._view(p, q, ll._CHEB_PANELS)
-        c1 = 2.0 * b0 + 0.5 * (p - 3.0) * (b2 - b0) \
-            + (a1 * (2.0 / q) * (bq - b0) + a2 * (b2 - b0)) / (a1 + a2)
-        s = -0.5 * c1 * math.exp(-big_l)
+        neg_half_c1, half_ln_p1 = _ASYM_SEED_CACHE.get((p, q, a1, a2)) \
+            or _asym_seed(params)
+        s = neg_half_c1 * math.exp(-big_l)
         if s > -1.0:
-            tau0 = 0.5 * math.log(p - 1.0) - (-big_l - math.log1p(s))
+            tau0 = half_ln_p1 - (-big_l - math.log1p(s))
             if tau0 >= _LN_T_ASYM:
                 return tau0
     else:
@@ -339,8 +357,9 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
     raises MonotonicityViolation if dr/dtau is not positive at the root;
     InvalidBracket where no float point represents the curve (the root in
     tau past a wall of the root-find, k, h, beta or lambda out of range, or
-    d rounding to k); NoConvergence if
-    |ln beta - (p-1) ln h|, the log miss of beta = h^{p-1}, exceeds 1e-10.
+    d rounding to k); NoConvergence, with the instance's message, alpha and
+    p, if the point fails a check of NonlocalSolution, such as
+    |ln beta - (p-1) ln h|, the log miss of beta = h^{p-1}, above 1e-10.
     """
     check_positive("alpha", alpha)
     p = params.p
@@ -398,13 +417,12 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
         raise InvalidBracket(
             f"h = {h:.3g}, beta = {beta:.3g} or lambda = {lam:.3g} leaves "
             f"the float range at alpha = {alpha!r}, p = {p!r}")
-    # The miss the instance checks, from the rounded h and beta it holds.
-    miss = _beta_log_miss(h, beta, p)
-    if not abs(miss) <= _ALPHA_RTOL:
-        raise NoConvergence(
-            f"beta = h^2 N misses h^(p-1) by {miss:.3g} in log at "
-            f"alpha = {alpha!r}, p = {p!r}")
-    return NonlocalSolution(alpha, point, h, beta, lam, params.regime)
+    # The instance checks its invariants once, beta = h^{p-1} among them.
+    try:
+        return NonlocalSolution(alpha, point, h, beta, lam, params.regime)
+    except ValueError as exc:
+        raise NoConvergence(f"{exc} at alpha = {alpha!r}, p = {p!r}") \
+            from exc
 
 
 def _phi_prime(s, p: float):

@@ -6,8 +6,10 @@ scaled profile must solve the differential equation when checked through an
 independent reconstruction of u''.
 """
 
+import copy
 import dataclasses
 import math
+import pickle
 import re
 import types
 import warnings
@@ -129,6 +131,60 @@ def test_inconsistent_solution_raises():
         dataclasses.replace(sol, lam=sol.lam * (1.0 + 1e-13))
     # The instance solve_alpha built passes the same checks when rebuilt.
     assert dataclasses.replace(sol) == sol
+
+
+def test_failed_instance_check_is_a_typed_error(monkeypatch):
+    # solve_alpha leaves its point's checks to NonlocalSolution; a check
+    # that fails there surfaces as NoConvergence with the instance's
+    # message, alpha and p, not as a bare ValueError. A negative bound on
+    # the miss of lam = beta gamma fails every point.
+    monkeypatch.setattr(nonlocal_curve, "_LAM_RTOL", -1.0)
+    with pytest.raises(NoConvergence, match=r"is not beta gamma = .* at "
+                                            r"alpha = 10000\.0, p = 5\.0$"):
+        solve_alpha(1e4, ProblemParams(p=5.0, q=2.0, a1=1.0, a2=1.0))
+
+
+# Field names and defaults of the two frozen result classes, as the
+# generated dataclass constructors had them.
+FROZEN_FIELDS = {
+    "LocalPoint": (("k", "gamma", "d", "p", "layer_t"),
+                   (dataclasses.MISSING,) * 4 + (None,)),
+    "NonlocalSolution": (("alpha", "local", "h", "beta", "lam", "regime"),
+                         (dataclasses.MISSING,) * 6),
+}
+
+
+@pytest.mark.parametrize("cls_name", tuple(FROZEN_FIELDS))
+def test_written_constructor_keeps_the_frozen_contract(cls_name):
+    # LocalPoint and NonlocalSolution store their fields through a
+    # hand-written __init__; they must still behave as frozen dataclasses.
+    sol = solve_alpha(1e4, ProblemParams(p=5.0, q=2.0, a1=1.0, a2=1.0))
+    obj = sol if cls_name == "NonlocalSolution" else sol.local
+    cls = type(obj)
+    assert cls.__name__ == cls_name
+    names, defaults = FROZEN_FIELDS[cls_name]
+    fields = dataclasses.fields(cls)
+    assert tuple(f.name for f in fields) == names
+    assert tuple(f.default for f in fields) == defaults
+    assert all(f.default_factory is dataclasses.MISSING for f in fields)
+    # Every field is stored, and nothing else.
+    values = tuple(getattr(obj, name) for name in names)
+    assert vars(obj) == dict(zip(names, values))
+    by_keyword = cls(**dict(zip(names, values)))
+    assert cls(*values) == by_keyword == obj
+    assert hash(by_keyword) == hash(obj)
+    assert repr(obj) == f"{cls_name}(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(names, values)) + ")"
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+    assert vars(obj) == dict(zip(names, values))
+    for twin in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert twin is not obj
+        assert twin == obj
+        assert hash(twin) == hash(obj)
 
 
 # -------------------------------------------------------------- invariants
@@ -487,6 +543,24 @@ def test_warm_solve_alpha_residuals_from_seed(p, residuals, combos, alphas,
     sweep()
     solves = len(combos) * len(alphas)
     assert solves <= len(calls) <= residuals, len(calls) / solves
+
+
+def test_series_sweeps_calibrate_no_asymptote(fresh_caches, monkeypatch):
+    # The asymptote seed's constants read the offsets B_q, which cost a
+    # quadrature each. They are formed the first time a root is seeded on
+    # the asymptote, so sweeps whose roots all lie in the series, cold and
+    # then warm, calibrate none.
+    monkeypatch.setattr(nonlocal_curve, "_SEED_CACHE", {})
+    monkeypatch.setattr(nonlocal_curve, "_ASYM_SEED_CACHE", {})
+    for _ in range(2):
+        for p in (1.5, 2.0, 2.9):
+            for q, a1, a2 in SUB_COMBOS:
+                params = ProblemParams(p=p, q=q, a1=a1, a2=a2)
+                for alpha in DEFAULT_SUB_ALPHAS:
+                    solve_alpha(alpha, params)
+    assert ll._B_CACHE == {}
+    assert nonlocal_curve._ASYM_SEED_CACHE == {}
+    assert len(nonlocal_curve._SEED_CACHE) == 3 * len(SUB_COMBOS)
 
 
 # Roots four times nearer each end in x than the last: em falling by 4 in
