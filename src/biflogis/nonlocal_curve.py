@@ -44,9 +44,12 @@ __all__ = [
 # Width of the band around p = 3 that ProblemParams.regime labels critical.
 _CRITICAL_BAND = 1e-9
 
-# Bound on |ln beta - (p-1) ln h|, the log miss of beta = h^{p-1}, and on the
-# relative miss of alpha = h d, that every solution meets.
+# Bound on the relative miss of alpha = h d that every solution meets.
 _ALPHA_RTOL = 1e-10
+
+# Bound on |ln beta - (p-1) ln h|, the log miss of beta = h^{p-1}, that
+# every solution meets.
+_BETA_LOG_TOL = 1e-10
 
 # Bound on the last Newton step in tau = ln t that solve_alpha takes on the
 # state it holds instead of evaluating the residual once more.
@@ -92,6 +95,12 @@ class ProblemParams:
         return "supercritical" if self.p > 3.0 else "subcritical"
 
 
+class _BetaMiss(ValueError):
+    """NonlocalSolution's check of beta = h^{p-1} failed. alpha = h d and
+    lam = beta gamma hold by construction in solve_alpha, so only this one
+    of the instance's checks can fail there without a bug."""
+
+
 @dataclass(frozen=True, init=False)
 class NonlocalSolution:
     """One point of the bifurcation curve: alpha with its scaled local data.
@@ -134,8 +143,8 @@ class NonlocalSolution:
             raise ValueError(f"alpha = {alpha!r} is not h d = "
                              f"{h * local.d!r}")
         miss = math.log(beta) - (local.p - 1.0) * math.log(h)
-        if not abs(miss) <= _ALPHA_RTOL:
-            raise ValueError(f"beta misses h^(p-1) by {miss:.3g} in log")
+        if not abs(miss) <= _BETA_LOG_TOL:
+            raise _BetaMiss(f"beta misses h^(p-1) by {miss:.3g} in log")
         if not abs(lam - beta * local.gamma) <= _LAM_RTOL * lam:
             raise ValueError(f"lam = {lam!r} is not beta gamma = "
                              f"{beta * local.gamma!r}")
@@ -358,8 +367,8 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
     InvalidBracket where no float point represents the curve (the root in
     tau past a wall of the root-find, k, h, beta or lambda out of range, or
     d rounding to k); NoConvergence, with the instance's message, alpha and
-    p, if the point fails a check of NonlocalSolution, such as
-    |ln beta - (p-1) ln h|, the log miss of beta = h^{p-1}, above 1e-10.
+    p, if NonlocalSolution finds |ln beta - (p-1) ln h|, the log miss of
+    beta = h^{p-1}, above 1e-10.
     """
     check_positive("alpha", alpha)
     p = params.p
@@ -417,10 +426,11 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
         raise InvalidBracket(
             f"h = {h:.3g}, beta = {beta:.3g} or lambda = {lam:.3g} leaves "
             f"the float range at alpha = {alpha!r}, p = {p!r}")
-    # The instance checks its invariants once, beta = h^{p-1} among them.
+    # The instance checks its invariants once, beta = h^{p-1} among them;
+    # any other failed check is a bug and stays a bare ValueError.
     try:
         return NonlocalSolution(alpha, point, h, beta, lam, params.regime)
-    except ValueError as exc:
+    except _BetaMiss as exc:
         raise NoConvergence(f"{exc} at alpha = {alpha!r}, p = {p!r}") \
             from exc
 

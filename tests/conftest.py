@@ -2,30 +2,32 @@
 
 import pytest
 
-from biflogis import local_logistic as ll
+from biflogis import local_logistic as ll, nonlocal_curve
 
 
-def _cache_names():
-    """Every module-level dict of local_logistic whose name ends in _CACHE:
-    found by name, so a new calibration cache is covered too."""
-    return [name for name, val in vars(ll).items()
+def _cache_names(module=ll):
+    """Every module-level dict of module whose name ends in _CACHE: found
+    by name, so a new cache is covered too."""
+    return [name for name, val in vars(module).items()
             if name.endswith("_CACHE") and isinstance(val, dict)]
 
 
 @pytest.fixture
 def fresh_caches(monkeypatch):
-    """Empty calibration caches, all of local_logistic's, for one test; the
+    """Empty caches for one test: local_logistic's calibrations and
+    nonlocal_curve's seed constants, which are formed from them. The
     process-wide ones come back after it. Returns a function that empties
     them again.
 
     The cache keys hold no tolerance, so a test that changes
     quadrature.REL_TOL must take this fixture: otherwise its calibrations
     would be read by every later test."""
-    names = _cache_names()
+    caches = [(module, name) for module in (ll, nonlocal_curve)
+              for name in _cache_names(module)]
 
     def empty():
-        for name in names:
-            monkeypatch.setattr(ll, name, {})
+        for module, name in caches:
+            monkeypatch.setattr(module, name, {})
 
     empty()
     return empty

@@ -133,15 +133,28 @@ def test_inconsistent_solution_raises():
     assert dataclasses.replace(sol) == sol
 
 
-def test_failed_instance_check_is_a_typed_error(monkeypatch):
-    # solve_alpha leaves its point's checks to NonlocalSolution; a check
-    # that fails there surfaces as NoConvergence with the instance's
-    # message, alpha and p, not as a bare ValueError. A negative bound on
-    # the miss of lam = beta gamma fails every point.
-    monkeypatch.setattr(nonlocal_curve, "_LAM_RTOL", -1.0)
-    with pytest.raises(NoConvergence, match=r"is not beta gamma = .* at "
-                                            r"alpha = 10000\.0, p = 5\.0$"):
+def test_beta_miss_is_a_typed_error(monkeypatch):
+    # solve_alpha leaves the check of beta = h^{p-1} to NonlocalSolution; a
+    # miss there surfaces as NoConvergence with the instance's message,
+    # alpha and p. A negative bound on the miss fails every point.
+    monkeypatch.setattr(nonlocal_curve, "_BETA_LOG_TOL", -1.0)
+    with pytest.raises(NoConvergence, match=r"^beta misses h\^\(p-1\) by .* "
+                                            r"at alpha = 10000\.0, p = 5\.0$"):
         solve_alpha(1e4, ProblemParams(p=5.0, q=2.0, a1=1.0, a2=1.0))
+
+
+def test_broken_identity_check_stays_a_bare_error(monkeypatch):
+    # alpha = h d and lam = beta gamma hold by construction in solve_alpha,
+    # so a failed check of either is a bug: it must reach the caller as a
+    # bare ValueError, not as a package error a sweep would record.
+    params = ProblemParams(p=5.0, q=2.0, a1=1.0, a2=1.0)
+    for name, message in (("_ALPHA_RTOL", "is not h d"),
+                          ("_LAM_RTOL", "is not beta gamma")):
+        with monkeypatch.context() as patch:
+            patch.setattr(nonlocal_curve, name, -1.0)
+            with pytest.raises(ValueError, match=message) as info:
+                solve_alpha(1e4, params)
+        assert not isinstance(info.value, BiflogisError)
 
 
 # Field names and defaults of the two frozen result classes, as the
@@ -545,13 +558,11 @@ def test_warm_solve_alpha_residuals_from_seed(p, residuals, combos, alphas,
     assert solves <= len(calls) <= residuals, len(calls) / solves
 
 
-def test_series_sweeps_calibrate_no_asymptote(fresh_caches, monkeypatch):
+def test_series_sweeps_calibrate_no_asymptote(fresh_caches):
     # The asymptote seed's constants read the offsets B_q, which cost a
     # quadrature each. They are formed the first time a root is seeded on
     # the asymptote, so sweeps whose roots all lie in the series, cold and
     # then warm, calibrate none.
-    monkeypatch.setattr(nonlocal_curve, "_SEED_CACHE", {})
-    monkeypatch.setattr(nonlocal_curve, "_ASYM_SEED_CACHE", {})
     for _ in range(2):
         for p in (1.5, 2.0, 2.9):
             for q, a1, a2 in SUB_COMBOS:

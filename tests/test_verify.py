@@ -139,14 +139,15 @@ def test_sweep_propagates_a_bare_error(monkeypatch):
         sweep(params_for(5.0), [10.0, 100.0])
 
 
-def test_sweep_records_a_failed_instance_check(monkeypatch):
-    # A point that fails NonlocalSolution's checks inside solve_alpha is a
-    # package error (NoConvergence), so sweep records its row as failed.
-    monkeypatch.setattr(nc, "_LAM_RTOL", -1.0)
+def test_sweep_records_a_beta_miss(monkeypatch):
+    # A point whose beta misses h^{p-1} in NonlocalSolution's check inside
+    # solve_alpha is a package error (NoConvergence), so sweep records its
+    # row as failed.
+    monkeypatch.setattr(nc, "_BETA_LOG_TOL", -1.0)
     rep = sweep(params_for(5.0, a1=1.0, a2=1.0), [1e4])
     assert rep.solutions == [None]
     assert rep.rows[0]["alpha"] == 1e4
-    assert rep.rows[0]["error"].startswith("NoConvergence: lam = ")
+    assert rep.rows[0]["error"].startswith("NoConvergence: beta misses ")
 
 
 def test_sweep_validation():

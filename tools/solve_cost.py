@@ -2,7 +2,7 @@
 """Warm cost of a curve solve, its seed and its two result objects, base
 revision against the working tree.
 
-    python3 tools/solve_cost.py --base HEAD~1 [--rounds 3] [--repeat 7]
+    python3 tools/solve_cost.py --base HEAD~1
 
 Times ``solve_alpha`` on three sets of solves, one per moment branch its
 roots land on (a1 = a2 = 1):
@@ -19,11 +19,11 @@ the solved point at p = 5, q = 2, alpha = 1e4, and ``_seed_tau`` at that
 point (asymptote) and at p = 2, q = 3, alpha = 100 (series).
 
 The base revision is exported with ``tools/bench_pair.py``'s ``git archive``
-helper, so the checkout is left alone. Every round runs one fresh
-interpreter on the base's ``src/`` and one on the working tree's, in
-alternating order, and each interpreter takes the best of ``--repeat``
-timings per row. Prints per row the range of the rounds' values on each
-side, best to worst, and the change's best as a share of the base's.
+helper, so the checkout is left alone. Each of ROUNDS rounds runs one
+fresh interpreter on the base's ``src/`` and one on the working tree's, in
+alternating order, and each interpreter takes the best of REPEAT timings
+per row. Prints per row the range of the rounds' values on each side, best
+to worst, and the change's best as a share of the base's.
 """
 
 from __future__ import annotations
@@ -48,9 +48,12 @@ SUPER_ALPHAS = tuple(np.geomspace(1e3, 1e6, 60).tolist())
 CHEB_ALPHAS = (10.0, 100.0, 1e3)
 # Seconds of calls each timing of one constructor or seed aims at.
 TARGET_S = 0.02
+# Interpreter runs per side, and timings per row in each run.
+ROUNDS = 5
+REPEAT = 7
 
 
-def measure(src: str, repeat: int) -> dict:
+def measure(src: str) -> dict:
     """{row name: best microseconds per call} with the package under src."""
     sys.path.insert(0, src)
     from biflogis import nonlocal_curve as nc
@@ -72,7 +75,7 @@ def measure(src: str, repeat: int) -> dict:
 
         sweep()
         number = max(1, round(TARGET_S / timeit.timeit(sweep, number=1)))
-        best = min(timeit.repeat(sweep, number=number, repeat=repeat))
+        best = min(timeit.repeat(sweep, number=number, repeat=REPEAT))
         out[name] = 1e6 * best / (number * len(alphas))
 
     sup = nc.ProblemParams(p=5.0, q=2.0, a1=1.0, a2=1.0)
@@ -92,14 +95,14 @@ def measure(src: str, repeat: int) -> dict:
         number = max(1, round(TARGET_S / timeit.timeit(call, number=100)
                               * 100))
         out[name] = 1e6 * min(timeit.repeat(call, number=number,
-                                            repeat=repeat)) / number
+                                            repeat=REPEAT)) / number
     return out
 
 
-def side(root: Path, repeat: int) -> dict:
+def side(root: Path) -> dict:
     """measure on root's src/, in a fresh interpreter."""
     argv = [sys.executable, str(Path(__file__).resolve()),
-            "--src", str(root / "src"), "--repeat", str(repeat)]
+            "--src", str(root / "src")]
     proc = subprocess.run(argv, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"timing on {root} exited {proc.returncode}:\n"
@@ -110,16 +113,10 @@ def side(root: Path, repeat: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", help="git revision to compare against")
-    ap.add_argument("--rounds", type=int, default=3,
-                    help="interpreter runs per side (default 3)")
-    ap.add_argument("--repeat", type=int, default=7,
-                    help="timings per row in each run (default 7)")
     ap.add_argument("--src", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.rounds < 1 or args.repeat < 1:
-        ap.error("--rounds and --repeat must be at least 1")
     if args.src:
-        json.dump(measure(args.src, args.repeat), sys.stdout)
+        json.dump(measure(args.src), sys.stdout)
         return 0
     if not args.base:
         ap.error("--base is required")
@@ -128,10 +125,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="solve_cost_") as tmp:
         export(args.base, Path(tmp))
         roots = {"base": Path(tmp), "change": ROOT}
-        for i in range(args.rounds):
+        for i in range(ROUNDS):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for name in order:
-                runs[name].append(side(roots[name], args.repeat))
+                runs[name].append(side(roots[name]))
 
     print("row: base best-worst round -> change best-worst round (us), "
           "change/base of the bests")
