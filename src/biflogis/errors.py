@@ -51,7 +51,8 @@ class BracketFailure(BiflogisError):
 
 
 class InvalidRegime(BiflogisError):
-    """An operation was requested outside the exponent range it serves."""
+    """An operation was requested outside the exponent range it serves: the
+    E constants, g and theorems 1 and 3 at p = 3, theorem 2 at p != 3."""
 
 
 class ZeroCoefficients(BiflogisError):
@@ -60,10 +61,6 @@ class ZeroCoefficients(BiflogisError):
 
 class MonotonicityViolation(BiflogisError):
     """A runtime monotonicity check of a bracketing assumption failed."""
-
-
-class WrongRegime(BiflogisError):
-    """A verification check was invoked on data from the wrong exponent regime."""
 
 
 class AmbiguousReading(BiflogisError):

@@ -41,9 +41,6 @@ __all__ = [
     "residual_check",
 ]
 
-# Width of the band around p = 3 that ProblemParams.regime labels critical.
-_CRITICAL_BAND = 1e-9
-
 # Bound on the relative miss of alpha = h d that every solution meets.
 _ALPHA_RTOL = 1e-10
 
@@ -90,7 +87,7 @@ class ProblemParams:
 
     @property
     def regime(self) -> str:
-        if abs(self.p - 3.0) <= _CRITICAL_BAND:
+        if self.p == 3.0:
             return "critical"
         return "supercritical" if self.p > 3.0 else "subcritical"
 
@@ -109,9 +106,9 @@ class NonlocalSolution:
     instance from the one residual ln N - (p-3) ln h, h = alpha/d, so
     alpha = h d, beta = h^2 N = a1 (h ||w||_q)^2 + a2 (h d)^2 and
     lam = beta gamma hold to rounding, and beta = h^{p-1} to 1e-10 in log,
-    for every p, the critical band included. Building an instance checks
-    alpha = h d to 1e-10 relative, |ln beta - (p-1) ln h| <= 1e-10 and
-    lam = beta gamma to a few ulp, and raises ValueError if one fails.
+    for every p. Building an instance checks alpha = h d to 1e-10
+    relative, |ln beta - (p-1) ln h| <= 1e-10 and lam = beta gamma to a
+    few ulp, and raises ValueError if one fails.
     The constructor is written out, as LocalPoint's is.
     """
 

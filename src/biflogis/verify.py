@@ -29,7 +29,7 @@ from . import constants as consts
 from . import local_logistic as ll
 from . import nonlocal_curve as nc
 from .errors import (AmbiguousReading, BiflogisError, DegenerateFit,
-                     WrongRegime)
+                     InvalidRegime)
 from .quadrature import ABS_TOL, GAUSS_LEGENDRE, MAX_REFINEMENTS, REL_TOL
 
 __all__ = [
@@ -216,7 +216,7 @@ def _curve_log_states(ts, params: nc.ProblemParams) -> np.ndarray:
 def check_theorem_1(report: SweepReport) -> CheckResult:
     """Large-d growth law lambda = alpha^{p-1}(1 + C1 sqrt(a1+a2)
     alpha^{-(p-3)/2} + O(alpha^{-(p-3)})): alpha -> infinity for p > 3 (the
-    paper's theorem 1), alpha -> 0 for 1 < p < 3; WrongRegime at p = 3.
+    paper's theorem 1), alpha -> 0 for 1 < p < 3; InvalidRegime at p = 3.
 
     Read on the large-d window, ln t in [4, 6] (six points), where
     lambda/alpha^{p-1} = gamma/d^{p-1} and x = alpha^{-(p-3)/2}
@@ -225,7 +225,7 @@ def check_theorem_1(report: SweepReport) -> CheckResult:
     params = report.params
     p = params.p
     if params.regime == "critical":
-        raise WrongRegime(f"theorem 1 needs p != 3, got p = {p}")
+        raise InvalidRegime(f"theorem 1 needs p != 3, got p = {p}")
     ln_g, ln_d, ln_n = _curve_log_states(_LARGE_D_TS, params)
     xs = np.exp(-0.5 * (ln_n + (p - 3.0) * ln_d))
     ys = np.expm1(ln_g - (p - 1.0) * ln_d) / xs
@@ -235,10 +235,11 @@ def check_theorem_1(report: SweepReport) -> CheckResult:
 
 
 def check_theorem_2(report: SweepReport) -> tuple[CheckResult, CheckResult]:
-    """Critical exact law lambda(alpha) = (gamma(d1)/d1^2) alpha^2."""
+    """Critical exact law lambda(alpha) = (gamma(d1)/d1^2) alpha^2 at
+    p = 3; InvalidRegime at p != 3."""
     params = report.params
     if params.regime != "critical":
-        raise WrongRegime(f"critical law needs p = 3, got p = {params.p}")
+        raise InvalidRegime(f"critical law needs p = 3, got p = {params.p}")
     rows = sorted((row["alpha"], sol.lam) for row, sol in
                   zip(report.rows, report.solutions) if sol is not None)
     if not rows:
@@ -263,7 +264,8 @@ def check_theorem_3(report: SweepReport,
                     constants_variant: consts.ConstantSet):
     """Small-d law lambda = L0 alpha^2 (1 + S alpha^{p-3} + o): alpha ->
     infinity for 1 < p < 3 (the paper's theorem 3), alpha -> 0 for p > 3;
-    WrongRegime at p = 3.
+    InvalidRegime at p = 3, ValueError for a ConstantSet built at another
+    (p, q, a1, a2) than report.params.
 
     Read on the small-d window, t in [1e-4, 1e-2] (six points), where
     lambda/alpha^2 = N gamma/d^2 and x = alpha^{p-3} = N d^{p-3}; S is the
@@ -280,11 +282,12 @@ def check_theorem_3(report: SweepReport,
     params = report.params
     p = params.p
     if params.regime == "critical":
-        raise WrongRegime(f"theorem 3 needs p != 3, got p = {p}")
+        raise InvalidRegime(f"theorem 3 needs p != 3, got p = {p}")
+    key = (p, params.q, params.a1, params.a2)
     for cs in (constants_paper, constants_variant):
-        if cs.leading_coeff is None:
-            raise ValueError(f"ConstantSet at p = {cs.p} carries no "
-                             "theorem 3 coefficients")
+        if (cs.p, cs.q, cs.a1, cs.a2) != key:
+            raise ValueError(f"ConstantSet at (p, q, a1, a2) = "
+                             f"{(cs.p, cs.q, cs.a1, cs.a2)}, report at {key}")
     ln_g, ln_d, ln_n = _curve_log_states(_SMALL_D_TS, params)
     ln_alpha = ln_n / (p - 3.0) + ln_d
     xs = np.exp(ln_n + (p - 3.0) * ln_d)

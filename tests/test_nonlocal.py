@@ -49,7 +49,7 @@ def assert_invariants(sol, params, alpha_rtol=1e-12):
     n_scaled = params.a1 * (sol.h * wq) ** 2 \
         + params.a2 * (sol.h * sol.local.d) ** 2
     assert rel(sol.beta, n_scaled) < 1e-9
-    # The exact relation, also inside the critical band: there h^{p-3} is
+    # The exact relation, also next to p = 3: there h^{p-3} is
     # 1 + (p-3) ln h, not 1, so beta = h^2 would hold only to ~1e-9.
     assert rel(sol.beta, sol.h ** (params.p - 1.0)) < 1e-12
     if params.regime == "critical":
@@ -82,10 +82,13 @@ def test_regime_property():
     assert regime(5.0) == "supercritical"
     assert regime(3.1) == "supercritical"
     assert regime(2.0) == "subcritical"
+    # the critical label is p = 3 exactly, as in the constants: the
+    # neighbouring doubles are on the curve's two other sides
     assert regime(3.0) == "critical"
-    # the critical label covers a small band, not just the exact value
-    assert regime(3.0 + 5e-10) == "critical"
-    assert regime(3.0 - 5e-10) == "critical"
+    for above in (3.0 + 5e-10, math.nextafter(3.0, math.inf)):
+        assert regime(above) == "supercritical"
+    for below in (3.0 - 5e-10, math.nextafter(3.0, 0.0)):
+        assert regime(below) == "subcritical"
 
 
 def test_solve_alpha_validation():

@@ -104,12 +104,13 @@ MAGNITUDE_BAD = (math.nan, math.inf, -math.inf, 0.0, -1.0)
 
 magnitudes = st.floats(-307.0, 308.0).map(lambda e: 10.0 ** e)
 
-# p over the domain, mixed with a stratum at p = 3 +- 10^-k, k in [1, 9],
-# where the 1/(p - 3) powers of g, h and the constants grow.
+# p over the domain, mixed with a stratum at p = 3 +- 10^-k, k in [1, 16],
+# where the 1/(p - 3) powers of g, h and the constants grow; it reaches the
+# doubles next to 3, and 3 itself.
 exponents = st.one_of(
     st.floats(1.05, 20.0),
     st.builds(lambda k, sign: 3.0 + sign * 10.0 ** -k,
-              st.floats(1.0, 9.0), st.sampled_from((-1.0, 1.0))))
+              st.floats(1.0, 16.0), st.sampled_from((-1.0, 1.0))))
 
 
 def _floats(value):

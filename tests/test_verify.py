@@ -9,7 +9,7 @@ import pytest
 
 from biflogis import constants as consts
 from biflogis import local_logistic as ll
-from biflogis.errors import (AmbiguousReading, DegenerateFit, WrongRegime)
+from biflogis.errors import (AmbiguousReading, DegenerateFit, InvalidRegime)
 from biflogis import nonlocal_curve as nc
 from biflogis.nonlocal_curve import ProblemParams, solve_alpha
 from biflogis.verify import (_LARGE_D_TS, _SMALL_D_TS, CheckResult,
@@ -194,7 +194,7 @@ def test_theorem_1_passes():
 
 def test_theorem_1_wrong_regime():
     rep = sweep(params_for(3.0), [10.0, 100.0, 1000.0, 10000.0])
-    with pytest.raises(WrongRegime):
+    with pytest.raises(InvalidRegime):
         check_theorem_1(rep)
 
 
@@ -236,7 +236,12 @@ def test_theorem_2_passes():
 
 def test_theorem_2_wrong_regime():
     rep = sweep(params_for(5.0), [10.0, 100.0])
-    with pytest.raises(WrongRegime):
+    with pytest.raises(InvalidRegime):
+        check_theorem_2(rep)
+    # Half a nano off p = 3 the curve's lambda/alpha^2 still varies, by
+    # 4.5e-10 over this grid: theorem 2 holds at p = 3 alone.
+    rep = sweep(params_for(3.0 + 5e-10), [1.0, 10.0, 100.0, 1000.0])
+    with pytest.raises(InvalidRegime):
         check_theorem_2(rep)
 
 
@@ -304,7 +309,7 @@ def test_theorem_3_ambiguous(sub_report):
 def test_theorem_3_wrong_regime():
     rep = sweep(params_for(3.0), [100.0, 1000.0, 10000.0])
     cp, cv = constant_sets()
-    with pytest.raises(WrongRegime):
+    with pytest.raises(InvalidRegime):
         check_theorem_3(rep, cp, cv)
 
 
@@ -312,6 +317,21 @@ def test_theorem_3_rejects_critical_constants(sub_report):
     cs = consts.compute_all(3.0, 2.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         check_theorem_3(sub_report, cs, cs)
+
+
+@pytest.mark.parametrize("p, q, a1, a2", ((2.0, 3.0, 0.0, 1.0),
+                                          (2.0, 2.0, 1.0, 1.0),
+                                          (2.5, 2.0, 0.0, 1.0)))
+def test_theorem_3_rejects_constants_of_other_params(sub_report, p, q, a1,
+                                                      a2):
+    # A set built at another q, other weights or another p would be read
+    # against this curve as if it were its own.
+    cs = consts.compute_all(p, q, a1, a2)
+    with pytest.raises(ValueError):
+        check_theorem_3(sub_report, cs, cs)
+    _, cv = constant_sets()
+    with pytest.raises(ValueError):
+        check_theorem_3(sub_report, cv, cs)
 
 
 # ---------------------------------------------------- the alpha -> 0 end

@@ -12,11 +12,11 @@ alone. The list holds the README's seven examples, their ``--format csv``
 (or json) variants, a default grid, a solver error, two runs at
 p = 1.5 (its constants, and a solve whose root lies on the moments'
 Chebyshev branch), two runs near p = 1 (a Chebyshev-panel solve at
-p = 1.05 and a profile on the sinh route at p = 1.2), four near-critical
-runs (both ends' laws at p = 3.01, 2.999 and 3 - 1e-6, and the constants
-at 2.999), both ends' laws at p = 1.05 and 12 and the constants at p = 5,
-and the flag values outside the documented domain that must be usage
-errors (exit 64), ``--e3-reading`` among them.
+p = 1.05 and a profile on the sinh route at p = 1.2), six near-critical
+runs (both ends' laws at p = 3.01, 2.999, 3 - 1e-6 and 3 +- 5e-10, and
+the constants at 2.999), both ends' laws at p = 1.05 and 12 and the
+constants at p = 5, and the flag values outside the documented domain that
+must be usage errors (exit 64), ``--e3-reading`` among them.
 
 An invocation still running after ``TIMEOUT_S`` seconds is stopped and
 shows exit code -1 with empty stdout: a revision that accepts a value a
@@ -71,6 +71,9 @@ INVOCATIONS = [
     "verify --p 2.999",
     "constants --p 2.999",
     "verify --p 2.999999",
+    # half a nano off p = 3: only p = 3 itself is critical
+    "verify --p 3.0000000005",
+    "verify --p 2.9999999995",
     # far from p = 3: theorems 1 and 3 at both ends, p > 3's L0 and S
     "verify --p 1.05",
     "verify --p 12",
