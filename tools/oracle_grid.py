@@ -3,6 +3,7 @@
 
     python3 tools/oracle_grid.py
     python3 tools/oracle_grid.py --base HEAD~1
+    python3 tools/oracle_grid.py --xcheck 1-20 --base HEAD~1
 
 Runs ``oracle.solve_bvp`` at the default ``ShootConfig`` on the 56 cases
 p in {1.2, 1.5, 2, 3, 5, 8, 20, 50} x gamma in {10, 12, 15, 30, 50, 80, 120}
@@ -12,12 +13,14 @@ relative misses of k and d against ``local_logistic.point_from_gamma``, the
 number of RK4 marches, the RK4 steps they asked for (the sum of
 ``n_steps`` over the ``kernels.rk4_shoot`` calls), the fine marches (those
 asking for at least half the requested ``n_steps``: the full marches of a
-launch from x = 0 and the half-marches of a launch from the midpoint alike)
-and, for an error, its message. The last line holds the outcome counts, the
-largest k and d misses and the march, step and fine-march totals. Outcomes
-and k compare two revisions case by case; the counts compare their work,
-and the fine-march column shows whether a change moved the coarse levels'
-work or the requested march's.
+launch from x = 0 and the half-marches of a launch from the midpoint alike;
+the half-length march of n_steps/4 that predicts the requested root counts
+under marches and steps, but not under fine) and, for an error, its
+message. The last line holds the outcome counts, the largest k and d misses
+and the march, step and fine-march totals. Outcomes and k compare two
+revisions case by case; the counts compare their work, and the fine-march
+column shows whether a change moved the coarse levels' work or the
+requested march's.
 
 With ``--base REV`` the grid also runs on REV's ``src/``, exported with
 ``tools/bench_pair.py``'s ``git archive`` helper, so the checkout is left
@@ -27,35 +30,45 @@ sides' k and d misses, both sides' RK4 steps and the errors' messages. The
 last lines hold each side's outcome counts, largest misses and totals, the
 cases whose outcome flipped, the largest k shift and the steps of the cases
 solved on both sides.
+
+With ``--xcheck SEEDS`` (``1-20``, ``3`` or ``1,4,9``) the tool runs the
+``oracle_xcheck`` benchmark's solves instead: the six (p, gamma) per seed,
+drawn as ``perfbench/workloads.py`` draws them. Each line holds the seed, p,
+gamma, the requested half-marches (n_steps/2 steps), the half-length
+marches (n_steps/4) and the RK4 steps of one ``solve_bvp``; the last line
+holds their totals. With ``--base`` each of the three counts is printed for
+the base and the working tree.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import random
 import subprocess
 import sys
 import tempfile
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
-from bench_pair import ROOT, export
+from bench_pair import ROOT, export, parse_spec
 
 PS = (1.2, 1.5, 2.0, 3.0, 5.0, 8.0, 20.0, 50.0)
 GAMMAS = (10.0, 12.0, 15.0, 30.0, 50.0, 80.0, 120.0)
 
-# Runs grid() in a fresh interpreter on the package under argv[1].
-_CHILD = ("import json, sys; sys.path[:0] = sys.argv[1:]; import oracle_grid; "
-          "print(json.dumps(oracle_grid.grid()))")
+# Runs grid(), or xcheck() on the seeds in argv[1], in a fresh interpreter
+# on the package under argv[2].
+_CHILD = ("import json, sys; sys.path[:0] = sys.argv[2:]; import oracle_grid; "
+          "seeds = json.loads(sys.argv[1]); print(json.dumps("
+          "oracle_grid.grid() if seeds is None else oracle_grid.xcheck(seeds)))")
 
 
-def grid() -> list[list]:
-    """[p, gamma, outcome, k, marches, steps, fine, k_miss, d_miss, message]
-    per case on the ``biflogis`` that ``sys.path`` finds first; k and the
-    misses are None without a point, the message is empty with one."""
-    from biflogis import kernels, oracle
-    from biflogis.errors import BiflogisError
-    from biflogis.local_logistic import LocalParams, point_from_gamma
+@contextmanager
+def marches():
+    """The n_steps of every kernels.rk4_shoot call made inside the block."""
+    from biflogis import kernels
 
     march = kernels.rk4_shoot
     steps = []
@@ -65,9 +78,23 @@ def grid() -> list[list]:
         return march(*args)
 
     kernels.rk4_shoot = counted
+    try:
+        yield steps
+    finally:
+        kernels.rk4_shoot = march
+
+
+def grid() -> list[list]:
+    """[p, gamma, outcome, k, marches, steps, fine, k_miss, d_miss, message]
+    per case on the ``biflogis`` that ``sys.path`` finds first; k and the
+    misses are None without a point, the message is empty with one."""
+    from biflogis import oracle
+    from biflogis.errors import BiflogisError
+    from biflogis.local_logistic import LocalParams, point_from_gamma
+
     n_fine = oracle.ShootConfig().n_steps
     rows = []
-    try:
+    with marches() as steps:
         for p in PS:
             for gamma in GAMMAS:
                 steps.clear()
@@ -84,15 +111,44 @@ def grid() -> list[list]:
                 rows.append([p, gamma, outcome, k, len(steps), sum(steps),
                              sum(2 * n >= n_fine for n in steps),
                              k_miss, d_miss, message])
-    finally:
-        kernels.rk4_shoot = march
     return rows
 
 
-def side(src: Path) -> list[list]:
-    """grid() on the package under src, in a fresh interpreter."""
+def xcheck_draws(seed: int) -> list[tuple[float, float]]:
+    """The (p, gamma) of the oracle_xcheck benchmark's six solves for a
+    seed, drawn as perfbench/workloads.py draws them."""
+    rng = random.Random(f"oracle_xcheck:{seed}")
+    draws = []
+    for p0 in (2.0, 3.0, 5.0):
+        for g0 in (15.0, 50.0):
+            p = round(p0 + rng.uniform(-0.2, 0.2), 4)
+            draws.append((p, round(g0 * math.exp(rng.uniform(-0.1, 0.1)), 4)))
+    return draws
+
+
+def xcheck(seeds: list[int]) -> list[list]:
+    """[seed, p, gamma, requested, half_length, steps] per oracle_xcheck
+    solve of the seeds, on the ``biflogis`` that ``sys.path`` finds first."""
+    from biflogis import oracle
+
+    n = oracle.ShootConfig().n_steps // 2
+    rows = []
+    with marches() as steps:
+        for seed in seeds:
+            for p, gamma in xcheck_draws(seed):
+                steps.clear()
+                oracle.solve_bvp(gamma, p)
+                rows.append([seed, p, gamma, steps.count(n),
+                             steps.count(n // 2), sum(steps)])
+    return rows
+
+
+def side(src: Path, seeds: list[int] | None) -> list[list]:
+    """grid(), or xcheck(seeds), on the package under src, in a fresh
+    interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(src), str(Path(__file__).parent)],
+        [sys.executable, "-c", _CHILD, json.dumps(seeds), str(src),
+         str(Path(__file__).parent)],
         check=True, capture_output=True, text=True)
     return json.loads(proc.stdout)
 
@@ -154,19 +210,40 @@ def print_diff(base: list[list], change: list[list]) -> None:
               f"{sum(s[1] for s in both)}")
 
 
+def print_xcheck(rows: list[list]) -> None:
+    print("seed\tp\tgamma\trequested\thalf_length\tsteps")
+    for row in rows:
+        print("\t".join(map(str, row)))
+    print(f"total\t{len(rows)} solves\t\t{sum(r[3] for r in rows)}"
+          f"\t{sum(r[4] for r in rows)}\t{sum(r[5] for r in rows)}")
+
+
+def print_xcheck_diff(base: list[list], change: list[list]) -> None:
+    print("seed\tp\tgamma\tbase_requested\tchange_requested"
+          "\tbase_half_length\tchange_half_length\tbase_steps\tchange_steps")
+    for b, c in zip(base, change):
+        print("\t".join(map(str, b[:3] + [b[3], c[3], b[4], c[4], b[5], c[5]])))
+    sums = [sum(r[i] for r in rows) for i in (3, 4, 5) for rows in (base, change)]
+    print(f"total\t{len(change)} solves\t\t" + "\t".join(map(str, sums)))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", help="git revision to compare against")
+    ap.add_argument("--xcheck", metavar="SEEDS",
+                    type=lambda text: parse_spec(f"oracle_xcheck:{text}")[1],
+                    help="run the oracle_xcheck solves of these seeds instead")
     args = ap.parse_args(argv)
 
-    change = side(ROOT / "src")
+    seeds = args.xcheck
+    change = side(ROOT / "src", seeds)
     if args.base is None:
-        print_grid(change)
+        (print_grid if seeds is None else print_xcheck)(change)
         return 0
     with tempfile.TemporaryDirectory(prefix="oracle_grid_") as tmp:
         export(args.base, Path(tmp))
-        base = side(Path(tmp) / "src")
-    print_diff(base, change)
+        base = side(Path(tmp) / "src", seeds)
+    (print_diff if seeds is None else print_xcheck_diff)(base, change)
     return 0
 
 
