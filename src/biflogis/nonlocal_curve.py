@@ -61,6 +61,7 @@ _LN_EM_SERIES = math.log(-math.expm1(-ll.T_SERIES))
 # the series branch, and the coefficients of each (p, q, a1, a2) there; the
 # asymptote seed's two constants of each (p, q, a1, a2), filled the first
 # time a root is seeded there, so a series-only sweep calibrates no B_q.
+# Each ProblemParams memoises the entries of its own values.
 _SEED_ORDER = 8
 _SEED_CACHE: dict = {}
 _ASYM_SEED_CACHE: dict = {}
@@ -71,25 +72,41 @@ _LAM_RTOL = 4.0 * sys.float_info.epsilon
 REGIMES = ("supercritical", "critical", "subcritical")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProblemParams:
-    """Problem data: exponents p and q, weights a1 and a2."""
+    """Problem data: exponents p and q, weights a1 and a2.
+
+    Building an instance checks them and stores, outside the fields, what
+    every solve at them reads: regime, the REGIMES entry of p (critical
+    at p = 3 exactly), and ln(a1 + a2). The seed constants of each end of
+    the curve are memoised on the instance the first time a root is
+    seeded there, read through the module's caches keyed by
+    (p, q, a1, a2), so equal instances share one build. Equality, hash
+    and repr read the four fields alone. The constructor is written out,
+    as NonlocalSolution's is.
+    """
 
     p: float
     q: float
     a1: float
     a2: float
 
-    def __post_init__(self):
-        check_exponent("p", self.p)
-        check_exponent("q", self.q)
-        check_weights(self.a1, self.a2)
-
-    @property
-    def regime(self) -> str:
-        if self.p == 3.0:
-            return "critical"
-        return "supercritical" if self.p > 3.0 else "subcritical"
+    def __init__(self, p: float, q: float, a1: float, a2: float):
+        fields = self.__dict__
+        fields["p"] = p
+        fields["q"] = q
+        fields["a1"] = a1
+        fields["a2"] = a2
+        if not (1.0 < p < math.inf and 1.0 < q < math.inf
+                and 0.0 <= a1 < math.inf and 0.0 <= a2 < math.inf
+                and a1 + a2 > 0.0):
+            check_exponent("p", p)
+            check_exponent("q", q)
+            check_weights(a1, a2)
+        fields["regime"] = ("critical" if p == 3.0 else
+                            "supercritical" if p > 3.0 else "subcritical")
+        fields["_ln_a"] = math.log(a1 + a2)
+        fields["_series"] = fields["_asym"] = None
 
 
 class _BetaMiss(ValueError):
@@ -167,9 +184,9 @@ def _state_at_t(t: float, params: ProblemParams):
     of N that a1 ||w||_q^2 carries, d(ln N)/dtau = 2 ((1-f) d(ln d)/dtau
     + f d(ln ||w||_q)/dtau)."""
     state = ll._log_state_at_t(t, params.p, params.q)
-    ln_d, ln_wq = state[2:4]
+    ln_d = state[2]
     dln_d = state[6]
-    wq2 = params.a1 * math.exp(2.0 * (ln_wq - ln_d))
+    wq2 = params.a1 * math.exp(2.0 * (state[3] - ln_d))
     n_by_d2 = wq2 + params.a2
     return (state, 2.0 * ln_d + math.log(n_by_d2),
             2.0 * (dln_d + wq2 / n_by_d2 * (state[7] - dln_d)))
@@ -202,7 +219,8 @@ def _series_exp(c, scale=1.0):
 
 def _series_seed(params: ProblemParams):
     """(g_0, (e_K, ..., e_2), (g_K, ..., g_1)) with K = _SEED_ORDER,
-    built once per (p, q, a1, a2) and cached.
+    built once per (p, q, a1, a2), cached by those values and memoised on
+    params.
 
     g_n are the coefficients of G(z) = ln 4 + 2 ln J_0 + ln D
     + ((p-3)/2) ln R_2 in z = em, with R_2 = J_2/J_0, R_q = (J_q/J_0)^{2/q}
@@ -211,7 +229,16 @@ def _series_seed(params: ProblemParams):
     z = sum_n e_n w^n of ln z + sum_{n>=1} g_n z^n = ln w, by Lagrange:
     e_1 = 1 and e_n = [z^{n-1}] exp(-n (G - g_0))/n.
     """
-    p, q, a1, a2 = params.p, params.q, params.a1, params.a2
+    p, q, a1, a2 = key = params.p, params.q, params.a1, params.a2
+    val = _SEED_CACHE.get(key)
+    if val is None:
+        val = _SEED_CACHE[key] = _build_series_seed(p, q, a1, a2)
+    params.__dict__["_series"] = val
+    return val
+
+
+def _build_series_seed(p: float, q: float, a1: float, a2: float):
+    """_series_seed's constants, built from the series view."""
     c0, c2, cq = ll._view(p, q, -1)[:3, :_SEED_ORDER + 1].tolist()
     l0, l2, lq = _series_log(c0), _series_log(c2), _series_log(cq)
     # ln D = ln R_2 + ln(a2 + a1 e^u), u = ln R_q - ln R_2, read over
@@ -227,19 +254,21 @@ def _series_seed(params: ProblemParams):
     # exp(-n (G - g_0)) to order n - 1, of which e_n is the last term / n.
     rev = tuple(_series_exp(g[:n], -n)[-1] / n
                 for n in range(_SEED_ORDER, 1, -1))
-    val = _SEED_CACHE[p, q, a1, a2] = (g[0], rev, tuple(g[:0:-1]))
-    return val
+    return g[0], rev, tuple(g[:0:-1])
 
 
 def _asym_seed(params: ProblemParams):
     """(-c_1/2, ln(p-1)/2) of the asymptote seed, with c_1 from the offsets
-    (B_0, B_2, B_q) as _seed_tau states it, built once per (p, q, a1, a2)
-    and cached."""
-    p, q, a1, a2 = params.p, params.q, params.a1, params.a2
-    b0, b2, bq = ll._view(p, q, ll._CHEB_PANELS)
-    c1 = 2.0 * b0 + 0.5 * (p - 3.0) * (b2 - b0) \
-        + (a1 * (2.0 / q) * (bq - b0) + a2 * (b2 - b0)) / (a1 + a2)
-    val = _ASYM_SEED_CACHE[p, q, a1, a2] = (-0.5 * c1, 0.5 * math.log(p - 1.0))
+    (B_0, B_2, B_q) as _seed_tau states it, built once per (p, q, a1, a2),
+    cached by those values and memoised on params."""
+    p, q, a1, a2 = key = params.p, params.q, params.a1, params.a2
+    val = _ASYM_SEED_CACHE.get(key)
+    if val is None:
+        b0, b2, bq = ll._view(p, q, ll._CHEB_PANELS)
+        c1 = 2.0 * b0 + 0.5 * (p - 3.0) * (b2 - b0) \
+            + (a1 * (2.0 / q) * (bq - b0) + a2 * (b2 - b0)) / (a1 + a2)
+        val = _ASYM_SEED_CACHE[key] = (-0.5 * c1, 0.5 * math.log(p - 1.0))
+    params.__dict__["_asym"] = val
     return val
 
 
@@ -283,21 +312,19 @@ def _seed_tau(ln_alpha: float, params: ProblemParams) -> float:
     N ~ (a1+a2) d^2, as does a root on the Chebyshev panels between the
     two ends.
     """
-    p, q, a1, a2 = params.p, params.q, params.a1, params.a2
+    p = params.p
     x = (p - 3.0) * ln_alpha
-    ln_a = math.log(a1 + a2)
+    ln_a = params._ln_a
     big_l = 0.5 * (x - ll._LN4 - ln_a)
     if big_l > 1.0:
-        neg_half_c1, half_ln_p1 = _ASYM_SEED_CACHE.get((p, q, a1, a2)) \
-            or _asym_seed(params)
+        neg_half_c1, half_ln_p1 = params._asym or _asym_seed(params)
         s = neg_half_c1 * math.exp(-big_l)
         if s > -1.0:
             tau0 = half_ln_p1 - (-big_l - math.log1p(s))
             if tau0 >= _LN_T_ASYM:
                 return tau0
     else:
-        g0, es, gs = _SEED_CACHE.get((p, q, a1, a2)) \
-            or _series_seed(params)
+        g0, es, gs = params._series or _series_seed(params)
         lam = x - g0
         # z < 1 at the root needs Lambda < 0; e^Lambda stays finite.
         if lam < 0.0:
@@ -367,7 +394,8 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
     p, if NonlocalSolution finds |ln beta - (p-1) ln h|, the log miss of
     beta = h^{p-1}, above 1e-10.
     """
-    check_positive("alpha", alpha)
+    if not 0.0 < alpha < math.inf:
+        check_positive("alpha", alpha)
     p = params.p
     ln_alpha = math.log(alpha)
     last = None
@@ -377,9 +405,10 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
         # state is the one kept here.
         nonlocal last
         state, ln_n, dln_n = _state_at_t(math.exp(tau), params)
-        last = (ln_n - (p - 3.0) * (ln_alpha - state[2]),
-                dln_n + (p - 3.0) * state[6], tau, state, ln_n, dln_n)
-        return last[:2]
+        r = ln_n - (p - 3.0) * (ln_alpha - state[2])
+        dr = dln_n + (p - 3.0) * state[6]
+        last = (r, dr, tau, state, ln_n, dln_n)
+        return r, dr
 
     try:
         # solve_monotone returns once its Newton step is within xtol/8.

@@ -152,7 +152,12 @@ def solve_monotone(f, x0: float, lo_limit: float, hi_limit: float,
     Raises BracketFailure if the sign does not change inside the limits,
     NoConvergence after MAX_EVALS evaluations.
     """
-    x = min(max(float(x0), lo_limit), hi_limit)
+    # min(max(x0, lo_limit), hi_limit) in two comparisons, NaN included.
+    x = float(x0)
+    if lo_limit > x:
+        x = lo_limit
+    if hi_limit < x:
+        x = hi_limit
     lo, hi = -math.inf, math.inf      # evaluated points with f < 0, f > 0
     step = FIRST_STEP
     for _ in range(MAX_EVALS):
@@ -167,7 +172,7 @@ def solve_monotone(f, x0: float, lo_limit: float, hi_limit: float,
         # within an eighth of xtol; 2 eps |x| is at least two float spacings
         # at x, so every step and bisection below moves x.
         tol = 0.125 * xtol + 2.0 * _EPS * abs(x)
-        newton = -y / dy if math.isfinite(dy) and dy > 0.0 else math.nan
+        newton = -y / dy if 0.0 < dy < math.inf else math.nan
         if abs(newton) <= tol or hi - lo <= tol:
             return x
         if math.isfinite(lo) and math.isfinite(hi):

@@ -180,11 +180,16 @@ def _order_in_log(ln_xs, rs) -> float:
 
 def _neville_at_zero(xs, ys) -> float:
     """Value at x = 0 of the polynomial through the points (xs, ys), by
-    Neville's scheme; on two points, the linear (Richardson) extrapolation."""
+    Neville's scheme; on two points, the linear (Richardson) extrapolation.
+    The xs are first scaled by the power of two that brings the largest
+    |x| into [1/2, 1): the scaling is exact and leaves the value's bits,
+    and the divided differences of tiny xs no longer overflow."""
     xs = [float(x) for x in xs]
     vals = [float(y) for y in ys]
     if len(xs) < 2 or len(set(xs)) < len(xs):
         raise DegenerateFit("need >= 2 distinct abscissae to extrapolate")
+    shift = -math.frexp(max(map(abs, xs)))[1]
+    xs = [math.ldexp(x, shift) for x in xs]
     for m in range(1, len(xs)):
         for i in range(len(xs) - m):
             slope = (vals[i] - vals[i + 1]) / (xs[i] - xs[i + m])

@@ -21,7 +21,9 @@ def fresh_caches(monkeypatch):
 
     The cache keys hold no tolerance, so a test that changes
     quadrature.REL_TOL must take this fixture: otherwise its calibrations
-    would be read by every later test."""
+    would be read by every later test. A ProblemParams built before the
+    caches are emptied keeps the seed constants memoised on it, so such a
+    test builds its params after emptying them."""
     caches = [(module, name) for module in (ll, nonlocal_curve)
               for name in _cache_names(module)]
 

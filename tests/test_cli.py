@@ -177,6 +177,23 @@ def test_verify_just_below_critical_reads_S(capsys, q):
     assert checks["theorem_3_second"]["rel_error"] < 1e-9
 
 
+@pytest.mark.parametrize("p, a1, a2", [("5", "1e-300", "0"),
+                                        ("2.5", "1e-300", "0"),
+                                        ("2.5", "1e-200", "1e-200")])
+def test_verify_tiny_weights_pass(capsys, p, a1, a2):
+    # With the weights times s, L0 -> s L0 and S -> S/s exactly, so here
+    # theorem 3 extrapolates over abscissae near 1e-203. Their divided
+    # differences overflowed and theorem_3_second read nan (exit 2); with
+    # the abscissae scaled by a power of two it reads 4.9e-10 to 7.9e-10.
+    code, out, err = run_cli(capsys, "verify", "--p", p, "--a1", a1,
+                             "--a2", a2)
+    assert (code, err) == (0, "")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert list(checks) == BOTH_ENDS
+    assert all(c["pass"] for c in checks.values())
+    assert checks["theorem_3_second"]["rel_error"] < 1e-9
+
+
 @pytest.mark.parametrize("p", ("2.999", "2.9999"))
 def test_constants_near_critical(capsys, p):
     code, out, err = run_cli(capsys, "constants", "--p", p)

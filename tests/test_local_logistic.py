@@ -262,12 +262,14 @@ def test_calibration_does_not_depend_on_history(fresh_caches):
     # A q's Chebyshev coefficients come from its own quadrature, so states
     # and a curve point at q = 3 keep their bits whether or not q = 2 was
     # calibrated at the same p first. The root lies on the Chebyshev branch.
+    # The params are built after the caches are emptied, so each run also
+    # builds its own seed constants.
     p = 8.0
-    params = nc.ProblemParams(p=p, q=3.0, a1=1.0, a2=1.0)
     ts = [_panel_mid(panel) for panel in range(ll._CHEB_PANELS)]
     runs = []
     for q2_first in (False, True):
         fresh_caches()
+        params = nc.ProblemParams(p=p, q=3.0, a1=1.0, a2=1.0)
         if q2_first:
             for t in ts:
                 ll._log_state_at_t(t, p, 2.0)

@@ -91,6 +91,31 @@ def test_regime_property():
         assert regime(below) == "subcritical"
 
 
+@pytest.mark.parametrize("p, q, alpha", [(6.5, 2.0, 1e4), (2.0, 3.0, 100.0),
+                                         (4.0, 3.0, 100.0), (3.0, 2.0, 1.0)])
+def test_params_copies_solve_to_the_same_bits(p, q, alpha):
+    # An instance stores regime and ln(a1 + a2) when built and memoises its
+    # seed constants on first use, outside its fields: a new instance, the
+    # used one, a dataclasses.replace copy and a pickle round trip (of the
+    # used instance, memo included, and of an unused one) solve alike. The
+    # written-out constructor keeps the frozen dataclass's fields.
+    used = ProblemParams(p=p, q=q, a1=1.0, a2=0.5)
+    want = solve_alpha(alpha, used)
+    assert [f.name for f in dataclasses.fields(used)] == ["p", "q", "a1", "a2"]
+    for name in ("p", "regime", "_asym"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(used, name, None)
+    twins = (ProblemParams(p, q, 1.0, 0.5), used,
+             dataclasses.replace(used), pickle.loads(pickle.dumps(used)),
+             pickle.loads(pickle.dumps(ProblemParams(p=p, q=q, a1=1.0,
+                                                     a2=0.5))))
+    for twin in twins:
+        assert twin == used and hash(twin) == hash(used)
+        assert repr(twin) == f"ProblemParams(p={p!r}, q={q!r}, a1=1.0, a2=0.5)"
+        assert twin.regime == used.regime
+        assert solve_alpha(alpha, twin) == want
+
+
 def test_solve_alpha_validation():
     params = ProblemParams(p=5.0, q=2.0, a1=1.0, a2=0.0)
     for bad in (0.0, -1.0, math.inf, math.nan):

@@ -198,6 +198,12 @@ def count_marches(monkeypatch):
 
 MARCH_COUNT_POINTS = ((2.0, 15.0), (3.0, 50.0), (5.0, 15.0),
                       (5.1857, 14.3376), (4.9204, 50.1527), (5.0578, 53.3147))
+# The RK4 steps each of those solves takes, counted; and the step bounds'
+# margin over a count, one requested half-march: one requested march more
+# passes, two fail.
+MARCH_COUNT_STEPS = dict(zip(MARCH_COUNT_POINTS, (9_250, 9_750, 9_500, 9_500,
+                                                  9_500, 14_500)))
+STEP_MARGIN = ShootConfig().n_steps // 2
 
 
 def rk4_steps(calls):
@@ -207,14 +213,16 @@ def rk4_steps(calls):
 
 @pytest.mark.parametrize("p,gamma", MARCH_COUNT_POINTS)
 def test_solve_bvp_march_count(monkeypatch, p, gamma):
-    # The midpoint shots, 7-9 on the 250-step coarse half-march and 2 on
-    # the requested 5,000-step one, cost 11,750-12,250 steps here. The slope
-    # search from x = 0 on 100-, 1,000- and 10,000-step marches cost
-    # 12,900-35,600, the single-level secant search 5-9 full marches, the
-    # Illinois search before it 10-25, plain bisection on the slope 44-54.
+    # The midpoint shots, 7-9 on the 250-step coarse half-march, one on the
+    # 2,500-step half-length march and 1-2 on the requested 5,000-step one,
+    # cost 9,250-14,500 steps here; each bound is the count plus
+    # STEP_MARGIN. The slope search from x = 0 on 100-, 1,000- and
+    # 10,000-step marches cost 12,900-35,600, the single-level secant search
+    # 5-9 full marches, the Illinois search before it 10-25, plain bisection
+    # on the slope 44-54.
     calls = count_marches(monkeypatch)
     solve_bvp(gamma, p)
-    assert rk4_steps(calls) <= 20_000
+    assert rk4_steps(calls) <= MARCH_COUNT_STEPS[p, gamma] + STEP_MARGIN
 
 
 def xcheck_draws(seed):
@@ -380,16 +388,18 @@ def test_solve_bvp_stall_is_typed_and_cheap(monkeypatch):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("p,gamma,max_steps", ((1.2, 10.0, 36_000),
-                                               (20.0, 12.0, 34_000),
-                                               (8.0, 10.0, 24_000),
-                                               (20.0, 10.0, 25_000),
-                                               (50.0, 10.0, 35_000)))
+@pytest.mark.parametrize("p,gamma,max_steps", ((1.2, 10.0, 14_250),
+                                               (20.0, 12.0, 14_750),
+                                               (8.0, 10.0, 19_500),
+                                               (20.0, 10.0, 14_750),
+                                               (50.0, 10.0, 20_000)))
 def test_solve_bvp_far_from_the_saddle(monkeypatch, p, gamma, max_steps):
     # Near gamma = pi^2 the offset moves like t, not like tau = ln t, so the
     # requested march's rounding (about 4e-16 in the offset) sets where its
-    # root-find stops: 2-4 marches of 5,000 steps here, 11,750-22,000 steps
-    # in all. At p = 1.2 the amplitude is nine decades below the saddle
+    # root-find stops: 1-2 marches of 5,000 steps here, 9,250-15,000 steps
+    # in all (9,250, 9,750, 14,500, 9,750 and 15,000 in the order above);
+    # each bound is the count plus STEP_MARGIN, one requested half-march.
+    # At p = 1.2 the amplitude is nine decades below the saddle
     # (k = 4.5e-5); the slope search from x = 0 took 3.5 full marches there,
     # and 24 in its single-level form.
     calls = count_marches(monkeypatch)

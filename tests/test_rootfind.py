@@ -118,6 +118,24 @@ def test_solve_monotone_clamps_seed_to_walls():
     assert f.xs[0] == -1.0 and abs(root + 0.5) <= 1e-13
 
 
+@pytest.mark.parametrize("x0", (-5.0, -1.0, 0.25, 3.0, 7.0, -math.inf,
+                                math.inf, math.nan))
+def test_solve_monotone_starts_from_min_max_of_the_seed(x0, monkeypatch):
+    # The first evaluation is at the builtins' min(max(x0, lo), hi), NaN
+    # included: a NaN seed stays NaN, where a `not x >= lo` clamp would
+    # move it to lo.
+    monkeypatch.setattr(rootfind, "MAX_EVALS", 1)
+    f = Counted(lambda x: x - 0.5, lambda x: 1.0)
+    with pytest.raises(NoConvergence):
+        solve_monotone(f, x0, -1.0, 3.0)
+    (x,) = f.xs
+    want = min(max(x0, -1.0), 3.0)
+    if math.isnan(want):
+        assert math.isnan(x)
+    else:
+        assert x == want
+
+
 @pytest.mark.parametrize("slope", (0.0, -1.0, math.nan))
 def test_solve_monotone_bad_slope_bisects(slope):
     # Without a usable slope the walk and bisection alone find the root.

@@ -65,6 +65,21 @@ def test_extrapolate_limit_toward_zero():
     assert abs(_neville_at_zero(xs, ys) - 0.7) < 1e-15
 
 
+@pytest.mark.parametrize("shift", (-1000, -670, -300, -1, 0, 1, 300, 1000))
+def test_extrapolate_limit_is_scale_free(shift):
+    # The value at 0 does not depend on the scale of xs: they are brought
+    # to a largest |x| in [1/2, 1) by a power of two, which is exact, so
+    # xs times 2^shift give the same bits. With ys near 1e299, as theorem
+    # 3 reads them at weights near 1e-300, the divided differences of xs
+    # near 2^-670 overflowed and the value read nan.
+    xs = [1.0, 0.75, 0.5, 0.375, 0.25, 0.125]
+    coeffs = [2.5e299, -1.5e299, 4e298, 7e298, -2e298, 1e298]
+    ys = np.polynomial.polynomial.polyval(xs, coeffs)
+    value = _neville_at_zero(xs, ys)
+    assert abs(value - coeffs[0]) <= 1e-14 * coeffs[0]
+    assert _neville_at_zero([math.ldexp(x, shift) for x in xs], ys) == value
+
+
 def test_extrapolate_limit_validation():
     with pytest.raises(DegenerateFit):
         _neville_at_zero([1.0], [1.0])

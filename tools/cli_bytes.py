@@ -15,7 +15,8 @@ Chebyshev branch), two runs near p = 1 (a Chebyshev-panel solve at
 p = 1.05 and a profile on the sinh route at p = 1.2), six near-critical
 runs (both ends' laws at p = 3.01, 2.999, 3 - 1e-6 and 3 +- 5e-10, and
 the constants at 2.999), both ends' laws at p = 1.05 and 12 and the
-constants at p = 5, and the flag values outside the documented domain that
+constants at p = 5, three runs of the laws at weights near 1e-300, and
+the flag values outside the documented domain that
 must be usage errors (exit 64), ``--e3-reading`` among them.
 
 An invocation still running after ``TIMEOUT_S`` seconds is stopped and
@@ -78,6 +79,11 @@ INVOCATIONS = [
     "verify --p 1.05",
     "verify --p 12",
     "constants --p 5",
+    # weights near the smallest double: theorem 3 extrapolates over
+    # abscissae near 1e-203
+    "verify --p 5 --a1 1e-300 --a2 0",
+    "verify --p 2.5 --a1 1e-300 --a2 0",
+    "verify --p 2.5 --a1 1e-200 --a2 1e-200",
     # values outside the documented domain
     "solve-local --p 0.5 --k 1",
     "profile --p 0.5 --k 1",

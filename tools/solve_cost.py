@@ -12,6 +12,10 @@ roots land on (a1 = a2 = 1):
 - asymptote: p = 6.5, q = 2 over the 60 alphas of ``curve_super``
   (``perfbench/workloads.py``'s ``SUPER_ALPHAS``).
 
+The series and asymptote sets are timed twice: with one ``ProblemParams``
+for the whole set, and with a new one built for each solve (its build
+timed too), as a caller that holds no instance pays.
+
 Each set is solved once to fill the caches, then timed as whole passes;
 a row reports the best pass's microseconds per solve. The last rows time
 one ``LocalPoint`` and one ``NonlocalSolution`` built from the fields of
@@ -61,17 +65,26 @@ def measure(src: str) -> dict:
     from biflogis.verify import DEFAULT_SUB_ALPHAS
 
     sets = {
-        "solve series (p 2, q 3)": (2.0, 3.0, DEFAULT_SUB_ALPHAS),
-        "solve Chebyshev (p 4, q 3)": (4.0, 3.0, CHEB_ALPHAS),
-        "solve asymptote (p 6.5, q 2)": (6.5, 2.0, SUPER_ALPHAS),
+        "solve series (p 2, q 3)": (2.0, 3.0, DEFAULT_SUB_ALPHAS, False),
+        "solve Chebyshev (p 4, q 3)": (4.0, 3.0, CHEB_ALPHAS, False),
+        "solve asymptote (p 6.5, q 2)": (6.5, 2.0, SUPER_ALPHAS, False),
+        "solve series, new params (p 2, q 3)":
+            (2.0, 3.0, DEFAULT_SUB_ALPHAS, True),
+        "solve asymptote, new params (p 6.5, q 2)":
+            (6.5, 2.0, SUPER_ALPHAS, True),
     }
     out = {}
-    for name, (p, q, alphas) in sets.items():
-        params = nc.ProblemParams(p=p, q=q, a1=1.0, a2=1.0)
-
-        def sweep(params=params, alphas=alphas):
-            for alpha in alphas:
-                nc.solve_alpha(alpha, params)
+    for name, (p, q, alphas, new_params) in sets.items():
+        if new_params:
+            def sweep(p=p, q=q, alphas=alphas):
+                for alpha in alphas:
+                    nc.solve_alpha(alpha, nc.ProblemParams(p=p, q=q, a1=1.0,
+                                                           a2=1.0))
+        else:
+            def sweep(params=nc.ProblemParams(p=p, q=q, a1=1.0, a2=1.0),
+                      alphas=alphas):
+                for alpha in alphas:
+                    nc.solve_alpha(alpha, params)
 
         sweep()
         number = max(1, round(TARGET_S / timeit.timeit(sweep, number=1)))
