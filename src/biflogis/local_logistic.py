@@ -53,8 +53,9 @@ one tolerance, quadrature.REL_TOL, and depends on its own (p, q) key alone
 returns J_0, J_2 and J_q with their slopes, from one view per (p, q, branch)
 stacked from the per-q caches; both series share one row-wise dot product
 against their basis (none on the asymptote). Every curve state is the flat
-log state (ln k, ln gamma, ln d, ln ||w||_q and their slopes) built from one
-such call. The (k, gamma) maps time_map and q_norm read the same moments at
+log state (ln k, ln gamma, ln d, ln ||w||_q and their slopes), built in one
+pass from the same view, with the bits of the state composed from one such
+call. The (k, gamma) maps time_map and q_norm read the same moments at
 t = -ln(1 - k^{p-1}/gamma), and constants reads A and Cq off the series rows
 and _norm_deficit, so no public route integrates outside calibration.
 
@@ -233,9 +234,10 @@ _CQ_CACHE: dict = {}
 _S_CACHE: dict = {}
 _C_CACHE: dict = {}
 _SEG_CACHE: dict = {}
-# Copies of the calibrations above stacked for _moments_at_t, one per (p, q,
-# branch), each holding q = 0, 2 and q; branch -1 is the series,
-# _CHEB_PANELS the asymptote, and those between the Chebyshev panels.
+# Copies of the calibrations above stacked for _moments_at_t and
+# _log_state_at_t, one per (p, q, branch), each holding q = 0, 2 and q;
+# branch -1 is the series, _CHEB_PANELS the asymptote, and those between
+# the Chebyshev panels.
 _VIEW_CACHE: dict = {}
 
 _S_N = np.arange(_S_TERMS, dtype=float)
@@ -415,6 +417,10 @@ def _moments_at_t(t: float, p: float, q: float):
     their basis, the powers em^n or T_k(x) = cos(k arccos x), each row by
     the same arithmetic, so a moment's bits do not depend on its row or on
     the q it is stacked with.
+
+    Its callers read raw moments: time_map, q_norm and sample_profile. The
+    curve state does not call it; _log_state_at_t evaluates the same views
+    itself and keeps the bits of the state composed from this call.
     """
     if t <= T_SERIES:
         branch = -1
@@ -445,17 +451,54 @@ def _moments_at_t(t: float, p: float, q: float):
 
 def _log_state_at_t(t: float, p: float, q: float):
     """(ln k, ln gamma, ln d, ln ||w||_q, then their four derivatives in
-    tau = ln t) at layer coordinate t, from one _moments_at_t call; entry
-    i + 4 is the slope of entry i. Finite over the whole tau bracket, also
-    where k itself under- or overflows."""
-    j0, j2, jq, dj0, dj2, djq = _moments_at_t(t, p, q)
-    dln_j0 = dj0 / j0
-    em = -math.expm1(-t)
-    ln_gamma = _LN4 + 2.0 * math.log(j0)
-    ln_k = (math.log(em) + ln_gamma) / (p - 1.0)
-    # d(ln em)/dtau = t e^-t/em: the form t/expm1(t) overflows deep in the
-    # layer.
-    dln_k = (t * math.exp(-t) / em + 2.0 * dln_j0) / (p - 1.0)
+    tau = ln t) at layer coordinate t; entry i + 4 is the slope of entry i.
+    Finite over the whole tau bracket, also where k itself under- or
+    overflows.
+
+    Reads its branch's _view and builds the state in one pass, each moment
+    by _moments_at_t's arithmetic, so every entry has the bits of the state
+    composed from a _moments_at_t call. On the asymptote em = 1 - e^-t is
+    1.0 in float (e^-t <= 1e-18), so ln em = 0 and every moment's slope is
+    t/sqrt(p-1). Elsewhere d(ln em)/dtau = t e^-t/em is formed once: the
+    form t/expm1(t) overflows deep in the layer.
+    """
+    if t >= T_ASYM:
+        view = _VIEW_CACHE.get((p, q, _CHEB_PANELS))
+        if view is None:
+            view = _view(p, q, _CHEB_PANELS)
+        lin = t / math.sqrt(p - 1.0)
+        b0, b2, bq = view
+        j0 = lin + b0
+        j2 = lin + b2
+        jq = lin + bq
+        dln_j0 = lin / j0
+        ln_gamma = _LN4 + 2.0 * math.log(j0)
+        ln_k = ln_gamma / (p - 1.0)
+        dln_k = (t * math.exp(-t) + 2.0 * dln_j0) / (p - 1.0)
+        dj2 = djq = lin
+    else:
+        if t <= T_SERIES:
+            branch = -1
+        else:
+            s = (math.log(t) - _CHEB_TAU0) / _CHEB_WIDTH
+            branch = min(int(s), _CHEB_PANELS - 1)
+        view = _VIEW_CACHE.get((p, q, branch))
+        if view is None:
+            view = _view(p, q, branch)
+        em = -math.expm1(-t)
+        dln_em = t * math.exp(-t) / em
+        if branch < 0:
+            j0, j2, jq, dj0, dj2, djq = np.vecdot(view, em ** _S_N).tolist()
+            dj0 *= dln_em
+            dj2 *= dln_em
+            djq *= dln_em
+        else:
+            j0, j2, jq, dj0, dj2, djq = np.vecdot(view, np.cos(
+                math.acos(2.0 * (s - branch) - 1.0) * _CHEB_ORDERS)).tolist()
+        dln_j0 = dj0 / j0
+        ln_gamma = _LN4 + 2.0 * math.log(j0)
+        ln_k = (math.log(em) + ln_gamma) / (p - 1.0)
+        dln_k = (dln_em + 2.0 * dln_j0) / (p - 1.0)
     # ln of the ratio, not a difference of logs: deep in the layer J_q/J0 is
     # 1 - O(1/t), below the rounding of ln J_q itself.
     return (ln_k, ln_gamma, ln_k + math.log(j2 / j0) / 2.0,

@@ -54,8 +54,19 @@ DEFAULT_SUB_ALPHAS = tuple(1e2 * SQRT10 ** i for i in range(5))
 # The t-windows of the local and theorem checks: small d (alpha -> inf for
 # p < 3, -> 0 for p > 3) on the series branch; large d (the reverse) on the
 # asymptote branch, late enough that the non-power remainder has died out.
+# That takes longer at large p, so the large-d window moves from
+# ln t in [4, 6] to [8, 10] at p = 8 (_large_d_ts): at p = 300 theorem 1
+# reads 0.52 on [4, 6] and 4.1e-6 on [8, 10], while below p = 8 [4, 6] is
+# the more accurate (2.9e-11 against 9.2e-9 at p = 1.05).
 _SMALL_D_TS = tuple(np.geomspace(1e-4, 1e-2, 6).tolist())
 _LARGE_D_TS = tuple(np.exp(np.linspace(4.0, 6.0, 6)).tolist())
+_LATE_LARGE_D_TS = tuple(np.exp(np.linspace(8.0, 10.0, 6)).tolist())
+
+
+def _large_d_ts(p: float) -> tuple:
+    """The large-d window at exponent p: ln t in [8, 10] for p >= 8,
+    [4, 6] below."""
+    return _LATE_LARGE_D_TS if p >= 8.0 else _LARGE_D_TS
 
 
 @dataclass(frozen=True)
@@ -198,11 +209,13 @@ def _neville_at_zero(xs, ys) -> float:
 
 
 def _limit_check(name: str, target: float, ln_s, xs, ys, tolerance: float,
-                 floor: float = 0.0,
-                 other_rel_error: float | None = None) -> CheckResult:
+                 floor: float = 0.0, other_rel_error: float | None = None,
+                 estimate: float | None = None) -> CheckResult:
     """The check that ys tends to target as xs tends to 0, with the order of
-    ys - target fitted against the sweep variable s, given as ln s."""
-    estimate = _neville_at_zero(xs, ys)
+    ys - target fitted against the sweep variable s, given as ln s. A caller
+    that has already extrapolated (xs, ys) passes that estimate."""
+    if estimate is None:
+        estimate = _neville_at_zero(xs, ys)
     try:
         order = _order_in_log(ln_s, ys - target)
     except DegenerateFit:
@@ -223,7 +236,8 @@ def check_theorem_1(report: SweepReport) -> CheckResult:
     alpha^{-(p-3)/2} + O(alpha^{-(p-3)})): alpha -> infinity for p > 3 (the
     paper's theorem 1), alpha -> 0 for 1 < p < 3; InvalidRegime at p = 3.
 
-    Read on the large-d window, ln t in [4, 6] (six points), where
+    Read on the large-d window, ln t in [4, 6] below p = 8 and [8, 10]
+    from there (six points), where
     lambda/alpha^{p-1} = gamma/d^{p-1} and x = alpha^{-(p-3)/2}
     = N^{-1/2} d^{-(p-3)/2}; only report.params is read.
     """
@@ -231,7 +245,7 @@ def check_theorem_1(report: SweepReport) -> CheckResult:
     p = params.p
     if params.regime == "critical":
         raise InvalidRegime(f"theorem 1 needs p != 3, got p = {p}")
-    ln_g, ln_d, ln_n = _curve_log_states(_LARGE_D_TS, params)
+    ln_g, ln_d, ln_n = _curve_log_states(_large_d_ts(p), params)
     xs = np.exp(-0.5 * (ln_n + (p - 3.0) * ln_d))
     ys = np.expm1(ln_g - (p - 1.0) * ln_d) / xs
     target = consts.compute_C1(p) * math.sqrt(params.a1 + params.a2)
@@ -314,7 +328,8 @@ def check_theorem_3(report: SweepReport,
     other = next((e for r, (_, e) in cands.items() if r != chosen), None)
     cs = cands[chosen][0]
     leading = _limit_check("theorem_3_leading", cs.leading_coeff, ln_alpha,
-                           xs, ys, 0.005, other_rel_error=other)
+                           xs, ys, 0.005, other_rel_error=other,
+                           estimate=estimate)
     second = _limit_check("theorem_3_second", cs.second_coeff, ln_alpha, xs,
                           (ys / cs.leading_coeff - 1.0) / xs, 0.05)
     return leading, second, chosen
@@ -330,16 +345,18 @@ def check_local_large_d(p: float, q: float) -> list[CheckResult]:
     """Large-d laws, for every p: eigenvalue shift C1, the q-norm relation
     residual, and the D(d) coefficient (2/(p-1)) C1 - (2/q) Cq.
 
-    Read on ln t in [4, 6] (six points), with x = d^{-(p-1)/2}; the relation
-    residual, which falls like e^{-2t}, is taken at the window's last t.
-    Its fitted_order is nan, as for theorem 2's exact law: with t >= 54 on
-    the window the residual is at rounding level (at most 4.1e-15 for p in
-    [1.05, 20], q in [1.1, 8]), and a fit of it would fit the rounding.
+    Read on the large-d window, ln t in [4, 6] below p = 8 and [8, 10]
+    from there (six points), with x = d^{-(p-1)/2}; the relation residual,
+    which falls like e^{-2t}, is taken at the window's last t. Its
+    fitted_order is nan, as for theorem 2's exact law: with t >= 54 on
+    either window the residual is at rounding level (at most 7.8e-15 for p
+    in [1.05, 300], q in [1.1, 8]), and a fit of it would fit the
+    rounding.
     p and q outside compute_A's domain raise ValueError before any
     calibration runs.
     """
     consts._check_pq(p, q)
-    _, ln_g, ln_d, ln_wq = _local_log_states(_LARGE_D_TS, p, q)
+    _, ln_g, ln_d, ln_wq = _local_log_states(_large_d_ts(p), p, q)
     xs = np.exp(-0.5 * (p - 1.0) * ln_d)
     c1 = consts.compute_C1(p)
     cq = consts.compute_Cq(p, q)

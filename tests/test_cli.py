@@ -194,6 +194,20 @@ def test_verify_tiny_weights_pass(capsys, p, a1, a2):
     assert checks["theorem_3_second"]["rel_error"] < 1e-9
 
 
+@pytest.mark.parametrize("p", ("100", "300"))
+def test_verify_large_p_reads_theorem_1_late(capsys, p):
+    # On ln t in [4, 6] the large-d remainder had not died out at large p:
+    # theorem_1_leading read 1.35e-2 at p = 100 and 0.517 at p = 300
+    # (exit 2). From p = 8 on the window is [8, 10], where it reads 4.3e-10
+    # and 4.0e-6.
+    code, out, err = run_cli(capsys, "verify", "--p", p, "--q", "2")
+    assert (code, err) == (0, "")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert list(checks) == BOTH_ENDS
+    assert all(c["pass"] for c in checks.values())
+    assert checks["theorem_1_leading"]["rel_error"] <= 1e-5
+
+
 @pytest.mark.parametrize("p", ("2.999", "2.9999"))
 def test_constants_near_critical(capsys, p):
     code, out, err = run_cli(capsys, "constants", "--p", p)

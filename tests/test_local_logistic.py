@@ -228,6 +228,41 @@ def test_fixed_layout_invariants(p):
         assert curve == state and curve[3] == curve[2], t
 
 
+def _state_from_moments(t, p, q):
+    """The log state composed from one _moments_at_t call: em, ln em and
+    d(ln em)/dtau formed again, on every branch."""
+    j0, j2, jq, dj0, dj2, djq = ll._moments_at_t(t, p, q)
+    dln_j0 = dj0 / j0
+    em = -math.expm1(-t)
+    ln_gamma = math.log(4.0) + 2.0 * math.log(j0)
+    ln_k = (math.log(em) + ln_gamma) / (p - 1.0)
+    dln_k = (t * math.exp(-t) / em + 2.0 * dln_j0) / (p - 1.0)
+    return (ln_k, ln_gamma, ln_k + math.log(j2 / j0) / 2.0,
+            ln_k + math.log(jq / j0) / q,
+            dln_k, 2.0 * dln_j0, dln_k + (dj2 / j2 - dln_j0) / 2.0,
+            dln_k + (djq / jq - dln_j0) / q)
+
+
+# p = 1e4 is where d(ln em)/dtau = t e^-t, at most 4.1e-17 on the
+# asymptote, reaches the last bit of the slope of ln k: below p ~ 1e4 it is
+# under half an ulp of 2 dJ_0/J_0.
+@pytest.mark.parametrize("p", (1.05, 2.0, 3.0, 5.0, 20.0, 100.0, 1e4))
+def test_log_state_matches_the_state_from_moments(p):
+    # The log state reads its branch's view itself; each entry keeps the
+    # bits of the state composed from _moments_at_t, on every branch, at
+    # every switch point and one ulp either side, and at random t.
+    rng = np.random.default_rng(round(100 * p))
+    ts = [1e-12, 0.1, *BRANCH_TS, _exact_node_t(),
+          *map(_panel_mid, range(ll._CHEB_PANELS)), 1e3, 1e6,
+          *np.exp(rng.uniform(math.log(1e-6), math.log(1e4), 40)).tolist()]
+    for q in (1.1, 2.0, 4.0, 8.0):
+        for t in ts:
+            state = ll._log_state_at_t(t, p, q)
+            ref = _state_from_moments(t, p, q)
+            assert list(map(float.hex, state)) == list(map(float.hex, ref)), \
+                (t, q)
+
+
 @pytest.fixture
 def cheb_cache(fresh_caches, monkeypatch):
     """An empty Chebyshev coefficient cache and the integrate calls made.

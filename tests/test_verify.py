@@ -13,11 +13,11 @@ from biflogis.errors import (AmbiguousReading, DegenerateFit, InvalidRegime)
 from biflogis import nonlocal_curve as nc
 from biflogis.nonlocal_curve import ProblemParams, solve_alpha
 from biflogis.verify import (_LARGE_D_TS, _SMALL_D_TS, CheckResult,
-                             SweepReport, _curve_log_states, _neville_at_zero,
-                             check_local_large_d, check_local_small_d,
-                             check_theorem_1, check_theorem_2,
-                             check_theorem_3, DEFAULT_SUB_ALPHAS,
-                             estimate_order, sweep)
+                             SweepReport, _curve_log_states, _large_d_ts,
+                             _neville_at_zero, check_local_large_d,
+                             check_local_small_d, check_theorem_1,
+                             check_theorem_2, check_theorem_3,
+                             DEFAULT_SUB_ALPHAS, estimate_order, sweep)
 
 
 def params_for(p, q=2.0, a1=0.5, a2=0.5):
@@ -213,11 +213,15 @@ def test_theorem_1_wrong_regime():
         check_theorem_1(rep)
 
 
-@pytest.mark.parametrize("p, ts", [(5.0, _LARGE_D_TS), (8.0, _LARGE_D_TS),
-                                   (1.5, _SMALL_D_TS), (2.0, _SMALL_D_TS)])
+@pytest.mark.parametrize("p, ts", [(5.0, _large_d_ts(5.0)),
+                                   (8.0, _large_d_ts(8.0)),
+                                   (1.5, _SMALL_D_TS), (2.0, _SMALL_D_TS),
+                                   (8.0, _LARGE_D_TS)])
 def test_theorem_windows_lie_on_the_solved_curve(p, ts):
     # The theorem checks read the curve at fixed t with alpha(t) = h d,
-    # h^{p-3} = N; the solver, given that alpha, returns the same t.
+    # h^{p-3} = N; the solver, given that alpha, returns the same t. At
+    # p = 8 the large-d window is ln t in [8, 10]; [4, 6], the window below
+    # p = 8, is kept there too.
     params = params_for(p, q=3.0, a1=1.0, a2=0.5)
     _, ln_d, ln_n = _curve_log_states(ts, params)
     for t, ln_alpha in zip(ts, ln_n / (p - 3.0) + ln_d):
@@ -387,10 +391,13 @@ def no_root_find(monkeypatch):
 
 @pytest.mark.usefixtures("no_root_find")
 @pytest.mark.parametrize("q", (1.1, 4.0, 8.0))
-@pytest.mark.parametrize("p", (1.05, 2.0, 3.0, 3.01, 5.0, 12.0, 20.0))
+@pytest.mark.parametrize("p", (1.05, 2.0, 3.0, 3.01, 5.0, 12.0, 20.0, 50.0,
+                               100.0, 300.0))
 def test_large_d_checks_pass_q4(p, q):
     # q != 2 keeps the D coefficient away from zero (at q = 2 it vanishes
-    # identically), so all three checks carry information.
+    # identically), so all three checks carry information. At p = 100 and
+    # 300 the checks failed on ln t in [4, 6] (the shift read 1.3e-2 and
+    # 0.52); the window moves to [8, 10] at p = 8.
     results = check_local_large_d(p, q)
     by_name = {r.name: r for r in results}
     assert set(by_name) == {"large_d_gamma_shift", "large_d_qnorm_relation",

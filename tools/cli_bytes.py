@@ -15,8 +15,9 @@ Chebyshev branch), two runs near p = 1 (a Chebyshev-panel solve at
 p = 1.05 and a profile on the sinh route at p = 1.2), six near-critical
 runs (both ends' laws at p = 3.01, 2.999, 3 - 1e-6 and 3 +- 5e-10, and
 the constants at 2.999), both ends' laws at p = 1.05 and 12 and the
-constants at p = 5, three runs of the laws at weights near 1e-300, and
-the flag values outside the documented domain that
+constants at p = 5, three runs of the laws at weights near 1e-300, two
+at p = 100 and 300 (theorem 1 on the late large-d window), and the flag
+values outside the documented domain that
 must be usage errors (exit 64), ``--e3-reading`` among them.
 
 An invocation still running after ``TIMEOUT_S`` seconds is stopped and
@@ -84,6 +85,10 @@ INVOCATIONS = [
     "verify --p 5 --a1 1e-300 --a2 0",
     "verify --p 2.5 --a1 1e-300 --a2 0",
     "verify --p 2.5 --a1 1e-200 --a2 1e-200",
+    # large p: theorem 1 on ln t in [8, 10], where [4, 6] read 1.35e-2 and
+    # 0.517
+    "verify --p 100 --q 2",
+    "verify --p 300 --q 2",
     # values outside the documented domain
     "solve-local --p 0.5 --k 1",
     "profile --p 0.5 --k 1",

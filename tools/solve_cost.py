@@ -19,8 +19,12 @@ timed too), as a caller that holds no instance pays.
 Each set is solved once to fill the caches, then timed as whole passes;
 a row reports the best pass's microseconds per solve. The last rows time
 one ``LocalPoint`` and one ``NonlocalSolution`` built from the fields of
-the solved point at p = 5, q = 2, alpha = 1e4, and ``_seed_tau`` at that
-point (asymptote) and at p = 2, q = 3, alpha = 100 (series).
+the solved point at p = 5, q = 2, alpha = 1e4, ``_seed_tau`` at that
+point (asymptote) and at p = 2, q = 3, alpha = 100 (series), and one log
+state ``local_logistic._log_state_at_t`` per moment branch: series
+(p = 2, q = 3, t = 1e-3), Chebyshev (p = 4, q = 3, t = 5) and asymptote
+(p = 6.5, q = 2, t = 1e4). The benchmark's tracer has no span on the
+state layer, so these rows are where its cost shows.
 
 The base revision is exported with ``tools/bench_pair.py``'s ``git archive``
 helper, so the checkout is left alone. Each of ROUNDS rounds runs one
@@ -60,8 +64,8 @@ REPEAT = 7
 def measure(src: str) -> dict:
     """{row name: best microseconds per call} with the package under src."""
     sys.path.insert(0, src)
+    from biflogis import local_logistic as ll
     from biflogis import nonlocal_curve as nc
-    from biflogis.local_logistic import LocalPoint
     from biflogis.verify import DEFAULT_SUB_ALPHAS
 
     sets = {
@@ -97,12 +101,18 @@ def measure(src: str) -> dict:
     nc.solve_alpha(100.0, sub)
     loc = sol.local
     calls = {
-        "LocalPoint": lambda: LocalPoint(loc.k, loc.gamma, loc.d, loc.p,
-                                         loc.layer_t),
+        "LocalPoint": lambda: ll.LocalPoint(loc.k, loc.gamma, loc.d, loc.p,
+                                            loc.layer_t),
         "NonlocalSolution": lambda: nc.NonlocalSolution(
             sol.alpha, loc, sol.h, sol.beta, sol.lam, sol.regime),
         "seed asymptote (p 5, q 2)": lambda: nc._seed_tau(math.log(1e4), sup),
         "seed series (p 2, q 3)": lambda: nc._seed_tau(math.log(100.0), sub),
+        "log state series (p 2, q 3, t 1e-3)":
+            lambda: ll._log_state_at_t(1e-3, 2.0, 3.0),
+        "log state Chebyshev (p 4, q 3, t 5)":
+            lambda: ll._log_state_at_t(5.0, 4.0, 3.0),
+        "log state asymptote (p 6.5, q 2, t 1e4)":
+            lambda: ll._log_state_at_t(1e4, 6.5, 2.0),
     }
     for name, call in calls.items():
         number = max(1, round(TARGET_S / timeit.timeit(call, number=100)
