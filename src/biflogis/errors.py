@@ -63,14 +63,6 @@ class MonotonicityViolation(BiflogisError):
     """A runtime monotonicity check of a bracketing assumption failed."""
 
 
-class AmbiguousReading(BiflogisError):
-    """Neither candidate constant reading matches the numerical curve.
-
-    Only check_theorem_3's two-set arbitration raises it, which
-    perfbench/workloads.py calls as check_theorem_3(report, paper, variant).
-    """
-
-
 class Overflow(BiflogisError):
     """A trajectory exceeded the divergence bound, or a value left the
     double range."""

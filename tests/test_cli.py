@@ -262,6 +262,21 @@ def test_exit_solver_error(capsys):
     assert "NoSolution" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--a1", "1e-300", "--a2", "0"),
+    ("--a1", "1e-300", "--a2", "1e-300"),
+    ("--alpha-min", "1e200", "--alpha-max", "1e300"),
+])
+def test_exit_solver_error_when_no_row_solves(capsys, argv):
+    # At p = 3 every row of these grids is an InvalidBracket. Theorem 2
+    # then has nothing to read and says so with a package error, not with
+    # a bare ValueError.
+    code, out, err = run_cli(capsys, "verify", "--p", "3", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("biflogis verify: InvalidBracket: "), err
+    assert "ValueError" not in err
+
+
 def test_exit_check_failure(capsys):
     # unreachable tolerance turns the cross-check into a failed check
     code, out, _ = run_cli(capsys, "oracle-check", "--p", "3", "--gamma", "15",

@@ -5,7 +5,8 @@ agreement tests at the bottom are genuine cross-validation.
 """
 
 import math
-import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,11 @@ from biflogis.local_logistic import (LocalParams, Profile, point_from_gamma,
                                      q_norm)
 from biflogis.oracle import (ShootConfig, ShootResult, energy_drift,
                              norms_from_profile, shoot, solve_bvp)
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+from oracle_grid import xcheck_draws  # noqa: E402
 
 PI = math.pi
 
@@ -225,16 +231,18 @@ def test_solve_bvp_march_count(monkeypatch, p, gamma):
     assert rk4_steps(calls) <= MARCH_COUNT_STEPS[p, gamma] + STEP_MARGIN
 
 
-def xcheck_draws(seed):
-    """The (p, gamma) of the oracle_xcheck benchmark's six cross-checks for
-    a seed, drawn as perfbench/workloads.py draws them."""
-    rng = random.Random(f"oracle_xcheck:{seed}")
-    draws = []
-    for p0 in (2.0, 3.0, 5.0):
-        for g0 in (15.0, 50.0):
-            p = round(p0 + rng.uniform(-0.2, 0.2), 4)
-            draws.append((p, round(g0 * math.exp(rng.uniform(-0.1, 0.1)), 4)))
-    return draws
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_xcheck_draws_are_the_benchmarks(monkeypatch, seed):
+    # The march-count tests below solve the oracle_xcheck workload's draws;
+    # tools/oracle_grid.py's copy of its draw must name the same steps.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import workloads
+
+    steps = workloads.build("oracle_xcheck", seed,
+                            ROOT / "tests" / "_oracle_values.py")
+    assert [s.name for s in steps if s.is_op] == [
+        f"xcheck p={p} gamma={gamma}" for p, gamma in xcheck_draws(seed)]
 
 
 def test_solve_bvp_xcheck_work(monkeypatch):

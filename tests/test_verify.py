@@ -9,15 +9,15 @@ import pytest
 
 from biflogis import constants as consts
 from biflogis import local_logistic as ll
-from biflogis.errors import (AmbiguousReading, DegenerateFit, InvalidRegime)
+from biflogis.errors import DegenerateFit, InvalidBracket, InvalidRegime
 from biflogis import nonlocal_curve as nc
 from biflogis.nonlocal_curve import ProblemParams, solve_alpha
 from biflogis.verify import (_LARGE_D_TS, _SMALL_D_TS, CheckResult,
-                             SweepReport, _curve_log_states, _large_d_ts,
-                             _neville_at_zero, check_local_large_d,
-                             check_local_small_d, check_theorem_1,
-                             check_theorem_2, check_theorem_3,
-                             DEFAULT_SUB_ALPHAS, estimate_order, sweep)
+                             SweepReport, _curve_state, _large_d_ts,
+                             _neville_at_zero, _order_in_log, _window,
+                             check_local_large_d, check_local_small_d,
+                             check_theorem_1, check_theorem_2,
+                             check_theorem_3, DEFAULT_SUB_ALPHAS, sweep)
 
 
 def params_for(p, q=2.0, a1=0.5, a2=0.5):
@@ -27,25 +27,25 @@ def params_for(p, q=2.0, a1=0.5, a2=0.5):
 # ----------------------------------------------------------------- fitting
 
 
-def test_estimate_order_power_law():
+def test_order_in_log_power_law():
     xs = np.geomspace(1.0, 1e4, 9)
     rs = 7.0 * xs ** -2.5
-    assert abs(estimate_order(xs, rs) - (-2.5)) < 1e-12
+    assert abs(_order_in_log(np.log(xs), rs) - (-2.5)) < 1e-12
 
 
-def test_estimate_order_ignores_zero_remainders():
+def test_order_in_log_ignores_zero_remainders():
     xs = [1.0, 10.0, 100.0, 1000.0]
     rs = [1.0, 0.1, 0.0, 0.001]
-    assert abs(estimate_order(xs, rs) - (-1.0)) < 1e-12
+    assert abs(_order_in_log(np.log(xs), rs) - (-1.0)) < 1e-12
 
 
-def test_estimate_order_degenerate():
+def test_order_in_log_degenerate():
     with pytest.raises(DegenerateFit):
-        estimate_order([1.0, 10.0], [0.0, 0.0])
+        _order_in_log(np.log([1.0, 10.0]), [0.0, 0.0])
     with pytest.raises(DegenerateFit):
-        estimate_order([2.0, 2.0], [1.0, 1.0])
+        _order_in_log(np.log([2.0, 2.0]), [1.0, 1.0])
     with pytest.raises(ValueError):
-        estimate_order([1.0, 2.0, 3.0], [1.0, 2.0])
+        _order_in_log(np.log([1.0, 2.0, 3.0]), [1.0, 2.0])
 
 
 def test_extrapolate_limit_toward_infinity():
@@ -223,7 +223,7 @@ def test_theorem_windows_lie_on_the_solved_curve(p, ts):
     # p = 8 the large-d window is ln t in [8, 10]; [4, 6], the window below
     # p = 8, is kept there too.
     params = params_for(p, q=3.0, a1=1.0, a2=0.5)
-    _, ln_d, ln_n = _curve_log_states(ts, params)
+    ln_d, ln_n = _window(ts, (2, 8), _curve_state, params)
     for t, ln_alpha in zip(ts, ln_n / (p - 3.0) + ln_d):
         sol = solve_alpha(math.exp(ln_alpha), params)
         assert abs(math.log(sol.local.layer_t / t)) <= 1e-12, (p, t)
@@ -251,6 +251,19 @@ def test_theorem_2_passes():
     constancy, ratio = check_theorem_2(rep)
     assert constancy.passed and constancy.rel_error < 1e-12
     assert ratio.passed and ratio.rel_error < 1e-12
+
+
+@pytest.mark.parametrize("a1, a2", ((1e-300, 0.0), (1e-300, 1e-300)))
+def test_theorem_2_without_a_solved_row(a1, a2):
+    # At weights near the smallest double no alpha of the default grid
+    # solves: every row is an InvalidBracket, and so is the check, which
+    # names one of them. A report without rows is the caller's slip.
+    rep = sweep(params_for(3.0, a1=a1, a2=a2), DEFAULT_SUB_ALPHAS)
+    assert all("InvalidBracket" in row["error"] for row in rep.rows)
+    with pytest.raises(InvalidBracket, match="no alpha of the sweep"):
+        check_theorem_2(rep)
+    with pytest.raises(ValueError, match="no rows"):
+        check_theorem_2(SweepReport(params_for(3.0)))
 
 
 def test_theorem_2_wrong_regime():
@@ -317,12 +330,19 @@ def test_theorem_3_pinned_reading(sub_report):
     assert leading.other_rel_error is None
 
 
-def test_theorem_3_ambiguous(sub_report):
+def test_theorem_3_neither_reading_matches(sub_report):
+    # Two sets that both miss the curve give a failing leading check on the
+    # closer one, with the other's mismatch alongside; no error is raised.
     cp, cv = constant_sets()
     bad_p = dataclasses.replace(cp, leading_coeff=1e6)
     bad_v = dataclasses.replace(cv, leading_coeff=2e6)
-    with pytest.raises(AmbiguousReading):
-        check_theorem_3(sub_report, bad_p, bad_v)
+    leading, _, chosen = check_theorem_3(sub_report, bad_p, bad_v)
+    assert chosen == "paper_definition"
+    assert not leading.passed
+    assert leading.target == 1e6
+    assert leading.rel_error == abs(leading.estimate - 1e6) / 1e6
+    assert leading.other_rel_error == abs(leading.estimate - 2e6) / 2e6
+    assert leading.rel_error < leading.other_rel_error
 
 
 def test_theorem_3_wrong_regime():

@@ -16,7 +16,8 @@ p = 1.05 and a profile on the sinh route at p = 1.2), six near-critical
 runs (both ends' laws at p = 3.01, 2.999, 3 - 1e-6 and 3 +- 5e-10, and
 the constants at 2.999), both ends' laws at p = 1.05 and 12 and the
 constants at p = 5, three runs of the laws at weights near 1e-300, two
-at p = 100 and 300 (theorem 1 on the late large-d window), and the flag
+at p = 100 and 300 (theorem 1 on the late large-d window), three runs at
+p = 3 whose grids solve no row (a solver error, exit 1), and the flag
 values outside the documented domain that
 must be usage errors (exit 64), ``--e3-reading`` among them.
 
@@ -29,7 +30,11 @@ one, whose samples need about 9 GB).
 Prints one line per invocation: the exit code on each side, ``same`` or
 ``differs`` for the stdout bytes, and the arguments. Then the number of
 invocations whose exit code changed and whose stdout differs. Exits 1 if
-an invocation that exits 0 on both sides prints different stdout.
+an invocation that exits 0 on both sides prints different stdout, or if
+one that exits 1 on the working tree names a bare ``ValueError`` or
+``OverflowError`` on stderr (``biflogis <cmd>: ValueError: ...``): a
+solver outcome is a package error, and a bare one is a bug. Such a line
+ends in ``BARE``.
 """
 
 from __future__ import annotations
@@ -89,6 +94,10 @@ INVOCATIONS = [
     # 0.517
     "verify --p 100 --q 2",
     "verify --p 300 --q 2",
+    # p = 3 grids on which no alpha solves: theorem 2 has no row to read
+    "verify --p 3 --a1 1e-300 --a2 0",
+    "verify --p 3 --a1 1e-300 --a2 1e-300",
+    "verify --p 3 --alpha-min 1e200 --alpha-max 1e300",
     # values outside the documented domain
     "solve-local --p 0.5 --k 1",
     "profile --p 0.5 --k 1",
@@ -116,17 +125,25 @@ INVOCATIONS = [
 TIMEOUT_S = 60
 
 
-def side(root: Path, invocation: str) -> tuple[int, bytes]:
-    """Exit code and stdout of one invocation on root's src/; -1 and no
-    stdout if it runs past TIMEOUT_S."""
+def side(root: Path, invocation: str) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of one invocation on root's src/; -1
+    and no output if it runs past TIMEOUT_S."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     try:
         proc = subprocess.run([sys.executable, "-m", "biflogis.cli",
                                *invocation.split()], capture_output=True,
                               env=env, cwd=root, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return -1, b""
-    return proc.returncode, proc.stdout
+        return -1, b"", b""
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def names_bare_error(code: int, invocation: str, stderr: bytes) -> bool:
+    """Whether an exit-1 run reports a bare ValueError or OverflowError."""
+    command = invocation.split()[0]
+    return code == 1 and any(
+        f"biflogis {command}: {name}:".encode() in stderr
+        for name in ("ValueError", "OverflowError"))
 
 
 def main(argv=None) -> int:
@@ -135,22 +152,25 @@ def main(argv=None) -> int:
                     help="git revision to compare against")
     args = ap.parse_args(argv)
 
-    changed = differs = broken = 0
+    changed = differs = broken = bare = 0
     with tempfile.TemporaryDirectory(prefix="cli_bytes_") as tmp:
         export(args.base, Path(tmp))
         print("base change stdout invocation")
         for invocation in INVOCATIONS:
-            rc_b, out_b = side(Path(tmp), invocation)
-            rc_c, out_c = side(ROOT, invocation)
+            rc_b, out_b, _ = side(Path(tmp), invocation)
+            rc_c, out_c, err_c = side(ROOT, invocation)
             same = out_b == out_c
+            is_bare = names_bare_error(rc_c, invocation, err_c)
             changed += rc_b != rc_c
             differs += not same
             broken += not same and rc_b == rc_c == 0
+            bare += is_bare
             print(f"{rc_b:4d} {rc_c:6d} {'same' if same else 'differs':8s}"
-                  f"{invocation}")
+                  f"{invocation}{'  BARE' if is_bare else ''}")
     print(f"{len(INVOCATIONS)} invocations: {changed} exit codes changed, "
-          f"{differs} stdout differ, {broken} of them exit 0 on both sides")
-    return 1 if broken else 0
+          f"{differs} stdout differ, {broken} of them exit 0 on both sides, "
+          f"{bare} bare errors on the working tree")
+    return 1 if broken or bare else 0
 
 
 if __name__ == "__main__":
