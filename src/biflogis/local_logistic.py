@@ -49,13 +49,13 @@ Each branch also gives dJ_q/dtau: the series term by term, the asymptote as
 t/sqrt(p-1), the Chebyshev series through the derivative coefficients its
 panel caches beside its values. Every calibration runs at the quadrature's
 one tolerance, quadrature.REL_TOL, and depends on its own (p, q) key alone
-(and B_q on B_0), never on which other q came before it. Every moment call
-returns J_0, J_2 and J_q with their slopes, from one view per (p, q, branch)
-stacked from the per-q caches; both series share one row-wise dot product
-against their basis (none on the asymptote). Every curve state is the flat
-log state (ln k, ln gamma, ln d, ln ||w||_q and their slopes), built in one
-pass from the same view, with the bits of the state composed from one such
-call. The (k, gamma) maps time_map and q_norm read the same moments at
+(and B_q on B_0), never on which other q came before it. Every curve state
+is the flat log state (ln k, ln gamma, ln(d/k), ln(||w||_q/k) and their
+slopes), built in one pass from J_0, J_2 and J_q with their slopes off one
+view per (p, q, branch) stacked from the per-q caches; both series share
+one row-wise dot product against their basis (none on the asymptote). The
+norms are ratios to k, as the laws read them: near p = 1, ln k reaches
+hundreds. The (k, gamma) maps time_map and q_norm read the same state at
 t = -ln(1 - k^{p-1}/gamma), and constants reads A and Cq off the series rows
 and _norm_deficit, so no public route integrates outside calibration.
 
@@ -234,10 +234,9 @@ _CQ_CACHE: dict = {}
 _S_CACHE: dict = {}
 _C_CACHE: dict = {}
 _SEG_CACHE: dict = {}
-# Copies of the calibrations above stacked for _moments_at_t and
-# _log_state_at_t, one per (p, q, branch), each holding q = 0, 2 and q;
-# branch -1 is the series, _CHEB_PANELS the asymptote, and those between
-# the Chebyshev panels.
+# Copies of the calibrations above stacked for _log_state_at_t, one per
+# (p, q, branch), each holding q = 0, 2 and q; branch -1 is the series,
+# _CHEB_PANELS the asymptote, and those between the Chebyshev panels.
 _VIEW_CACHE: dict = {}
 
 _S_N = np.arange(_S_TERMS, dtype=float)
@@ -400,67 +399,23 @@ def _view(p: float, q: float, branch: int):
     return view
 
 
-def _moments_at_t(t: float, p: float, q: float):
-    """(J_0, J_2, J_q, dJ_0/dtau, dJ_2/dtau, dJ_q/dtau) at layer coordinate
-    t = -ln(eps) = e^tau.
-
-    Three branches, all closed form once calibrated: up to T_SERIES, the
-    power series in em = -expm1(-t) with the cached coefficients, whose tail
-    after _S_TERMS = N terms is at most b_{N-1} em^N/(1 - em) < 2^-53 of the
-    sum there; between the switch points, the Chebyshev series in
-    tau = ln t with the cached coefficients of its panel; at or past
-    T_ASYM, the asymptote with the cached B_q. Each branch reads its
-    _view: the (6, _S_TERMS) series coefficients, the (B_0, B_2, B_q)
-    triple, or a panel's (6, points) Chebyshev coefficients, values first,
-    then slopes.
-    The series and Chebyshev views are evaluated by one np.vecdot against
-    their basis, the powers em^n or T_k(x) = cos(k arccos x), each row by
-    the same arithmetic, so a moment's bits do not depend on its row or on
-    the q it is stacked with.
-
-    Its callers read raw moments: time_map, q_norm and sample_profile. The
-    curve state does not call it; _log_state_at_t evaluates the same views
-    itself and keeps the bits of the state composed from this call.
-    """
-    if t <= T_SERIES:
-        branch = -1
-    elif t >= T_ASYM:
-        branch = _CHEB_PANELS
-    else:
-        s = (math.log(t) - _CHEB_TAU0) / _CHEB_WIDTH
-        branch = min(int(s), _CHEB_PANELS - 1)
-    # _view is called only on a miss: a warm state makes no extra call.
-    view = _VIEW_CACHE.get((p, q, branch))
-    if view is None:
-        view = _view(p, q, branch)
-    if branch < 0:
-        em = -math.expm1(-t)
-        basis, scale = em ** _S_N, t * math.exp(-t) / em    # d(ln em)/dtau
-    elif branch == _CHEB_PANELS:
-        lin = t / math.sqrt(p - 1.0)
-        b0, b2, bq = view
-        return lin + b0, lin + b2, lin + bq, lin, lin, lin
-    else:
-        basis = np.cos(math.acos(2.0 * (s - branch) - 1.0) * _CHEB_ORDERS)
-        scale = 1.0
-    j0, j2, jq, dj0, dj2, djq = np.vecdot(view, basis).tolist()
-    return j0, j2, jq, dj0 * scale, dj2 * scale, djq * scale
-
-
 # --- curve state at a given t -------------------------------------------------
 
 def _log_state_at_t(t: float, p: float, q: float):
-    """(ln k, ln gamma, ln d, ln ||w||_q, then their four derivatives in
-    tau = ln t) at layer coordinate t; entry i + 4 is the slope of entry i.
-    Finite over the whole tau bracket, also where k itself under- or
-    overflows.
+    """(ln k, ln gamma, ln(d/k), ln(||w||_q/k), then their four derivatives
+    in tau = ln t) at layer coordinate t; entry i + 4 is the slope of entry
+    i. The ratios are ln(J_2/J_0)/2 and ln(J_q/J_0)/q; a caller that needs
+    ln d or ln ||w||_q adds ln k once. Finite over the whole tau bracket,
+    also where k itself under- or overflows.
 
-    Reads its branch's _view and builds the state in one pass, each moment
-    by _moments_at_t's arithmetic, so every entry has the bits of the state
-    composed from a _moments_at_t call. On the asymptote em = 1 - e^-t is
-    1.0 in float (e^-t <= 1e-18), so ln em = 0 and every moment's slope is
-    t/sqrt(p-1). Elsewhere d(ln em)/dtau = t e^-t/em is formed once: the
-    form t/expm1(t) overflows deep in the layer.
+    Reads J_0, J_2 and J_q with their slopes off its branch's _view: the
+    series and Chebyshev views by one np.vecdot against their basis, em^n
+    or T_k(x) = cos(k arccos x), each row by the same arithmetic, so a
+    moment's bits do not depend on its row or on the q it is stacked with.
+    On the asymptote em = 1 - e^-t is 1.0 in float (e^-t <= 1e-18), so
+    ln em = 0 and every moment's slope is t/sqrt(p-1). Elsewhere
+    d(ln em)/dtau = t e^-t/em is formed once: the form t/expm1(t)
+    overflows deep in the layer.
     """
     if t >= T_ASYM:
         view = _VIEW_CACHE.get((p, q, _CHEB_PANELS))
@@ -482,6 +437,7 @@ def _log_state_at_t(t: float, p: float, q: float):
         else:
             s = (math.log(t) - _CHEB_TAU0) / _CHEB_WIDTH
             branch = min(int(s), _CHEB_PANELS - 1)
+        # _view is called only on a miss: a warm state makes no extra call.
         view = _VIEW_CACHE.get((p, q, branch))
         if view is None:
             view = _view(p, q, branch)
@@ -501,10 +457,9 @@ def _log_state_at_t(t: float, p: float, q: float):
         dln_k = (dln_em + 2.0 * dln_j0) / (p - 1.0)
     # ln of the ratio, not a difference of logs: deep in the layer J_q/J0 is
     # 1 - O(1/t), below the rounding of ln J_q itself.
-    return (ln_k, ln_gamma, ln_k + math.log(j2 / j0) / 2.0,
-            ln_k + math.log(jq / j0) / q,
-            dln_k, 2.0 * dln_j0, dln_k + (dj2 / j2 - dln_j0) / 2.0,
-            dln_k + (djq / jq - dln_j0) / q)
+    return (ln_k, ln_gamma, math.log(j2 / j0) / 2.0, math.log(jq / j0) / q,
+            dln_k, 2.0 * dln_j0, (dj2 / j2 - dln_j0) / 2.0,
+            (djq / jq - dln_j0) / q)
 
 
 def _point_from_t(t: float, p: float, state) -> LocalPoint:
@@ -513,9 +468,9 @@ def _point_from_t(t: float, p: float, state) -> LocalPoint:
     InvalidBracket where k under- or overflows (p near 1) or d rounds to k
     (large p deep in the layer): no float point represents the curve there.
     """
-    ln_k, ln_gamma, ln_d = state[:3]
+    ln_k, ln_gamma, ln_dk = state[:3]
     try:
-        k, d = math.exp(ln_k), math.exp(ln_d)
+        k, d = math.exp(ln_k), math.exp(ln_k + ln_dk)
     except OverflowError:
         k = d = math.inf
     if not 0.0 < d < k < math.inf:
@@ -526,7 +481,8 @@ def _point_from_t(t: float, p: float, state) -> LocalPoint:
 
 
 def _qnorm_from_t(t: float, q: float, params: LocalParams) -> float:
-    return math.exp(_log_state_at_t(t, params.p, q)[3])
+    state = _log_state_at_t(t, params.p, q)
+    return math.exp(state[0] + state[3])
 
 
 # --- inverse problems: root-finds in tau = ln t ------------------------------
@@ -562,24 +518,30 @@ def _seed_tau_for_gamma(gamma: float, p: float) -> float:
     return min(tau_small, tau_large)
 
 
-def _t_where(i: int, target: float, seed: float, params: LocalParams):
-    """(t, log state at t) where entry i of the log state (0 ln k, 1 ln gamma,
-    2 ln d) equals target, by safeguarded Newton in tau = ln t from the seed
-    tau; entry i + 4 is the residual's slope. The state is read at q = 2.
-    The root's state is the one its last residual evaluation made.
+def _t_where(entries: tuple, target: float, seed: float, params: LocalParams):
+    """(t, log state at t) where the sum of the log state's entries equals
+    target: ln k (entries (0,)), ln gamma ((1,)) or ln d = ln k + ln(d/k)
+    ((0, 2)), by safeguarded Newton in tau = ln t from the seed tau; the
+    residual's slope sums entries i + 4. The state is read at q = 2. The
+    root's state is the one its last residual evaluation made.
     InvalidBracket where the root lies past a wall of tau."""
     p = params.p
-    states: dict = {}
+    last = None
 
     def resid(tau: float):
-        state = states[tau] = _log_state_at_t(math.exp(tau), p, 2.0)
-        return state[i] - target, state[i + 4]
+        nonlocal last
+        state = _log_state_at_t(math.exp(tau), p, 2.0)
+        last = (tau, state)
+        value = slope = 0.0
+        for i in entries:
+            value, slope = value + state[i], slope + state[i + 4]
+        return value - target, slope
 
     try:
         tau = solve_monotone(resid, seed, _TAU_LO, _TAU_HI, xtol=1e-14)
     except BracketFailure as exc:
-        raise _past_wall(next(reversed(states)), p) from exc
-    return math.exp(tau), states[tau]
+        raise _past_wall(last[0], p) from exc
+    return math.exp(tau), last[1]
 
 
 def _past_wall(tau: float, p: float) -> InvalidBracket:
@@ -594,7 +556,7 @@ def _past_wall(tau: float, p: float) -> InvalidBracket:
 def _t_from_k(k: float, params: LocalParams):
     check_positive("k", k)
     ln_k = math.log(k)
-    return _t_where(0, ln_k, _seed_tau_for_k(ln_k, params.p), params)
+    return _t_where((0,), ln_k, _seed_tau_for_k(ln_k, params.p), params)
 
 
 def _t_from_gamma(gamma: float, params: LocalParams):
@@ -602,13 +564,13 @@ def _t_from_gamma(gamma: float, params: LocalParams):
     if gamma <= PI2:
         raise NoSolution(f"no positive solution for gamma <= pi^2 (got {gamma})")
     ln_g = math.log(gamma)
-    return _t_where(1, ln_g, _seed_tau_for_gamma(gamma, params.p), params)
+    return _t_where((1,), ln_g, _seed_tau_for_gamma(gamma, params.p), params)
 
 
 def _t_from_d(d: float, params: LocalParams):
     check_positive("d", d)
     ln_d = math.log(d)
-    return _t_where(2, ln_d, _seed_tau_for_d(ln_d, params.p), params)
+    return _t_where((0, 2), ln_d, _seed_tau_for_d(ln_d, params.p), params)
 
 
 def _layer_t(k: float, gamma: float, p: float, name: str) -> float:
@@ -638,7 +600,10 @@ def time_map(k: float, gamma: float, params: LocalParams) -> float:
     """Half-interval traversal time T(k, gamma); solution exists iff T = 1/2."""
     p = params.p
     t = _layer_t(k, gamma, p, "time_map")
-    return _moments_at_t(t, p, 2.0)[0] / math.sqrt(gamma)
+    # J_0 = sqrt(gamma(t))/2 read off ln gamma(t) is about ln(2 J_0) ulp off;
+    # exp((ln gamma(t) - ln gamma)/2) would be 4.4e-14 off at gamma = 2e299.
+    j0 = 0.5 * math.exp(0.5 * _log_state_at_t(t, p, 2.0)[1])
+    return j0 / math.sqrt(gamma)
 
 
 def solve_gamma(k: float, params: LocalParams) -> float:
@@ -661,8 +626,7 @@ def q_norm(k: float, gamma: float, q: float, params: LocalParams) -> float:
     check_exponent("q", q)
     p = params.p
     t = _layer_t(k, gamma, p, "q_norm")
-    j0, _, jq = _moments_at_t(t, p, q)[:3]
-    return k * (jq / j0) ** (1.0 / q)
+    return k * math.exp(_log_state_at_t(t, p, q)[3])
 
 
 def point_q_norm(point: LocalPoint, q: float, params: LocalParams) -> float:
@@ -793,9 +757,9 @@ def sample_profile(point: LocalPoint, n: int, params: LocalParams) -> Profile:
         xs_half[1:] = np.cumsum(scale * segs)
     else:
         # Boundary-layer regime: the final node takes the layer crossing
-        # from the moment asymptote.
+        # from the moment asymptote J_0 = t/sqrt(p-1) + B_0.
         xs_half[1:-1] = np.cumsum(_asym_segments(p, n) / sqrt_g)
-        xs_half[-1] = _moments_at_t(t, p, 2.0)[0] / sqrt_g
+        xs_half[-1] = (t / math.sqrt(p - 1.0) + _b_shift(p, 0.0)) / sqrt_g
 
     ws_half = point.k * s_nodes
     xs = np.concatenate([xs_half, 1.0 - xs_half[-2::-1]])

@@ -177,19 +177,20 @@ class NonlocalSolution:
 
 
 def _state_at_t(t: float, params: ProblemParams):
-    """(log-form local state, ln N, d(ln N)/dtau) at layer coordinate t,
-    where N = a1 ||w||_q^2 + a2 d^2 = d^2 (a1 (||w||_q/d)^2 + a2). The
-    ratio ||w||_q/d is at most k/d, so ln N stays finite where d or N would
+    """(curve state, ln N, d(ln N)/dtau) at layer coordinate t: the local
+    log state, then ln d = ln k + ln(d/k) and its slope as entries 8 and 9,
+    formed here once for every reader. N = a1 ||w||_q^2 + a2 d^2
+    = d^2 (a1 (||w||_q/d)^2 + a2), where ||w||_q/d, the quotient of the
+    local ratios, is at most k/d: ln N stays finite where d or N would
     under- or overflow, as for p near 1 at extreme alpha. With f the share
-    of N that a1 ||w||_q^2 carries, d(ln N)/dtau = 2 ((1-f) d(ln d)/dtau
-    + f d(ln ||w||_q)/dtau)."""
-    state = ll._log_state_at_t(t, params.p, params.q)
-    ln_d = state[2]
-    dln_d = state[6]
-    wq2 = params.a1 * math.exp(2.0 * (state[3] - ln_d))
+    of N that a1 ||w||_q^2 carries, d(ln N)/dtau = 2 (d(ln d)/dtau
+    + f d(ln(||w||_q/d))/dtau)."""
+    local = ll._log_state_at_t(t, params.p, params.q)
+    ln_d, dln_d = local[0] + local[2], local[4] + local[6]
+    wq2 = params.a1 * math.exp(2.0 * (local[3] - local[2]))
     n_by_d2 = wq2 + params.a2
-    return (state, 2.0 * ln_d + math.log(n_by_d2),
-            2.0 * (dln_d + wq2 / n_by_d2 * (state[7] - dln_d)))
+    return (local + (ln_d, dln_d), 2.0 * ln_d + math.log(n_by_d2),
+            2.0 * (dln_d + wq2 / n_by_d2 * (local[7] - local[6])))
 
 
 def _series_log(c):
@@ -361,7 +362,7 @@ def g_of_k(k: float, params: ProblemParams) -> float:
     check_positive("k", k)
     t, _ = ll._t_from_k(k, ll.LocalParams(p=params.p))
     state, ln_n, _ = _state_at_t(t, params)
-    return consts._exp_in_range(ln_n / (params.p - 3.0) + state[2], "g",
+    return consts._exp_in_range(ln_n / (params.p - 3.0) + state[8], "g",
                                 params.p, params.q)
 
 
@@ -405,8 +406,8 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
         # state is the one kept here.
         nonlocal last
         state, ln_n, dln_n = _state_at_t(math.exp(tau), params)
-        r = ln_n - (p - 3.0) * (ln_alpha - state[2])
-        dr = dln_n + (p - 3.0) * state[6]
+        r = ln_n - (p - 3.0) * (ln_alpha - state[8])
+        dr = dln_n + (p - 3.0) * state[9]
         last = (r, dr, tau, state, ln_n, dln_n)
         return r, dr
 
@@ -440,7 +441,8 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
             f"the residual is not increasing at the root t = {t:.6g} "
             f"(k = {point.k:.6g}): r = {r:.12g}, dr/dtau = {dr:.12g}")
 
-    ln_h = ln_alpha - state[2]
+    # ln d as the point composes it, so alpha = h d to rounding.
+    ln_h = ln_alpha - (state[0] + state[2])
     # In log form: h^2 alone under- or overflows for p near 1.
     try:
         h, beta = math.exp(ln_h), math.exp(2.0 * ln_h + ln_n)

@@ -72,16 +72,16 @@ def _large_d_ts(p: float) -> tuple:
 
 
 def _curve_state(t: float, params: nc.ProblemParams) -> tuple:
-    """The curve's log state at t: the local state, then ln N as entry 8.
-    There alpha = h d and h^{p-3} = N, so ln alpha = ln N/(p-3) + ln d."""
+    """The curve state at t through ln d, entry 8, then ln N as entry 9:
+    alpha = h d and h^{p-3} = N, so ln alpha = ln N/(p-3) + ln d."""
     state, ln_n, _ = nc._state_at_t(t, params)
-    return (*state, ln_n)
+    return (*state[:9], ln_n)
 
 
 def _window(ts, entries, state_at, *args) -> np.ndarray:
     """The entries of the log state state_at(t, *args) at the layer
     coordinates ts of a window, one row per entry: 0 to 3 are ln k,
-    ln gamma, ln d and ln ||w||_q, as ll._log_state_at_t orders them."""
+    ln gamma, ln(d/k) and ln(||w||_q/k), as in ll._log_state_at_t."""
     pick = itemgetter(*entries)
     return np.array([pick(state_at(t, *args)) for t in ts]).T
 
@@ -246,7 +246,7 @@ def check_theorem_1(report: SweepReport) -> CheckResult:
     p = params.p
     if params.regime == "critical":
         raise InvalidRegime(f"theorem 1 needs p != 3, got p = {p}")
-    ln_g, ln_d, ln_n = _window(_large_d_ts(p), (1, 2, 8), _curve_state, params)
+    ln_g, ln_d, ln_n = _window(_large_d_ts(p), (1, 8, 9), _curve_state, params)
     xs = np.exp(-0.5 * (ln_n + (p - 3.0) * ln_d))
     target = consts.compute_C1(p) * math.sqrt(params.a1 + params.a2)
     return _evaluate(ln_n / (p - 3.0) + ln_d, xs, [
@@ -313,7 +313,7 @@ def check_theorem_3(report: SweepReport,
         if (cs.p, cs.q, cs.a1, cs.a2) != key:
             raise ValueError(f"ConstantSet at (p, q, a1, a2) = "
                              f"{(cs.p, cs.q, cs.a1, cs.a2)}, report at {key}")
-    ln_g, ln_d, ln_n = _window(_SMALL_D_TS, (1, 2, 8), _curve_state, params)
+    ln_g, ln_d, ln_n = _window(_SMALL_D_TS, (1, 8, 9), _curve_state, params)
     ln_alpha = ln_n / (p - 3.0) + ln_d
     xs = np.exp(ln_n + (p - 3.0) * ln_d)
     ys = np.exp(ln_n + ln_g - 2.0 * ln_d)
@@ -351,8 +351,9 @@ def check_local_large_d(p: float, q: float) -> list[CheckResult]:
     calibration runs.
     """
     consts._check_pq(p, q)
-    ln_g, ln_d, ln_wq = _window(_large_d_ts(p), (1, 2, 3),
-                                ll._log_state_at_t, p, q)
+    ln_k, ln_g, ln_dk, ln_wqk = _window(_large_d_ts(p), range(4),
+                                        ll._log_state_at_t, p, q)
+    ln_d = ln_k + ln_dk
     xs = np.exp(-0.5 * (p - 1.0) * ln_d)
     c1 = consts.compute_C1(p)
     cq = consts.compute_Cq(p, q)
@@ -360,8 +361,9 @@ def check_local_large_d(p: float, q: float) -> list[CheckResult]:
         ("large_d_gamma_shift", c1, np.expm1(ln_g - (p - 1.0) * ln_d) / xs,
          0.01, 0.0),
         ("large_d_D_coefficient", (2.0 / (p - 1.0)) * c1 - (2.0 / q) * cq,
-         np.expm1(2.0 * (ln_wq - ln_d)) / xs, 0.02, cq)])
-    resid = float(np.expm1((p - 1.0) * ln_wq[-1] - ln_g[-1] - (p - 1.0) / q
+         np.expm1(2.0 * (ln_wqk - ln_dk)) / xs, 0.02, cq)])
+    ln_wq = ln_k[-1] + ln_wqk[-1]
+    resid = float(np.expm1((p - 1.0) * ln_wq - ln_g[-1] - (p - 1.0) / q
                            * np.log1p(-cq * np.exp(-0.5 * ln_g[-1]))))
     return [shift, CheckResult("large_d_qnorm_relation", 0.0, resid,
                                abs(resid), math.nan, 1e-6), dcoef]
@@ -377,15 +379,16 @@ def check_local_small_d(p: float, q: float) -> list[CheckResult]:
     domain raise ValueError before any calibration runs.
     """
     consts._check_pq(p, q)
-    ln_k, ln_g, ln_d, ln_wq = _window(_SMALL_D_TS, range(4),
-                                      ll._log_state_at_t, p, q)
+    ln_k, ln_g, ln_dk, ln_wqk = _window(_SMALL_D_TS, range(4),
+                                        ll._log_state_at_t, p, q)
+    ln_d = ln_k + ln_dk
     xs = np.exp((p - 1.0) * ln_d)
     A = consts.compute_A(p, q)
     return _evaluate(ln_d, xs, [
         ("small_d_gamma_shift", A["A3"],
          math.pi * np.expm1(0.5 * ln_g - math.log(math.pi)) / xs, 0.01, 0.0),
         ("small_d_amplitude", consts._amplitude_a4(p, q, A),
-         np.expm1(2.0 * (ln_k - ln_d) - math.log(2.0)) / xs, 0.02, 0.0),
+         np.expm1(-2.0 * ln_dk - math.log(2.0)) / xs, 0.02, 0.0),
         ("small_d_qnorm", (2.0 / q) * (A["A2"] / A["A1"]),
-         np.expm1(2.0 * (ln_wq - ln_k) + ln_g / q
+         np.expm1(2.0 * ln_wqk + ln_g / q
                   - (2.0 / q) * math.log(2.0 * A["A1"])) / xs, 0.02, 0.0)])

@@ -34,3 +34,15 @@ def test_verdict_higher_is_better():
     slower = spread([v - 3.0 for v in BASE])
     assert verdict(base, faster, 10, len(BASE), 1.0, 0.25) == "gain met"
     assert verdict(base, slower, 0, len(BASE), 1.0, 0.25) == "worse than bound"
+
+
+def test_verdict_gain_needs_ten_pairs():
+    # Three pairs that all read a gain are too few to claim one; a loss on
+    # three pairs is still judged against the bound.
+    base = spread(BASE[:3])
+    faster = spread([v - 1.0 for v in BASE[:3]])
+    slower = spread([v + 3.0 for v in BASE[:3]])
+    assert verdict(base, faster, 3, 3, -1.0, 0.25) == "too few pairs"
+    assert verdict(base, slower, 0, 3, -1.0, 0.25) == "worse than bound"
+    assert verdict(spread(BASE[:9]), spread([v - 1.0 for v in BASE[:9]]),
+                   9, 9, -1.0, 0.25) == "too few pairs"

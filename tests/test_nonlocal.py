@@ -451,7 +451,7 @@ def test_documented_domain_property(p, q, log_alpha, weights):
     r = []
     for tau in PROPERTY_TAUS:
         state, ln_n, _ = nonlocal_curve._state_at_t(math.exp(tau), params)
-        r.append(ln_n - (p - 3.0) * (math.log(alpha) - state[2]))
+        r.append(ln_n - (p - 3.0) * (math.log(alpha) - state[8]))
     assert all(lo < hi for lo, hi in zip(r, r[1:])), r
 
 
@@ -499,7 +499,7 @@ def test_ln_g_finite_over_bracket(p):
             state, ln_n, dln_n = nonlocal_curve._state_at_t(math.exp(tau),
                                                             params)
             assert math.isfinite(ln_n)
-            assert math.isfinite(dln_n + (p - 3.0) * state[6])
+            assert math.isfinite(dln_n + (p - 3.0) * state[9])
 
 
 def test_flipped_slope_raises_monotonicity_violation(monkeypatch):
@@ -510,7 +510,8 @@ def test_flipped_slope_raises_monotonicity_violation(monkeypatch):
 
     def flipped(*args):
         state, ln_n, dln_n = state_at_t(*args)
-        return (*state[:4], *(-v for v in state[4:])), ln_n, -dln_n
+        return ((*state[:4], *(-v for v in state[4:8]), state[8], -state[9]),
+                ln_n, -dln_n)
 
     monkeypatch.setattr(nonlocal_curve, "_state_at_t", flipped)
     for p in (2.0, 3.0, 5.0):
@@ -633,7 +634,7 @@ def test_seed_error_falls_like_x_squared(p):
                 misses = []
                 for t in ts:
                     state, ln_n, _ = nonlocal_curve._state_at_t(t, params)
-                    ln_alpha = ln_n / (p - 3.0) + state[2]
+                    ln_alpha = ln_n / (p - 3.0) + state[8]
                     misses.append(abs(nonlocal_curve._seed_tau(ln_alpha, params)
                                       - math.log(t)))
                 for far, near in zip(misses, misses[1:]):

@@ -223,7 +223,7 @@ def test_theorem_windows_lie_on_the_solved_curve(p, ts):
     # p = 8 the large-d window is ln t in [8, 10]; [4, 6], the window below
     # p = 8, is kept there too.
     params = params_for(p, q=3.0, a1=1.0, a2=0.5)
-    ln_d, ln_n = _window(ts, (2, 8), _curve_state, params)
+    ln_d, ln_n = _window(ts, (8, 9), _curve_state, params)
     for t, ln_alpha in zip(ts, ln_n / (p - 3.0) + ln_d):
         sol = solve_alpha(math.exp(ln_alpha), params)
         assert abs(math.log(sol.local.layer_t / t)) <= 1e-12, (p, t)
@@ -473,3 +473,17 @@ def test_small_d_checks_pass(p, q):
     assert names == ["small_d_gamma_shift", "small_d_amplitude",
                      "small_d_qnorm"]
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("p", (1.02, 1.05, 1.1, 1.2, 1.5))
+def test_local_checks_near_1_read_the_ratios(p):
+    # ln k reaches hundreds on the windows near p = 1, so a ratio of norms
+    # taken as a difference of two logs of that size loses up to 5.7e-14 in
+    # the state. The checks read ln(d/k) and ln(||w||_q/k) off the state
+    # instead; the differences reached 8.4e-7, 5.5e-9 and 5.6e-10 below.
+    for q in (1.1, 1.5, 2.0, 3.0, 4.0, 8.0):
+        small = {r.name: r.rel_error for r in check_local_small_d(p, q)}
+        large = {r.name: r.rel_error for r in check_local_large_d(p, q)}
+        assert small["small_d_amplitude"] <= 1e-8, (q, small)
+        assert small["small_d_qnorm"] <= 1e-10, (q, small)
+        assert large["large_d_D_coefficient"] <= 1e-10, (q, large)

@@ -24,10 +24,12 @@ and per workload every run's attempted and failed ops, listed per side in
 pair order. It is rewritten after every pair, so an interrupted session
 keeps what it ran. The verdicts are printed once all pairs have run.
 
-A verdict is "gain met" when the change won at least 9 of every 10 pairs
-and its median is better than the base's by more than the base's
-interquartile range q3 - q1. Otherwise it is "within bound" or "worse than
-bound": whether the change's median is worse than the base's by at most the
+A verdict is "gain met" when at least 10 pairs ran, the change won at
+least 9 of every 10 of them and its median is better than the base's by
+more than the base's interquartile range q3 - q1; on fewer pairs such a
+metric reads "too few pairs", as a few runs of an untouched workload can
+all fall one way. Otherwise it is "within bound" or "worse than bound":
+whether the change's median is worse than the base's by at most the
 metric's relative ``bound`` in ``BENCHMARK.json``.
 """
 
@@ -44,6 +46,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# The fewest pairs a "gain met" verdict can rest on.
+GAIN_PAIRS = 10
 
 
 def parse_spec(text: str) -> tuple[str, list[int]]:
@@ -111,7 +115,7 @@ def verdict(base: dict, change: dict, wins: int, pairs: int, sign: float,
     +1 where higher is better, -1 where lower is."""
     gain = sign * (change["median"] - base["median"])
     if wins >= 0.9 * pairs and gain > base["q3"] - base["q1"]:
-        return "gain met"
+        return "gain met" if pairs >= GAIN_PAIRS else "too few pairs"
     if -gain <= bound * abs(base["median"]):
         return "within bound"
     return "worse than bound"

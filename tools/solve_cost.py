@@ -24,7 +24,10 @@ point (asymptote) and at p = 2, q = 3, alpha = 100 (series), and one log
 state ``local_logistic._log_state_at_t`` per moment branch: series
 (p = 2, q = 3, t = 1e-3), Chebyshev (p = 4, q = 3, t = 5) and asymptote
 (p = 6.5, q = 2, t = 1e4). The benchmark's tracer has no span on the
-state layer, so these rows are where its cost shows.
+state layer, so these rows are where its cost shows. Then the public
+(k, gamma) routes: ``time_map`` and ``q_norm`` (q = 3) at a series t
+(p = 2, k = 1, nu = k^{p-1}/gamma = 0.2, t = 0.22) and at a Chebyshev t
+(p = 4, k = 2, nu = 0.99, t = 4.6).
 
 The base revision is exported with ``tools/bench_pair.py``'s ``git archive``
 helper, so the checkout is left alone. Each of ROUNDS rounds runs one
@@ -95,6 +98,7 @@ def measure(src: str) -> dict:
         best = min(timeit.repeat(sweep, number=number, repeat=REPEAT))
         out[name] = 1e6 * best / (number * len(alphas))
 
+    lp2, lp4 = ll.LocalParams(p=2.0), ll.LocalParams(p=4.0)
     sup = nc.ProblemParams(p=5.0, q=2.0, a1=1.0, a2=1.0)
     sub = nc.ProblemParams(p=2.0, q=3.0, a1=1.0, a2=1.0)
     sol = nc.solve_alpha(1e4, sup)
@@ -113,6 +117,14 @@ def measure(src: str) -> dict:
             lambda: ll._log_state_at_t(5.0, 4.0, 3.0),
         "log state asymptote (p 6.5, q 2, t 1e4)":
             lambda: ll._log_state_at_t(1e4, 6.5, 2.0),
+        "time_map series (p 2, k 1, nu 0.2)":
+            lambda: ll.time_map(1.0, 1.0 / 0.2, lp2),
+        "time_map Chebyshev (p 4, k 2, nu 0.99)":
+            lambda: ll.time_map(2.0, 8.0 / 0.99, lp4),
+        "q_norm series (p 2, k 1, nu 0.2, q 3)":
+            lambda: ll.q_norm(1.0, 1.0 / 0.2, 3.0, lp2),
+        "q_norm Chebyshev (p 4, k 2, nu 0.99, q 3)":
+            lambda: ll.q_norm(2.0, 8.0 / 0.99, 3.0, lp4),
     }
     for name, call in calls.items():
         number = max(1, round(TARGET_S / timeit.timeit(call, number=100)
