@@ -81,6 +81,16 @@ def _exp_in_range(ln_v: float, name: str, p: float, q: float) -> float:
     return math.exp(ln_v)
 
 
+def _finite(values: dict, *at: float) -> dict:
+    """values, or Overflow naming the first that leaves the double range
+    at (p, q, a1, a2) = at."""
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise Overflow(f"{name} leaves the double range at "
+                           f"(p, q, a1, a2) = {at}")
+    return values
+
+
 def _check_pq(p: float, q: float) -> None:
     check_exponent("p", p)
     check_positive("q", q)
@@ -169,16 +179,13 @@ def _e_from_a(p: float, q: float, a1: float, a2: float, reading: str,
     the problem's q is a transcription slip of this repository, not a
     reading of the paper (see README): the curve's own second coefficient
     rules it out wherever q != 2 and a1 > 0. ``reading`` is compute_all's.
-    Overflow where E1 or E2 leaves the double range, as a weight near the
-    largest double takes them.
+    Overflow where one leaves the double range: E1 and E2 at a weight near
+    the largest double, E5 at weights near the smallest and large p.
     """
     a1q = a1 * 2.0 ** ((q + 2.0) / q) * A["A1"] ** (2.0 / q)
     e1 = a1q + a2 * PI ** (2.0 / q)
     e2 = a1q * (_amplitude_a4(p, q, A) + (2.0 / q) * (A["A2"] / A["A1"])) \
         + (2.0 * a2 * PI ** ((2.0 - q) / q) / q) * A["A3"]
-    if not (math.isfinite(e1) and math.isfinite(e2)):
-        raise Overflow(f"E1 or E2 leaves the double range at p = {p!r}, "
-                       f"q = {q!r}, a1 = {a1!r}, a2 = {a2!r}")
     denom = (p - 1.0) if reading == "paper_definition" else (p - 3.0)
     # In log form: E3 leaves the double range near p = 3.
     ln_e3 = (2.0 / (p - 3.0)) * math.log(e1) \
@@ -186,7 +193,8 @@ def _e_from_a(p: float, q: float, a1: float, a2: float, reading: str,
     e4 = 2.0 * (q * (p - 3.0) - (p - 1.0)) / (q * (p - 3.0) * PI) * A["A3"]
     e5 = ((2.0 / (p - 3.0)) * (e2 / e1) - A["A6"]) \
         * PI ** (2.0 * (p - 3.0) / (denom * q)) / e1
-    return {"E1": e1, "E2": e2, "ln_E3": ln_e3, "E4": e4, "E5": e5}
+    return _finite({"E1": e1, "E2": e2, "ln_E3": ln_e3, "E4": e4, "E5": e5},
+                   p, q, a1, a2)
 
 
 @dataclass(frozen=True)
@@ -252,9 +260,7 @@ def compute_all(p: float, q: float, a1: float, a2: float,
                                      * (3.0 - p)), "L0's pi factor", p, q)
             second *= _exp_in_range(-4.0 * math.log(PI) / (q * (p - 1.0)),
                                     "S's pi factor", p, q)
-        if leading == math.inf:
-            raise Overflow(f"L0 exceeds the double range at p = {p!r}, "
-                           f"q = {q!r}")
+        _finite({"L0": leading, "S": second}, p, q, a1, a2)
     return ConstantSet(
         p=p, q=q, a1=a1, a2=a2, C1=c1, Cq=cq,
         A1=A["A1"], A2=A["A2"], A3=A["A3"], A4=A["A4"], A5=A["A5"],

@@ -177,20 +177,21 @@ class NonlocalSolution:
 
 
 def _state_at_t(t: float, params: ProblemParams):
-    """(curve state, ln N, d(ln N)/dtau) at layer coordinate t: the local
-    log state, then ln d = ln k + ln(d/k) and its slope as entries 8 and 9,
-    formed here once for every reader. N = a1 ||w||_q^2 + a2 d^2
-    = d^2 (a1 (||w||_q/d)^2 + a2), where ||w||_q/d, the quotient of the
-    local ratios, is at most k/d: ln N stays finite where d or N would
-    under- or overflow, as for p near 1 at extreme alpha. With f the share
-    of N that a1 ||w||_q^2 carries, d(ln N)/dtau = 2 (d(ln d)/dtau
-    + f d(ln(||w||_q/d))/dtau)."""
+    """The curve state at layer coordinate t, one flat tuple: entries 0 to
+    7 are ll._log_state_at_t's (ln k, ln gamma, ln(d/k), ln(||w||_q/k) and
+    their slopes in tau = ln t), then ln d (8), ln N (9), d(ln d)/dtau (10)
+    and d(ln N)/dtau (11), formed here once for every reader. ln d = ln k
+    + ln(d/k), and N = a1 ||w||_q^2 + a2 d^2 = d^2 (a1 (||w||_q/d)^2 + a2),
+    where ||w||_q/d, the quotient of the local ratios, is at most k/d:
+    ln N stays finite where d or N would under- or overflow, as for p near
+    1 at extreme alpha. With f the share of N that a1 ||w||_q^2 carries,
+    d(ln N)/dtau = 2 (d(ln d)/dtau + f d(ln(||w||_q/d))/dtau)."""
     local = ll._log_state_at_t(t, params.p, params.q)
     ln_d, dln_d = local[0] + local[2], local[4] + local[6]
     wq2 = params.a1 * math.exp(2.0 * (local[3] - local[2]))
     n_by_d2 = wq2 + params.a2
-    return (local + (ln_d, dln_d), 2.0 * ln_d + math.log(n_by_d2),
-            2.0 * (dln_d + wq2 / n_by_d2 * (local[7] - local[6])))
+    return local + (ln_d, 2.0 * ln_d + math.log(n_by_d2), dln_d,
+                    2.0 * (dln_d + wq2 / n_by_d2 * (local[7] - local[6])))
 
 
 def _series_log(c):
@@ -361,8 +362,8 @@ def g_of_k(k: float, params: ProblemParams) -> float:
         raise InvalidRegime("g = N^{1/(p-3)} d is singular at p = 3")
     check_positive("k", k)
     t, _ = ll._t_from_k(k, ll.LocalParams(p=params.p))
-    state, ln_n, _ = _state_at_t(t, params)
-    return consts._exp_in_range(ln_n / (params.p - 3.0) + state[8], "g",
+    state = _state_at_t(t, params)
+    return consts._exp_in_range(state[9] / (params.p - 3.0) + state[8], "g",
                                 params.p, params.q)
 
 
@@ -405,10 +406,10 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
         # solve_monotone returns the tau of its last call, so the root's
         # state is the one kept here.
         nonlocal last
-        state, ln_n, dln_n = _state_at_t(math.exp(tau), params)
-        r = ln_n - (p - 3.0) * (ln_alpha - state[8])
-        dr = dln_n + (p - 3.0) * state[9]
-        last = (r, dr, tau, state, ln_n, dln_n)
+        state = _state_at_t(math.exp(tau), params)
+        r = state[9] - (p - 3.0) * (ln_alpha - state[8])
+        dr = state[11] + (p - 3.0) * state[10]
+        last = (r, dr, tau, state)
         return r, dr
 
     try:
@@ -424,13 +425,12 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
             step = 0.0
     except BracketFailure as exc:
         raise ll._past_wall(last[2], p) from exc
-    r, dr, _, state, ln_n, dln_n = last
-    if step:
-        # The last Newton step, taken on the log state along its slopes.
-        tau += step
-        ln_n += step * dln_n
-        state = (state[0] + step * state[4], state[1] + step * state[5],
-                 state[2] + step * state[6])
+    r, dr, _, state = last
+    # The last Newton step (0 after settling), taken along the slopes.
+    tau += step
+    ln_n = state[9] + step * state[11]
+    state = (state[0] + step * state[4], state[1] + step * state[5],
+             state[2] + step * state[6])
     t = math.exp(tau)
     point = ll._point_from_t(t, p, state)
 

@@ -71,17 +71,10 @@ def _large_d_ts(p: float) -> tuple:
     return _LATE_LARGE_D_TS if p >= 8.0 else _LARGE_D_TS
 
 
-def _curve_state(t: float, params: nc.ProblemParams) -> tuple:
-    """The curve state at t through ln d, entry 8, then ln N as entry 9:
-    alpha = h d and h^{p-3} = N, so ln alpha = ln N/(p-3) + ln d."""
-    state, ln_n, _ = nc._state_at_t(t, params)
-    return (*state[:9], ln_n)
-
-
 def _window(ts, entries, state_at, *args) -> np.ndarray:
     """The entries of the log state state_at(t, *args) at the layer
-    coordinates ts of a window, one row per entry: 0 to 3 are ln k,
-    ln gamma, ln(d/k) and ln(||w||_q/k), as in ll._log_state_at_t."""
+    coordinates ts of a window, one row per entry, numbered as in
+    nc._state_at_t's docstring."""
     pick = itemgetter(*entries)
     return np.array([pick(state_at(t, *args)) for t in ts]).T
 
@@ -101,7 +94,7 @@ class CheckResult:
     rel_error: float
     fitted_order: float
     tolerance: float
-    # check_theorem_3's losing E3 reading; perfbench/workloads.py reads it.
+    # The other E3 reading's L0 mismatch; perfbench/workloads.py reads it.
     other_rel_error: float | None = None
 
     @property
@@ -246,7 +239,8 @@ def check_theorem_1(report: SweepReport) -> CheckResult:
     p = params.p
     if params.regime == "critical":
         raise InvalidRegime(f"theorem 1 needs p != 3, got p = {p}")
-    ln_g, ln_d, ln_n = _window(_large_d_ts(p), (1, 8, 9), _curve_state, params)
+    ln_g, ln_d, ln_n = _window(_large_d_ts(p), (1, 8, 9), nc._state_at_t,
+                                params)
     xs = np.exp(-0.5 * (ln_n + (p - 3.0) * ln_d))
     target = consts.compute_C1(p) * math.sqrt(params.a1 + params.a2)
     return _evaluate(ln_n / (p - 3.0) + ln_d, xs, [
@@ -295,14 +289,10 @@ def check_theorem_3(report: SweepReport,
     lambda/alpha^2 = N gamma/d^2 and x = alpha^{p-3} = N d^{p-3}; S is the
     limit of (lambda/(L0 alpha^2) - 1)/x. Only report.params is read.
 
-    Called with one ConstantSet twice, check_theorem_3(report, cs, cs), it
-    checks that set's coefficients. perfbench/workloads.py calls it with
-    two sets of different E3 readings, check_theorem_3(report, paper,
-    variant): constants_variant's are checked, or constants_paper's where
-    its L0 is closer to the extrapolated one (the rows are then evaluated
-    again), and the other set's leading mismatch rides along in
-    other_rel_error. Returns (leading check, second-order check, checked
-    set's reading).
+    It checks constants_variant's coefficients. Where constants_paper has
+    another E3 reading (perfbench/workloads.py passes paper_definition's),
+    that set's leading mismatch rides along in other_rel_error. Returns
+    (leading check, second-order check, constants_variant's reading).
     """
     params = report.params
     p = params.p
@@ -313,27 +303,19 @@ def check_theorem_3(report: SweepReport,
         if (cs.p, cs.q, cs.a1, cs.a2) != key:
             raise ValueError(f"ConstantSet at (p, q, a1, a2) = "
                              f"{(cs.p, cs.q, cs.a1, cs.a2)}, report at {key}")
-    ln_g, ln_d, ln_n = _window(_SMALL_D_TS, (1, 8, 9), _curve_state, params)
-    ln_alpha = ln_n / (p - 3.0) + ln_d
+    cs = constants_variant
+    ln_g, ln_d, ln_n = _window(_SMALL_D_TS, (1, 8, 9), nc._state_at_t,
+                                params)
     xs = np.exp(ln_n + (p - 3.0) * ln_d)
     ys = np.exp(ln_n + ln_g - 2.0 * ln_d)
-
-    def check(cs):
-        return _evaluate(ln_alpha, xs, [
-            ("theorem_3_leading", cs.leading_coeff, ys, 0.005, 0.0),
-            ("theorem_3_second", cs.second_coeff,
-             (ys / cs.leading_coeff - 1.0) / xs, 0.05, 0.0)])
-
-    cs, other = constants_variant, constants_paper
-    leading, second = check(cs)
-    if other.e3_reading == cs.e3_reading:
-        return leading, second, cs.e3_reading
-    other_error = _rel(leading.estimate, other.leading_coeff)
-    if other_error < leading.rel_error:
-        cs, other_error = other, leading.rel_error
-        leading, second = check(cs)
-    return (replace(leading, other_rel_error=other_error), second,
-            cs.e3_reading)
+    leading, second = _evaluate(ln_n / (p - 3.0) + ln_d, xs, [
+        ("theorem_3_leading", cs.leading_coeff, ys, 0.005, 0.0),
+        ("theorem_3_second", cs.second_coeff,
+         (ys / cs.leading_coeff - 1.0) / xs, 0.05, 0.0)])
+    if constants_paper.e3_reading != cs.e3_reading:
+        leading = replace(leading, other_rel_error=_rel(
+            leading.estimate, constants_paper.leading_coeff))
+    return leading, second, cs.e3_reading
 
 
 def check_local_large_d(p: float, q: float) -> list[CheckResult]:

@@ -277,6 +277,18 @@ def test_exit_solver_error_when_no_row_solves(capsys, argv):
     assert "ValueError" not in err
 
 
+@pytest.mark.parametrize("command", ("constants", "verify"))
+def test_exit_solver_error_when_S_overflows(capsys, command):
+    # At p = 100 and weights near the smallest double, S = O(1/(a1 + a2))
+    # leaves the double range. constants printed "second_coeff": Infinity,
+    # which is not JSON, and exited 0; verify printed numpy warnings and a
+    # theorem_3_second row reading inf and nan, and exited 2.
+    code, out, err = run_cli(capsys, command, "--p", "100", "--a1", "1e-300",
+                             "--a2", "1e-300")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"biflogis {command}: Overflow: S leaves "), err
+
+
 def test_exit_check_failure(capsys):
     # unreachable tolerance turns the cross-check into a failed check
     code, out, _ = run_cli(capsys, "oracle-check", "--p", "3", "--gamma", "15",

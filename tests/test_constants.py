@@ -315,6 +315,25 @@ def test_E_past_the_double_range_is_typed(p):
         compute_E(p, 2.0, 1e308, 1.0)
 
 
+@pytest.mark.parametrize("p, q, a1, a2, name", [
+    (80.0, 2.0, 1e-300, 1e-300, "S"),
+    (100.0, 2.0, 0.0, 1e-300, "S"),
+    (100.0, 8.0, 1e-300, 0.0, "E5"),
+    (300.0, 1.1, 1e-300, 1e-300, "E5"),
+])
+def test_tiny_weights_at_large_p_are_typed(p, q, a1, a2, name):
+    # S scales as 1/(a1 + a2), and E5 as 1/E1 times E2/E1: at weights near
+    # the smallest double and large p they leave the double range. Overflow
+    # names the first that does, E5 before S; no inf in a returned set.
+    with pytest.raises(Overflow, match=f"^{name} leaves the double range"):
+        compute_all(p, q, a1, a2)
+    if name == "E5":
+        with pytest.raises(Overflow, match="^E5 leaves the double range"):
+            compute_E(p, q, a1, a2)
+    else:
+        assert all(map(math.isfinite, compute_E(p, q, a1, a2).values()))
+
+
 PROOF_VARIANT_PQ = [(p, q) for p in (1.5, 2.0, 2.5, 2.9, 2.99)
                     for q in (1.1, 2.0, 8.0)] + [(2.9975, 1.1), (2.9975, 2.0)]
 

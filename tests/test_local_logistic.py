@@ -221,8 +221,9 @@ def test_fixed_layout_invariants(p):
     # bits and their slopes' whichever q they are stacked with; every
     # moment read back off the state still matches its own one-row
     # quadrature. At q = 2 the ||w||_q entries are d's own, to the bit, in
-    # the local state and in the curve's, whose ln d and slope are ln k plus
-    # ln(d/k).
+    # the local state and in the curve's, whose ln d (entry 8) and its slope
+    # (entry 10) are ln k plus ln(d/k); with a1 = a2 = 1 its ln N (entry 9)
+    # is then 2 ln d + ln 2, and its slope (entry 11) twice ln d's.
     qs = (1.1, 2.0, 4.0)
     params = nc.ProblemParams(p=p, q=2.0, a1=1.0, a2=1.0)
     for t in BRANCH_TS:
@@ -235,9 +236,12 @@ def test_fixed_layout_invariants(p):
 
         state = states[1]
         assert state[3] == state[2] and state[7] == state[6], t
-        curve = nc._state_at_t(t, params)[0]
+        curve = nc._state_at_t(t, params)
         assert curve[:8] == state and curve[3] == curve[2], t
-        assert curve[8:] == (state[0] + state[2], state[4] + state[6]), t
+        assert curve[8] == state[0] + state[2], t
+        assert curve[10] == state[4] + state[6], t
+        assert curve[9] == 2.0 * curve[8] + math.log(2.0), t
+        assert curve[11] == 2.0 * curve[10], t
 
 
 def _ln_k_from_gamma(state, t, p):
@@ -462,13 +466,15 @@ def test_log_state_slopes_match_central_differences(p):
             assert np.all(np.abs(slopes - refs)
                           <= 1e-6 * np.maximum(1.0, np.abs(refs))), \
                 (tau, q, slopes, refs)
-            # The curve residual's slope is d(ln N)/dtau + (p-3) d(ln d)/dtau.
+            # The curve residual's slope is d(ln N)/dtau + (p-3) d(ln d)/dtau,
+            # entries 11 and 10 of the curve state, the slopes of 9 and 8.
             params = nc.ProblemParams(p=p, q=q, a1=0.3, a2=0.7)
-            dln_n = nc._state_at_t(math.exp(tau), params)[2]
-            ref = _central(
-                lambda x: nc._state_at_t(math.exp(x), params)[1], tau)
-            assert abs(dln_n - ref) <= 1e-6 * max(1.0, abs(ref)), \
-                (tau, q, dln_n, ref)
+            slopes = np.array(nc._state_at_t(math.exp(tau), params)[10:])
+            refs = _central(lambda x: np.array(
+                nc._state_at_t(math.exp(x), params)[8:10]), tau)
+            assert np.all(np.abs(slopes - refs)
+                          <= 1e-6 * np.maximum(1.0, np.abs(refs))), \
+                (tau, q, slopes, refs)
 
 
 def test_exact_node_slopes_continue_the_interpolant():

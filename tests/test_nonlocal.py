@@ -450,8 +450,8 @@ def test_documented_domain_property(p, q, log_alpha, weights):
     assert_valid_or_typed_error(alpha, params)
     r = []
     for tau in PROPERTY_TAUS:
-        state, ln_n, _ = nonlocal_curve._state_at_t(math.exp(tau), params)
-        r.append(ln_n - (p - 3.0) * (math.log(alpha) - state[8]))
+        state = nonlocal_curve._state_at_t(math.exp(tau), params)
+        r.append(state[9] - (p - 3.0) * (math.log(alpha) - state[8]))
     assert all(lo < hi for lo, hi in zip(r, r[1:])), r
 
 
@@ -496,10 +496,9 @@ def test_ln_g_finite_over_bracket(p):
     for q in (1.1, 2.0, 8.0):
         params = ProblemParams(p=p, q=q, a1=1.0, a2=1.0)
         for tau in (ll._TAU_LO, -50.0, 50.0, ll._TAU_HI):
-            state, ln_n, dln_n = nonlocal_curve._state_at_t(math.exp(tau),
-                                                            params)
-            assert math.isfinite(ln_n)
-            assert math.isfinite(dln_n + (p - 3.0) * state[9])
+            state = nonlocal_curve._state_at_t(math.exp(tau), params)
+            assert math.isfinite(state[9])
+            assert math.isfinite(state[11] + (p - 3.0) * state[10])
 
 
 def test_flipped_slope_raises_monotonicity_violation(monkeypatch):
@@ -509,9 +508,9 @@ def test_flipped_slope_raises_monotonicity_violation(monkeypatch):
     state_at_t = nonlocal_curve._state_at_t
 
     def flipped(*args):
-        state, ln_n, dln_n = state_at_t(*args)
-        return ((*state[:4], *(-v for v in state[4:8]), state[8], -state[9]),
-                ln_n, -dln_n)
+        state = state_at_t(*args)
+        return (*state[:4], *(-v for v in state[4:8]), *state[8:10],
+                *(-v for v in state[10:]))
 
     monkeypatch.setattr(nonlocal_curve, "_state_at_t", flipped)
     for p in (2.0, 3.0, 5.0):
@@ -633,8 +632,8 @@ def test_seed_error_falls_like_x_squared(p):
             for end, ts in SEED_ENDS.items():
                 misses = []
                 for t in ts:
-                    state, ln_n, _ = nonlocal_curve._state_at_t(t, params)
-                    ln_alpha = ln_n / (p - 3.0) + state[8]
+                    state = nonlocal_curve._state_at_t(t, params)
+                    ln_alpha = state[9] / (p - 3.0) + state[8]
                     misses.append(abs(nonlocal_curve._seed_tau(ln_alpha, params)
                                       - math.log(t)))
                 for far, near in zip(misses, misses[1:]):

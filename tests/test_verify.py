@@ -13,7 +13,7 @@ from biflogis.errors import DegenerateFit, InvalidBracket, InvalidRegime
 from biflogis import nonlocal_curve as nc
 from biflogis.nonlocal_curve import ProblemParams, solve_alpha
 from biflogis.verify import (_LARGE_D_TS, _SMALL_D_TS, CheckResult,
-                             SweepReport, _curve_state, _large_d_ts,
+                             SweepReport, _large_d_ts,
                              _neville_at_zero, _order_in_log, _window,
                              check_local_large_d, check_local_small_d,
                              check_theorem_1, check_theorem_2,
@@ -115,8 +115,8 @@ def test_check_result_to_record():
     assert rec["pass"] is True
     assert rec["fitted_order"] is None
     assert "other_rel_error" not in rec
-    # other_rel_error serves check_theorem_3's two-set arbitration and is
-    # not part of the record
+    # other_rel_error carries check_theorem_3's mismatch of the other E3
+    # reading and is not part of the record
     r2 = dataclasses.replace(r, fitted_order=-1.0, other_rel_error=0.9)
     rec2 = r2.to_record()
     assert rec2["fitted_order"] == -1.0
@@ -223,7 +223,7 @@ def test_theorem_windows_lie_on_the_solved_curve(p, ts):
     # p = 8 the large-d window is ln t in [8, 10]; [4, 6], the window below
     # p = 8, is kept there too.
     params = params_for(p, q=3.0, a1=1.0, a2=0.5)
-    ln_d, ln_n = _window(ts, (8, 9), _curve_state, params)
+    ln_d, ln_n = _window(ts, (8, 9), nc._state_at_t, params)
     for t, ln_alpha in zip(ts, ln_n / (p - 3.0) + ln_d):
         sol = solve_alpha(math.exp(ln_alpha), params)
         assert abs(math.log(sol.local.layer_t / t)) <= 1e-12, (p, t)
@@ -332,17 +332,18 @@ def test_theorem_3_pinned_reading(sub_report):
 
 def test_theorem_3_neither_reading_matches(sub_report):
     # Two sets that both miss the curve give a failing leading check on the
-    # closer one, with the other's mismatch alongside; no error is raised.
+    # second set, though the first is closer, with the first set's mismatch
+    # alongside; no error is raised.
     cp, cv = constant_sets()
     bad_p = dataclasses.replace(cp, leading_coeff=1e6)
     bad_v = dataclasses.replace(cv, leading_coeff=2e6)
     leading, _, chosen = check_theorem_3(sub_report, bad_p, bad_v)
-    assert chosen == "paper_definition"
+    assert chosen == "proof_variant"
     assert not leading.passed
-    assert leading.target == 1e6
-    assert leading.rel_error == abs(leading.estimate - 1e6) / 1e6
-    assert leading.other_rel_error == abs(leading.estimate - 2e6) / 2e6
-    assert leading.rel_error < leading.other_rel_error
+    assert leading.target == 2e6
+    assert leading.rel_error == abs(leading.estimate - 2e6) / 2e6
+    assert leading.other_rel_error == abs(leading.estimate - 1e6) / 1e6
+    assert leading.other_rel_error < leading.rel_error
 
 
 def test_theorem_3_wrong_regime():

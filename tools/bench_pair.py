@@ -28,9 +28,12 @@ A verdict is "gain met" when at least 10 pairs ran, the change won at
 least 9 of every 10 of them and its median is better than the base's by
 more than the base's interquartile range q3 - q1; on fewer pairs such a
 metric reads "too few pairs", as a few runs of an untouched workload can
-all fall one way. Otherwise it is "within bound" or "worse than bound":
-whether the change's median is worse than the base's by at most the
-metric's relative ``bound`` in ``BENCHMARK.json``.
+all fall one way. Otherwise it is "worse than bound" when the change's
+median is worse than the base's by more than the metric's relative
+``bound`` in ``BENCHMARK.json``, and "within bound" when it is not. A
+"within bound" reads "unresolved" instead when the base's own q3 - q1
+exceeds that bound times its median, unless every change run beats every
+base run: the runs then spread too widely to tell.
 """
 
 from __future__ import annotations
@@ -106,7 +109,8 @@ def spread(values: list[float]) -> dict:
         q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     else:
         q1 = med = q3 = values[0]
-    return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
+    return {"median": med, "q1": q1, "q3": q3, "min": min(values),
+            "max": max(values), "n": len(values)}
 
 
 def verdict(base: dict, change: dict, wins: int, pairs: int, sign: float,
@@ -116,9 +120,14 @@ def verdict(base: dict, change: dict, wins: int, pairs: int, sign: float,
     gain = sign * (change["median"] - base["median"])
     if wins >= 0.9 * pairs and gain > base["q3"] - base["q1"]:
         return "gain met" if pairs >= GAIN_PAIRS else "too few pairs"
-    if -gain <= bound * abs(base["median"]):
-        return "within bound"
-    return "worse than bound"
+    limit = bound * abs(base["median"])
+    if -gain > limit:
+        return "worse than bound"
+    worst, best = ("min", "max") if sign > 0 else ("max", "min")
+    if (base["q3"] - base["q1"] > limit
+            and not sign * change[worst] > sign * base[best]):
+        return "unresolved"
+    return "within bound"
 
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:

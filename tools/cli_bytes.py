@@ -16,9 +16,10 @@ p = 1.05 and a profile on the sinh route at p = 1.2), six near-critical
 runs (both ends' laws at p = 3.01, 2.999, 3 - 1e-6 and 3 +- 5e-10, and
 the constants at 2.999), both ends' laws at p = 1.05 and 12 and the
 constants at p = 5, three runs of the laws at weights near 1e-300, two
-at p = 100 and 300 (theorem 1 on the late large-d window), three runs at
-p = 3 whose grids solve no row (a solver error, exit 1), and the flag
-values outside the documented domain that
+at p = 100 and 300 (theorem 1 on the late large-d window), the
+constants and laws at p = 100 with weights near 1e-300 (S leaves the
+double range), three runs at p = 3 whose grids solve no row (a solver
+error, exit 1), and the flag values outside the documented domain that
 must be usage errors (exit 64), ``--e3-reading`` among them.
 
 An invocation still running after ``TIMEOUT_S`` seconds is stopped and
@@ -34,13 +35,18 @@ an invocation that exits 0 on both sides prints different stdout, or if
 one that exits 1 on the working tree names a bare ``ValueError`` or
 ``OverflowError`` on stderr (``biflogis <cmd>: ValueError: ...``): a
 solver outcome is a package error, and a bare one is a bug. Such a line
-ends in ``BARE``.
+ends in ``BARE``. It also exits 1, and the line ends in ``NONFINITE``, if
+the working tree prints a non-finite number (``NaN``, ``Infinity``,
+``nan`` or ``inf``, with or without a sign) as a JSON or CSV value.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -94,6 +100,10 @@ INVOCATIONS = [
     # 0.517
     "verify --p 100 --q 2",
     "verify --p 300 --q 2",
+    # large p at weights near 1e-300: S = O(1/(a1 + a2)) leaves the double
+    # range
+    "constants --p 100 --a1 1e-300 --a2 1e-300",
+    "verify --p 100 --a1 1e-300 --a2 1e-300",
     # p = 3 grids on which no alpha solves: theorem 2 has no row to read
     "verify --p 3 --a1 1e-300 --a2 0",
     "verify --p 3 --a1 1e-300 --a2 1e-300",
@@ -146,13 +156,25 @@ def names_bare_error(code: int, invocation: str, stderr: bytes) -> bool:
         for name in ("ValueError", "OverflowError"))
 
 
+def prints_nonfinite(stdout: bytes) -> bool:
+    """Whether stdout holds a non-finite number as a JSON or CSV value."""
+    text = stdout.decode()
+    found = []
+    try:
+        json.loads(text, parse_constant=found.append)
+    except ValueError:
+        found = [f for row in csv.reader(text.splitlines()) for f in row
+                 if re.fullmatch(r"\s*[+-]?(nan|inf|infinity)\s*", f, re.I)]
+    return bool(found)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True,
                     help="git revision to compare against")
     args = ap.parse_args(argv)
 
-    changed = differs = broken = bare = 0
+    changed = differs = broken = bare = nonfinite = 0
     with tempfile.TemporaryDirectory(prefix="cli_bytes_") as tmp:
         export(args.base, Path(tmp))
         print("base change stdout invocation")
@@ -161,16 +183,20 @@ def main(argv=None) -> int:
             rc_c, out_c, err_c = side(ROOT, invocation)
             same = out_b == out_c
             is_bare = names_bare_error(rc_c, invocation, err_c)
+            is_nonfinite = prints_nonfinite(out_c)
             changed += rc_b != rc_c
             differs += not same
             broken += not same and rc_b == rc_c == 0
             bare += is_bare
+            nonfinite += is_nonfinite
             print(f"{rc_b:4d} {rc_c:6d} {'same' if same else 'differs':8s}"
-                  f"{invocation}{'  BARE' if is_bare else ''}")
+                  f"{invocation}{'  BARE' if is_bare else ''}"
+                  f"{'  NONFINITE' if is_nonfinite else ''}")
     print(f"{len(INVOCATIONS)} invocations: {changed} exit codes changed, "
           f"{differs} stdout differ, {broken} of them exit 0 on both sides, "
-          f"{bare} bare errors on the working tree")
-    return 1 if broken or bare else 0
+          f"{bare} bare errors and {nonfinite} non-finite outputs on the "
+          f"working tree")
+    return 1 if broken or bare or nonfinite else 0
 
 
 if __name__ == "__main__":
