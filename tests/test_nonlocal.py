@@ -11,8 +11,10 @@ import dataclasses
 import math
 import pickle
 import re
+import sys
 import types
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -29,6 +31,13 @@ from biflogis.local_logistic import LocalParams, point_q_norm
 from biflogis.nonlocal_curve import (NonlocalSolution, ProblemParams, g_of_k,
                                      residual_check, solve_alpha)
 from biflogis.verify import DEFAULT_SUB_ALPHAS
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+# The domain grid, 11 p x 3 q x 6 alpha at a1 = a2 = 1, as
+# tools/grid_shift.py solves it.
+from grid_shift import ALPHAS as DOMAIN_ALPHAS  # noqa: E402
+from grid_shift import PS as DOMAIN_PS, QS as DOMAIN_QS  # noqa: E402
 
 
 def rel(a, b):
@@ -333,13 +342,6 @@ def test_extreme_points_valid_or_typed_error(p, alpha):
     # beta leaves the float range.
     for q in (1.1, 2.0, 8.0):
         assert_valid_or_typed_error(alpha, ProblemParams(p=p, q=q, a1=1.0, a2=1.0))
-
-
-# 11 p x 3 q x 6 alpha, a1 = a2 = 1.
-DOMAIN_PS = (1.05, 1.5, 2.0, 2.9, 3.0 - 1e-6, 3.0 + 1e-6, 3.0 + 1e-8, 3.1,
-             4.0, 8.0, 20.0)
-DOMAIN_QS = (1.1, 2.0, 8.0)
-DOMAIN_ALPHAS = (1e-6, 1e-2, 1.0, 1e2, 1e6, 1e12)
 
 
 def test_domain_grid_solved_or_typed_error(monkeypatch):

@@ -245,6 +245,17 @@ def test_xcheck_draws_are_the_benchmarks(monkeypatch, seed):
         f"xcheck p={p} gamma={gamma}" for p, gamma in xcheck_draws(seed)]
 
 
+def test_solve_cost_alphas_are_the_benchmarks(monkeypatch):
+    # tools/solve_cost.py times solves on its own copy of the curve_super
+    # workload's alpha grid, which must be the benchmark's.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import workloads
+    from solve_cost import SUPER_ALPHAS
+
+    assert SUPER_ALPHAS == workloads.SUPER_ALPHAS
+
+
 def test_solve_bvp_xcheck_work(monkeypatch):
     # The 18 draws of seeds 1-3 take 19 requested-step half-marches and ask
     # for 175,500 RK4 steps; the bounds leave 8% and 6.6% for a change of

@@ -5,13 +5,16 @@
         oracle_xcheck:1-10 curve_sub:1 curve_super:1
 
 Each WORKLOAD:SEEDS argument names a workload of ``perfbench/run.py`` and
-its seeds (``1-10``, ``3`` or ``1,4,9``). The base revision is exported
-with ``git archive`` into a temporary directory, and the working tree's
-tracked files (``git ls-files``, as they are on disk, so uncommitted edits
-count and untracked files do not) are copied into a second one. Both sides
-thus run from fresh trees without build leftovers, and the repository's own
-checkout and git metadata are left alone. For every seed the benchmark
-runs once on each side, each side with its own ``perfbench/run.py`` and
+its seeds (``1-10``, ``3`` or ``1,4,9``). ``sides`` exports the base
+revision with ``git archive`` into a temporary directory, and copies the
+working tree's tracked files (``git ls-files``, as they are on disk, so
+uncommitted edits count and untracked files do not) into a second one.
+Both sides thus run from fresh trees without build leftovers, and the
+repository's own checkout and git metadata are left alone. The other
+comparison tools run their two sides from the same pair: ``cli_bytes``
+runs its command lines there, and ``grid_shift``, ``solve_cost`` and
+``oracle_grid`` call their own functions there through ``in_fresh``. For
+every seed the benchmark runs once on each side, each side with its own ``perfbench/run.py`` and
 ``src/``; the side that runs first alternates from pair to pair, so a
 drift in the host's speed does not favour either side. Runs use the
 command and ``run_seconds`` declared in the working tree's
@@ -46,9 +49,11 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+TOOLS = Path(__file__).resolve().parent
+ROOT = TOOLS.parent
 # The fewest pairs a "gain met" verdict can rest on.
 GAIN_PAIRS = 10
 
@@ -73,22 +78,46 @@ def git(*args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def export(rev: str, dest: Path) -> None:
-    """The tree of rev, as committed, into dest."""
-    with tempfile.TemporaryFile() as tar:
-        subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
-                       check=True, stdout=tar)
-        tar.seek(0)
-        with tarfile.open(fileobj=tar) as tf:
-            tf.extractall(dest, filter="data")
+@contextmanager
+def sides(rev: str):
+    """{"base": the tree of rev as committed, "change": the working tree's
+    tracked files as they are on disk}, each in a fresh temporary directory
+    that the block's exit removes."""
+    with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
+        roots = {"base": Path(tmp, "base"), "change": Path(tmp, "change")}
+        with tempfile.TemporaryFile() as tar:
+            subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                           check=True, stdout=tar)
+            tar.seek(0)
+            with tarfile.open(fileobj=tar) as tf:
+                tf.extractall(roots["base"], filter="data")
+        for name in git("ls-files", "-z").split("\0"):
+            if name and (ROOT / name).is_file():
+                (roots["change"] / name).parent.mkdir(parents=True,
+                                                      exist_ok=True)
+                shutil.copy2(ROOT / name, roots["change"] / name)
+        yield roots
 
 
-def copy_tracked(dest: Path) -> None:
-    """The working tree's tracked files, as they are on disk, into dest."""
-    for name in git("ls-files", "-z").split("\0"):
-        if name and (ROOT / name).is_file():
-            (dest / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(ROOT / name, dest / name)
+# Runs the tools module argv[1]'s function argv[2] on the JSON argument
+# list argv[3], with argv[4:] first on sys.path, and prints its result as
+# JSON.
+_FRESH = ("import importlib, json, sys; sys.path[:0] = sys.argv[4:]; "
+          "func = getattr(importlib.import_module(sys.argv[1]), sys.argv[2]); "
+          "print(json.dumps(func(*json.loads(sys.argv[3]))))")
+
+
+def in_fresh(root: Path, module: str, func: str, *args):
+    """tools/<module>.<func>(*args) in a fresh interpreter on root's src/,
+    with these tools beside it on sys.path; the result read back through
+    JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH, module, func, json.dumps(args),
+         str(root / "src"), str(TOOLS)], capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{module}.{func} on {root} exited "
+                         f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
 
 
 def run_once(root: Path, command: list[str], workload: str, seed: int,
@@ -190,17 +219,14 @@ def main(argv=None) -> int:
         "command": bench["command"], "seconds": seconds, "trace": 0,
         "runs": [], "summary": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
-        sides = {"base": Path(tmp, "base"), "change": Path(tmp, "change")}
-        export(args.base, sides["base"])
-        copy_tracked(sides["change"])
+    with sides(args.base) as roots:
         n_pair = 0
         for workload, seeds in args.specs:
             for seed in seeds:
                 order = ("base", "change") if n_pair % 2 == 0 else ("change", "base")
                 for pos, side in enumerate(order):
                     print(f"{workload} seed {seed}: {side}", file=sys.stderr, flush=True)
-                    out = run_once(sides[side], bench["command"], workload, seed, seconds)
+                    out = run_once(roots[side], bench["command"], workload, seed, seconds)
                     record["runs"].append({"workload": workload, "seed": seed,
                                            "side": side, "position": pos, **out})
                 n_pair += 1

@@ -6,10 +6,11 @@ the working tree.
 
 Runs a fixed list of ``biflogis`` invocations as ``python -m biflogis.cli``,
 each in a fresh interpreter, once on the base revision's ``src/`` and once
-on the working tree's. The base revision is exported with
-``tools/bench_pair.py``'s ``git archive`` helper, so the checkout is left
-alone. The list holds the README's seven examples, their ``--format csv``
-(or json) variants, a default grid, a solver error, two runs at
+on the working tree's, both from the fresh copies that
+``tools/bench_pair.py``'s ``sides`` makes, so the checkout is left alone.
+The list holds the README's seven examples, their ``--format csv``
+(or json) variants, a default grid, a solver error, a sweep CSV whose
+alpha = 1000 row is left out (p = 20, past the tau wall), two runs at
 p = 1.5 (its constants, and a solve whose root lies on the moments'
 Chebyshev branch), two runs near p = 1 (a Chebyshev-panel solve at
 p = 1.05 and a profile on the sinh route at p = 1.2), six near-critical
@@ -49,12 +50,9 @@ import os
 import re
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from bench_pair import ROOT, export  # noqa: E402
+from bench_pair import sides
 
 INVOCATIONS = [
     # README examples and their other output format
@@ -69,9 +67,10 @@ INVOCATIONS = [
     "verify --p 2 --q 2 --a1 0 --a2 1",
     "verify --p 2 --q 2 --a1 0 --a2 1 --format csv",
     "oracle-check --p 3 --gamma 15",
-    # a default grid and a solver error
+    # a default grid, a solver error and a sweep CSV that leaves a row out
     "verify --p 5",
     "solve-local --p 3 --gamma 5",
+    "sweep --p 20 --alpha-min 1 --alpha-max 1000 --points 2 --format csv",
     # p = 1.5: the constants, and a root on the Chebyshev branch (t = 7.79)
     "constants --p 1.5 --q 2",
     "solve --p 1.5 --alpha 0.01",
@@ -175,12 +174,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     changed = differs = broken = bare = nonfinite = 0
-    with tempfile.TemporaryDirectory(prefix="cli_bytes_") as tmp:
-        export(args.base, Path(tmp))
+    with sides(args.base) as roots:
         print("base change stdout invocation")
         for invocation in INVOCATIONS:
-            rc_b, out_b, _ = side(Path(tmp), invocation)
-            rc_c, out_c, err_c = side(ROOT, invocation)
+            rc_b, out_b, _ = side(roots["base"], invocation)
+            rc_c, out_c, err_c = side(roots["change"], invocation)
             same = out_b == out_c
             is_bare = names_bare_error(rc_c, invocation, err_c)
             is_nonfinite = prints_nonfinite(out_c)

@@ -6,10 +6,10 @@ and the working tree.
 
 Runs ``solve_alpha`` on the 198 cases of
 ``tests/test_nonlocal.py::test_domain_grid_solved_or_typed_error``
-(11 p x q in {1.1, 2, 8} x 6 alpha, a1 = a2 = 1) once on the base
-revision's ``src/`` and once on the working tree's, each in its own
-interpreter. The base revision is exported with ``tools/bench_pair.py``'s
-``git archive`` helper, so the checkout is left alone.
+(11 p x q in {1.1, 2, 8} x 6 alpha, a1 = a2 = 1; the test imports the
+grid from here) once on the base revision's ``src/`` and once on the
+working tree's, each in a fresh interpreter on the fresh copies that
+``tools/bench_pair.py``'s ``sides`` makes, so the checkout is left alone.
 
 Prints one line per case: p, q, alpha, the outcome on each side (``point``
 or the error's class name) and, where both return a point, the largest
@@ -28,16 +28,10 @@ the grid) magnifies a root's rounding, and sets the worst shift overall.
 from __future__ import annotations
 
 import argparse
-import json
-import subprocess
 import sys
-import tempfile
 from collections import Counter
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from bench_pair import ROOT, export  # noqa: E402
+from bench_pair import in_fresh, sides
 
 PS = (1.05, 1.5, 2.0, 2.9, 3.0 - 1e-6, 3.0 + 1e-6, 3.0 + 1e-8, 3.1,
       4.0, 8.0, 20.0)
@@ -61,12 +55,11 @@ def regime(p: float) -> str:
     return REGIMES[0] if p < 3.0 else REGIMES[2]
 
 
-def run_grid(src: str) -> dict:
+def run_grid() -> dict:
     """{"cases": every case's fields as a dict, or its error's class name,
     "resid_evals": the curve-residual evaluations over the grid per regime,
     "states": per regime, the number of solves that took each count of
-    STATES}, solved with the package under src."""
-    sys.path.insert(0, src)
+    STATES}, solved with the ``biflogis`` that ``sys.path`` finds first."""
     from biflogis import nonlocal_curve
     from biflogis.errors import BiflogisError
     from biflogis.nonlocal_curve import ProblemParams, solve_alpha
@@ -97,36 +90,19 @@ def run_grid(src: str) -> dict:
     return {"cases": out, "resid_evals": evals, "states": states}
 
 
-def side(root: Path) -> dict:
-    """run_grid on root's src/, in a fresh interpreter."""
-    argv = [sys.executable, str(Path(__file__).resolve()),
-            "--src", str(root / "src")]
-    proc = subprocess.run(argv, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"grid on {root} exited {proc.returncode}:\n"
-                         f"{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout)
-
-
 def shift(a: float, b: float) -> float:
     return 0.0 if a == b else abs(b / a - 1.0)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--base", help="git revision to compare against")
-    ap.add_argument("--src", help=argparse.SUPPRESS)
+    ap.add_argument("--base", required=True,
+                    help="git revision to compare against")
     args = ap.parse_args(argv)
-    if args.src:
-        json.dump(run_grid(args.src), sys.stdout)
-        return 0
-    if not args.base:
-        ap.error("--base is required")
 
-    with tempfile.TemporaryDirectory(prefix="grid_shift_") as tmp:
-        export(args.base, Path(tmp))
-        base = side(Path(tmp))
-    change = side(ROOT)
+    with sides(args.base) as roots:
+        base, change = (in_fresh(roots[name], "grid_shift", "run_grid")
+                        for name in ("base", "change"))
 
     evals = {"base": base["resid_evals"], "change": change["resid_evals"]}
     states = {"base": base["states"], "change": change["states"]}

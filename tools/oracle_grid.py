@@ -22,8 +22,9 @@ revisions case by case; the counts compare their work, and the fine-march
 column shows whether a change moved the coarse levels' work or the
 requested march's.
 
-With ``--base REV`` the grid also runs on REV's ``src/``, exported with
-``tools/bench_pair.py``'s ``git archive`` helper, so the checkout is left
+The solves run in a fresh interpreter on the working tree's ``src/``, and
+with ``--base REV`` in a second one on REV's, both from the fresh copies
+that ``tools/bench_pair.py``'s ``sides`` makes, so the checkout is left
 alone. Each line then holds p, gamma, the outcome on the base and on the
 working tree, the relative shift of k where both sides found a point, both
 sides' k and d misses, both sides' RK4 steps and the errors' messages. The
@@ -43,26 +44,15 @@ the base and the working tree.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import random
-import subprocess
-import sys
-import tempfile
 from collections import Counter
 from contextlib import contextmanager
-from pathlib import Path
 
-from bench_pair import ROOT, export, parse_spec
+from bench_pair import in_fresh, parse_spec, sides
 
 PS = (1.2, 1.5, 2.0, 3.0, 5.0, 8.0, 20.0, 50.0)
 GAMMAS = (10.0, 12.0, 15.0, 30.0, 50.0, 80.0, 120.0)
-
-# Runs grid(), or xcheck() on the seeds in argv[1], in a fresh interpreter
-# on the package under argv[2].
-_CHILD = ("import json, sys; sys.path[:0] = sys.argv[2:]; import oracle_grid; "
-          "seeds = json.loads(sys.argv[1]); print(json.dumps("
-          "oracle_grid.grid() if seeds is None else oracle_grid.xcheck(seeds)))")
 
 
 @contextmanager
@@ -141,16 +131,6 @@ def xcheck(seeds: list[int]) -> list[list]:
                 rows.append([seed, p, gamma, steps.count(n),
                              steps.count(n // 2), sum(steps)])
     return rows
-
-
-def side(src: Path, seeds: list[int] | None) -> list[list]:
-    """grid(), or xcheck(seeds), on the package under src, in a fresh
-    interpreter."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(seeds), str(src),
-         str(Path(__file__).parent)],
-        check=True, capture_output=True, text=True)
-    return json.loads(proc.stdout)
 
 
 def counts(rows: list[list]) -> str:
@@ -236,13 +216,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     seeds = args.xcheck
-    change = side(ROOT / "src", seeds)
-    if args.base is None:
-        (print_grid if seeds is None else print_xcheck)(change)
-        return 0
-    with tempfile.TemporaryDirectory(prefix="oracle_grid_") as tmp:
-        export(args.base, Path(tmp))
-        base = side(Path(tmp) / "src", seeds)
+    call = ("grid",) if seeds is None else ("xcheck", seeds)
+    # Without --base only the change's copy runs.
+    with sides(args.base or "HEAD") as roots:
+        change = in_fresh(roots["change"], "oracle_grid", *call)
+        if args.base is None:
+            (print_grid if seeds is None else print_xcheck)(change)
+            return 0
+        base = in_fresh(roots["base"], "oracle_grid", *call)
     (print_diff if seeds is None else print_xcheck_diff)(base, change)
     return 0
 

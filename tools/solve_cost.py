@@ -29,10 +29,10 @@ state layer, so these rows are where its cost shows. Then the public
 (p = 2, k = 1, nu = k^{p-1}/gamma = 0.2, t = 0.22) and at a Chebyshev t
 (p = 4, k = 2, nu = 0.99, t = 4.6).
 
-The base revision is exported with ``tools/bench_pair.py``'s ``git archive``
-helper, so the checkout is left alone. Each of ROUNDS rounds runs one
-fresh interpreter on the base's ``src/`` and one on the working tree's, in
-alternating order, and each interpreter takes the best of REPEAT timings
+Each of ROUNDS rounds runs, in alternating order, one fresh interpreter
+on the base revision's ``src/`` and one on the working tree's, both from
+the fresh copies that ``tools/bench_pair.py``'s ``sides`` makes, so the
+checkout is left alone; each interpreter takes the best of REPEAT timings
 per row. Prints per row the range of the rounds' values on each side, best
 to worst, and the change's best as a share of the base's.
 """
@@ -40,19 +40,13 @@ to worst, and the change's best as a share of the base's.
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import subprocess
 import sys
-import tempfile
 import timeit
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from bench_pair import ROOT, export  # noqa: E402
+from bench_pair import in_fresh, sides
 
 # curve_super's alpha grid, as perfbench/workloads.py builds it.
 SUPER_ALPHAS = tuple(np.geomspace(1e3, 1e6, 60).tolist())
@@ -64,9 +58,9 @@ ROUNDS = 5
 REPEAT = 7
 
 
-def measure(src: str) -> dict:
-    """{row name: best microseconds per call} with the package under src."""
-    sys.path.insert(0, src)
+def measure() -> dict:
+    """{row name: best microseconds per call} with the ``biflogis`` that
+    ``sys.path`` finds first."""
     from biflogis import local_logistic as ll
     from biflogis import nonlocal_curve as nc
     from biflogis.verify import DEFAULT_SUB_ALPHAS
@@ -134,36 +128,19 @@ def measure(src: str) -> dict:
     return out
 
 
-def side(root: Path) -> dict:
-    """measure on root's src/, in a fresh interpreter."""
-    argv = [sys.executable, str(Path(__file__).resolve()),
-            "--src", str(root / "src")]
-    proc = subprocess.run(argv, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"timing on {root} exited {proc.returncode}:\n"
-                         f"{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--base", help="git revision to compare against")
-    ap.add_argument("--src", help=argparse.SUPPRESS)
+    ap.add_argument("--base", required=True,
+                    help="git revision to compare against")
     args = ap.parse_args(argv)
-    if args.src:
-        json.dump(measure(args.src), sys.stdout)
-        return 0
-    if not args.base:
-        ap.error("--base is required")
 
     runs = {"base": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="solve_cost_") as tmp:
-        export(args.base, Path(tmp))
-        roots = {"base": Path(tmp), "change": ROOT}
+    with sides(args.base) as roots:
         for i in range(ROUNDS):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for name in order:
-                runs[name].append(side(roots[name]))
+                runs[name].append(in_fresh(roots[name], "solve_cost",
+                                           "measure"))
 
     print("row: base best-worst round -> change best-worst round (us), "
           "change/base of the bests")
