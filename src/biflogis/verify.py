@@ -4,13 +4,13 @@ Each check reads a coefficient y that tends to its limit as x -> 0,
 extrapolates it to x = 0 by Neville's scheme (Sidi, Practical Extrapolation
 Methods, CUP 2003), fits the remainder order against the log of the sweep
 variable, and compares against the closed-form target from the constants
-module. Every check but theorem 2's is a guard, one _window read and its
-rows: the read takes the log-state entries its laws use at six points of
-one of two fixed windows of the layer coordinate t, with no root-find (the
-local problem's state, or the curve's with ln N), and _evaluate turns each
-row (name, target, ys, tolerance, floor) into a CheckResult. x =
-alpha^{-(p-3)/2} or alpha^{p-3} is formed from the state and alpha never
-formed. Theorem 2's law is exact and is read on the rows of an alpha sweep.
+module. One table per window of the layer coordinate t, small d and
+large d: one _window read of the curve state at six points, no root-find,
+and _evaluate turns each row (name, target, ys, tolerance, floor) into a
+CheckResult, the theorem's rows (x = alpha^{-(p-3)/2} or alpha^{p-3},
+alpha never formed) and the local problem's (x a power of d). check_laws
+returns every row, theorem 2's at p = 3, whose exact law is read on the
+rows of an alpha sweep; the CLI's verify exits 2 when any row fails.
 Targets are never hard-coded here; they are recomputed per call so a
 constants bug cannot hide behind a stale number.
 
@@ -29,7 +29,6 @@ from operator import itemgetter
 import numpy as np
 
 from . import constants as consts
-from . import local_logistic as ll
 from . import nonlocal_curve as nc
 from .errors import (BiflogisError, DegenerateFit, InvalidBracket,
                      InvalidRegime)
@@ -42,8 +41,7 @@ __all__ = [
     "check_theorem_1",
     "check_theorem_2",
     "check_theorem_3",
-    "check_local_large_d",
-    "check_local_small_d",
+    "check_laws",
     "DEFAULT_SUPER_ALPHAS",
     "DEFAULT_SUB_ALPHAS",
 ]
@@ -71,12 +69,12 @@ def _large_d_ts(p: float) -> tuple:
     return _LATE_LARGE_D_TS if p >= 8.0 else _LARGE_D_TS
 
 
-def _window(ts, entries, state_at, *args) -> np.ndarray:
-    """The entries of the log state state_at(t, *args) at the layer
-    coordinates ts of a window, one row per entry, numbered as in
-    nc._state_at_t's docstring."""
+def _window(ts, entries, params: nc.ProblemParams) -> np.ndarray:
+    """The entries of the curve state nc._state_at_t(t, params) at the
+    layer coordinates ts of a window, one row per entry, numbered as in
+    its docstring."""
     pick = itemgetter(*entries)
-    return np.array([pick(state_at(t, *args)) for t in ts]).T
+    return np.array([pick(nc._state_at_t(t, params)) for t in ts]).T
 
 
 @dataclass(frozen=True)
@@ -225,27 +223,100 @@ def _evaluate(ln_s, xs, rows) -> list[CheckResult]:
     return out
 
 
-def check_theorem_1(report: SweepReport) -> CheckResult:
-    """Large-d growth law lambda = alpha^{p-1}(1 + C1 sqrt(a1+a2)
-    alpha^{-(p-3)/2} + O(alpha^{-(p-3)})): alpha -> infinity for p > 3 (the
-    paper's theorem 1), alpha -> 0 for 1 < p < 3; InvalidRegime at p = 3.
+def _large_d_laws(params: nc.ProblemParams, c1: float, cq: float):
+    """(theorem rows, local rows) of the large-d window, ln t in [4, 6]
+    below p = 8 and [8, 10] from there, from one read of six states.
 
-    Read on the large-d window, ln t in [4, 6] below p = 8 and [8, 10]
-    from there (six points), where
-    lambda/alpha^{p-1} = gamma/d^{p-1} and x = alpha^{-(p-3)/2}
-    = N^{-1/2} d^{-(p-3)/2}; only report.params is read.
+    Theorem 1, at p != 3: lambda = alpha^{p-1}(1 + C1 sqrt(a1+a2)
+    alpha^{-(p-3)/2} + O(alpha^{-(p-3)})), alpha -> infinity for p > 3
+    (the paper's theorem 1), alpha -> 0 for 1 < p < 3; on the window
+    lambda/alpha^{p-1} = gamma/d^{p-1}, x = N^{-1/2} d^{-(p-3)/2}.
+    The local laws, with x = d^{-(p-1)/2}: the eigenvalue shift C1, the
+    q-norm relation residual and the D(d) coefficient (2/(p-1)) C1
+    - (2/q) Cq. The residual falls like e^{-2t} and is taken at the last
+    t; at t >= 54 it is at rounding level (at most 7.8e-15 for p in
+    [1.05, 300], q in [1.1, 8]), so its fitted_order is nan, as for
+    theorem 2's exact law: a fit would fit the rounding.
     """
+    p, q = params.p, params.q
+    ln_k, ln_g, ln_dk, ln_wqk, ln_d, ln_n = _window(
+        _large_d_ts(p), (0, 1, 2, 3, 8, 9), params)
+    excess = np.expm1(ln_g - (p - 1.0) * ln_d)
+    theorem = []
+    if params.regime != "critical":
+        xs = np.exp(-0.5 * (ln_n + (p - 3.0) * ln_d))
+        theorem = _evaluate(ln_n / (p - 3.0) + ln_d, xs, [
+            ("theorem_1_leading", c1 * math.sqrt(params.a1 + params.a2),
+             excess / xs, 0.02, 0.0)])
+    xs = np.exp(-0.5 * (p - 1.0) * ln_d)
+    shift, dcoef = _evaluate(ln_d, xs, [
+        ("large_d_gamma_shift", c1, excess / xs, 0.01, 0.0),
+        ("large_d_D_coefficient", (2.0 / (p - 1.0)) * c1 - (2.0 / q) * cq,
+         np.expm1(2.0 * (ln_wqk - ln_dk)) / xs, 0.02, cq)])
+    ln_wq = ln_k[-1] + ln_wqk[-1]
+    resid = float(np.expm1((p - 1.0) * ln_wq - ln_g[-1] - (p - 1.0) / q
+                           * np.log1p(-cq * np.exp(-0.5 * ln_g[-1]))))
+    return theorem, [shift, CheckResult("large_d_qnorm_relation", 0.0, resid,
+                                        abs(resid), math.nan, 1e-6), dcoef]
+
+
+def _small_d_laws(params: nc.ProblemParams, cs: consts.ConstantSet):
+    """(theorem rows, local rows) of the small-d window, t in [1e-4, 1e-2],
+    from one read of six states; cs is at params' (p, q, a1, a2).
+
+    Theorem 3, at p != 3: lambda = L0 alpha^2 (1 + S alpha^{p-3} + o),
+    alpha -> infinity for 1 < p < 3 (the paper's theorem 3), alpha -> 0
+    for p > 3; on the window lambda/alpha^2 = N gamma/d^2, x = alpha^{p-3}
+    = N d^{p-3}, and S is the limit of (lambda/(L0 alpha^2) - 1)/x.
+    The local laws, with x = d^{p-1}: A3, A4 and (2/q) A2/A1. A4 is taken
+    at q = 2 whatever q, through constants._amplitude_a4 as E2 takes it:
+    the amplitude ratio k^2/(2 d^2) involves the L2 norm alone.
+    """
+    p, q = params.p, params.q
+    ln_g, ln_dk, ln_wqk, ln_d, ln_n = _window(
+        _SMALL_D_TS, (1, 2, 3, 8, 9), params)
+    theorem = []
+    if params.regime != "critical":
+        xs = np.exp(ln_n + (p - 3.0) * ln_d)
+        ys = np.exp(ln_n + ln_g - 2.0 * ln_d)
+        theorem = _evaluate(ln_n / (p - 3.0) + ln_d, xs, [
+            ("theorem_3_leading", cs.leading_coeff, ys, 0.005, 0.0),
+            ("theorem_3_second", cs.second_coeff,
+             (ys / cs.leading_coeff - 1.0) / xs, 0.05, 0.0)])
+    xs = np.exp((p - 1.0) * ln_d)
+    return theorem, _evaluate(ln_d, xs, [
+        ("small_d_gamma_shift", cs.A3,
+         math.pi * np.expm1(0.5 * ln_g - math.log(math.pi)) / xs, 0.01, 0.0),
+        ("small_d_amplitude", consts._amplitude_a4(p, q, vars(cs)),
+         np.expm1(-2.0 * ln_dk - math.log(2.0)) / xs, 0.02, 0.0),
+        ("small_d_qnorm", (2.0 / q) * (cs.A2 / cs.A1),
+         np.expm1(2.0 * ln_wqk + ln_g / q
+                  - (2.0 / q) * math.log(2.0 * cs.A1)) / xs, 0.02, 0.0)])
+
+
+def check_laws(report: SweepReport) -> list[CheckResult]:
+    """Every law row at report.params, each window read once and the
+    targets from one compute_all: theorem 1's and theorem 3's two at
+    p != 3, theorem 2's two at p = 3, then the large-d and the small-d
+    local rows."""
+    params = report.params
+    cs = consts.compute_all(params.p, params.q, params.a1, params.a2)
+    large_theorem, large_local = _large_d_laws(params, cs.C1, cs.Cq)
+    small_theorem, small_local = _small_d_laws(params, cs)
+    theorems = (list(check_theorem_2(report)) if params.regime == "critical"
+                else large_theorem + small_theorem)
+    return theorems + large_local + small_local
+
+
+def check_theorem_1(report: SweepReport) -> CheckResult:
+    """Theorem 1's row of _large_d_laws, reading report.params alone;
+    InvalidRegime at p = 3."""
     params = report.params
     p = params.p
     if params.regime == "critical":
         raise InvalidRegime(f"theorem 1 needs p != 3, got p = {p}")
-    ln_g, ln_d, ln_n = _window(_large_d_ts(p), (1, 8, 9), nc._state_at_t,
-                                params)
-    xs = np.exp(-0.5 * (ln_n + (p - 3.0) * ln_d))
-    target = consts.compute_C1(p) * math.sqrt(params.a1 + params.a2)
-    return _evaluate(ln_n / (p - 3.0) + ln_d, xs, [
-        ("theorem_1_leading", target,
-         np.expm1(ln_g - (p - 1.0) * ln_d) / xs, 0.02, 0.0)])[0]
+    return _large_d_laws(params, consts.compute_C1(p),
+                         consts.compute_Cq(p, params.q))[0][0]
 
 
 def check_theorem_2(report: SweepReport) -> tuple[CheckResult, CheckResult]:
@@ -280,14 +351,9 @@ def check_theorem_2(report: SweepReport) -> tuple[CheckResult, CheckResult]:
 def check_theorem_3(report: SweepReport,
                     constants_paper: consts.ConstantSet,
                     constants_variant: consts.ConstantSet):
-    """Small-d law lambda = L0 alpha^2 (1 + S alpha^{p-3} + o): alpha ->
-    infinity for 1 < p < 3 (the paper's theorem 3), alpha -> 0 for p > 3;
+    """Theorem 3's rows of _small_d_laws, reading report.params alone;
     InvalidRegime at p = 3, ValueError for a ConstantSet built at another
     (p, q, a1, a2) than report.params.
-
-    Read on the small-d window, t in [1e-4, 1e-2] (six points), where
-    lambda/alpha^2 = N gamma/d^2 and x = alpha^{p-3} = N d^{p-3}; S is the
-    limit of (lambda/(L0 alpha^2) - 1)/x. Only report.params is read.
 
     It checks constants_variant's coefficients. Where constants_paper has
     another E3 reading (perfbench/workloads.py passes paper_definition's),
@@ -304,73 +370,8 @@ def check_theorem_3(report: SweepReport,
             raise ValueError(f"ConstantSet at (p, q, a1, a2) = "
                              f"{(cs.p, cs.q, cs.a1, cs.a2)}, report at {key}")
     cs = constants_variant
-    ln_g, ln_d, ln_n = _window(_SMALL_D_TS, (1, 8, 9), nc._state_at_t,
-                                params)
-    xs = np.exp(ln_n + (p - 3.0) * ln_d)
-    ys = np.exp(ln_n + ln_g - 2.0 * ln_d)
-    leading, second = _evaluate(ln_n / (p - 3.0) + ln_d, xs, [
-        ("theorem_3_leading", cs.leading_coeff, ys, 0.005, 0.0),
-        ("theorem_3_second", cs.second_coeff,
-         (ys / cs.leading_coeff - 1.0) / xs, 0.05, 0.0)])
+    (leading, second), _ = _small_d_laws(params, cs)
     if constants_paper.e3_reading != cs.e3_reading:
         leading = replace(leading, other_rel_error=_rel(
             leading.estimate, constants_paper.leading_coeff))
     return leading, second, cs.e3_reading
-
-
-def check_local_large_d(p: float, q: float) -> list[CheckResult]:
-    """Large-d laws, for every p: eigenvalue shift C1, the q-norm relation
-    residual, and the D(d) coefficient (2/(p-1)) C1 - (2/q) Cq.
-
-    Read on the large-d window, ln t in [4, 6] below p = 8 and [8, 10]
-    from there (six points), with x = d^{-(p-1)/2}; the relation residual,
-    which falls like e^{-2t}, is taken at the window's last t. Its
-    fitted_order is nan, as for theorem 2's exact law: with t >= 54 on
-    either window the residual is at rounding level (at most 7.8e-15 for p
-    in [1.05, 300], q in [1.1, 8]), and a fit of it would fit the
-    rounding.
-    p and q outside compute_A's domain raise ValueError before any
-    calibration runs.
-    """
-    consts._check_pq(p, q)
-    ln_k, ln_g, ln_dk, ln_wqk = _window(_large_d_ts(p), range(4),
-                                        ll._log_state_at_t, p, q)
-    ln_d = ln_k + ln_dk
-    xs = np.exp(-0.5 * (p - 1.0) * ln_d)
-    c1 = consts.compute_C1(p)
-    cq = consts.compute_Cq(p, q)
-    shift, dcoef = _evaluate(ln_d, xs, [
-        ("large_d_gamma_shift", c1, np.expm1(ln_g - (p - 1.0) * ln_d) / xs,
-         0.01, 0.0),
-        ("large_d_D_coefficient", (2.0 / (p - 1.0)) * c1 - (2.0 / q) * cq,
-         np.expm1(2.0 * (ln_wqk - ln_dk)) / xs, 0.02, cq)])
-    ln_wq = ln_k[-1] + ln_wqk[-1]
-    resid = float(np.expm1((p - 1.0) * ln_wq - ln_g[-1] - (p - 1.0) / q
-                           * np.log1p(-cq * np.exp(-0.5 * ln_g[-1]))))
-    return [shift, CheckResult("large_d_qnorm_relation", 0.0, resid,
-                               abs(resid), math.nan, 1e-6), dcoef]
-
-
-def check_local_small_d(p: float, q: float) -> list[CheckResult]:
-    """Small-d laws: the A3, A4, and (2/q) A2/A1 expansion coefficients.
-
-    Read on t in [1e-4, 1e-2] (six points), with x = d^{p-1}. The A4 target
-    is A4 at q = 2 whatever the check's q, read through
-    constants._amplitude_a4 as E2 reads it: the amplitude ratio
-    k^2/(2 d^2) involves the L2 norm alone. p and q outside compute_A's
-    domain raise ValueError before any calibration runs.
-    """
-    consts._check_pq(p, q)
-    ln_k, ln_g, ln_dk, ln_wqk = _window(_SMALL_D_TS, range(4),
-                                        ll._log_state_at_t, p, q)
-    ln_d = ln_k + ln_dk
-    xs = np.exp((p - 1.0) * ln_d)
-    A = consts.compute_A(p, q)
-    return _evaluate(ln_d, xs, [
-        ("small_d_gamma_shift", A["A3"],
-         math.pi * np.expm1(0.5 * ln_g - math.log(math.pi)) / xs, 0.01, 0.0),
-        ("small_d_amplitude", consts._amplitude_a4(p, q, A),
-         np.expm1(-2.0 * ln_dk - math.log(2.0)) / xs, 0.02, 0.0),
-        ("small_d_qnorm", (2.0 / q) * (A["A2"] / A["A1"]),
-         np.expm1(2.0 * ln_wqk + ln_g / q
-                  - (2.0 / q) * math.log(2.0 * A["A1"])) / xs, 0.02, 0.0)])

@@ -25,9 +25,8 @@ from biflogis import local_logistic as ll
 from biflogis import oracle
 from biflogis.cli import main
 from biflogis.nonlocal_curve import ProblemParams, residual_check
-from biflogis.verify import (check_local_large_d, check_local_small_d,
-                             check_theorem_1, check_theorem_2,
-                             check_theorem_3, sweep)
+from biflogis.verify import (SweepReport, check_laws, check_theorem_1,
+                             check_theorem_2, check_theorem_3, sweep)
 
 PI = math.pi
 
@@ -244,7 +243,9 @@ def test_criterion_08_small_d_coefficients():
                  "small_d_qnorm": 0.0}
         for p in (2.0, 2.5):
             for q in (2.0, 3.0):
-                results = check_local_small_d(p, q)
+                params = ProblemParams(p=p, q=q, a1=1.0, a2=1.0)
+                results = [r for r in check_laws(SweepReport(params))
+                           if r.name.startswith("small_d")]
                 for r in results:
                     assert r.passed, (
                         f"p={p} q={q} {r.name}: rel {r.rel_error:.3e} "
@@ -276,7 +277,7 @@ def test_criterion_09_subcritical_pipeline():
 def test_criterion_10_large_d_laws():
     """(gamma - d^4)/d^2 -> C1 within 1%; D coefficient within 2%."""
     with Budget(60.0) as b:
-        results = check_local_large_d(5.0, 2.0)
+        results = check_laws(super_sweeps()[SUPER_WEIGHTS[0]])
         by_name = {r.name: r for r in results}
         shift = by_name["large_d_gamma_shift"]
         dcoef = by_name["large_d_D_coefficient"]

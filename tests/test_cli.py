@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,10 +18,22 @@ from biflogis import constants, kernels
 from biflogis import local_logistic as ll
 from biflogis.cli import main
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+# The seeded draw of the command line over its documented domain that
+# tools/fuzz_cli.py runs.
+from fuzz_cli import fuzz  # noqa: E402
+
 CSV_HEADER = "alpha,k,d,gamma,h,beta,lambda"
 CHECK_HEADER = "name,target,estimate,rel_error,fitted_order,tolerance,pass"
-# verify's checks off p = 3: theorem 1 at large d, theorem 3 at small d.
-BOTH_ENDS = ["theorem_1_leading", "theorem_3_leading", "theorem_3_second"]
+# The local problem's laws, which verify checks at every p: large d, then
+# small d.
+LOCAL_ROWS = ["large_d_gamma_shift", "large_d_qnorm_relation",
+              "large_d_D_coefficient", "small_d_gamma_shift",
+              "small_d_amplitude", "small_d_qnorm"]
+# verify's checks off p = 3: theorem 1 at large d, theorem 3 at small d,
+# then the local laws.
+BOTH_ENDS = ["theorem_1_leading", "theorem_3_leading",
+             "theorem_3_second"] + LOCAL_ROWS
 
 
 def run_cli(capsys, *argv):
@@ -163,8 +176,21 @@ def test_verify_critical_passes(capsys):
     assert code == 0
     obj = json.loads(out)
     names = [c["name"] for c in obj["checks"]]
-    assert names == ["theorem_2_constancy", "theorem_2_ratio"]
+    assert names == ["theorem_2_constancy", "theorem_2_ratio"] + LOCAL_ROWS
     assert all(c["pass"] for c in obj["checks"])
+
+
+@pytest.mark.parametrize("q", ("2", "4"))
+def test_verify_critical_reports_every_law(capsys, q):
+    # At p = 3 verify reports theorem 2's exact law and the six local laws;
+    # the worst of them reads 3.1e-11.
+    code, out, err = run_cli(capsys, "verify", "--p", "3", "--q", q)
+    assert (code, err) == (0, "")
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == \
+        ["theorem_2_constancy", "theorem_2_ratio"] + LOCAL_ROWS
+    assert all(c["pass"] for c in checks)
+    assert max(c["rel_error"] for c in checks) < 1e-10
 
 
 def test_verify_subcritical_passes(capsys):
@@ -273,7 +299,7 @@ def test_verify_checks_csv(capsys):
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == CHECK_HEADER
-    assert len(lines) == 3
+    assert len(lines) == 9
     assert all(line.endswith(",true") for line in lines[1:])
 
 
@@ -330,6 +356,16 @@ def test_exit_check_failure(capsys):
                            "--step", "1e-2", "--tol", "1e-15")
     assert code == 2
     assert json.loads(out)["tolerance"] == 1e-15
+
+
+def test_verify_fuzz_has_no_wrong_verdict():
+    # 200 verify runs of the fuzz's draw at a fixed seed: p up to 300 and
+    # weights at scales 10^+-300. A typed exit is counted, not failed; a
+    # traceback, a bare error, a warning, non-finite output, DegenerateFit
+    # or a failed law row (exit 2) is a wrong verdict.
+    table, bad = fuzz(1, 200, ("verify",))
+    assert sum(table.values()) == 200
+    assert bad == []
 
 
 def test_exit_usage(capsys, monkeypatch):

@@ -85,11 +85,11 @@ ROUTES = {
                   lambda v: consts.compute_E(*_e_args(v))),
     "compute_all": (("p", "q", "a1", "a2"),
                     lambda v: consts.compute_all(*_e_args(v), v["reading"])),
-    # As records, so that a nan fitted order reads as None.
-    "check_local_small_d": (("p", "q"), lambda v: [
-        c.to_record() for c in verify.check_local_small_d(v["p"], v["q"])]),
-    "check_local_large_d": (("p", "q"), lambda v: [
-        c.to_record() for c in verify.check_local_large_d(v["p"], v["q"])]),
+    # As records, so that a nan fitted order reads as None; the one-alpha
+    # sweep is theorem 2's row at p = 3.
+    "check_laws": (("p", "q", "a1", "a2", "alpha"), lambda v: [
+        c.to_record() for c in verify.check_laws(
+            verify.sweep(_problem(v), [v["alpha"]]))]),
 }
 
 # Values outside the domain, per input. q excludes (0, 1], which the

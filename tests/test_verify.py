@@ -9,14 +9,14 @@ import pytest
 
 from biflogis import constants as consts
 from biflogis import local_logistic as ll
+from biflogis import verify
 from biflogis.errors import DegenerateFit, InvalidBracket, InvalidRegime
 from biflogis import nonlocal_curve as nc
 from biflogis.nonlocal_curve import ProblemParams, solve_alpha
 from biflogis.verify import (_LARGE_D_TS, _SMALL_D_TS, CheckResult,
                              SweepReport, _large_d_ts,
                              _neville_at_zero, _order_in_log, _window,
-                             check_local_large_d, check_local_small_d,
-                             check_theorem_1, check_theorem_2,
+                             check_laws, check_theorem_1, check_theorem_2,
                              check_theorem_3, DEFAULT_SUB_ALPHAS, sweep)
 
 
@@ -223,7 +223,7 @@ def test_theorem_windows_lie_on_the_solved_curve(p, ts):
     # p = 8 the large-d window is ln t in [8, 10]; [4, 6], the window below
     # p = 8, is kept there too.
     params = params_for(p, q=3.0, a1=1.0, a2=0.5)
-    ln_d, ln_n = _window(ts, (8, 9), nc._state_at_t, params)
+    ln_d, ln_n = _window(ts, (8, 9), params)
     for t, ln_alpha in zip(ts, ln_n / (p - 3.0) + ln_d):
         sol = solve_alpha(math.exp(ln_alpha), params)
         assert abs(math.log(sol.local.layer_t / t)) <= 1e-12, (p, t)
@@ -402,6 +402,25 @@ def test_theorem_3_holds_as_alpha_to_0_above_3(p, q):
 # -------------------------------------------------------- local-d checks
 
 
+def local_rows(p, q, end):
+    """check_laws' local rows at (p, q) of one end, "large_d" or "small_d";
+    at p = 3 on a one-alpha sweep, which theorem 2 reads."""
+    params = params_for(p, q)
+    report = (sweep(params, [1.0]) if params.regime == "critical"
+              else SweepReport(params))
+    return [r for r in check_laws(report) if r.name.startswith(end)]
+
+
+def check_local_large_d(p, q):
+    """The large-d local rows: the C1 shift, the q-norm relation and D."""
+    return local_rows(p, q, "large_d")
+
+
+def check_local_small_d(p, q):
+    """The small-d local rows: A3, A4 and (2/q) A2/A1."""
+    return local_rows(p, q, "small_d")
+
+
 @pytest.fixture
 def no_root_find(monkeypatch):
     """The local checks read the log state at fixed t: no local root-find."""
@@ -457,9 +476,9 @@ def test_large_d_validation():
 def test_local_checks_reject_bad_pq_before_calibrating(check, p, q,
                                                        fresh_caches,
                                                        calibrations):
-    # The domain compute_A accepts, checked before any calibration: q = 0
-    # used to raise ZeroDivisionError, and q = -1 NoConvergence after
-    # thousands of quadrature panels.
+    # The problem's domain, checked before any calibration: q = 0 used to
+    # raise ZeroDivisionError, and q = -1 NoConvergence after thousands of
+    # quadrature panels.
     with pytest.raises(ValueError):
         check(p, q)
     assert calibrations() == {}
@@ -488,3 +507,32 @@ def test_local_checks_near_1_read_the_ratios(p):
         assert small["small_d_amplitude"] <= 1e-8, (q, small)
         assert small["small_d_qnorm"] <= 1e-10, (q, small)
         assert large["large_d_D_coefficient"] <= 1e-10, (q, large)
+
+
+# --------------------------------------------------------------- law table
+
+
+@pytest.mark.parametrize("p", (2.0, 3.0, 5.0, 12.0))
+def test_law_rows_read_each_window_once(monkeypatch, p):
+    # Every row of a window comes from one read of its six states: 12 per
+    # verify at every p. The sweep and theorem 2's solve at alpha = 1 are
+    # solves, not window reads, and are left out of the count.
+    report = sweep(params_for(p, q=3.0, a1=1.0, a2=0.5), [1.0, 10.0])
+    state_at_t, check_theorem_2 = nc._state_at_t, verify.check_theorem_2
+    ts = []
+
+    def counted(t, params):
+        ts.append(t)
+        return state_at_t(t, params)
+
+    def uncounted(rep):
+        with monkeypatch.context() as m:
+            m.setattr(nc, "_state_at_t", state_at_t)
+            return check_theorem_2(rep)
+
+    monkeypatch.setattr(nc, "_state_at_t", counted)
+    monkeypatch.setattr(verify, "check_theorem_2", uncounted)
+    rows = check_laws(report)
+    assert sorted(ts) == sorted(_SMALL_D_TS + _large_d_ts(p))
+    assert len(rows) == (8 if p == 3.0 else 9)
+    assert all(r.passed for r in rows)

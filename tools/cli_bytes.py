@@ -20,8 +20,10 @@ constants at p = 5, three runs of the laws at weights near 1e-300, two
 at p = 100 and 300 (theorem 1 on the late large-d window), the
 constants and laws at p = 100 with weights near 1e-300 (S leaves the
 double range), three runs at p = 3 whose grids solve no row (a solver
-error, exit 1), and the flag values outside the documented domain that
-must be usage errors (exit 64), ``--e3-reading`` among them.
+error, exit 1), the laws at p = 3 as CSV and at (p, q, a1, a2) =
+(12, 6, 0.3, 1) and (1.5, 1.5, 2, 0), and the flag values outside the
+documented domain that must be usage errors (exit 64), ``--e3-reading``
+among them.
 
 An invocation still running after ``TIMEOUT_S`` seconds is stopped and
 shows exit code -1 with empty stdout: a revision that accepts a value a
@@ -107,6 +109,10 @@ INVOCATIONS = [
     "verify --p 3 --a1 1e-300 --a2 0",
     "verify --p 3 --a1 1e-300 --a2 1e-300",
     "verify --p 3 --alpha-min 1e200 --alpha-max 1e300",
+    # the law table at p = 3, and at two more sets of (p, q, a1, a2)
+    "verify --p 3 --q 4 --format csv",
+    "verify --p 12 --q 6 --a1 0.3 --a2 1",
+    "verify --p 1.5 --q 1.5 --a1 2 --a2 0",
     # values outside the documented domain
     "solve-local --p 0.5 --k 1",
     "profile --p 0.5 --k 1",
