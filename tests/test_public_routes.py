@@ -32,6 +32,17 @@ def _problem(v):
     return nc.ProblemParams(p=v["p"], q=v["q"], a1=v["a1"], a2=v["a2"])
 
 
+def _local_rows(v, end):
+    """check_laws' rows of one window's local problem, "large_d" or
+    "small_d", as records; they read p and q alone, and theorem 2 reads a
+    one-alpha sweep at p = 3."""
+    params = nc.ProblemParams(p=v["p"], q=v["q"], a1=1.0, a2=1.0)
+    report = (verify.sweep(params, [1.0]) if params.regime == "critical"
+              else verify.SweepReport(params))
+    return [c.to_record() for c in verify.check_laws(report)
+            if c.name.startswith(end)]
+
+
 def _e_args(v):
     return v["p"], v["q"], v["a1"], v["a2"]
 
@@ -90,6 +101,8 @@ ROUTES = {
     "check_laws": (("p", "q", "a1", "a2", "alpha"), lambda v: [
         c.to_record() for c in verify.check_laws(
             verify.sweep(_problem(v), [v["alpha"]]))]),
+    "check_local_small_d": (("p", "q"), lambda v: _local_rows(v, "small_d")),
+    "check_local_large_d": (("p", "q"), lambda v: _local_rows(v, "large_d")),
 }
 
 # Values outside the domain, per input. q excludes (0, 1], which the
