@@ -103,10 +103,10 @@ def _csv(header: str, records) -> str:
 _CURVE_DOMAIN = (
     "Domain: p > 1 (p = 3 and its neighbourhood included), q > 1, "
     "a1, a2 >= 0 with a1 + a2 > 0, alpha > 0. Exits 1 where no float point "
-    "represents the curve: k, h, beta or lambda out of the double range "
-    "(p near 1, extreme alpha), or d equal to k in float (large p deep in "
-    "the layer). Tested over p in [1.001, 300], q in [1.1, 8], weights "
-    "and alpha from 1e-300 to 1e300.")
+    "represents the curve: k out of the double range, h, beta, lambda or d "
+    "out of the normal double range (p near 1, extreme alpha or weights), or "
+    "d equal to k in float (large p deep in the layer). Tested over p in "
+    "[1.001, 300], q in [1.1, 8], weights and alpha from 1e-300 to 1e300.")
 
 
 def _build_parser() -> _Parser:

@@ -69,6 +69,10 @@ _ASYM_SEED_CACHE: dict = {}
 # Relative bound on the miss of lam = beta gamma: a few ulp of the product.
 _LAM_RTOL = 4.0 * sys.float_info.epsilon
 
+# The least normal double: h, beta, lambda and d of a solution are at
+# least this, so alpha = h d and beta = h^{p-1} keep their precision.
+_MIN_NORMAL = sys.float_info.min
+
 REGIMES = ("supercritical", "critical", "subcritical")
 
 
@@ -391,10 +395,10 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
     p = 3, r = ln N and the point is the normalization N = 1. The solver
     raises MonotonicityViolation if dr/dtau is not positive at the root;
     InvalidBracket where no float point represents the curve (the root in
-    tau past a wall of the root-find, k, h, beta or lambda out of range, or
-    d rounding to k); NoConvergence, with the instance's message, alpha and
-    p, if NonlocalSolution finds |ln beta - (p-1) ln h|, the log miss of
-    beta = h^{p-1}, above 1e-10.
+    tau past a wall of the root-find, k out of range, h, beta, lambda or d
+    out of the normal double range, or d rounding to k); NoConvergence,
+    with the instance's message, alpha and p, if NonlocalSolution finds
+    |ln beta - (p-1) ln h|, the log miss of beta = h^{p-1}, above 1e-10.
     """
     if not 0.0 < alpha < math.inf:
         check_positive("alpha", alpha)
@@ -449,11 +453,12 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
     except OverflowError:
         h = beta = math.inf
     lam = beta * point.gamma
-    if not (0.0 < h < math.inf and 0.0 < beta < math.inf
-            and 0.0 < lam < math.inf):
+    if not (_MIN_NORMAL <= h < math.inf and _MIN_NORMAL <= beta < math.inf
+            and _MIN_NORMAL <= lam < math.inf and point.d >= _MIN_NORMAL):
         raise InvalidBracket(
-            f"h = {h:.3g}, beta = {beta:.3g} or lambda = {lam:.3g} leaves "
-            f"the float range at alpha = {alpha!r}, p = {p!r}")
+            f"h = {h:.3g}, beta = {beta:.3g}, lambda = {lam:.3g} or "
+            f"d = {point.d:.3g} is out of the normal double range at "
+            f"alpha = {alpha!r}, p = {p!r}")
     # The instance checks its invariants once, beta = h^{p-1} among them;
     # any other failed check is a bug and stays a bare ValueError.
     try:

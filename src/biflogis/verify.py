@@ -6,11 +6,12 @@ Methods, CUP 2003), fits the remainder order against the log of the sweep
 variable, and compares against the closed-form target from the constants
 module. One table per window of the layer coordinate t, small d and
 large d: one _window read of the curve state at six points, no root-find,
-and _evaluate turns each row (name, target, ys, tolerance, floor) into a
-CheckResult, the theorem's rows (x = alpha^{-(p-3)/2} or alpha^{p-3},
-alpha never formed) and the local problem's (x a power of d). check_laws
-returns every row, theorem 2's at p = 3, whose exact law is read on the
-rows of an alpha sweep; the CLI's verify exits 2 when any row fails.
+then its rows in table order, the theorem's (x = alpha^{-(p-3)/2} or
+alpha^{p-3}, alpha never formed) before the local problem's (x a power
+of d), each turned into a CheckResult by _evaluate as it is taken, so a
+caller that stops early fits nothing it does not take. check_laws takes
+every row, theorem 2's at p = 3, whose exact law is read on the rows of
+an alpha sweep; the CLI's verify exits 2 when any row fails.
 Targets are never hard-coded here; they are recomputed per call so a
 constants bug cannot hide behind a stale number.
 
@@ -204,28 +205,26 @@ def _neville_at_zero(xs, ys) -> float:
     return vals[0]
 
 
-def _evaluate(ln_s, xs, rows) -> list[CheckResult]:
-    """One CheckResult per row (name, target, ys, tolerance, floor): that
-    ys tends to target as xs tends to 0. The estimate is ys extrapolated to
-    x = 0, its error is taken relative to max(|target|, floor), and the
-    order of ys - target is fitted against the sweep variable s, given as
-    ln s."""
-    out = []
+def _evaluate(ln_s, xs, rows):
+    """One CheckResult per row (name, target, ys, tolerance, floor), as it
+    is taken: that ys tends to target as xs tends to 0. The estimate is ys
+    extrapolated to x = 0, its error is taken relative to max(|target|,
+    floor), and the order of ys - target is fitted against the sweep
+    variable s, given as ln s."""
     for name, target, ys, tolerance, floor in rows:
         estimate = _neville_at_zero(xs, ys)
         try:
             order = _order_in_log(ln_s, ys - target)
         except DegenerateFit:
             order = math.nan
-        out.append(CheckResult(name, target, estimate,
-                               _rel(estimate, target, floor), order,
-                               tolerance))
-    return out
+        yield CheckResult(name, target, estimate,
+                          _rel(estimate, target, floor), order, tolerance)
 
 
 def _large_d_laws(params: nc.ProblemParams, c1: float, cq: float):
-    """(theorem rows, local rows) of the large-d window, ln t in [4, 6]
-    below p = 8 and [8, 10] from there, from one read of six states.
+    """The large-d window's rows in table order, theorem 1's at p != 3
+    then the three local rows, from one read of six states at ln t in
+    [4, 6] below p = 8 and [8, 10] from there.
 
     Theorem 1, at p != 3: lambda = alpha^{p-1}(1 + C1 sqrt(a1+a2)
     alpha^{-(p-3)/2} + O(alpha^{-(p-3)})), alpha -> infinity for p > 3
@@ -242,10 +241,9 @@ def _large_d_laws(params: nc.ProblemParams, c1: float, cq: float):
     ln_k, ln_g, ln_dk, ln_wqk, ln_d, ln_n = _window(
         _large_d_ts(p), (0, 1, 2, 3, 8, 9), params)
     excess = np.expm1(ln_g - (p - 1.0) * ln_d)
-    theorem = []
     if params.regime != "critical":
         xs = np.exp(-0.5 * (ln_n + (p - 3.0) * ln_d))
-        theorem = _evaluate(ln_n / (p - 3.0) + ln_d, xs, [
+        yield from _evaluate(ln_n / (p - 3.0) + ln_d, xs, [
             ("theorem_1_leading", c1 * math.sqrt(params.a1 + params.a2),
              excess / xs, 0.02, 0.0)])
     xs = np.exp(-0.5 * (p - 1.0) * ln_d)
@@ -256,13 +254,14 @@ def _large_d_laws(params: nc.ProblemParams, c1: float, cq: float):
     ln_wq = ln_k[-1] + ln_wqk[-1]
     resid = float(np.expm1((p - 1.0) * ln_wq - ln_g[-1] - (p - 1.0) / q
                            * np.log1p(-cq * np.exp(-0.5 * ln_g[-1]))))
-    return theorem, [shift, CheckResult("large_d_qnorm_relation", 0.0, resid,
-                                        abs(resid), math.nan, 1e-6), dcoef]
+    yield from (shift, CheckResult("large_d_qnorm_relation", 0.0, resid,
+                                   abs(resid), math.nan, 1e-6), dcoef)
 
 
 def _small_d_laws(params: nc.ProblemParams, cs: consts.ConstantSet):
-    """(theorem rows, local rows) of the small-d window, t in [1e-4, 1e-2],
-    from one read of six states; cs is at params' (p, q, a1, a2).
+    """The small-d window's rows in table order, theorem 3's two at p != 3
+    then the three local rows, from one read of six states at t in
+    [1e-4, 1e-2]; cs is at params' (p, q, a1, a2).
 
     Theorem 3, at p != 3: lambda = L0 alpha^2 (1 + S alpha^{p-3} + o),
     alpha -> infinity for 1 < p < 3 (the paper's theorem 3), alpha -> 0
@@ -275,16 +274,15 @@ def _small_d_laws(params: nc.ProblemParams, cs: consts.ConstantSet):
     p, q = params.p, params.q
     ln_g, ln_dk, ln_wqk, ln_d, ln_n = _window(
         _SMALL_D_TS, (1, 2, 3, 8, 9), params)
-    theorem = []
     if params.regime != "critical":
         xs = np.exp(ln_n + (p - 3.0) * ln_d)
         ys = np.exp(ln_n + ln_g - 2.0 * ln_d)
-        theorem = _evaluate(ln_n / (p - 3.0) + ln_d, xs, [
+        yield from _evaluate(ln_n / (p - 3.0) + ln_d, xs, [
             ("theorem_3_leading", cs.leading_coeff, ys, 0.005, 0.0),
             ("theorem_3_second", cs.second_coeff,
              (ys / cs.leading_coeff - 1.0) / xs, 0.05, 0.0)])
     xs = np.exp((p - 1.0) * ln_d)
-    return theorem, _evaluate(ln_d, xs, [
+    yield from _evaluate(ln_d, xs, [
         ("small_d_gamma_shift", cs.A3,
          math.pi * np.expm1(0.5 * ln_g - math.log(math.pi)) / xs, 0.01, 0.0),
         ("small_d_amplitude", consts._amplitude_a4(p, q, vars(cs)),
@@ -301,22 +299,22 @@ def check_laws(report: SweepReport) -> list[CheckResult]:
     local rows."""
     params = report.params
     cs = consts.compute_all(params.p, params.q, params.a1, params.a2)
-    large_theorem, large_local = _large_d_laws(params, cs.C1, cs.Cq)
-    small_theorem, small_local = _small_d_laws(params, cs)
-    theorems = (list(check_theorem_2(report)) if params.regime == "critical"
-                else large_theorem + small_theorem)
-    return theorems + large_local + small_local
+    large = _large_d_laws(params, cs.C1, cs.Cq)
+    small = _small_d_laws(params, cs)
+    theorems = (check_theorem_2(report) if params.regime == "critical"
+                else (next(large), next(small), next(small)))
+    return [*theorems, *large, *small]
 
 
 def check_theorem_1(report: SweepReport) -> CheckResult:
-    """Theorem 1's row of _large_d_laws, reading report.params alone;
-    InvalidRegime at p = 3."""
+    """The first row of _large_d_laws, theorem 1's, from report.params
+    alone; InvalidRegime at p = 3."""
     params = report.params
     p = params.p
     if params.regime == "critical":
         raise InvalidRegime(f"theorem 1 needs p != 3, got p = {p}")
-    return _large_d_laws(params, consts.compute_C1(p),
-                         consts.compute_Cq(p, params.q))[0][0]
+    return next(_large_d_laws(params, consts.compute_C1(p),
+                              consts.compute_Cq(p, params.q)))
 
 
 def check_theorem_2(report: SweepReport) -> tuple[CheckResult, CheckResult]:
@@ -351,9 +349,9 @@ def check_theorem_2(report: SweepReport) -> tuple[CheckResult, CheckResult]:
 def check_theorem_3(report: SweepReport,
                     constants_paper: consts.ConstantSet,
                     constants_variant: consts.ConstantSet):
-    """Theorem 3's rows of _small_d_laws, reading report.params alone;
-    InvalidRegime at p = 3, ValueError for a ConstantSet built at another
-    (p, q, a1, a2) than report.params.
+    """The first two rows of _small_d_laws, theorem 3's, from report.params
+    alone; InvalidRegime at p = 3, ValueError for a ConstantSet built at
+    another (p, q, a1, a2) than report.params.
 
     It checks constants_variant's coefficients. Where constants_paper has
     another E3 reading (perfbench/workloads.py passes paper_definition's),
@@ -370,7 +368,8 @@ def check_theorem_3(report: SweepReport,
             raise ValueError(f"ConstantSet at (p, q, a1, a2) = "
                              f"{(cs.p, cs.q, cs.a1, cs.a2)}, report at {key}")
     cs = constants_variant
-    (leading, second), _ = _small_d_laws(params, cs)
+    rows = _small_d_laws(params, cs)
+    leading, second = next(rows), next(rows)
     if constants_paper.e3_reading != cs.e3_reading:
         leading = replace(leading, other_rel_error=_rel(
             leading.estimate, constants_paper.leading_coeff))

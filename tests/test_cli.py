@@ -350,6 +350,47 @@ def test_exit_solver_error_when_S_overflows(capsys, command):
     assert err.startswith(f"biflogis {command}: Overflow: S leaves "), err
 
 
+# A point with a subnormal field: beta (1.1e-320 and 9.1e-319, where beta =
+# h^{p-1} missed by 1.9e-4 and 1.2e-6 in log), d (7.8e-315) and h
+# (8.7e-322, where alpha = h d missed by 2.8e-4).
+SUBNORMAL_SOLVES = [
+    "--p 2.179490858021703 --q 4.1534001430986995 --a1 0.0 "
+    "--a2 1.4141094583587861e+175 --alpha 2.8448645560149516e-248",
+    "--p 4.73707040902549 --q 4.354975397032865 --a1 0.0 "
+    "--a2 1.0851569583275558e-68 --alpha 9.176537363988318e-126",
+    "--p 1.5 --q 4 --a1 0 --a2 1.0747576099256558e+234 "
+    "--alpha 4.804585581786786e-52",
+    "--p 2 --q 2 --a1 5.5088439034057426e+277 --a2 1.376834636922323e+47 "
+    "--alpha 3.983715853753032e-300",
+]
+
+
+@pytest.mark.parametrize("argv", SUBNORMAL_SOLVES,
+                         ids=("beta-1", "beta-2", "d", "h"))
+def test_exit_solver_error_on_a_subnormal_field(capsys, argv):
+    # No float point represents the curve there: a package error that names
+    # the fields, not NoConvergence or a bare ValueError.
+    code, out, err = run_cli(capsys, "solve", *argv.split())
+    assert (code, out) == (1, "")
+    assert err.startswith("biflogis solve: InvalidBracket: h = "), err
+    assert "out of the normal double range" in err
+
+
+def test_sweep_records_a_subnormal_field(capsys):
+    # The alpha = 3.98e-300 row's h is subnormal; the sweep records its
+    # error and goes on.
+    code, out, err = run_cli(
+        capsys, "sweep", "--p", "2", "--q", "2",
+        "--a1", "5.5088439034057426e+277", "--a2", "1.376834636922323e+47",
+        "--alpha-min", "3.983715853753032e-300", "--alpha-max", "1e-290",
+        "--points", "3")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert rows[0]["alpha"] == 3.983715853753032e-300
+    assert rows[0]["error"].startswith("InvalidBracket: h = ")
+    assert "error" not in rows[-1]
+
+
 def test_exit_check_failure(capsys):
     # unreachable tolerance turns the cross-check into a failed check
     code, out, _ = run_cli(capsys, "oracle-check", "--p", "3", "--gamma", "15",

@@ -265,13 +265,18 @@ def test_solution_invariants(p, q, a1, a2, alpha):
 
 def assert_valid_or_typed_error(alpha, params):
     """A point that meets alpha = h d to the documented 1e-10 and the other
-    invariants, or a package error; never a bare exception."""
+    invariants, every field a normal double, or a package error; never a
+    bare exception."""
     try:
         sol = solve_alpha(alpha, params)
     except BiflogisError:
         return
     assert sol.regime == params.regime
     assert_invariants(sol, params, alpha_rtol=1e-10)
+    loc = sol.local
+    for value in (sol.alpha, sol.h, sol.beta, sol.lam, loc.k, loc.gamma,
+                  loc.d, loc.layer_t):
+        assert sys.float_info.min <= value < math.inf, sol
 
 
 NEAR_CRITICAL_P = (3.0 - 1e-6, 3.0 - 1e-7, 3.0 - 1e-10, 3.0, 3.0 + 1e-10,

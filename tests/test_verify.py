@@ -512,14 +512,39 @@ def test_local_checks_near_1_read_the_ratios(p):
 # --------------------------------------------------------------- law table
 
 
-@pytest.mark.parametrize("p", (2.0, 3.0, 5.0, 12.0))
-def test_law_rows_read_each_window_once(monkeypatch, p):
+def _theorem_3_rows(report):
+    cs = consts.compute_all(report.params.p, report.params.q,
+                            report.params.a1, report.params.a2)
+    return check_theorem_3(report, cs, cs)[:2]
+
+
+# (entry point, its rows, whether it reads the small-d and the large-d
+# window, Neville extrapolations off p = 3 and at p = 3). check_laws keeps
+# its ids, the bare p.
+LAW_ENTRIES = {
+    "check_laws": (check_laws, (True, True), 8, 5),
+    "check_theorem_1": (lambda rep: [check_theorem_1(rep)], (False, True),
+                        1, None),
+    "check_theorem_3": (_theorem_3_rows, (True, False), 2, None),
+}
+
+
+@pytest.mark.parametrize("entry,p", [
+    pytest.param(entry, p, id=str(p) if entry == "check_laws"
+                 else f"{entry}-{p}")
+    for entry in LAW_ENTRIES for p in (2.0, 3.0, 5.0, 12.0)
+    if entry == "check_laws" or p != 3.0])
+def test_law_rows_read_each_window_once(monkeypatch, entry, p):
     # Every row of a window comes from one read of its six states: 12 per
     # verify at every p. The sweep and theorem 2's solve at alpha = 1 are
-    # solves, not window reads, and are left out of the count.
+    # solves, not window reads, and are left out of the count. A window's
+    # rows are fitted as they are taken, so the theorem checks extrapolate
+    # their own rows alone: theorem 1's one, theorem 3's two.
+    call, (small, large), extrapolations, critical = LAW_ENTRIES[entry]
     report = sweep(params_for(p, q=3.0, a1=1.0, a2=0.5), [1.0, 10.0])
     state_at_t, check_theorem_2 = nc._state_at_t, verify.check_theorem_2
-    ts = []
+    neville_at_zero = verify._neville_at_zero
+    ts, fits = [], []
 
     def counted(t, params):
         ts.append(t)
@@ -532,7 +557,12 @@ def test_law_rows_read_each_window_once(monkeypatch, p):
 
     monkeypatch.setattr(nc, "_state_at_t", counted)
     monkeypatch.setattr(verify, "check_theorem_2", uncounted)
-    rows = check_laws(report)
-    assert sorted(ts) == sorted(_SMALL_D_TS + _large_d_ts(p))
-    assert len(rows) == (8 if p == 3.0 else 9)
+    monkeypatch.setattr(verify, "_neville_at_zero",
+                        lambda *args: fits.append(args) or
+                        neville_at_zero(*args))
+    rows = call(report)
+    assert sorted(ts) == sorted(_SMALL_D_TS * small + _large_d_ts(p) * large)
+    assert len(fits) == (critical if p == 3.0 else extrapolations)
+    if entry == "check_laws":
+        assert len(rows) == (8 if p == 3.0 else 9)
     assert all(r.passed for r in rows)

@@ -21,9 +21,11 @@ at p = 100 and 300 (theorem 1 on the late large-d window), the
 constants and laws at p = 100 with weights near 1e-300 (S leaves the
 double range), three runs at p = 3 whose grids solve no row (a solver
 error, exit 1), the laws at p = 3 as CSV and at (p, q, a1, a2) =
-(12, 6, 0.3, 1) and (1.5, 1.5, 2, 0), and the flag values outside the
-documented domain that must be usage errors (exit 64), ``--e3-reading``
-among them.
+(12, 6, 0.3, 1) and (1.5, 1.5, 2, 0), four solves whose point has a
+subnormal field (beta twice, d, h; a solver error, exit 1) and a sweep
+whose first row is one of them (exit 0, the row's error recorded), and
+the flag values outside the documented domain that must be usage errors
+(exit 64), ``--e3-reading`` among them.
 
 An invocation still running after ``TIMEOUT_S`` seconds is stopped and
 shows exit code -1 with empty stdout: a revision that accepts a value a
@@ -113,6 +115,19 @@ INVOCATIONS = [
     "verify --p 3 --q 4 --format csv",
     "verify --p 12 --q 6 --a1 0.3 --a2 1",
     "verify --p 1.5 --q 1.5 --a1 2 --a2 0",
+    # points with a subnormal beta (twice), d and h: no float point
+    # represents the curve there
+    "solve --p 2.179490858021703 --q 4.1534001430986995 --a1 0.0 "
+    "--a2 1.4141094583587861e+175 --alpha 2.8448645560149516e-248",
+    "solve --p 4.73707040902549 --q 4.354975397032865 --a1 0.0 "
+    "--a2 1.0851569583275558e-68 --alpha 9.176537363988318e-126",
+    "solve --p 1.5 --q 4 --a1 0 --a2 1.0747576099256558e+234 "
+    "--alpha 4.804585581786786e-52",
+    "solve --p 2 --q 2 --a1 5.5088439034057426e+277 "
+    "--a2 1.376834636922323e+47 --alpha 3.983715853753032e-300",
+    "sweep --p 2 --q 2 --a1 5.5088439034057426e+277 "
+    "--a2 1.376834636922323e+47 --alpha-min 3.983715853753032e-300 "
+    "--alpha-max 1e-290 --points 3",
     # values outside the documented domain
     "solve-local --p 0.5 --k 1",
     "profile --p 0.5 --k 1",

@@ -27,7 +27,11 @@ state ``local_logistic._log_state_at_t`` per moment branch: series
 state layer, so these rows are where its cost shows. Then the public
 (k, gamma) routes: ``time_map`` and ``q_norm`` (q = 3) at a series t
 (p = 2, k = 1, nu = k^{p-1}/gamma = 0.2, t = 0.22) and at a Chebyshev t
-(p = 4, k = 2, nu = 0.99, t = 4.6).
+(p = 4, k = 2, nu = 0.99, t = 4.6). Last the law checks, each on a
+one-alpha report at a1 = a2 = 1: ``check_theorem_1`` at p = 5, q = 2
+(alpha = 1e4) and ``check_theorem_3`` at p = 2, q = 2 (alpha = 100, the
+proof_variant ``ConstantSet`` as both its sets), as ``perfbench/`` times
+them, and ``check_laws`` at p = 5, q = 2, every row of both windows.
 
 Each of ROUNDS rounds runs, in alternating order, one fresh interpreter
 on the base revision's ``src/`` and one on the working tree's, both from
@@ -61,8 +65,10 @@ REPEAT = 7
 def measure() -> dict:
     """{row name: best microseconds per call} with the ``biflogis`` that
     ``sys.path`` finds first."""
+    from biflogis import constants as consts
     from biflogis import local_logistic as ll
     from biflogis import nonlocal_curve as nc
+    from biflogis import verify
     from biflogis.verify import DEFAULT_SUB_ALPHAS
 
     sets = {
@@ -98,6 +104,10 @@ def measure() -> dict:
     sol = nc.solve_alpha(1e4, sup)
     nc.solve_alpha(100.0, sub)
     loc = sol.local
+    sup_report = verify.sweep(sup, [1e4])
+    sub_report = verify.sweep(
+        nc.ProblemParams(p=2.0, q=2.0, a1=1.0, a2=1.0), [100.0])
+    cs = consts.compute_all(2.0, 2.0, 1.0, 1.0)
     calls = {
         "LocalPoint": lambda: ll.LocalPoint(loc.k, loc.gamma, loc.d, loc.p,
                                             loc.layer_t),
@@ -119,6 +129,11 @@ def measure() -> dict:
             lambda: ll.q_norm(1.0, 1.0 / 0.2, 3.0, lp2),
         "q_norm Chebyshev (p 4, k 2, nu 0.99, q 3)":
             lambda: ll.q_norm(2.0, 8.0 / 0.99, 3.0, lp4),
+        "check_theorem_1 (p 5, q 2)":
+            lambda: verify.check_theorem_1(sup_report),
+        "check_theorem_3 (p 2, q 2)":
+            lambda: verify.check_theorem_3(sub_report, cs, cs),
+        "check_laws (p 5, q 2)": lambda: verify.check_laws(sup_report),
     }
     for name, call in calls.items():
         number = max(1, round(TARGET_S / timeit.timeit(call, number=100)
