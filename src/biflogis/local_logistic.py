@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +128,10 @@ _CHEB_ORDERS = np.arange(float(_CHEB_POINTS))
 # exp(55) puts gamma near 1e47, far beyond any supported input.
 _TAU_LO = -700.0
 _TAU_HI = 55.0
+
+# The least normal double: every field of a curve point is at least this,
+# so sums and products of them keep their precision.
+_MIN_NORMAL = sys.float_info.min
 
 # Rows per stacked integrate call in sample_profile. One call evaluates
 # rows x nodes values at once, so an unbounded n would need unbounded
@@ -465,8 +470,9 @@ def _log_state_at_t(t: float, p: float, q: float):
 def _point_from_t(t: float, p: float, state) -> LocalPoint:
     """Curve point at layer coordinate t from its log state.
 
-    InvalidBracket where k under- or overflows (p near 1) or d rounds to k
-    (large p deep in the layer): no float point represents the curve there.
+    InvalidBracket where k under- or overflows (p near 1), d rounds to k
+    (large p deep in the layer) or d, and so k, is not a normal double: no
+    float point represents the curve there.
     """
     ln_k, ln_gamma, ln_dk = state[:3]
     try:
@@ -477,6 +483,10 @@ def _point_from_t(t: float, p: float, state) -> LocalPoint:
         raise InvalidBracket(
             f"no float curve point with 0 < d < k < inf at t = {t:.6g}, "
             f"p = {p!r} (ln k = {ln_k:.6g})")
+    if d < _MIN_NORMAL:
+        raise InvalidBracket(
+            f"d = {d:.3g} is out of the normal double range at t = {t:.6g}, "
+            f"p = {p!r}")
     return LocalPoint(k, math.exp(ln_gamma), d, p, t)
 
 

@@ -30,7 +30,7 @@ from . import local_logistic as ll
 from .errors import (BracketFailure, InvalidBracket, InvalidRegime,
                      MonotonicityViolation, NoConvergence, check_exponent,
                      check_positive, check_weights)
-from .local_logistic import LocalPoint, phi
+from .local_logistic import _MIN_NORMAL, LocalPoint, phi
 from .rootfind import solve_monotone
 
 __all__ = [
@@ -68,10 +68,6 @@ _ASYM_SEED_CACHE: dict = {}
 
 # Relative bound on the miss of lam = beta gamma: a few ulp of the product.
 _LAM_RTOL = 4.0 * sys.float_info.epsilon
-
-# The least normal double: h, beta, lambda and d of a solution are at
-# least this, so alpha = h d and beta = h^{p-1} keep their precision.
-_MIN_NORMAL = sys.float_info.min
 
 REGIMES = ("supercritical", "critical", "subcritical")
 
@@ -395,8 +391,9 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
     p = 3, r = ln N and the point is the normalization N = 1. The solver
     raises MonotonicityViolation if dr/dtau is not positive at the root;
     InvalidBracket where no float point represents the curve (the root in
-    tau past a wall of the root-find, k out of range, h, beta, lambda or d
-    out of the normal double range, or d rounding to k); NoConvergence,
+    tau past a wall of the root-find; k or d out of the normal double range
+    or d rounding to k, which ll._point_from_t refuses; h, beta or lambda
+    out of the normal double range); NoConvergence,
     with the instance's message, alpha and p, if NonlocalSolution finds
     |ln beta - (p-1) ln h|, the log miss of beta = h^{p-1}, above 1e-10.
     """
@@ -454,11 +451,10 @@ def solve_alpha(alpha: float, params: ProblemParams) -> NonlocalSolution:
         h = beta = math.inf
     lam = beta * point.gamma
     if not (_MIN_NORMAL <= h < math.inf and _MIN_NORMAL <= beta < math.inf
-            and _MIN_NORMAL <= lam < math.inf and point.d >= _MIN_NORMAL):
+            and _MIN_NORMAL <= lam < math.inf):
         raise InvalidBracket(
-            f"h = {h:.3g}, beta = {beta:.3g}, lambda = {lam:.3g} or "
-            f"d = {point.d:.3g} is out of the normal double range at "
-            f"alpha = {alpha!r}, p = {p!r}")
+            f"h = {h:.3g}, beta = {beta:.3g} or lambda = {lam:.3g} is out "
+            f"of the normal double range at alpha = {alpha!r}, p = {p!r}")
     # The instance checks its invariants once, beta = h^{p-1} among them;
     # any other failed check is a bug and stays a bare ValueError.
     try:

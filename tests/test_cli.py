@@ -19,9 +19,11 @@ from biflogis import local_logistic as ll
 from biflogis.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-# The seeded draw of the command line over its documented domain that
-# tools/fuzz_cli.py runs.
-from fuzz_cli import fuzz  # noqa: E402
+# The command lines tools/cli_bytes.py compares across revisions, and the
+# seeded draw over the documented domain and the run classifier of
+# tools/fuzz_cli.py.
+from cli_bytes import INVOCATIONS  # noqa: E402
+from fuzz_cli import fuzz, run_all  # noqa: E402
 
 CSV_HEADER = "alpha,k,d,gamma,h,beta,lambda"
 CHECK_HEADER = "name,target,estimate,rel_error,fitted_order,tolerance,pass"
@@ -365,14 +367,15 @@ SUBNORMAL_SOLVES = [
 ]
 
 
-@pytest.mark.parametrize("argv", SUBNORMAL_SOLVES,
+@pytest.mark.parametrize("argv, field", zip(SUBNORMAL_SOLVES, "hhdh"),
                          ids=("beta-1", "beta-2", "d", "h"))
-def test_exit_solver_error_on_a_subnormal_field(capsys, argv):
+def test_exit_solver_error_on_a_subnormal_field(capsys, argv, field):
     # No float point represents the curve there: a package error that names
-    # the fields, not NoConvergence or a bare ValueError.
+    # the fields, not NoConvergence or a bare ValueError. The point's own
+    # range test names d, solve_alpha's names h, beta and lambda.
     code, out, err = run_cli(capsys, "solve", *argv.split())
     assert (code, out) == (1, "")
-    assert err.startswith("biflogis solve: InvalidBracket: h = "), err
+    assert err.startswith(f"biflogis solve: InvalidBracket: {field} = "), err
     assert "out of the normal double range" in err
 
 
@@ -397,6 +400,18 @@ def test_exit_check_failure(capsys):
                            "--step", "1e-2", "--tol", "1e-15")
     assert code == 2
     assert json.loads(out)["tolerance"] == 1e-15
+
+
+def test_cli_bytes_invocations_end_as_listed():
+    # Every command line tools/cli_bytes.py compares, run on this tree: no
+    # traceback, bare error, warning, non-finite output or wrong verify
+    # verdict, and a usage error on exactly the list's last 19 entries, the
+    # flag values outside the documented domain.
+    runs = dict(zip(INVOCATIONS, run_all(INVOCATIONS)))
+    assert [argv for argv, (_, _, outcome, bad) in runs.items()
+            if bad and outcome != "usage"] == []
+    assert [argv for argv, (_, _, outcome, _) in runs.items()
+            if outcome == "usage"] == INVOCATIONS[-19:]
 
 
 def test_verify_fuzz_has_no_wrong_verdict():

@@ -6,6 +6,7 @@ before this module existed; agreement is to solver tolerance, not shared code.
 """
 
 import math
+import sys
 import warnings
 
 import mpmath
@@ -608,6 +609,24 @@ def test_pair_maps_where_k_power_underflows():
     assert abs(T / (0.5 * math.pi / math.sqrt(gamma)) - 1.0) <= 1e-14
     d = q_norm(1e-200, gamma, 2.0, PR3)
     assert abs(d / (1e-200 / math.sqrt(2.0)) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("route, x, p", (
+    ("point_from_k", 1e-315, 1.2),
+    ("point_from_k", sys.float_info.min, 1.2),
+    ("solve_for_d", 1e-315, 1.2),
+    # The least float gamma above pi^2 puts t at 2.2e-16, where k is
+    # subnormal only near p = 1.0465 (5e-74 at p = 1.2).
+    ("point_from_gamma", math.nextafter(math.pi ** 2, math.inf), 1.0465),
+), ids=("k", "least-normal-k", "d", "gamma"))
+def test_no_point_with_a_subnormal_field(route, x, p):
+    # A subnormal d or k (d = k/sqrt(2) there) keeps a few of its digits
+    # only: no float point represents the curve.
+    with pytest.raises(InvalidBracket, match="^d = .* normal double range"):
+        getattr(ll, route)(x, LocalParams(p=p))
+    # Twice the least normal k still gives a normal d.
+    point = point_from_k(2.0 * sys.float_info.min, LocalParams(p=p))
+    assert point.d >= sys.float_info.min
 
 
 def test_time_map_rejects_gamma_below_amplitude():

@@ -11,9 +11,10 @@ working tree's tracked files (``git ls-files``, as they are on disk, so
 uncommitted edits count and untracked files do not) into a second one.
 Both sides thus run from fresh trees without build leftovers, and the
 repository's own checkout and git metadata are left alone. The other
-comparison tools run their two sides from the same pair: ``cli_bytes``
-runs its command lines there, and ``grid_shift``, ``solve_cost`` and
-``oracle_grid`` call their own functions there through ``in_fresh``. For
+comparison tools run their two sides from the same pair, calling their
+functions there through ``in_fresh``: ``cli_bytes`` runs all of a side's
+command lines in one ``fuzz_cli.run_all`` call, and ``grid_shift``,
+``solve_cost`` and ``oracle_grid`` call their own functions. For
 every seed the benchmark runs once on each side, each side with its own ``perfbench/run.py`` and
 ``src/``; the side that runs first alternates from pair to pair, so a
 drift in the host's speed does not favour either side. Runs use the

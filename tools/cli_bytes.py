@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Exit codes and stdout bytes of the command line, base revision against
-the working tree.
+"""Exit codes, stdout bytes and outcomes of the command line, base
+revision against the working tree.
 
     python3 tools/cli_bytes.py --base HEAD~1
 
-Runs a fixed list of ``biflogis`` invocations as ``python -m biflogis.cli``,
-each in a fresh interpreter, once on the base revision's ``src/`` and once
-on the working tree's, both from the fresh copies that
-``tools/bench_pair.py``'s ``sides`` makes, so the checkout is left alone.
+Runs a fixed list of ``biflogis`` invocations through ``fuzz_cli.run_all``,
+all of one side's in one fresh interpreter (``bench_pair.in_fresh``), once
+on the base revision's ``src/`` and once on the working tree's, both from
+the fresh copies that ``bench_pair.sides`` makes, so the checkout is left
+alone. ``fuzz_cli.run`` classifies every run on both sides the same way.
 The list holds the README's seven examples, their ``--format csv``
 (or json) variants, a default grid, a solver error, a sweep CSV whose
 alpha = 1000 row is left out (p = 20, past the tau wall), two runs at
@@ -23,40 +24,34 @@ double range), three runs at p = 3 whose grids solve no row (a solver
 error, exit 1), the laws at p = 3 as CSV and at (p, q, a1, a2) =
 (12, 6, 0.3, 1) and (1.5, 1.5, 2, 0), four solves whose point has a
 subnormal field (beta twice, d, h; a solver error, exit 1) and a sweep
-whose first row is one of them (exit 0, the row's error recorded), and
-the flag values outside the documented domain that must be usage errors
+whose first row is one of them (exit 0, the row's error recorded), two
+local solves at p = 1.2 whose point would have a subnormal d or k
+(``--k 1e-315`` and ``--d 1e-315``; a solver error, exit 1), and the
+19 flag values outside the documented domain that must be usage errors
 (exit 64), ``--e3-reading`` among them.
 
-An invocation still running after ``TIMEOUT_S`` seconds is stopped and
-shows exit code -1 with empty stdout: a revision that accepts a value a
-later one rejects may start work of that size (``--step 1e-9`` before the
-step had a lower bound starts 10**7-step marches on the way to a 10**9-step
-one, whose samples need about 9 GB).
+Nothing stops a run that takes too long, so the base must reject
+``--step 1e-9``, as every revision since ``3f94267`` does: one that
+accepted it would start a 10**9-step march whose samples need about 9 GB.
 
 Prints one line per invocation: the exit code on each side, ``same`` or
-``differs`` for the stdout bytes, and the arguments. Then the number of
-invocations whose exit code changed and whose stdout differs. Exits 1 if
+``differs`` for the stdout bytes, the arguments, and ``(base outcome ->
+change outcome)`` where the outcomes differ, such as ``(bare ValueError
+-> exit 1 InvalidBracket)``. Then the number of invocations whose exit
+code changed, whose stdout differs and whose outcome changed. Exits 1 if
 an invocation that exits 0 on both sides prints different stdout, or if
-one that exits 1 on the working tree names a bare ``ValueError`` or
-``OverflowError`` on stderr (``biflogis <cmd>: ValueError: ...``): a
-solver outcome is a package error, and a bare one is a bug. Such a line
-ends in ``BARE``. It also exits 1, and the line ends in ``NONFINITE``, if
-the working tree prints a non-finite number (``NaN``, ``Infinity``,
-``nan`` or ``inf``, with or without a sign) as a JSON or CSV value.
+the working tree's outcome of one is bad as ``fuzz_cli`` defines it (a
+traceback, a bare error, a warning, non-finite output, or DegenerateFit
+or exit 2 out of verify), other than ``usage``: the list holds usage
+errors on purpose. Such a line ends in ``BAD``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
-import os
-import re
-import subprocess
 import sys
-from pathlib import Path
 
-from bench_pair import sides
+from bench_pair import in_fresh, sides
 
 INVOCATIONS = [
     # README examples and their other output format
@@ -128,7 +123,10 @@ INVOCATIONS = [
     "sweep --p 2 --q 2 --a1 5.5088439034057426e+277 "
     "--a2 1.376834636922323e+47 --alpha-min 3.983715853753032e-300 "
     "--alpha-max 1e-290 --points 3",
-    # values outside the documented domain
+    # local points at p = 1.2 with a subnormal d (7.1e-316) and k (1.4e-315)
+    "solve-local --p 1.2 --k 1e-315",
+    "solve-local --p 1.2 --d 1e-315",
+    # values outside the documented domain, the last 19 of the list
     "solve-local --p 0.5 --k 1",
     "profile --p 0.5 --k 1",
     "oracle-check --p 0.5 --gamma 20",
@@ -151,71 +149,34 @@ INVOCATIONS = [
 ]
 
 
-# Longest run of one invocation; the slowest in the list takes about 1 s.
-TIMEOUT_S = 60
-
-
-def side(root: Path, invocation: str) -> tuple[int, bytes, bytes]:
-    """Exit code, stdout and stderr of one invocation on root's src/; -1
-    and no output if it runs past TIMEOUT_S."""
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    try:
-        proc = subprocess.run([sys.executable, "-m", "biflogis.cli",
-                               *invocation.split()], capture_output=True,
-                              env=env, cwd=root, timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return -1, b"", b""
-    return proc.returncode, proc.stdout, proc.stderr
-
-
-def names_bare_error(code: int, invocation: str, stderr: bytes) -> bool:
-    """Whether an exit-1 run reports a bare ValueError or OverflowError."""
-    command = invocation.split()[0]
-    return code == 1 and any(
-        f"biflogis {command}: {name}:".encode() in stderr
-        for name in ("ValueError", "OverflowError"))
-
-
-def prints_nonfinite(stdout: bytes) -> bool:
-    """Whether stdout holds a non-finite number as a JSON or CSV value."""
-    text = stdout.decode()
-    found = []
-    try:
-        json.loads(text, parse_constant=found.append)
-    except ValueError:
-        found = [f for row in csv.reader(text.splitlines()) for f in row
-                 if re.fullmatch(r"\s*[+-]?(nan|inf|infinity)\s*", f, re.I)]
-    return bool(found)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True,
                     help="git revision to compare against")
     args = ap.parse_args(argv)
 
-    changed = differs = broken = bare = nonfinite = 0
     with sides(args.base) as roots:
-        print("base change stdout invocation")
-        for invocation in INVOCATIONS:
-            rc_b, out_b, _ = side(roots["base"], invocation)
-            rc_c, out_c, err_c = side(roots["change"], invocation)
-            same = out_b == out_c
-            is_bare = names_bare_error(rc_c, invocation, err_c)
-            is_nonfinite = prints_nonfinite(out_c)
-            changed += rc_b != rc_c
-            differs += not same
-            broken += not same and rc_b == rc_c == 0
-            bare += is_bare
-            nonfinite += is_nonfinite
-            print(f"{rc_b:4d} {rc_c:6d} {'same' if same else 'differs':8s}"
-                  f"{invocation}{'  BARE' if is_bare else ''}"
-                  f"{'  NONFINITE' if is_nonfinite else ''}")
+        runs = {side: in_fresh(root, "fuzz_cli", "run_all", INVOCATIONS)
+                for side, root in roots.items()}
+    changed = differs = broken = moved = bad = 0
+    print("base change stdout invocation")
+    for invocation, (rc_b, out_b, was, _), (rc_c, out_c, now, is_bad) in zip(
+            INVOCATIONS, runs["base"], runs["change"]):
+        same = out_b == out_c
+        is_bad = is_bad and now != "usage"
+        changed += rc_b != rc_c
+        differs += not same
+        broken += not same and rc_b == rc_c == 0
+        moved += was != now
+        bad += is_bad
+        print(f"{rc_b:4d} {rc_c:6d} {'same' if same else 'differs':8s}"
+              f"{invocation}{f'  ({was} -> {now})' if was != now else ''}"
+              f"{'  BAD' if is_bad else ''}")
     print(f"{len(INVOCATIONS)} invocations: {changed} exit codes changed, "
           f"{differs} stdout differ, {broken} of them exit 0 on both sides, "
-          f"{bare} bare errors and {nonfinite} non-finite outputs on the "
-          f"working tree")
-    return 1 if broken or bare or nonfinite else 0
+          f"{moved} outcomes changed and {bad} bad outcomes on the working "
+          f"tree")
+    return 1 if broken or bad else 0
 
 
 if __name__ == "__main__":

@@ -35,6 +35,11 @@ bad outcome is one of:
   exit 2, a failed cross-check at its default tolerance, is counted);
 - ``usage``: exit 64, a usage error on an argument list of the domain.
 
+``run`` is the one classifier of a command-line run: ``run_all`` gives
+each run's exit code, stdout, outcome and bad flag for a list of argument
+strings in one process, and ``tools/cli_bytes.py`` compares two revisions
+through it.
+
 Prints the outcome table, counts per subcommand and outcome, then every
 bad argument list with its outcome and stderr. Exits 1 if any run was bad.
 """
@@ -43,8 +48,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
+import json
 import random
+import re
 import sys
 import traceback
 import warnings
@@ -52,8 +60,6 @@ from collections import Counter
 
 from biflogis import errors
 from biflogis.cli import main as cli_main
-
-from cli_bytes import prints_nonfinite
 
 COMMANDS = ("constants", "solve-local", "solve", "profile", "sweep",
             "verify", "oracle-check")
@@ -94,9 +100,22 @@ def draw(rng: random.Random, command: str) -> list[str]:
     return argv
 
 
-def run(argv: list[str]) -> tuple[str, bool, str]:
-    """(outcome, whether it is bad, stderr or traceback) of one in-process
-    invocation."""
+def prints_nonfinite(stdout: str) -> bool:
+    """Whether stdout holds a non-finite number as a JSON or CSV value."""
+    found = []
+    try:
+        json.loads(stdout, parse_constant=found.append)
+    except ValueError:
+        found = [f for row in csv.reader(stdout.splitlines()) for f in row
+                 if re.fullmatch(r"\s*[+-]?(nan|inf|infinity)\s*", f, re.I)]
+    return bool(found)
+
+
+def run(argv: list[str]) -> tuple[int, str, str, bool, str]:
+    """(exit code, stdout, outcome, whether it is bad, stderr) of one
+    in-process invocation, as the module docstring classifies it; stderr
+    is the traceback or the warnings where those made the run bad. An
+    exception out of main exits 1, as under ``python -m``."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -105,22 +124,28 @@ def run(argv: list[str]) -> tuple[str, bool, str]:
                     contextlib.redirect_stderr(err):
                 code = cli_main(argv)
         except Exception:
-            return "traceback", True, traceback.format_exc()
-    stderr = err.getvalue()
+            return 1, out.getvalue(), "traceback", True, traceback.format_exc()
+    stdout, stderr = out.getvalue(), err.getvalue()
+    # main reports "biflogis <command>: <error name>: <message>".
+    name = stderr.partition(": ")[2].partition(":")[0]
     if caught:
-        return "warning", True, "\n".join(str(w.message) for w in caught)
-    if prints_nonfinite(out.getvalue().encode()):
-        return "nonfinite", True, stderr
-    if code == 1:
-        # main reports "biflogis <command>: <error name>: <message>".
-        name = stderr.partition(": ")[2].partition(":")[0]
-        if name not in TYPED:
-            return f"bare {name}", True, stderr
-        return f"exit 1 {name}", argv[0] == "verify" and \
-            name == "DegenerateFit", stderr
-    if code == 64:
-        return "usage", True, stderr
-    return f"exit {code}", argv[0] == "verify" and code == 2, stderr
+        outcome, stderr = "warning", "\n".join(str(w.message) for w in caught)
+    elif prints_nonfinite(stdout):
+        outcome = "nonfinite"
+    elif code == 1:
+        outcome = f"exit 1 {name}" if name in TYPED else f"bare {name}"
+    else:
+        outcome = "usage" if code == 64 else f"exit {code}"
+    # Every outcome but a plain exit is bad, and so are two of verify's.
+    bad = not outcome.startswith("exit ") or (
+        argv[0] == "verify" and outcome in ("exit 1 DegenerateFit", "exit 2"))
+    return code, stdout, outcome, bad, stderr
+
+
+def run_all(invocations: list[str]) -> list[tuple[int, str, str, bool]]:
+    """(exit code, stdout, outcome, whether it is bad) of each invocation,
+    an argument string split on spaces, all in this one process."""
+    return [run(invocation.split())[:4] for invocation in invocations]
 
 
 def fuzz(seed: int, count: int, commands=COMMANDS):
@@ -130,7 +155,7 @@ def fuzz(seed: int, count: int, commands=COMMANDS):
     table, bad = Counter(), []
     for _ in range(count):
         argv = draw(rng, rng.choice(commands))
-        outcome, is_bad, stderr = run(argv)
+        _, _, outcome, is_bad, stderr = run(argv)
         table[argv[0], outcome] += 1
         if is_bad:
             bad.append((argv, outcome, stderr))
